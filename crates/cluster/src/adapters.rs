@@ -97,7 +97,7 @@ impl SimNode for CrdtPaxosNode {
                 // Protocol messages must always encode; failing silently here would
                 // quietly undercount the byte-reduction figures.
                 self.scratch.clear();
-                wire::to_sink(&envelope.message, &mut self.scratch)
+                wire::to_writer(&envelope.message, &mut self.scratch)
                     .expect("protocol messages encode");
                 // Key state-bearing messages by payload representation too
                 // ("MERGE:full" / "MERGE:delta"), so one run shows both. The
@@ -226,7 +226,7 @@ impl SimNode for KeyValueNode {
         if self.measure_wire {
             for envelope in &envelopes {
                 self.scratch.clear();
-                wire::to_sink(&envelope.message, &mut self.scratch)
+                wire::to_writer(&envelope.message, &mut self.scratch)
                     .expect("protocol messages encode");
                 self.inner
                     .record_wire_bytes(envelope.message.wire_kind(), self.scratch.len() as u64);
@@ -335,7 +335,8 @@ impl SimNode for ShardedKvNode {
         if self.measure_wire {
             for envelope in &envelopes {
                 self.scratch.clear();
-                wire::to_sink(&envelope.message, &mut self.scratch).expect("shard messages encode");
+                wire::to_writer(&envelope.message, &mut self.scratch)
+                    .expect("shard messages encode");
                 match &envelope.message {
                     ShardMessage::Protocol { shard, message, .. } => {
                         self.inner.record_wire_bytes(

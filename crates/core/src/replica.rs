@@ -209,6 +209,9 @@ pub struct Replica<C: Crdt + DeltaCrdt> {
     others: Vec<ReplicaId>,
     quorum_size: usize,
     acceptor: Acceptor<C>,
+    /// The bottom state, built once: `begin_prepare` compares against it per query
+    /// (§3.6: never ship `s0`), and a fresh `C::default()` may allocate.
+    bottom: C,
     config: ProtocolConfig,
     metrics: Metrics,
     now_ms: u64,
@@ -325,6 +328,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             others,
             quorum_size,
             acceptor: Acceptor::new(id, initial),
+            bottom: C::default(),
             config,
             metrics: Metrics::new(),
             now_ms: 0,
@@ -668,8 +672,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             ids.push(command);
             waiters.push(UpdateWaiter { client, command });
         }
-        let merged_state = self.acceptor.state().clone();
-        self.launch_update(waiters, merged_state);
+        self.launch_update(waiters);
         ids
     }
 
@@ -1021,18 +1024,15 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     }
 
     /// Broadcasts a `MERGE` for `state`, per-peer delta-encoded when possible.
-    ///
-    /// Takes the state by value so the paper-faithful full mode moves it straight
-    /// into the (last) envelope instead of cloning.
-    fn broadcast_merge(&mut self, request: RequestId, state: C) {
+    fn broadcast_merge(&mut self, request: RequestId, state: &C) {
         if self.delta_payloads_enabled() {
             for index in 0..self.others.len() {
                 let peer = self.others[index];
-                let payload = self.payload_for(peer, &state);
+                let payload = self.payload_for(peer, state);
                 self.send(peer, Message::Merge { request, payload });
             }
         } else {
-            self.broadcast(Message::Merge { request, payload: Payload::Full(state) });
+            self.broadcast(Message::Merge { request, payload: Payload::Full(state.clone()) });
         }
     }
 
@@ -1043,14 +1043,14 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         &mut self,
         request: RequestId,
         round: PrepareRound,
-        state: Option<C>,
+        state: Option<&C>,
         allow_delta: bool,
     ) {
         if allow_delta && self.delta_payloads_enabled() {
             let mut echoes: Vec<(ReplicaId, u64)> = Vec::new();
             for index in 0..self.others.len() {
                 let peer = self.others[index];
-                let payload = state.as_ref().map(|state| self.payload_for(peer, state));
+                let payload = state.map(|state| self.payload_for(peer, state));
                 let basis = self.echo_basis(peer);
                 if basis != 0 {
                     echoes.push((peer, basis));
@@ -1062,7 +1062,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             self.broadcast(Message::Prepare {
                 request,
                 round,
-                payload: state.map(Payload::Full),
+                payload: state.cloned().map(Payload::Full),
                 basis: 0,
             });
         }
@@ -1150,14 +1150,13 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             self.acceptor.apply_update(&update);
             waiters.push(waiter);
         }
-        // One clone per protocol instance, after every batched update applied.
-        self.launch_update(waiters, self.acceptor.state().clone());
+        self.launch_update(waiters);
     }
 
-    /// Starts the quorum half of an update instance: `merged_state` is the local
-    /// acceptor state to replicate, with all update functions (if any) already
-    /// applied. Shared by [`Replica::start_update`] and [`Replica::submit_resync`].
-    fn launch_update(&mut self, waiters: Vec<UpdateWaiter>, merged_state: C) {
+    /// Starts the quorum half of an update instance, replicating the local acceptor
+    /// state as it is now: all update functions (if any) already applied. Shared by
+    /// [`Replica::start_update`] and [`Replica::submit_resync`].
+    fn launch_update(&mut self, waiters: Vec<UpdateWaiter>) {
         let request = self.alloc_request();
         let mut acks = self.alloc_ack_set();
         acks.insert(self.id);
@@ -1166,17 +1165,20 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             self.finish_update(waiters, 1);
             return;
         }
+        // One snapshot per protocol instance, after every batched update applied:
+        // the instance keeps it, each `MERGE` shares it.
+        let merged_state = self.acceptor.state().clone();
+        self.broadcast_merge(request, &merged_state);
         self.requests.insert(
             request,
             InFlight::Update {
                 waiters,
-                merged_state: merged_state.clone(),
+                merged_state,
                 acks,
                 round_trips: 1,
                 last_sent_ms: self.now_ms,
             },
         );
-        self.broadcast_merge(request, merged_state);
     }
 
     /// Starts one query protocol instance covering all the given waiters.
@@ -1212,7 +1214,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             let Some(InFlight::Query { gathered, .. }) = self.requests.get(&request) else {
                 return;
             };
-            let payload = if self.config.send_state_in_prepare && !gathered.leq(&C::default()) {
+            let payload = if self.config.send_state_in_prepare && !gathered.leq(&self.bottom) {
                 Some(gathered.clone())
             } else {
                 None
@@ -1220,6 +1222,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             let local_outcome = self.acceptor.prepare_local(round, payload.as_ref());
             (payload, local_outcome)
         };
+        self.broadcast_prepare(request, round, payload.as_ref(), allow_delta);
 
         let mut acks = self.alloc_prepare_acks();
         let Some(InFlight::Query { phase, gathered, round_trips, last_sent_ms, .. }) =
@@ -1243,8 +1246,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 gathered.join(self.acceptor.state());
             }
         }
-        *phase = QueryPhase::Prepare { round, sent_state: payload.clone(), acks };
-        self.broadcast_prepare(request, round, payload, allow_delta);
+        // The instance keeps the one snapshot the `PREPARE`s above share.
+        *phase = QueryPhase::Prepare { round, sent_state: payload, acks };
         self.maybe_finish_prepare(request);
     }
 

@@ -7,8 +7,14 @@
 //! envelopes: identical values on every complete encoding, identical
 //! accept/reject verdicts on every truncated prefix, and frame views that
 //! stay valid after the decoder that produced them is gone.
+//!
+//! The outbound side is pinned the same way: whatever state its recycled,
+//! possibly shared batch buffer is in, [`FrameEncoder`] writes exactly the bytes
+//! of `wire::to_vec` behind a length prefix; and an in-place decode into a
+//! scratch message whose map a live snapshot still shares leaves the snapshot
+//! alone.
 
-use bytes::Bytes;
+use bytes::{Bytes, BytesMut};
 use crdt::{GCounter, LatticeMap, ReplicaId};
 use crdt_paxos_core::{
     Envelope, Message, Payload, PrepareRound, RequestId, Round, RoundId, ShardEnvelope,
@@ -16,7 +22,7 @@ use crdt_paxos_core::{
 };
 use proptest::prelude::*;
 use quorum::ShardId;
-use wire::framing::{FrameDecoder, FrameEncoder};
+use wire::framing::{encode_frame, FrameDecoder, FrameEncoder};
 
 type Kv = LatticeMap<u64, GCounter>;
 
@@ -154,8 +160,123 @@ where
     }
 }
 
+/// What one frame is on the wire, built without any batch buffer: the length
+/// prefix, then `wire::to_vec`'s bytes.
+fn reference_frame(message: &ShardMessage<Kv>) -> Vec<u8> {
+    let body = wire::to_vec(message).expect("encode");
+    let mut frame = u32::try_from(body.len()).expect("small frame").to_le_bytes().to_vec();
+    frame.extend_from_slice(&body);
+    frame
+}
+
+/// Serializes `.0` completely, then fails: an encode that dies mid-frame, with
+/// bytes of it already in the batch buffer.
+struct FailsAfter<'a>(&'a ShardMessage<Kv>);
+
+impl serde::Serialize for FailsAfter<'_> {
+    fn serialize<S: serde::Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        use serde::ser::SerializeTuple;
+        let mut tuple = serializer.serialize_tuple(2)?;
+        tuple.serialize_element(self.0)?;
+        Err(serde::ser::Error::custom("dies mid-frame"))
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// Across take/reclaim cycles — with earlier batches dropped at once (their
+    /// buffers come back recycled) or held (they cannot) — and across a failed
+    /// fill rolled back with `truncate`, every batch is byte for byte the
+    /// concatenation of its messages' reference frames.
+    #[test]
+    fn frame_encoder_batches_match_the_reference_encoding(
+        batches in proptest::collection::vec(
+            (proptest::collection::vec(arb_shard_message(), 0..5), proptest::bool::ANY, proptest::bool::ANY),
+            1..8,
+        ),
+    ) {
+        let mut encoder = FrameEncoder::new();
+        let mut held: Vec<(Bytes, Vec<u8>)> = Vec::new();
+        for (messages, hold, fail_midway) in &batches {
+            let mut expected = Vec::new();
+            for (index, message) in messages.iter().enumerate() {
+                if *fail_midway && index == 2 {
+                    // A fill (frames 1..) that dies on its second frame, as
+                    // `send_with` sees it: the failed frame rolls itself back,
+                    // `truncate` takes the fill's first frame with it and the
+                    // frame of the fill before stays.
+                    let boundary = reference_frame(&messages[0]).len();
+                    prop_assert!(encoder.encode(&FailsAfter(message)).is_err());
+                    prop_assert_eq!(encoder.len(), expected.len());
+                    encoder.truncate(boundary);
+                    expected.truncate(boundary);
+                    prop_assert_eq!(encoder.frames(), 1);
+                }
+                encoder.encode(message).expect("encode");
+                expected.extend_from_slice(&reference_frame(message));
+            }
+            prop_assert_eq!(encoder.len(), expected.len());
+            let batch = encoder.take();
+            prop_assert_eq!(&batch[..], &expected[..]);
+            if *hold {
+                held.push((batch, expected));
+            }
+        }
+        // Batches still alive were never written over by later ones.
+        for (batch, expected) in &held {
+            prop_assert_eq!(&batch[..], &expected[..]);
+        }
+    }
+
+    /// `encode_frame` into a buffer that live views still share — the state a
+    /// batch buffer is in when part of it was split off and not yet written —
+    /// appends the reference bytes and leaves the views as they were.
+    #[test]
+    fn encode_frame_into_a_shared_buffer_matches_the_reference(
+        first in arb_shard_message(),
+        second in arb_shard_message(),
+    ) {
+        let mut buffer = BytesMut::new();
+        encode_frame(&first, &mut buffer).expect("encode");
+        encode_frame(&second, &mut buffer).expect("encode");
+        let first_frame = reference_frame(&first);
+        let view = buffer.split_to(first_frame.len()).freeze();
+        // `view` and `buffer` now share one allocation.
+        encode_frame(&first, &mut buffer).expect("encode");
+        prop_assert_eq!(&view[..], &first_frame[..]);
+        prop_assert_eq!(&buffer[..], &[reference_frame(&second), first_frame].concat()[..]);
+    }
+
+    /// The worker's scratch message is decoded in place; when a snapshot taken
+    /// out of it still shares the map (a proposer keeps `ACK` states), the decode
+    /// must produce the new message and must not write through to the snapshot.
+    #[test]
+    fn in_place_decode_leaves_aliased_snapshots_alone(
+        resident in arb_map(),
+        resident_request in any::<u64>(),
+        incoming in arb_shard_message(),
+    ) {
+        let untouched: Kv = resident.iter().map(|(key, value)| (*key, value.clone())).collect();
+        let snapshot = resident.clone();
+        let mut scratch: ShardMessage<Kv> = ShardMessage::Protocol {
+            epoch: 1,
+            shards: 4,
+            shard: ShardId(0),
+            message: Message::Merge {
+                request: RequestId(resident_request),
+                payload: Payload::Full(resident),
+            },
+        };
+        let frame = Bytes::from(wire::to_vec(&incoming).expect("encode"));
+        wire::from_bytes_in_place(&frame, &mut scratch).expect("decode");
+        prop_assert_eq!(&scratch, &incoming);
+        prop_assert_eq!(&snapshot, &untouched);
+        // With the snapshot gone the scratch is rewritten where it stands.
+        drop(snapshot);
+        wire::from_bytes_in_place(&frame, &mut scratch).expect("decode");
+        prop_assert_eq!(&scratch, &incoming);
+    }
 
     #[test]
     fn envelope_owned_and_borrowed_decode_agree(envelope in arb_envelope()) {

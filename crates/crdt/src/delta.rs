@@ -22,8 +22,9 @@
 //!   protocol uses, because acceptor states also grow through remote joins that no
 //!   local mutator observed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
+use std::sync::Arc;
 
 use crate::counter::{GCounter, PNCounter};
 use crate::gset::{GSet, TwoPhaseSet};
@@ -320,25 +321,31 @@ where
     type Delta = LatticeMap<K, V::Delta>;
 
     fn apply_delta(&mut self, delta: &Self::Delta) {
-        for (key, nested) in &delta.entries {
-            self.entries.entry(key.clone()).or_default().apply_delta(nested);
+        // Deltas carry only keys that grew at the sender, so a non-empty one is
+        // taken to grow `self`; an empty one must not un-share the entries.
+        if delta.entries.is_empty() {
+            return;
+        }
+        let entries = Arc::make_mut(&mut self.entries);
+        for (key, nested) in delta.entries.iter() {
+            entries.entry(key.clone()).or_default().apply_delta(nested);
         }
     }
 
     fn delta_since(&self, known: &Self) -> Self::Delta {
-        let mut delta = LatticeMap::default();
-        for (key, value) in &self.entries {
+        let mut delta = BTreeMap::new();
+        for (key, value) in self.entries.iter() {
             match known.entries.get(key) {
                 Some(known_value) if value.leq(known_value) => {}
                 Some(known_value) => {
-                    delta.entries.insert(key.clone(), value.delta_since(known_value));
+                    delta.insert(key.clone(), value.delta_since(known_value));
                 }
                 None => {
-                    delta.entries.insert(key.clone(), value.delta_since(&V::default()));
+                    delta.insert(key.clone(), value.delta_since(&V::default()));
                 }
             }
         }
-        delta
+        LatticeMap { entries: Arc::new(delta) }
     }
 }
 

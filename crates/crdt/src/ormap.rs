@@ -6,16 +6,27 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use crate::crdt::Crdt;
-use crate::lattice::Lattice;
+use crate::lattice::{first_growth, join_from, Lattice};
 use crate::replica::ReplicaId;
 
 /// A map from keys to nested lattice values.
 ///
 /// Keys are grow-only; a key's value evolves monotonically in the nested lattice.
+///
+/// # Snapshots
+///
+/// The protocol puts the whole map in every state-bearing message and keeps
+/// snapshots of it per in-flight instance, so `clone` is a reference-count bump:
+/// clones share one allocation, and a map copies its entries only when it is about
+/// to **grow** while another clone still reads them (copy-on-write). An operation
+/// that grows nothing — joining a state `⊑ self`, an empty delta — leaves the
+/// allocation shared. A snapshot therefore never changes under its holder, and
+/// holding one costs a deep copy only if the original grows in the meantime.
 ///
 /// # Example
 ///
@@ -29,12 +40,14 @@ use crate::replica::ReplicaId;
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct LatticeMap<K: Ord, V> {
-    pub(crate) entries: BTreeMap<K, V>,
+    /// Shared with every clone; written only through `Arc::make_mut`, and only by
+    /// an operation that may grow the map.
+    pub(crate) entries: Arc<BTreeMap<K, V>>,
 }
 
 impl<K: Ord, V> Default for LatticeMap<K, V> {
     fn default() -> Self {
-        LatticeMap { entries: BTreeMap::new() }
+        LatticeMap { entries: Arc::new(BTreeMap::new()) }
     }
 }
 
@@ -56,12 +69,15 @@ where
     /// Applies a monotone mutation to the value under `key`, inserting the bottom
     /// value first if the key is new.
     pub fn update<F: FnOnce(&mut V)>(&mut self, key: K, mutate: F) {
-        mutate(self.entries.entry(key).or_default());
+        mutate(Arc::make_mut(&mut self.entries).entry(key).or_default());
     }
 
     /// Joins `value` into the entry under `key`.
     pub fn merge_entry(&mut self, key: K, value: &V) {
-        self.entries.entry(key).or_default().join(value);
+        if self.entries.get(&key).is_some_and(|held| value.leq(held)) {
+            return;
+        }
+        Arc::make_mut(&mut self.entries).entry(key).or_default().join(value);
     }
 
     /// Number of keys present.
@@ -91,11 +107,18 @@ where
     V: Lattice,
 {
     fn join(&mut self, other: &Self) {
-        self.entries.join(&other.entries);
+        if Arc::ptr_eq(&self.entries, &other.entries) {
+            return;
+        }
+        // One walk: read-only up to the first entry that grows `self` (none: the
+        // allocation stays shared), un-share, then join the rest in place.
+        if let Some(from) = first_growth(&self.entries, &other.entries) {
+            join_from(Arc::make_mut(&mut self.entries), &other.entries, from);
+        }
     }
 
     fn leq(&self, other: &Self) -> bool {
-        self.entries.leq(&other.entries)
+        Arc::ptr_eq(&self.entries, &other.entries) || self.entries.leq(&other.entries)
     }
 }
 
@@ -105,16 +128,16 @@ where
     V: Lattice,
 {
     fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        let mut map: Self = LatticeMap { entries: BTreeMap::new() };
+        let mut entries: BTreeMap<K, V> = BTreeMap::new();
         for (key, value) in iter {
-            match map.entries.get_mut(&key) {
+            match entries.get_mut(&key) {
                 Some(existing) => existing.join(&value),
                 None => {
-                    map.entries.insert(key, value);
+                    entries.insert(key, value);
                 }
             }
         }
-        map
+        LatticeMap { entries: Arc::new(entries) }
     }
 }
 
@@ -169,7 +192,10 @@ where
     fn apply(&mut self, replica: ReplicaId, update: &Self::Update) {
         match update {
             MapUpdate::Apply { key, update } => {
-                self.entries.entry(key.clone()).or_default().apply(replica, update);
+                Arc::make_mut(&mut self.entries)
+                    .entry(key.clone())
+                    .or_default()
+                    .apply(replica, update);
             }
         }
     }

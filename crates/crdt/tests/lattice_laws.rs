@@ -8,9 +8,9 @@
 use std::collections::BTreeSet;
 
 use crdt::{
-    CounterUpdate, Crdt, GCounter, GSet, GSetUpdate, Lattice, LatticeMap, LwwRegister, LwwStamp,
-    Max, MaxRegister, MvRegister, ORSet, ORSetUpdate, PNCounter, PnUpdate, ReplicaId, TwoPhaseSet,
-    TwoPhaseSetUpdate, VClock,
+    CounterUpdate, Crdt, DeltaCrdt, GCounter, GSet, GSetUpdate, Lattice, LatticeMap, LwwRegister,
+    LwwStamp, MapUpdate, Max, MaxRegister, MvRegister, ORSet, ORSetUpdate, PNCounter, PnUpdate,
+    ReplicaId, TwoPhaseSet, TwoPhaseSetUpdate, VClock,
 };
 use proptest::prelude::*;
 
@@ -120,6 +120,69 @@ fn map_strategy() -> impl Strategy<Value = LatticeMap<u8, Max<u16>>> {
         .prop_map(|entries| entries.into_iter().map(|(k, v)| (k, Max::new(v))).collect())
 }
 
+/// The map the protocol replicates per shard: delta-capable values under small keys,
+/// so that independently drawn maps overlap.
+type Kv = LatticeMap<u8, GCounter>;
+
+fn kv_strategy() -> impl Strategy<Value = Kv> {
+    proptest::collection::vec((0u8..12, gcounter_strategy()), 0..10)
+        .prop_map(|entries| entries.into_iter().collect())
+}
+
+/// Every way a [`Kv`] grows.
+#[derive(Debug, Clone)]
+enum KvOp {
+    Apply(u8, ReplicaId, u64),
+    Update(u8, ReplicaId, u64),
+    MergeEntry(u8, GCounter),
+    Join(Kv),
+    ApplyDelta(Kv),
+}
+
+impl KvOp {
+    fn run(&self, map: &mut Kv) {
+        match self {
+            KvOp::Apply(key, replica, amount) => map.apply(
+                *replica,
+                &MapUpdate::Apply { key: *key, update: CounterUpdate::Increment(*amount) },
+            ),
+            KvOp::Update(key, replica, amount) => {
+                map.update(*key, |counter| counter.increment(*replica, *amount))
+            }
+            KvOp::MergeEntry(key, value) => map.merge_entry(*key, value),
+            KvOp::Join(other) => map.join(other),
+            KvOp::ApplyDelta(delta) => map.apply_delta(delta),
+        }
+    }
+}
+
+fn kv_op_strategy() -> impl Strategy<Value = KvOp> {
+    let keyed = || (0u8..12, replica_strategy(), 0u64..20);
+    prop_oneof![
+        keyed().prop_map(|(key, replica, amount)| KvOp::Apply(key, replica, amount)),
+        keyed().prop_map(|(key, replica, amount)| KvOp::Update(key, replica, amount)),
+        (0u8..12, gcounter_strategy()).prop_map(|(key, value)| KvOp::MergeEntry(key, value)),
+        kv_strategy().prop_map(KvOp::Join),
+        // A map of counters is its own delta type.
+        kv_strategy().prop_map(KvOp::ApplyDelta),
+    ]
+}
+
+/// A copy of `map` that shares nothing with it: what `clone` was before snapshots
+/// shared their entries, and the model the shared ones are checked against.
+fn deep_copy(map: &Kv) -> Kv {
+    map.iter().map(|(key, value)| (*key, value.clone())).collect()
+}
+
+/// Whether two maps read their entries from one allocation: the values they hand
+/// out live at the same addresses. (Vacuously false for empty maps.)
+fn share_entries(a: &Kv, b: &Kv) -> bool {
+    match (a.iter().next(), b.iter().next()) {
+        (Some((_, x)), Some((_, y))) => std::ptr::eq(x, y),
+        _ => false,
+    }
+}
+
 /// Asserts the semilattice laws for three arbitrary states of one lattice type.
 fn assert_lattice_laws<L: Lattice + PartialEq>(a: &L, b: &L, c: &L) {
     // Idempotence: a ⊔ a ≡ a
@@ -181,8 +244,81 @@ lattice_law_tests!(lww_lattice_laws, lww_strategy());
 lattice_law_tests!(mv_lattice_laws, mv_strategy());
 lattice_law_tests!(max_register_lattice_laws, max_register_strategy());
 lattice_law_tests!(map_lattice_laws, map_strategy());
+lattice_law_tests!(kv_lattice_laws, kv_strategy());
 
 proptest! {
+    /// Snapshot isolation: clones share their entries, yet whatever grows one of them
+    /// never shows in the other — both behave exactly like deep copies.
+    #[test]
+    fn kv_snapshots_are_isolated(
+        start in kv_strategy(),
+        ops in proptest::collection::vec((proptest::bool::ANY, kv_op_strategy()), 1..12),
+    ) {
+        let (mut left, mut left_model) = (start.clone(), deep_copy(&start));
+        let (mut right, mut right_model) = (left.clone(), deep_copy(&start));
+        for (on_left, op) in &ops {
+            let (side, model) =
+                if *on_left { (&mut left, &mut left_model) } else { (&mut right, &mut right_model) };
+            // A snapshot taken mid-history shares with its side and must not move
+            // when the side does.
+            let snapshot = side.clone();
+            let expected = deep_copy(&snapshot);
+            op.run(side);
+            op.run(model);
+            prop_assert_eq!(&snapshot, &expected);
+            prop_assert_eq!(&left, &left_model);
+            prop_assert_eq!(&right, &right_model);
+        }
+    }
+
+    /// The lattice and delta laws hold when operands alias one allocation.
+    #[test]
+    fn kv_laws_hold_across_aliased_operands(a in kv_strategy(), b in kv_strategy(), op in kv_op_strategy()) {
+        assert_lattice_laws(&a, &a.clone(), &b);
+        assert_lattice_laws(&a.clone(), &b, &a);
+        let mut joined = a.clone();
+        joined.join(&a.clone());
+        prop_assert_eq!(&joined, &deep_copy(&a));
+
+        // k ⊔ s.delta_since(k) = k ⊔ s, with s grown from a clone of k.
+        let known = a.clone();
+        let mut state = known.clone();
+        op.run(&mut state);
+        let delta = state.delta_since(&known);
+        let mut via_delta = known.clone();
+        via_delta.apply_delta(&delta);
+        prop_assert!(via_delta.equivalent(&known.clone().joined(&state)));
+        prop_assert_eq!(&known, &deep_copy(&a));
+        prop_assert!(a.delta_since(&a.clone()).is_empty());
+    }
+
+    /// No growth, no copy: joining anything `⊑ self` or applying an empty delta
+    /// leaves the allocation shared with earlier snapshots; the first operation that
+    /// does grow the map un-shares it and leaves the snapshot as it was.
+    #[test]
+    fn kv_shares_until_it_grows(a in kv_strategy(), b in kv_strategy(), key in 0u8..12) {
+        let mut state = a.clone().joined(&b);
+        state.update(key, |counter| counter.increment(ReplicaId::new(0), 1));
+        let snapshot = state.clone();
+        prop_assert!(share_entries(&state, &snapshot));
+
+        state.join(&a);
+        state.join(&b);
+        state.join(&snapshot);
+        state.join(&deep_copy(&snapshot));
+        state.apply_delta(&Kv::default());
+        state.apply_delta(&state.delta_since(&snapshot));
+        let held = state.get(&key).expect("just updated").clone();
+        state.merge_entry(key, &held);
+        prop_assert!(share_entries(&state, &snapshot), "nothing grew, yet the entries were copied");
+
+        let expected = deep_copy(&snapshot);
+        state.update(key, |counter| counter.increment(ReplicaId::new(1), 1));
+        prop_assert!(!share_entries(&state, &snapshot));
+        prop_assert_eq!(&snapshot, &expected);
+        prop_assert!(snapshot.leq(&state) && !state.leq(&snapshot));
+    }
+
     /// Update functions must be monotone: s ⊑ u(s) (Definition 3).
     #[test]
     fn gcounter_updates_are_monotone(

@@ -59,38 +59,42 @@ pub use node::{EngineNode, NodeIngress};
 pub use router::RouterRequest;
 
 /// Everything the engine requires of a key: the sharded keyspace's own bounds
-/// plus `Hash` (the engine partitions by hash), `Send` (keys cross thread
-/// boundaries), and both halves of the wire codec (the engine decodes received
+/// plus `Hash` (the engine partitions by hash), `Send + Sync` (keys cross thread
+/// boundaries inside shard-state snapshots that several threads read through one
+/// shared allocation), and both halves of the wire codec (the engine decodes received
 /// frames itself — see [`NodeIngress::deliver_frame`] — and any transport
 /// bridge must be able to encode its envelopes without extra bounds).
 pub trait EngineKey:
-    Ord + Clone + Hash + fmt::Debug + Serialize + DeserializeOwned + Send + 'static
+    Ord + Clone + Hash + fmt::Debug + Serialize + DeserializeOwned + Send + Sync + 'static
 {
 }
 impl<K> EngineKey for K where
-    K: Ord + Clone + Hash + fmt::Debug + Serialize + DeserializeOwned + Send + 'static
+    K: Ord + Clone + Hash + fmt::Debug + Serialize + DeserializeOwned + Send + Sync + 'static
 {
 }
 
 /// Everything the engine requires of a value CRDT: the protocol's own bounds
-/// plus `Send` for the state and its delta (both cross thread boundaries) and
-/// the wire codec for both (full payloads ship the state, delta payloads ship
-/// the delta).
+/// plus `Send + Sync` for the state and its delta (both cross thread boundaries,
+/// and a shard's `LatticeMap` snapshots share one allocation across them) and the
+/// wire codec for both (full payloads ship the state, delta payloads ship the
+/// delta).
 pub trait EngineValue:
     Crdt
-    + DeltaCrdt<Delta: Send + Serialize + DeserializeOwned>
+    + DeltaCrdt<Delta: Send + Sync + Serialize + DeserializeOwned>
     + Serialize
     + DeserializeOwned
     + Send
+    + Sync
     + 'static
 {
 }
 impl<V> EngineValue for V where
     V: Crdt
-        + DeltaCrdt<Delta: Send + Serialize + DeserializeOwned>
+        + DeltaCrdt<Delta: Send + Sync + Serialize + DeserializeOwned>
         + Serialize
         + DeserializeOwned
         + Send
+        + Sync
         + 'static
 {
 }

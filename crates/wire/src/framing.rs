@@ -7,7 +7,7 @@
 //! [`FrameEncoder`] batches many frames into a single contiguous buffer that is
 //! handed off as [`Bytes`] without copying — the write-side coalescing path.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
@@ -18,27 +18,33 @@ pub const DEFAULT_MAX_FRAME: usize = 16 * 1024 * 1024;
 
 /// Serializes `value` and appends a length-prefixed frame to `out`.
 ///
-/// The payload serializes directly into `out` (the length prefix is
-/// back-filled afterwards), so no intermediate vector is built per frame.
+/// Ownership of `out`'s allocation is established once for the whole frame
+/// ([`BytesMut::append_with`]); the payload then serializes into the backing
+/// vector directly (the length prefix is back-filled afterwards), so no
+/// intermediate vector is built per frame and no byte pays an ownership check.
 ///
 /// # Errors
 ///
 /// Returns an error if serialization fails or the encoded payload exceeds `u32::MAX`;
 /// `out` is rolled back to its pre-call state.
 pub fn encode_frame<T: Serialize + ?Sized>(value: &T, out: &mut BytesMut) -> Result<()> {
-    let frame_start = out.len();
-    out.put_u32_le(0);
-    if let Err(err) = crate::to_sink(value, out) {
-        out.resize(frame_start, 0);
-        return Err(err);
-    }
-    let payload_len = out.len() - frame_start - 4;
-    let Ok(len) = u32::try_from(payload_len) else {
-        out.resize(frame_start, 0);
-        return Err(Error::LengthOverflow(payload_len as u64));
-    };
-    out[frame_start..frame_start + 4].copy_from_slice(&len.to_le_bytes());
-    Ok(())
+    out.append_with(|out| {
+        let frame_start = out.len();
+        out.extend_from_slice(&[0; 4]);
+        let payload_len = match crate::to_writer(value, out) {
+            Ok(()) => out.len() - frame_start - 4,
+            Err(err) => {
+                out.truncate(frame_start);
+                return Err(err);
+            }
+        };
+        let Ok(len) = u32::try_from(payload_len) else {
+            out.truncate(frame_start);
+            return Err(Error::LengthOverflow(payload_len as u64));
+        };
+        out[frame_start..frame_start + 4].copy_from_slice(&len.to_le_bytes());
+        Ok(())
+    })
 }
 
 /// How many spent batches the encoder keeps around as reclaim candidates.
@@ -50,10 +56,11 @@ const SPENT_CAP: usize = 4;
 /// buffer, each behind its length prefix, so a whole outbound queue becomes a
 /// single socket write.
 ///
-/// Values serialize directly into the accumulating [`BytesMut`] (the length
-/// prefix is back-filled after the payload is written — no intermediate `Vec`
-/// per message), and [`FrameEncoder::take`] converts the batch into [`Bytes`]
-/// with an O(1) `split_to`/`freeze` — no copy, no allocation.
+/// Values serialize directly into the accumulating [`BytesMut`]'s backing
+/// vector ([`encode_frame`]: one ownership check per frame, the length prefix
+/// back-filled after the payload is written — no intermediate `Vec` per
+/// message), and [`FrameEncoder::take`] converts the batch into [`Bytes`]
+/// with an O(1) `freeze` — no copy, no allocation.
 ///
 /// The encoder also *recycles* its batch allocations: every taken batch is
 /// remembered as a reclaim candidate, and once the consumer (typically the
@@ -87,18 +94,7 @@ impl FrameEncoder {
     /// Returns an error if serialization fails or the encoded payload exceeds
     /// `u32::MAX`; the buffer is rolled back to its pre-call state.
     pub fn encode<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
-        let frame_start = self.buf.len();
-        self.buf.put_u32_le(0);
-        if let Err(err) = crate::to_sink(value, &mut self.buf) {
-            self.buf.resize(frame_start, 0);
-            return Err(err);
-        }
-        let payload_len = self.buf.len() - frame_start - 4;
-        let Ok(len) = u32::try_from(payload_len) else {
-            self.buf.resize(frame_start, 0);
-            return Err(Error::LengthOverflow(payload_len as u64));
-        };
-        self.buf[frame_start..frame_start + 4].copy_from_slice(&len.to_le_bytes());
+        encode_frame(value, &mut self.buf)?;
         self.frames += 1;
         Ok(())
     }
@@ -141,17 +137,17 @@ impl FrameEncoder {
 
     /// Takes the encoded batch as [`Bytes`], leaving the encoder empty.
     ///
-    /// O(1) and allocation-free in steady state: the batch is split off by
-    /// refcount bump, and the buffer for the *next* batch is reclaimed from an
-    /// earlier batch whose consumer has dropped its view.
+    /// O(1) and allocation-free in steady state: the batch buffer is frozen as
+    /// it is, and the buffer for the *next* batch is reclaimed from an earlier
+    /// batch whose consumer has dropped its view.
     pub fn take(&mut self) -> Bytes {
-        let len = self.buf.len();
         self.frames = 0;
-        let batch = self.buf.split_to(len).freeze();
-        // Detach from the batch's allocation so the consumer's drop makes it
-        // reclaimable, installing a recycled buffer (or a fresh one if every
-        // candidate is still in flight) for the next batch.
-        self.buf = self.reclaim().unwrap_or_default();
+        // Swap in a recycled buffer (or a fresh one if every candidate is still
+        // in flight) for the next batch; the batch's allocation is then held by
+        // the returned view and the spent list alone, so the consumer's drop
+        // makes it reclaimable.
+        let next = self.reclaim().unwrap_or_default();
+        let batch = std::mem::replace(&mut self.buf, next).freeze();
         if self.spent.len() < SPENT_CAP {
             self.spent.push(batch.clone());
         }

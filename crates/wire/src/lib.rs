@@ -34,13 +34,11 @@ mod de;
 mod error;
 pub mod framing;
 mod ser;
-mod sink;
 pub mod varint;
 
 pub use de::{from_bytes, from_bytes_in_place, from_slice, from_slice_in_place, Deserializer};
 pub use error::{Error, Result};
-pub use ser::{to_sink, to_vec, to_writer, Serializer};
-pub use sink::Sink;
+pub use ser::{to_vec, to_writer, Serializer};
 
 #[cfg(test)]
 mod tests {

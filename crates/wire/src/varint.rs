@@ -5,7 +5,6 @@
 //! zig-zag mapped to unsigned integers first so that small negative numbers stay small.
 
 use crate::error::{Error, Result};
-use crate::sink::Sink;
 
 /// Maximum number of bytes a `u64` varint may occupy.
 pub const MAX_VARINT64_LEN: usize = 10;
@@ -13,42 +12,44 @@ pub const MAX_VARINT64_LEN: usize = 10;
 pub const MAX_VARINT128_LEN: usize = 19;
 
 /// Appends `value` to `out` as an unsigned LEB128 varint.
-pub fn encode_u64<S: Sink>(mut value: u64, out: &mut S) {
-    loop {
-        let mut byte = (value & 0x7f) as u8;
-        value >>= 7;
-        if value != 0 {
-            byte |= 0x80;
-        }
-        out.put_byte(byte);
-        if value == 0 {
-            break;
-        }
+///
+/// One and two bytes (tags, lengths, ids and counts below 16 384: nearly every
+/// integer of a protocol message) are appended as a unit, inlined into the
+/// serializer; anything longer goes through [`encode_u128`]'s stack buffer.
+#[inline]
+pub fn encode_u64(value: u64, out: &mut Vec<u8>) {
+    if value < 0x80 {
+        out.push(value as u8);
+    } else if value < 0x4000 {
+        out.extend_from_slice(&[value as u8 | 0x80, (value >> 7) as u8]);
+    } else {
+        encode_u128(u128::from(value), out);
     }
 }
 
 /// Appends `value` to `out` as an unsigned LEB128 varint (128-bit variant).
-pub fn encode_u128<S: Sink>(mut value: u128, out: &mut S) {
-    loop {
-        let mut byte = (value & 0x7f) as u8;
+///
+/// The groups are assembled on the stack and appended with one write, so the
+/// vector is grown and bounds-checked once per integer, not once per byte.
+pub fn encode_u128(mut value: u128, out: &mut Vec<u8>) {
+    let mut bytes = [0u8; MAX_VARINT128_LEN];
+    let mut len = 0;
+    while value >= 0x80 {
+        bytes[len] = value as u8 | 0x80;
         value >>= 7;
-        if value != 0 {
-            byte |= 0x80;
-        }
-        out.put_byte(byte);
-        if value == 0 {
-            break;
-        }
+        len += 1;
     }
+    bytes[len] = value as u8;
+    out.extend_from_slice(&bytes[..=len]);
 }
 
 /// Appends `value` to `out` using zig-zag + LEB128 encoding.
-pub fn encode_i64<S: Sink>(value: i64, out: &mut S) {
+pub fn encode_i64(value: i64, out: &mut Vec<u8>) {
     encode_u64(zigzag_encode_64(value), out);
 }
 
 /// Appends `value` to `out` using zig-zag + LEB128 encoding (128-bit variant).
-pub fn encode_i128<S: Sink>(value: i128, out: &mut S) {
+pub fn encode_i128(value: i128, out: &mut Vec<u8>) {
     encode_u128(zigzag_encode_128(value), out);
 }
 

@@ -212,6 +212,32 @@ impl BytesMut {
         self.end += count;
     }
 
+    /// Appends at `Vec` speed: re-establishes the writer invariants **once**
+    /// (sole ownership of the allocation — copy-on-write when views alias it —
+    /// and a bounded dead prefix), then hands `fill` the backing vector, cut
+    /// off at the readable end, to push onto directly. Everything `fill`
+    /// leaves appended becomes readable.
+    ///
+    /// This is the bulk-write path of the frame encoder: one ownership check
+    /// per frame instead of one per [`BytesMut::extend_from_slice`] call.
+    /// Positions in the vector are stable for the duration of the call, so
+    /// `fill` may back-patch bytes it appended (a length prefix) or truncate
+    /// back to the length it was handed (roll-back); they are offsets into the
+    /// allocation, not into the readable region.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `fill` shrinks the vector below the length it was handed.
+    pub fn append_with<R>(&mut self, fill: impl FnOnce(&mut Vec<u8>) -> R) -> R {
+        let (vec, end) = self.unique_vec();
+        vec.truncate(end);
+        let result = fill(vec);
+        let filled = vec.len();
+        assert!(filled >= end, "append_with: fill cut into the readable region");
+        self.end = filled;
+        result
+    }
+
     /// Exposes at least `min` writable bytes past the readable region, for a
     /// reader to fill directly (e.g. a socket `read`); commit what was actually
     /// written with [`BytesMut::advance_tail`]. The returned slice is
@@ -278,16 +304,26 @@ impl BytesMut {
     }
 
     /// Returns a uniquely owned, initialized slice of at least `min` bytes
-    /// starting at `end` (the writable tail), re-establishing the writer
-    /// invariants first: sole ownership of the allocation (copy-on-write when
-    /// views alias it) and a bounded dead prefix (compact when the dead bytes
-    /// outweigh the live ones — amortized O(1) per byte advanced).
+    /// starting at `end` (the writable tail).
     fn writable(&mut self, min: usize) -> &mut [u8] {
+        let (vec, end) = self.unique_vec();
+        if vec.len() < end + min {
+            vec.resize(end + min, 0);
+        }
+        &mut vec[end..]
+    }
+
+    /// Re-establishes the writer invariants — sole ownership of the allocation
+    /// (copy-on-write when views alias it) and a bounded dead prefix (compact
+    /// when the dead bytes outweigh the live ones: amortized O(1) per byte
+    /// advanced) — and returns the backing vector with the offset in it of
+    /// the readable end, which normalizing may have moved.
+    fn unique_vec(&mut self) -> (&mut Vec<u8>, usize) {
         if Arc::get_mut(&mut self.data).is_none() {
             // Outstanding views alias the buffer: move the readable bytes to a
             // fresh allocation and leave the old one to the views.
             let len = self.end - self.start;
-            let mut fresh = Vec::with_capacity((len + min).max(self.data.capacity()));
+            let mut fresh = Vec::with_capacity(len.max(self.data.capacity()));
             fresh.extend_from_slice(&self.data[self.start..self.end]);
             self.data = Arc::new(fresh);
             self.start = 0;
@@ -308,12 +344,7 @@ impl BytesMut {
             self.start = 0;
             self.end = end - start;
         }
-        let end = self.end;
-        let vec = Arc::get_mut(&mut self.data).expect("unique after normalization");
-        if vec.len() < end + min {
-            vec.resize(end + min, 0);
-        }
-        &mut vec[end..]
+        (Arc::get_mut(&mut self.data).expect("unique after normalization"), self.end)
     }
 }
 
@@ -349,11 +380,10 @@ impl Deref for BytesMut {
 
 impl DerefMut for BytesMut {
     fn deref_mut(&mut self) -> &mut [u8] {
-        // Route through the copy-on-write gate; `writable(0)` only normalizes.
-        self.writable(0);
-        let (start, end) = (self.start, self.end);
-        let vec = Arc::get_mut(&mut self.data).expect("unique after writable");
-        &mut vec[start..end]
+        // Route through the copy-on-write gate, which keeps the length.
+        let len = self.len();
+        let (vec, end) = self.unique_vec();
+        &mut vec[end - len..end]
     }
 }
 
@@ -522,6 +552,49 @@ mod tests {
         buf.tail_mut(4)[..2].copy_from_slice(b"de");
         buf.advance_tail(2);
         assert_eq!(&buf[..], b"abcde");
+    }
+
+    #[test]
+    fn append_with_matches_extend_and_keeps_capacity() {
+        let mut bulk = BytesMut::with_capacity(64);
+        let mut plain = BytesMut::new();
+        bulk.put_slice(b"head|");
+        plain.put_slice(b"head|");
+        bulk.advance(2);
+        plain.advance(2);
+        let base = bulk.data.as_ptr();
+        let patched = bulk.append_with(|out| {
+            let at = out.len();
+            out.extend_from_slice(b"?body");
+            out[at] = b'!';
+            at
+        });
+        plain.put_slice(b"!body");
+        assert_eq!(bulk, plain);
+        assert_eq!(patched, 5, "positions are offsets into the allocation");
+        assert_eq!(bulk.data.as_ptr(), base, "sole owner appends in place");
+        // A roll-back to the handed length appends nothing.
+        bulk.append_with(|out| {
+            let at = out.len();
+            out.extend_from_slice(b"discarded");
+            out.truncate(at);
+        });
+        assert_eq!(bulk, plain);
+    }
+
+    #[test]
+    fn append_with_never_disturbs_live_views() {
+        let mut buf = BytesMut::new();
+        buf.put_slice(b"first|second");
+        let view = buf.split_to(6).freeze();
+        buf.append_with(|out| out.extend_from_slice(b"|third"));
+        assert_eq!(&view[..], b"first|");
+        assert_eq!(&buf[..], b"second|third");
+        // An under-filled tail (initialized past the readable end) is dropped,
+        // not exposed as appended bytes.
+        buf.tail_mut(16)[..2].copy_from_slice(b"xy");
+        buf.append_with(|out| out.push(b'.'));
+        assert_eq!(&buf[..], b"second|third.");
     }
 
     #[test]

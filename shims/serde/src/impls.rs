@@ -4,6 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt;
 use std::hash::{BuildHasher, Hash};
 use std::marker::PhantomData;
+use std::sync::Arc;
 
 use crate::de::{self, Deserialize, Deserializer, InPlaceSeed, MapAccess, SeqAccess, Visitor};
 use crate::ser::{
@@ -194,6 +195,35 @@ impl<'de, T: Deserialize<'de>> Deserialize<'de> for Box<T> {
         place: &mut Self,
     ) -> Result<(), D::Error> {
         T::deserialize_in_place(deserializer, &mut **place)
+    }
+}
+
+/// `Arc<T>` is transparent on the wire: it encodes exactly as `T` does.
+impl<T: Serialize + ?Sized> Serialize for Arc<T> {
+    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
+        (**self).serialize(serializer)
+    }
+}
+
+impl<'de, T: Deserialize<'de>> Deserialize<'de> for Arc<T> {
+    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
+        T::deserialize(deserializer).map(Arc::new)
+    }
+
+    /// Rewrites the pointee in place while `place` is its only handle; a
+    /// pointee other handles still read is left to them and `place` gets a
+    /// freshly decoded one.
+    fn deserialize_in_place<D: Deserializer<'de>>(
+        deserializer: D,
+        place: &mut Self,
+    ) -> Result<(), D::Error> {
+        match Arc::get_mut(place) {
+            Some(inner) => T::deserialize_in_place(deserializer, inner),
+            None => {
+                *place = Arc::new(T::deserialize(deserializer)?);
+                Ok(())
+            }
+        }
     }
 }
 

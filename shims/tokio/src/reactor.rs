@@ -511,10 +511,12 @@ impl Reactor {
     }
 }
 
-/// The lazily started process-wide reactor.
-pub(crate) fn reactor() -> &'static Reactor {
-    static REACTOR: OnceLock<&'static Reactor> = OnceLock::new();
-    REACTOR.get_or_init(|| {
+impl Reactor {
+    /// Starts a reactor on a thread of its own and leaks both: a reactor lives
+    /// as long as the process. The runtime uses the one behind [`reactor()`];
+    /// a test that counts syscalls starts its own, so that no sibling test's
+    /// sockets wake the loop it is counting.
+    pub(crate) fn start() -> &'static Reactor {
         let (wake_rx, wake_tx) = UnixStream::pair().expect("reactor wake pipe");
         wake_rx.set_nonblocking(true).expect("nonblocking wake pipe");
         wake_tx.set_nonblocking(true).expect("nonblocking wake pipe");
@@ -531,7 +533,13 @@ pub(crate) fn reactor() -> &'static Reactor {
             .spawn(move || reactor.run(wake_rx))
             .expect("spawn reactor thread");
         reactor
-    })
+    }
+}
+
+/// The lazily started process-wide reactor.
+pub(crate) fn reactor() -> &'static Reactor {
+    static REACTOR: OnceLock<&'static Reactor> = OnceLock::new();
+    REACTOR.get_or_init(Reactor::start)
 }
 
 #[cfg(test)]
