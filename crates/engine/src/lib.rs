@@ -13,19 +13,35 @@
 //!
 //! Per replica ([`EngineNode`]):
 //!
-//! * one **router thread** — ingress demux + epoch fence, control shard,
-//!   rebalance choreography, fan-out aggregation (see [`mod@router` docs][r]);
 //! * one **worker thread per shard** — owns that shard's [`ShardCore`] and
-//!   pumps it: drain mailbox → tick → ship outbox → report outputs;
+//!   pumps it: drain mailbox → tick → apply → ship outbox → hand completed
+//!   commands to the node's response queue;
+//! * one **router thread** — the control plane: control shard, rebalance
+//!   choreography, fan-out aggregation, and the slow half of the ingress demux
+//!   (see [`mod@router` docs][r]). In steady state no command and no protocol
+//!   message passes through it;
+//! * one published **assignment snapshot** — stamp, partitioner and the
+//!   active workers' mailboxes, replaced wholesale by the router.
+//!   [`EngineNode::submit`] and [`NodeIngress`] read it, fence and route
+//!   against it exactly as the router would, and push straight onto the owning
+//!   worker's mailbox, tagging what they push with the snapshot's stamp;
 //! * **mailboxes** ([`mailbox`]) — unbounded lock-free queues (`SegQueue`)
-//!   with condvar wakeups for inter-thread edges, one bounded queue
-//!   (`ArrayQueue`) for client submissions so callers feel backpressure.
+//!   with condvar wakeups for every inter-thread edge, and one counting
+//!   admission gate in front of client submissions so callers feel
+//!   backpressure.
+//!
+//! A pusher's snapshot can be superseded between its read and its push, so
+//! workers re-check the tag and hand a mismatch back to the router instead of
+//! applying it ([`mod@worker` docs][w] say who may touch a mailbox and why);
+//! while the router has the snapshot un-published — at start-up and for the
+//! length of a cutover — everything takes the router's queues.
 //!
 //! Outgoing envelopes leave through an [`Outbound`] sink: [`LocalMesh`] for
 //! in-process clusters ([`EngineCluster`]), or any transport bridge (see
-//! `examples/sharded_tcp_kv.rs`). Threads park when idle — the engine never
-//! busy-spins, so oversubscribed configurations (more shards than cores)
-//! degrade gracefully.
+//! `examples/sharded_tcp_kv.rs`). Threads park when idle — untimed unless a
+//! retransmission or batch timer is pending — and the engine never busy-spins,
+//! so oversubscribed configurations (more shards than cores) degrade
+//! gracefully.
 //!
 //! Because the engine executes the *same* `ShardCore` type the simulator
 //! drives, every safety property the deterministic tests establish transfers
@@ -34,6 +50,7 @@
 //! histories under concurrent multi-threaded clients across a live rebalance.
 //!
 //! [r]: self::router
+//! [w]: self::worker
 //! [`ShardCore`]: crdt_paxos_core::ShardCore
 
 #![forbid(unsafe_code)]

@@ -2,17 +2,18 @@
 //!
 //! Every engine thread (router or shard worker) owns one [`Signal`] and parks
 //! on it when idle; every queue feeding that thread shares the signal. The
-//! queues themselves are the lock-free primitives from the `crossbeam` shim —
-//! [`SegQueue`] for unbounded mailboxes, [`ArrayQueue`] for the bounded
-//! client-submission queue that provides backpressure — so producers never
-//! contend on a lock: a push is an atomic enqueue plus (only when the consumer
-//! might be parked) a condvar notify.
+//! queues themselves are the lock-free [`SegQueue`] from the `crossbeam` shim,
+//! so producers never contend on a lock: a push is an atomic enqueue plus
+//! (only when the consumer might be parked) a condvar notify. Mailboxes are
+//! unbounded; what bounds a node is the [`Gate`] in front of client
+//! submissions, which counts commands from `submit` until an engine thread
+//! dequeues them and parks submitters beyond its limit.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
 
-use crossbeam::queue::{ArrayQueue, SegQueue};
+use crossbeam::queue::SegQueue;
 
 /// A consumer's wakeup latch: set by producers, consumed by one parked thread.
 ///
@@ -49,14 +50,35 @@ impl Signal {
     /// Parks until the latch is set or `timeout` elapses, then clears it.
     /// Returns immediately when the latch is already set.
     pub fn wait_timeout(&self, timeout: Duration) {
-        let mut state = self.state.lock().unwrap();
-        if !*state {
-            let (guard, _) = self.ready.wait_timeout(state, timeout).unwrap();
-            state = guard;
-        }
+        let state = self.state.lock().expect("signal lock poisoned");
+        let (state, _) = self
+            .ready
+            .wait_timeout_while(state, timeout, |set| !*set)
+            .expect("signal lock poisoned");
+        self.clear(state);
+    }
+
+    /// Parks until the latch is set, then clears it — for consumers with no
+    /// timer to serve, which would only wake from a timed park to find nothing
+    /// to do. Returns immediately when the latch is already set.
+    pub fn wait(&self) {
+        let state = self.state.lock().expect("signal lock poisoned");
+        let state = self.ready.wait_while(state, |set| !*set).expect("signal lock poisoned");
+        self.clear(state);
+    }
+
+    /// Consumes the latch. `pending` is cleared with a read-modify-write, not
+    /// a store: a producer whose `notify` found `pending` still set skips the
+    /// lock, so the only thing ordering its push before the consumer's next
+    /// drain is this swap reading from that producer's swap. A plain store
+    /// reads from nothing — the drain's loads could be satisfied first, miss
+    /// the push, and the consumer would park on a latch nobody will set
+    /// again: a millisecond lost under a timed park, a hang under
+    /// [`Signal::wait`].
+    fn clear(&self, mut state: MutexGuard<'_, bool>) {
         *state = false;
         drop(state);
-        self.pending.store(false, Ordering::Release);
+        self.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -100,103 +122,64 @@ impl<T> Mailbox<T> {
     }
 }
 
-/// A bounded MPSC submission queue: a lock-free [`ArrayQueue`] plus the
-/// consumer's [`Signal`]. A full queue pushes back on the producer —
-/// [`BoundedMailbox::push`] parks on a condvar until the consumer drains —
-/// so clients cannot outrun the router unboundedly, and a blocked producer
-/// costs no CPU while it waits.
+/// A counting admission gate: at most `limit` holders at a time. A full gate
+/// pushes back on the caller — [`Gate::acquire`] parks on a condvar until a
+/// holder releases — so clients cannot outrun the engine unboundedly, and a
+/// blocked caller costs no CPU while it waits. The uncontended path on both
+/// sides is one atomic read-modify-write.
 ///
-/// The park/unpark handshake is race-free without any timeout: a producer
-/// re-checks the queue *while holding* `space_lock` before it waits, and
-/// every consuming path ([`BoundedMailbox::drain_into`],
-/// [`BoundedMailbox::try_pop`]) takes that same lock between freeing a slot
-/// and notifying. A consumer that frees a slot therefore either (a) freed it
-/// before the producer's locked re-check, which then succeeds and never
-/// waits, or (b) freed it after, in which case its lock acquisition is
-/// ordered after the producer's `wait` released the lock — so the
-/// `notify_all` cannot land in the gap between re-check and park. An earlier
-/// revision hedged this reasoning with a 1 ms wait timeout; the
-/// `blocked_producers_are_released_by_wakeups_alone` test exercises the
-/// handshake with untimed waits, where a missed wakeup hangs instead of
-/// costing a silent millisecond.
+/// The park/unpark handshake is race-free without any timeout: a caller
+/// re-tries *while holding* `lock` before it waits, and the release that takes
+/// the count off the limit takes that same lock between freeing the slot and
+/// notifying. That release therefore either (a) freed the slot before the
+/// caller's locked re-try, which then succeeds and never waits, or (b) freed
+/// it after, in which case its lock acquisition is ordered after the caller's
+/// `wait` released the lock — so the `notify_all` cannot land in the gap
+/// between re-try and park. The count never exceeds `limit`, so a caller only
+/// ever waits while the count *is* the limit, and every release from there
+/// notifies.
 #[derive(Debug)]
-pub struct BoundedMailbox<T> {
-    queue: ArrayQueue<T>,
-    signal: Arc<Signal>,
-    /// Parking lot for producers blocked on a full queue; see the type docs
-    /// for the lock ordering that makes the untimed wait safe.
-    space_lock: Mutex<()>,
-    space: Condvar,
+pub struct Gate {
+    limit: usize,
+    held: AtomicUsize,
+    /// Parking lot for callers blocked on a full gate; see the type docs for
+    /// the lock ordering that makes the untimed wait safe.
+    lock: Mutex<()>,
+    freed: Condvar,
 }
 
-impl<T> BoundedMailbox<T> {
-    /// Creates a bounded mailbox with room for `capacity` items.
-    pub fn new(capacity: usize, signal: Arc<Signal>) -> Self {
-        BoundedMailbox {
-            queue: ArrayQueue::new(capacity),
-            signal,
-            space_lock: Mutex::new(()),
-            space: Condvar::new(),
+impl Gate {
+    /// Creates a gate admitting `limit` concurrent holders.
+    pub fn new(limit: usize) -> Self {
+        Gate { limit, held: AtomicUsize::new(0), lock: Mutex::new(()), freed: Condvar::new() }
+    }
+
+    /// Takes a slot if one is free, without blocking.
+    fn try_acquire(&self) -> bool {
+        self.held
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |held| {
+                (held < self.limit).then_some(held + 1)
+            })
+            .is_ok()
+    }
+
+    /// Takes a slot, parking the calling thread while the gate is full.
+    pub fn acquire(&self) {
+        if self.try_acquire() {
+            return;
+        }
+        let mut guard = self.lock.lock().expect("gate lock poisoned");
+        while !self.try_acquire() {
+            guard = self.freed.wait(guard).expect("gate lock poisoned");
         }
     }
 
-    /// Enqueues `item`, parking the calling thread while the queue is full.
-    pub fn push(&self, item: T) {
-        let mut item = item;
-        if let Err(rejected) = self.queue.push(item) {
-            item = rejected;
-            let mut guard = self.space_lock.lock().unwrap();
-            loop {
-                match self.queue.push(item) {
-                    Ok(()) => break,
-                    Err(rejected) => {
-                        item = rejected;
-                        guard = self.space.wait(guard).unwrap();
-                    }
-                }
-            }
+    /// Returns a slot, waking parked callers if the gate was full.
+    pub fn release(&self) {
+        if self.held.fetch_sub(1, Ordering::AcqRel) == self.limit {
+            drop(self.lock.lock().expect("gate lock poisoned"));
+            self.freed.notify_all();
         }
-        self.signal.notify();
-    }
-
-    /// Enqueues `item` if there is room, without blocking.
-    pub fn try_push(&self, item: T) -> Result<(), T> {
-        let result = self.queue.push(item);
-        if result.is_ok() {
-            self.signal.notify();
-        }
-        result
-    }
-
-    /// Releases producers parked on the full queue. Must be called by every
-    /// consuming path after it frees at least one slot; taking the lock
-    /// orders the notify after any parked producer's re-check.
-    fn release_space(&self) {
-        drop(self.space_lock.lock().unwrap());
-        self.space.notify_all();
-    }
-
-    /// Moves every queued item into `buf`; returns how many were moved.
-    pub fn drain_into(&self, buf: &mut Vec<T>) -> usize {
-        let before = buf.len();
-        while let Some(item) = self.queue.pop() {
-            buf.push(item);
-        }
-        let moved = buf.len() - before;
-        if moved > 0 {
-            self.release_space();
-        }
-        moved
-    }
-
-    /// Dequeues one item if one is ready, waking a parked producer for the
-    /// freed slot.
-    pub fn try_pop(&self) -> Option<T> {
-        let item = self.queue.pop();
-        if item.is_some() {
-            self.release_space();
-        }
-        item
     }
 }
 
@@ -214,11 +197,11 @@ mod tests {
             let mailbox = Arc::clone(&mailbox);
             std::thread::spawn(move || {
                 let mut buf = Vec::new();
-                let deadline = Instant::now() + Duration::from_secs(5);
-                while buf.is_empty() && Instant::now() < deadline {
+                while buf.is_empty() {
                     mailbox.drain_into(&mut buf);
                     if buf.is_empty() {
-                        signal.wait_timeout(Duration::from_millis(50));
+                        // Untimed: a lost wakeup hangs the test.
+                        signal.wait();
                     }
                 }
                 buf
@@ -237,47 +220,46 @@ mod tests {
         signal.wait_timeout(Duration::from_secs(5));
         // The pre-set latch must make the wait return without sleeping.
         assert!(start.elapsed() < Duration::from_secs(1));
+        signal.notify();
+        signal.wait();
     }
 
     #[test]
-    fn bounded_mailbox_applies_backpressure() {
-        let signal = Arc::new(Signal::new());
-        let mailbox = Arc::new(BoundedMailbox::new(2, Arc::clone(&signal)));
-        mailbox.push(1u8);
-        mailbox.push(2u8);
-        assert_eq!(mailbox.try_push(3u8), Err(3u8));
-        // A blocked push completes once the consumer drains.
-        let producer = {
-            let mailbox = Arc::clone(&mailbox);
-            std::thread::spawn(move || mailbox.push(4u8))
+    fn gate_applies_backpressure() {
+        let gate = Arc::new(Gate::new(2));
+        gate.acquire();
+        gate.acquire();
+        assert!(!gate.try_acquire());
+        // A blocked acquire completes once a holder releases.
+        let blocked = {
+            let gate = Arc::clone(&gate);
+            std::thread::spawn(move || gate.acquire())
         };
         std::thread::sleep(Duration::from_millis(5));
-        let mut buf = Vec::new();
-        while buf.len() < 3 {
-            mailbox.drain_into(&mut buf);
-        }
-        producer.join().unwrap();
-        assert_eq!(buf, vec![1, 2, 4]);
+        assert!(!blocked.is_finished());
+        gate.release();
+        blocked.join().unwrap();
+        assert!(!gate.try_acquire());
     }
 
-    /// The park/unpark stress for the untimed producer wait: a capacity-1
-    /// queue forces every producer through the slow path thousands of times,
-    /// and the consumer alternates between the two consuming paths
-    /// (`drain_into` and `try_pop`) so both must wake parked producers. There
-    /// is no timeout to paper over a missed notify — losing one hangs the
-    /// test. The consumer also parks between empty polls, so the producer →
-    /// consumer `Signal` edge is stressed in the same run.
+    /// The park/unpark stress for the untimed wait: a one-slot gate forces
+    /// every producer through the slow path thousands of times. There is no
+    /// timeout to paper over a missed notify — losing one hangs the test. The
+    /// consumer parks between empty polls, so the producer → consumer `Signal`
+    /// edge is stressed in the same run, untimed as well.
     #[test]
-    fn blocked_producers_are_released_by_wakeups_alone() {
+    fn blocked_callers_are_released_by_wakeups_alone() {
         const PRODUCERS: u64 = 4;
         const PER_PRODUCER: u64 = 512;
         let signal = Arc::new(Signal::new());
-        let mailbox = Arc::new(BoundedMailbox::new(1, Arc::clone(&signal)));
+        let mailbox = Arc::new(Mailbox::new(Arc::clone(&signal)));
+        let gate = Arc::new(Gate::new(1));
         let producers: Vec<_> = (0..PRODUCERS)
             .map(|base| {
-                let mailbox = Arc::clone(&mailbox);
+                let (mailbox, gate) = (Arc::clone(&mailbox), Arc::clone(&gate));
                 std::thread::spawn(move || {
                     for offset in 0..PER_PRODUCER {
+                        gate.acquire();
                         mailbox.push(base * PER_PRODUCER + offset);
                     }
                 })
@@ -285,22 +267,13 @@ mod tests {
             .collect();
         let total = (PRODUCERS * PER_PRODUCER) as usize;
         let mut buf = Vec::new();
-        let mut use_try_pop = false;
         while buf.len() < total {
-            let moved = if use_try_pop {
-                match mailbox.try_pop() {
-                    Some(item) => {
-                        buf.push(item);
-                        1
-                    }
-                    None => 0,
+            match mailbox.try_pop() {
+                Some(item) => {
+                    buf.push(item);
+                    gate.release();
                 }
-            } else {
-                mailbox.drain_into(&mut buf)
-            };
-            use_try_pop = !use_try_pop;
-            if moved == 0 {
-                signal.wait_timeout(Duration::from_millis(10));
+                None => signal.wait(),
             }
         }
         for producer in producers {
@@ -308,32 +281,5 @@ mod tests {
         }
         buf.sort_unstable();
         assert_eq!(buf, (0..PRODUCERS * PER_PRODUCER).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn many_blocked_producers_drain_through_a_tiny_queue() {
-        let signal = Arc::new(Signal::new());
-        let mailbox = Arc::new(BoundedMailbox::new(2, Arc::clone(&signal)));
-        let producers: Vec<_> = (0..4)
-            .map(|base| {
-                let mailbox = Arc::clone(&mailbox);
-                std::thread::spawn(move || {
-                    for offset in 0..64u64 {
-                        mailbox.push(base * 64 + offset);
-                    }
-                })
-            })
-            .collect();
-        let mut buf = Vec::new();
-        while buf.len() < 256 {
-            if mailbox.drain_into(&mut buf) == 0 {
-                signal.wait_timeout(Duration::from_millis(10));
-            }
-        }
-        for producer in producers {
-            producer.join().unwrap();
-        }
-        buf.sort_unstable();
-        assert_eq!(buf, (0..256).collect::<Vec<_>>());
     }
 }

@@ -2,14 +2,15 @@
 //! [`LocalMesh`].
 //!
 //! Workers and routers hand every produced [`ShardEnvelope`] to an `Outbound`
-//! sink. In-process clusters use [`LocalMesh`], which pushes the envelope
-//! straight onto the destination node's ingress mailbox (no serialization, no
-//! router hop on the sending side). Distributed deployments implement
-//! `Outbound` over a real transport — see `examples/sharded_tcp_kv.rs`, which
-//! bridges to `transport::TcpMesh` — and feed received frames back through
-//! [`NodeIngress::deliver_frame`] (zero-copy: the router peeks the routing
-//! preamble, the shard worker decodes the body in place) or decoded messages
-//! through [`NodeIngress::deliver`].
+//! sink. In-process clusters use [`LocalMesh`], which hands the envelope
+//! straight to the destination node's ingress — in steady state onto the
+//! owning shard worker's mailbox (no serialization, no router hop on either
+//! side). Distributed deployments implement `Outbound` over a real transport
+//! — see `examples/sharded_tcp_kv.rs`, which bridges to `transport::TcpMesh`
+//! — and feed received frames back through [`NodeIngress::deliver_frame`]
+//! (zero-copy: the delivering thread peeks the routing preamble, the shard
+//! worker decodes the body in place) or decoded messages through
+//! [`NodeIngress::deliver`].
 //!
 //! [`NodeIngress::deliver_frame`]: crate::NodeIngress::deliver_frame
 
@@ -38,8 +39,8 @@ pub trait Outbound<K: EngineKey, V: EngineValue>: Send + Sync {
     }
 }
 
-/// The in-process transport: every node's ingress mailbox, indexed by replica
-/// id. Sends are a single lock-free enqueue on the destination's router queue.
+/// The in-process transport: every node's ingress handle, indexed by replica
+/// id. Sends are a single lock-free enqueue at the destination.
 pub struct LocalMesh<K: EngineKey, V: EngineValue> {
     ingress: Vec<NodeIngress<K, V>>,
 }

@@ -2,7 +2,7 @@
 //! control, and transport bridging.
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -11,25 +11,25 @@ use crdt::{LatticeMap, ReplicaId};
 use crdt_paxos_core::{ClientId, ClientResponse, Command, CommandId, ProtocolConfig, ShardMessage};
 use crossbeam::queue::SegQueue;
 
-use obs::{ObsRegistry, ObsSnapshot, TraceConfig, TraceEvent, TraceRing};
+use obs::{ObsRegistry, ObsSnapshot, Stage, StageSet, TraceConfig, TraceEvent, TraceRing};
 
-use crate::mailbox::{BoundedMailbox, Mailbox, Signal};
+use crate::mailbox::{Gate, Mailbox, Signal};
 use crate::mesh::Outbound;
-use crate::router::{Router, RouterRequest};
+use crate::router::{Assignment, Router, RouterRequest};
 use crate::telemetry::now_nanos;
 use crate::worker::WorkerFeedback;
 use crate::{EngineKey, EngineValue};
 
-/// How many client submissions may queue at the router before `submit` blocks.
-/// Deep enough to keep pipelined clients busy, shallow enough that a stalled
-/// router pushes back instead of buffering without bound.
+/// How many submitted commands may wait for an engine thread to dequeue them
+/// before `submit` blocks. Deep enough to keep pipelined clients busy, shallow
+/// enough that stalled workers push back instead of buffering without bound.
 const SUBMIT_QUEUE_DEPTH: usize = 1024;
 
-/// One item on a node's ingress mailbox: a peer message either already
-/// decoded (in-process meshes skip the codec entirely) or still as the raw
-/// wire frame it arrived in (networked transports hand frames over untouched;
-/// the router peeks the routing preamble and the shard worker decodes the rest
-/// in place — see [`NodeIngress::deliver_frame`]).
+/// One peer message entering a node: either already decoded (in-process
+/// meshes skip the codec entirely) or still as the raw wire frame it arrived
+/// in (networked transports hand frames over untouched; the dispatcher peeks
+/// the routing preamble and the shard worker decodes the rest in place — see
+/// [`NodeIngress::deliver_frame`]).
 pub(crate) enum IngressItem<K: EngineKey, V: EngineValue> {
     /// A decoded message, as delivered by [`NodeIngress::deliver`].
     Message(ReplicaId, ShardMessage<LatticeMap<K, V>>),
@@ -42,14 +42,26 @@ pub(crate) enum IngressItem<K: EngineKey, V: EngineValue> {
 pub(crate) struct NodeShared<K: EngineKey, V: EngineValue> {
     /// The router's wakeup latch; every inbound queue below notifies it.
     pub router_signal: Arc<Signal>,
-    /// Peer messages from the transport.
+    /// The published assignment snapshot that [`EngineNode::submit`] and
+    /// [`NodeIngress`] dispatch under, straight into the worker mailboxes.
+    /// `None` — at start-up and for the length of a cutover — sends everything
+    /// through the router's queues below. Only the router writes it.
+    pub assignment: RwLock<Option<Arc<Assignment<K, V>>>>,
+    /// Bounds submitted-but-not-yet-dequeued commands: `submit` takes a slot,
+    /// the first engine thread to dequeue the command returns it.
+    pub admission: Gate,
+    /// Peer messages the direct dispatch could not place: everything but
+    /// protocol traffic of the published assignment.
     pub ingress: Mailbox<IngressItem<K, V>>,
-    /// Client submissions and rebalance requests (bounded: backpressure).
-    pub requests: BoundedMailbox<RouterRequest<K, V>>,
-    /// Worker → router feedback (outputs and cutover replies); workers hold
-    /// clones of this handle.
-    pub feedback: Arc<Mailbox<WorkerFeedback<K, V>>>,
-    /// Completed client commands, drained by the node handle.
+    /// Rebalance requests, plus the submissions the direct path leaves to the
+    /// router (keyspace-wide queries, anything while nothing is published).
+    pub requests: Mailbox<RouterRequest<K, V>>,
+    /// Worker → router feedback (fan-out legs, cutover replies, reroutes).
+    /// Unbounded on purpose: the router does not drain `requests` inside the
+    /// cutover barrier, so a worker must never wait on a queue to reach it.
+    pub feedback: Mailbox<WorkerFeedback<K, V>>,
+    /// Completed client commands, pushed by the workers (and by the router for
+    /// keyspace-wide queries), drained by the node handle.
     pub responses: SegQueue<ClientResponse<LatticeMap<K, V>>>,
     /// Wakes one response consumer; see [`EngineNode::wait_response`].
     pub response_signal: Signal,
@@ -68,6 +80,9 @@ pub(crate) struct NodeShared<K: EngineKey, V: EngineValue> {
     pub start: Instant,
     /// Where the router and every worker file their instruments.
     pub obs: Arc<ObsRegistry>,
+    /// The node-level stage histograms: samples taken on whichever thread runs
+    /// the ingress dispatch (`RouterIngress`), plus the router's own.
+    pub stages: StageSet,
     /// Trace sampling configuration inherited by every trace ring.
     pub trace: TraceConfig,
     /// Every trace ring spawned under this node (router first, then workers),
@@ -83,10 +98,15 @@ impl<K: EngineKey, V: EngineValue> NodeShared<K, V> {
 
     pub(crate) fn new_observed(shards: u32, trace: TraceConfig) -> Arc<Self> {
         let router_signal = Arc::new(Signal::new());
+        let obs = Arc::new(ObsRegistry::new());
+        let stages = StageSet::new();
+        stages.register_into(&obs);
         Arc::new(NodeShared {
+            assignment: RwLock::new(None),
+            admission: Gate::new(SUBMIT_QUEUE_DEPTH),
             ingress: Mailbox::new(Arc::clone(&router_signal)),
-            requests: BoundedMailbox::new(SUBMIT_QUEUE_DEPTH, Arc::clone(&router_signal)),
-            feedback: Arc::new(Mailbox::new(Arc::clone(&router_signal))),
+            requests: Mailbox::new(Arc::clone(&router_signal)),
+            feedback: Mailbox::new(Arc::clone(&router_signal)),
             router_signal,
             responses: SegQueue::new(),
             response_signal: Signal::new(),
@@ -96,10 +116,36 @@ impl<K: EngineKey, V: EngineValue> NodeShared<K, V> {
             rebalance_idle: AtomicBool::new(true),
             shutdown: AtomicBool::new(false),
             start: Instant::now(),
-            obs: Arc::new(ObsRegistry::new()),
+            obs,
+            stages,
             trace,
             rings: Mutex::new(Vec::new()),
         })
+    }
+
+    /// The currently published assignment snapshot, if any.
+    pub(crate) fn published(&self) -> Option<Arc<Assignment<K, V>>> {
+        self.assignment.read().expect("assignment lock poisoned").clone()
+    }
+
+    /// Hands a completed command to the response consumer.
+    pub(crate) fn respond(&self, response: ClientResponse<LatticeMap<K, V>>) {
+        self.responses.push(response);
+        self.response_signal.notify();
+    }
+
+    /// The ingress edge: protocol traffic of the published assignment goes
+    /// straight to its shard worker, everything else to the router.
+    fn deliver(&self, item: IngressItem<K, V>) {
+        let at = now_nanos(self.start);
+        let rejected = match self.published() {
+            Some(assignment) => assignment.dispatch(item, at).err(),
+            None => Some(item),
+        };
+        if let Some(item) = rejected {
+            self.ingress.push(item);
+        }
+        self.stages.record(Stage::RouterIngress, now_nanos(self.start).saturating_sub(at));
     }
 }
 
@@ -121,27 +167,30 @@ impl<K: EngineKey, V: EngineValue> NodeIngress<K, V> {
         NodeIngress { shared: Arc::clone(shared) }
     }
 
-    /// Delivers one peer message to the node's router.
+    /// Delivers one peer message to the node: protocol traffic of the current
+    /// assignment straight to its shard worker, anything else to the router.
     pub fn deliver(&self, from: ReplicaId, message: ShardMessage<LatticeMap<K, V>>) {
-        self.shared.ingress.push(IngressItem::Message(from, message));
+        self.shared.deliver(IngressItem::Message(from, message));
     }
 
     /// Delivers one peer message still in its encoded wire frame — the
     /// zero-copy receive path for networked transports (pair with
     /// `transport::tcp::TcpMesh::recv_frame`).
     ///
-    /// The router reads only the few-byte routing preamble of the frame;
-    /// protocol traffic that passes the epoch fence is decoded on its shard's
-    /// worker thread, in place, into a long-lived scratch message, so in
-    /// steady state a delta frame reaches the protocol without allocating.
-    /// Undecodable frames are dropped, like any other lost message.
+    /// The calling thread reads only the few-byte routing preamble of the
+    /// frame; protocol traffic that passes the epoch fence is decoded on its
+    /// shard's worker thread, in place, into a long-lived scratch message, so
+    /// in steady state a delta frame reaches the protocol without allocating
+    /// and without visiting the router. Undecodable frames are dropped, like
+    /// any other lost message.
     pub fn deliver_frame(&self, from: ReplicaId, frame: Bytes) {
-        self.shared.ingress.push(IngressItem::Frame(from, frame));
+        self.shared.deliver(IngressItem::Frame(from, frame));
     }
 }
 
-/// One replica of a thread-per-shard engine cluster: a router thread fencing
-/// and demultiplexing traffic, plus one worker thread per shard core.
+/// One replica of a thread-per-shard engine cluster: one worker thread per
+/// shard core, plus a router thread for everything that needs a single
+/// authority (rebalances, keyspace-wide queries, fenced-off traffic).
 ///
 /// The handle is `Send + Sync`; `submit` may be called from any number of
 /// client threads concurrently. Responses are drained from a single queue —
@@ -215,12 +264,26 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         NodeIngress { shared: Arc::clone(&self.shared) }
     }
 
-    /// Submits a client command; blocks briefly when the submission queue is
-    /// full (backpressure). Returns the id the response will carry.
+    /// Submits a client command; blocks while 1024 earlier submissions are
+    /// still waiting for an engine thread to dequeue them (backpressure).
+    /// Returns the id the response will carry.
+    ///
+    /// A single-key command goes straight onto its owner's mailbox under the
+    /// published assignment; keyspace-wide queries, and everything while a
+    /// cutover has the assignment un-published, go through the router.
     pub fn submit(&self, client: ClientId, command: Command<LatticeMap<K, V>>) -> CommandId {
         let outer = CommandId(self.shared.next_command.fetch_add(1, Ordering::Relaxed));
         let queued_at = now_nanos(self.shared.start);
-        self.shared.requests.push(RouterRequest::Submit { client, outer, command, queued_at });
+        self.shared.admission.acquire();
+        let rejected = match self.shared.published() {
+            Some(assignment) => {
+                assignment.route_single(client, outer, command, Some(queued_at), None).err()
+            }
+            None => Some(command),
+        };
+        if let Some(command) = rejected {
+            self.shared.requests.push(RouterRequest::Submit { client, outer, command, queued_at });
+        }
         outer
     }
 
@@ -320,5 +383,257 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
 impl<K: EngineKey, V: EngineValue> Drop for EngineNode<K, V> {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Condvar, OnceLock};
+
+    use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
+    use crdt_paxos_core::{Message, RequestId, ResponseBody, ShardEnvelope};
+    use obs::{Histogram, Stopwatch};
+    use quorum::ShardId;
+
+    type Node = EngineNode<u64, GCounter>;
+    type KvMap = LatticeMap<u64, GCounter>;
+
+    fn members() -> Vec<ReplicaId> {
+        (0..3).map(ReplicaId::new).collect()
+    }
+
+    fn increment(key: u64) -> Command<KvMap> {
+        Command::Update(MapUpdate::Apply { key, update: CounterUpdate::Increment(1) })
+    }
+
+    fn read(key: u64) -> Command<KvMap> {
+        Command::Query(MapQuery::Get { key, query: CounterQuery::Value })
+    }
+
+    /// A sink whose sends block while `closed`: a worker that has something
+    /// to ship stalls inside its pump cycle.
+    struct StallingSink {
+        closed: Mutex<bool>,
+        opened: Condvar,
+        entered: AtomicBool,
+    }
+
+    impl Outbound<u64, GCounter> for StallingSink {
+        fn send(&self, _: ShardEnvelope<KvMap>) {
+            self.entered.store(true, Ordering::Release);
+            let closed = self.closed.lock().unwrap();
+            drop(self.opened.wait_while(closed, |closed| *closed).unwrap());
+        }
+    }
+
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// `SUBMIT_QUEUE_DEPTH` bounds what is submitted and not yet dequeued,
+    /// also now that submits bypass the router: with the only worker stalled,
+    /// exactly that many further submits are admitted, the next one blocks,
+    /// and it resumes once the worker drains.
+    #[test]
+    fn submit_blocks_at_the_queue_depth_until_workers_drain() {
+        let sink = Arc::new(StallingSink {
+            closed: Mutex::new(true),
+            opened: Condvar::new(),
+            entered: AtomicBool::new(false),
+        });
+        let outbound = Arc::clone(&sink) as Arc<dyn Outbound<u64, GCounter>>;
+        let node = Arc::new(Node::start(
+            ReplicaId::new(0),
+            members(),
+            1,
+            ProtocolConfig::default(),
+            outbound,
+        ));
+        eventually("the assignment to be published", || node.shared.published().is_some());
+        // The first command is dequeued (its slot returned) and proposed; the
+        // worker then stalls shipping the proposal.
+        node.submit(ClientId(1), increment(0));
+        eventually("the worker to stall", || sink.entered.load(Ordering::Acquire));
+
+        let admitted = Arc::new(AtomicUsize::new(0));
+        let submitter = {
+            let (node, admitted) = (Arc::clone(&node), Arc::clone(&admitted));
+            std::thread::spawn(move || {
+                for key in 0..=SUBMIT_QUEUE_DEPTH as u64 {
+                    node.submit(ClientId(1), increment(key));
+                    admitted.fetch_add(1, Ordering::Release);
+                }
+            })
+        };
+        eventually("the queue to fill", || admitted.load(Ordering::Acquire) == SUBMIT_QUEUE_DEPTH);
+        std::thread::sleep(Duration::from_millis(50));
+        assert_eq!(admitted.load(Ordering::Acquire), SUBMIT_QUEUE_DEPTH, "one submit too many");
+        assert!(!submitter.is_finished());
+
+        *sink.closed.lock().unwrap() = false;
+        sink.opened.notify_all();
+        submitter.join().expect("submitter thread");
+        assert_eq!(admitted.load(Ordering::Acquire), SUBMIT_QUEUE_DEPTH + 1);
+    }
+
+    /// An encoding mesh, like a socket transport: frames in through
+    /// `deliver_frame`, the hand-off timed as its "socket write".
+    struct FrameMesh {
+        ingress: OnceLock<Vec<NodeIngress<u64, GCounter>>>,
+        write_nanos: Arc<Histogram>,
+    }
+
+    impl Outbound<u64, GCounter> for FrameMesh {
+        fn send(&self, envelope: ShardEnvelope<KvMap>) {
+            let Some(target) =
+                self.ingress.get().and_then(|all| all.get(envelope.to.as_u64() as usize))
+            else {
+                return;
+            };
+            let write = Stopwatch::start();
+            let frame = Bytes::from(wire::to_vec(&envelope.message).expect("encode envelope"));
+            target.deliver_frame(envelope.from, frame);
+            self.write_nanos.record(write.elapsed_nanos());
+        }
+    }
+
+    /// Collects responses at `node` until every id in `commands` is answered.
+    fn await_all(node: &Node, commands: &[CommandId]) {
+        let mut open: Vec<CommandId> = commands.to_vec();
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while !open.is_empty() {
+            assert!(Instant::now() < deadline, "{} commands unanswered", open.len());
+            if let Some(response) = node.wait_response(Duration::from_millis(10)) {
+                let slot = open.iter().position(|&id| id == response.command);
+                open.swap_remove(slot.expect("a response to a command not in flight"));
+                assert!(
+                    matches!(response.body, ResponseBody::UpdateDone | ResponseBody::QueryDone(_)),
+                    "{:?}",
+                    response.body
+                );
+            }
+        }
+    }
+
+    /// The accounting contract the benchmark's traced run and `fig10 --check`
+    /// hold the engine to: every command a node proposes files exactly one
+    /// submit-queue and one quorum-wait sample (and one ring event per
+    /// station) — through a cutover that re-homes in-flight commands, and for
+    /// commands and frames routed under a superseded snapshot, which the
+    /// workers hand back — and every stage has data over an encoding mesh.
+    #[test]
+    fn stage_accounting_is_exact_across_a_cutover_with_reroutes() {
+        let mesh = Arc::new(FrameMesh {
+            ingress: OnceLock::new(),
+            write_nanos: Arc::new(Histogram::new()),
+        });
+        let nodes: Vec<Node> = members()
+            .into_iter()
+            .map(|id| {
+                let outbound = Arc::clone(&mesh) as Arc<dyn Outbound<u64, GCounter>>;
+                let trace = TraceConfig::sampled(1, 4096);
+                Node::start_observed(id, members(), 2, ProtocolConfig::default(), outbound, trace)
+            })
+            .collect();
+        assert!(mesh.ingress.set(nodes.iter().map(Node::ingress).collect()).is_ok());
+        let node = &nodes[0];
+        node.obs().register_histogram("stage_socket_write_nanos", Arc::clone(&mesh.write_nanos));
+        eventually("every assignment to be published", || {
+            nodes.iter().all(|node| node.shared.published().is_some())
+        });
+        let client = ClientId(7);
+        let mut proposed = Vec::new();
+
+        // Steady state, one at a time: writes and reads over eight keys.
+        for key in 0..8u64 {
+            let update = node.submit(client, increment(key));
+            await_all(node, &[update]);
+            let query = node.submit(client, read(key));
+            await_all(node, &[query]);
+            proposed.extend([update, query]);
+        }
+
+        // A burst left in flight across a 2 → 4 split: the cutover cancels
+        // and re-homes whatever it catches open.
+        let stale = node.shared.published().expect("published");
+        let burst: Vec<CommandId> = (0..64u64)
+            .map(|n| match n % 2 {
+                0 => node.submit(client, increment(n % 8)),
+                _ => node.submit(client, read(n % 8)),
+            })
+            .collect();
+        node.begin_rebalance(4);
+        eventually("the split to install", || {
+            nodes.iter().all(|node| node.epoch() == 1 && node.shard_count() == 4)
+                && node.rebalance_idle()
+                && node.shared.published().is_some()
+        });
+        await_all(node, &burst);
+        proposed.extend(burst);
+
+        // Commands routed under the superseded snapshot — what a submitter
+        // that read it just before the cutover would push.
+        let late: Vec<CommandId> = (0..8u64)
+            .map(|key| {
+                let outer = CommandId(node.shared.next_command.fetch_add(1, Ordering::Relaxed));
+                node.shared.admission.acquire();
+                let queued_at = now_nanos(node.shared.start);
+                assert!(stale
+                    .route_single(client, outer, increment(key), Some(queued_at), None)
+                    .is_ok());
+                outer
+            })
+            .collect();
+        await_all(node, &late);
+        proposed.extend(late);
+        // The same for peer traffic, encoded and decoded: handed back and
+        // bounced, never applied.
+        let message = ShardMessage::Protocol {
+            epoch: 0,
+            shards: 2,
+            shard: ShardId(0),
+            message: Message::MergeAck { request: RequestId(u64::MAX) },
+        };
+        let frame = Bytes::from(wire::to_vec(&message).expect("encode"));
+        let at = now_nanos(node.shared.start);
+        assert!(stale.dispatch(IngressItem::Frame(ReplicaId::new(1), frame), at).is_ok());
+        assert!(stale.dispatch(IngressItem::Message(ReplicaId::new(1), message), at).is_ok());
+        // Ten forced here; the cutover may have overtaken some of the burst too
+        // (a submit drained together with the `Install` is applied after it).
+        eventually("the reroutes to be counted", || node.obs_snapshot().counter("rerouted") >= 10);
+
+        // Steady state under the new assignment.
+        for key in 0..8u64 {
+            let update = node.submit(client, increment(key));
+            await_all(node, &[update]);
+            proposed.push(update);
+        }
+
+        let snapshot = node.obs_snapshot();
+        let samples = |stage: Stage| {
+            let name = format!("stage_{}_nanos", stage.name());
+            snapshot.histogram(&name).map_or(0, |histogram| histogram.count())
+        };
+        assert_eq!(samples(Stage::SubmitQueue), proposed.len() as u64);
+        assert_eq!(samples(Stage::QuorumWait), proposed.len() as u64);
+        for stage in Stage::ALL {
+            assert!(samples(stage) > 0, "no samples recorded for {}", stage.name());
+        }
+        let events = node.trace_events();
+        for stage in [Stage::SubmitQueue, Stage::MailboxDwell, Stage::QuorumWait] {
+            let mut logged: Vec<u64> =
+                events.iter().filter(|event| event.stage == stage).map(|e| e.command).collect();
+            logged.sort_unstable();
+            let mut expected: Vec<u64> = proposed.iter().map(|id| id.0).collect();
+            expected.sort_unstable();
+            assert_eq!(logged, expected, "{} ring events", stage.name());
+        }
+        assert_eq!(node.try_response().map(|response| response.command), None);
     }
 }

@@ -1,16 +1,21 @@
 //! The per-node router thread: the engine-side twin of the single-threaded
 //! [`ShardedReplica`] router, driving worker threads instead of an in-place
-//! `Vec<ShardCore>`.
+//! `Vec<ShardCore>` — and, in steady state, **off the per-command path**.
 //!
-//! The router is a node's single stamp authority. Everything that depends on
-//! the current assignment happens here, in one thread, so no fence logic needs
-//! to be concurrent:
+//! The router is a node's single stamp authority: it alone decides what the
+//! current assignment is. What it decided is written down in an
+//! [`Assignment`] — stamp, partitioner and the active workers' mailboxes, one
+//! immutable value — and *published* on [`NodeShared`]. Whoever holds traffic
+//! for the node (a client thread in `submit`, a transport pump or a peer's
+//! worker in `NodeIngress::deliver*`) reads the published snapshot, runs the
+//! same [`Assignment::dispatch`] / [`Assignment::route_single`] the router
+//! runs, and pushes straight onto the owning worker's mailbox. The router
+//! keeps what needs one authority:
 //!
-//! * **Ingress demux** — every peer message passes through
-//!   [`fence_decision`]; accepted protocol traffic is forwarded to its shard's
-//!   worker mailbox (FIFO, so a cutover [`WorkerInput::Install`] is ordered
-//!   before any traffic of the new assignment and workers need no fence of
-//!   their own).
+//! * **The slow half of the ingress demux** — whatever `dispatch` hands back:
+//!   control traffic, plans and plan requests, protocol messages the fence
+//!   bounces or defers, and everything that arrives while nothing is
+//!   published.
 //! * **Control shard** — the `Replica<ControlState>` that agrees rebalance
 //!   plans runs inline on the router (it is tiny and latency-insensitive).
 //! * **Rebalance choreography** — a plan install sends `Install` to every
@@ -22,6 +27,20 @@
 //!   the router folds the answers, filtered to the keys each shard owns under
 //!   the current assignment.
 //!
+//! ## Publish / un-publish
+//!
+//! A cutover must not let traffic of the new assignment reach a worker before
+//! that worker's `Absorb` (a read could miss the handed-off state). When the
+//! router was the only producer, blocking in the barrier was enough. Now the
+//! install **un-publishes** the snapshot before the first `Install` is pushed
+//! — from then on every direct producer falls back to the router's queues,
+//! which the barrier does not drain — and publishes the new one only after the
+//! last `Absorb` and the re-homed resubmits are on their mailboxes. A producer
+//! that read the *old* snapshot just before may still push behind an
+//! `Install`; the worker catches that by re-checking the stamp tag and hands
+//! the input back ([`WorkerFeedback::Stale`]); the barrier sets those aside
+//! and routes them once the absorbs are out.
+//!
 //! [`ShardedReplica`]: crdt_paxos_core::ShardedReplica
 
 use std::collections::BTreeMap;
@@ -29,23 +48,25 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use bytes::Bytes;
 use crdt::{
     GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId, SetOutput, SetQuery,
 };
 use crdt_paxos_core::{
     fence_decision, winning_shards, ClientId, ClientResponse, Command, CommandId, ControlState,
     Envelope, FenceDecision, Message, PlanPartitioner, ProtocolConfig, RebalancePlan,
-    RehomedCommand, Replica, ResponseBody, ShardEnvelope, ShardMessage, ShardOutput, Stamp,
+    RehomedCommand, Replica, ResponseBody, ShardEnvelope, ShardMessage, Stamp,
 };
 use quorum::{EpochPartitioner, HashPartitioner, Partitioner, ShardId};
 
 use obs::{Stage, Stopwatch};
 
+use crate::mailbox::Mailbox;
 use crate::mesh::Outbound;
 use crate::node::{IngressItem, NodeShared};
 use crate::telemetry::{now_nanos, RouterObs, WorkerObs};
-use crate::worker::{spawn_worker, WorkerFeedback, WorkerHandle, WorkerInput, PARK};
+use crate::worker::{
+    spawn_worker, StaleInput, Submit, WorkerFeedback, WorkerHandle, WorkerInput, PARK,
+};
 use crate::{EngineKey, EngineValue};
 
 /// The wire variant index of [`ShardMessage::Protocol`] — the first declared
@@ -59,7 +80,7 @@ const PROTOCOL_TAG: u64 = 0;
 ///
 /// A [`ShardMessage::Protocol`] frame starts with four LEB128 varints — the
 /// variant tag, then the `epoch`, `shards`, and `shard` fields, in declaration
-/// order — which is everything the router's fence needs. Returns `None` for
+/// order — which is everything the fence needs. Returns `None` for
 /// any other variant tag and for frames too mangled to carry a preamble; both
 /// take the owned full-decode path instead.
 fn peek_protocol(frame: &[u8]) -> Option<(Stamp, ShardId)> {
@@ -73,9 +94,89 @@ fn peek_protocol(frame: &[u8]) -> Option<(Stamp, ShardId)> {
     Some(((epoch, shards), ShardId(shard)))
 }
 
-/// Client-facing requests entering the router through the bounded queue.
+/// One assignment, as the router decided it: the stamp, the partitioner that
+/// maps keys to shards under it, and the mailboxes of the shard workers active
+/// under it. Immutable — a cutover replaces the whole value — so any thread
+/// can route by a snapshot of it without coordinating with the router; what a
+/// snapshot cannot promise is that it is still current when the push lands,
+/// which is why everything routed here is tagged with `stamp` for the worker
+/// to re-check.
+pub(crate) struct Assignment<K: EngineKey, V: EngineValue> {
+    stamp: Stamp,
+    partitioner: HashPartitioner,
+    workers: Vec<Arc<Mailbox<WorkerInput<K, V>>>>,
+}
+
+impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
+    /// Enqueues `input` for `shard`; traffic for a shard beyond the active
+    /// set is dropped, like any lost message.
+    fn push(&self, shard: ShardId, input: WorkerInput<K, V>) {
+        if let Some(mailbox) = self.workers.get(shard.as_usize()) {
+            mailbox.push(input);
+        }
+    }
+
+    fn admits(&self, stamp: Stamp) -> bool {
+        fence_decision(self.stamp, stamp) == FenceDecision::Process
+    }
+
+    /// The fast half of the ingress demux: protocol traffic whose stamp passes
+    /// the fence goes to its shard worker — a frame still encoded, after a
+    /// four-varint [`peek_protocol`]; the body decode happens on the worker
+    /// thread. Everything else is handed back for the router: control
+    /// traffic, plans, plan requests, and protocol messages the fence bounces
+    /// or defers (which need the owned decode for the deferred queue).
+    pub(crate) fn dispatch(
+        &self,
+        item: IngressItem<K, V>,
+        at: u64,
+    ) -> Result<(), IngressItem<K, V>> {
+        match item {
+            IngressItem::Frame(from, frame) => match peek_protocol(&frame) {
+                Some((stamp, shard)) if self.admits(stamp) => {
+                    self.push(shard, WorkerInput::Frame { from, frame, at });
+                    Ok(())
+                }
+                _ => Err(IngressItem::Frame(from, frame)),
+            },
+            IngressItem::Message(
+                from,
+                ShardMessage::Protocol { epoch, shards, shard, message },
+            ) if self.admits((epoch, shards)) => {
+                self.push(shard, WorkerInput::Peer { from, stamp: self.stamp, message, at });
+                Ok(())
+            }
+            other => Err(other),
+        }
+    }
+
+    /// Routes a single-key command to its owner's mailbox — the same split as
+    /// `ShardedReplica::submit`; keyspace-wide queries are handed back for the
+    /// router's fan-out. See [`Submit`] for the two timestamps.
+    pub(crate) fn route_single(
+        &self,
+        client: ClientId,
+        outer: CommandId,
+        command: Command<LatticeMap<K, V>>,
+        queued_at: Option<u64>,
+        routed_at: Option<u64>,
+    ) -> Result<(), Command<LatticeMap<K, V>>> {
+        let key = match &command {
+            Command::Update(MapUpdate::Apply { key, .. })
+            | Command::Query(MapQuery::Get { key, .. }) => key.clone(),
+            Command::Query(MapQuery::Len | MapQuery::Keys) => return Err(command),
+        };
+        let stamp = self.stamp;
+        let submit = Submit { client, outer, key, command, stamp, queued_at, routed_at };
+        self.push(self.partitioner.shard_of(&submit.key), WorkerInput::Submit(submit));
+        Ok(())
+    }
+}
+
+/// Client-facing requests the node handle leaves to the router.
 pub enum RouterRequest<K: EngineKey, V: EngineValue> {
-    /// A client command under a handle-allocated outer id.
+    /// A client command under a handle-allocated outer id, still holding its
+    /// admission slot.
     Submit {
         /// The submitting client.
         client: ClientId,
@@ -84,8 +185,8 @@ pub enum RouterRequest<K: EngineKey, V: EngineValue> {
         /// The command to route.
         command: Command<LatticeMap<K, V>>,
         /// When the handle queued the request (nanoseconds on the node's
-        /// observability time base); the router's dequeue time minus this is
-        /// the submit-queue dwell.
+        /// observability time base); the first dequeue time minus this is the
+        /// submit-queue dwell.
         queued_at: u64,
     },
     /// Coordinate a rebalance of the cluster to `target` shards.
@@ -137,7 +238,11 @@ pub(crate) struct Router<K: EngineKey, V: EngineValue> {
     /// allocates nothing.
     control_scratch: Vec<Envelope<ControlState>>,
     control_outbox: Vec<ShardEnvelope<LatticeMap<K, V>>>,
+    /// Every worker ever spawned, retired ones included (a shrink keeps them).
     workers: Vec<WorkerHandle<K, V>>,
+    /// The assignment the router itself routes by — the one it last built,
+    /// published or not.
+    assignment: Arc<Assignment<K, V>>,
     shared: Arc<NodeShared<K, V>>,
     outbound: Arc<dyn Outbound<K, V>>,
     start: Instant,
@@ -162,11 +267,17 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         let control = Replica::new(id, members.clone(), ControlState::default(), config.clone());
         let obs = RouterObs::new(&shared.obs, shared.trace);
         shared.rings.lock().expect("trace ring list poisoned").push(Arc::clone(&obs.ring));
+        let partitioner = EpochPartitioner::new(HashPartitioner::new(shards));
+        let assignment = Arc::new(Assignment {
+            stamp: (0, shards),
+            partitioner: *partitioner.inner(),
+            workers: Vec::new(),
+        });
         let mut router = Router {
             id,
             members,
             config,
-            partitioner: EpochPartitioner::new(HashPartitioner::new(shards)),
+            partitioner,
             plan: None,
             control,
             control_phase: None,
@@ -176,6 +287,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             control_scratch: Vec::new(),
             control_outbox: Vec::new(),
             workers: Vec::new(),
+            assignment,
             shared,
             outbound,
             start,
@@ -184,7 +296,28 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         for shard in 0..shards {
             router.spawn_shard(ShardId(shard));
         }
+        router.assignment = router.current_assignment();
+        router.publish(Some(Arc::clone(&router.assignment)));
         router
+    }
+
+    /// The router's current decision as a routable value: its stamp and
+    /// partitioner plus the mailboxes of the workers active under them.
+    fn current_assignment(&self) -> Arc<Assignment<K, V>> {
+        Arc::new(Assignment {
+            stamp: self.stamp(),
+            partitioner: *self.partitioner.inner(),
+            workers: self.workers[..self.active()]
+                .iter()
+                .map(|worker| Arc::clone(&worker.mailbox))
+                .collect(),
+        })
+    }
+
+    /// Replaces the snapshot direct producers route by; `None` sends them to
+    /// the router's queues.
+    fn publish(&self, assignment: Option<Arc<Assignment<K, V>>>) {
+        *self.shared.assignment.write().expect("assignment lock poisoned") = assignment;
     }
 
     fn spawn_shard(&mut self, shard: ShardId) {
@@ -200,9 +333,8 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             self.members.clone(),
             self.config.clone(),
             self.stamp(),
-            Arc::clone(&self.shared.feedback),
+            Arc::clone(&self.shared),
             Arc::clone(&self.outbound),
-            self.start,
             worker_obs,
         );
         self.workers.push(handle);
@@ -233,17 +365,17 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         let mut requests = Vec::new();
         let mut feedback = Vec::new();
         while !self.shared.shutdown.load(Ordering::Acquire) {
+            // First, so that nothing below proposes against the stale clock an
+            // untimed park leaves behind.
+            self.control.tick(self.now_ms());
             let mut busy = 0;
             let drained = self.shared.ingress.drain_into(&mut ingress);
             self.obs.ingress_depth.observe(drained as u64);
             busy += drained;
             for item in ingress.drain(..) {
                 let station = Stopwatch::start();
-                match item {
-                    IngressItem::Message(from, message) => self.handle_message(from, message),
-                    IngressItem::Frame(from, frame) => self.handle_frame(from, frame),
-                }
-                self.obs.stages.record(Stage::RouterIngress, station.elapsed_nanos());
+                self.handle_ingress(item);
+                self.shared.stages.record(Stage::RouterIngress, station.elapsed_nanos());
             }
             let drained = self.shared.requests.drain_into(&mut requests);
             self.obs.submit_depth.observe(drained as u64);
@@ -251,10 +383,8 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             for request in requests.drain(..) {
                 match request {
                     RouterRequest::Submit { client, outer, command, queued_at } => {
-                        let now = self.now_nanos();
-                        self.obs.stages.record(Stage::SubmitQueue, now.saturating_sub(queued_at));
-                        self.obs.ring.record(outer.0, Stage::SubmitQueue, now);
-                        self.submit(client, outer, command);
+                        self.shared.admission.release();
+                        self.submit(client, outer, command, Some(queued_at));
                     }
                     RouterRequest::Rebalance { target } => self.begin_rebalance(target),
                 }
@@ -265,14 +395,24 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             for item in feedback.drain(..) {
                 self.handle_feedback(item);
             }
-            self.control.tick(self.now_ms());
             self.poll_control();
             self.flush_control_outbox();
             if busy == 0 {
                 self.obs.parks.incr();
-                self.shared.router_signal.wait_timeout(PARK);
+                // Only plan agreement runs on a timer here (the control
+                // replica's retransmissions, and deferred traffic waiting on a
+                // plan); with none of it pending, wake on the signal alone.
+                let timed = self.control.in_flight() > 0
+                    || self.control_phase.is_some()
+                    || !self.deferred.is_empty();
+                if timed {
+                    self.shared.router_signal.wait_timeout(PARK);
+                } else {
+                    self.shared.router_signal.wait();
+                }
             }
         }
+        self.publish(None);
         for worker in &self.workers {
             worker.mailbox.push(WorkerInput::Shutdown);
         }
@@ -299,62 +439,43 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         self.control_outbox.clear();
     }
 
-    /// Handles one peer message — the same demux as
-    /// `ShardedReplica::handle_message`.
-    fn handle_message(&mut self, from: ReplicaId, message: ShardMessage<LatticeMap<K, V>>) {
+    /// Handles one ingress item: [`Assignment::dispatch`] first — the same
+    /// call the direct producers make — then, for what it hands back, the same
+    /// demux as `ShardedReplica::handle_message`. Frames that reach the slow
+    /// half take the owned decode; those that fail it are dropped (the
+    /// protocol tolerates lost messages).
+    fn handle_ingress(&mut self, item: IngressItem<K, V>) {
+        let (from, message) = match self.assignment.dispatch(item, self.now_nanos()) {
+            Ok(()) => return,
+            Err(IngressItem::Message(from, message)) => (from, message),
+            Err(IngressItem::Frame(from, frame)) => match wire::from_bytes(&frame) {
+                Ok(message) => (from, message),
+                Err(_) => return,
+            },
+        };
         match message {
             ShardMessage::Protocol { epoch, shards, shard, message } => {
-                self.handle_protocol(from, (epoch, shards), shard, message);
+                self.handle_fenced(from, (epoch, shards), shard, message);
             }
             ShardMessage::Control { message } => {
                 self.control.handle_message(from, message);
                 self.poll_control();
             }
             ShardMessage::Rebalance { plan } => self.install_plan(plan),
-            ShardMessage::PlanRequest => {
-                if let Some(plan) = self.plan {
-                    self.outbound.send(ShardEnvelope {
-                        from: self.id,
-                        to: from,
-                        message: ShardMessage::Rebalance { plan },
-                    });
-                }
-            }
+            ShardMessage::PlanRequest => self.send_plan(from),
         }
     }
 
-    /// Routes one received wire frame — the zero-copy half of the ingress
-    /// demux.
-    ///
-    /// Protocol frames that pass the fence are handed to their shard worker
-    /// still encoded: the expensive body decode happens on the worker thread,
-    /// in place, into its long-lived scratch message, so the router's
-    /// steady-state cost per frame is the four-varint [`peek_protocol`].
-    /// Everything else — control traffic, plans, plan requests, and protocol
-    /// frames the fence bounces or defers (which need the decoded message for
-    /// the deferred queue) — takes the owned decode path through
-    /// [`Router::handle_message`]. Frames that fail to decode are dropped; the
-    /// protocol tolerates lost messages.
-    fn handle_frame(&mut self, from: ReplicaId, frame: Bytes) {
-        if let Some((stamp, shard)) = peek_protocol(&frame) {
-            if matches!(fence_decision(self.stamp(), stamp), FenceDecision::Process) {
-                if shard.as_usize() < self.active() {
-                    self.workers[shard.as_usize()].mailbox.push(WorkerInput::Frame {
-                        from,
-                        frame,
-                        at: self.now_nanos(),
-                    });
-                }
-                return;
-            }
-        }
-        if let Ok(message) = wire::from_bytes(&frame) {
-            self.handle_message(from, message);
+    /// Tells `to` the installed plan, if there is one.
+    fn send_plan(&self, to: ReplicaId) {
+        if let Some(plan) = self.plan {
+            let message = ShardMessage::Rebalance { plan };
+            self.outbound.send(ShardEnvelope { from: self.id, to, message });
         }
     }
 
-    /// Routes one stamped protocol message through the assignment fence.
-    fn handle_protocol(
+    /// Answers one protocol message the dispatch fenced off.
+    fn handle_fenced(
         &mut self,
         from: ReplicaId,
         stamp: Stamp,
@@ -362,15 +483,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         message: Message<LatticeMap<K, V>>,
     ) {
         match fence_decision(self.stamp(), stamp) {
-            FenceDecision::Bounce => {
-                if let Some(plan) = self.plan {
-                    self.outbound.send(ShardEnvelope {
-                        from: self.id,
-                        to: from,
-                        message: ShardMessage::Rebalance { plan },
-                    });
-                }
-            }
+            FenceDecision::Bounce => self.send_plan(from),
             FenceDecision::Defer => {
                 if self.deferred.len() < Self::DEFERRED_CAP {
                     self.deferred.push((from, stamp, shard, message));
@@ -381,60 +494,45 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
                     message: ShardMessage::PlanRequest,
                 });
             }
-            FenceDecision::Process => {
-                if shard.as_usize() < self.active() {
-                    self.workers[shard.as_usize()].mailbox.push(WorkerInput::Peer {
-                        from,
-                        message,
-                        at: self.now_nanos(),
-                    });
-                }
-            }
+            // A matching stamp never comes back from `dispatch`.
+            FenceDecision::Process => self.deliver_fenced(from, shard, message),
         }
     }
 
-    /// Routes a client command (single-key to its owner, keyspace-wide as a
-    /// fan-out) — the same split as `ShardedReplica::submit`.
-    fn submit(&mut self, client: ClientId, outer: CommandId, command: Command<LatticeMap<K, V>>) {
-        match command {
-            single @ (Command::Update(MapUpdate::Apply { .. })
-            | Command::Query(MapQuery::Get { .. })) => {
-                self.submit_routed(client, outer, single);
-            }
-            Command::Query(query) => {
-                let acc = match query {
-                    MapQuery::Len => FanoutAcc::Len(0),
-                    MapQuery::Keys => FanoutAcc::Keys(Vec::new()),
-                    MapQuery::Get { .. } => unreachable!("routed above"),
-                };
-                self.fanouts.insert(
-                    outer,
-                    Fanout { client, remaining: 0, round_trips: 0, failed: false, acc },
-                );
-                self.launch_fanout_legs(outer, client);
-            }
-        }
+    /// Enqueues a protocol message of the router's own assignment.
+    fn deliver_fenced(&self, from: ReplicaId, shard: ShardId, message: Message<LatticeMap<K, V>>) {
+        let (stamp, at) = (self.stamp(), self.now_nanos());
+        self.assignment.push(shard, WorkerInput::Peer { from, stamp, message, at });
     }
 
-    fn submit_routed(
+    /// Routes a client command the node handle left to the router: single-key
+    /// to its owner, through the same [`Assignment::route_single`] the handle
+    /// tries first; keyspace-wide as a fan-out. `queued_at` is the submit time
+    /// while no worker has accounted for it.
+    fn submit(
         &mut self,
         client: ClientId,
         outer: CommandId,
         command: Command<LatticeMap<K, V>>,
+        queued_at: Option<u64>,
     ) {
-        let key = match &command {
-            Command::Update(MapUpdate::Apply { key, .. })
-            | Command::Query(MapQuery::Get { key, .. }) => key.clone(),
-            Command::Query(_) => unreachable!("keyspace-wide queries are tracked as fan-outs"),
+        let now = self.now_nanos();
+        let Err(query) = self.assignment.route_single(client, outer, command, queued_at, Some(now))
+        else {
+            return;
         };
-        let owner = self.partitioner.shard_of(&key).as_usize();
-        self.workers[owner].mailbox.push(WorkerInput::Submit {
-            client,
-            outer,
-            key,
-            command,
-            at: self.now_nanos(),
-        });
+        if let Some(queued_at) = queued_at {
+            self.shared.stages.record(Stage::SubmitQueue, now.saturating_sub(queued_at));
+            self.obs.ring.record(outer.0, Stage::SubmitQueue, now);
+        }
+        let acc = match query {
+            Command::Query(MapQuery::Len) => FanoutAcc::Len(0),
+            Command::Query(MapQuery::Keys) => FanoutAcc::Keys(Vec::new()),
+            _ => unreachable!("single-key commands are routed above"),
+        };
+        self.fanouts
+            .insert(outer, Fanout { client, remaining: 0, round_trips: 0, failed: false, acc });
+        self.launch_fanout_legs(outer, client);
     }
 
     fn launch_fanout_legs(&mut self, outer: CommandId, client: ClientId) {
@@ -443,7 +541,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             fanout.remaining = active;
         }
         for index in 0..active {
-            self.workers[index].mailbox.push(WorkerInput::FanoutLeg { client, outer });
+            self.assignment.push(ShardId(index as u32), WorkerInput::FanoutLeg { client, outer });
         }
     }
 
@@ -451,26 +549,22 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
     /// consumed by the install barrier and must not appear here.
     fn handle_feedback(&mut self, item: WorkerFeedback<K, V>) {
         match item {
-            WorkerFeedback::Output { stamp, output } => match output {
-                ShardOutput::Response(response) => self.emit_response(response),
-                ShardOutput::FanoutLeg { command, shard, round_trips, keys } => {
-                    // Legs drained under a superseded assignment are the
-                    // parallel analogue of purged buffered responses: the
-                    // fan-out has been restarted, drop them.
-                    if stamp == self.stamp() {
-                        self.absorb_fanout_leg(command, shard, round_trips, keys);
-                    }
+            WorkerFeedback::FanoutLeg { stamp, command, shard, round_trips, keys } => {
+                // Legs drained under a superseded assignment are the parallel
+                // analogue of purged buffered responses: the fan-out has been
+                // restarted, drop them.
+                if stamp == self.stamp() {
+                    self.absorb_fanout_leg(command, shard, round_trips, keys);
                 }
-            },
+            }
+            WorkerFeedback::Stale(StaleInput::Ingress(item)) => self.handle_ingress(item),
+            WorkerFeedback::Stale(StaleInput::Submit { client, outer, command, queued_at }) => {
+                self.submit(client, outer, command, queued_at);
+            }
             WorkerFeedback::Rehomed { .. } => {
                 unreachable!("cutover replies are consumed by the install barrier")
             }
         }
-    }
-
-    fn emit_response(&self, response: ClientResponse<LatticeMap<K, V>>) {
-        self.shared.responses.push(response);
-        self.shared.response_signal.notify();
     }
 
     /// Folds one shard's key-list answer into its fan-out aggregate — the same
@@ -508,7 +602,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
                     }
                 }
             };
-            self.emit_response(ClientResponse {
+            self.shared.respond(ClientResponse {
                 client: fanout.client,
                 command,
                 body,
@@ -575,9 +669,11 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
     }
 
     /// Installs a committed plan across the worker fleet. Mirrors
-    /// `ShardedReplica::install_plan` step for step; the only structural
-    /// difference is the barrier that gathers each worker's cutover reply
-    /// before the handoff sub-states are shipped to their destinations.
+    /// `ShardedReplica::install_plan` step for step; the structural differences
+    /// are the barrier that gathers each worker's cutover reply before the
+    /// handoff sub-states are shipped to their destinations, and the
+    /// un-publish / publish bracket that keeps direct producers out of the
+    /// worker mailboxes in between (see the module docs).
     fn install_plan(&mut self, plan: RebalancePlan) {
         if plan.epoch == 0 || (plan.epoch, plan.shards) <= self.stamp() {
             return;
@@ -596,16 +692,21 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         let stamp = self.stamp();
         let new_active = self.active();
 
+        // From here until the publish below, direct producers queue at the
+        // router, which does not look at those queues before it is done.
+        self.publish(None);
+
         // Grow the worker fleet; new workers start already fenced at the new
         // stamp. A shrink keeps retired workers: their cores hold harmless
         // lower bounds a later split reactivates in place.
         while self.workers.len() < new_active {
             self.spawn_shard(ShardId(self.workers.len() as u32));
         }
+        self.assignment = self.current_assignment();
 
         // Cutover on every pre-existing worker; handoff extraction only from
-        // the previously active ones. The FIFO mailbox orders this before any
-        // new-assignment traffic the fence admits afterwards.
+        // the previously active ones. The FIFO mailbox orders this before
+        // anything the router routes under the new assignment afterwards.
         let partitioner = *self.partitioner.inner();
         for (index, worker) in self.workers.iter().enumerate().take(instances_before) {
             worker.mailbox.push(WorkerInput::Install {
@@ -616,8 +717,12 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         }
 
         // Barrier: gather every cutover reply. Workers keep draining their
-        // mailboxes, so the replies arrive promptly; ordinary outputs that
-        // interleave are processed as usual.
+        // mailboxes, so the replies arrive promptly; fan-out legs that
+        // interleave are processed as usual. Inputs a worker hands back — a
+        // direct producer's push under the old snapshot that landed behind the
+        // `Install` — wait until the absorbs are out: routed now, a command
+        // could reach its new owner ahead of the state it has to see.
+        let mut stale = Vec::new();
         let mut moves: Vec<LatticeMap<K, V>> =
             (0..self.workers.len()).map(|_| LatticeMap::default()).collect();
         let mut rehome_resync: BTreeMap<usize, Vec<(ClientId, CommandId, K)>> = BTreeMap::new();
@@ -642,6 +747,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
                         }
                         resubmit.extend(rehome.resubmit);
                     }
+                    held @ WorkerFeedback::Stale(_) => stale.push(held),
                     other => self.handle_feedback(other),
                 }
             }
@@ -655,11 +761,16 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             if rehomed.is_empty() && moved.is_empty() {
                 continue;
             }
-            self.workers[index].mailbox.push(WorkerInput::Absorb { sub: moved, rehomed });
+            self.assignment
+                .push(ShardId(index as u32), WorkerInput::Absorb { sub: moved, rehomed });
         }
 
+        // Re-homed commands were accounted where they were first accepted.
         for (client, outer, command) in resubmit {
-            self.submit_routed(client, outer, command);
+            self.submit(client, outer, command, None);
+        }
+        for held in stale {
+            self.handle_feedback(held);
         }
 
         // Keyspace-wide fan-outs restart from scratch against the new shard
@@ -676,15 +787,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         let deferred = std::mem::take(&mut self.deferred);
         for (from, message_stamp, shard, message) in deferred {
             match message_stamp.cmp(&installed) {
-                std::cmp::Ordering::Equal => {
-                    if shard.as_usize() < new_active {
-                        self.workers[shard.as_usize()].mailbox.push(WorkerInput::Peer {
-                            from,
-                            message,
-                            at: self.now_nanos(),
-                        });
-                    }
-                }
+                std::cmp::Ordering::Equal => self.deliver_fenced(from, shard, message),
                 std::cmp::Ordering::Greater => {
                     self.deferred.push((from, message_stamp, shard, message));
                 }
@@ -692,16 +795,14 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             }
         }
 
+        // Every worker now has its `Absorb` ahead of anything a direct
+        // producer can push: hand the mailboxes back.
+        self.publish(Some(Arc::clone(&self.assignment)));
+
         // Gossip the plan once per install so idle replicas converge without
         // waiting to be bounced.
-        for &peer in &self.members {
-            if peer != self.id {
-                self.outbound.send(ShardEnvelope {
-                    from: self.id,
-                    to: peer,
-                    message: ShardMessage::Rebalance { plan },
-                });
-            }
+        for &peer in self.members.iter().filter(|&&peer| peer != self.id) {
+            self.send_plan(peer);
         }
     }
 
@@ -731,7 +832,7 @@ mod tests {
 
     /// The peek must agree with a full decode on every frame: same stamp and
     /// shard for `Protocol`, `None` exactly for the other variants. This is
-    /// the property that lets [`Router::handle_frame`] fence frames without
+    /// the property that lets [`Assignment::dispatch`] fence frames without
     /// decoding their bodies.
     #[test]
     fn peek_matches_full_decode() {

@@ -6,6 +6,10 @@
 //! clone their instruments into the node's [`ObsRegistry`] at construction
 //! time (engine startup or shard spawn, both off the hot path), where
 //! same-named instruments from different threads are merged at snapshot time.
+//! The one exception is the node-level [`StageSet`] on `NodeShared`: ingress
+//! dispatch runs on whichever thread delivers (a transport pump, a peer's
+//! worker, the router), so its `RouterIngress` samples land in one shared set
+//! — still lock-free, histograms take concurrent writers.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -18,10 +22,10 @@ pub(crate) fn now_nanos(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-/// The router thread's instruments.
+/// The router thread's instruments. Its stage samples (`RouterIngress`, and
+/// `SubmitQueue` for the keyspace-wide queries it keeps) go to the node-level
+/// set.
 pub(crate) struct RouterObs {
-    /// Stage histograms: the router records `SubmitQueue` and `RouterIngress`.
-    pub stages: StageSet,
     /// How often the router parked for lack of work.
     pub parks: Arc<Counter>,
     /// Largest ingress batch drained in one pump cycle.
@@ -30,15 +34,14 @@ pub(crate) struct RouterObs {
     pub submit_depth: Arc<HighWater>,
     /// Largest worker-feedback batch drained in one pump cycle.
     pub feedback_depth: Arc<HighWater>,
-    /// The router's trace ring (client commands log `SubmitQueue` here).
+    /// The router's trace ring (keyspace-wide queries log `SubmitQueue`
+    /// here).
     pub ring: Arc<TraceRing>,
 }
 
 impl RouterObs {
     /// Builds the bundle and files every instrument into `registry`.
     pub fn new(registry: &ObsRegistry, trace: TraceConfig) -> Self {
-        let stages = StageSet::new();
-        stages.register_into(registry);
         let parks = Arc::new(Counter::new());
         registry.register_counter("router_parks", Arc::clone(&parks));
         let ingress_depth = Arc::new(HighWater::new());
@@ -48,7 +51,6 @@ impl RouterObs {
         let feedback_depth = Arc::new(HighWater::new());
         registry.register_highwater("router_feedback_depth", Arc::clone(&feedback_depth));
         RouterObs {
-            stages,
             parks,
             ingress_depth,
             submit_depth,
@@ -60,11 +62,14 @@ impl RouterObs {
 
 /// One shard worker's instruments.
 pub(crate) struct WorkerObs {
-    /// Stage histograms: workers record `MailboxDwell`, `Decode`,
-    /// `ProtocolStep`, `QuorumWait`, and `ReplyEncode`.
+    /// Stage histograms: workers record `SubmitQueue`, `MailboxDwell`,
+    /// `Decode`, `ProtocolStep`, `QuorumWait`, and `ReplyEncode`.
     pub stages: StageSet,
     /// How often the worker parked for lack of work.
     pub parks: Arc<Counter>,
+    /// Directly delivered inputs the worker handed back to the router because
+    /// they were routed under an assignment other than the worker's own.
+    pub rerouted: Arc<Counter>,
     /// Largest mailbox batch drained in one pump cycle.
     pub mailbox_depth: Arc<HighWater>,
     /// The worker's trace ring (client commands log dwell/step/learn here).
@@ -78,8 +83,10 @@ impl WorkerObs {
         stages.register_into(registry);
         let parks = Arc::new(Counter::new());
         registry.register_counter("worker_parks", Arc::clone(&parks));
+        let rerouted = Arc::new(Counter::new());
+        registry.register_counter("rerouted", Arc::clone(&rerouted));
         let mailbox_depth = Arc::new(HighWater::new());
         registry.register_highwater("worker_mailbox_depth", Arc::clone(&mailbox_depth));
-        WorkerObs { stages, parks, mailbox_depth, ring: Arc::new(TraceRing::new(trace)) }
+        WorkerObs { stages, parks, rerouted, mailbox_depth, ring: Arc::new(TraceRing::new(trace)) }
     }
 }

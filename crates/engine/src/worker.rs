@@ -1,18 +1,33 @@
 //! One shard's executor: an OS thread owning a [`ShardCore`] and draining a
 //! lock-free mailbox.
 //!
-//! The worker is a dumb pump around the sans-IO core: apply every queued
-//! input, advance the core's clock, ship the outbox, report the outputs, park
-//! when idle. All policy — routing, fencing, rebalance choreography — lives in
-//! the router; the only state a worker owns besides its core is the assignment
-//! stamp of the last cutover it processed, which it uses to stamp outgoing
-//! envelopes. A worker whose stamp is transiently stale is harmless: peers
-//! bounce or defer its traffic by the same fence the single-threaded router
-//! applies.
+//! The worker is a pump around the sans-IO core: apply every queued input,
+//! advance the core's clock, ship the outbox, hand completed commands to the
+//! node's response queue, park when idle. Policy — fencing, rebalance
+//! choreography, fan-out aggregation — lives in the router.
+//!
+//! A worker's mailbox has many producers. Client threads
+//! ([`EngineNode::submit`]) and delivering threads ([`NodeIngress`]) push
+//! protocol traffic and single-key commands straight into it under the
+//! *published* assignment snapshot; the router pushes the same, plus the
+//! control inputs only it may send (`FanoutLeg`, `Install`, `Absorb`,
+//! `Shutdown`). A direct producer read its snapshot some time before it
+//! pushed, so its item can land behind the `Install` of a newer assignment.
+//! That is why every `Peer`, `Frame` and [`Submit`] carries the stamp it was
+//! routed under and the worker **re-checks it against its own**: on a mismatch
+//! the input is not applied — this core may no longer own the key — but handed
+//! back to the router over `feedback` ([`WorkerFeedback::Stale`]), which runs
+//! it through the current fence (stale peer traffic is bounced, a command is
+//! routed to its new owner). The hand-back never blocks: `feedback` is
+//! unbounded, because the router does not drain its request queue while it
+//! waits in the cutover barrier.
+//!
+//! [`EngineNode::submit`]: crate::EngineNode::submit
+//! [`NodeIngress`]: crate::NodeIngress
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use bytes::Bytes;
 use crdt::{LatticeMap, ReplicaId};
@@ -26,34 +41,33 @@ use obs::{Stage, Stopwatch};
 
 use crate::mailbox::{Mailbox, Signal};
 use crate::mesh::Outbound;
+use crate::node::{IngressItem, NodeShared};
 use crate::telemetry::{now_nanos, WorkerObs};
 use crate::{EngineKey, EngineValue};
 
-/// How long an idle worker parks before ticking its core again. Retransmission
-/// timers are tens of milliseconds, so a millisecond of tick granularity is
-/// plenty — and parking (instead of spinning) keeps oversubscribed
-/// configurations from starving each other.
+/// How long a worker with protocol instances in flight (or batches to flush)
+/// parks before ticking its core again. Retransmission timers are tens of
+/// milliseconds, so a millisecond of tick granularity is plenty. A worker with
+/// nothing to time parks untimed and wakes on its mailbox signal alone.
 pub(crate) const PARK: Duration = Duration::from_millis(1);
 
-/// Everything the router can ask of a shard worker. Delivered in FIFO order,
-/// which is what lets workers skip the epoch fence: the router orders every
-/// [`WorkerInput::Install`] before any traffic of the new assignment.
+/// Everything a shard worker can be asked. Delivered in FIFO order. The first
+/// three variants may come from any dispatching thread and are re-checked
+/// against the worker's stamp (see the module docs); the rest come from the
+/// router alone, which orders every [`WorkerInput::Install`] before its own
+/// traffic of the new assignment.
 pub(crate) enum WorkerInput<K: EngineKey, V: EngineValue> {
-    /// One fenced protocol message from a peer's same-shard instance.
-    Peer { from: ReplicaId, message: Message<LatticeMap<K, V>>, at: u64 },
-    /// One fenced protocol message still in its encoded wire frame. The router
-    /// has already peeked the stamp and applied the fence; the worker decodes
-    /// the body in place into its long-lived scratch message, so steady-state
-    /// delta frames reach the core without allocating.
+    /// One fenced protocol message from a peer's same-shard instance, tagged
+    /// with the stamp it was fenced under. `at` is when it was enqueued.
+    Peer { from: ReplicaId, stamp: Stamp, message: Message<LatticeMap<K, V>>, at: u64 },
+    /// One fenced protocol message still in its encoded wire frame. The
+    /// dispatcher has peeked the stamp and applied the fence; the worker
+    /// decodes the body in place into its long-lived scratch message (so
+    /// steady-state delta frames reach the core without allocating) and takes
+    /// the tag from the stamp it decodes anyway.
     Frame { from: ReplicaId, frame: Bytes, at: u64 },
-    /// A routed single-key client command.
-    Submit {
-        client: ClientId,
-        outer: CommandId,
-        key: K,
-        command: Command<LatticeMap<K, V>>,
-        at: u64,
-    },
+    /// A single-key client command.
+    Submit(Submit<K, V>),
     /// One leg of a keyspace-wide fan-out.
     FanoutLeg { client: ClientId, outer: CommandId },
     /// A rebalance cutover: extract handoff sub-states (when `extract`),
@@ -68,16 +82,57 @@ pub(crate) enum WorkerInput<K: EngineKey, V: EngineValue> {
     Shutdown,
 }
 
-/// What workers report back to their router.
+/// A single-key client command on its way to the shard that owns `key` under
+/// `stamp`.
+pub(crate) struct Submit<K: EngineKey, V: EngineValue> {
+    pub client: ClientId,
+    pub outer: CommandId,
+    pub key: K,
+    pub command: Command<LatticeMap<K, V>>,
+    pub stamp: Stamp,
+    /// When the client submitted it; `None` for a command a cutover re-homed,
+    /// whose submit was accounted on its previous owner.
+    pub queued_at: Option<u64>,
+    /// When the router forwarded it; `None` when the client thread pushed it
+    /// here itself, still holding its admission slot.
+    pub routed_at: Option<u64>,
+}
+
+/// What workers report back to their router. Completed single-key commands
+/// are not among it: workers push those onto the node's response queue
+/// themselves.
 pub(crate) enum WorkerFeedback<K: EngineKey, V: EngineValue> {
-    /// A drained core output, tagged with the stamp the worker held when it
-    /// drained it. The router uses the tag to discard fan-out legs that
-    /// completed under a superseded assignment (the parallel equivalent of
+    /// One shard's answer to a fan-out leg (the fields of
+    /// [`ShardOutput::FanoutLeg`]), tagged with the stamp the worker held when
+    /// it drained it. The router uses the tag to discard legs that completed
+    /// under a superseded assignment (the parallel equivalent of
     /// [`ShardCore::purge_fanout_legs`] catching buffered responses).
-    Output { stamp: Stamp, output: ShardOutput<K, V> },
+    FanoutLeg {
+        stamp: Stamp,
+        command: CommandId,
+        shard: ShardId,
+        round_trips: u32,
+        keys: Option<Vec<K>>,
+    },
     /// The reply to a [`WorkerInput::Install`]: handoff sub-states grouped by
     /// destination shard plus the reclaimed in-flight work.
     Rehomed { moves: Vec<(ShardId, LatticeMap<K, V>)>, rehome: CoreRehome<K, V> },
+    /// An input whose stamp tag is not the worker's own, handed back unapplied
+    /// for the router to fence and route under the current assignment.
+    Stale(StaleInput<K, V>),
+}
+
+/// The payload of [`WorkerFeedback::Stale`].
+pub(crate) enum StaleInput<K: EngineKey, V: EngineValue> {
+    /// Peer traffic, in the form it entered the node.
+    Ingress(IngressItem<K, V>),
+    /// A client command, with its submit time if that is still unaccounted.
+    Submit {
+        client: ClientId,
+        outer: CommandId,
+        command: Command<LatticeMap<K, V>>,
+        queued_at: Option<u64>,
+    },
 }
 
 /// The router's handle on one spawned worker.
@@ -94,9 +149,8 @@ pub(crate) fn spawn_worker<K: EngineKey, V: EngineValue>(
     members: Vec<ReplicaId>,
     config: ProtocolConfig,
     stamp: Stamp,
-    feedback: Arc<Mailbox<WorkerFeedback<K, V>>>,
+    shared: Arc<NodeShared<K, V>>,
     outbound: Arc<dyn Outbound<K, V>>,
-    start: Instant,
     obs: WorkerObs,
 ) -> WorkerHandle<K, V> {
     let signal = Arc::new(Signal::new());
@@ -105,8 +159,11 @@ pub(crate) fn spawn_worker<K: EngineKey, V: EngineValue>(
     let join = std::thread::Builder::new()
         .name(format!("shard-{}-{}", id.as_u64(), shard.as_u32()))
         .spawn(move || {
+            // A core with nothing in flight has no timer to serve — unless it
+            // batches, in which case queued commands wait for the flush tick.
+            let timed_when_idle = config.batching;
             let core = ShardCore::new(shard, id, members, config);
-            run(core, stamp, inbox, signal, feedback, outbound, start, obs);
+            run(core, stamp, timed_when_idle, inbox, signal, shared, outbound, obs);
         })
         .expect("spawn shard worker");
     WorkerHandle { mailbox, join }
@@ -117,21 +174,27 @@ pub(crate) fn spawn_worker<K: EngineKey, V: EngineValue>(
 fn run<K: EngineKey, V: EngineValue>(
     mut core: ShardCore<K, V>,
     mut stamp: Stamp,
+    timed_when_idle: bool,
     inbox: Arc<Mailbox<WorkerInput<K, V>>>,
     signal: Arc<Signal>,
-    feedback: Arc<Mailbox<WorkerFeedback<K, V>>>,
+    shared: Arc<NodeShared<K, V>>,
     outbound: Arc<dyn Outbound<K, V>>,
-    start: Instant,
     obs: WorkerObs,
 ) {
+    let start = shared.start;
+    let reroute = |input: StaleInput<K, V>| {
+        obs.rerouted.incr();
+        shared.feedback.push(WorkerFeedback::Stale(input));
+    };
     let mut inputs = Vec::new();
+    let mut submits = Vec::new();
     let mut outbox = Vec::new();
     let mut outputs = Vec::new();
     // Commands whose proposal this worker opened and has not yet seen learned:
     // `(outer id, open timestamp)`, feeding the quorum-wait histogram. The
     // vector stays warm at the steady-state in-flight window, so pushes stop
     // allocating after warm-up; entries are reclaimed by the response drain
-    // (or wholesale at a cutover, which cancels in-flight work).
+    // (or at a cutover, for the commands it moves to another owner).
     let mut pending: Vec<(CommandId, u64)> = Vec::new();
     // Decode target reused across frames: after the first frame of a kind,
     // in-place decode rewrites the resident variant field by field, reusing
@@ -146,9 +209,29 @@ fn run<K: EngineKey, V: EngineValue>(
         // been waiting at least until now, and one clock read per batch keeps
         // the per-input overhead to the histogram's atomic add.
         let now = if had_inputs { now_nanos(start) } else { 0 };
+        // The clock advances before the inputs are applied: after an untimed
+        // park the core's notion of now is arbitrarily old, and a proposal
+        // opened against it would look overdue for retransmission at once.
+        core.tick(start.elapsed().as_millis() as u64);
+        // Peer traffic and control inputs first, the cycle's new commands
+        // after them: finish what is in flight before opening more. It is the
+        // order the router used to impose (it drained ingress before
+        // requests), and it matters: a proposal opened ahead of a queued
+        // `Merge` carries a state its acceptors are one message past, which
+        // costs a read on a contended key its single round trip.
         for input in inputs.drain(..) {
             match input {
-                WorkerInput::Peer { from, message, at } => {
+                WorkerInput::Submit(submit) => submits.push(submit),
+                WorkerInput::Peer { from, stamp: routed, message, at } => {
+                    if routed != stamp {
+                        let (epoch, shards) = routed;
+                        let shard = core.shard_id();
+                        reroute(StaleInput::Ingress(IngressItem::Message(
+                            from,
+                            ShardMessage::Protocol { epoch, shards, shard, message },
+                        )));
+                        continue;
+                    }
                     obs.stages.record(Stage::MailboxDwell, now.saturating_sub(at));
                     let step = Stopwatch::start();
                     core.handle_message(from, message);
@@ -157,26 +240,23 @@ fn run<K: EngineKey, V: EngineValue>(
                 WorkerInput::Frame { from, frame, at } => {
                     obs.stages.record(Stage::MailboxDwell, now.saturating_sub(at));
                     // Decode failures drop the frame (the protocol tolerates
-                    // losses); a non-Protocol variant cannot pass the router's
-                    // peek, so the else branch is unreachable for frames that
-                    // decoded at all.
+                    // losses); a non-Protocol variant cannot pass the
+                    // dispatcher's peek, so the else branch is unreachable for
+                    // frames that decoded at all.
                     let decode = Stopwatch::start();
                     if wire::from_bytes_in_place(&frame, &mut scratch).is_ok() {
                         obs.stages.record(Stage::Decode, decode.elapsed_nanos());
-                        if let ShardMessage::Protocol { message, .. } = &mut scratch {
+                        if let ShardMessage::Protocol { epoch, shards, message, .. } = &mut scratch
+                        {
+                            if (*epoch, *shards) != stamp {
+                                reroute(StaleInput::Ingress(IngressItem::Frame(from, frame)));
+                                continue;
+                            }
                             let step = Stopwatch::start();
                             core.handle_message_mut(from, message);
                             obs.stages.record(Stage::ProtocolStep, step.elapsed_nanos());
                         }
                     }
-                }
-                WorkerInput::Submit { client, outer, key, command, at } => {
-                    obs.stages.record(Stage::MailboxDwell, now.saturating_sub(at));
-                    obs.ring.record(outer.0, Stage::MailboxDwell, now);
-                    let step = Stopwatch::start();
-                    core.submit_single(client, outer, key, command);
-                    obs.stages.record(Stage::ProtocolStep, step.elapsed_nanos());
-                    pending.push((outer, now_nanos(start)));
                 }
                 WorkerInput::FanoutLeg { client, outer } => core.submit_fanout_leg(client, outer),
                 WorkerInput::Install { stamp: new_stamp, partitioner, extract } => {
@@ -195,21 +275,56 @@ fn run<K: EngineKey, V: EngineValue>(
                     let rehome = core.cancel_and_rehome();
                     core.purge_fanout_legs();
                     stamp = new_stamp;
-                    // In-flight proposals were cancelled; re-homed commands
-                    // restart their quorum wait at their new owner.
-                    pending.clear();
-                    feedback.push(WorkerFeedback::Rehomed { moves, rehome });
+                    // The cancelled proposals restart their quorum wait at
+                    // their new owner (resubmits when it accepts them, applied
+                    // updates when its `Absorb` opens their resync).
+                    pending.retain(|&(outer, _)| {
+                        !rehome.applied.iter().any(|&(_, command, _)| command == outer)
+                            && !rehome.resubmit.iter().any(|&(_, command, _)| command == outer)
+                    });
+                    shared.feedback.push(WorkerFeedback::Rehomed { moves, rehome });
                 }
                 WorkerInput::Absorb { sub, rehomed } => {
                     if !sub.is_empty() {
                         core.absorb_moved(&sub);
                     }
+                    let opened = now_nanos(start);
+                    pending.extend(rehomed.iter().map(|&(_, command, _)| (command, opened)));
                     core.begin_resync(rehomed);
                 }
                 WorkerInput::Shutdown => return,
             }
         }
-        core.tick(start.elapsed().as_millis() as u64);
+        for submit in submits.drain(..) {
+            let Submit { client, outer, key, command, stamp: routed, queued_at, routed_at } =
+                submit;
+            // This is the first engine thread to dequeue a command the client
+            // thread pushed itself: its slot is free again, whether or not the
+            // command stays here.
+            if routed_at.is_none() {
+                shared.admission.release();
+            }
+            if routed != stamp {
+                reroute(StaleInput::Submit { client, outer, command, queued_at });
+                continue;
+            }
+            // The accepting worker files the command's whole way in: submit →
+            // first dequeue (the router's forward, or here), then the
+            // forward's dwell in this mailbox, if any.
+            let dequeued = routed_at.unwrap_or(now);
+            if let Some(queued_at) = queued_at {
+                obs.stages.record(Stage::SubmitQueue, dequeued.saturating_sub(queued_at));
+                obs.ring.record(outer.0, Stage::SubmitQueue, dequeued);
+                obs.ring.record(outer.0, Stage::MailboxDwell, now);
+            }
+            if routed_at.is_some() {
+                obs.stages.record(Stage::MailboxDwell, now.saturating_sub(dequeued));
+            }
+            let step = Stopwatch::start();
+            core.submit_single(client, outer, key, command);
+            obs.stages.record(Stage::ProtocolStep, step.elapsed_nanos());
+            pending.push((outer, now_nanos(start)));
+        }
         core.drain_outbox_into(stamp, &mut outbox);
         if !outbox.is_empty() {
             // Group by destination (stable: per-peer order is preserved) so
@@ -222,20 +337,36 @@ fn run<K: EngineKey, V: EngineValue>(
         core.drain_outputs(&mut outputs);
         let had_outputs = !outputs.is_empty();
         for output in outputs.drain(..) {
-            if let ShardOutput::Response(response) = &output {
-                if let Some(slot) = pending.iter().position(|&(outer, _)| outer == response.command)
-                {
-                    let (_, opened) = pending.swap_remove(slot);
-                    let learned = now_nanos(start);
-                    obs.stages.record(Stage::QuorumWait, learned.saturating_sub(opened));
-                    obs.ring.record(response.command.0, Stage::QuorumWait, learned);
+            match output {
+                ShardOutput::Response(response) => {
+                    if let Some(slot) =
+                        pending.iter().position(|&(outer, _)| outer == response.command)
+                    {
+                        let (_, opened) = pending.swap_remove(slot);
+                        let learned = now_nanos(start);
+                        obs.stages.record(Stage::QuorumWait, learned.saturating_sub(opened));
+                        obs.ring.record(response.command.0, Stage::QuorumWait, learned);
+                    }
+                    shared.respond(response);
+                }
+                ShardOutput::FanoutLeg { command, shard, round_trips, keys } => {
+                    shared.feedback.push(WorkerFeedback::FanoutLeg {
+                        stamp,
+                        command,
+                        shard,
+                        round_trips,
+                        keys,
+                    });
                 }
             }
-            feedback.push(WorkerFeedback::Output { stamp, output });
         }
         if !had_inputs && !had_outputs {
             obs.parks.incr();
-            signal.wait_timeout(PARK);
+            if timed_when_idle || core.in_flight() > 0 {
+                signal.wait_timeout(PARK);
+            } else {
+                signal.wait();
+            }
         }
     }
 }

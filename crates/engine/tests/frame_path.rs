@@ -4,49 +4,24 @@
 //! real network transport: every envelope is encoded to a `wire` frame on send
 //! and delivered to the destination through [`NodeIngress::deliver_frame`], so
 //! every inter-replica message crosses the full encode → peek → in-place
-//! decode path — router varint peek, worker scratch reuse, borrowed payload
+//! decode path — dispatch-time varint peek, worker scratch reuse, borrowed payload
 //! decode — instead of the in-process shortcut `LocalMesh` takes. Writes,
 //! linearizable reads, and a live 2 → 4 shard split must all work exactly as
 //! they do over the decoded-message path.
 
-use std::sync::{Arc, RwLock};
+mod common;
+
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crdt::{CounterQuery, CounterUpdate, GCounter, LatticeMap, MapOutput, MapQuery, MapUpdate};
 use crdt_paxos_core::ShardMessage;
-use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody, ShardEnvelope};
-use engine::{EngineNode, NodeIngress, Outbound};
+use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody};
+use engine::{EngineNode, Outbound};
+
+use common::FrameMesh;
 
 type KvMap = LatticeMap<String, GCounter>;
-
-/// An in-process stand-in for a networked mesh: sends encode the message to a
-/// frame (exactly the bytes a TCP peer would receive) and deliver it through
-/// the frame ingress. Nodes register their ingress handles after starting;
-/// frames for unregistered nodes are dropped, which the protocol tolerates.
-struct FrameMesh {
-    ingress: RwLock<Vec<Option<NodeIngress<String, GCounter>>>>,
-}
-
-impl FrameMesh {
-    fn new(replicas: usize) -> Arc<Self> {
-        Arc::new(FrameMesh { ingress: RwLock::new(vec![None; replicas]) })
-    }
-
-    fn register(&self, index: usize, ingress: NodeIngress<String, GCounter>) {
-        self.ingress.write().unwrap()[index] = Some(ingress);
-    }
-}
-
-impl Outbound<String, GCounter> for FrameMesh {
-    fn send(&self, envelope: ShardEnvelope<KvMap>) {
-        let frame = Bytes::from(wire::to_vec(&envelope.message).expect("encode envelope"));
-        let ingress = self.ingress.read().unwrap();
-        if let Some(Some(target)) = ingress.get(envelope.to.as_u64() as usize) {
-            target.deliver_frame(envelope.from, frame);
-        }
-    }
-}
 
 fn call(node: &EngineNode<String, GCounter>, command: Command<KvMap>) -> ResponseBody<KvMap> {
     let id = node.submit(ClientId(3), command);
@@ -66,7 +41,7 @@ fn frames_cross_an_encoded_mesh_end_to_end() {
     use crdt::ReplicaId;
 
     let members: Vec<ReplicaId> = (0..3).map(ReplicaId::new).collect();
-    let mesh = FrameMesh::new(members.len());
+    let mesh = FrameMesh::<String>::new(members.len());
     let nodes: Vec<EngineNode<String, GCounter>> = members
         .iter()
         .map(|&id| {
@@ -75,7 +50,7 @@ fn frames_cross_an_encoded_mesh_end_to_end() {
                 members.clone(),
                 2,
                 ProtocolConfig::default(),
-                Arc::<FrameMesh>::clone(&mesh) as Arc<dyn Outbound<String, GCounter>>,
+                Arc::clone(&mesh) as Arc<dyn Outbound<String, GCounter>>,
             )
         })
         .collect();
@@ -112,7 +87,7 @@ fn frames_cross_an_encoded_mesh_end_to_end() {
 
     // A live 2 -> 4 split: plan agreement (Control frames), plan gossip
     // (Rebalance frames), and the handoff all cross the frame path; bounced
-    // and deferred stamps exercise handle_frame's owned-decode fallback.
+    // and deferred stamps exercise the router's owned-decode fallback.
     nodes[0].begin_rebalance(4);
     let deadline = Instant::now() + Duration::from_secs(30);
     while Instant::now() < deadline {

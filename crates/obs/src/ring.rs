@@ -1,14 +1,14 @@
 //! Opt-in sampled trace ring and post-hoc timeline assembly.
 //!
 //! A [`TraceRing`] is a preallocated per-worker ring of compact
-//! `(command, stage, timestamp)` events. Recording is three relaxed atomic
-//! stores guarded by a per-slot seqlock sequence — no locks, no allocation —
+//! `(command, stage, timestamp)` events. Recording is two relaxed atomic
+//! stores bracketed by a per-slot seqlock sequence — no locks, no allocation —
 //! and sampling is decided from the command id (`command % sample == 0`) so
 //! either *every* stage of a command is captured or none are, which is what
 //! the timeline assembler needs. Snapshots tolerate concurrent writers by
 //! skipping slots whose sequence is unstable or odd.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicU64, Ordering};
 
 use crate::stage::Stage;
 
@@ -112,8 +112,12 @@ impl TraceRing {
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
         // Seqlock write: odd sequence while the payload words are in flux.
+        // The release *store* alone only orders what precedes it; the fence
+        // is what keeps the payload stores below from becoming visible before
+        // the odd sequence does.
         let seq = slot.seq.load(Ordering::Relaxed) | 1;
-        slot.seq.store(seq, Ordering::Release);
+        slot.seq.store(seq, Ordering::Relaxed);
+        fence(Ordering::Release);
         slot.command.store(command, Ordering::Relaxed);
         slot.packed
             .store(((stage.index() as u64) << TS_BITS) | (at_nanos & TS_MASK), Ordering::Relaxed);
@@ -130,7 +134,11 @@ impl TraceRing {
             }
             let command = slot.command.load(Ordering::Relaxed);
             let packed = slot.packed.load(Ordering::Relaxed);
-            let after = slot.seq.load(Ordering::Acquire);
+            // The mirror image: an acquire *load* only orders what follows
+            // it, so the fence is what keeps the payload loads above from
+            // being satisfied after the closing sequence load.
+            fence(Ordering::Acquire);
+            let after = slot.seq.load(Ordering::Relaxed);
             if after != before {
                 continue;
             }
@@ -220,6 +228,40 @@ mod tests {
         let mut commands: Vec<u64> = out.iter().map(|e| e.command).collect();
         commands.sort_unstable();
         assert_eq!(commands, vec![6, 7, 8, 9]);
+    }
+
+    /// A reader racing a writer that laps a tiny ring must never see one
+    /// event's command beside another's timestamp. Every event is written
+    /// with `at_nanos == command`, so a torn pair is a visible mismatch.
+    #[test]
+    fn snapshot_never_observes_a_torn_event() {
+        use std::sync::atomic::AtomicBool;
+        use std::sync::Arc;
+
+        let ring = Arc::new(TraceRing::new(TraceConfig::sampled(1, 4)));
+        let done = Arc::new(AtomicBool::new(false));
+        let writer = {
+            let (ring, done) = (Arc::clone(&ring), Arc::clone(&done));
+            std::thread::spawn(move || {
+                for command in 1..=2_000_000u64 {
+                    ring.record(command, Stage::ALL[(command % 8) as usize], command);
+                }
+                done.store(true, Ordering::Release);
+            })
+        };
+        let mut out = Vec::new();
+        let mut seen = 0usize;
+        while !done.load(Ordering::Acquire) {
+            out.clear();
+            ring.snapshot_into(&mut out);
+            for event in &out {
+                assert_eq!(event.command, event.at_nanos, "torn event {event:?}");
+                assert_eq!(event.stage, Stage::ALL[(event.command % 8) as usize]);
+            }
+            seen += out.len();
+        }
+        writer.join().unwrap();
+        assert!(seen > 0, "the reader never overlapped the writer");
     }
 
     #[test]

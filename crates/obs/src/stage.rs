@@ -10,11 +10,18 @@ use crate::registry::ObsRegistry;
 /// break a command's end-to-end latency into the layers built in PRs 6–9.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
-    /// Client submit → router dequeues the request (bounded queue dwell).
+    /// Client submit → the first engine thread dequeues the command: in
+    /// steady state the owning shard worker itself, the router for what it
+    /// still routes (keyspace-wide queries, anything during a cutover).
     SubmitQueue,
-    /// Router handling one ingress item: peek, fence, dispatch to a shard.
+    /// Ingress dispatch of one peer message — peek, fence, enqueue on a shard
+    /// mailbox — wherever it runs: the delivering thread in steady state, the
+    /// router for what the fence hands to it.
     RouterIngress,
-    /// Worker mailbox dwell: router push → worker drains the input.
+    /// Worker mailbox dwell of what an engine thread enqueued: a dispatched
+    /// peer message, or a command the router forwarded, push → worker drains
+    /// it. A command its client thread pushed has its whole wait under
+    /// `SubmitQueue` and adds no sample here.
     MailboxDwell,
     /// In-place decode of a wire frame into the worker's scratch message.
     Decode,
@@ -66,9 +73,10 @@ impl Stage {
 
 /// One owner's histograms, one per [`Stage`].
 ///
-/// Every worker and router thread holds its own `StageSet`, so recording is
-/// an array index plus a relaxed atomic add — never a shared lock. The sets
-/// are reconciled later: registering into an [`ObsRegistry`] files each
+/// Every worker thread holds its own `StageSet` (and each node one more, for
+/// samples taken on threads it does not own), so recording is an array index
+/// plus a relaxed atomic add — never a shared lock. The sets are reconciled
+/// later: registering into an [`ObsRegistry`] files each
 /// histogram under `stage_<name>_nanos`, and the registry merges same-named
 /// entries at snapshot time.
 pub struct StageSet {
