@@ -256,6 +256,8 @@ fn print_counters(snapshot: &ObsSnapshot, polls: u64, backend: &str) {
     println!("  router feedback depth (hwm) {:>12}", snapshot.highwater("router_feedback_depth"));
     println!("  worker mailbox depth (hwm)  {:>12}", snapshot.highwater("worker_mailbox_depth"));
     println!("  mesh socket writes          {:>12}", snapshot.counter("mesh_socket_writes"));
+    println!("    of which inline           {:>12}", snapshot.counter("mesh_inline_writes"));
+    println!("  mesh dropped batches        {:>12}", snapshot.counter("mesh_dropped_batches"));
     println!("  mesh reconnect attempts     {:>12}", snapshot.counter("mesh_reconnect_attempts"));
     if let Some(frames) = snapshot.histogram("mesh_frames_per_batch") {
         if !frames.is_empty() {

@@ -7,10 +7,10 @@
 //! drives it from 64 / 256 / 1024 / 4096 *real* concurrent TCP client
 //! connections — each a closed-loop session submitting one command at a time
 //! over its own socket. The readiness-based runtime in the `tokio` shim is
-//! what makes the top tier possible: with the `epoll(7)` reactor, four
-//! thousand parked connections cost one O(ready) sleeper in the kernel, not
-//! thousands of spinning threads (and not even an O(fds) interest-set scan
-//! per wakeup, as the `poll(2)` fallback pays).
+//! what makes the top tier possible: with every socket registered once in
+//! one `epoll(7)` set, four thousand parked connections cost one O(ready)
+//! sleeper in the kernel, not thousands of spinning threads and not an
+//! O(fds) interest-set scan per wakeup.
 //!
 //! * **crdt-paxos**: the thread-per-shard engine (4 shards), every replica
 //!   serving clients — the paper's leaderless protocol en route. The engine's
@@ -61,9 +61,9 @@ type KvMap = LatticeMap<u64, GCounter>;
 const KEYS: u64 = 64;
 /// Shards per engine replica.
 const SHARDS: u32 = 4;
-/// Concurrent-connection tiers. The 4096 tier is the epoll reactor's
-/// showcase: the `poll(2)` fallback rescans the whole interest set on every
-/// wakeup, which at ~8k registered fds turns each reply into an O(fds) sweep.
+/// Concurrent-connection tiers. The 4096 tier is the epoll driver's
+/// showcase: a `poll(2)`-style scan of the whole interest set on every
+/// wakeup would, at ~8k registered fds, turn each reply into an O(fds) sweep.
 const TIERS: [usize; 4] = [64, 256, 1024, 4096];
 /// How long a drain may take before outstanding connections count as lost.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);

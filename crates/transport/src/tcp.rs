@@ -4,14 +4,18 @@
 //! persistent outbound connection per peer, dialed lazily and redialed (with
 //! backoff) whenever it drops — a peer restart heals without intervention.
 //!
-//! The write side coalesces: each peer owns a recycled [`FrameEncoder`] whose
-//! batch buffer cycles between the encoder and the writer task, so messages
-//! serialize straight into a resident allocation — no intermediate `Bytes` per
-//! frame, and zero allocations per batch once the cycle is warm. Encoded
-//! batches are queued per peer; the peer's writer task drains everything
-//! queued and flushes it as a single socket write (bounded by a batch-size
-//! threshold), so under load the syscall and wakeup cost is amortized over
-//! many messages while an idle mesh adds no latency. The read side mirrors
+//! The write side has a fast path and a coalescing path. Each peer owns a
+//! recycled [`FrameEncoder`], so messages serialize straight into a resident
+//! allocation — no intermediate `Bytes` per frame, and zero allocations per
+//! batch once the cycle is warm. While the connection is up and nothing is
+//! queued, the sender writes its batch to the socket itself, under the peer's
+//! lock (`try_write`: no task, no wake-up). Whatever the socket does not take
+//! at once — and everything sent while the peer is being dialed or a backlog
+//! exists — is queued to the peer's writer task, which drains the queue and
+//! flushes it as single socket writes (bounded by a batch-size threshold), so
+//! under load the syscall and wakeup cost is amortized over many messages.
+//! The backlog is bounded ([`MAX_BACKLOG_BYTES`]): batches that would pass the
+//! bound are dropped and counted, like any lost message. The read side mirrors
 //! this: the socket reads land directly in the frame decoder's buffer (no
 //! staging chunk), and complete frames travel to the consumer as refcounted
 //! [`Bytes`] views of that buffer — the inbound path writes each payload byte
@@ -21,13 +25,13 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use obs::{Counter, Histogram, ObsRegistry, Stopwatch};
 use serde::de::DeserializeOwned;
 use serde::Serialize;
-use tokio::io::{AsyncReadExt, AsyncWriteExt};
+use tokio::io::AsyncReadExt;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
 use tokio::sync::Mutex;
@@ -40,6 +44,13 @@ use crate::{PeerId, TransportError};
 /// backlog.
 const MAX_BATCH_BYTES: usize = 256 * 1024;
 
+/// Most bytes a peer that is down or slow may have queued to its writer task.
+/// A batch that would take the backlog past this is dropped (newest first)
+/// and counted in [`MeshStats::dropped_batches`]; the protocol retransmits on
+/// its tick, like after any lost message. A batch that finds the backlog
+/// empty is always taken, whatever its size.
+const MAX_BACKLOG_BYTES: usize = 32 * 1024 * 1024;
+
 /// Read chunk size for the inbound decoder.
 const READ_CHUNK: usize = 64 * 1024;
 
@@ -47,18 +58,56 @@ const READ_CHUNK: usize = 64 * 1024;
 const RECONNECT_BACKOFF_MIN: Duration = Duration::from_millis(10);
 const RECONNECT_BACKOFF_MAX: Duration = Duration::from_millis(200);
 
-/// Outbound state for one peer: the queue feeding its writer task, plus the
-/// recycled encoder whose batch buffers ping-pong through that queue. The
-/// encoder lock is held only across a synchronous encode — never an await —
-/// so a blocking mutex is cheaper than an async one here.
+/// One entry of a peer's writer queue.
 #[derive(Debug)]
-struct PeerHandle {
-    tx: mpsc::UnboundedSender<(Bytes, u64)>,
-    encoder: std::sync::Mutex<FrameEncoder>,
+struct Queued {
+    batch: Bytes,
+    frames: u64,
+    /// Bytes of `batch` an inline write already put on the wire. The rest
+    /// starts mid-frame, so it may only follow them on the same connection.
+    written: usize,
+    /// The connection (by [`Outbound::generation`]) `written` went to.
+    generation: u64,
 }
 
-/// Always-on runtime introspection for one mesh: reconnect behavior and the
-/// shape of the write-side coalescing. Recording is relaxed atomics on
+impl Queued {
+    fn remaining(&self) -> &[u8] {
+        &self.batch[self.written..]
+    }
+}
+
+/// Outbound state for one peer, under one lock that is held only across a
+/// synchronous encode and at most one non-blocking write — never an await —
+/// so a blocking mutex is cheaper than an async one here.
+///
+/// The lock is what keeps the socket to one writer at a time with bytes in
+/// order: a sender writes inline only while holding it *and* seeing `backlog
+/// == 0`; every enqueue adds to `backlog` under it, and the writer task
+/// subtracts only after its flush has completed. So while the task owes the
+/// socket anything no sender touches it, and nothing queued is overtaken.
+#[derive(Debug, Default)]
+struct Outbound {
+    /// Recycled batch buffers: they ping-pong between the encoder and
+    /// whoever writes them.
+    encoder: FrameEncoder,
+    /// The live connection, published by the writer task once the hello is
+    /// out; `None` while it dials. A sender whose inline write fails clears
+    /// it and prods the task, which redials.
+    stream: Option<Arc<TcpStream>>,
+    /// Counts published connections.
+    generation: u64,
+    /// Bytes queued to the writer task and not yet flushed.
+    backlog: usize,
+}
+
+#[derive(Debug)]
+struct PeerHandle {
+    tx: mpsc::UnboundedSender<Queued>,
+    out: Arc<std::sync::Mutex<Outbound>>,
+}
+
+/// Always-on runtime introspection for one mesh: reconnect behavior, the
+/// shape of the write-side coalescing and the share of the inline path. Recording is relaxed atomics on
 /// preallocated memory — the counters cost the hot path nothing measurable
 /// and never allocate.
 #[derive(Debug, Default)]
@@ -66,24 +115,43 @@ pub struct MeshStats {
     /// Dial attempts after the first per peer (failed dials and redials after
     /// a connection dropped).
     pub reconnect_attempts: Arc<Counter>,
-    /// Completed coalesced socket writes.
+    /// Completed socket writes: by the writer tasks and inline.
     pub socket_writes: Arc<Counter>,
-    /// Frames folded into each coalesced write.
+    /// The share of `socket_writes` made by the sending thread itself, with
+    /// no writer task in between.
+    pub inline_writes: Arc<Counter>,
+    /// Batches dropped because the peer's backlog was full.
+    pub dropped_batches: Arc<Counter>,
+    /// Frames each write completed (a short inline write completes none: its
+    /// frames count for the write that finishes them).
     pub frames_per_batch: Arc<Histogram>,
-    /// Bytes of each coalesced write.
+    /// Bytes of each write.
     pub batch_bytes: Arc<Histogram>,
-    /// Wall-clock nanoseconds of each `write_all` — the engine's
-    /// `socket_write` stage.
+    /// Wall-clock nanoseconds of each write — the engine's `socket_write`
+    /// stage.
     pub write_nanos: Arc<Histogram>,
 }
 
 impl MeshStats {
+    /// One socket write of `bytes` bytes, by the sending thread (`inline`) or
+    /// a writer task. Frames are counted by the write that completes them.
+    fn record_write(&self, write: &Stopwatch, bytes: usize, inline: bool) {
+        self.write_nanos.record(write.elapsed_nanos());
+        self.batch_bytes.record(bytes as u64);
+        self.socket_writes.incr();
+        if inline {
+            self.inline_writes.incr();
+        }
+    }
+
     /// Files every stat into `registry`: the write latency as
     /// `stage_socket_write_nanos` (so it lines up with the engine's per-stage
     /// table) and the rest under `mesh_*` names.
     pub fn register_into(&self, registry: &ObsRegistry) {
         registry.register_counter("mesh_reconnect_attempts", Arc::clone(&self.reconnect_attempts));
         registry.register_counter("mesh_socket_writes", Arc::clone(&self.socket_writes));
+        registry.register_counter("mesh_inline_writes", Arc::clone(&self.inline_writes));
+        registry.register_counter("mesh_dropped_batches", Arc::clone(&self.dropped_batches));
         registry.register_histogram("mesh_frames_per_batch", Arc::clone(&self.frames_per_batch));
         registry.register_histogram("mesh_batch_bytes", Arc::clone(&self.batch_bytes));
         registry.register_histogram("stage_socket_write_nanos", Arc::clone(&self.write_nanos));
@@ -136,12 +204,16 @@ impl TcpMesh {
             if peer == id {
                 continue;
             }
-            let (tx, rx) = mpsc::unbounded_channel::<(Bytes, u64)>();
-            outgoing.insert(
-                peer,
-                PeerHandle { tx, encoder: std::sync::Mutex::new(FrameEncoder::new()) },
-            );
-            tasks.push(tokio::spawn(write_loop(id, addr, rx, Arc::clone(&stats))));
+            let (tx, rx) = mpsc::unbounded_channel();
+            let out = Arc::new(std::sync::Mutex::new(Outbound::default()));
+            tasks.push(tokio::spawn(write_loop(
+                id,
+                addr,
+                rx,
+                Arc::clone(&out),
+                Arc::clone(&stats),
+            )));
+            outgoing.insert(peer, PeerHandle { tx, out });
         }
 
         Ok(TcpMesh { id, peers: outgoing, incoming: Mutex::new(incoming_rx), tasks, stats })
@@ -159,8 +231,7 @@ impl TcpMesh {
     }
 
     /// Sends a message to `peer`: encoded once into the peer's recycled batch
-    /// buffer and queued on the peer's writer, which coalesces it with
-    /// whatever else is pending.
+    /// buffer and sent as [`TcpMesh::send_with`] sends a batch of one.
     ///
     /// # Errors
     ///
@@ -174,7 +245,7 @@ impl TcpMesh {
     }
 
     /// Sends a batch of messages to `peer`, encoded back-to-back into one
-    /// contiguous buffer so the writer flushes them as a single write.
+    /// contiguous buffer so that they go out as a single write.
     ///
     /// # Errors
     ///
@@ -196,37 +267,74 @@ impl TcpMesh {
         })
     }
 
-    /// Encodes directly into `peer`'s recycled batch buffer and enqueues the
-    /// result as one contiguous write. `fill` may encode any number of frames
-    /// via [`FrameEncoder::encode`]; this is the mesh's allocation-free
-    /// outbound primitive — synchronous (enqueueing never blocks), so worker
-    /// threads outside the runtime can call it too.
+    /// Encodes directly into `peer`'s recycled batch buffer and sends the
+    /// result as one contiguous run of bytes: written to the socket from this
+    /// thread when the connection is up and nothing is queued ahead, queued to
+    /// the peer's writer task otherwise. `fill` may encode any number of
+    /// frames via [`FrameEncoder::encode`]; this is the mesh's allocation-free
+    /// outbound primitive — synchronous (it never waits for the socket), so
+    /// worker threads outside the runtime can call it too.
     ///
     /// # Errors
     ///
     /// Returns an error if the peer is unknown, `fill` fails (the batch is
     /// rolled back — nothing is sent, and the encoder stays clean for the
-    /// next call), or the mesh has shut down.
+    /// next call), or the mesh has shut down. A batch lost with its
+    /// connection, or dropped because the peer's backlog is full, is not an
+    /// error: it is a lost message.
     pub fn send_with(
         &self,
         peer: PeerId,
         fill: impl FnOnce(&mut FrameEncoder) -> wire::Result<()>,
     ) -> Result<(), TransportError> {
         let handle = self.peers.get(&peer).ok_or(TransportError::UnknownPeer(peer))?;
-        let batch = {
-            let mut encoder = handle.encoder.lock().expect("encoder lock poisoned");
-            let start = encoder.len();
-            if let Err(err) = fill(&mut encoder) {
-                encoder.truncate(start);
-                return Err(err.into());
+        let mut out = handle.out.lock().expect("peer lock poisoned");
+        let start = out.encoder.len();
+        if let Err(err) = fill(&mut out.encoder) {
+            out.encoder.truncate(start);
+            return Err(err.into());
+        }
+        if out.encoder.is_empty() {
+            return Ok(());
+        }
+        let frames = out.encoder.frames();
+        let batch = out.encoder.take();
+
+        let mut written = 0;
+        if out.backlog == 0 {
+            if let Some(stream) = &out.stream {
+                let write = Stopwatch::start();
+                match stream.try_write(&batch) {
+                    Ok(count) => {
+                        self.stats.record_write(&write, count, true);
+                        if count == batch.len() {
+                            // `batch` drops here, so the encoder reclaims it.
+                            self.stats.frames_per_batch.record(frames);
+                            return Ok(());
+                        }
+                        written = count;
+                    }
+                    Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {}
+                    Err(_) => {
+                        // The batch dies with its connection; the task learns
+                        // of the death from the empty entry and redials.
+                        out.stream = None;
+                        let prod =
+                            Queued { batch: Bytes::new(), frames: 0, written: 0, generation: 0 };
+                        return handle.tx.send(prod).map_err(|_| TransportError::Closed);
+                    }
+                }
             }
-            if encoder.is_empty() {
-                return Ok(());
-            }
-            let frames = encoder.frames();
-            (encoder.take(), frames)
-        };
-        handle.tx.send(batch).map_err(|_| TransportError::Closed)
+        } else if out.backlog + batch.len() > MAX_BACKLOG_BYTES {
+            self.stats.dropped_batches.incr();
+            return Ok(());
+        }
+        out.backlog += batch.len() - written;
+        let generation = out.generation;
+        handle
+            .tx
+            .send(Queued { batch, frames, written, generation })
+            .map_err(|_| TransportError::Closed)
     }
 
     /// Receives the next `(sender, message)` pair.
@@ -255,10 +363,17 @@ impl TcpMesh {
     }
 
     /// Stops the accept loop and every per-peer writer, closing the listener
-    /// socket so the address can be rebound. Called automatically on drop.
+    /// socket so the address can be rebound, and unpublishes the outbound
+    /// connections. Called automatically on drop.
     pub fn shutdown(&self) {
         for task in &self.tasks {
             task.abort();
+        }
+        // The writer tasks are gone: nothing may write to their sockets now.
+        for handle in self.peers.values() {
+            if let Ok(mut out) = handle.out.lock() {
+                out.stream = None;
+            }
         }
     }
 }
@@ -270,86 +385,135 @@ impl Drop for TcpMesh {
 }
 
 /// Owns the outbound connection to one peer: dials (and redials) with
-/// backoff, then drains the frame queue, coalescing everything pending into
-/// single writes. Exits when the mesh drops the send handle.
+/// backoff, publishes the connection for inline writes, then drains the frame
+/// queue, coalescing everything pending into single writes. Exits when the
+/// mesh drops the send handle.
 async fn write_loop(
     id: PeerId,
     addr: String,
-    mut rx: mpsc::UnboundedReceiver<(Bytes, u64)>,
+    mut rx: mpsc::UnboundedReceiver<Queued>,
+    out: Arc<std::sync::Mutex<Outbound>>,
     stats: Arc<MeshStats>,
 ) {
     let mut staging = BytesMut::with_capacity(MAX_BATCH_BYTES);
+    let mut batch: Vec<Queued> = Vec::new();
     let mut backoff = RECONNECT_BACKOFF_MIN;
     let mut first_dial = true;
-    'reconnect: loop {
+    loop {
         if !first_dial {
             stats.reconnect_attempts.incr();
         }
         first_dial = false;
-        let mut stream = match TcpStream::connect(&addr).await {
-            Ok(stream) => stream,
-            Err(_) => {
-                tokio::time::sleep(backoff).await;
-                backoff = (backoff * 2).min(RECONNECT_BACKOFF_MAX);
-                continue;
-            }
+        let connected_at = Instant::now();
+        let connected = match TcpStream::connect(&addr).await {
+            // Identify ourselves.
+            Ok(stream) => write_all(&stream, &id.to_le_bytes()).await.map(|()| Arc::new(stream)),
+            Err(err) => Err(err),
         };
-        backoff = RECONNECT_BACKOFF_MIN;
-        // Identify ourselves.
-        if stream.write_all(&id.to_le_bytes()).await.is_err() {
-            continue;
-        }
-        loop {
-            let Some((first, first_frames)) = rx.recv().await else { return };
-            let mut frames = first_frames;
-            let mut batch = vec![first];
-            let mut total = batch[0].len();
-            drain_pending(&mut rx, &mut batch, &mut total, &mut frames);
-            if total < MAX_BATCH_BYTES {
-                // One scheduling linger: frames being enqueued by concurrently
-                // running tasks join this batch instead of paying their own
-                // write. No timer — an idle queue flushes immediately.
-                tokio::task::yield_now().await;
-                drain_pending(&mut rx, &mut batch, &mut total, &mut frames);
-            }
-            let write = Stopwatch::start();
-            let flushed = if batch.len() == 1 {
-                stream.write_all(&batch[0]).await
-            } else {
-                staging.clear();
-                for buffers in &batch {
-                    staging.extend_from_slice(buffers);
-                }
-                stream.write_all(&staging).await
+        if let Ok(stream) = connected {
+            let generation = {
+                let mut out = out.lock().expect("peer lock poisoned");
+                out.generation += 1;
+                out.stream = Some(Arc::clone(&stream));
+                out.generation
             };
-            if flushed.is_err() {
-                // The queued-but-unflushed frames die with the connection;
-                // protocol-level retransmission recovers, as with any TCP
-                // connection loss.
-                continue 'reconnect;
+            // Until the connection fails: wait for a queue entry, gather what
+            // else is queued, flush.
+            loop {
+                let Some(first) = rx.recv().await else { return };
+                let mut total = first.remaining().len();
+                batch.push(first);
+                drain_pending(&mut rx, &mut batch, &mut total);
+                if total < MAX_BATCH_BYTES {
+                    // One scheduling linger: frames being enqueued by
+                    // concurrently running tasks join this batch instead of
+                    // paying their own write. No timer — an idle queue
+                    // flushes immediately.
+                    tokio::task::yield_now().await;
+                    drain_pending(&mut rx, &mut batch, &mut total);
+                }
+                // The rest of a batch whose head went to an earlier
+                // connection is not a frame boundary on this one.
+                let fits =
+                    |queued: &&Queued| queued.written == 0 || queued.generation == generation;
+                let frames = batch.iter().filter(fits).map(|queued| queued.frames).sum();
+                let bytes = match &batch[..] {
+                    [only] if fits(&only) => only.remaining(),
+                    _ => {
+                        staging.clear();
+                        for queued in batch.iter().filter(fits) {
+                            staging.extend_from_slice(queued.remaining());
+                        }
+                        &staging[..]
+                    }
+                };
+                let flushed = bytes.len();
+                let write = Stopwatch::start();
+                let failed = if out.lock().expect("peer lock poisoned").stream.is_some() {
+                    write_all(&stream, bytes).await.is_err()
+                } else {
+                    // A sender's inline write failed and it said so.
+                    true
+                };
+                // Dropped before the backlog says so: a sender that finds it
+                // empty may reclaim these buffers at once.
+                batch.clear();
+                {
+                    let mut out = out.lock().expect("peer lock poisoned");
+                    out.backlog -= total;
+                    if failed {
+                        out.stream = None;
+                    }
+                }
+                if failed {
+                    // The gathered frames die with the connection;
+                    // protocol-level retransmission recovers, as with any
+                    // TCP connection loss.
+                    break;
+                }
+                if flushed > 0 {
+                    stats.record_write(&write, flushed, false);
+                    stats.frames_per_batch.record(frames);
+                }
             }
-            stats.write_nanos.record(write.elapsed_nanos());
-            stats.frames_per_batch.record(frames);
-            stats.batch_bytes.record(total as u64);
-            stats.socket_writes.incr();
+        }
+        // A connection that dies young — or was never made — has proven
+        // nothing: a peer that accepts and then resets would otherwise be
+        // redialed in a tight loop, so the backoff keeps growing. An
+        // established one is redialed at once, and from the shortest backoff.
+        if connected_at.elapsed() < RECONNECT_BACKOFF_MAX {
+            tokio::time::sleep(backoff).await;
+            backoff = (backoff * 2).min(RECONNECT_BACKOFF_MAX);
+        } else {
+            backoff = RECONNECT_BACKOFF_MIN;
         }
     }
 }
 
-/// Moves every already-queued frame buffer into `batch`, up to the flush
-/// threshold.
+/// Writes all of `buf`, waiting for the socket whenever it is full.
+async fn write_all(stream: &TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
+    while !buf.is_empty() {
+        match stream.try_write(buf) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(count) => buf = &buf[count..],
+            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => stream.writable().await?,
+            Err(err) => return Err(err),
+        }
+    }
+    Ok(())
+}
+
+/// Moves every already-queued entry into `batch`, up to the flush threshold.
 fn drain_pending(
-    rx: &mut mpsc::UnboundedReceiver<(Bytes, u64)>,
-    batch: &mut Vec<Bytes>,
+    rx: &mut mpsc::UnboundedReceiver<Queued>,
+    batch: &mut Vec<Queued>,
     total: &mut usize,
-    frames: &mut u64,
 ) {
     while *total < MAX_BATCH_BYTES {
         match rx.try_recv() {
-            Some((buffers, count)) => {
-                *total += buffers.len();
-                *frames += count;
-                batch.push(buffers);
+            Some(queued) => {
+                *total += queued.remaining().len();
+                batch.push(queued);
             }
             None => break,
         }
@@ -474,6 +638,31 @@ mod tests {
         assert_eq!(hello.text, "clean");
     }
 
+    /// Returns once `mesh`'s connection to `peer` is published and its writer
+    /// task owes the socket nothing: from then on, and until a connection
+    /// fails, every send is written inline.
+    fn wait_for_inline_path(mesh: &TcpMesh, peer: PeerId) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            {
+                let out = mesh.peers[&peer].out.lock().unwrap();
+                if out.stream.is_some() && out.backlog == 0 {
+                    return;
+                }
+            }
+            assert!(Instant::now() < deadline, "the connection to {peer} never settled");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Writes made by the writer tasks rather than the sending threads.
+    fn task_writes(stats: &MeshStats) -> u64 {
+        // Inline first: a write that lands between the two reads then counts
+        // for the tasks, never against them.
+        let inline = stats.inline_writes.get();
+        stats.socket_writes.get() - inline
+    }
+
     #[tokio::test]
     async fn reconnects_after_peer_restart() {
         let addr_a = "127.0.0.1:39026";
@@ -486,6 +675,11 @@ mod tests {
         mesh_a.send(1, &Hello { text: "before".into() }).await.unwrap();
         let (_, hello): (u64, Hello) = mesh_b.recv().await.unwrap();
         assert_eq!(hello.text, "before");
+        wait_for_inline_path(&mesh_a, 1);
+        let stats = Arc::clone(mesh_a.stats());
+        let task_writes_before = task_writes(&stats);
+        // Not 0 if A's first dial came before B was listening.
+        let redials_before = stats.reconnect_attempts.get();
 
         // Restart peer B: the old listener socket closes and a new mesh binds
         // the same address (SO_REUSEADDR). A's writer must redial and deliver.
@@ -495,6 +689,14 @@ mod tests {
 
         let mut delivered = None;
         for _ in 0..400 {
+            // Until the redial, the sends below are all inline (nothing is
+            // queued, the old connection is still published): the writer
+            // task writes nothing, so it cannot be the one that noticed the
+            // dead connection. The failed inline write must have told it.
+            let by_tasks = task_writes(&stats);
+            if stats.reconnect_attempts.get() == redials_before {
+                assert_eq!(by_tasks, task_writes_before, "a writer task wrote before the redial");
+            }
             mesh_a.send(1, &Hello { text: "after".into() }).await.unwrap();
             let received = tokio::select! {
                 result = mesh_b.recv::<Hello>() => { Some(result.unwrap()) }
@@ -507,5 +709,204 @@ mod tests {
             }
         }
         assert_eq!(delivered.as_deref(), Some("after"));
+        assert!(stats.reconnect_attempts.get() > redials_before);
+    }
+
+    /// One frame of a numbered batch: enough to tell, at the far end, whether
+    /// any frame was lost, duplicated, reordered within its thread, or
+    /// separated from the rest of its batch.
+    #[derive(Debug, Serialize, Deserialize)]
+    struct Numbered {
+        thread: u8,
+        batch: u32,
+        index: u8,
+        of: u8,
+        fill: String,
+    }
+
+    /// Four threads send to one peer at once, through both write paths. The
+    /// peer is a plain socket that reads nothing until every sender is done,
+    /// so the kernel's buffers fill (the first batch alone is larger than a
+    /// socket buffer can grow), inline writes come back short or `WouldBlock`,
+    /// and most of the traffic waits in the writer task's queue; then it
+    /// reads with stalls, so the task meets short writes too.
+    #[test]
+    fn concurrent_senders_keep_batches_whole_and_in_order() {
+        use std::io::Read;
+        const THREADS: u8 = 4;
+        const BATCHES: u32 = 2_000;
+        fn frames_in(batch: u32) -> u8 {
+            1 + (batch % 3) as u8
+        }
+        fn fill_len(thread: u8, batch: u32) -> usize {
+            match (thread, batch) {
+                (0, 0) => 6 << 20,
+                (_, batch) if batch % 400 == 399 => 128 << 10,
+                (_, batch) => (batch % 7) as usize * 40,
+            }
+        }
+
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = listener.local_addr().unwrap().to_string();
+        let mesh = tokio::runtime::block_on(TcpMesh::bind(0, "127.0.0.1:0", &[(1, peer_addr)]));
+        let mesh = Arc::new(mesh.unwrap());
+        let (mut peer, _) = listener.accept().unwrap();
+        let mut hello = [0u8; 8];
+        peer.read_exact(&mut hello).unwrap();
+        assert_eq!(PeerId::from_le_bytes(hello), 0);
+        wait_for_inline_path(&mesh, 1);
+
+        let senders: Vec<_> = (0..THREADS)
+            .map(|thread| {
+                let mesh = Arc::clone(&mesh);
+                std::thread::spawn(move || {
+                    for batch in 0..BATCHES {
+                        let of = frames_in(batch);
+                        let fill = "x".repeat(fill_len(thread, batch));
+                        mesh.send_with(1, |encoder| {
+                            (0..of).try_for_each(|index| {
+                                encoder.encode(&Numbered {
+                                    thread,
+                                    batch,
+                                    index,
+                                    of,
+                                    fill: fill.clone(),
+                                })
+                            })
+                        })
+                        .unwrap();
+                    }
+                })
+            })
+            .collect();
+        for sender in senders {
+            sender.join().unwrap();
+        }
+
+        let expected: u64 = (0..BATCHES).map(|batch| u64::from(frames_in(batch))).sum();
+        let expected = expected * u64::from(THREADS);
+        let mut next_batch = [0u32; THREADS as usize];
+        // The batch whose frames are arriving: (thread, batch, next index).
+        let mut open: Option<(u8, u32, u8)> = None;
+        let mut received = 0u64;
+        let mut decoder = FrameDecoder::default();
+        while received < expected {
+            let count = peer.read(decoder.read_buf(READ_CHUNK)).unwrap();
+            assert!(count > 0, "connection closed after {received} of {expected} frames");
+            decoder.commit(count);
+            while let Some(frame) = decoder.decode_next::<Numbered>().unwrap() {
+                let place = (frame.thread, frame.batch, frame.index);
+                match open {
+                    Some(expected) => assert_eq!(place, expected, "a batch was split"),
+                    None => {
+                        let batch = next_batch[frame.thread as usize];
+                        assert_eq!(place, (frame.thread, batch, 0), "lost, repeated or reordered");
+                    }
+                }
+                assert_eq!(frame.of, frames_in(frame.batch));
+                assert_eq!(frame.fill.len(), fill_len(frame.thread, frame.batch));
+                open = if frame.index + 1 == frame.of {
+                    next_batch[frame.thread as usize] += 1;
+                    None
+                } else {
+                    Some((frame.thread, frame.batch, frame.index + 1))
+                };
+                received += 1;
+                if received.is_multiple_of(2_000) {
+                    std::thread::sleep(Duration::from_millis(1));
+                }
+            }
+        }
+        assert_eq!(next_batch, [BATCHES; THREADS as usize]);
+        assert_eq!(decoder.buffered(), 0, "bytes after the last frame");
+
+        let stats = mesh.stats();
+        assert!(stats.inline_writes.get() > 0, "no send took the inline path");
+        assert!(task_writes(stats) > 0, "no batch went through the writer task");
+        assert_eq!(stats.dropped_batches.get(), 0);
+        assert_eq!(stats.reconnect_attempts.get(), 0);
+    }
+
+    /// A peer that accepts and at once resets must not be redialed in a tight
+    /// loop: its connections die too young to reset the backoff.
+    #[test]
+    fn peer_that_accepts_and_resets_is_redialed_with_backoff() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = listener.local_addr().unwrap();
+        let resetter = std::thread::spawn(move || {
+            // Ends with the connection that carries the one-byte goodbye.
+            for stream in listener.incoming() {
+                use std::io::Read;
+                let mut first = [0u8; 1];
+                if matches!(stream.unwrap().read(&mut first), Ok(1) if first[0] == 0xff) {
+                    return;
+                }
+            }
+        });
+        let peers = [(1u64, peer_addr.to_string())];
+        let mesh = tokio::runtime::block_on(TcpMesh::bind(0, "127.0.0.1:0", &peers)).unwrap();
+
+        let started = Instant::now();
+        while started.elapsed() < Duration::from_millis(300) {
+            mesh.send_with(1, |encoder| encoder.encode("anyone there?")).unwrap();
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let redials = mesh.stats().reconnect_attempts.get();
+        // 10, 20, 40, 80, 160 ms apart: five or six in the window.
+        assert!((2..=12).contains(&redials), "{redials} redials in 300 ms");
+
+        drop(mesh);
+        use std::io::Write;
+        std::net::TcpStream::connect(peer_addr).unwrap().write_all(&[0xff]).unwrap();
+        resetter.join().unwrap();
+    }
+
+    /// What is queued for a peer that is down stays bounded — whole batches
+    /// are dropped, newest first, and counted — and once the peer appears the
+    /// backlog drains and new sends get through.
+    #[tokio::test]
+    async fn backlog_to_a_down_peer_is_bounded_and_drains() {
+        const CHUNK: usize = 1 << 20;
+        // An address nothing listens on yet: bound once to learn a free port.
+        let addr_b = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let addr_b = addr_b.to_string();
+        let mesh_a = TcpMesh::bind(0, "127.0.0.1:0", &[(1u64, addr_b.clone())]).await.unwrap();
+
+        let chunk = Hello { text: "b".repeat(CHUNK) };
+        let sends = 10 * MAX_BACKLOG_BYTES / CHUNK;
+        for _ in 0..sends {
+            mesh_a.send(1, &chunk).await.unwrap();
+        }
+        let dropped = mesh_a.stats().dropped_batches.get();
+        assert!(dropped > 0, "ten times the cap was queued");
+        let backlog = mesh_a.peers[&1].out.lock().unwrap().backlog;
+        assert!(backlog <= MAX_BACKLOG_BYTES, "{backlog} bytes queued");
+        // A frame carries a few bytes beyond its text.
+        assert!(backlog > MAX_BACKLOG_BYTES - 2 * CHUNK, "dropped with room to spare");
+        assert_eq!(dropped as usize, sends - backlog / CHUNK);
+
+        let mesh_b = TcpMesh::bind(1, &addr_b, &[]).await.unwrap();
+        let mut delivered = false;
+        'resend: for _ in 0..400 {
+            // Dropped while the backlog is still full, delivered once it drains.
+            mesh_a.send(1, &Hello { text: "after".into() }).await.unwrap();
+            let deadline = tokio::time::sleep(Duration::from_millis(25));
+            let mut deadline = std::pin::pin!(deadline);
+            loop {
+                let received = tokio::select! {
+                    result = mesh_b.recv::<Hello>() => { Some(result.unwrap()) }
+                    _ = &mut deadline => { None }
+                };
+                match received {
+                    Some((_, hello)) if hello.text == "after" => {
+                        delivered = true;
+                        break 'resend;
+                    }
+                    Some((_, hello)) => assert_eq!(hello.text.len(), CHUNK),
+                    None => break,
+                }
+            }
+        }
+        assert!(delivered, "nothing got through after the peer came up");
     }
 }

@@ -1,15 +1,18 @@
 //! Minimal `tokio` stand-in with a readiness-based runtime.
 //!
-//! Futures run on a small shared worker pool and are polled only when woken:
-//! a process-wide [`reactor`](mod@reactor) thread multiplexes every
-//! registered socket and timer through a single `poll(2)` call and wakes the
-//! parked task when the kernel reports readiness or a deadline passes.
+//! Futures run on a small worker pool ([`runtime`]) and are polled only when
+//! woken. There is no I/O thread: an idle worker blocks in `epoll_wait`
+//! itself ([`reactor`](mod@reactor): every socket registered once,
+//! edge-triggered, and every timer) and runs the tasks the events woke.
 //! `TcpStream`/`TcpListener` wrap non-blocking `std::net` sockets whose
-//! `WouldBlock` results park the task's waker on the reactor — there is no
+//! `WouldBlock` results park the task's waker with no syscall — there is no
 //! fixed-interval re-polling anywhere on the async path, so a thousand idle
 //! connections cost one sleeping syscall, not a thousand spinning threads.
 //! Dependency-free by design: the API surface is the subset of upstream
-//! `tokio` this workspace uses.
+//! `tokio` this workspace uses. Linux only (`epoll(7)`, `eventfd(2)`).
+
+#[cfg(not(target_os = "linux"))]
+compile_error!("the tokio shim drives sockets with epoll(7) and eventfd(2): Linux only");
 
 pub mod io;
 pub mod net;
@@ -21,19 +24,20 @@ pub mod sync;
 pub mod task;
 pub mod time;
 
+use std::sync::atomic::Ordering::Relaxed;
+
 pub use runtime::{spawn, JoinHandle};
 
 pub use tokio_macros::{main, test};
 
-/// Process-wide reactor introspection: how many readiness syscalls the
-/// reactor thread has issued so far and which backend it is running.
-///
-/// Touching this lazily starts the reactor if nothing else has — harmless,
-/// since an idle reactor parks in a single wait. Intended for benchmark
-/// reports that account for wakeup efficiency (syscalls per operation).
+/// Process-wide driver introspection: how many `epoll_wait` calls the
+/// runtime's workers have made so far, and the mechanism (always `"epoll"`).
+/// Intended for benchmark reports that account for wakeup efficiency
+/// (syscalls per operation). A program that never touches the runtime reads
+/// 0; asking does not start it.
 pub fn reactor_stats() -> (u64, &'static str) {
-    let reactor = reactor::reactor();
-    (reactor.poll_syscalls(), reactor.backend_name())
+    let waits = runtime::GLOBAL.get().map_or(0, |runtime| runtime.driver.waits.load(Relaxed));
+    (waits, "epoll")
 }
 
 /// Polls several futures, running the handler of whichever finishes first.

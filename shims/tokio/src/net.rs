@@ -1,16 +1,19 @@
-//! Async TCP over non-blocking `std::net` sockets, woken by the reactor.
+//! Async TCP over non-blocking `std::net` sockets.
 //!
-//! Every `WouldBlock` parks the calling task's waker on the socket's fd in
-//! the [`reactor`](crate::reactor); the reactor's `poll(2)` thread wakes it
-//! when the kernel reports readiness. No polling loops, no sleeps.
+//! A socket joins the runtime's epoll set once, when it is created, and
+//! leaves it just before it closes (see [`reactor`](crate::reactor)). An
+//! operation that meets `WouldBlock` marks its direction not ready and parks
+//! the task's waker there, with no syscall; the worker that next sees an edge
+//! for the socket wakes it. No polling loops, no sleeps.
 
 use std::future::poll_fn;
 use std::io::{self, Read, Write};
 use std::net::{self, SocketAddr, ToSocketAddrs};
-use std::os::fd::{AsRawFd, FromRawFd, RawFd};
+use std::os::fd::{AsRawFd, FromRawFd};
 use std::task::{Context, Poll};
 
-use crate::reactor::reactor;
+use crate::reactor::{Direction, Registration};
+use crate::runtime::current;
 
 // Raw listener construction (socket/setsockopt/bind/listen) so the listening
 // socket gets `SO_REUSEADDR` before binding, like upstream tokio: restarted
@@ -74,6 +77,7 @@ fn bind_reuseaddr_v4(addr: &std::net::SocketAddrV4) -> io::Result<net::TcpListen
 /// A TCP listener accepting connections asynchronously.
 #[derive(Debug)]
 pub struct TcpListener {
+    io: Registration,
     inner: net::TcpListener,
 }
 
@@ -90,8 +94,12 @@ impl TcpListener {
                     Ok(inner)
                 }),
             };
-            match bound {
-                Ok(inner) => return Ok(TcpListener { inner }),
+            let registered = bound.and_then(|inner| {
+                let io = Registration::new(&current().driver, inner.as_raw_fd())?;
+                Ok(TcpListener { io, inner })
+            });
+            match registered {
+                Ok(listener) => return Ok(listener),
                 Err(err) => last_err = Some(err),
             }
         }
@@ -101,24 +109,10 @@ impl TcpListener {
 
     /// Accepts the next inbound connection.
     pub async fn accept(&self) -> io::Result<(TcpStream, SocketAddr)> {
-        poll_fn(|cx| match self.inner.accept() {
-            Ok((stream, addr)) => {
-                if let Err(err) = stream.set_nonblocking(true) {
-                    return Poll::Ready(Err(err));
-                }
-                stream.set_nodelay(true).ok();
-                Poll::Ready(Ok((TcpStream { inner: stream }, addr)))
-            }
-            Err(err)
-                if err.kind() == io::ErrorKind::WouldBlock
-                    || err.kind() == io::ErrorKind::Interrupted =>
-            {
-                reactor().register_read(self.inner.as_raw_fd(), cx.waker());
-                Poll::Pending
-            }
-            Err(err) => Poll::Ready(Err(err)),
-        })
-        .await
+        let (stream, addr) =
+            poll_fn(|cx| self.io.poll_io(Direction::Read, cx, || self.inner.accept(), |_| false))
+                .await?;
+        Ok((TcpStream::new(stream)?, addr))
     }
 
     /// The local address the listener is bound to.
@@ -127,27 +121,33 @@ impl TcpListener {
     }
 }
 
-impl Drop for TcpListener {
-    fn drop(&mut self) {
-        reactor().deregister(self.inner.as_raw_fd());
-    }
-}
-
 /// An async TCP connection.
 #[derive(Debug)]
 pub struct TcpStream {
+    io: Registration,
     inner: net::TcpStream,
 }
 
+/// A transfer shorter than the buffer shows the kernel's buffer drained
+/// (reads) or full (writes): the next attempt would only meet `WouldBlock`.
+fn short_of(len: usize) -> impl Fn(&usize) -> bool {
+    move |&count| 0 < count && count < len
+}
+
 impl TcpStream {
-    /// Connects to `addr`.
-    pub async fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<TcpStream> {
-        // Loopback connects complete in one syscall; a brief synchronous
-        // connect occupies one pool worker, it does not stall the runtime.
-        let inner = net::TcpStream::connect(addr)?;
+    fn new(inner: net::TcpStream) -> io::Result<TcpStream> {
         inner.set_nodelay(true).ok();
         inner.set_nonblocking(true)?;
-        Ok(TcpStream { inner })
+        let io = Registration::new(&current().driver, inner.as_raw_fd())?;
+        Ok(TcpStream { io, inner })
+    }
+
+    /// Connects to `addr`.
+    pub async fn connect<A: ToSocketAddrs>(addr: A) -> io::Result<TcpStream> {
+        // Loopback connects complete in one syscall, and a slow one occupies
+        // this worker alone: another is asked to watch the sockets meanwhile.
+        current().before_blocking();
+        TcpStream::new(net::TcpStream::connect(addr)?)
     }
 
     /// The peer's address.
@@ -155,8 +155,22 @@ impl TcpStream {
         self.inner.peer_addr()
     }
 
-    pub(crate) fn raw_fd(&self) -> RawFd {
-        self.inner.as_raw_fd()
+    /// Waits until the socket is not known to be unwritable. A following
+    /// [`TcpStream::try_write`] may still return `WouldBlock`; wait again.
+    pub async fn writable(&self) -> io::Result<()> {
+        poll_fn(|cx| self.io.poll_ready(Direction::Write, cx)).await;
+        Ok(())
+    }
+
+    /// Writes as much of `buf` as the socket takes right now, from whichever
+    /// thread calls; never waits.
+    ///
+    /// # Errors
+    ///
+    /// `WouldBlock` when the socket takes nothing (see
+    /// [`TcpStream::writable`]); any other error is the connection's.
+    pub fn try_write(&self, buf: &[u8]) -> io::Result<usize> {
+        self.io.try_io(Direction::Write, || (&self.inner).write(buf), short_of(buf.len()))
     }
 
     pub(crate) fn poll_read(
@@ -164,17 +178,8 @@ impl TcpStream {
         cx: &mut Context<'_>,
         buf: &mut [u8],
     ) -> Poll<io::Result<usize>> {
-        loop {
-            match self.inner.read(buf) {
-                Ok(n) => return Poll::Ready(Ok(n)),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    reactor().register_read(self.raw_fd(), cx.waker());
-                    return Poll::Pending;
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(err) => return Poll::Ready(Err(err)),
-            }
-        }
+        let len = buf.len();
+        self.io.poll_io(Direction::Read, cx, || (&self.inner).read(buf), short_of(len))
     }
 
     pub(crate) fn poll_write(
@@ -182,22 +187,6 @@ impl TcpStream {
         cx: &mut Context<'_>,
         buf: &[u8],
     ) -> Poll<io::Result<usize>> {
-        loop {
-            match self.inner.write(buf) {
-                Ok(n) => return Poll::Ready(Ok(n)),
-                Err(err) if err.kind() == io::ErrorKind::WouldBlock => {
-                    reactor().register_write(self.raw_fd(), cx.waker());
-                    return Poll::Pending;
-                }
-                Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
-                Err(err) => return Poll::Ready(Err(err)),
-            }
-        }
-    }
-}
-
-impl Drop for TcpStream {
-    fn drop(&mut self) {
-        reactor().deregister(self.raw_fd());
+        self.io.poll_io(Direction::Write, cx, || (&self.inner).write(buf), short_of(buf.len()))
     }
 }

@@ -1,35 +1,84 @@
 //! Waker-driven executor: `block_on`, `spawn`, and `JoinHandle`.
 //!
-//! Tasks are `Arc`-backed futures on a shared run queue drained by a small
-//! pool of worker threads. A task is polled only when something wakes it —
-//! the reactor on socket readiness or a timer, a channel on send, a mutex on
-//! unlock — so a thousand connection tasks blocked on I/O cost nothing but
-//! memory. `block_on` drives its future on the calling thread, parking
-//! between wakeups. Nothing here sleeps on a fixed interval.
+//! Tasks are `Arc`-backed futures run by a small pool of worker threads, and
+//! polled only when something wakes them. There is no I/O thread: a worker
+//! with nothing to run takes the **turn** at the [`Driver`] and blocks in
+//! `epoll_wait` itself, the others park on a condvar, and the worker that
+//! returns with events runs the tasks it woke (ARCHITECTURE.md, "The network
+//! runtime"). Three rules keep that sound:
+//!
+//! * **The slot cannot starve or spin.** A task woken *from* a worker goes
+//!   into that worker's one-deep slot, with no lock and no futex — unless it
+//!   wakes *itself* (`yield_now`: back of the shared queue), the slot is
+//!   taken, or the worker has polled [`SLOT_STREAK`] slot tasks in a row.
+//! * **Nobody sleeps on a queued task.** A worker announces a blocking wait,
+//!   re-checks the shared queue, and only then waits; whoever pushes wakes a
+//!   worker parked on the condvar, else interrupts the blocking wait, and
+//!   does neither when every worker is busy (each looks before it sleeps).
+//! * **A busy pool still polls**, every [`DRIVER_INTERVAL`] task polls.
+//!
+//! `block_on` runs on the calling thread, which is not a worker: whatever
+//! first touches the runtime ([`current`]) starts the pool.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::future::Future;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::pin::Pin;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock};
 use std::task::{Context, Poll, Wake, Waker};
 
+use crate::reactor::Driver;
+
 type BoxedFuture = Pin<Box<dyn Future<Output = ()> + Send + 'static>>;
+
+/// Slot polls in a row after which a worker's next wake goes to the shared
+/// queue: two tasks handing a token back and forth must not keep a third
+/// waiting there.
+const SLOT_STREAK: u32 = 3;
+
+/// Task polls between a busy worker's non-blocking turns at the driver
+/// (upstream tokio's event interval).
+const DRIVER_INTERVAL: u32 = 61;
 
 /// One spawned task: the future, its scheduling state, and the waker of the
 /// `JoinHandle` awaiting it (if any).
 struct Task {
+    executor: &'static Executor,
     /// `None` once the future has completed or been aborted.
     future: Mutex<Option<BoxedFuture>>,
-    /// Guards against double-queueing: set when pushed onto the run queue,
-    /// cleared immediately before the poll so wakes that land *during* the
-    /// poll re-queue the task for another pass.
+    /// Guards against double-queueing: set when the task is put in a slot or
+    /// on the shared queue, cleared immediately before the poll so wakes that
+    /// land *during* the poll queue the task for another pass.
     queued: AtomicBool,
     aborted: AtomicBool,
     join_waker: Mutex<Option<Waker>>,
 }
 
 impl Task {
+    /// Polls the future once, on a worker.
+    fn run(self: Arc<Self>) {
+        // Clear before polling so a wake that races the poll re-queues.
+        self.queued.store(false, Ordering::Release);
+        if self.aborted.load(Ordering::Acquire) {
+            return self.finish();
+        }
+        let mut slot = self.future.lock().unwrap();
+        let Some(future) = slot.as_mut() else { return };
+        let waker = Waker::from(Arc::clone(&self));
+        let mut context = Context::from_waker(&waker);
+        RUNNING.set(Arc::as_ptr(&self));
+        // A panicking task ends like an aborted one (the hook has printed the
+        // message); it must not take with it a worker the turn depends on.
+        let polled = catch_unwind(AssertUnwindSafe(|| future.as_mut().poll(&mut context)));
+        RUNNING.set(std::ptr::null());
+        if !matches!(polled, Ok(Poll::Pending)) {
+            drop(slot);
+            self.finish();
+        }
+    }
+
     /// Drops the future (completing or cancelling it) and wakes the joiner.
     fn finish(&self) {
         *self.future.lock().unwrap() = None;
@@ -37,81 +86,216 @@ impl Task {
             waker.wake();
         }
     }
+
+    /// Makes the task runnable: in the waking worker's slot if it will take
+    /// it, on the shared queue otherwise.
+    fn schedule(self: Arc<Self>) {
+        if self.queued.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        let executor = self.executor;
+        let own_wake = std::ptr::eq(RUNNING.get(), Arc::as_ptr(&self));
+        let own_worker = EXECUTOR.get().is_some_and(|own| std::ptr::eq(own, executor));
+        if own_worker && !own_wake && STREAK.get() < SLOT_STREAK {
+            match SLOT.take() {
+                None => return SLOT.set(Some(self)),
+                occupant => SLOT.set(occupant),
+            }
+        }
+        // A worker that yields looks at the queue as soon as this poll
+        // returns: it needs no wake-up to find itself there.
+        executor.push(self, !own_wake);
+    }
 }
 
 impl Wake for Task {
     fn wake(self: Arc<Self>) {
-        schedule(self);
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
-        schedule(Arc::clone(self));
+        self.schedule();
     }
 }
 
-struct Executor {
-    queue: Mutex<VecDeque<Arc<Task>>>,
+thread_local! {
+    /// The pool this thread works for; `None` on every other thread, where
+    /// the rest are unused (so only a live worker ever touches `SLOT`).
+    static EXECUTOR: Cell<Option<&'static Executor>> = const { Cell::new(None) };
+    /// The task this worker runs next, ahead of the shared queue.
+    static SLOT: Cell<Option<Arc<Task>>> = const { Cell::new(None) };
+    /// The task being polled (null between polls): how a wake tells a yield.
+    static RUNNING: Cell<*const Task> = const { Cell::new(std::ptr::null()) };
+    /// Consecutive polls served from the slot.
+    static STREAK: Cell<u32> = const { Cell::new(0) };
+}
+
+#[derive(Default)]
+pub(crate) struct RunQueue {
+    tasks: VecDeque<Arc<Task>>,
+    /// Workers waiting on [`Executor::ready`].
+    pub(crate) idle: usize,
+}
+
+/// A worker pool and the driver its workers take turns at.
+pub(crate) struct Executor {
+    pub(crate) queue: Mutex<RunQueue>,
     ready: Condvar,
+    /// Held by the worker inside [`Driver::wait`].
+    turn: Mutex<()>,
+    pub(crate) driver: Driver,
+    /// Tasks run from a slot, and workers notified on the condvar: with
+    /// [`Driver::kicks`], every wake-up the runtime causes itself.
+    pub(crate) slot_runs: AtomicU64,
+    pub(crate) notifies: AtomicU64,
 }
 
-/// The lazily started worker pool. A handful of workers suffices: runnable
-/// tasks are the scarce resource, not parked ones, and the pool must merely
-/// cover the occasional synchronous call (e.g. a blocking `connect`) without
-/// stalling every other runnable task.
-fn executor() -> &'static Executor {
-    static EXECUTOR: OnceLock<&'static Executor> = OnceLock::new();
-    EXECUTOR.get_or_init(|| {
+impl Executor {
+    /// Starts a pool of `workers` threads around a driver of its own and
+    /// leaks both: a runtime lives as long as the process. Only tests start
+    /// more than the one behind [`current`], to have its counters to themselves.
+    pub(crate) fn start(workers: usize) -> &'static Executor {
         let executor: &'static Executor = Box::leak(Box::new(Executor {
-            queue: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(RunQueue::default()),
             ready: Condvar::new(),
+            turn: Mutex::new(()),
+            driver: Driver::new().expect("create the epoll driver"),
+            slot_runs: AtomicU64::new(0),
+            notifies: AtomicU64::new(0),
         }));
-        let workers =
-            std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(4, 8);
         for index in 0..workers {
             std::thread::Builder::new()
                 .name(format!("tokio-worker-{index}"))
-                .spawn(move || worker_loop(executor))
+                .spawn(move || executor.work())
                 .expect("spawn executor worker");
         }
         executor
-    })
-}
-
-fn schedule(task: Arc<Task>) {
-    if task.queued.swap(true, Ordering::AcqRel) {
-        return;
     }
-    let executor = executor();
-    executor.queue.lock().unwrap().push_back(task);
-    executor.ready.notify_one();
-}
 
-fn worker_loop(executor: &'static Executor) {
-    loop {
-        let task = {
-            let mut queue = executor.queue.lock().unwrap();
-            loop {
-                if let Some(task) = queue.pop_front() {
-                    break task;
-                }
-                queue = executor.ready.wait(queue).unwrap();
-            }
+    /// Appends to the shared queue and, if `wake`, makes sure a worker that
+    /// would otherwise sleep on it does not.
+    fn push(&self, task: Arc<Task>, wake: bool) {
+        let idle = {
+            let mut queue = self.queue.lock().unwrap();
+            queue.tasks.push_back(task);
+            queue.idle > 0
         };
-        // Clear before polling so a wake that races the poll re-queues.
-        task.queued.store(false, Ordering::Release);
-        if task.aborted.load(Ordering::Acquire) {
-            task.finish();
-            continue;
+        if !wake {
+            return;
         }
-        let mut slot = task.future.lock().unwrap();
-        let Some(future) = slot.as_mut() else { continue };
-        let waker = Waker::from(Arc::clone(&task));
-        let mut context = Context::from_waker(&waker);
-        if future.as_mut().poll(&mut context).is_ready() {
-            drop(slot);
-            task.finish();
+        if idle {
+            self.notifies.fetch_add(1, Ordering::Relaxed);
+            self.ready.notify_one();
+        } else {
+            self.driver.unpark();
         }
     }
+
+    fn work(&'static self) {
+        EXECUTOR.set(Some(self));
+        let mut wakers = Vec::new();
+        // Task polls since this worker last looked at the driver.
+        let mut polls = 0u32;
+        loop {
+            if polls == DRIVER_INTERVAL {
+                polls = 0;
+                self.drive(&mut wakers, false);
+            }
+            let task = match SLOT.take() {
+                Some(task) => {
+                    STREAK.set(STREAK.get() + 1);
+                    self.slot_runs.fetch_add(1, Ordering::Relaxed);
+                    Some(task)
+                }
+                None => {
+                    STREAK.set(0);
+                    self.queue.lock().unwrap().tasks.pop_front()
+                }
+            };
+            if let Some(task) = task {
+                polls += 1;
+                task.run();
+            } else if self.drive(&mut wakers, true) {
+                polls = 0;
+            } else {
+                self.park();
+            }
+        }
+    }
+
+    /// Takes a turn at the driver and wakes what it made runnable; `false`
+    /// when another worker has the turn. A blocking turn is skipped (and
+    /// reported as taken) when the shared queue turns out not to be empty.
+    fn drive(&self, wakers: &mut Vec<Waker>, block: bool) -> bool {
+        let Ok(turn) = self.turn.try_lock() else { return false };
+        if block {
+            self.driver.parked.store(true, Ordering::SeqCst);
+            if !self.queue.lock().unwrap().tasks.is_empty() {
+                self.driver.parked.store(false, Ordering::SeqCst);
+                return true;
+            }
+        }
+        self.driver.wait(wakers, block);
+        drop(turn);
+        wakers.drain(..).for_each(Waker::wake);
+        true
+    }
+
+    /// Sleeps until a task is pushed (the worker with the turn watches the
+    /// sockets and timers meanwhile).
+    fn park(&self) {
+        let mut queue = self.queue.lock().unwrap();
+        if queue.tasks.is_empty() {
+            queue.idle += 1;
+            queue = self.ready.wait(queue).unwrap();
+            queue.idle -= 1;
+        }
+    }
+
+    /// Called by a task about to make a blocking syscall: if this worker was
+    /// the last to hold the turn, the sockets and timers need another to take
+    /// it while this one is away.
+    pub(crate) fn before_blocking(&self) {
+        if self.queue.lock().unwrap().idle > 0 {
+            self.ready.notify_one();
+        }
+    }
+
+    /// Spawns a future onto this pool.
+    pub(crate) fn spawn<F>(&'static self, future: F) -> JoinHandle<F::Output>
+    where
+        F: Future + Send + 'static,
+        F::Output: Send + 'static,
+    {
+        let (result_tx, result_rx) = mpsc::channel();
+        // The result sender lives inside the future: dropping the future
+        // (abort) disconnects the channel, which is how `JoinError` reaches
+        // the handle.
+        let future: BoxedFuture = Box::pin(async move {
+            let _ = result_tx.send(future.await);
+        });
+        let task = Arc::new(Task {
+            executor: self,
+            future: Mutex::new(Some(future)),
+            queued: AtomicBool::new(false),
+            aborted: AtomicBool::new(false),
+            join_waker: Mutex::new(None),
+        });
+        Arc::clone(&task).schedule();
+        JoinHandle { result: Mutex::new(result_rx), task }
+    }
+}
+
+/// The process-wide runtime, once something has started it.
+pub(crate) static GLOBAL: OnceLock<&'static Executor> = OnceLock::new();
+
+/// The runtime of the calling thread: its own pool on a worker, the lazily
+/// started process-wide one everywhere else. A handful of workers suffices:
+/// runnable tasks are the scarce resource, not parked ones.
+pub(crate) fn current() -> &'static Executor {
+    EXECUTOR.get().unwrap_or_else(|| {
+        GLOBAL.get_or_init(|| {
+            let workers =
+                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).clamp(4, 8);
+            Executor::start(workers)
+        })
+    })
 }
 
 /// Wakes `block_on`'s calling thread. `unpark` carries a token, so a wake
@@ -120,10 +304,6 @@ struct ThreadWaker(std::thread::Thread);
 
 impl Wake for ThreadWaker {
     fn wake(self: Arc<Self>) {
-        self.0.unpark();
-    }
-
-    fn wake_by_ref(self: &Arc<Self>) {
         self.0.unpark();
     }
 }
@@ -168,7 +348,7 @@ impl<T> JoinHandle<T> {
     /// sockets) and awaiting the handle yields [`JoinError`].
     pub fn abort(&self) {
         self.task.aborted.store(true, Ordering::Release);
-        schedule(Arc::clone(&self.task));
+        Arc::clone(&self.task).schedule();
     }
 }
 
@@ -199,26 +379,13 @@ impl<T> Future for JoinHandle<T> {
     }
 }
 
-/// Spawns a future onto the shared worker pool.
+/// Spawns a future onto the calling thread's worker pool.
 pub fn spawn<F>(future: F) -> JoinHandle<F::Output>
 where
     F: Future + Send + 'static,
     F::Output: Send + 'static,
 {
-    let (result_tx, result_rx) = mpsc::channel();
-    let task = Arc::new(Task {
-        future: Mutex::new(None),
-        queued: AtomicBool::new(false),
-        aborted: AtomicBool::new(false),
-        join_waker: Mutex::new(None),
-    });
-    // The result sender lives inside the future: dropping the future (abort)
-    // disconnects the channel, which is how `JoinError` reaches the handle.
-    *task.future.lock().unwrap() = Some(Box::pin(async move {
-        let _ = result_tx.send(future.await);
-    }));
-    schedule(Arc::clone(&task));
-    JoinHandle { result: Mutex::new(result_rx), task }
+    current().spawn(future)
 }
 
 /// Outcome carrier for two-branch [`crate::select!`].

@@ -1,15 +1,16 @@
-//! Timers: `sleep` and `interval`, parked on the reactor's timer wheel.
+//! Timers: `sleep` and `interval`, parked in the driver's timer map.
 //!
-//! A pending timer registers `(deadline, id, waker)` with the reactor, whose
-//! `poll(2)` timeout is bounded by the earliest deadline — no re-polling at a
-//! fixed interval. Dropped timers cancel their registration.
+//! A pending timer registers `(deadline, id, waker)` with the runtime's
+//! [`Driver`]; the worker blocked in `epoll_wait` sleeps no longer than the
+//! earliest deadline. Dropped timers cancel their registration.
 
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
 use std::time::{Duration, Instant};
 
-use crate::reactor::reactor;
+use crate::reactor::Driver;
+use crate::runtime::current;
 
 /// Completes once `duration` has elapsed.
 pub fn sleep(duration: Duration) -> Sleep {
@@ -17,13 +18,15 @@ pub fn sleep(duration: Duration) -> Sleep {
 }
 
 pub(crate) fn sleep_until(deadline: Instant) -> Sleep {
-    Sleep { deadline, id: reactor().next_timer_id() }
+    let driver = &current().driver;
+    Sleep { driver, deadline, id: driver.next_id() }
 }
 
 /// Future returned by [`sleep`]. Re-polls replace the parked waker (the id
-/// keys the reactor entry); dropping the future cancels the timer.
+/// keys the driver's entry); dropping the future cancels the timer.
 #[derive(Debug)]
 pub struct Sleep {
+    driver: &'static Driver,
     deadline: Instant,
     id: u64,
 }
@@ -35,7 +38,7 @@ impl Future for Sleep {
         if Instant::now() >= self.deadline {
             Poll::Ready(())
         } else {
-            reactor().register_timer(self.deadline, self.id, cx.waker());
+            self.driver.register_timer(self.deadline, self.id, cx.waker());
             Poll::Pending
         }
     }
@@ -43,7 +46,7 @@ impl Future for Sleep {
 
 impl Drop for Sleep {
     fn drop(&mut self) {
-        reactor().cancel_timer(self.deadline, self.id);
+        self.driver.cancel_timer(self.deadline, self.id);
     }
 }
 
