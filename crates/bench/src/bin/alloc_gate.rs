@@ -24,11 +24,20 @@
 //!   `handle_message_mut`, a capacity-preserving outbox drain, and the reply
 //!   encoded into the recycled batch. Gated at **zero** allocations per
 //!   round; the old `take_outbox`-style drain is reported alongside as the
-//!   what-it-used-to-cost contrast.
+//!   what-it-used-to-cost contrast;
+//! * **mixed streams** — what a worker actually receives, on a 256-key map in
+//!   the paper's full-state mode: an acceptor fed alternating `MERGE` and
+//!   `PREPARE` frames, and a proposer interleaving updates with quiet reads,
+//!   which per cycle receives two `MERGED`s, the `ACK` that completes the read
+//!   and a second `ACK` that arrives after it. Both run through the worker's
+//!   own [`Residents`] and are gated at **zero** allocations per frame (at the
+//!   parent of the change that introduced them, with one decode target for all
+//!   kinds and a node per counter slot map, they read 299 and 150).
 //!
 //! Flags: `--quick` shortens the loops (used by CI); `--check` exits non-zero
 //! unless every steady-state loop (delta decode, framing, recycled encode,
-//! full protocol round) hits **zero** allocations per frame and the
+//! full protocol round, the two mixed streams) hits **zero** allocations per
+//! frame and the
 //! full-state decode stays within a small bounded budget. If the counting
 //! allocator turns out not to intercept allocations on this platform,
 //! `--check` prints a loud SKIP and exits 0 (fig9-style).
@@ -37,8 +46,14 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use bytes::Bytes;
-use crdt::{DeltaCrdt, GCounter, LatticeMap, ReplicaId};
-use crdt_paxos_core::{Message, Payload, ProtocolConfig, Replica, RequestId, ShardMessage};
+use crdt::{
+    CounterQuery, CounterUpdate, DeltaCrdt, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId,
+};
+use crdt_paxos_core::{
+    ClientId, Command, CommandId, Message, Payload, ProtocolConfig, Replica, RequestId, ShardCore,
+    ShardEnvelope, ShardMessage, ShardOutput, Stamp,
+};
+use engine::{Received, Residents};
 use obs::{Counter, HighWater, Stage, StageSet, Stopwatch, TraceConfig, TraceRing};
 use quorum::ShardId;
 use wire::framing::{FrameDecoder, FrameEncoder};
@@ -81,13 +96,23 @@ impl CountingAllocator {
         self.bytes.store(0, Ordering::Relaxed);
     }
 
-    /// Runs `work`, returning (allocations, bytes) it performed.
-    fn measure<F: FnMut()>(&self, mut work: F) -> (u64, u64) {
-        self.reset();
+    /// Runs `work`, adding what it allocates to the running totals.
+    fn counting<F: FnOnce()>(&self, work: F) {
         self.enabled.store(true, Ordering::SeqCst);
         work();
         self.enabled.store(false, Ordering::SeqCst);
+    }
+
+    /// (allocations, bytes) counted since the last reset.
+    fn totals(&self) -> (u64, u64) {
         (self.allocations.load(Ordering::Relaxed), self.bytes.load(Ordering::Relaxed))
+    }
+
+    /// Runs `work`, returning (allocations, bytes) it performed.
+    fn measure<F: FnOnce()>(&self, work: F) -> (u64, u64) {
+        self.reset();
+        self.counting(work);
+        self.totals()
     }
 }
 
@@ -161,6 +186,145 @@ fn run_case<F: FnMut()>(label: &'static str, warmup: u64, iterations: u64, mut w
         }
     });
     Case { label, iterations, allocations, bytes }
+}
+
+/// The assignment every frame of the mixed-stream cases is stamped with.
+const STAMP: Stamp = (3, 8);
+
+/// How many keys the mixed-stream replicas hold: `tcp_bigstate`'s shard.
+const MIXED_KEYS: u64 = 256;
+
+/// One shard core of the mixed-stream cases with what its worker keeps around
+/// it: the decode residents, an outbox drained with its capacity kept, and the
+/// buffer its outgoing frames are encoded into.
+struct Node {
+    core: ShardCore<u64, GCounter>,
+    residents: Residents<Kv>,
+    outbox: Vec<ShardEnvelope<Kv>>,
+    frame: Vec<u8>,
+    /// Frames received so far.
+    received: u64,
+}
+
+impl Node {
+    fn new(id: u64) -> Self {
+        let members = (0..3).map(ReplicaId::new).collect();
+        let config = ProtocolConfig::default();
+        Node {
+            core: ShardCore::new(ShardId(5), ReplicaId::new(id), members, config),
+            residents: Residents::new(),
+            outbox: Vec::new(),
+            frame: Vec::new(),
+            received: 0,
+        }
+    }
+
+    /// The worker's path for one inbound frame: peek, decode into the resident
+    /// of its kind (or not at all), step the protocol.
+    fn receive(&mut self, from: ReplicaId, frame: &[u8]) {
+        self.received += 1;
+        let wanted = |request| self.core.wants_reply(request);
+        if let Received::Message(message) = self.residents.receive(frame, STAMP, wanted) {
+            self.core.handle_message_mut(from, message);
+        }
+    }
+}
+
+/// Three replicas passing encoded frames hand to hand; node 0 proposes.
+struct MixedCluster {
+    nodes: [Node; 3],
+    /// The node whose frame handling is counted: every receive, every drain,
+    /// every encode. Submitting a command is not handling a frame, and
+    /// allocates (the instance table, the waiter list).
+    counted: usize,
+    outputs: Vec<ShardOutput<u64, GCounter>>,
+    next_command: u64,
+}
+
+impl MixedCluster {
+    fn new(counted: usize) -> Self {
+        let mut cluster = MixedCluster {
+            nodes: [Node::new(0), Node::new(1), Node::new(2)],
+            counted,
+            outputs: Vec::new(),
+            next_command: 0,
+        };
+        // Every key exists before anything is counted, as after the
+        // benchmark's pre-population: state size is constant from here on.
+        for _ in 0..MIXED_KEYS {
+            cluster.cycle();
+        }
+        cluster
+    }
+
+    /// One update and one quiet read of the next key, each run to quiescence.
+    /// Node 1 receives a `MERGE` and a `PREPARE`; node 0 two `MERGED`s and two
+    /// `ACK`s, the second after the read has completed.
+    fn cycle(&mut self) {
+        let key = self.next_command / 2 % MIXED_KEYS;
+        let update = MapUpdate::Apply { key, update: CounterUpdate::Increment(1) };
+        let query = MapQuery::Get { key, query: CounterQuery::Value };
+        for command in [Command::Update(update), Command::Query(query)] {
+            let outer = CommandId(self.next_command);
+            self.next_command += 1;
+            self.nodes[0].core.submit_single(ClientId(1), outer, key, command);
+            self.run_to_quiescence();
+            let proposer = &mut self.nodes[0].core;
+            count_if(self.counted == 0, || proposer.drain_outputs(&mut self.outputs));
+            assert_eq!(self.outputs.len(), 1, "one command, one response");
+            self.outputs.clear();
+        }
+    }
+
+    /// Ships every queued envelope to its destination, as an encoded frame,
+    /// until no node has anything left to say.
+    fn run_to_quiescence(&mut self) {
+        loop {
+            let mut shipped = false;
+            for sender in 0..self.nodes.len() {
+                let sending = sender == self.counted;
+                let node = &mut self.nodes[sender];
+                count_if(sending, || node.core.drain_outbox_into(STAMP, &mut node.outbox));
+                let mut outbox = std::mem::take(&mut node.outbox);
+                let mut frame = std::mem::take(&mut node.frame);
+                for ShardEnvelope { from, to, message } in outbox.drain(..) {
+                    shipped = true;
+                    count_if(sending, || {
+                        frame.clear();
+                        wire::to_writer(&message, &mut frame).expect("encode");
+                    });
+                    let to = to.as_u64() as usize;
+                    count_if(to == self.counted, || self.nodes[to].receive(from, &frame));
+                }
+                self.nodes[sender].outbox = outbox;
+                self.nodes[sender].frame = frame;
+            }
+            if !shipped {
+                return;
+            }
+        }
+    }
+}
+
+/// Runs `work`, counting its allocations only if `counted`.
+fn count_if<F: FnOnce()>(counted: bool, work: F) {
+    if counted {
+        ALLOC.counting(work);
+    } else {
+        work();
+    }
+}
+
+/// Measures `cycles` mixed-stream cycles, per frame node `counted` receives.
+fn run_mixed_case(label: &'static str, counted: usize, cycles: u64) -> Case {
+    let mut cluster = MixedCluster::new(counted);
+    let before = cluster.nodes[counted].received;
+    ALLOC.reset();
+    for _ in 0..cycles {
+        cluster.cycle();
+    }
+    let (allocations, bytes) = ALLOC.totals();
+    Case { label, iterations: cluster.nodes[counted].received - before, allocations, bytes }
 }
 
 fn main() {
@@ -369,11 +533,22 @@ fn main() {
         std::hint::black_box(&replies);
     }));
 
-    println!("{:<24} {:>14} {:>14} {:>12}", "case", "allocs/frame", "bytes/frame", "allocs");
+    // What a worker's inbound stream really looks like: kinds alternate and
+    // states are whole shards. Each cycle is one update and one quiet read of
+    // one of 256 keys, run over three replicas that pass encoded frames.
+    let cycles = iterations / 16;
+    cases.push(run_mixed_case("mixed_acceptor_full", 1, cycles));
+    cases.push(run_mixed_case("mixed_proposer_full", 0, cycles));
+
+    println!(
+        "{:<24} {:>10} {:>14} {:>14} {:>12}",
+        "case", "frames", "allocs/frame", "bytes/frame", "allocs"
+    );
     for case in &cases {
         println!(
-            "{:<24} {:>14.4} {:>14.1} {:>12}",
+            "{:<24} {:>10} {:>14.4} {:>14.1} {:>12}",
             case.label,
+            case.iterations,
             case.per_frame(),
             case.bytes as f64 / case.iterations as f64,
             case.allocations
@@ -393,7 +568,9 @@ fn main() {
                 | "frame_loop_observed"
                 | "encode_batch_recycled"
                 | "protocol_round_delta"
-                | "protocol_round_observed" => 0.0,
+                | "protocol_round_observed"
+                | "mixed_acceptor_full"
+                | "mixed_proposer_full" => 0.0,
                 "decode_in_place_full" => FULL_BUDGET,
                 _ => continue,
             };
@@ -411,9 +588,10 @@ fn main() {
         }
         println!();
         println!(
-            "acceptance passed: delta decode, framing, recycled encode, and the full \
-             protocol round are allocation-free — with observability recording enabled \
-             too; full-state decode within budget ({FULL_BUDGET}/frame)"
+            "acceptance passed: delta decode, framing, recycled encode, the full protocol \
+             round and the mixed full-state streams (acceptor and proposer) are \
+             allocation-free — with observability recording enabled too; full-state \
+             decode within budget ({FULL_BUDGET}/frame)"
         );
     }
 }

@@ -7,12 +7,12 @@
 //! counters, and 1-in-N trace sampling — and a pipelined client drives node 0
 //! through the fig9 50/50 update/read workload. Afterwards the report prints:
 //!
-//! * the per-stage latency table (p50/p99 per instrumentation station:
+//! * the per-stage latency table (mean/p50/p99 per instrumentation station:
 //!   submit queue, router ingress, mailbox dwell, in-place decode, protocol
 //!   step, quorum wait, reply encode, socket write),
 //! * the runtime introspection counters (router/worker parks, queue-depth
-//!   high-water marks, mesh reconnects and coalescing shape, reactor
-//!   readiness syscalls),
+//!   high-water marks, late replies dropped undecoded and undecodable frames,
+//!   mesh reconnects and coalescing shape, reactor readiness syscalls),
 //! * real-clock client latency percentiles from an `obs::Histogram`,
 //! * reconstructed timelines of the slowest sampled commands.
 //!
@@ -224,26 +224,31 @@ fn print_stage_table(snapshot: &ObsSnapshot) {
     println!();
     println!("-- node 0 per-stage latency (merged across router and workers) --");
     println!(
-        "{:>16} {:>10} {:>12} {:>12} {:>12}",
-        "stage", "samples", "p50(us)", "p99(us)", "max(us)"
+        "{:>16} {:>10} {:>12} {:>12} {:>12} {:>12}",
+        "stage", "samples", "mean(us)", "p50(us)", "p99(us)", "max(us)"
     );
     for stage in Stage::ALL {
-        let Some(histogram) = snapshot.histogram(&format!("stage_{}_nanos", stage.name())) else {
-            continue;
-        };
-        if histogram.is_empty() {
-            println!("{:>16} {:>10} {:>12} {:>12} {:>12}", stage.name(), 0, "-", "-", "-");
-            continue;
-        }
-        println!(
-            "{:>16} {:>10} {:>12.1} {:>12.1} {:>12.1}",
-            stage.name(),
-            histogram.count(),
-            us(histogram.p50()),
-            us(histogram.p99()),
-            us(histogram.max()),
-        );
+        print_stage_row(snapshot, stage);
     }
+}
+
+fn print_stage_row(snapshot: &ObsSnapshot, stage: Stage) {
+    let Some(histogram) = snapshot.histogram(&format!("stage_{}_nanos", stage.name())) else {
+        return;
+    };
+    if histogram.is_empty() {
+        println!("{:>16} {:>10} {:>12} {:>12} {:>12} {:>12}", stage.name(), 0, "-", "-", "-", "-");
+        return;
+    }
+    println!(
+        "{:>16} {:>10} {:>12.1} {:>12.1} {:>12.1} {:>12.1}",
+        stage.name(),
+        histogram.count(),
+        us(histogram.mean()),
+        us(histogram.p50()),
+        us(histogram.p99()),
+        us(histogram.max()),
+    );
 }
 
 fn print_counters(snapshot: &ObsSnapshot, polls: u64, backend: &str) {
@@ -255,6 +260,8 @@ fn print_counters(snapshot: &ObsSnapshot, polls: u64, backend: &str) {
     println!("  submit queue depth (hwm)    {:>12}", snapshot.highwater("submit_queue_depth"));
     println!("  router feedback depth (hwm) {:>12}", snapshot.highwater("router_feedback_depth"));
     println!("  worker mailbox depth (hwm)  {:>12}", snapshot.highwater("worker_mailbox_depth"));
+    println!("  late replies skipped        {:>12}", snapshot.counter("replies_skipped"));
+    println!("  frames undecodable          {:>12}", snapshot.counter("frames_undecodable"));
     println!("  mesh socket writes          {:>12}", snapshot.counter("mesh_socket_writes"));
     println!("    of which inline           {:>12}", snapshot.counter("mesh_inline_writes"));
     println!("  mesh dropped batches        {:>12}", snapshot.counter("mesh_dropped_batches"));
@@ -336,6 +343,7 @@ fn main() {
     let latency = Histogram::new();
     let result = drive(&replicas[0].node, duration, &latency);
     let snapshot = replicas[0].node.obs_snapshot();
+    let acceptor_snapshot = replicas[1].node.obs_snapshot();
     let (polls, backend) = tokio::reactor_stats();
     print_timelines(&replicas[0].node);
     for replica in &replicas {
@@ -364,6 +372,11 @@ fn main() {
     );
 
     print_stage_table(&snapshot);
+    // Node 0 proposes, so half of what it decodes are state-less `MERGED`s
+    // and its median decode is one of those; node 1 only accepts, and every
+    // frame it decodes carries a state.
+    println!("-- node 1 (acceptor only) --");
+    print_stage_row(&acceptor_snapshot, Stage::Decode);
     print_counters(&snapshot, polls, backend);
 
     if check {

@@ -256,6 +256,12 @@ pub struct Replica<C: Crdt + DeltaCrdt> {
     ack_pool: Vec<Vec<ReplicaId>>,
     /// Recycled first-phase acknowledgement buffers ([`PrepareAcks`]).
     prepare_pool: Vec<Vec<(ReplicaId, Round, C)>>,
+    /// Peer states that finished instances no longer need, at most
+    /// [`Replica::STATE_POOL_CAP`] of them. A decoded `ACK`/`NACK` gives its state
+    /// to the proposer and gets one of these back ([`Replica::take_reply_state`]),
+    /// so the next reply of that kind is decoded over a populated state instead of
+    /// building one. Full mode only.
+    state_pool: Vec<C>,
 }
 
 /// Client commands reclaimed from a replica by [`Replica::cancel_in_flight`].
@@ -350,6 +356,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             next_flush_ms: batch_interval + flush_offset,
             ack_pool: Vec::new(),
             prepare_pool: Vec::new(),
+            state_pool: Vec::new(),
         }
     }
 
@@ -523,12 +530,14 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// [`Replica::handle_message`] over a borrowed message.
     ///
     /// This is the allocation-free entry point for the inbound hot path: a
-    /// worker decodes each frame into a per-worker scratch message (reusing
-    /// its resident allocations) and hands it in by reference. The accepting
-    /// arms (`Merge`, `Prepare`, `Vote`) only read the payload, so the scratch
-    /// survives intact for the next frame; the reply-resolution arms
-    /// (`PrepareAck`, `Nack`) genuinely consume their state and take it out of
-    /// the scratch, leaving a cheap placeholder.
+    /// worker decodes each frame into a long-lived message of the same kind
+    /// (reusing its resident allocations) and hands it in by reference. The
+    /// accepting arms (`Merge`, `Prepare`, `Vote`) only read the payload, so
+    /// the resident survives intact for the next frame; the reply-resolution
+    /// arms (`PrepareAck`, `Nack`) genuinely consume their state, and trade it
+    /// for one a finished instance has retired
+    /// ([`Replica::take_reply_state`]), so the next reply finds a populated
+    /// state to overwrite as well.
     pub fn handle_message_mut(&mut self, from: ReplicaId, message: &mut Message<C>) {
         if !self.membership.contains(&from) {
             return;
@@ -579,36 +588,47 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 self.send(from, reply);
             }
             Message::VoteAck { request } => self.handle_vote_ack(from, *request),
-            Message::PrepareAck { request, .. } | Message::Nack { request, .. } => {
-                let request = *request;
-                let taken = std::mem::replace(message, Message::MergeAck { request });
-                match taken {
-                    Message::PrepareAck { request, round, state, reveal, basis } => {
-                        // Resolve the reply payload to the acceptor's exact state.
-                        // Full replies teach the proposer the peer's lower bound
-                        // even when the request is no longer in flight; delta
-                        // replies need the in-flight request's baselines, so stale
-                        // ones are dropped.
-                        let Some(state) =
-                            self.resolve_prepare_reply(from, request, state, reveal, basis)
-                        else {
-                            return;
-                        };
-                        self.note_peer_state(from, &state);
-                        self.handle_prepare_ack(from, request, round, state);
-                    }
-                    Message::Nack { request, round, state, basis } => {
-                        let Some(state) = self.resolve_nack_reply(from, request, state, basis)
-                        else {
-                            return;
-                        };
-                        self.note_peer_state(from, &state);
-                        self.handle_nack(request, round, state);
-                    }
-                    _ => unreachable!("placeholder swap only happens for PrepareAck/Nack"),
-                }
+            Message::PrepareAck { request, round, state, reveal, basis } => {
+                let (request, round, reveal, basis) = (*request, *round, *reveal, *basis);
+                let state = self.take_reply_state(state);
+                // Resolve the reply payload to the acceptor's exact state. Full
+                // replies teach the proposer the peer's lower bound even when
+                // the request is no longer in flight; delta replies need the
+                // in-flight request's baselines, so stale ones are dropped.
+                let Some(state) = self.resolve_prepare_reply(from, request, state, reveal, basis)
+                else {
+                    return;
+                };
+                self.note_peer_state(from, &state);
+                self.handle_prepare_ack(from, request, round, state);
+            }
+            Message::Nack { request, round, state, basis } => {
+                let (request, round, basis) = (*request, *round, *basis);
+                let state = self.take_reply_state(state);
+                let Some(state) = self.resolve_nack_reply(from, request, state, basis) else {
+                    return;
+                };
+                self.note_peer_state(from, &state);
+                self.handle_nack(request, round, state);
             }
         }
+    }
+
+    /// Whether a state-bearing reply (`ACK` or `NACK`) to `request` can still have
+    /// an effect on this replica — the question a driver asks *before* it pays for
+    /// decoding one. In [`PayloadMode::Full`] a reply to an instance that is no
+    /// longer in flight changes nothing (with a three-replica quorum of two that
+    /// is the second `ACK` of every quiet read): the proposer keeps no per-peer
+    /// knowledge to update and [`Replica::handle_message_mut`] would drop it
+    /// after resolving it. In [`PayloadMode::DeltaWhenPossible`] every reply is
+    /// wanted: a late full reply still teaches this proposer what the peer holds
+    /// and installs a basis snapshot.
+    ///
+    /// Only `handle_message_mut`'s bookkeeping is skipped by not delivering an
+    /// unwanted reply: a late `NACK` is then not counted in
+    /// [`Metrics::nacks_received`].
+    pub fn wants_reply(&self, request: RequestId) -> bool {
+        self.delta_payloads_enabled() || self.requests.contains_key(&request)
     }
 
     /// Advances the replica's notion of time, flushing batches and retransmitting
@@ -710,6 +730,13 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Drains the client responses produced since the last call.
     pub fn take_responses(&mut self) -> Vec<ClientResponse<C>> {
         std::mem::take(&mut self.responses)
+    }
+
+    /// Drains the client responses produced since the last call into `sink`,
+    /// preserving both buffers' capacity (what [`Replica::drain_outbox_into`] is
+    /// to [`Replica::take_outbox`]), for the shard core's pump.
+    pub(crate) fn drain_responses_into(&mut self, sink: &mut Vec<ClientResponse<C>>) {
+        sink.append(&mut self.responses);
     }
 
     // ----- internals -------------------------------------------------------------
@@ -1111,12 +1138,46 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         PrepareAcks(self.prepare_pool.pop().unwrap_or_default())
     }
 
+    /// Retires a first-phase acknowledgement buffer: the peers' states go to the
+    /// state pool (the local one is a snapshot the acceptor still shares), the
+    /// buffer to its own.
     fn recycle_prepare_acks(&mut self, acks: &mut PrepareAcks<C>) {
+        let mut buffer = std::mem::take(&mut acks.0);
+        for (peer, _, state) in buffer.drain(..) {
+            if peer != self.id {
+                self.retire_state(state);
+            }
+        }
         if self.prepare_pool.len() < Self::ACK_POOL_CAP {
-            let mut buffer = std::mem::take(&mut acks.0);
-            buffer.clear();
             self.prepare_pool.push(buffer);
         }
+    }
+
+    /// Upper bound on pooled reply states: each is a whole payload state, and one
+    /// or two cover the replies a proposer resolves between two retirements.
+    const STATE_POOL_CAP: usize = 4;
+
+    /// Keeps a peer's state nothing needs any more as a future decode target.
+    /// Not in delta mode: there a resolved reply state is also a basis snapshot
+    /// (or the first `peer_known` entry), and a state something else still reads
+    /// cannot be overwritten — pooling it would only pin it.
+    fn retire_state(&mut self, state: C) {
+        if self.state_pool.len() < Self::STATE_POOL_CAP && !self.delta_payloads_enabled() {
+            self.state_pool.push(state);
+        }
+    }
+
+    /// Takes the state payload out of a decoded reply, leaving a retired state in
+    /// its place (the bottom state while none has been retired yet) so the
+    /// message stays a decode target of its own shape. A delta reply is traded for
+    /// the bottom state: deltas are small, and what replaces one is rebuilt by the
+    /// next decode either way.
+    fn take_reply_state(&mut self, state: &mut Payload<C>) -> Payload<C> {
+        let spare = match state {
+            Payload::Full(_) => self.state_pool.pop(),
+            Payload::Delta(_) => None,
+        };
+        std::mem::replace(state, Payload::Full(spare.unwrap_or_else(|| self.bottom.clone())))
     }
 
     fn alloc_request(&mut self) -> RequestId {
@@ -1333,7 +1394,10 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 gathered.join(&state);
                 acks.insert(from, round, state);
             }
-            _ => return,
+            _ => {
+                self.retire_state(state);
+                return;
+            }
         }
         self.maybe_finish_prepare(request);
     }
@@ -1457,6 +1521,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             // Updates never receive NACKs (merges are unconditional); ignore strays.
             _ => false,
         };
+        self.retire_state(state);
         if retry {
             let next = if self.config.retry_with_incremental_prepare {
                 PrepareRound::Incremental { id: self.new_round_id() }
@@ -2195,5 +2260,117 @@ mod tests {
                 .collect();
             assert_eq!(full_reads, delta_reads);
         }
+    }
+
+    /// One quiet read at replica 0, hand-delivered: returns the request id of
+    /// its instance and the two peers' `ACK`s, undelivered.
+    fn quiet_read_acks(replicas: &mut [Replica<Counter>]) -> (RequestId, Vec<Envelope<Counter>>) {
+        replicas[0].submit_query(ClientId(2), CounterQuery::Value);
+        let prepares = replicas[0].take_outbox();
+        let request = prepares[0].message.request();
+        let mut acks = Vec::new();
+        for env in prepares {
+            let index = env.to.as_u64() as usize;
+            replicas[index].handle_message(env.from, env.message);
+            acks.extend(replicas[index].take_outbox());
+        }
+        assert!(acks.iter().all(|env| matches!(env.message, Message::PrepareAck { .. })));
+        (request, acks)
+    }
+
+    #[test]
+    fn a_reply_is_wanted_exactly_while_its_instance_is_in_flight() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        let (request, acks) = quiet_read_acks(&mut replicas);
+        assert!(replicas[0].wants_reply(request));
+        assert!(!replicas[0].wants_reply(RequestId(request.0 + 1)), "no such instance yet");
+
+        // The first `ACK` completes the read (self + one peer is a quorum of
+        // three); the second is then for an instance that is gone, and
+        // delivering it anyway changes nothing.
+        let mut acks = acks.into_iter();
+        let first = acks.next().expect("two acks");
+        replicas[0].handle_message(first.from, first.message);
+        assert_eq!(drain_responses(&mut replicas[0]).len(), 1);
+        assert!(!replicas[0].wants_reply(request));
+        let before = format!("{:?}", replicas[0]);
+        let late = acks.next().expect("two acks");
+        replicas[0].handle_message(late.from, late.message);
+        assert_eq!(format!("{:?}", replicas[0]), before, "a late ACK moved the proposer");
+    }
+
+    #[test]
+    fn every_reply_is_wanted_with_delta_payloads() {
+        let config = ProtocolConfig {
+            payload_mode: PayloadMode::DeltaWhenPossible,
+            ..ProtocolConfig::default()
+        };
+        let mut replicas = cluster(3, config);
+        replicas[0].submit_update(ClientId(1), CounterUpdate::Increment(1));
+        run_to_quiescence(&mut replicas);
+        let (request, acks) = quiet_read_acks(&mut replicas);
+        let mut acks = acks.into_iter();
+        let first = acks.next().expect("two acks");
+        replicas[0].handle_message(first.from, first.message);
+        assert_eq!(drain_responses(&mut replicas[0]).len(), 2);
+        // The instance is gone, the late `ACK` still teaches the proposer what
+        // its sender holds.
+        assert!(replicas[0].wants_reply(request));
+        assert!(replicas[0].wants_reply(RequestId(u64::MAX)));
+        let late = acks.next().expect("two acks");
+        let sender = late.from;
+        replicas[0].handle_message(late.from, late.message);
+        assert_eq!(replicas[0].known_peer_state(sender).map(Counter::value), Some(1));
+    }
+
+    /// The decode target a reply was handed in through is a reply of the same
+    /// shape afterwards — never a placeholder of another kind — and what it
+    /// holds is a state some finished instance retired.
+    #[test]
+    fn a_consumed_reply_leaves_a_retired_state_behind() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        replicas[0].submit_update(ClientId(1), CounterUpdate::Increment(7));
+        run_to_quiescence(&mut replicas);
+        drain_responses(&mut replicas[0]);
+
+        // First read: nothing has been retired yet, so the consumed state is
+        // traded for the bottom state.
+        let (_, acks) = quiet_read_acks(&mut replicas);
+        let mut resident = acks.into_iter().next().expect("an ack");
+        replicas[0].handle_message_mut(resident.from, &mut resident.message);
+        assert_eq!(drain_responses(&mut replicas[0]).len(), 1);
+        let Message::PrepareAck { state: Payload::Full(left), .. } = &resident.message else {
+            panic!("the resident changed kind: {:?}", resident.message);
+        };
+        assert_eq!(left, &Counter::default());
+
+        // The read retired the peer state it had consumed; the next consumed
+        // reply is traded for it.
+        replicas[0].submit_update(ClientId(1), CounterUpdate::Increment(1));
+        run_to_quiescence(&mut replicas);
+        drain_responses(&mut replicas[0]);
+        let (_, acks) = quiet_read_acks(&mut replicas);
+        let mut resident = acks.into_iter().next().expect("an ack");
+        replicas[0].handle_message_mut(resident.from, &mut resident.message);
+        let responses = drain_responses(&mut replicas[0]);
+        assert_eq!(responses[0].body, ResponseBody::QueryDone(8));
+        let Message::PrepareAck { state: Payload::Full(left), .. } = &resident.message else {
+            panic!("the resident changed kind: {:?}", resident.message);
+        };
+        assert_eq!(left.value(), 7, "the state the first read consumed");
+
+        // A `NACK` is traded the same way, and however many states instances
+        // retire, only a handful are kept.
+        let mut nack = Message::Nack {
+            request: RequestId(u64::MAX),
+            round: Round::ZERO,
+            state: Payload::Full(Counter::default()),
+            basis: 0,
+        };
+        for _ in 0..3 * Replica::<Counter>::STATE_POOL_CAP {
+            replicas[0].handle_message_mut(ReplicaId::new(1), &mut nack);
+            assert!(matches!(&nack, Message::Nack { state: Payload::Full(_), .. }));
+        }
+        assert!(replicas[0].state_pool.len() <= Replica::<Counter>::STATE_POOL_CAP);
     }
 }

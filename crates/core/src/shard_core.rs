@@ -27,7 +27,9 @@ use quorum::ShardId;
 
 use crate::config::ProtocolConfig;
 use crate::metrics::Metrics;
-use crate::msg::{ClientId, ClientResponse, Command, CommandId, Envelope, Message, ResponseBody};
+use crate::msg::{
+    ClientId, ClientResponse, Command, CommandId, Envelope, Message, RequestId, ResponseBody,
+};
 use crate::replica::Replica;
 use crate::shard::{ShardEnvelope, ShardMessage};
 
@@ -141,6 +143,8 @@ where
     pending: BTreeMap<CommandId, Pending<K>>,
     /// Reused drain buffer for the instance outbox (no per-cycle allocs).
     scratch: Vec<Envelope<LatticeMap<K, V>>>,
+    /// Reused drain buffer for the instance's completed commands.
+    completed: Vec<ClientResponse<LatticeMap<K, V>>>,
 }
 
 impl<K, V> ShardCore<K, V>
@@ -160,6 +164,7 @@ where
             replica: Replica::new(id, members, LatticeMap::default(), config),
             pending: BTreeMap::new(),
             scratch: Vec::new(),
+            completed: Vec::new(),
         }
     }
 
@@ -235,6 +240,12 @@ where
         self.replica.handle_message_mut(from, message);
     }
 
+    /// Whether a state-bearing reply to `request` can still have an effect on
+    /// this core's instance ([`Replica::wants_reply`]).
+    pub fn wants_reply(&self, request: RequestId) -> bool {
+        self.replica.wants_reply(request)
+    }
+
     /// Advances this core's notion of time (batch flushes, retransmissions).
     pub fn tick(&mut self, now_ms: u64) {
         self.replica.tick(now_ms);
@@ -265,7 +276,8 @@ where
     /// command ids back to outer ones. Responses whose pending entry is gone
     /// (purged fan-out legs, cancelled resyncs) are absorbed silently.
     pub fn drain_outputs(&mut self, out: &mut Vec<ShardOutput<K, V>>) {
-        for response in self.replica.take_responses() {
+        self.replica.drain_responses_into(&mut self.completed);
+        for response in self.completed.drain(..) {
             let Some(pending) = self.pending.remove(&response.command) else {
                 continue;
             };

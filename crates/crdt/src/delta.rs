@@ -114,13 +114,7 @@ impl DeltaCrdt for GCounter {
     }
 
     fn delta_since(&self, known: &Self) -> GCounter {
-        let mut delta = GCounter::new();
-        for (&replica, &count) in &self.slots {
-            if count > known.slot(replica) {
-                delta.slots.insert(replica, count);
-            }
-        }
-        delta
+        self.grown_since(known)
     }
 }
 

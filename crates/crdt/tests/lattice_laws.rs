@@ -5,7 +5,8 @@
 //! exactly what the safety proofs of the replication protocol rely on, so we check
 //! them exhaustively with proptest-generated states.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
 use crdt::{
     CounterUpdate, Crdt, DeltaCrdt, GCounter, GSet, GSetUpdate, Lattice, LatticeMap, LwwRegister,
@@ -183,6 +184,51 @@ fn share_entries(a: &Kv, b: &Kv) -> bool {
     }
 }
 
+/// What a G-Counter was before its slots went flat, and the reference the flat one
+/// is held to: a map from replica to count.
+type CounterModel = BTreeMap<ReplicaId, u64>;
+
+/// A counter and its model, built by the same increments over `width` replicas.
+/// Widths run from 1 to 12, so the counters sit on both sides of what one holds
+/// inline (four slots); zero increments leave zero-valued slots behind.
+fn modelled_counter_strategy() -> impl Strategy<Value = (GCounter, CounterModel)> {
+    (1u64..13, proptest::collection::vec((0u64..12, 0u64..20), 0..20)).prop_map(|(width, ops)| {
+        let (mut counter, mut model) = (GCounter::new(), CounterModel::new());
+        for (replica, amount) in ops {
+            let replica = ReplicaId::new(replica % width);
+            counter.increment(replica, amount);
+            *model.entry(replica).or_insert(0) += amount;
+        }
+        (counter, model)
+    })
+}
+
+/// The counter the model stands for, rebuilt from its bytes.
+fn counter_of(model: &CounterModel) -> GCounter {
+    wire::from_slice(&wire::to_vec(model).expect("encode model")).expect("decode counter")
+}
+
+fn model_leq(a: &CounterModel, b: &CounterModel) -> bool {
+    a.iter().all(|(replica, &count)| count <= b.get(replica).copied().unwrap_or(0))
+}
+
+fn model_join(a: &CounterModel, b: &CounterModel) -> CounterModel {
+    let mut joined = a.clone();
+    for (&replica, &count) in b {
+        let slot = joined.entry(replica).or_insert(0);
+        *slot = (*slot).max(count);
+    }
+    joined
+}
+
+fn model_delta_since(state: &CounterModel, known: &CounterModel) -> CounterModel {
+    state
+        .iter()
+        .filter(|(replica, &count)| count > known.get(replica).copied().unwrap_or(0))
+        .map(|(&replica, &count)| (replica, count))
+        .collect()
+}
+
 /// Asserts the semilattice laws for three arbitrary states of one lattice type.
 fn assert_lattice_laws<L: Lattice + PartialEq>(a: &L, b: &L, c: &L) {
     // Idempotence: a ⊔ a ≡ a
@@ -247,6 +293,63 @@ lattice_law_tests!(map_lattice_laws, map_strategy());
 lattice_law_tests!(kv_lattice_laws, kv_strategy());
 
 proptest! {
+    /// The flat counter is the map it replaced, observably: same reads, same
+    /// order, same join and delta, same equality (zero-valued slots included) and
+    /// the same bytes.
+    #[test]
+    fn gcounter_matches_its_map_model(
+        (a, a_model) in modelled_counter_strategy(),
+        (b, b_model) in modelled_counter_strategy(),
+    ) {
+        prop_assert_eq!(a.value(), a_model.values().sum::<u64>());
+        prop_assert_eq!(a.contributors(), a_model.values().filter(|&&count| count > 0).count());
+        for replica in (0..13).map(ReplicaId::new) {
+            prop_assert_eq!(a.slot(replica), a_model.get(&replica).copied().unwrap_or(0));
+        }
+        prop_assert_eq!(a.leq(&b), model_leq(&a_model, &b_model));
+        prop_assert_eq!(a == b, a_model == b_model);
+        prop_assert_eq!(&a, &counter_of(&a_model));
+        prop_assert_eq!(&a.clone().joined(&b), &counter_of(&model_join(&a_model, &b_model)));
+        prop_assert_eq!(&a.delta_since(&b), &counter_of(&model_delta_since(&a_model, &b_model)));
+        prop_assert_eq!(wire::to_vec(&a).unwrap(), wire::to_vec(&a_model).unwrap());
+        prop_assert_eq!(format!("{a:?}"), format!("GCounter {{ slots: {a_model:?} }}"));
+    }
+
+    /// An in-place decode leaves exactly what a fresh decode builds, whatever the
+    /// resident held: fewer slots, more, a spilled buffer, or a counter that
+    /// another handle still reads (which must not move).
+    #[test]
+    fn gcounter_in_place_decode_matches_a_fresh_one(
+        (incoming, _) in modelled_counter_strategy(),
+        (resident, _) in modelled_counter_strategy(),
+    ) {
+        let bytes = wire::to_vec(&incoming).unwrap();
+        let fresh: GCounter = wire::from_slice(&bytes).unwrap();
+        prop_assert_eq!(&fresh, &incoming);
+
+        let mut place = resident.clone();
+        wire::from_slice_in_place(&bytes, &mut place).unwrap();
+        prop_assert_eq!(&place, &fresh);
+        // And back: the resident that just took `incoming`'s shape takes its own
+        // again, crossing the inline capacity the other way.
+        wire::from_slice_in_place(&wire::to_vec(&resident).unwrap(), &mut place).unwrap();
+        prop_assert_eq!(&place, &resident);
+
+        let mut shared = Arc::new(resident.clone());
+        let reader = Arc::clone(&shared);
+        wire::from_slice_in_place(&bytes, &mut shared).unwrap();
+        prop_assert_eq!(&*shared, &fresh);
+        prop_assert_eq!(&*reader, &resident);
+
+        // A frame cut short fails, and the resident it was aimed at still decodes.
+        if bytes.len() > 1 {
+            let mut place = resident;
+            prop_assert!(wire::from_slice_in_place::<GCounter>(&bytes[..bytes.len() - 1], &mut place).is_err());
+            wire::from_slice_in_place(&bytes, &mut place).unwrap();
+            prop_assert_eq!(&place, &fresh);
+        }
+    }
+
     /// Snapshot isolation: clones share their entries, yet whatever grows one of them
     /// never shows in the other — both behave exactly like deep copies.
     #[test]

@@ -67,12 +67,14 @@ use serde::Serialize;
 pub mod mailbox;
 mod mesh;
 mod node;
+mod resident;
 mod router;
 mod telemetry;
 mod worker;
 
 pub use mesh::{LocalMesh, Outbound};
 pub use node::{EngineNode, NodeIngress};
+pub use resident::{Received, Residents};
 pub use router::RouterRequest;
 
 /// Everything the engine requires of a key: the sharded keyspace's own bounds

@@ -393,7 +393,7 @@ mod tests {
     use std::sync::{Condvar, OnceLock};
 
     use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
-    use crdt_paxos_core::{Message, RequestId, ResponseBody, ShardEnvelope};
+    use crdt_paxos_core::{Message, Payload, PayloadMode, RequestId, ResponseBody, ShardEnvelope};
     use obs::{Histogram, Stopwatch};
     use quorum::ShardId;
 
@@ -487,17 +487,45 @@ mod tests {
     struct FrameMesh {
         ingress: OnceLock<Vec<NodeIngress<u64, GCounter>>>,
         write_nanos: Arc<Histogram>,
+        /// Protocol frames handed to each node.
+        delivered: [AtomicU64; 3],
+    }
+
+    impl FrameMesh {
+        /// Three two-shard nodes wired through a mesh of their own, every
+        /// assignment published.
+        fn cluster(config: ProtocolConfig, trace: TraceConfig) -> (Arc<Self>, Vec<Node>) {
+            let mesh = Arc::new(FrameMesh {
+                ingress: OnceLock::new(),
+                write_nanos: Arc::new(Histogram::new()),
+                delivered: Default::default(),
+            });
+            let nodes: Vec<Node> = members()
+                .into_iter()
+                .map(|id| {
+                    let outbound = Arc::clone(&mesh) as Arc<dyn Outbound<u64, GCounter>>;
+                    Node::start_observed(id, members(), 2, config.clone(), outbound, trace)
+                })
+                .collect();
+            assert!(mesh.ingress.set(nodes.iter().map(Node::ingress).collect()).is_ok());
+            eventually("every assignment to be published", || {
+                nodes.iter().all(|node| node.shared.published().is_some())
+            });
+            (mesh, nodes)
+        }
     }
 
     impl Outbound<u64, GCounter> for FrameMesh {
         fn send(&self, envelope: ShardEnvelope<KvMap>) {
-            let Some(target) =
-                self.ingress.get().and_then(|all| all.get(envelope.to.as_u64() as usize))
-            else {
+            let to = envelope.to.as_u64() as usize;
+            let Some(target) = self.ingress.get().and_then(|all| all.get(to)) else {
                 return;
             };
             let write = Stopwatch::start();
             let frame = Bytes::from(wire::to_vec(&envelope.message).expect("encode envelope"));
+            if crate::router::peek_protocol(&frame).is_some() {
+                self.delivered[to].fetch_add(1, Ordering::Relaxed);
+            }
             target.deliver_frame(envelope.from, frame);
             self.write_nanos.record(write.elapsed_nanos());
         }
@@ -529,24 +557,10 @@ mod tests {
     /// workers hand back — and every stage has data over an encoding mesh.
     #[test]
     fn stage_accounting_is_exact_across_a_cutover_with_reroutes() {
-        let mesh = Arc::new(FrameMesh {
-            ingress: OnceLock::new(),
-            write_nanos: Arc::new(Histogram::new()),
-        });
-        let nodes: Vec<Node> = members()
-            .into_iter()
-            .map(|id| {
-                let outbound = Arc::clone(&mesh) as Arc<dyn Outbound<u64, GCounter>>;
-                let trace = TraceConfig::sampled(1, 4096);
-                Node::start_observed(id, members(), 2, ProtocolConfig::default(), outbound, trace)
-            })
-            .collect();
-        assert!(mesh.ingress.set(nodes.iter().map(Node::ingress).collect()).is_ok());
+        let (mesh, nodes) =
+            FrameMesh::cluster(ProtocolConfig::default(), TraceConfig::sampled(1, 4096));
         let node = &nodes[0];
         node.obs().register_histogram("stage_socket_write_nanos", Arc::clone(&mesh.write_nanos));
-        eventually("every assignment to be published", || {
-            nodes.iter().all(|node| node.shared.published().is_some())
-        });
         let client = ClientId(7);
         let mut proposed = Vec::new();
 
@@ -602,11 +616,28 @@ mod tests {
         };
         let frame = Bytes::from(wire::to_vec(&message).expect("encode"));
         let at = now_nanos(node.shared.start);
+        // The worker reads the superseded stamp off the frame's preamble and
+        // hands the bytes back as they came: a frame whose body would not
+        // even decode is rerouted all the same, not dropped as undecodable.
+        let merge = ShardMessage::Protocol {
+            epoch: 0,
+            shards: 2,
+            shard: ShardId(0),
+            message: Message::Merge {
+                request: RequestId(u64::MAX),
+                payload: Payload::Full([(3, GCounter::new())].into_iter().collect::<KvMap>()),
+            },
+        };
+        let merge = wire::to_vec(&merge).expect("encode");
+        let cut_short = Bytes::from(merge[..merge.len() - 1].to_vec());
+        assert!(stale.dispatch(IngressItem::Frame(ReplicaId::new(1), cut_short), at).is_ok());
         assert!(stale.dispatch(IngressItem::Frame(ReplicaId::new(1), frame), at).is_ok());
         assert!(stale.dispatch(IngressItem::Message(ReplicaId::new(1), message), at).is_ok());
-        // Ten forced here; the cutover may have overtaken some of the burst too
-        // (a submit drained together with the `Install` is applied after it).
-        eventually("the reroutes to be counted", || node.obs_snapshot().counter("rerouted") >= 10);
+        // Eleven forced here; the cutover may have overtaken some of the burst
+        // too (a submit drained together with the `Install` is applied after
+        // it).
+        eventually("the reroutes to be counted", || node.obs_snapshot().counter("rerouted") >= 11);
+        assert_eq!(node.obs_snapshot().counter("frames_undecodable"), 0);
 
         // Steady state under the new assignment.
         for key in 0..8u64 {
@@ -635,5 +666,71 @@ mod tests {
             assert_eq!(logged, expected, "{} ring events", stage.name());
         }
         assert_eq!(node.try_response().map(|response| response.command), None);
+    }
+
+    /// Runs `reads` updates and then as many quiet reads through node 0 of a
+    /// three-replica cluster over the encoding mesh, one command at a time,
+    /// and returns per node `(protocol frames delivered, frames decoded,
+    /// replies skipped)` once every frame has been accounted for.
+    fn frame_accounting(payload_mode: PayloadMode, reads: u64) -> Vec<(u64, u64, u64)> {
+        // No retransmissions: on a slow machine a re-sent `PREPARE` would be
+        // answered by `ACK`s of its own.
+        let config = ProtocolConfig { payload_mode, retransmit_after_ms: 0, ..Default::default() };
+        let (mesh, nodes) = FrameMesh::cluster(config, TraceConfig::disabled());
+        let client = ClientId(7);
+        for command in (0..reads).map(increment).chain((0..reads).map(read)) {
+            let id = nodes[0].submit(client, command);
+            await_all(&nodes[0], &[id]);
+        }
+        let accounts = || -> Vec<(u64, u64, u64)> {
+            nodes
+                .iter()
+                .zip(&mesh.delivered)
+                .map(|(node, delivered)| {
+                    let snapshot = node.obs_snapshot();
+                    let decoded = snapshot.histogram("stage_decode_nanos").map_or(0, |h| h.count());
+                    assert_eq!(snapshot.counter("frames_undecodable"), 0);
+                    assert_eq!(snapshot.counter("rerouted"), 0);
+                    let skipped = snapshot.counter("replies_skipped");
+                    (delivered.load(Ordering::Relaxed), decoded, skipped)
+                })
+                .collect()
+        };
+        // A command is answered at quorum; the third replica's frames are
+        // still on their way then.
+        eventually("every delivered frame to be decoded or skipped", || {
+            accounts().iter().all(|&(delivered, decoded, skipped)| delivered == decoded + skipped)
+        });
+        let accounts = accounts();
+        for node in nodes {
+            node.shutdown();
+        }
+        accounts
+    }
+
+    /// In the paper's full-state mode a quiet read is answered by the first
+    /// peer `ACK`; the second arrives for an instance that is gone, and is
+    /// dropped at the peek — exactly one per read, nothing else, and only at
+    /// the proposer. Every other frame is decoded, and counted as decoded.
+    #[test]
+    fn late_acks_are_skipped_undecoded_in_full_mode() {
+        let reads = 40;
+        let accounts = frame_accounting(PayloadMode::Full, reads);
+        // Per command the proposer hears from both peers, each peer once
+        // from the proposer.
+        assert_eq!(accounts[0], (4 * reads, 3 * reads, reads));
+        assert_eq!(accounts[1], (2 * reads, 2 * reads, 0));
+        assert_eq!(accounts[2], (2 * reads, 2 * reads, 0));
+    }
+
+    /// With delta payloads a late reply still teaches the proposer what its
+    /// peer holds, so none is skipped.
+    #[test]
+    fn late_acks_are_decoded_in_delta_mode() {
+        let reads = 40;
+        for (delivered, decoded, skipped) in frame_accounting(PayloadMode::DeltaWhenPossible, reads)
+        {
+            assert_eq!((delivered - decoded, skipped), (0, 0));
+        }
     }
 }

@@ -70,6 +70,11 @@ pub(crate) struct WorkerObs {
     /// Directly delivered inputs the worker handed back to the router because
     /// they were routed under an assignment other than the worker's own.
     pub rerouted: Arc<Counter>,
+    /// State-bearing replies (`ACK`, `NACK`) to an instance that had already
+    /// retired, dropped at the preamble peek instead of decoded.
+    pub replies_skipped: Arc<Counter>,
+    /// Frames dropped because they did not decode to a protocol message.
+    pub frames_undecodable: Arc<Counter>,
     /// Largest mailbox batch drained in one pump cycle.
     pub mailbox_depth: Arc<HighWater>,
     /// The worker's trace ring (client commands log dwell/step/learn here).
@@ -81,12 +86,21 @@ impl WorkerObs {
     pub fn new(registry: &ObsRegistry, trace: TraceConfig) -> Self {
         let stages = StageSet::new();
         stages.register_into(registry);
-        let parks = Arc::new(Counter::new());
-        registry.register_counter("worker_parks", Arc::clone(&parks));
-        let rerouted = Arc::new(Counter::new());
-        registry.register_counter("rerouted", Arc::clone(&rerouted));
+        let counter = |name| {
+            let counter = Arc::new(Counter::new());
+            registry.register_counter(name, Arc::clone(&counter));
+            counter
+        };
         let mailbox_depth = Arc::new(HighWater::new());
         registry.register_highwater("worker_mailbox_depth", Arc::clone(&mailbox_depth));
-        WorkerObs { stages, parks, rerouted, mailbox_depth, ring: Arc::new(TraceRing::new(trace)) }
+        WorkerObs {
+            stages,
+            parks: counter("worker_parks"),
+            rerouted: counter("rerouted"),
+            replies_skipped: counter("replies_skipped"),
+            frames_undecodable: counter("frames_undecodable"),
+            mailbox_depth,
+            ring: Arc::new(TraceRing::new(trace)),
+        }
     }
 }

@@ -14,13 +14,26 @@
 //! `Shutdown`). A direct producer read its snapshot some time before it
 //! pushed, so its item can land behind the `Install` of a newer assignment.
 //! That is why every `Peer`, `Frame` and [`Submit`] carries the stamp it was
-//! routed under and the worker **re-checks it against its own**: on a mismatch
+//! routed under (a frame in its own preamble) and the worker **re-checks it
+//! against its own**: on a mismatch
 //! the input is not applied — this core may no longer own the key — but handed
 //! back to the router over `feedback` ([`WorkerFeedback::Stale`]), which runs
 //! it through the current fence (stale peer traffic is bounced, a command is
 //! routed to its new owner). The hand-back never blocks: `feedback` is
 //! unbounded, because the router does not drain its request queue while it
 //! waits in the cutover barrier.
+//!
+//!
+//! A `Frame` is the one input the worker has to pay to read, and what it pays
+//! is what a command costs once a shard holds more than a few keys. So it
+//! reads the frame's six-varint preamble first ([`Residents::receive`]) and
+//! decides from that alone: a stamp other than its own — the frame goes back
+//! as the bytes it came in; an `ACK`/`NACK` for an instance that has retired
+//! ([`ShardCore::wants_reply`]) — dropped and counted; anything else — decoded
+//! in place into the long-lived message of that *kind*, whose maps, counters
+//! and slots the previous frame of the kind left behind for this one to
+//! overwrite. In steady state receiving a frame allocates nothing, whatever
+//! order the kinds arrive in (`alloc_gate`'s mixed cases hold it to that).
 //!
 //! [`EngineNode::submit`]: crate::EngineNode::submit
 //! [`NodeIngress`]: crate::NodeIngress
@@ -42,6 +55,7 @@ use obs::{Stage, Stopwatch};
 use crate::mailbox::{Mailbox, Signal};
 use crate::mesh::Outbound;
 use crate::node::{IngressItem, NodeShared};
+use crate::resident::{Received, Residents};
 use crate::telemetry::{now_nanos, WorkerObs};
 use crate::{EngineKey, EngineValue};
 
@@ -62,9 +76,10 @@ pub(crate) enum WorkerInput<K: EngineKey, V: EngineValue> {
     Peer { from: ReplicaId, stamp: Stamp, message: Message<LatticeMap<K, V>>, at: u64 },
     /// One fenced protocol message still in its encoded wire frame. The
     /// dispatcher has peeked the stamp and applied the fence; the worker
-    /// decodes the body in place into its long-lived scratch message (so
-    /// steady-state delta frames reach the core without allocating) and takes
-    /// the tag from the stamp it decodes anyway.
+    /// peeks again — the tag it re-checks is the stamp in the frame's own
+    /// preamble — and decodes the body in place into the resident message of
+    /// its kind ([`Residents`]), so steady-state frames reach the core
+    /// without allocating.
     Frame { from: ReplicaId, frame: Bytes, at: u64 },
     /// A single-key client command.
     Submit(Submit<K, V>),
@@ -196,11 +211,11 @@ fn run<K: EngineKey, V: EngineValue>(
     // allocating after warm-up; entries are reclaimed by the response drain
     // (or at a cutover, for the commands it moves to another owner).
     let mut pending: Vec<(CommandId, u64)> = Vec::new();
-    // Decode target reused across frames: after the first frame of a kind,
-    // in-place decode rewrites the resident variant field by field, reusing
-    // its payload's map nodes and value allocations instead of building fresh
-    // ones (`wire::from_bytes_in_place`).
-    let mut scratch: ShardMessage<LatticeMap<K, V>> = ShardMessage::PlanRequest;
+    // Decode targets reused across frames, one per message kind: a worker's
+    // inbound stream alternates kinds (`MERGE`/`PREPARE` at an acceptor,
+    // `MERGED`/`ACK` at a proposer), and a single target would be torn down
+    // and rebuilt on every flip.
+    let mut residents: Residents<LatticeMap<K, V>> = Residents::new();
     loop {
         let drained = inbox.drain_into(&mut inputs);
         obs.mailbox_depth.observe(drained as u64);
@@ -239,23 +254,22 @@ fn run<K: EngineKey, V: EngineValue>(
                 }
                 WorkerInput::Frame { from, frame, at } => {
                     obs.stages.record(Stage::MailboxDwell, now.saturating_sub(at));
-                    // Decode failures drop the frame (the protocol tolerates
-                    // losses); a non-Protocol variant cannot pass the
-                    // dispatcher's peek, so the else branch is unreachable for
-                    // frames that decoded at all.
                     let decode = Stopwatch::start();
-                    if wire::from_bytes_in_place(&frame, &mut scratch).is_ok() {
-                        obs.stages.record(Stage::Decode, decode.elapsed_nanos());
-                        if let ShardMessage::Protocol { epoch, shards, message, .. } = &mut scratch
-                        {
-                            if (*epoch, *shards) != stamp {
-                                reroute(StaleInput::Ingress(IngressItem::Frame(from, frame)));
-                                continue;
-                            }
+                    let wanted = |request| core.wants_reply(request);
+                    match residents.receive(&frame, stamp, wanted) {
+                        Received::Message(message) => {
+                            obs.stages.record(Stage::Decode, decode.elapsed_nanos());
                             let step = Stopwatch::start();
                             core.handle_message_mut(from, message);
                             obs.stages.record(Stage::ProtocolStep, step.elapsed_nanos());
                         }
+                        Received::Stale => {
+                            reroute(StaleInput::Ingress(IngressItem::Frame(from, frame)));
+                        }
+                        Received::Skipped => obs.replies_skipped.incr(),
+                        // The protocol tolerates losses; the counter is the
+                        // only trace a dropped frame leaves.
+                        Received::Undecodable => obs.frames_undecodable.incr(),
                     }
                 }
                 WorkerInput::FanoutLeg { client, outer } => core.submit_fanout_leg(client, outer),
