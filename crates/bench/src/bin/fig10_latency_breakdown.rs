@@ -28,16 +28,12 @@
 //! hold on any core count.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crdt::{CounterQuery, CounterUpdate, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId};
-use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ShardEnvelope};
-use engine::{EngineNode, Outbound};
+use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
+use crdt_paxos_core::{ClientId, Command, ProtocolConfig};
+use engine::{EngineNode, TcpNode};
 use obs::{assemble_timelines, Histogram, ObsSnapshot, Stage, TraceConfig};
-use transport::tcp::TcpMesh;
-
-type KvMap = LatticeMap<u64, GCounter>;
 
 /// Keys spread uniformly over the keyspace; the fig9 workload.
 const KEYS: u64 = 64;
@@ -52,78 +48,20 @@ const TRACE_CAPACITY: usize = 4096;
 /// How long the drain may take before in-flight commands count as lost.
 const DRAIN_GRACE: Duration = Duration::from_secs(10);
 
-/// The engine -> mesh bridge: worker and router threads serialize each
-/// destination run straight into the peer's recycled `send_with` batch buffer
-/// (same shape as fig8's bridge).
-struct TcpOutbound {
-    mesh: Arc<TcpMesh>,
-}
-
-impl Outbound<u64, GCounter> for TcpOutbound {
-    fn send(&self, envelope: ShardEnvelope<KvMap>) {
-        let (to, message) = envelope.into_parts();
-        let _ = self.mesh.send_with(to.as_u64(), |encoder| encoder.encode(&message));
-    }
-
-    fn send_batch(&self, envelopes: &mut Vec<ShardEnvelope<KvMap>>) {
-        let mut index = 0;
-        while index < envelopes.len() {
-            let peer = envelopes[index].to;
-            let mut end = index + 1;
-            while end < envelopes.len() && envelopes[end].to == peer {
-                end += 1;
-            }
-            let run = &envelopes[index..end];
-            let _ = self.mesh.send_with(peer.as_u64(), |encoder| {
-                for envelope in run {
-                    encoder.encode(&envelope.message)?;
-                }
-                Ok(())
-            });
-            index = end;
-        }
-        envelopes.clear();
-    }
-}
-
-struct Replica {
-    node: Arc<EngineNode<u64, GCounter>>,
-    tasks: Vec<tokio::JoinHandle<()>>,
-}
-
 /// Boots the 3-replica TCP cluster. Every node records stage histograms and
-/// counters (always on); node 0 additionally samples traces.
-async fn start_cluster(mesh_addrs: Vec<(u64, String)>) -> Vec<Replica> {
-    let members: Vec<ReplicaId> =
-        mesh_addrs.iter().map(|(peer, _)| ReplicaId::new(*peer)).collect();
+/// counters (always on), its mesh's socket-side stats included; node 0
+/// additionally samples traces.
+async fn start_cluster(mesh_addrs: Vec<(u64, String)>) -> Vec<TcpNode<u64, GCounter>> {
     let mut replicas = Vec::new();
-    for (id, listen) in mesh_addrs.iter().map(|(id, addr)| (*id, addr.clone())) {
-        let mesh =
-            Arc::new(TcpMesh::bind(id, &listen, &mesh_addrs).await.expect("bind replica mesh"));
-        let trace = if id == 0 {
+    for (id, listen) in &mesh_addrs {
+        let trace = if *id == 0 {
             TraceConfig::sampled(TRACE_SAMPLE, TRACE_CAPACITY)
         } else {
             TraceConfig::disabled()
         };
-        let node = Arc::new(EngineNode::start_observed(
-            ReplicaId::new(id),
-            members.clone(),
-            SHARDS,
-            ProtocolConfig::default(),
-            Arc::new(TcpOutbound { mesh: Arc::clone(&mesh) }),
-            trace,
-        ));
-        // The mesh's socket-side stats join the node's registry, so one
-        // snapshot covers the whole replica including its writer tasks.
-        mesh.stats().register_into(&node.obs());
-        let ingress = node.ingress();
-        let recv_mesh = Arc::clone(&mesh);
-        let tasks = vec![tokio::spawn(async move {
-            while let Ok((from, frame)) = recv_mesh.recv_frame().await {
-                ingress.deliver_frame(ReplicaId::new(from), frame);
-            }
-        })];
-        replicas.push(Replica { node, tasks });
+        let config = ProtocolConfig::default();
+        let node = TcpNode::bind(*id, listen, &mesh_addrs, SHARDS, config, trace).await;
+        replicas.push(node.expect("bind replica mesh"));
     }
     replicas
 }
@@ -333,23 +271,21 @@ fn main() {
     // The replicas' socket tasks run on the shim's shared worker pool, so
     // the blocking driver below can own the main thread.
     let replicas = tokio::runtime::block_on(start_cluster(mesh_addrs));
-    assert!(warmup(&replicas[0].node), "cluster did not come up");
+    assert!(warmup(&replicas[0]), "cluster did not come up");
     eprintln!("[fig10] warmed up, driving for {} ms", duration.as_millis());
     // The warmup probes went through the same stations; the accounting check
     // below compares against this baseline so it covers exactly the measured
     // run.
-    let baseline = replicas[0].node.obs_snapshot();
+    let baseline = replicas[0].obs_snapshot();
 
     let latency = Histogram::new();
-    let result = drive(&replicas[0].node, duration, &latency);
-    let snapshot = replicas[0].node.obs_snapshot();
-    let acceptor_snapshot = replicas[1].node.obs_snapshot();
+    let result = drive(&replicas[0], duration, &latency);
+    let snapshot = replicas[0].obs_snapshot();
+    let acceptor_snapshot = replicas[1].obs_snapshot();
     let (polls, backend) = tokio::reactor_stats();
-    print_timelines(&replicas[0].node);
-    for replica in &replicas {
-        for task in &replica.tasks {
-            task.abort();
-        }
+    print_timelines(&replicas[0]);
+    for replica in replicas {
+        replica.shutdown();
     }
 
     println!();

@@ -13,11 +13,11 @@
 //! O(fds) interest-set scan per wakeup.
 //!
 //! * **crdt-paxos**: the thread-per-shard engine (4 shards), every replica
-//!   serving clients — the paper's leaderless protocol en route. The engine's
-//!   outbox runs are serialized straight into each peer's recycled
-//!   `TcpMesh::send_with` batch buffer on the worker thread — no dispatcher
-//!   task, no intermediate envelope queue — and inbound frames flow zero-copy
-//!   from the socket into `NodeIngress::deliver_frame`.
+//!   an `engine::TcpNode` serving clients — the paper's leaderless protocol en
+//!   route. The engine's outbox runs are serialized straight into each peer's
+//!   recycled `TcpMesh::send_with` batch buffer on the worker thread — no
+//!   dispatcher task, no intermediate envelope queue — and inbound frames
+//!   flow zero-copy from the socket into `NodeIngress::deliver_frame`.
 //! * **multi-paxos / raft**: the sans-io baseline replicas, each pumped by a
 //!   driver thread, followers forwarding to the single leader.
 //!
@@ -42,10 +42,10 @@ use baselines::{
     ClientId as BaseClientId, CommandId as BaseCommandId, CounterOp, CounterRegister, NodeId,
     Outgoing, Reply, ReplyBody, Request,
 };
-use crdt::{CounterQuery, CounterUpdate, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId};
-use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody, ShardEnvelope};
-use engine::{EngineNode, Outbound};
-use obs::{Histogram, HistogramSnapshot};
+use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
+use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody};
+use engine::TcpNode;
+use obs::{Histogram, HistogramSnapshot, TraceConfig};
 use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
 use tokio::io::{AsyncReadExt, AsyncWriteExt};
@@ -53,8 +53,6 @@ use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
 use transport::tcp::TcpMesh;
 use wire::framing::{FrameDecoder, FrameEncoder};
-
-type KvMap = LatticeMap<u64, GCounter>;
 
 /// Keys spread over the CRDT keyspace (the baselines collapse them onto their
 /// single replicated register).
@@ -135,49 +133,11 @@ impl ReplyMap {
 }
 
 // ---------------------------------------------------------------------------
-// System 1: CRDT Paxos engine replicas bridged to the TCP mesh.
+// System 1: CRDT Paxos engine replicas on the TCP mesh (`engine::TcpNode`).
 // ---------------------------------------------------------------------------
 
-/// Bridges the engine's outbox onto the TCP mesh *synchronously*: worker and
-/// router threads serialize each destination run straight into the peer's
-/// recycled [`TcpMesh::send_with`] batch buffer. There is no dispatcher task
-/// and no intermediate queue of owned envelopes — the only hand-off is the
-/// already-encoded batch to the peer's writer.
-struct TcpOutbound {
-    mesh: Arc<TcpMesh>,
-}
-
-impl Outbound<u64, GCounter> for TcpOutbound {
-    fn send(&self, envelope: ShardEnvelope<KvMap>) {
-        let (to, message) = envelope.into_parts();
-        let _ = self.mesh.send_with(to.as_u64(), |encoder| encoder.encode(&message));
-    }
-
-    fn send_batch(&self, envelopes: &mut Vec<ShardEnvelope<KvMap>>) {
-        // Batches arrive sorted by destination; encode each same-peer run as
-        // one contiguous wire batch.
-        let mut index = 0;
-        while index < envelopes.len() {
-            let peer = envelopes[index].to;
-            let mut end = index + 1;
-            while end < envelopes.len() && envelopes[end].to == peer {
-                end += 1;
-            }
-            let run = &envelopes[index..end];
-            let _ = self.mesh.send_with(peer.as_u64(), |encoder| {
-                for envelope in run {
-                    encoder.encode(&envelope.message)?;
-                }
-                Ok(())
-            });
-            index = end;
-        }
-        envelopes.clear();
-    }
-}
-
 struct EngineSystem {
-    nodes: Vec<Arc<EngineNode<u64, GCounter>>>,
+    nodes: Vec<Arc<TcpNode<u64, GCounter>>>,
     dispatchers: Vec<std::thread::JoinHandle<()>>,
     tasks: Vec<tokio::JoinHandle<()>>,
     stop: Arc<AtomicBool>,
@@ -185,7 +145,7 @@ struct EngineSystem {
 
 async fn serve_engine_conn(
     mut stream: TcpStream,
-    node: Arc<EngineNode<u64, GCounter>>,
+    node: Arc<TcpNode<u64, GCounter>>,
     replies: Arc<ReplyMap>,
 ) {
     let mut decoder = FrameDecoder::default();
@@ -223,32 +183,12 @@ async fn start_engine_system(
     let mut nodes = Vec::new();
     let mut dispatchers = Vec::new();
     let mut tasks = Vec::new();
-    let members: Vec<ReplicaId> =
-        mesh_addrs.iter().map(|(peer, _)| ReplicaId::new(*peer)).collect();
 
     for (id, listen) in mesh_addrs.iter().map(|(id, addr)| (*id, addr.clone())) {
-        let mesh =
-            Arc::new(TcpMesh::bind(id, &listen, &mesh_addrs).await.expect("bind replica mesh"));
-        // Engine -> sockets: no dispatcher task — the engine threads encode
-        // straight into each peer's recycled batch buffer (see TcpOutbound).
-        let node = Arc::new(EngineNode::start(
-            ReplicaId::new(id),
-            members.clone(),
-            SHARDS,
-            ProtocolConfig::default(),
-            Arc::new(TcpOutbound { mesh: Arc::clone(&mesh) }),
-        ));
+        let (config, trace) = (ProtocolConfig::default(), TraceConfig::disabled());
+        let node = TcpNode::bind(id, &listen, &mesh_addrs, SHARDS, config, trace).await;
+        let node = Arc::new(node.expect("bind replica mesh"));
         let replies = Arc::new(ReplyMap::default());
-
-        // Sockets -> engine: frames cross zero-copy, still encoded; the shard
-        // worker that owns the destination does the borrowed decode.
-        let ingress = node.ingress();
-        let recv_mesh = Arc::clone(&mesh);
-        tasks.push(tokio::spawn(async move {
-            while let Ok((from, frame)) = recv_mesh.recv_frame().await {
-                ingress.deliver_frame(ReplicaId::new(from), frame);
-            }
-        }));
 
         // Response dispatcher: a plain thread draining the node's responses
         // to the per-client reply channels.

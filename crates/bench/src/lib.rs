@@ -1,6 +1,10 @@
-//! # bench — harnesses that regenerate the paper's evaluation
+//! # bench — figure harnesses for the paper's evaluation and its extensions
 //!
-//! One binary per figure of the paper (run with `--release`):
+//! One binary per figure (run with `--release`; every one takes `--quick`, a
+//! reduced sweep used in CI, and those marked ✓ take `--check`, which exits
+//! non-zero unless the figure's acceptance criteria hold).
+//!
+//! The paper's figures, on the deterministic simulator (`cluster::sim`):
 //!
 //! * `fig1_throughput` — Figure 1: throughput vs. number of clients for five
 //!   read/update mixes and four systems,
@@ -10,13 +14,38 @@
 //!   with and without batching,
 //! * `fig4_failover` — Figure 4: 95th-percentile latency over time with a node
 //!   failure, with and without batching,
-//! * `all_figures` — runs all of the above back to back.
+//! * `all_figures` — runs fig1–fig4 back to back.
+//!
+//! Extensions beyond the paper:
+//!
+//! * `fig5_wire_bytes` — bytes on the wire, full vs. delta payloads: exact
+//!   per-message sizes (`--sizes-only`, deterministic) and per-kind totals over a
+//!   simulated run,
+//! * `fig6_sharding` ✓ — simulator: committed throughput vs. 1/2/4/8 shards
+//!   against the single-instance baseline (≥ 3× at 8 shards); stdout is
+//!   byte-identical run to run,
+//! * `fig7_rebalance` ✓ — simulator: throughput through a live 4 → 8 split
+//!   (post-split ≥ 2× pre-split, bounded dip, convergence ≤ 1 500 ms, nothing
+//!   lost or duplicated); stdout is byte-identical run to run,
+//! * `fig8_tcp_vs_baselines` ✓ — real loopback TCP: the engine (`engine::TcpNode`
+//!   replicas) vs. the Multi-Paxos and Raft baselines under 64/256/1024/4096
+//!   closed-loop client connections (zero lost/duplicated replies at every tier),
+//! * `fig9_parallel_shards` ✓ — real clock: committed ops of the thread-per-shard
+//!   engine at 1/2/4/8 shards plus a clean live 4 → 8 rebalance under load,
+//! * `fig10_latency_breakdown` ✓ — per-stage latency histograms, runtime
+//!   counters and sampled command timelines of a 3-replica `TcpNode` cluster
+//!   (exact stage accounting: one submit-queue and one quorum-wait sample per
+//!   committed command),
+//! * `alloc_gate` ✓ — a counting allocator over the inbound and outbound hot
+//!   paths: zero allocations per decoded frame, per encoded frame and per full
+//!   protocol round, also with observability recording on.
 //!
 //! Criterion micro-benchmarks (`cargo bench -p bench`) cover the substrates: CRDT
-//! join/apply throughput, protocol state-machine stepping, wire codec throughput, and
-//! end-to-end simulated cluster throughput.
-//!
-//! Pass `--quick` to any figure binary to run a reduced parameter sweep (used in CI).
+//! join/apply throughput (`crdt_ops`), protocol state-machine stepping
+//! (`protocol_step`), wire codec throughput (`wire_codec`), and end-to-end
+//! simulated cluster throughput (`sim_throughput`). Performance *claims* are
+//! made with the repo's benchmark (`benchmark/`, its own package), not with
+//! these.
 
 #![forbid(unsafe_code)]
 

@@ -191,6 +191,51 @@ fn run_to_quiescence(nodes: &mut [ShardedReplica<u64, GCounter>]) {
     }
 }
 
+/// One seeded run through a live 4 → 8 split, pinned to the figures it produced
+/// before the routing policy moved into `RouterCore`: the simulator is
+/// deterministic, so any change to what the router decides — which messages
+/// bounce or defer, in which order an install hands off, re-homes and gossips,
+/// how often a read retries — shows up here as a number, in tier-1, and not
+/// only in a manual `cmp` of two `fig7_rebalance` runs. A deliberate protocol
+/// change re-records the figures and says why.
+#[test]
+fn a_seeded_split_reproduces_its_recorded_figures_exactly() {
+    let split = vec![RebalanceEvent { replica: 0, at_ms: 250, target_shards: 8 }];
+    let mut config = rebalancing_config(0x5EED, 8, 0.0, None, split);
+    config.measure_wire_bytes = true;
+    let result = run_sharded_kv(&config, ProtocolConfig::default(), 4);
+    assert_rebalanced_run_is_sound(&result, "pinned split");
+
+    assert_eq!((result.completed_reads, result.completed_updates, result.retries), (8405, 5532, 0));
+    assert_eq!((result.orphan_replies, result.stalled_clients), (0, 0));
+    let round_trips: Vec<(u32, u64)> =
+        result.read_round_trips.iter().map(|(&trips, &reads)| (trips, reads)).collect();
+    assert_eq!(round_trips, [(1, 7580), (2, 277), (3, 465), (4, 35), (5, 36), (6, 3), (7, 9)]);
+    let wire: Vec<(&str, u64, u64)> = result
+        .wire
+        .per_kind
+        .iter()
+        .map(|(&kind, entry)| (kind, entry.messages, entry.bytes))
+        .collect();
+    let recorded = [
+        ("ACK:full", 18245, 781170),
+        ("CTRL:ACK", 2, 28),
+        ("CTRL:MERGE", 2, 16),
+        ("CTRL:MERGED", 2, 6),
+        ("CTRL:PREPARE", 2, 28),
+        ("MERGE:full", 11092, 386628),
+        ("MERGED", 11092, 75332),
+        ("NACK:full", 975, 41277),
+        ("PLANREQ", 5, 5),
+        ("PREPARE", 16, 192),
+        ("PREPARE:full", 18368, 771568),
+        ("REBALANCE", 21, 63),
+        ("VOTE:full", 1498, 63632),
+        ("VOTED", 657, 4463),
+    ];
+    assert_eq!(wire, recorded);
+}
+
 /// The acceptance criterion of the rebalance figure (`fig7_rebalance`): a 4→8
 /// split under the saturating uniform workload at least doubles committed
 /// throughput with a bounded dip and no lost or duplicated responses.

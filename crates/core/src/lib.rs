@@ -39,10 +39,14 @@
 //!   sockets — so the same core is driven single-threaded by [`ShardedReplica`]
 //!   and the deterministic simulator, and one-OS-thread-per-core by the
 //!   `engine` crate's parallel executor.
-//! * [`ShardedReplica`] — the single-threaded router over a `Vec<ShardCore>`:
-//!   deterministic key routing (`quorum::Partitioner`),
-//!   [`ShardEnvelope`]/[`ShardMessage`] multiplexing, epoch fencing
-//!   ([`fence_decision`]), fan-out aggregation, and rebalance choreography, so
+//! * [`RouterCore`] — the routing policy above the shard cores, as a second
+//!   sans-io state machine: deterministic key routing (`quorum::Partitioner`),
+//!   epoch fencing ([`fence_decision`]), plan agreement on the control shard,
+//!   the cutover choreography ([`Cutover`]) and fan-out aggregation. Inputs in,
+//!   [`RouterEffect`]s out; it touches no shard core, so the single-threaded
+//!   and the thread-per-shard executor run the *same* policy.
+//! * [`ShardedReplica`] — the single-threaded driver of a [`RouterCore`] over a
+//!   `Vec<ShardCore>`, with [`ShardEnvelope`]/[`ShardMessage`] multiplexing, so
 //!   non-conflicting commands on different key ranges agree in parallel.
 //! * [`Driver`] — the uniform `step(now, inbox) -> outbox` surface over
 //!   [`Replica`] and [`ShardedReplica`] that executors program against.
@@ -77,6 +81,7 @@ mod pool;
 mod rebalance;
 mod replica;
 mod round;
+mod router_core;
 mod shard;
 mod shard_core;
 
@@ -93,6 +98,7 @@ pub use quorum::ShardId;
 pub use rebalance::{winning_shards, ControlState, PlanPartitioner, RebalancePlan, RebalanceStats};
 pub use replica::{CancelledWork, Replica};
 pub use round::{PrepareRound, Round, RoundId};
+pub use router_core::{Cutover, RouterCore, RouterEffect};
 pub use shard::{ShardEnvelope, ShardMessage, ShardedReplica};
 pub use shard_core::{
     fence_decision, CoreRehome, FenceDecision, RehomedCommand, ShardCore, ShardOutput, Stamp,

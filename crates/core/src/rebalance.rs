@@ -4,7 +4,7 @@
 //! entire replicated value is one lattice element, so *moving* a key range is one
 //! join at the destination — there is no log to truncate, snapshot, or replay. This
 //! module provides the agreement and bookkeeping half of that design; the routing
-//! and traffic machinery lives in [`crate::ShardedReplica`].
+//! and traffic machinery lives in [`crate::RouterCore`].
 //!
 //! # How a rebalance runs
 //!

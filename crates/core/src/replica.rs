@@ -536,7 +536,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// the resident survives intact for the next frame; the reply-resolution
     /// arms (`PrepareAck`, `Nack`) genuinely consume their state, and trade it
     /// for one a finished instance has retired
-    /// ([`Replica::take_reply_state`]), so the next reply finds a populated
+    /// (`Replica::take_reply_state`), so the next reply finds a populated
     /// state to overwrite as well.
     pub fn handle_message_mut(&mut self, from: ReplicaId, message: &mut Message<C>) {
         if !self.membership.contains(&from) {

@@ -10,20 +10,25 @@
 //! *across* keys, so disjoint key ranges may run entirely independent protocol
 //! instances.
 //!
-//! [`ShardedReplica`] is the single-threaded router over that idea. Each shard
+//! [`ShardedReplica`] is the single-threaded driver of that idea. Each shard
 //! is a [`ShardCore`](crate::ShardCore) — an independent
 //! [`Replica<LatticeMap<K, V>>`] with its own acceptor state, round counter,
 //! in-flight quorums, and batching timers, packaged as a pure sans-io state
-//! machine — and the router directs every submitted key to its owner through a
-//! deterministic [`Partitioner`]. Outgoing traffic is multiplexed behind
-//! [`ShardEnvelope`]/[`ShardMessage`] (the inner protocol message tagged with
-//! its [`ShardId`] and the sender's partitioning **epoch**), so a single
-//! transport connection per peer carries all shards while quorums on different
-//! shards advance concurrently: an update on shard 0 never waits behind a
-//! contended read quorum on shard 3. The same cores, behind the same wire
-//! format, are alternatively executed one-OS-thread-per-shard by the `engine`
-//! crate — this router is the deterministic (simulator- and test-friendly)
-//! driver, the engine is the parallel one.
+//! machine. Which core a key, a message or a handed-off range goes to is
+//! decided by a [`RouterCore`] — the assignment stamp, the epoch fence, plan
+//! agreement on the control shard, the cutover choreography and fan-out
+//! aggregation, as a second pure state machine that emits
+//! [`RouterEffect`]s — and this type does nothing but *apply* those effects to
+//! its `Vec<ShardCore>` in place and collect the outboxes. Outgoing traffic is
+//! multiplexed behind [`ShardEnvelope`]/[`ShardMessage`] (the inner protocol
+//! message tagged with its [`ShardId`] and the sender's partitioning
+//! **epoch**), so a single transport connection per peer carries all shards
+//! while quorums on different shards advance concurrently: an update on shard
+//! 0 never waits behind a contended read quorum on shard 3. The same cores and
+//! the same router core, behind the same wire format, are alternatively
+//! executed one-OS-thread-per-shard by the `engine` crate — this is the
+//! deterministic (simulator- and test-friendly) driver, the engine is the
+//! parallel one, and neither holds routing logic of its own.
 //!
 //! # Dynamic resharding
 //!
@@ -57,25 +62,23 @@
 //! per-shard answer is individually linearizable, the aggregate is not a keyspace
 //! snapshot (exactly the trade the paper's per-key granularity makes).
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::hash::Hash;
 
-use crdt::{
-    Crdt, DeltaCrdt, GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId,
-    SetOutput, SetQuery,
-};
+use crdt::{Crdt, DeltaCrdt, Lattice, LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use quorum::{EpochPartitioner, HashPartitioner, Membership, Partitioner, ShardId};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ProtocolConfig;
 use crate::metrics::{Metrics, WireMetrics};
-use crate::msg::{ClientId, ClientResponse, Command, CommandId, Envelope, Message, ResponseBody};
-use crate::rebalance::{
-    winning_shards, ControlState, PlanPartitioner, RebalancePlan, RebalanceStats,
-};
+use crate::msg::{ClientId, ClientResponse, Command, CommandId, Message};
+use crate::rebalance::{ControlState, PlanPartitioner, RebalancePlan, RebalanceStats};
 use crate::replica::Replica;
-use crate::shard_core::{fence_decision, FenceDecision, ShardCore, ShardOutput, Stamp};
+use crate::router_core::{Cutover, RouterCore, RouterEffect};
+use crate::shard_core::{ShardCore, ShardOutput};
+// Names the in-file tests reach through `super::*`.
+#[cfg(test)]
+use {crate::msg::ResponseBody, crdt::MapOutput};
 
 /// What peers exchange in a sharded deployment: ordinary protocol traffic tagged
 /// with its shard and partitioning epoch, control-shard traffic, or a rebalance
@@ -97,7 +100,7 @@ pub enum ShardMessage<C: Crdt + DeltaCrdt> {
     /// carries the shard count and not just the epoch because racing coordinators
     /// may transiently install *different* assignments under the same epoch
     /// (resolved by the larger-shard-count plan superseding, mirroring
-    /// [`winning_shards`]); comparing full stamps keeps the fence airtight during
+    /// [`crate::winning_shards`]); comparing full stamps keeps the fence airtight during
     /// that window — mixed-assignment quorums can never form.
     Protocol {
         /// The sender's partitioning epoch.
@@ -134,7 +137,7 @@ pub enum ShardMessage<C: Crdt + DeltaCrdt> {
     PlanRequest,
 }
 
-/// An addressed [`ShardMessage`]: the sharded counterpart of [`Envelope`].
+/// An addressed [`ShardMessage`]: the sharded counterpart of [`crate::Envelope`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 #[serde(bound(
     serialize = "C: Serialize, C::Delta: Serialize",
@@ -155,44 +158,6 @@ impl<C: Crdt + DeltaCrdt> ShardEnvelope<C> {
         (self.to, self.message)
     }
 }
-
-/// A protocol message held back because it is stamped with a future assignment:
-/// `(sender, stamp, shard, message)`.
-type Deferred<K, V> = (ReplicaId, Stamp, ShardId, Message<LatticeMap<K, V>>);
-
-/// A client command being re-homed during a plan install:
-/// `(client, outer command id, re-submittable command)`.
-type Rehomed<K, V> = (ClientId, CommandId, Command<LatticeMap<K, V>>);
-
-/// Partial aggregate of a keyspace-wide query.
-#[derive(Debug)]
-enum FanoutAcc<K> {
-    Len(u64),
-    Keys(Vec<K>),
-}
-
-/// An in-flight keyspace-wide query, waiting for every shard's answer.
-#[derive(Debug)]
-struct Fanout<K> {
-    client: ClientId,
-    remaining: usize,
-    /// Worst round-trip count over the per-shard legs (the legs run in parallel,
-    /// so the slowest leg is the fan-out's latency).
-    round_trips: u32,
-    failed: bool,
-    acc: FanoutAcc<K>,
-}
-
-/// Coordinator-side choreography of an initiated rebalance: commit the proposal on
-/// the control shard, then read back the agreed winner, then install and gossip.
-#[derive(Debug, Clone, Copy)]
-enum ControlPhase {
-    /// Waiting for the shard-count proposal to commit.
-    Committing { command: CommandId, epoch: u64 },
-    /// Waiting for the linearizable read of the agreed proposals.
-    Reading { command: CommandId, epoch: u64 },
-}
-
 /// A replicated keyspace partitioned over independent protocol instances, with
 /// epoch-stamped dynamic resharding.
 ///
@@ -244,38 +209,24 @@ where
     V: Crdt + DeltaCrdt,
     P: Partitioner<K>,
 {
-    id: ReplicaId,
-    members: Vec<ReplicaId>,
     config: ProtocolConfig,
-    partitioner: EpochPartitioner<P>,
-    /// The last installed plan (`None` until the first rebalance); echoed to
-    /// stragglers by the epoch fence.
-    plan: Option<RebalancePlan>,
+    /// The routing policy: stamp, fence, control shard, cutover choreography,
+    /// fan-out aggregation. Everything below only applies its effects.
+    router: RouterCore<K, V, P>,
     /// Per-shard sans-IO cores, indexed by shard id. May exceed the active count
     /// after a shrinking rebalance: retired instances keep their (stale,
     /// lower-bound) states and are reactivated in place by a later growth.
     /// These are the same cores the thread-per-shard engine drives — this
     /// router is simply their single-threaded driver.
     shards: Vec<ShardCore<K, V>>,
-    /// The control shard: plans are agreed here through the ordinary protocol.
-    control: Replica<ControlState>,
-    control_phase: Option<ControlPhase>,
-    /// A rebalance target requested while another initiated here was still in
-    /// flight; started as soon as the current choreography resolves (latest
-    /// request wins).
-    queued_target: Option<u32>,
     next_command: u64,
-    fanouts: BTreeMap<CommandId, Fanout<K>>,
     responses: Vec<ClientResponse<LatticeMap<K, V>>>,
-    /// Protocol messages from future epochs, buffered until their plan installs.
-    deferred: Vec<Deferred<K, V>>,
     /// Bounce replies and plan gossip produced outside the per-core outboxes.
     extra: Vec<ShardEnvelope<LatticeMap<K, V>>>,
+    /// Reused buffer for the router core's effects (no per-cycle allocs).
+    effects: Vec<RouterEffect<K, V>>,
     /// Reused drain buffer for the per-core outputs (no per-cycle allocs).
     output_scratch: Vec<ShardOutput<K, V>>,
-    /// Reused drain buffer for control-shard envelopes (no per-cycle allocs).
-    control_scratch: Vec<Envelope<ControlState>>,
-    stats: RebalanceStats,
 }
 
 impl<K, V> ShardedReplica<K, V, HashPartitioner>
@@ -305,10 +256,6 @@ where
     V: Crdt + DeltaCrdt,
     P: Partitioner<K> + PlanPartitioner,
 {
-    /// How many future-epoch messages are buffered while a plan is in flight;
-    /// overflow is dropped (the sender's retransmission recovers it).
-    const DEFERRED_CAP: usize = 4096;
-
     /// Creates a sharded replica routing through the given partitioner (epoch 0).
     ///
     /// Every replica of the cluster must be constructed with an identical
@@ -324,46 +271,43 @@ where
         partitioner: P,
         config: ProtocolConfig,
     ) -> Self {
-        let shard_count = <P as Partitioner<K>>::shards(&partitioner);
-        assert!(shard_count > 0, "a sharded replica needs at least one shard");
-        let shards = (0..shard_count)
-            .map(|shard| ShardCore::new(ShardId(shard), id, members.clone(), config.clone()))
-            .collect();
-        // The control shard never batches: plan agreement is rare, tiny, and
-        // latency-sensitive (the whole cluster fences on its outcome).
-        let control_config = ProtocolConfig { batching: false, ..config.clone() };
-        let control = Replica::new(id, members.clone(), ControlState::default(), control_config);
-        ShardedReplica {
-            id,
-            members,
+        let mut replica = ShardedReplica {
+            router: RouterCore::new(id, members, partitioner, &config),
             config,
-            partitioner: EpochPartitioner::new(partitioner),
-            plan: None,
-            shards,
-            control,
-            control_phase: None,
-            queued_target: None,
+            shards: Vec::new(),
             next_command: 0,
-            fanouts: BTreeMap::new(),
             responses: Vec::new(),
-            deferred: Vec::new(),
             extra: Vec::new(),
+            effects: Vec::new(),
             output_scratch: Vec::new(),
-            control_scratch: Vec::new(),
-            stats: RebalanceStats::default(),
+        };
+        replica.grow_to(replica.router.active());
+        replica
+    }
+
+    /// Grows the instance table to `count` cores, deterministically (every
+    /// replica constructs the same instances).
+    fn grow_to(&mut self, count: usize) {
+        while self.shards.len() < count {
+            self.shards.push(ShardCore::new(
+                ShardId(self.shards.len() as u32),
+                self.router.id(),
+                self.router.members().to_vec(),
+                self.config.clone(),
+            ));
         }
     }
 
     /// This replica's id.
     pub fn id(&self) -> ReplicaId {
-        self.id
+        self.router.id()
     }
 
     /// Number of **active** shards (independent protocol instances the current
     /// partitioning routes onto). See [`ShardedReplica::instance_count`] for the
     /// total including retired instances.
     pub fn shard_count(&self) -> u32 {
-        <EpochPartitioner<P> as Partitioner<K>>::shards(&self.partitioner)
+        self.router.stamp().1
     }
 
     /// Total number of protocol instances held, including instances retired by a
@@ -374,33 +318,33 @@ where
 
     /// The current partitioning epoch (0 until the first rebalance completes).
     pub fn epoch(&self) -> u64 {
-        self.partitioner.epoch()
+        self.router.stamp().0
     }
 
     /// The last installed rebalance plan, if any.
     pub fn current_plan(&self) -> Option<RebalancePlan> {
-        self.plan
+        self.router.plan()
     }
 
     /// Counters describing this replica's view of past and ongoing rebalances.
     pub fn rebalance_stats(&self) -> RebalanceStats {
-        self.stats
+        self.router.stats()
     }
 
     /// Returns `true` while this replica is coordinating a rebalance it initiated
     /// (committing or reading back the plan on the control shard).
     pub fn rebalance_in_progress(&self) -> bool {
-        self.control_phase.is_some()
+        !self.router.rebalance_idle()
     }
 
     /// The epoch-stamped partitioner routing keys to shards.
     pub fn partitioner(&self) -> &EpochPartitioner<P> {
-        &self.partitioner
+        self.router.partitioner()
     }
 
     /// The shard owning `key` under the current epoch.
     pub fn shard_of(&self, key: &K) -> ShardId {
-        self.partitioner.shard_of(key)
+        self.router.partitioner().shard_of(key)
     }
 
     /// The replica group (identical across shards).
@@ -450,13 +394,13 @@ where
 
     /// Records the encoded size of one outgoing control or rebalance message.
     pub fn record_control_wire_bytes(&mut self, kind: &'static str, bytes: u64) {
-        self.control.record_wire_bytes(kind, bytes);
+        self.router.record_control_wire_bytes(kind, bytes);
     }
 
     /// Encoded bytes-on-the-wire of control and rebalance traffic (filled by
     /// [`ShardedReplica::record_control_wire_bytes`]).
     pub fn control_wire_metrics(&self) -> WireMetrics {
-        self.control.metrics().wire.clone()
+        self.router.control().metrics().wire.clone()
     }
 
     /// The whole keyspace as one map: the join of every shard's local acceptor
@@ -471,83 +415,15 @@ where
         merged
     }
 
-    /// Number of active shards as a `usize` index bound.
-    fn active(&self) -> usize {
-        self.shard_count() as usize
-    }
-
-    /// This replica's current assignment stamp: `(epoch, active shard count)`.
-    fn stamp(&self) -> Stamp {
-        (self.partitioner.epoch(), self.shard_count())
-    }
-
-    /// The client id under which this replica submits control-shard commands.
-    fn control_client(&self) -> ClientId {
-        ClientId(self.id.as_u64())
-    }
-
     /// Submits a client command, routing it to the owning shard (or fanning it out
     /// to all shards for keyspace-wide queries). Returns the id used to correlate
     /// the response.
     pub fn submit(&mut self, client: ClientId, command: Command<LatticeMap<K, V>>) -> CommandId {
         let outer = CommandId(self.next_command);
         self.next_command += 1;
-        match command {
-            single @ (Command::Update(MapUpdate::Apply { .. })
-            | Command::Query(MapQuery::Get { .. })) => {
-                self.submit_routed(client, outer, single);
-            }
-            Command::Query(query) => {
-                // Keyspace-wide query: every shard answers for the keys it owns.
-                let acc = match query {
-                    MapQuery::Len => FanoutAcc::Len(0),
-                    MapQuery::Keys => FanoutAcc::Keys(Vec::new()),
-                    MapQuery::Get { .. } => unreachable!("routed above"),
-                };
-                self.fanouts.insert(
-                    outer,
-                    Fanout { client, remaining: 0, round_trips: 0, failed: false, acc },
-                );
-                self.launch_fanout_legs(outer, client);
-            }
-        }
+        self.router.submit(client, outer, command, &mut self.effects);
+        self.apply_effects();
         outer
-    }
-
-    /// Routes a single-key command to its owning shard and records the pending
-    /// mapping (used for fresh submissions and for re-homing after a rebalance).
-    /// Only the key is retained at this layer; a rebalance reclaims the command
-    /// payload from the instance itself ([`Replica::cancel_in_flight`]).
-    fn submit_routed(
-        &mut self,
-        client: ClientId,
-        outer: CommandId,
-        command: Command<LatticeMap<K, V>>,
-    ) {
-        let key = match &command {
-            Command::Update(MapUpdate::Apply { key, .. })
-            | Command::Query(MapQuery::Get { key, .. }) => key.clone(),
-            Command::Query(_) => unreachable!("keyspace-wide queries are tracked as fan-outs"),
-        };
-        let owner = self.partitioner.shard_of(&key).as_usize();
-        self.shards[owner].submit_single(client, outer, key, command);
-    }
-
-    /// Submits one `Keys` leg per active shard for the fan-out `outer` and resets
-    /// its remaining-legs counter.
-    ///
-    /// Legs always ask for the shard's key list — even for `Len` — because the
-    /// aggregate must filter each answer down to the keys the shard currently
-    /// owns: handed-off ranges leave stale lower-bound copies at their source, and
-    /// counting those would double-count moved keys.
-    fn launch_fanout_legs(&mut self, outer: CommandId, client: ClientId) {
-        let active = self.active();
-        if let Some(fanout) = self.fanouts.get_mut(&outer) {
-            fanout.remaining = active;
-        }
-        for index in 0..active {
-            self.shards[index].submit_fanout_leg(client, outer);
-        }
     }
 
     /// Convenience wrapper: apply a nested update to `key`.
@@ -562,76 +438,8 @@ where
 
     /// Handles a shard-tagged message from another replica.
     pub fn handle_message(&mut self, from: ReplicaId, message: ShardMessage<LatticeMap<K, V>>) {
-        match message {
-            ShardMessage::Protocol { epoch, shards, shard, message } => {
-                self.handle_protocol(from, (epoch, shards), shard, message);
-            }
-            ShardMessage::Control { message } => {
-                self.control.handle_message(from, message);
-                self.poll_control();
-            }
-            ShardMessage::Rebalance { plan } => self.install_plan(plan),
-            ShardMessage::PlanRequest => {
-                if let Some(plan) = self.plan {
-                    self.extra.push(ShardEnvelope {
-                        from: self.id,
-                        to: from,
-                        message: ShardMessage::Rebalance { plan },
-                    });
-                }
-            }
-        }
-    }
-
-    /// Routes one stamped protocol message through the assignment fence.
-    fn handle_protocol(
-        &mut self,
-        from: ReplicaId,
-        stamp: Stamp,
-        shard: ShardId,
-        message: Message<LatticeMap<K, V>>,
-    ) {
-        match fence_decision(self.stamp(), stamp) {
-            FenceDecision::Bounce => {
-                // The sender routes by a superseded assignment. Its data must
-                // not bypass the handoff copies, so answer with the plan instead
-                // of processing; the sender installs it, re-homes, and retries.
-                self.stats.epoch_bounces += 1;
-                if let Some(plan) = self.plan {
-                    self.extra.push(ShardEnvelope {
-                        from: self.id,
-                        to: from,
-                        message: ShardMessage::Rebalance { plan },
-                    });
-                }
-            }
-            FenceDecision::Defer => {
-                // The sender is ahead: its plan has not reached this replica
-                // yet. Processing early would bypass the local handoff copy, so
-                // buffer until the plan installs — and ask the sender for it,
-                // because the one-shot gossip may have been lost and the
-                // sender's retransmissions would otherwise just pile up here
-                // with the same future stamp.
-                if self.deferred.len() < Self::DEFERRED_CAP {
-                    self.stats.messages_deferred += 1;
-                    self.deferred.push((from, stamp, shard, message));
-                }
-                self.extra.push(ShardEnvelope {
-                    from: self.id,
-                    to: from,
-                    message: ShardMessage::PlanRequest,
-                });
-            }
-            FenceDecision::Process => {
-                // Equal stamps mean the identical assignment, so in-range shard
-                // ids are guaranteed for well-behaved peers; anything else is a
-                // misconfiguration and is dropped rather than corrupting
-                // another instance.
-                if shard.as_usize() < self.active() {
-                    self.shards[shard.as_usize()].handle_message(from, message);
-                }
-            }
-        }
+        let cutover = self.router.on_message(from, message, &mut self.effects);
+        self.settle(cutover);
     }
 
     /// Initiates a rebalance to `target_shards` hash-partitioned shards.
@@ -639,222 +447,80 @@ where
     /// The proposal is committed on the control shard through the ordinary
     /// protocol; once durable, this replica reads back the (deterministically
     /// resolved) winner, installs it, and gossips the plan — see
-    /// [`crate::rebalance`] for the full choreography. Returns `false` if a
+    /// [`RouterCore`] for the full choreography. Returns `false` if a
     /// rebalance initiated here is still in flight — the new target is then
     /// queued (latest wins) and starts once the current choreography resolves;
     /// one runs at a time per coordinator, and racing coordinators on different
     /// replicas are resolved by the control lattice plus the assignment-stamp
     /// supersede rule.
     pub fn begin_rebalance(&mut self, target_shards: u32) -> bool {
-        if target_shards == 0 {
-            return false;
-        }
-        if self.control_phase.is_some() {
-            // One choreography at a time per coordinator; the request is not
-            // dropped — it starts as soon as the current one resolves.
-            self.queued_target = Some(target_shards);
-            return false;
-        }
-        let epoch = self.partitioner.epoch() + 1;
-        let command = self.control.submit(
-            self.control_client(),
-            Command::Update(MapUpdate::Apply {
-                key: epoch,
-                update: GSetUpdate::Insert(target_shards),
-            }),
-        );
-        self.control_phase = Some(ControlPhase::Committing { command, epoch });
-        true
-    }
-
-    /// Advances the coordinator choreography with any control-shard responses.
-    fn poll_control(&mut self) {
-        for response in self.control.take_responses() {
-            let Some(phase) = self.control_phase else { continue };
-            match phase {
-                ControlPhase::Committing { command, epoch } if command == response.command => {
-                    // The proposal is durable; a linearizable read resolves racing
-                    // proposals for the same epoch to one deterministic winner.
-                    let read = self.control.submit(
-                        self.control_client(),
-                        Command::Query(MapQuery::Get { key: epoch, query: SetQuery::Elements }),
-                    );
-                    self.control_phase = Some(ControlPhase::Reading { command: read, epoch });
-                }
-                ControlPhase::Reading { command, epoch } if command == response.command => {
-                    self.control_phase = None;
-                    if let ResponseBody::QueryDone(MapOutput::Value(Some(SetOutput::Elements(
-                        proposals,
-                    )))) = response.body
-                    {
-                        if let Some(shards) = winning_shards(&proposals) {
-                            self.install_plan(RebalancePlan { epoch, shards });
-                        }
-                    }
-                    // A rebalance requested while this one was in flight starts
-                    // now, targeting the next epoch.
-                    if let Some(target) = self.queued_target.take() {
-                        self.begin_rebalance(target);
-                    }
-                }
-                _ => {}
-            }
-        }
+        self.router.begin_rebalance(target_shards)
     }
 
     /// Installs a committed rebalance plan: grows the instance table, performs the
     /// lattice-join state handoff, fences the old assignment, re-homes in-flight
     /// work, and gossips the plan. Idempotent — plans whose `(epoch, shards)`
-    /// stamp does not supersede the current assignment are ignored. A same-epoch
-    /// plan with a larger shard count **does** supersede: racing coordinators may
-    /// transiently install different assignments under one epoch, and the
-    /// larger-shard-count winner (the same growth bias as [`winning_shards`])
-    /// displaces the loser with a fresh handoff from the replica's current
-    /// assignment; the full-stamp fence keeps the two assignments from ever
-    /// forming a mixed quorum in the interim.
+    /// stamp does not supersede the current assignment are ignored; a same-epoch
+    /// plan with a larger shard count **does** supersede (see
+    /// [`RouterCore::begin_install`]).
     pub fn install_plan(&mut self, plan: RebalancePlan) {
-        // Epoch 0 is reserved for the construction-time assignment.
-        if plan.epoch == 0 || (plan.epoch, plan.shards) <= self.stamp() {
-            return;
-        }
-        let Some(new_inner) = P::from_plan(&plan) else {
-            return;
-        };
-        let old_active = self.active();
-        let instances_before = self.shards.len();
-        if !self.partitioner.supersede(plan.epoch, new_inner) {
-            return;
-        }
-        self.plan = Some(plan);
-        self.stats.plans_installed += 1;
-        let new_active = self.active();
-
-        // Grow the instance table deterministically (every replica constructs the
-        // same instances). A shrink keeps retired instances: their states are
-        // harmless lower bounds a later split reactivates in place.
-        while self.shards.len() < new_active {
-            let shard = ShardId(self.shards.len() as u32);
-            self.shards.push(ShardCore::new(
-                shard,
-                self.id,
-                self.members.clone(),
-                self.config.clone(),
-            ));
-        }
-
-        // Lattice-join state handoff: every key the new assignment routes away
-        // from its old instance has its sub-state joined into the destination's
-        // acceptor. Nothing is deleted — the log-less design needs no truncation,
-        // and stale source copies are lower bounds a future move-back absorbs.
-        let mut moves: Vec<LatticeMap<K, V>> =
-            (0..self.shards.len()).map(|_| LatticeMap::default()).collect();
-        for source in 0..old_active {
-            let partitioner = &self.partitioner;
-            for (destination, sub) in
-                self.shards[source].extract_moves(|key| partitioner.shard_of(key))
-            {
-                self.stats.keys_moved += sub.len() as u64;
-                moves[destination.as_usize()].join(&sub);
-            }
-        }
-        for (index, sub) in moves.iter().enumerate() {
-            if !sub.is_empty() {
-                self.shards[index].absorb_moved(sub);
-            }
-        }
-
-        // Cutover: cancel every in-flight command (its old-assignment quorum can
-        // no longer be trusted to complete — peers that installed the plan
-        // bounce) and re-home it under the new assignment. Updates already
-        // applied locally are contained in the handoff copies, so they complete
-        // via a resync on their new owner; unapplied updates and queries hand
-        // their payloads back and are simply resubmitted there.
-        let mut rehome_resync: BTreeMap<usize, Vec<(ClientId, CommandId, K)>> = BTreeMap::new();
-        let mut resubmit: Vec<Rehomed<K, V>> = Vec::new();
-        for index in 0..instances_before {
-            let rehome = self.shards[index].cancel_and_rehome();
-            for (client, command, key) in rehome.applied {
-                let owner = self.partitioner.shard_of(&key).as_usize();
-                self.stats.commands_rehomed += 1;
-                rehome_resync.entry(owner).or_default().push((client, command, key));
-            }
-            for entry in rehome.resubmit {
-                self.stats.commands_rehomed += 1;
-                resubmit.push(entry);
-            }
-        }
-
-        // One resync per destination: handed-off ranges become quorum-durable
-        // ahead of client traffic, and cut-over updates complete exactly once.
-        for (index, moved) in moves.iter().enumerate().take(new_active) {
-            let rehomed = rehome_resync.remove(&index).unwrap_or_default();
-            if rehomed.is_empty() && moved.is_empty() {
-                continue;
-            }
-            self.shards[index].begin_resync(rehomed);
-        }
-
-        for (client, outer, command) in resubmit {
-            self.submit_routed(client, outer, command);
-        }
-
-        // Keyspace-wide fan-outs restart from scratch against the new shard set.
-        // Purge every remaining fan-out leg mapping first: legs that completed
-        // but whose responses are still buffered in their instance would
-        // otherwise be absorbed into the restarted aggregate, double-counting
-        // keys and emitting it before the new legs finish.
-        for core in &mut self.shards {
-            core.purge_fanout_legs();
-        }
-        let fanout_ids: Vec<CommandId> = self.fanouts.keys().copied().collect();
-        for outer in fanout_ids {
-            self.restart_fanout(outer);
-        }
-
-        // Messages that were waiting for exactly this assignment can now be
-        // processed; anything still newer keeps waiting, anything older turned
-        // stale.
-        let installed = (plan.epoch, plan.shards);
-        let deferred = std::mem::take(&mut self.deferred);
-        for (from, stamp, shard, message) in deferred {
-            match stamp.cmp(&installed) {
-                std::cmp::Ordering::Equal => {
-                    if shard.as_usize() < new_active {
-                        self.shards[shard.as_usize()].handle_message(from, message);
-                    }
-                }
-                std::cmp::Ordering::Greater => self.deferred.push((from, stamp, shard, message)),
-                std::cmp::Ordering::Less => {}
-            }
-        }
-
-        // Gossip the plan once per install, so idle replicas converge without
-        // waiting to be bounced (and a crashed coordinator cannot strand the
-        // plan: any installed replica re-announces it).
-        for index in 0..self.members.len() {
-            let peer = self.members[index];
-            if peer != self.id {
-                self.extra.push(ShardEnvelope {
-                    from: self.id,
-                    to: peer,
-                    message: ShardMessage::Rebalance { plan },
-                });
-            }
-        }
+        let cutover = self.router.begin_install(plan);
+        self.settle(cutover);
     }
 
-    /// Resets a fan-out's aggregate and resubmits its legs on the active shards.
-    fn restart_fanout(&mut self, outer: CommandId) {
-        let client = {
-            let Some(fanout) = self.fanouts.get_mut(&outer) else { return };
-            fanout.failed = false;
-            fanout.acc = match fanout.acc {
-                FanoutAcc::Len(_) => FanoutAcc::Len(0),
-                FanoutAcc::Keys(_) => FanoutAcc::Keys(Vec::new()),
-            };
-            fanout.client
-        };
-        self.launch_fanout_legs(outer, client);
+    /// Carries a plan install the router core started through, if there is
+    /// one, and applies the effects of the input that led here.
+    fn settle(&mut self, cutover: Option<Cutover<K, V>>) {
+        if let Some(mut cutover) = cutover {
+            // The driver's half of an install (see [`crate::router_core`]): every
+            // key the new assignment routes away from its old instance is
+            // extracted for its destination — nothing is deleted, stale source
+            // copies are lower bounds a future move-back absorbs — and every
+            // in-flight command is reclaimed for re-homing.
+            let before = self.shards.len();
+            self.grow_to(cutover.stamp.1 as usize);
+            for (index, core) in self.shards.iter_mut().enumerate().take(before) {
+                let moves = if index < cutover.old_active {
+                    core.extract_moves(|key| self.router.partitioner().shard_of(key))
+                } else {
+                    Vec::new()
+                };
+                let rehome = core.cancel_and_rehome();
+                // Legs that completed with their responses still buffered in
+                // the instance would otherwise leak into the restarted
+                // aggregate, double-counting keys.
+                core.purge_fanout_legs();
+                cutover.absorb(moves, rehome);
+            }
+            self.router.finish_install(cutover, &mut self.effects);
+        }
+        self.apply_effects();
+    }
+
+    /// Applies what the router core decided to the cores and the outboxes.
+    fn apply_effects(&mut self) {
+        for effect in self.effects.drain(..) {
+            match effect {
+                RouterEffect::ToShard { shard, from, message } => {
+                    self.shards[shard.as_usize()].handle_message(from, message);
+                }
+                RouterEffect::FanoutLeg { shard, client, outer } => {
+                    self.shards[shard.as_usize()].submit_fanout_leg(client, outer);
+                }
+                RouterEffect::Submit { shard, client, outer, key, command } => {
+                    self.shards[shard.as_usize()].submit_single(client, outer, key, command);
+                }
+                RouterEffect::Absorb { shard, sub, rehomed } => {
+                    let core = &mut self.shards[shard.as_usize()];
+                    if !sub.is_empty() {
+                        core.absorb_moved(&sub);
+                    }
+                    core.begin_resync(rehomed);
+                }
+                RouterEffect::ToPeer(envelope) => self.extra.push(envelope),
+                RouterEffect::Respond(response) => self.responses.push(response),
+            }
+        }
     }
 
     /// Advances every shard's notion of time (batch flushes, retransmissions).
@@ -862,17 +528,16 @@ where
         for shard in &mut self.shards {
             shard.tick(now_ms);
         }
-        self.control.tick(now_ms);
+        self.router.tick(now_ms);
     }
 
     /// Replaces the replica group on every shard (see
     /// [`Replica::update_membership`]).
     pub fn update_membership(&mut self, members: Vec<ReplicaId>) {
-        self.members = members.clone();
         for shard in &mut self.shards {
             shard.update_membership(members.clone());
         }
-        self.control.update_membership(members);
+        self.router.update_membership(members);
     }
 
     /// Drains the shard-tagged messages produced since the last call.
@@ -888,86 +553,39 @@ where
     /// (directly or through a [`crate::EnvelopePool`]) and steady-state cycles
     /// push into resident storage.
     pub fn drain_outbox_into(&mut self, sink: &mut Vec<ShardEnvelope<LatticeMap<K, V>>>) {
-        self.poll_control();
-        let stamp = self.stamp();
+        // Polled every pump cycle; almost never with a plan to install.
+        if let Some(cutover) = self.router.poll_control() {
+            self.settle(Some(cutover));
+        }
+        let stamp = self.router.stamp();
         sink.append(&mut self.extra);
         for core in &mut self.shards {
             core.drain_outbox_into(stamp, sink);
         }
-        self.control.drain_outbox_into(&mut self.control_scratch);
-        sink.extend(self.control_scratch.drain(..).map(|envelope| ShardEnvelope {
-            from: envelope.from,
-            to: envelope.to,
-            message: ShardMessage::Control { message: envelope.message },
-        }));
+        self.router.drain_control_outbox_into(sink);
     }
 
     /// Drains the client responses produced since the last call, with fan-out
     /// queries aggregated across shards.
     pub fn take_responses(&mut self) -> Vec<ClientResponse<LatticeMap<K, V>>> {
-        self.poll_control();
+        let cutover = self.router.poll_control();
+        self.settle(cutover);
+        let mut outputs = std::mem::take(&mut self.output_scratch);
         for index in 0..self.shards.len() {
-            self.shards[index].drain_outputs(&mut self.output_scratch);
-            for output in std::mem::take(&mut self.output_scratch) {
+            self.shards[index].drain_outputs(&mut outputs);
+            for output in outputs.drain(..) {
                 match output {
                     ShardOutput::Response(response) => self.responses.push(response),
                     ShardOutput::FanoutLeg { command, shard, round_trips, keys } => {
-                        self.absorb_fanout_leg(command, shard, round_trips, keys);
+                        let effects = &mut self.effects;
+                        self.router.on_fanout_leg(command, shard, round_trips, keys, effects);
+                        self.apply_effects();
                     }
                 }
             }
         }
+        self.output_scratch = outputs;
         std::mem::take(&mut self.responses)
-    }
-
-    /// Folds one shard's key-list answer into its fan-out aggregate — filtered to
-    /// the keys the shard currently owns — emitting the combined response once
-    /// every shard has answered.
-    fn absorb_fanout_leg(
-        &mut self,
-        command: CommandId,
-        shard: ShardId,
-        round_trips: u32,
-        keys: Option<Vec<K>>,
-    ) {
-        // A shard instance answers for every key in its acceptor state,
-        // including stale handoff leftovers; the router filters down to the
-        // keys the current assignment actually routes to that shard.
-        let owned: Option<Vec<K>> = keys.map(|keys| {
-            keys.into_iter().filter(|key| self.partitioner.shard_of(key) == shard).collect()
-        });
-        let Some(fanout) = self.fanouts.get_mut(&command) else { return };
-        fanout.remaining = fanout.remaining.saturating_sub(1);
-        fanout.round_trips = fanout.round_trips.max(round_trips);
-        match owned {
-            Some(keys) => match &mut fanout.acc {
-                FanoutAcc::Len(total) => *total += keys.len() as u64,
-                FanoutAcc::Keys(all) => all.extend(keys),
-            },
-            None => fanout.failed = true,
-        }
-        if fanout.remaining == 0 {
-            let fanout = self.fanouts.remove(&command).expect("fan-out present");
-            let body = if fanout.failed {
-                ResponseBody::QueryFailed
-            } else {
-                match fanout.acc {
-                    FanoutAcc::Len(total) => ResponseBody::QueryDone(MapOutput::Len(total)),
-                    FanoutAcc::Keys(mut keys) => {
-                        // Shards own disjoint key ranges; one sort restores the
-                        // keyspace-wide order `MapQuery::Keys` promises.
-                        keys.sort();
-                        ResponseBody::QueryDone(MapOutput::Keys(keys))
-                    }
-                }
-            };
-            self.responses.push(ClientResponse {
-                client: fanout.client,
-                command,
-                body,
-                round_trips: fanout.round_trips,
-            });
-        }
     }
 }
 

@@ -2,7 +2,7 @@
 //! its command ids back to the sharded engine's command ids.
 //!
 //! [`ShardCore`] is the unit both execution models drive. The single-threaded
-//! router ([`crate::ShardedReplica`]) owns a `Vec<ShardCore>` and steps them in
+//! driver ([`crate::ShardedReplica`]) owns a `Vec<ShardCore>` and steps them in
 //! shard order; the thread-per-shard executor (`crates/engine`) moves each core
 //! onto its own OS thread and feeds it through a mailbox. The core itself is a
 //! pure state machine — no channels, clocks, or sockets: inputs arrive as method
@@ -15,9 +15,12 @@
 //! The rebalance-facing methods ([`ShardCore::cancel_and_rehome`],
 //! [`ShardCore::extract_moves`], [`ShardCore::absorb_moved`],
 //! [`ShardCore::begin_resync`], [`ShardCore::purge_fanout_legs`]) are the
-//! per-shard halves of a plan installation; the choreography that sequences
+//! per-shard halves of a plan installation. The choreography that sequences
 //! them — and the epoch fence deciding when a message may reach a core at all
-//! ([`fence_decision`]) — belongs to whichever driver owns the stamp.
+//! ([`fence_decision`]) — is [`crate::RouterCore`]'s, the one owner of the
+//! stamp: it tells a driver *what* to do to which core
+//! ([`crate::RouterEffect`]), and the driver — single-threaded or one thread
+//! per core — only decides *where* that call runs.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -53,9 +56,10 @@ pub enum FenceDecision {
 
 /// The assignment fence: compares a message's stamp against the receiver's.
 ///
-/// Both drivers route every incoming protocol message through this before it
-/// can reach a [`ShardCore`] — the single-threaded router inline, the parallel
-/// engine in its per-node ingress thread. Comparing full `(epoch, shards)`
+/// Every incoming protocol message goes through this before it can reach a
+/// [`ShardCore`]: in [`crate::RouterCore::on_message`] for both drivers, and —
+/// the same function — on the parallel engine's direct ingress path, which
+/// admits matching stamps without visiting the router. Comparing full `(epoch, shards)`
 /// stamps (not just epochs) keeps racing same-epoch assignments fenced from
 /// each other, so mixed-assignment quorums can never form.
 pub fn fence_decision(current: Stamp, incoming: Stamp) -> FenceDecision {

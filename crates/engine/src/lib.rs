@@ -1,13 +1,15 @@
 //! # engine — thread-per-shard parallel execution of the sharded CRDT Paxos
 //!
 //! The protocol crates are sans-IO: [`crdt_paxos_core::ShardCore`] is a pure
-//! state machine per shard, and the single-threaded
-//! [`crdt_paxos_core::ShardedReplica`] router that the deterministic simulator
-//! drives is just one way to execute those cores. This crate is the other way:
-//! a **real-parallel executor** that puts each shard core on its own OS thread
-//! and connects everything with lock-free mailboxes, so non-conflicting
-//! commands on different shards are agreed genuinely concurrently — the
-//! multi-core payoff of the paper's per-key independence argument.
+//! state machine per shard, [`crdt_paxos_core::RouterCore`] a pure state
+//! machine for the routing policy above them, and the single-threaded
+//! [`crdt_paxos_core::ShardedReplica`] that the deterministic simulator steps
+//! is just one way to drive the two. This crate is the other way: a
+//! **real-parallel executor** that puts each shard core on its own OS thread,
+//! the router core on one more, and connects everything with lock-free
+//! mailboxes, so non-conflicting commands on different shards are agreed
+//! genuinely concurrently — the multi-core payoff of the paper's per-key
+//! independence argument.
 //!
 //! ## Topology
 //!
@@ -16,10 +18,11 @@
 //! * one **worker thread per shard** — owns that shard's [`ShardCore`] and
 //!   pumps it: drain mailbox → tick → apply → ship outbox → hand completed
 //!   commands to the node's response queue;
-//! * one **router thread** — the control plane: control shard, rebalance
-//!   choreography, fan-out aggregation, and the slow half of the ingress demux
-//!   (see [`mod@router` docs][r]). In steady state no command and no protocol
-//!   message passes through it;
+//! * one **router thread** — the control plane: it owns the node's
+//!   `RouterCore` (stamp, fence, control shard, cutover choreography, fan-out
+//!   aggregation), feeds it the slow half of the ingress demux, and applies
+//!   its effects across the mailboxes (see the `router` module's docs). In
+//!   steady state no command and no protocol message passes through it;
 //! * one published **assignment snapshot** — stamp, partitioner and the
 //!   active workers' mailboxes, replaced wholesale by the router.
 //!   [`EngineNode::submit`] and [`NodeIngress`] read it, fence and route
@@ -32,25 +35,25 @@
 //!
 //! A pusher's snapshot can be superseded between its read and its push, so
 //! workers re-check the tag and hand a mismatch back to the router instead of
-//! applying it ([`mod@worker` docs][w] say who may touch a mailbox and why);
-//! while the router has the snapshot un-published — at start-up and for the
-//! length of a cutover — everything takes the router's queues.
+//! applying it (the `worker` module's docs say who may touch a mailbox and
+//! why); while the router has the snapshot un-published — at start-up and for
+//! the length of a cutover — everything takes the router's queues.
 //!
 //! Outgoing envelopes leave through an [`Outbound`] sink: [`LocalMesh`] for
-//! in-process clusters ([`EngineCluster`]), or any transport bridge (see
-//! `examples/sharded_tcp_kv.rs`). Threads park when idle — untimed unless a
-//! retransmission or batch timer is pending — and the engine never busy-spins,
-//! so oversubscribed configurations (more shards than cores) degrade
-//! gracefully.
+//! in-process clusters ([`EngineCluster`]), [`TcpNode`] for a replica on real
+//! sockets (the one bridge to `transport::tcp::TcpMesh`, and the only thing
+//! here that touches the async runtime), or any transport of your own.
+//! Threads park when idle — untimed unless a retransmission or batch timer is
+//! pending — and the engine never busy-spins, so oversubscribed configurations
+//! (more shards than cores) degrade gracefully.
 //!
-//! Because the engine executes the *same* `ShardCore` type the simulator
-//! drives, every safety property the deterministic tests establish transfers
-//! to the parallel execution; the engine adds only scheduling. The stress test
-//! in `tests/` checks the combination end to end: per-key linearizable
-//! histories under concurrent multi-threaded clients across a live rebalance.
+//! Because the engine executes the *same* `ShardCore` and `RouterCore` types
+//! the simulator drives, every safety property the deterministic tests
+//! establish transfers to the parallel execution; the engine adds only
+//! scheduling. The stress tests in `tests/` check the combination end to end:
+//! per-key linearizable histories under concurrent multi-threaded clients
+//! across live rebalances, in process and over loopback sockets.
 //!
-//! [r]: self::router
-//! [w]: self::worker
 //! [`ShardCore`]: crdt_paxos_core::ShardCore
 
 #![forbid(unsafe_code)]
@@ -69,6 +72,7 @@ mod mesh;
 mod node;
 mod resident;
 mod router;
+pub mod tcp;
 mod telemetry;
 mod worker;
 
@@ -76,6 +80,7 @@ pub use mesh::{LocalMesh, Outbound};
 pub use node::{EngineNode, NodeIngress};
 pub use resident::{Received, Residents};
 pub use router::RouterRequest;
+pub use tcp::TcpNode;
 
 /// Everything the engine requires of a key: the sharded keyspace's own bounds
 /// plus `Hash` (the engine partitions by hash), `Send + Sync` (keys cross thread

@@ -5,12 +5,12 @@
 //! sink. In-process clusters use [`LocalMesh`], which hands the envelope
 //! straight to the destination node's ingress — in steady state onto the
 //! owning shard worker's mailbox (no serialization, no router hop on either
-//! side). Distributed deployments implement `Outbound` over a real transport
-//! — see `examples/sharded_tcp_kv.rs`, which bridges to `transport::TcpMesh`
-//! — and feed received frames back through [`NodeIngress::deliver_frame`]
-//! (zero-copy: the delivering thread peeks the routing preamble, the shard
-//! worker decodes the body in place) or decoded messages through
-//! [`NodeIngress::deliver`].
+//! side). A replica on sockets is a [`crate::TcpNode`], whose sink encodes
+//! into a `transport::tcp::TcpMesh` and whose pump feeds received frames back
+//! through [`NodeIngress::deliver_frame`] (zero-copy: the delivering thread
+//! peeks the routing preamble, the shard worker decodes the body in place).
+//! Any other transport implements `Outbound` the same way and delivers frames
+//! like that, or decoded messages through [`NodeIngress::deliver`].
 //!
 //! [`NodeIngress::deliver_frame`]: crate::NodeIngress::deliver_frame
 

@@ -128,6 +128,12 @@ impl<K: EngineKey, V: EngineValue> NodeShared<K, V> {
         self.assignment.read().expect("assignment lock poisoned").clone()
     }
 
+    /// Makes a newly spawned thread's trace ring visible to
+    /// [`EngineNode::trace_events`].
+    pub(crate) fn track_ring(&self, ring: &Arc<TraceRing>) {
+        self.rings.lock().expect("trace ring list poisoned").push(Arc::clone(ring));
+    }
+
     /// Hands a completed command to the response consumer.
     pub(crate) fn respond(&self, response: ClientResponse<LatticeMap<K, V>>) {
         self.responses.push(response);
@@ -244,11 +250,10 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         outbound: Arc<dyn Outbound<K, V>>,
     ) -> Self {
         let router_shared = Arc::clone(&shared);
-        let start = shared.start;
         let router = std::thread::Builder::new()
             .name(format!("router-{}", id.as_u64()))
             .spawn(move || {
-                Router::new(id, members, shards, config, router_shared, outbound, start).run();
+                Router::new(id, members, shards, config, router_shared, outbound).run();
             })
             .expect("spawn router");
         EngineNode { id, shared, router: Some(router) }
@@ -371,7 +376,7 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         self.stop();
     }
 
-    fn stop(&mut self) {
+    pub(crate) fn stop(&mut self) {
         self.shared.shutdown.store(true, Ordering::Release);
         self.shared.router_signal.notify();
         if let Some(router) = self.router.take() {
@@ -480,6 +485,25 @@ mod tests {
         sink.opened.notify_all();
         submitter.join().expect("submitter thread");
         assert_eq!(admitted.load(Ordering::Acquire), SUBMIT_QUEUE_DEPTH + 1);
+    }
+
+    /// Plan agreement runs on the router core's control shard, which never
+    /// batches: with a batching config a rebalance must not sit out the data
+    /// shards' flush interval (twice — the proposal, then the read-back).
+    #[test]
+    fn a_rebalance_does_not_wait_for_the_batch_interval() {
+        let config = ProtocolConfig::default().with_batch_interval_ms(2_000);
+        let cluster = crate::EngineCluster::<u64, GCounter>::new(3, 2, config);
+        let started = Instant::now();
+        cluster.node(0).begin_rebalance(4);
+        eventually("the split to install everywhere", || {
+            (0..cluster.len())
+                .map(|index| cluster.node(index))
+                .all(|node| node.epoch() == 1 && node.shard_count() == 4 && node.rebalance_idle())
+        });
+        let took = started.elapsed();
+        assert!(took < Duration::from_secs(1), "plan agreement took {took:?}");
+        cluster.shutdown();
     }
 
     /// An encoding mesh, like a socket transport: frames in through

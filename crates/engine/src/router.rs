@@ -1,31 +1,35 @@
-//! The per-node router thread: the engine-side twin of the single-threaded
-//! [`ShardedReplica`] router, driving worker threads instead of an in-place
+//! The per-node router thread: the engine's driver of
+//! [`crdt_paxos_core::RouterCore`], applying its effects across worker threads
+//! where the single-threaded [`ShardedReplica`] applies them to an in-place
 //! `Vec<ShardCore>` — and, in steady state, **off the per-command path**.
 //!
-//! The router is a node's single stamp authority: it alone decides what the
-//! current assignment is. What it decided is written down in an
-//! [`Assignment`] — stamp, partitioner and the active workers' mailboxes, one
-//! immutable value — and *published* on [`NodeShared`]. Whoever holds traffic
-//! for the node (a client thread in `submit`, a transport pump or a peer's
-//! worker in `NodeIngress::deliver*`) reads the published snapshot, runs the
-//! same [`Assignment::dispatch`] / [`Assignment::route_single`] the router
-//! runs, and pushes straight onto the owning worker's mailbox. The router
-//! keeps what needs one authority:
+//! The routing policy — the stamp, the epoch fence and its deferred queue, plan
+//! agreement on the control shard, the order of a cutover, fan-out aggregation
+//! — lives in the router core, one copy for both drivers; this module holds
+//! none of it. What it holds is what only an engine has:
 //!
-//! * **The slow half of the ingress demux** — whatever `dispatch` hands back:
-//!   control traffic, plans and plan requests, protocol messages the fence
-//!   bounces or defers, and everything that arrives while nothing is
-//!   published.
-//! * **Control shard** — the `Replica<ControlState>` that agrees rebalance
-//!   plans runs inline on the router (it is tiny and latency-insensitive).
-//! * **Rebalance choreography** — a plan install sends `Install` to every
-//!   worker, gathers their handoff/re-home replies at a barrier, then ships
-//!   the joined sub-states and resyncs to the destination workers. The barrier
-//!   only blocks the router (workers keep draining their mailboxes), and
-//!   mirrors the single-threaded install step for step.
-//! * **Fan-out aggregation** — keyspace-wide queries fan one leg per shard and
-//!   the router folds the answers, filtered to the keys each shard owns under
-//!   the current assignment.
+//! * **The published [`Assignment`]** — the core's decision (stamp,
+//!   partitioner) plus the active workers' mailboxes, one immutable value on
+//!   [`NodeShared`]. Whoever holds traffic for the node (a client thread in
+//!   `submit`, a transport pump or a peer's worker in `NodeIngress::deliver*`)
+//!   reads the published snapshot, runs the same [`Assignment::dispatch`] /
+//!   [`Assignment::route_single`] the router runs, and pushes straight onto
+//!   the owning worker's mailbox.
+//! * **The slow half of the ingress demux** — whatever `dispatch` hands back
+//!   (control traffic, plans and plan requests, protocol messages the fence
+//!   bounces or defers, everything that arrives while nothing is published)
+//!   is decoded and fed to [`RouterCore::on_message`].
+//! * **Applying effects** — a [`RouterEffect`] for a shard becomes a
+//!   [`WorkerInput`] pushed through the router's own `Assignment`, tagged with
+//!   its stamp; `ToPeer` goes to the [`Outbound`] sink, `Respond` to the
+//!   node's response queue.
+//! * **The barrier** — the driver's half of a plan install runs on the worker
+//!   threads: `Install` to every pre-existing worker, their replies gathered
+//!   into the core's [`Cutover`]. Only the router blocks; workers keep
+//!   draining their mailboxes.
+//! * **The stamp tag** — workers tag fan-out legs with the stamp they held;
+//!   the router drops legs of a superseded assignment before they reach the
+//!   core (the parallel analogue of `ShardCore::purge_fanout_legs`).
 //!
 //! ## Publish / un-publish
 //!
@@ -34,29 +38,30 @@
 //! router was the only producer, blocking in the barrier was enough. Now the
 //! install **un-publishes** the snapshot before the first `Install` is pushed
 //! — from then on every direct producer falls back to the router's queues,
-//! which the barrier does not drain — and publishes the new one only after the
-//! last `Absorb` and the re-homed resubmits are on their mailboxes. A producer
-//! that read the *old* snapshot just before may still push behind an
-//! `Install`; the worker catches that by re-checking the stamp tag and hands
-//! the input back ([`WorkerFeedback::Stale`]); the barrier sets those aside
-//! and routes them once the absorbs are out.
+//! which the barrier does not drain — and publishes the new one only after
+//! everything `finish_install` emits ahead of the gossip (the `Absorb`s, the
+//! re-homed submits, restarted fan-out legs, deferred deliveries) is on its
+//! mailbox. A producer that read the *old* snapshot just before may still push
+//! behind an `Install`; the worker catches that by re-checking the stamp tag
+//! and hands the input back ([`WorkerFeedback::Stale`]); the barrier sets
+//! those aside and routes them once the absorbs are out. The gossip leaves
+//! last, after the publish.
 //!
 //! [`ShardedReplica`]: crdt_paxos_core::ShardedReplica
+//! [`RouterCore::on_message`]: crdt_paxos_core::RouterCore::on_message
 
-use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
-use std::time::Instant;
 
-use crdt::{
-    GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId, SetOutput, SetQuery,
-};
+use crdt::{LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use crdt_paxos_core::{
-    fence_decision, winning_shards, ClientId, ClientResponse, Command, CommandId, ControlState,
-    Envelope, FenceDecision, Message, PlanPartitioner, ProtocolConfig, RebalancePlan,
-    RehomedCommand, Replica, RequestId, ResponseBody, ShardEnvelope, ShardMessage, Stamp,
+    fence_decision, ClientId, Command, CommandId, Cutover, FenceDecision, ProtocolConfig,
+    RequestId, RouterCore, RouterEffect, ShardEnvelope, ShardMessage, Stamp,
 };
-use quorum::{EpochPartitioner, HashPartitioner, Partitioner, ShardId};
+// Names the in-file tests reach through `super::*`.
+#[cfg(test)]
+use crdt_paxos_core::{Message, RebalancePlan};
+use quorum::{HashPartitioner, Partitioner, ShardId};
 
 use obs::{Stage, Stopwatch};
 
@@ -145,6 +150,20 @@ pub(crate) struct Assignment<K: EngineKey, V: EngineValue> {
 }
 
 impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
+    /// The core's current decision as a routable value: its stamp and
+    /// partitioner plus the mailboxes of the workers active under them.
+    fn snapshot(
+        core: &RouterCore<K, V, HashPartitioner>,
+        workers: &[WorkerHandle<K, V>],
+    ) -> Arc<Self> {
+        let active = workers.iter().take(core.active());
+        Arc::new(Assignment {
+            stamp: core.stamp(),
+            partitioner: *core.partitioner().inner(),
+            workers: active.map(|worker| Arc::clone(&worker.mailbox)).collect(),
+        })
+    }
+
     /// Enqueues `input` for `shard`; traffic for a shard beyond the active
     /// set is dropped, like any lost message.
     fn push(&self, shard: ShardId, input: WorkerInput<K, V>) {
@@ -233,64 +252,31 @@ pub enum RouterRequest<K: EngineKey, V: EngineValue> {
     },
 }
 
-/// Messages deferred because their stamp is ahead of the local assignment.
-type Deferred<K, V> = (ReplicaId, Stamp, ShardId, Message<LatticeMap<K, V>>);
-
-/// The coordinator's two-step rebalance choreography (commit the proposal,
-/// then read back the deterministic winner).
-#[derive(Debug, Clone, Copy)]
-enum ControlPhase {
-    Committing { command: CommandId, epoch: u64 },
-    Reading { command: CommandId, epoch: u64 },
-}
-
-/// A keyspace-wide query being aggregated across shard legs.
-struct Fanout<K> {
-    client: ClientId,
-    remaining: usize,
-    round_trips: u32,
-    failed: bool,
-    acc: FanoutAcc<K>,
-}
-
-enum FanoutAcc<K> {
-    Len(u64),
-    Keys(Vec<K>),
-}
-
+/// The router thread's state: the shared routing policy plus what is the
+/// engine's own — worker fleet, published assignment, queues and instruments.
 pub(crate) struct Router<K: EngineKey, V: EngineValue> {
-    id: ReplicaId,
-    members: Vec<ReplicaId>,
     config: ProtocolConfig,
-    partitioner: EpochPartitioner<HashPartitioner>,
-    plan: Option<RebalancePlan>,
-    control: Replica<ControlState>,
-    control_phase: Option<ControlPhase>,
-    queued_target: Option<u32>,
-    fanouts: BTreeMap<CommandId, Fanout<K>>,
-    deferred: Vec<Deferred<K, V>>,
-    /// Persistent scratch for [`Router::flush_control_outbox`]: the drained
-    /// control envelopes and the wrapped batch handed to the outbound sink.
-    /// Both keep their capacity across flushes, so a steady-state flush
-    /// allocates nothing.
-    control_scratch: Vec<Envelope<ControlState>>,
+    /// The routing policy — stamp, fence, control shard, cutover choreography,
+    /// fan-out aggregation — shared with the single-threaded `ShardedReplica`.
+    /// Everything below only applies its effects across the mailboxes.
+    core: RouterCore<K, V, HashPartitioner>,
+    /// Reused buffer for the core's effects.
+    effects: Vec<RouterEffect<K, V>>,
+    /// Reused batch for the control shard's outgoing envelopes.
     control_outbox: Vec<ShardEnvelope<LatticeMap<K, V>>>,
     /// Every worker ever spawned, retired ones included (a shrink keeps them).
     workers: Vec<WorkerHandle<K, V>>,
     /// The assignment the router itself routes by — the one it last built,
     /// published or not.
     assignment: Arc<Assignment<K, V>>,
+    /// What `NodeShared::rebalance_idle` holds, as far as the router knows.
+    idle: bool,
     shared: Arc<NodeShared<K, V>>,
     outbound: Arc<dyn Outbound<K, V>>,
-    start: Instant,
     obs: RouterObs,
 }
 
 impl<K: EngineKey, V: EngineValue> Router<K, V> {
-    /// Future-stamped messages buffered per node (same cap as the
-    /// single-threaded router).
-    const DEFERRED_CAP: usize = 4096;
-
     pub(crate) fn new(
         id: ReplicaId,
         members: Vec<ReplicaId>,
@@ -298,57 +284,26 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         config: ProtocolConfig,
         shared: Arc<NodeShared<K, V>>,
         outbound: Arc<dyn Outbound<K, V>>,
-        start: Instant,
     ) -> Self {
-        assert!(shards > 0, "a keyspace needs at least one shard");
-        let control = Replica::new(id, members.clone(), ControlState::default(), config.clone());
+        let core = RouterCore::new(id, members, HashPartitioner::new(shards), &config);
         let obs = RouterObs::new(&shared.obs, shared.trace);
-        shared.rings.lock().expect("trace ring list poisoned").push(Arc::clone(&obs.ring));
-        let partitioner = EpochPartitioner::new(HashPartitioner::new(shards));
-        let assignment = Arc::new(Assignment {
-            stamp: (0, shards),
-            partitioner: *partitioner.inner(),
-            workers: Vec::new(),
-        });
+        shared.track_ring(&obs.ring);
         let mut router = Router {
-            id,
-            members,
             config,
-            partitioner,
-            plan: None,
-            control,
-            control_phase: None,
-            queued_target: None,
-            fanouts: BTreeMap::new(),
-            deferred: Vec::new(),
-            control_scratch: Vec::new(),
+            assignment: Assignment::snapshot(&core, &[]),
+            core,
+            effects: Vec::new(),
             control_outbox: Vec::new(),
             workers: Vec::new(),
-            assignment,
+            idle: true,
             shared,
             outbound,
-            start,
             obs,
         };
-        for shard in 0..shards {
-            router.spawn_shard(ShardId(shard));
-        }
-        router.assignment = router.current_assignment();
+        router.grow_to(shards as usize);
+        router.assignment = Assignment::snapshot(&router.core, &router.workers);
         router.publish(Some(Arc::clone(&router.assignment)));
         router
-    }
-
-    /// The router's current decision as a routable value: its stamp and
-    /// partitioner plus the mailboxes of the workers active under them.
-    fn current_assignment(&self) -> Arc<Assignment<K, V>> {
-        Arc::new(Assignment {
-            stamp: self.stamp(),
-            partitioner: *self.partitioner.inner(),
-            workers: self.workers[..self.active()]
-                .iter()
-                .map(|worker| Arc::clone(&worker.mailbox))
-                .collect(),
-        })
     }
 
     /// Replaces the snapshot direct producers route by; `None` sends them to
@@ -357,44 +312,23 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         *self.shared.assignment.write().expect("assignment lock poisoned") = assignment;
     }
 
-    fn spawn_shard(&mut self, shard: ShardId) {
-        let worker_obs = WorkerObs::new(&self.shared.obs, self.shared.trace);
-        self.shared
-            .rings
-            .lock()
-            .expect("trace ring list poisoned")
-            .push(Arc::clone(&worker_obs.ring));
-        let handle = spawn_worker(
-            shard,
-            self.id,
-            self.members.clone(),
-            self.config.clone(),
-            self.stamp(),
-            Arc::clone(&self.shared),
-            Arc::clone(&self.outbound),
-            worker_obs,
-        );
-        self.workers.push(handle);
-    }
-
-    fn stamp(&self) -> Stamp {
-        (self.partitioner.epoch(), Partitioner::<K>::shards(&self.partitioner))
-    }
-
-    fn active(&self) -> usize {
-        Partitioner::<K>::shards(&self.partitioner) as usize
-    }
-
-    fn control_client(&self) -> ClientId {
-        ClientId(self.id.as_u64())
-    }
-
-    fn now_ms(&self) -> u64 {
-        self.start.elapsed().as_millis() as u64
-    }
-
-    fn now_nanos(&self) -> u64 {
-        now_nanos(self.start)
+    /// Grows the worker fleet to `count`; new workers start fenced at the
+    /// core's current stamp.
+    fn grow_to(&mut self, count: usize) {
+        while self.workers.len() < count {
+            let worker_obs = WorkerObs::new(&self.shared.obs, self.shared.trace);
+            self.shared.track_ring(&worker_obs.ring);
+            self.workers.push(spawn_worker(
+                ShardId(self.workers.len() as u32),
+                self.core.id(),
+                self.core.members().to_vec(),
+                self.config.clone(),
+                self.core.stamp(),
+                Arc::clone(&self.shared),
+                Arc::clone(&self.outbound),
+                worker_obs,
+            ));
+        }
     }
 
     pub(crate) fn run(mut self) {
@@ -404,7 +338,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         while !self.shared.shutdown.load(Ordering::Acquire) {
             // First, so that nothing below proposes against the stale clock an
             // untimed park leaves behind.
-            self.control.tick(self.now_ms());
+            self.core.tick(self.shared.start.elapsed().as_millis() as u64);
             let mut busy = 0;
             let drained = self.shared.ingress.drain_into(&mut ingress);
             self.obs.ingress_depth.observe(drained as u64);
@@ -423,7 +357,11 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
                         self.shared.admission.release();
                         self.submit(client, outer, command, Some(queued_at));
                     }
-                    RouterRequest::Rebalance { target } => self.begin_rebalance(target),
+                    RouterRequest::Rebalance { target } => {
+                        // The handle cleared the flag when it queued this.
+                        self.idle = false;
+                        self.core.begin_rebalance(target);
+                    }
                 }
             }
             let drained = self.shared.feedback.drain_into(&mut feedback);
@@ -432,17 +370,14 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             for item in feedback.drain(..) {
                 self.handle_feedback(item);
             }
-            self.poll_control();
+            let cutover = self.core.poll_control();
+            self.settle(cutover);
             self.flush_control_outbox();
             if busy == 0 {
                 self.obs.parks.incr();
-                // Only plan agreement runs on a timer here (the control
-                // replica's retransmissions, and deferred traffic waiting on a
-                // plan); with none of it pending, wake on the signal alone.
-                let timed = self.control.in_flight() > 0
-                    || self.control_phase.is_some()
-                    || !self.deferred.is_empty();
-                if timed {
+                // Only plan agreement runs on a timer here; with none of it
+                // pending, wake on the signal alone.
+                if self.core.needs_tick() {
                     self.shared.router_signal.wait_timeout(PARK);
                 } else {
                     self.shared.router_signal.wait();
@@ -459,30 +394,22 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
     }
 
     /// Ships the control replica's outbox (plan agreement traffic), batched
-    /// per destination like the worker outboxes. Drains through persistent
-    /// scratch vectors — no per-flush allocation once their capacity is warm.
+    /// per destination like the worker outboxes.
     fn flush_control_outbox(&mut self) {
-        self.control.drain_outbox_into(&mut self.control_scratch);
-        if self.control_scratch.is_empty() {
-            return;
+        self.core.drain_control_outbox_into(&mut self.control_outbox);
+        if !self.control_outbox.is_empty() {
+            self.control_outbox.sort_by_key(|envelope| envelope.to);
+            self.outbound.send_batch(&mut self.control_outbox);
+            self.control_outbox.clear();
         }
-        self.control_outbox.extend(self.control_scratch.drain(..).map(|envelope| ShardEnvelope {
-            from: envelope.from,
-            to: envelope.to,
-            message: ShardMessage::Control { message: envelope.message },
-        }));
-        self.control_outbox.sort_by_key(|envelope| envelope.to);
-        self.outbound.send_batch(&mut self.control_outbox);
-        self.control_outbox.clear();
     }
 
     /// Handles one ingress item: [`Assignment::dispatch`] first — the same
-    /// call the direct producers make — then, for what it hands back, the same
-    /// demux as `ShardedReplica::handle_message`. Frames that reach the slow
-    /// half take the owned decode; those that fail it are dropped (the
-    /// protocol tolerates lost messages).
+    /// call the direct producers make — then, for what it hands back, the
+    /// router core. Frames that reach the slow half take the owned decode;
+    /// those that fail it are dropped (the protocol tolerates lost messages).
     fn handle_ingress(&mut self, item: IngressItem<K, V>) {
-        let (from, message) = match self.assignment.dispatch(item, self.now_nanos()) {
+        let (from, message) = match self.assignment.dispatch(item, now_nanos(self.shared.start)) {
             Ok(()) => return,
             Err(IngressItem::Message(from, message)) => (from, message),
             Err(IngressItem::Frame(from, frame)) => match wire::from_bytes(&frame) {
@@ -490,62 +417,14 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
                 Err(_) => return,
             },
         };
-        match message {
-            ShardMessage::Protocol { epoch, shards, shard, message } => {
-                self.handle_fenced(from, (epoch, shards), shard, message);
-            }
-            ShardMessage::Control { message } => {
-                self.control.handle_message(from, message);
-                self.poll_control();
-            }
-            ShardMessage::Rebalance { plan } => self.install_plan(plan),
-            ShardMessage::PlanRequest => self.send_plan(from),
-        }
-    }
-
-    /// Tells `to` the installed plan, if there is one.
-    fn send_plan(&self, to: ReplicaId) {
-        if let Some(plan) = self.plan {
-            let message = ShardMessage::Rebalance { plan };
-            self.outbound.send(ShardEnvelope { from: self.id, to, message });
-        }
-    }
-
-    /// Answers one protocol message the dispatch fenced off.
-    fn handle_fenced(
-        &mut self,
-        from: ReplicaId,
-        stamp: Stamp,
-        shard: ShardId,
-        message: Message<LatticeMap<K, V>>,
-    ) {
-        match fence_decision(self.stamp(), stamp) {
-            FenceDecision::Bounce => self.send_plan(from),
-            FenceDecision::Defer => {
-                if self.deferred.len() < Self::DEFERRED_CAP {
-                    self.deferred.push((from, stamp, shard, message));
-                }
-                self.outbound.send(ShardEnvelope {
-                    from: self.id,
-                    to: from,
-                    message: ShardMessage::PlanRequest,
-                });
-            }
-            // A matching stamp never comes back from `dispatch`.
-            FenceDecision::Process => self.deliver_fenced(from, shard, message),
-        }
-    }
-
-    /// Enqueues a protocol message of the router's own assignment.
-    fn deliver_fenced(&self, from: ReplicaId, shard: ShardId, message: Message<LatticeMap<K, V>>) {
-        let (stamp, at) = (self.stamp(), self.now_nanos());
-        self.assignment.push(shard, WorkerInput::Peer { from, stamp, message, at });
+        let cutover = self.core.on_message(from, message, &mut self.effects);
+        self.settle(cutover);
     }
 
     /// Routes a client command the node handle left to the router: single-key
     /// to its owner, through the same [`Assignment::route_single`] the handle
-    /// tries first; keyspace-wide as a fan-out. `queued_at` is the submit time
-    /// while no worker has accounted for it.
+    /// tries first; keyspace-wide through the core's fan-out. `queued_at` is
+    /// the submit time while no worker has accounted for it.
     fn submit(
         &mut self,
         client: ClientId,
@@ -553,7 +432,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         command: Command<LatticeMap<K, V>>,
         queued_at: Option<u64>,
     ) {
-        let now = self.now_nanos();
+        let now = now_nanos(self.shared.start);
         let Err(query) = self.assignment.route_single(client, outer, command, queued_at, Some(now))
         else {
             return;
@@ -562,24 +441,8 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             self.shared.stages.record(Stage::SubmitQueue, now.saturating_sub(queued_at));
             self.obs.ring.record(outer.0, Stage::SubmitQueue, now);
         }
-        let acc = match query {
-            Command::Query(MapQuery::Len) => FanoutAcc::Len(0),
-            Command::Query(MapQuery::Keys) => FanoutAcc::Keys(Vec::new()),
-            _ => unreachable!("single-key commands are routed above"),
-        };
-        self.fanouts
-            .insert(outer, Fanout { client, remaining: 0, round_trips: 0, failed: false, acc });
-        self.launch_fanout_legs(outer, client);
-    }
-
-    fn launch_fanout_legs(&mut self, outer: CommandId, client: ClientId) {
-        let active = self.active();
-        if let Some(fanout) = self.fanouts.get_mut(&outer) {
-            fanout.remaining = active;
-        }
-        for index in 0..active {
-            self.assignment.push(ShardId(index as u32), WorkerInput::FanoutLeg { client, outer });
-        }
+        self.core.submit(client, outer, query, &mut self.effects);
+        self.apply_effects();
     }
 
     /// Folds one worker feedback item into router state. `Rehomed` replies are
@@ -590,167 +453,95 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
                 // Legs drained under a superseded assignment are the parallel
                 // analogue of purged buffered responses: the fan-out has been
                 // restarted, drop them.
-                if stamp == self.stamp() {
-                    self.absorb_fanout_leg(command, shard, round_trips, keys);
+                if stamp == self.core.stamp() {
+                    let effects = &mut self.effects;
+                    self.core.on_fanout_leg(command, shard, round_trips, keys, effects);
+                    self.apply_effects();
                 }
             }
             WorkerFeedback::Stale(StaleInput::Ingress(item)) => self.handle_ingress(item),
             WorkerFeedback::Stale(StaleInput::Submit { client, outer, command, queued_at }) => {
                 self.submit(client, outer, command, queued_at);
             }
-            WorkerFeedback::Rehomed { .. } => {
-                unreachable!("cutover replies are consumed by the install barrier")
+            WorkerFeedback::Rehomed { .. } => unreachable!("consumed by the install barrier"),
+        }
+    }
+
+    /// Carries a plan install the core started through, if there is one,
+    /// applies the effects of the input that led here, and reports.
+    fn settle(&mut self, cutover: Option<Cutover<K, V>>) {
+        if let Some(cutover) = cutover {
+            self.install(cutover);
+        }
+        self.apply_effects();
+        self.obs.mirror(self.core.stats());
+        // Only a change is written to the handle's flag: the handle clears it
+        // itself when it queues a request, and a write per pump cycle could
+        // set it back before that request is dequeued.
+        let idle = self.core.rebalance_idle();
+        if idle != self.idle {
+            self.idle = idle;
+            self.shared.rebalance_idle.store(idle, Ordering::Release);
+        }
+    }
+
+    fn apply_effects(&mut self) {
+        let mut effects = std::mem::take(&mut self.effects);
+        effects.drain(..).for_each(|effect| self.apply(effect));
+        self.effects = effects;
+    }
+
+    /// Applies one decision of the core: onto a worker's mailbox under the
+    /// router's own assignment, out through the transport, or to the client.
+    fn apply(&self, effect: RouterEffect<K, V>) {
+        let (assignment, stamp) = (&self.assignment, self.assignment.stamp);
+        match effect {
+            RouterEffect::ToShard { shard, from, message } => {
+                let at = now_nanos(self.shared.start);
+                assignment.push(shard, WorkerInput::Peer { from, stamp, message, at });
             }
-        }
-    }
-
-    /// Folds one shard's key-list answer into its fan-out aggregate — the same
-    /// ownership filtering as `ShardedReplica::absorb_fanout_leg`.
-    fn absorb_fanout_leg(
-        &mut self,
-        command: CommandId,
-        shard: ShardId,
-        round_trips: u32,
-        keys: Option<Vec<K>>,
-    ) {
-        let owned: Option<Vec<K>> = keys.map(|keys| {
-            keys.into_iter().filter(|key| self.partitioner.shard_of(key) == shard).collect()
-        });
-        let Some(fanout) = self.fanouts.get_mut(&command) else { return };
-        fanout.remaining = fanout.remaining.saturating_sub(1);
-        fanout.round_trips = fanout.round_trips.max(round_trips);
-        match owned {
-            Some(keys) => match &mut fanout.acc {
-                FanoutAcc::Len(total) => *total += keys.len() as u64,
-                FanoutAcc::Keys(all) => all.extend(keys),
-            },
-            None => fanout.failed = true,
-        }
-        if fanout.remaining == 0 {
-            let fanout = self.fanouts.remove(&command).expect("fan-out present");
-            let body = if fanout.failed {
-                ResponseBody::QueryFailed
-            } else {
-                match fanout.acc {
-                    FanoutAcc::Len(total) => ResponseBody::QueryDone(MapOutput::Len(total)),
-                    FanoutAcc::Keys(mut keys) => {
-                        keys.sort();
-                        ResponseBody::QueryDone(MapOutput::Keys(keys))
-                    }
-                }
-            };
-            self.shared.respond(ClientResponse {
-                client: fanout.client,
-                command,
-                body,
-                round_trips: fanout.round_trips,
-            });
-        }
-    }
-
-    /// Starts coordinating a rebalance — the same two-phase control-shard
-    /// choreography as `ShardedReplica::begin_rebalance`.
-    fn begin_rebalance(&mut self, target: u32) {
-        if target == 0 {
-            self.refresh_idle();
-            return;
-        }
-        if self.control_phase.is_some() {
-            self.queued_target = Some(target);
-            return;
-        }
-        let epoch = self.partitioner.epoch() + 1;
-        let command = self.control.submit(
-            self.control_client(),
-            Command::Update(MapUpdate::Apply { key: epoch, update: GSetUpdate::Insert(target) }),
-        );
-        self.control_phase = Some(ControlPhase::Committing { command, epoch });
-        self.refresh_idle();
-    }
-
-    fn refresh_idle(&self) {
-        let idle = self.control_phase.is_none() && self.queued_target.is_none();
-        self.shared.rebalance_idle.store(idle, Ordering::Release);
-    }
-
-    /// Advances the coordinator choreography with control-shard responses.
-    fn poll_control(&mut self) {
-        for response in self.control.take_responses() {
-            let Some(phase) = self.control_phase else { continue };
-            match phase {
-                ControlPhase::Committing { command, epoch } if command == response.command => {
-                    let read = self.control.submit(
-                        self.control_client(),
-                        Command::Query(MapQuery::Get { key: epoch, query: SetQuery::Elements }),
-                    );
-                    self.control_phase = Some(ControlPhase::Reading { command: read, epoch });
-                }
-                ControlPhase::Reading { command, epoch } if command == response.command => {
-                    self.control_phase = None;
-                    if let ResponseBody::QueryDone(MapOutput::Value(Some(SetOutput::Elements(
-                        proposals,
-                    )))) = response.body
-                    {
-                        if let Some(shards) = winning_shards(&proposals) {
-                            self.install_plan(RebalancePlan { epoch, shards });
-                        }
-                    }
-                    if let Some(target) = self.queued_target.take() {
-                        self.begin_rebalance(target);
-                    }
-                }
-                _ => {}
+            RouterEffect::FanoutLeg { shard, client, outer } => {
+                assignment.push(shard, WorkerInput::FanoutLeg { client, outer });
             }
-            self.refresh_idle();
+            RouterEffect::Submit { shard, client, outer, key, command } => {
+                // Re-homed by a cutover: accounted where it was first accepted.
+                let (queued_at, routed_at) = (None, Some(now_nanos(self.shared.start)));
+                let submit = Submit { client, outer, key, command, stamp, queued_at, routed_at };
+                assignment.push(shard, WorkerInput::Submit(submit));
+            }
+            RouterEffect::Absorb { shard, sub, rehomed } => {
+                assignment.push(shard, WorkerInput::Absorb { sub, rehomed });
+            }
+            RouterEffect::ToPeer(envelope) => self.outbound.send(envelope),
+            RouterEffect::Respond(response) => self.shared.respond(response),
         }
     }
 
-    /// Installs a committed plan across the worker fleet. Mirrors
-    /// `ShardedReplica::install_plan` step for step; the structural differences
-    /// are the barrier that gathers each worker's cutover reply before the
-    /// handoff sub-states are shipped to their destinations, and the
-    /// un-publish / publish bracket that keeps direct producers out of the
-    /// worker mailboxes in between (see the module docs).
-    fn install_plan(&mut self, plan: RebalancePlan) {
-        if plan.epoch == 0 || (plan.epoch, plan.shards) <= self.stamp() {
-            return;
-        }
-        let Some(new_inner) = HashPartitioner::from_plan(&plan) else {
-            return;
-        };
-        let old_active = self.active();
-        let instances_before = self.workers.len();
-        if !self.partitioner.supersede(plan.epoch, new_inner) {
-            return;
-        }
-        self.plan = Some(plan);
-        self.shared.epoch.store(plan.epoch, Ordering::Release);
-        self.shared.shards.store(plan.shards, Ordering::Release);
-        let stamp = self.stamp();
-        let new_active = self.active();
+    /// The engine's half of a plan install (see `crdt_paxos_core::RouterCore`):
+    /// the gather runs on the worker threads, so it is a barrier, bracketed by
+    /// an un-publish / publish of the assignment (see the module docs).
+    fn install(&mut self, mut cutover: Cutover<K, V>) {
+        let stamp = cutover.stamp;
+        self.shared.epoch.store(stamp.0, Ordering::Release);
+        self.shared.shards.store(stamp.1, Ordering::Release);
 
         // From here until the publish below, direct producers queue at the
         // router, which does not look at those queues before it is done.
         self.publish(None);
 
-        // Grow the worker fleet; new workers start already fenced at the new
-        // stamp. A shrink keeps retired workers: their cores hold harmless
-        // lower bounds a later split reactivates in place.
-        while self.workers.len() < new_active {
-            self.spawn_shard(ShardId(self.workers.len() as u32));
-        }
-        self.assignment = self.current_assignment();
+        // A shrink keeps retired workers: their cores hold harmless lower
+        // bounds a later split reactivates in place.
+        let before = self.workers.len();
+        self.grow_to(stamp.1 as usize);
+        self.assignment = Assignment::snapshot(&self.core, &self.workers);
 
-        // Cutover on every pre-existing worker; handoff extraction only from
-        // the previously active ones. The FIFO mailbox orders this before
-        // anything the router routes under the new assignment afterwards.
-        let partitioner = *self.partitioner.inner();
-        for (index, worker) in self.workers.iter().enumerate().take(instances_before) {
-            worker.mailbox.push(WorkerInput::Install {
-                stamp,
-                partitioner,
-                extract: index < old_active,
-            });
+        // Cutover on every pre-existing worker. The FIFO mailbox orders this
+        // before anything the router routes under the new assignment
+        // afterwards.
+        let partitioner = *self.core.partitioner().inner();
+        for (index, worker) in self.workers.iter().enumerate().take(before) {
+            let extract = index < cutover.old_active;
+            worker.mailbox.push(WorkerInput::Install { stamp, partitioner, extract });
         }
 
         // Barrier: gather every cutover reply. Workers keep draining their
@@ -759,30 +550,19 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         // direct producer's push under the old snapshot that landed behind the
         // `Install` — wait until the absorbs are out: routed now, a command
         // could reach its new owner ahead of the state it has to see.
+        let mut awaited = before;
         let mut stale = Vec::new();
-        let mut moves: Vec<LatticeMap<K, V>> =
-            (0..self.workers.len()).map(|_| LatticeMap::default()).collect();
-        let mut rehome_resync: BTreeMap<usize, Vec<(ClientId, CommandId, K)>> = BTreeMap::new();
-        let mut resubmit: Vec<RehomedCommand<K, V>> = Vec::new();
-        let mut replies = 0;
         let mut feedback = Vec::new();
-        while replies < instances_before {
+        while awaited > 0 {
             if self.shared.feedback.drain_into(&mut feedback) == 0 {
                 self.shared.router_signal.wait_timeout(PARK);
                 continue;
             }
             for item in feedback.drain(..) {
                 match item {
-                    WorkerFeedback::Rehomed { moves: worker_moves, rehome } => {
-                        replies += 1;
-                        for (destination, sub) in worker_moves {
-                            moves[destination.as_usize()].join(&sub);
-                        }
-                        for (client, command, key) in rehome.applied {
-                            let owner = self.partitioner.shard_of(&key).as_usize();
-                            rehome_resync.entry(owner).or_default().push((client, command, key));
-                        }
-                        resubmit.extend(rehome.resubmit);
+                    WorkerFeedback::Rehomed { moves, rehome } => {
+                        awaited -= 1;
+                        cutover.absorb(moves, rehome);
                     }
                     held @ WorkerFeedback::Stale(_) => stale.push(held),
                     other => self.handle_feedback(other),
@@ -790,72 +570,19 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             }
         }
 
-        // Handoff + one resync per destination: handed-off ranges become
-        // quorum-durable ahead of client traffic, and cut-over updates
-        // complete exactly once.
-        for (index, moved) in moves.into_iter().enumerate().take(new_active) {
-            let rehomed = rehome_resync.remove(&index).unwrap_or_default();
-            if rehomed.is_empty() && moved.is_empty() {
-                continue;
-            }
-            self.assignment
-                .push(ShardId(index as u32), WorkerInput::Absorb { sub: moved, rehomed });
-        }
-
-        // Re-homed commands were accounted where they were first accepted.
-        for (client, outer, command) in resubmit {
-            self.submit(client, outer, command, None);
-        }
+        // Everything but the gossip goes onto the mailboxes, then the held
+        // hand-backs; every worker now has its `Absorb` ahead of anything a
+        // direct producer can push, so the mailboxes are handed back before
+        // the plan is announced.
+        self.core.finish_install(cutover, &mut self.effects);
+        let first_gossip = self.effects.iter().position(|e| matches!(e, RouterEffect::ToPeer(_)));
+        let gossip = self.effects.split_off(first_gossip.unwrap_or(self.effects.len()));
+        self.apply_effects();
         for held in stale {
             self.handle_feedback(held);
         }
-
-        // Keyspace-wide fan-outs restart from scratch against the new shard
-        // set (stale legs are dropped by the stamp check in
-        // `handle_feedback`).
-        let fanout_ids: Vec<CommandId> = self.fanouts.keys().copied().collect();
-        for outer in fanout_ids {
-            self.restart_fanout(outer);
-        }
-
-        // Deferred messages waiting for exactly this assignment are delivered;
-        // anything still newer keeps waiting, anything older turned stale.
-        let installed = (plan.epoch, plan.shards);
-        let deferred = std::mem::take(&mut self.deferred);
-        for (from, message_stamp, shard, message) in deferred {
-            match message_stamp.cmp(&installed) {
-                std::cmp::Ordering::Equal => self.deliver_fenced(from, shard, message),
-                std::cmp::Ordering::Greater => {
-                    self.deferred.push((from, message_stamp, shard, message));
-                }
-                std::cmp::Ordering::Less => {}
-            }
-        }
-
-        // Every worker now has its `Absorb` ahead of anything a direct
-        // producer can push: hand the mailboxes back.
         self.publish(Some(Arc::clone(&self.assignment)));
-
-        // Gossip the plan once per install so idle replicas converge without
-        // waiting to be bounced.
-        for &peer in self.members.iter().filter(|&&peer| peer != self.id) {
-            self.send_plan(peer);
-        }
-    }
-
-    /// Resets a fan-out's aggregate and resubmits its legs on the active
-    /// shards.
-    fn restart_fanout(&mut self, outer: CommandId) {
-        let client = {
-            let Some(fanout) = self.fanouts.get_mut(&outer) else { return };
-            fanout.failed = false;
-            fanout.acc = match fanout.acc {
-                FanoutAcc::Len(_) => FanoutAcc::Len(0),
-                FanoutAcc::Keys(_) => FanoutAcc::Keys(Vec::new()),
-            };
-            fanout.client
-        };
-        self.launch_fanout_legs(outer, client);
+        gossip.into_iter().for_each(|effect| self.apply(effect));
     }
 }
 

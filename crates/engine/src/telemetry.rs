@@ -14,6 +14,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
+use crdt_paxos_core::RebalanceStats;
 use obs::{Counter, HighWater, ObsRegistry, StageSet, TraceConfig, TraceRing};
 
 /// Nanoseconds since the node's start instant — the shared time base for
@@ -34,6 +35,10 @@ pub(crate) struct RouterObs {
     pub submit_depth: Arc<HighWater>,
     /// Largest worker-feedback batch drained in one pump cycle.
     pub feedback_depth: Arc<HighWater>,
+    /// The router core's [`RebalanceStats`] as counters — `plans_installed`,
+    /// `keys_moved`, `fence_bounces`, `fence_deferred`, `commands_rehomed` —
+    /// each beside the value it currently shows.
+    rebalance: [(Arc<Counter>, u64); 5],
     /// The router's trace ring (keyspace-wide queries log `SubmitQueue`
     /// here).
     pub ring: Arc<TraceRing>,
@@ -50,12 +55,40 @@ impl RouterObs {
         registry.register_highwater("submit_queue_depth", Arc::clone(&submit_depth));
         let feedback_depth = Arc::new(HighWater::new());
         registry.register_highwater("router_feedback_depth", Arc::clone(&feedback_depth));
+        let rebalance = [
+            "plans_installed",
+            "keys_moved",
+            "fence_bounces",
+            "fence_deferred",
+            "commands_rehomed",
+        ]
+        .map(|name| {
+            let counter = Arc::new(Counter::new());
+            registry.register_counter(name, Arc::clone(&counter));
+            (counter, 0)
+        });
         RouterObs {
             parks,
             ingress_depth,
             submit_depth,
             feedback_depth,
+            rebalance,
             ring: Arc::new(TraceRing::new(trace)),
+        }
+    }
+
+    /// Brings the rebalance counters up to the router core's `stats`.
+    pub fn mirror(&mut self, stats: RebalanceStats) {
+        let now = [
+            stats.plans_installed,
+            stats.keys_moved,
+            stats.epoch_bounces,
+            stats.messages_deferred,
+            stats.commands_rehomed,
+        ];
+        for ((counter, shown), now) in self.rebalance.iter_mut().zip(now) {
+            counter.add(now - *shown);
+            *shown = now;
         }
     }
 }

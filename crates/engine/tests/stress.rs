@@ -331,6 +331,22 @@ fn live_rebalance_preserves_linearizability_and_loses_nothing() {
         other => panic!("keyspace-wide query failed: {other:?}"),
     }
 
+    // The engine reports what its router core counted: one plan per epoch
+    // reached on every node (a router files the count once the install is
+    // through, so a node still finishing one is given a moment), and a split
+    // of a populated keyspace moved keys.
+    let mut keys_moved = 0;
+    for index in 0..cluster.len() {
+        let node = cluster.node(index);
+        let deadline = Instant::now() + Duration::from_secs(30);
+        while node.obs_snapshot().counter("plans_installed") != node.epoch() {
+            assert!(Instant::now() < deadline, "node {index}: plans_installed != epoch");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        keys_moved += node.obs_snapshot().counter("keys_moved");
+    }
+    assert!(keys_moved > 0, "a 4 → 8 split of a populated keyspace moved no key");
+
     match Arc::try_unwrap(cluster) {
         Ok(cluster) => cluster.shutdown(),
         Err(_) => panic!("cluster still referenced"),
@@ -481,6 +497,13 @@ fn rebalance_chain_under_direct_traffic<C: Nodes>(cluster: Arc<C>, seed: u64) {
     let rerouted: u64 =
         (0..cluster.len()).map(|i| cluster.node(i).obs_snapshot().counter("rerouted")).sum();
     assert!(rerouted >= CHAIN.len() as u64, "{rerouted} inputs rerouted over {CHAIN:?}");
+    // Three cutovers under peer traffic: somewhere a message crossed the
+    // fence on the wrong side of a plan, and the engine says so.
+    let fenced: u64 = (0..cluster.len())
+        .map(|i| cluster.node(i).obs_snapshot())
+        .map(|snapshot| snapshot.counter("fence_bounces") + snapshot.counter("fence_deferred"))
+        .sum();
+    assert!(fenced > 0, "no message bounced or deferred over {CHAIN:?}");
 }
 
 #[test]

@@ -4,14 +4,9 @@
 //! set `Π`: a set of process subsets with pairwise non-empty intersection. Progress
 //! requires that at least one quorum stays alive and connected.
 //!
-//! This crate provides the [`QuorumSystem`] trait plus three classic constructions:
-//!
-//! * [`MajorityQuorum`] — any `⌊n/2⌋ + 1` processes form a quorum (used by the paper's
-//!   evaluation with `n = 3`),
-//! * [`GridQuorum`] — processes arranged in a grid; a quorum is one full row plus one
-//!   element of every row (smaller quorums for large `n`),
-//! * [`WeightedMajority`] — votes with weights, a quorum is any set holding a strict
-//!   majority of the total weight.
+//! This crate provides the [`QuorumSystem`] trait and the one construction the
+//! protocol uses: [`MajorityQuorum`] — any `⌊n/2⌋ + 1` processes form a quorum
+//! (the paper's evaluation runs it with `n = 3`).
 //!
 //! The [`Membership`] type describes the replica group itself, and the [`shard`]
 //! module partitions a keyspace across independent protocol instances (one quorum
@@ -20,17 +15,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod grid;
 mod majority;
 mod membership;
 pub mod shard;
-mod weighted;
 
-pub use grid::GridQuorum;
 pub use majority::MajorityQuorum;
 pub use membership::Membership;
 pub use shard::{EpochPartitioner, HashPartitioner, Partitioner, RangePartitioner, ShardId};
-pub use weighted::WeightedMajority;
 
 use std::collections::BTreeSet;
 

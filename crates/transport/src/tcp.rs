@@ -14,7 +14,7 @@
 //! exists — is queued to the peer's writer task, which drains the queue and
 //! flushes it as single socket writes (bounded by a batch-size threshold), so
 //! under load the syscall and wakeup cost is amortized over many messages.
-//! The backlog is bounded ([`MAX_BACKLOG_BYTES`]): batches that would pass the
+//! The backlog is bounded (`MAX_BACKLOG_BYTES`): batches that would pass the
 //! bound are dropped and counted, like any lost message. The read side mirrors
 //! this: the socket reads land directly in the frame decoder's buffer (no
 //! staging chunk), and complete frames travel to the consumer as refcounted

@@ -1,107 +1,33 @@
 //! A sharded, replicated key-value store as three processes over loopback TCP,
 //! executed by the thread-per-shard engine.
 //!
-//! Each replica is an `engine::EngineNode` — a router thread plus one OS thread
-//! per shard core — bridged to a `transport::tcp::TcpMesh`: an `Outbound` adapter
-//! serializes every envelope the engine produces straight into the destination
-//! peer's recycled batch buffer (`TcpMesh::send_with`, no intermediate task),
-//! and a receiver task feeds incoming frames back through
-//! `NodeIngress::deliver_frame`. The
-//! transports are message-agnostic, so the shard-multiplexed `ShardMessage` —
-//! protocol traffic, control-shard traffic, and rebalance plans alike — crosses
-//! the sockets as ordinary `wire` frames. A client writes counters under
-//! different keys via different replicas, reads them back linearizably, then
-//! triggers a live 2→4 shard split and reads again: every value survives the
-//! lattice-join handoff.
+//! Each replica is an `engine::TcpNode`: an `EngineNode` — a router thread plus
+//! one OS thread per shard core — bridged to a `transport::tcp::TcpMesh` in both
+//! directions (see `engine::tcp`). The transports are message-agnostic, so the
+//! shard-multiplexed `ShardMessage` — protocol traffic, control-shard traffic,
+//! and rebalance plans alike — crosses the sockets as ordinary `wire` frames. A
+//! client writes counters under different keys via different replicas, reads
+//! them back linearizably, then triggers a live 2→4 shard split and reads
+//! again: every value survives the lattice-join handoff.
 //!
 //! ```bash
 //! cargo run --example sharded_tcp_kv
 //! ```
 
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crdt_paxos::crdt::{
-    CounterQuery, CounterUpdate, GCounter, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId,
+    CounterQuery, CounterUpdate, GCounter, LatticeMap, MapOutput, MapQuery, MapUpdate,
 };
-use crdt_paxos::engine::{EngineNode, Outbound};
-use crdt_paxos::protocol::{ClientId, Command, ProtocolConfig, ResponseBody, ShardEnvelope};
-use crdt_paxos::transport::tcp::TcpMesh;
+use crdt_paxos::engine::TcpNode;
+use crdt_paxos::obs::TraceConfig;
+use crdt_paxos::protocol::{ClientId, Command, ProtocolConfig, ResponseBody};
 
 type KvMap = LatticeMap<String, GCounter>;
-
-/// Bridges the engine's synchronous outbound hot path to the TCP mesh without
-/// leaving the worker thread: batches arrive sorted by destination, and each
-/// same-peer run is serialized directly into that peer's recycled
-/// `send_with` batch buffer — one contiguous wire batch per peer per engine
-/// cycle, no dispatcher task, no owned envelopes crossing a channel.
-struct TcpOutbound {
-    mesh: Arc<TcpMesh>,
-}
-
-impl Outbound<String, GCounter> for TcpOutbound {
-    fn send(&self, envelope: ShardEnvelope<KvMap>) {
-        let (to, message) = envelope.into_parts();
-        let _ = self.mesh.send_with(to.as_u64(), |encoder| encoder.encode(&message));
-    }
-
-    fn send_batch(&self, envelopes: &mut Vec<ShardEnvelope<KvMap>>) {
-        let mut index = 0;
-        while index < envelopes.len() {
-            let peer = envelopes[index].to;
-            let mut end = index + 1;
-            while end < envelopes.len() && envelopes[end].to == peer {
-                end += 1;
-            }
-            let run = &envelopes[index..end];
-            let _ = self.mesh.send_with(peer.as_u64(), |encoder| {
-                for envelope in run {
-                    encoder.encode(&envelope.message)?;
-                }
-                Ok(())
-            });
-            index = end;
-        }
-        envelopes.clear();
-    }
-}
-
-/// Starts one replica: binds its TCP endpoint, spawns the engine node, and
-/// wires both directions of the transport bridge.
-async fn start_replica(
-    id: u64,
-    addrs: Vec<(u64, String)>,
-    shards: u32,
-) -> EngineNode<String, GCounter> {
-    let listen = addrs.iter().find(|(peer, _)| *peer == id).expect("own address").1.clone();
-    let mesh = Arc::new(TcpMesh::bind(id, &listen, &addrs).await.expect("bind replica endpoint"));
-
-    let members: Vec<ReplicaId> = addrs.iter().map(|(peer, _)| ReplicaId::new(*peer)).collect();
-    let node = EngineNode::start(
-        ReplicaId::new(id),
-        members,
-        shards,
-        ProtocolConfig::default(),
-        Arc::new(TcpOutbound { mesh: Arc::clone(&mesh) }),
-    );
-
-    // Sockets -> engine: every received frame goes straight onto the router's
-    // ingress mailbox (a lock-free enqueue — safe from an async task), still
-    // encoded. The router peeks the routing preamble and the shard worker
-    // decodes the body in place, so the receive path never copies the frame
-    // and in steady state never allocates for it.
-    let ingress = node.ingress();
-    tokio::spawn(async move {
-        while let Ok((from, frame)) = mesh.recv_frame().await {
-            ingress.deliver_frame(ReplicaId::new(from), frame);
-        }
-    });
-
-    node
-}
+type Node = TcpNode<String, GCounter>;
 
 /// Submits one command and polls for its response without blocking the runtime.
-async fn call(node: &EngineNode<String, GCounter>, command: Command<KvMap>) -> ResponseBody<KvMap> {
+async fn call(node: &Node, command: Command<KvMap>) -> ResponseBody<KvMap> {
     let id = node.submit(ClientId(7), command);
     loop {
         while let Some(response) = node.try_response() {
@@ -123,8 +49,10 @@ async fn main() {
 
     // Spawn the three replicas, each starting with 2 shards.
     let mut nodes = Vec::new();
-    for (id, _) in &addrs {
-        nodes.push(start_replica(*id, addrs.clone(), 2).await);
+    for (id, listen) in &addrs {
+        let (config, trace) = (ProtocolConfig::default(), TraceConfig::disabled());
+        let node = Node::bind(*id, listen, &addrs, 2, config, trace).await;
+        nodes.push(node.expect("bind replica endpoint"));
     }
 
     // Give the mesh a moment to connect.

@@ -2,7 +2,7 @@
 //!
 //! Futures run on a small worker pool ([`runtime`]) and are polled only when
 //! woken. There is no I/O thread: an idle worker blocks in `epoll_wait`
-//! itself ([`reactor`](mod@reactor): every socket registered once,
+//! itself (the `reactor` module: every socket registered once,
 //! edge-triggered, and every timer) and runs the tasks the events woke.
 //! `TcpStream`/`TcpListener` wrap non-blocking `std::net` sockets whose
 //! `WouldBlock` results park the task's waker with no syscall — there is no

@@ -1,7 +1,7 @@
 //! Async TCP over non-blocking `std::net` sockets.
 //!
 //! A socket joins the runtime's epoll set once, when it is created, and
-//! leaves it just before it closes (see [`reactor`](crate::reactor)). An
+//! leaves it just before it closes (see the `reactor` module). An
 //! operation that meets `WouldBlock` marks its direction not ready and parks
 //! the task's waker there, with no syscall; the worker that next sees an edge
 //! for the socket wakes it. No polling loops, no sleeps.

@@ -2,7 +2,7 @@
 //!
 //! Tasks are `Arc`-backed futures run by a small pool of worker threads, and
 //! polled only when something wakes them. There is no I/O thread: a worker
-//! with nothing to run takes the **turn** at the [`Driver`] and blocks in
+//! with nothing to run takes the **turn** at the reactor's `Driver` and blocks in
 //! `epoll_wait` itself, the others park on a condvar, and the worker that
 //! returns with events runs the tasks it woke (ARCHITECTURE.md, "The network
 //! runtime"). Three rules keep that sound:
@@ -10,15 +10,15 @@
 //! * **The slot cannot starve or spin.** A task woken *from* a worker goes
 //!   into that worker's one-deep slot, with no lock and no futex — unless it
 //!   wakes *itself* (`yield_now`: back of the shared queue), the slot is
-//!   taken, or the worker has polled [`SLOT_STREAK`] slot tasks in a row.
+//!   taken, or the worker has polled `SLOT_STREAK` slot tasks in a row.
 //! * **Nobody sleeps on a queued task.** A worker announces a blocking wait,
 //!   re-checks the shared queue, and only then waits; whoever pushes wakes a
 //!   worker parked on the condvar, else interrupts the blocking wait, and
 //!   does neither when every worker is busy (each looks before it sleeps).
-//! * **A busy pool still polls**, every [`DRIVER_INTERVAL`] task polls.
+//! * **A busy pool still polls**, every `DRIVER_INTERVAL` task polls.
 //!
 //! `block_on` runs on the calling thread, which is not a worker: whatever
-//! first touches the runtime ([`current`]) starts the pool.
+//! first touches the runtime (`current()`) starts the pool.
 
 use std::cell::Cell;
 use std::collections::VecDeque;

@@ -1,7 +1,7 @@
 //! Timers: `sleep` and `interval`, parked in the driver's timer map.
 //!
 //! A pending timer registers `(deadline, id, waker)` with the runtime's
-//! [`Driver`]; the worker blocked in `epoll_wait` sleeps no longer than the
+//! `Driver`; the worker blocked in `epoll_wait` sleeps no longer than the
 //! earliest deadline. Dropped timers cancel their registration.
 
 use std::future::Future;
