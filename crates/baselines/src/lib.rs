@@ -16,8 +16,9 @@
 //!
 //! Both replicas are sans-io state machines with the same drive surface as
 //! `crdt_paxos_core::Replica` (submit / handle_message / tick / take_outbox /
-//! take_responses), so the simulator can run all three protocols through identical
-//! harness code. Logs are kept in memory, mirroring the paper's RAM-disk logs.
+//! take_replies, named by the [`Baseline`] trait), so the simulator can run all
+//! three protocols through identical harness code. Logs are kept in memory,
+//! mirroring the paper's RAM-disk logs.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -28,7 +29,11 @@ mod statemachine;
 
 pub use statemachine::{CounterOp, CounterRegister, StateMachine};
 
+use serde::de::DeserializeOwned;
 use serde::{Deserialize, Serialize};
+
+use paxos::{PaxosMessage, PaxosReplica};
+use raft::{RaftMessage, RaftReplica};
 
 /// Identifies a replica in a baseline cluster (kept separate from `crdt::ReplicaId`
 /// so the baselines have no dependency on the CRDT crate).
@@ -101,6 +106,59 @@ pub struct Outgoing<M> {
     /// The protocol message.
     pub message: M,
 }
+
+/// The drive surface the two baseline replicas share, so one harness — the
+/// simulator adapter, the TCP figure — is written once and runs either.
+pub trait Baseline {
+    /// The replicated state machine.
+    type Machine: StateMachine;
+    /// The protocol's message type.
+    type Message: Clone + std::fmt::Debug + Serialize + DeserializeOwned + Send + Sync + 'static;
+
+    /// Submits a client command.
+    fn submit(&mut self, client: ClientId, id: CommandId, request: Request<Self::Machine>);
+    /// Handles a protocol message from another node.
+    fn handle_message(&mut self, from: NodeId, message: Self::Message);
+    /// Advances protocol timers to `now_ms`.
+    fn tick(&mut self, now_ms: u64);
+    /// Drains the addressed messages produced since the last call.
+    fn take_outbox(&mut self) -> Vec<Outgoing<Self::Message>>;
+    /// Drains the client replies produced since the last call.
+    fn take_replies(&mut self) -> Vec<Reply<Self::Machine>>;
+}
+
+macro_rules! impl_baseline {
+    ($replica:ident, $message:ident) => {
+        impl<S> Baseline for $replica<S>
+        where
+            S: StateMachine,
+            S::Command: Serialize + DeserializeOwned + Sync,
+            S::Query: Serialize + DeserializeOwned + Sync,
+        {
+            type Machine = S;
+            type Message = $message<S>;
+
+            fn submit(&mut self, client: ClientId, id: CommandId, request: Request<S>) {
+                $replica::submit(self, client, id, request);
+            }
+            fn handle_message(&mut self, from: NodeId, message: Self::Message) {
+                $replica::handle_message(self, from, message);
+            }
+            fn tick(&mut self, now_ms: u64) {
+                $replica::tick(self, now_ms);
+            }
+            fn take_outbox(&mut self) -> Vec<Outgoing<Self::Message>> {
+                $replica::take_outbox(self)
+            }
+            fn take_replies(&mut self) -> Vec<Reply<S>> {
+                $replica::take_replies(self)
+            }
+        }
+    };
+}
+
+impl_baseline!(PaxosReplica, PaxosMessage);
+impl_baseline!(RaftReplica, RaftMessage);
 
 #[cfg(test)]
 mod tests {

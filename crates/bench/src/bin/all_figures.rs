@@ -12,7 +12,6 @@ fn main() {
         "fig5_wire_bytes",
         "fig6_sharding",
         "fig7_rebalance",
-        "fig9_parallel_shards",
     ] {
         println!("\n===================== {figure} =====================\n");
         let mut command =

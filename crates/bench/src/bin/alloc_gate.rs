@@ -40,7 +40,7 @@
 //! frame and the
 //! full-state decode stays within a small bounded budget. If the counting
 //! allocator turns out not to intercept allocations on this platform,
-//! `--check` prints a loud SKIP and exits 0 (fig9-style).
+//! `--check` prints a loud SKIP and exits 0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};

@@ -21,7 +21,7 @@
 //! * **multi-paxos / raft**: the sans-io baseline replicas, each pumped by a
 //!   driver thread, followers forwarding to the single leader.
 //!
-//! Clients are spread round-robin over the replicas. Workload is the fig9
+//! Clients are spread round-robin over the replicas. Workload is a
 //! 50/50 update/read mix over 64 keys (the baselines replicate one register,
 //! collapsing keys onto it — strictly less work than the keyed CRDT map).
 //!
@@ -36,11 +36,11 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{mpsc as std_mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use baselines::paxos::{PaxosConfig, PaxosMessage, PaxosReplica};
-use baselines::raft::{RaftConfig, RaftMessage, RaftReplica};
+use baselines::paxos::{PaxosConfig, PaxosReplica};
+use baselines::raft::{RaftConfig, RaftReplica};
 use baselines::{
-    ClientId as BaseClientId, CommandId as BaseCommandId, CounterOp, CounterRegister, NodeId,
-    Outgoing, Reply, ReplyBody, Request,
+    Baseline, ClientId as BaseClientId, CommandId as BaseCommandId, CounterOp, CounterRegister,
+    NodeId, Outgoing, ReplyBody, Request,
 };
 use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
 use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody};
@@ -244,52 +244,6 @@ impl EngineSystem {
 // Systems 2 and 3: the sans-io baseline replicas, pumped by driver threads.
 // ---------------------------------------------------------------------------
 
-/// The common drive surface of the two baseline replicas.
-trait Baseline: Send + 'static {
-    type Msg: Serialize + DeserializeOwned + Send + Sync + 'static;
-    fn submit(
-        &mut self,
-        client: BaseClientId,
-        id: BaseCommandId,
-        request: Request<CounterRegister>,
-    );
-    fn handle_message(&mut self, from: NodeId, message: Self::Msg);
-    fn tick(&mut self, now_ms: u64);
-    fn take_outbox(&mut self) -> Vec<Outgoing<Self::Msg>>;
-    fn take_replies(&mut self) -> Vec<Reply<CounterRegister>>;
-}
-
-macro_rules! impl_baseline {
-    ($replica:ty, $message:ty) => {
-        impl Baseline for $replica {
-            type Msg = $message;
-            fn submit(
-                &mut self,
-                client: BaseClientId,
-                id: BaseCommandId,
-                request: Request<CounterRegister>,
-            ) {
-                <$replica>::submit(self, client, id, request);
-            }
-            fn handle_message(&mut self, from: NodeId, message: Self::Msg) {
-                <$replica>::handle_message(self, from, message);
-            }
-            fn tick(&mut self, now_ms: u64) {
-                <$replica>::tick(self, now_ms);
-            }
-            fn take_outbox(&mut self) -> Vec<Outgoing<Self::Msg>> {
-                <$replica>::take_outbox(self)
-            }
-            fn take_replies(&mut self) -> Vec<Reply<CounterRegister>> {
-                <$replica>::take_replies(self)
-            }
-        }
-    };
-}
-
-impl_baseline!(PaxosReplica<CounterRegister>, PaxosMessage<CounterRegister>);
-impl_baseline!(RaftReplica<CounterRegister>, RaftMessage<CounterRegister>);
-
 enum DriverIn<M> {
     Peer(u64, M),
     Submit(BaseClientId, BaseCommandId, Request<CounterRegister>),
@@ -297,15 +251,15 @@ enum DriverIn<M> {
 
 /// Pumps one sans-io replica: injects peer messages and client submissions,
 /// advances time, ships the outbox to the mesh, and routes replies.
-fn drive_baseline<B: Baseline>(
+fn drive_baseline<B: Baseline<Machine = CounterRegister>>(
     mut replica: B,
-    in_rx: std_mpsc::Receiver<DriverIn<B::Msg>>,
-    out_tx: mpsc::UnboundedSender<Vec<Outgoing<B::Msg>>>,
+    in_rx: std_mpsc::Receiver<DriverIn<B::Message>>,
+    out_tx: mpsc::UnboundedSender<Vec<Outgoing<B::Message>>>,
     replies: Arc<ReplyMap>,
     stop: Arc<AtomicBool>,
 ) {
     let start = Instant::now();
-    let handle = |replica: &mut B, input: DriverIn<B::Msg>| match input {
+    let handle = |replica: &mut B, input: DriverIn<B::Message>| match input {
         DriverIn::Peer(from, message) => replica.handle_message(NodeId(from), message),
         DriverIn::Submit(client, id, request) => replica.submit(client, id, request),
     };
@@ -380,7 +334,7 @@ async fn start_baseline_system<B, F>(
     client_addrs: Vec<String>,
 ) -> BaselineSystem
 where
-    B: Baseline,
+    B: Baseline<Machine = CounterRegister> + Send + 'static,
     F: Fn(NodeId, Vec<NodeId>) -> B,
 {
     let stop = Arc::new(AtomicBool::new(false));
@@ -400,8 +354,8 @@ where
             Arc::new(TcpMesh::bind(id, &listen, &mesh_addrs).await.expect("bind replica mesh"));
         let replica = make_replica(NodeId(id), members.clone());
         let replies = Arc::clone(&replies);
-        let (in_tx, in_rx) = std_mpsc::channel::<DriverIn<B::Msg>>();
-        let (out_tx, mut out_rx) = mpsc::unbounded_channel::<Vec<Outgoing<B::Msg>>>();
+        let (in_tx, in_rx) = std_mpsc::channel::<DriverIn<B::Message>>();
+        let (out_tx, mut out_rx) = mpsc::unbounded_channel::<Vec<Outgoing<B::Message>>>();
 
         // Driver thread owns the replica.
         let driver_replies = Arc::clone(&replies);
@@ -413,7 +367,7 @@ where
         // Outbox -> mesh, grouping consecutive same-peer messages.
         let sender_mesh = Arc::clone(&mesh);
         tasks.push(tokio::spawn(async move {
-            let mut run: Vec<B::Msg> = Vec::new();
+            let mut run: Vec<B::Message> = Vec::new();
             while let Some(outbox) = out_rx.recv().await {
                 let mut run_peer = None;
                 for outgoing in outbox {
@@ -437,7 +391,7 @@ where
         let recv_mesh = Arc::clone(&mesh);
         let peer_tx = in_tx.clone();
         tasks.push(tokio::spawn(async move {
-            while let Ok((from, message)) = recv_mesh.recv::<B::Msg>().await {
+            while let Ok((from, message)) = recv_mesh.recv::<B::Message>().await {
                 if peer_tx.send(DriverIn::Peer(from, message)).is_err() {
                     break;
                 }

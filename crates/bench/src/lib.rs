@@ -30,22 +30,13 @@
 //! * `fig8_tcp_vs_baselines` ✓ — real loopback TCP: the engine (`engine::TcpNode`
 //!   replicas) vs. the Multi-Paxos and Raft baselines under 64/256/1024/4096
 //!   closed-loop client connections (zero lost/duplicated replies at every tier),
-//! * `fig9_parallel_shards` ✓ — real clock: committed ops of the thread-per-shard
-//!   engine at 1/2/4/8 shards plus a clean live 4 → 8 rebalance under load,
-//! * `fig10_latency_breakdown` ✓ — per-stage latency histograms, runtime
-//!   counters and sampled command timelines of a 3-replica `TcpNode` cluster
-//!   (exact stage accounting: one submit-queue and one quorum-wait sample per
-//!   committed command),
 //! * `alloc_gate` ✓ — a counting allocator over the inbound and outbound hot
 //!   paths: zero allocations per decoded frame, per encoded frame and per full
 //!   protocol round, also with observability recording on.
 //!
-//! Criterion micro-benchmarks (`cargo bench -p bench`) cover the substrates: CRDT
-//! join/apply throughput (`crdt_ops`), protocol state-machine stepping
-//! (`protocol_step`), wire codec throughput (`wire_codec`), and end-to-end
-//! simulated cluster throughput (`sim_throughput`). Performance *claims* are
-//! made with the repo's benchmark (`benchmark/`, its own package), not with
-//! these.
+//! None of these produces a performance number anyone may quote: timings —
+//! end to end and per layer (CRDT join, wire codec, protocol round, transport,
+//! engine) — come from the repo's benchmark (`benchmark/`, its own package).
 
 #![forbid(unsafe_code)]
 
@@ -107,7 +98,7 @@ impl Scale {
     pub const FULL: Scale =
         Scale { client_counts: &[1, 8, 64, 256, 1024], duration_ms: 4_000, warmup_ms: 1_000 };
 
-    /// A reduced sweep for CI and `cargo bench` smoke runs.
+    /// A reduced sweep for CI smoke runs.
     pub const QUICK: Scale = Scale { client_counts: &[8, 64], duration_ms: 1_500, warmup_ms: 500 };
 
     /// Chooses the scale based on the presence of a `--quick` CLI flag.

@@ -4,17 +4,14 @@
 //! replicates a G-Counter, Multi-Paxos and Raft replicate a plain integer register
 //! through their command logs.
 
-use std::collections::HashMap;
-
-use baselines::paxos::{PaxosConfig, PaxosMessage, PaxosReplica};
-use baselines::raft::{RaftConfig, RaftMessage, RaftReplica};
-use baselines::{CounterOp, CounterRegister, NodeId, ReplyBody, Request};
+use baselines::{Baseline, CounterOp, CounterRegister, NodeId, ReplyBody, Request};
 use crdt::{
-    CounterQuery, CounterUpdate, GCounter, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId,
+    CounterQuery, CounterUpdate, Crdt, DeltaCrdt, GCounter, LatticeMap, MapOutput, MapQuery,
+    MapUpdate, ReplicaId,
 };
 use crdt_paxos_core::{
-    ClientId, Command, Envelope, EnvelopePool, ProtocolConfig, Replica, ResponseBody,
-    ShardEnvelope, ShardMessage, ShardedReplica, WireMetrics,
+    ClientId, ClientResponse, Command, Envelope, Message, ProtocolConfig, Replica, ResponseBody,
+    ShardEnvelope, ShardMessage, ShardedReplica,
 };
 
 use crate::sim::{SimNode, SimOp, SimOutcome, SimReply};
@@ -22,194 +19,115 @@ use crate::sim::{SimNode, SimOp, SimOutcome, SimReply};
 /// The replicated keyspace type the KV adapters drive: one G-Counter per key.
 pub type KvMap = LatticeMap<u64, GCounter>;
 
-/// Simulator adapter for the CRDT Paxos replica (`crdt_paxos_core::Replica`).
-#[derive(Debug)]
-pub struct CrdtPaxosNode {
-    inner: Replica<GCounter>,
-    /// Encode every outgoing message with the `wire` codec and account its size in
-    /// the replica's [`WireMetrics`] (costs one serialization per message).
-    measure_wire: bool,
-    /// Reused encode buffer for wire accounting — one allocation for the whole
-    /// run instead of one per message.
-    scratch: Vec<u8>,
-    /// Recycled outbox drain buffers — the same envelope-pool discipline the
-    /// networked plane uses, so sim numbers reflect it.
-    pool: EnvelopePool<Envelope<GCounter>>,
+/// A CRDT the simulator's counter workload can run against: how a [`SimOp`]
+/// becomes a command on it, and how its response reads as a [`SimOutcome`].
+pub trait SimCrdt: Crdt + DeltaCrdt {
+    /// Maps a simulator op onto the CRDT's command set.
+    fn command(op: SimOp) -> Command<Self>;
+
+    /// Maps a response body onto a simulator outcome.
+    fn outcome(body: ResponseBody<Self>) -> SimOutcome;
 }
 
-impl CrdtPaxosNode {
-    /// Creates a node with the given protocol configuration.
-    pub fn new(id: u64, members: &[u64], config: ProtocolConfig) -> Self {
-        let member_ids: Vec<ReplicaId> = members.iter().map(|&m| ReplicaId::new(m)).collect();
-        CrdtPaxosNode {
-            inner: Replica::new(ReplicaId::new(id), member_ids, GCounter::default(), config),
-            measure_wire: false,
-            scratch: Vec::new(),
-            pool: EnvelopePool::default(),
-        }
-    }
-
-    /// Enables or disables encoded-bytes accounting for outgoing messages.
-    #[must_use]
-    pub fn with_wire_accounting(mut self, enabled: bool) -> Self {
-        self.measure_wire = enabled;
-        self
-    }
-
-    /// Access to the wrapped replica (metrics, state).
-    pub fn replica(&self) -> &Replica<GCounter> {
-        &self.inner
-    }
-}
-
-impl SimNode for CrdtPaxosNode {
-    type Message = crdt_paxos_core::Message<GCounter>;
-
-    fn id(&self) -> u64 {
-        self.inner.id().as_u64()
-    }
-
-    fn submit(&mut self, client: u64, op: SimOp) {
-        // This adapter replicates a single counter; keyed operations collapse onto
-        // it (use the KV adapters for per-key semantics).
-        let command = match op {
+/// A single counter: keyed operations collapse onto it (use [`KvMap`] for per-key
+/// semantics).
+impl SimCrdt for GCounter {
+    fn command(op: SimOp) -> Command<Self> {
+        match op {
             SimOp::Increment(amount) | SimOp::KeyIncrement { amount, .. } => {
                 Command::Update(CounterUpdate::Increment(amount))
             }
             SimOp::Read | SimOp::KeyRead { .. } => Command::Query(CounterQuery::Value),
+        }
+    }
+
+    fn outcome(body: ResponseBody<Self>) -> SimOutcome {
+        match body {
+            ResponseBody::UpdateDone => SimOutcome::UpdateDone,
+            ResponseBody::QueryDone(value) => SimOutcome::ReadDone(value),
+            ResponseBody::QueryFailed => SimOutcome::Retry,
+        }
+    }
+}
+
+/// One counter per key (unkeyed ops run against key 0).
+impl SimCrdt for KvMap {
+    fn command(op: SimOp) -> Command<Self> {
+        let increment = |key, amount| {
+            Command::Update(MapUpdate::Apply { key, update: CounterUpdate::Increment(amount) })
         };
-        self.inner.submit(ClientId(client), command);
-    }
-
-    fn handle_message(&mut self, from: u64, message: Self::Message) {
-        self.inner.handle_message(ReplicaId::new(from), message);
-    }
-
-    fn tick(&mut self, now_ms: u64) {
-        self.inner.tick(now_ms);
-    }
-
-    fn drain_messages(&mut self) -> Vec<(u64, Self::Message)> {
-        let mut envelopes = self.pool.checkout();
-        self.inner.drain_outbox_into(&mut envelopes);
-        if self.measure_wire {
-            for envelope in &envelopes {
-                // Protocol messages must always encode; failing silently here would
-                // quietly undercount the byte-reduction figures.
-                self.scratch.clear();
-                wire::to_writer(&envelope.message, &mut self.scratch)
-                    .expect("protocol messages encode");
-                // Key state-bearing messages by payload representation too
-                // ("MERGE:full" / "MERGE:delta"), so one run shows both. The
-                // key is static: accounting adds no per-message allocation.
-                self.inner
-                    .record_wire_bytes(envelope.message.wire_kind(), self.scratch.len() as u64);
-            }
+        let read = |key| Command::Query(MapQuery::Get { key, query: CounterQuery::Value });
+        match op {
+            SimOp::Increment(amount) => increment(0, amount),
+            SimOp::Read => read(0),
+            SimOp::KeyIncrement { key, amount } => increment(key, amount),
+            SimOp::KeyRead { key } => read(key),
         }
-        let out = envelopes.drain(..).map(|e| (e.to.as_u64(), e.message)).collect();
-        self.pool.give_back(envelopes);
-        out
     }
 
-    fn drain_replies(&mut self) -> Vec<SimReply> {
-        self.inner
-            .take_responses()
-            .into_iter()
-            .map(|response| {
-                let outcome = match response.body {
-                    ResponseBody::UpdateDone => SimOutcome::UpdateDone,
-                    ResponseBody::QueryDone(value) => SimOutcome::ReadDone(value),
-                    ResponseBody::QueryFailed => SimOutcome::Retry,
-                };
-                SimReply { client: response.client.0, outcome, round_trips: response.round_trips }
-            })
-            .collect()
-    }
-
-    fn wire_metrics(&self) -> Option<WireMetrics> {
-        if self.measure_wire {
-            Some(self.inner.metrics().wire.clone())
-        } else {
-            None
+    fn outcome(body: ResponseBody<Self>) -> SimOutcome {
+        match body {
+            ResponseBody::UpdateDone => SimOutcome::UpdateDone,
+            ResponseBody::QueryDone(MapOutput::Value(Some(value))) => SimOutcome::ReadDone(value),
+            // An absent key reads as zero (no increment ever committed there).
+            ResponseBody::QueryDone(MapOutput::Value(None)) => SimOutcome::ReadDone(0),
+            ResponseBody::QueryDone(_) => SimOutcome::Retry,
+            ResponseBody::QueryFailed => SimOutcome::Retry,
         }
     }
 }
 
-/// Simulator adapter for a **single-instance** replicated keyspace: one
-/// `Replica<LatticeMap>` serializes every key through one round counter.
+fn replica_ids(members: &[u64]) -> Vec<ReplicaId> {
+    members.iter().map(|&member| ReplicaId::new(member)).collect()
+}
+
+fn sim_replies<C: SimCrdt>(responses: Vec<ClientResponse<C>>) -> Vec<SimReply> {
+    responses
+        .into_iter()
+        .map(|response| SimReply {
+            client: response.client.0,
+            outcome: C::outcome(response.body),
+            round_trips: response.round_trips,
+        })
+        .collect()
+}
+
+/// Simulator adapter for one protocol instance (`crdt_paxos_core::Replica`).
 ///
-/// This is the baseline the sharded engine is measured against: it offers the
-/// same per-key API but every quorum — regardless of key — contends on the same
-/// protocol instance.
+/// Over [`GCounter`] it is the paper's CRDT Paxos setup; over [`KvMap`] it is the
+/// **single-instance** keyspace the sharded engine is measured against: the same
+/// per-key API, but every quorum — regardless of key — contends on one round
+/// counter.
 #[derive(Debug)]
-pub struct KeyValueNode {
-    inner: Replica<KvMap>,
-    measure_wire: bool,
-    scratch: Vec<u8>,
-    pool: EnvelopePool<Envelope<KvMap>>,
+pub struct ReplicaNode<C: SimCrdt> {
+    inner: Replica<C>,
+    /// The one outbox drain buffer, so a drain moves shells out of resident
+    /// capacity instead of growing a fresh vector.
+    drained: Vec<Envelope<C>>,
 }
 
-impl KeyValueNode {
+impl<C: SimCrdt> ReplicaNode<C> {
     /// Creates a node with the given protocol configuration.
     pub fn new(id: u64, members: &[u64], config: ProtocolConfig) -> Self {
-        let member_ids: Vec<ReplicaId> = members.iter().map(|&m| ReplicaId::new(m)).collect();
-        KeyValueNode {
-            inner: Replica::new(ReplicaId::new(id), member_ids, KvMap::default(), config),
-            measure_wire: false,
-            scratch: Vec::new(),
-            pool: EnvelopePool::default(),
+        ReplicaNode {
+            inner: Replica::new(ReplicaId::new(id), replica_ids(members), C::default(), config),
+            drained: Vec::new(),
         }
-    }
-
-    /// Enables or disables encoded-bytes accounting for outgoing messages.
-    #[must_use]
-    pub fn with_wire_accounting(mut self, enabled: bool) -> Self {
-        self.measure_wire = enabled;
-        self
-    }
-
-    /// Access to the wrapped replica (metrics, state).
-    pub fn replica(&self) -> &Replica<KvMap> {
-        &self.inner
     }
 }
 
-/// Maps a keyed simulator op onto the `LatticeMap` command set (unkeyed ops run
-/// against key 0).
-fn kv_command(op: SimOp) -> Command<KvMap> {
-    match op {
-        SimOp::Increment(amount) => {
-            Command::Update(MapUpdate::Apply { key: 0, update: CounterUpdate::Increment(amount) })
-        }
-        SimOp::Read => Command::Query(MapQuery::Get { key: 0, query: CounterQuery::Value }),
-        SimOp::KeyIncrement { key, amount } => {
-            Command::Update(MapUpdate::Apply { key, update: CounterUpdate::Increment(amount) })
-        }
-        SimOp::KeyRead { key } => Command::Query(MapQuery::Get { key, query: CounterQuery::Value }),
-    }
-}
-
-/// Maps a `LatticeMap` response body onto a simulator outcome.
-fn kv_outcome(body: ResponseBody<KvMap>) -> SimOutcome {
-    match body {
-        ResponseBody::UpdateDone => SimOutcome::UpdateDone,
-        ResponseBody::QueryDone(MapOutput::Value(Some(value))) => SimOutcome::ReadDone(value),
-        // An absent key reads as zero (no increment ever committed there).
-        ResponseBody::QueryDone(MapOutput::Value(None)) => SimOutcome::ReadDone(0),
-        ResponseBody::QueryDone(_) => SimOutcome::Retry,
-        ResponseBody::QueryFailed => SimOutcome::Retry,
-    }
-}
-
-impl SimNode for KeyValueNode {
-    type Message = crdt_paxos_core::Message<KvMap>;
+impl<C: SimCrdt> SimNode for ReplicaNode<C>
+where
+    Message<C>: wire::Serialize,
+{
+    type Message = Message<C>;
 
     fn id(&self) -> u64 {
         self.inner.id().as_u64()
     }
 
     fn submit(&mut self, client: u64, op: SimOp) {
-        self.inner.submit(ClientId(client), kv_command(op));
+        self.inner.submit(ClientId(client), C::command(op));
     }
 
     fn handle_message(&mut self, from: u64, message: Self::Message) {
@@ -221,40 +139,18 @@ impl SimNode for KeyValueNode {
     }
 
     fn drain_messages(&mut self) -> Vec<(u64, Self::Message)> {
-        let mut envelopes = self.pool.checkout();
-        self.inner.drain_outbox_into(&mut envelopes);
-        if self.measure_wire {
-            for envelope in &envelopes {
-                self.scratch.clear();
-                wire::to_writer(&envelope.message, &mut self.scratch)
-                    .expect("protocol messages encode");
-                self.inner
-                    .record_wire_bytes(envelope.message.wire_kind(), self.scratch.len() as u64);
-            }
-        }
-        let out = envelopes.drain(..).map(|e| (e.to.as_u64(), e.message)).collect();
-        self.pool.give_back(envelopes);
-        out
+        self.inner.drain_outbox_into(&mut self.drained);
+        self.drained.drain(..).map(|envelope| (envelope.to.as_u64(), envelope.message)).collect()
     }
 
     fn drain_replies(&mut self) -> Vec<SimReply> {
-        self.inner
-            .take_responses()
-            .into_iter()
-            .map(|response| SimReply {
-                client: response.client.0,
-                outcome: kv_outcome(response.body),
-                round_trips: response.round_trips,
-            })
-            .collect()
+        sim_replies(self.inner.take_responses())
     }
 
-    fn wire_metrics(&self) -> Option<WireMetrics> {
-        if self.measure_wire {
-            Some(self.inner.metrics().wire.clone())
-        } else {
-            None
-        }
+    fn wire_kind(&self, message: &Self::Message) -> Option<&'static str> {
+        // State-bearing messages are keyed by payload representation too
+        // ("MERGE:full" / "MERGE:delta"), so one run shows both.
+        Some(message.wire_kind())
     }
 }
 
@@ -263,33 +159,16 @@ impl SimNode for KeyValueNode {
 #[derive(Debug)]
 pub struct ShardedKvNode {
     inner: ShardedReplica<u64, GCounter>,
-    measure_wire: bool,
-    scratch: Vec<u8>,
-    pool: EnvelopePool<ShardEnvelope<KvMap>>,
+    drained: Vec<ShardEnvelope<KvMap>>,
 }
 
 impl ShardedKvNode {
     /// Creates a node with `shards` protocol instances.
     pub fn new(id: u64, members: &[u64], shards: u32, config: ProtocolConfig) -> Self {
-        let member_ids: Vec<ReplicaId> = members.iter().map(|&m| ReplicaId::new(m)).collect();
         ShardedKvNode {
-            inner: ShardedReplica::new(ReplicaId::new(id), member_ids, shards, config),
-            measure_wire: false,
-            scratch: Vec::new(),
-            pool: EnvelopePool::default(),
+            inner: ShardedReplica::new(ReplicaId::new(id), replica_ids(members), shards, config),
+            drained: Vec::new(),
         }
-    }
-
-    /// Enables or disables encoded-bytes accounting for outgoing messages.
-    #[must_use]
-    pub fn with_wire_accounting(mut self, enabled: bool) -> Self {
-        self.measure_wire = enabled;
-        self
-    }
-
-    /// Access to the wrapped sharded replica (per-shard metrics, states).
-    pub fn replica(&self) -> &ShardedReplica<u64, GCounter> {
-        &self.inner
     }
 }
 
@@ -314,7 +193,7 @@ impl SimNode for ShardedKvNode {
     }
 
     fn submit(&mut self, client: u64, op: SimOp) {
-        self.inner.submit(ClientId(client), kv_command(op));
+        self.inner.submit(ClientId(client), KvMap::command(op));
     }
 
     fn handle_message(&mut self, from: u64, message: Self::Message) {
@@ -330,39 +209,9 @@ impl SimNode for ShardedKvNode {
     }
 
     fn drain_messages(&mut self) -> Vec<(u64, Self::Message)> {
-        let mut envelopes = self.pool.checkout();
-        self.inner.drain_outbox_into(&mut envelopes);
-        if self.measure_wire {
-            for envelope in &envelopes {
-                self.scratch.clear();
-                wire::to_writer(&envelope.message, &mut self.scratch)
-                    .expect("shard messages encode");
-                match &envelope.message {
-                    ShardMessage::Protocol { shard, message, .. } => {
-                        self.inner.record_wire_bytes(
-                            *shard,
-                            message.wire_kind(),
-                            self.scratch.len() as u64,
-                        );
-                    }
-                    ShardMessage::Control { message } => {
-                        self.inner.record_control_wire_bytes(
-                            message.ctrl_wire_kind(),
-                            self.scratch.len() as u64,
-                        );
-                    }
-                    ShardMessage::Rebalance { .. } => {
-                        self.inner
-                            .record_control_wire_bytes("REBALANCE", self.scratch.len() as u64);
-                    }
-                    ShardMessage::PlanRequest => {
-                        self.inner.record_control_wire_bytes("PLANREQ", self.scratch.len() as u64);
-                    }
-                }
-            }
-        }
-        envelopes
-            .into_iter()
+        self.inner.drain_outbox_into(&mut self.drained);
+        self.drained
+            .drain(..)
             .map(|envelope| {
                 let (to, message) = envelope.into_parts();
                 (to.as_u64(), message)
@@ -371,131 +220,42 @@ impl SimNode for ShardedKvNode {
     }
 
     fn drain_replies(&mut self) -> Vec<SimReply> {
-        self.inner
-            .take_responses()
-            .into_iter()
-            .map(|response| SimReply {
-                client: response.client.0,
-                outcome: kv_outcome(response.body),
-                round_trips: response.round_trips,
-            })
-            .collect()
+        sim_replies(self.inner.take_responses())
     }
 
-    fn wire_metrics(&self) -> Option<WireMetrics> {
-        if self.measure_wire {
-            let by_shard = self.inner.wire_metrics_by_shard();
-            let control = self.inner.control_wire_metrics();
-            Some(crate::stats::merge_wire(
-                by_shard.iter().map(|(_, wire)| wire).chain(std::iter::once(&control)),
-            ))
-        } else {
-            None
-        }
+    fn wire_kind(&self, message: &Self::Message) -> Option<&'static str> {
+        Some(match message {
+            ShardMessage::Protocol { message, .. } => message.wire_kind(),
+            ShardMessage::Control { message } => message.ctrl_wire_kind(),
+            ShardMessage::Rebalance { .. } => "REBALANCE",
+            ShardMessage::PlanRequest => "PLANREQ",
+        })
     }
 }
 
-/// Simulator adapter for the Raft baseline.
+/// Simulator adapter for a baseline replica (Multi-Paxos or Raft) replicating a
+/// plain integer register. Its messages name no wire kind: no figure compares
+/// the baselines' bytes.
 #[derive(Debug)]
-pub struct RaftNode {
-    inner: RaftReplica<CounterRegister>,
-    next_command: u64,
-    _pending: HashMap<u64, u64>,
-}
-
-impl RaftNode {
-    /// Creates a Raft node.
-    pub fn new(id: u64, members: &[u64], config: RaftConfig) -> Self {
-        let member_ids: Vec<NodeId> = members.iter().map(|&m| NodeId(m)).collect();
-        RaftNode {
-            inner: RaftReplica::new(NodeId(id), member_ids, config),
-            next_command: 0,
-            _pending: HashMap::new(),
-        }
-    }
-
-    /// Access to the wrapped replica.
-    pub fn replica(&self) -> &RaftReplica<CounterRegister> {
-        &self.inner
-    }
-}
-
-impl SimNode for RaftNode {
-    type Message = RaftMessage<CounterRegister>;
-
-    fn id(&self) -> u64 {
-        self.inner.id().0
-    }
-
-    fn submit(&mut self, client: u64, op: SimOp) {
-        let request = match op {
-            SimOp::Increment(amount) | SimOp::KeyIncrement { amount, .. } => {
-                Request::Update(CounterOp::Add(amount as i64))
-            }
-            SimOp::Read | SimOp::KeyRead { .. } => Request::Read(()),
-        };
-        let command = baselines::CommandId(self.next_command);
-        self.next_command += 1;
-        self.inner.submit(baselines::ClientId(client), command, request);
-    }
-
-    fn handle_message(&mut self, from: u64, message: Self::Message) {
-        self.inner.handle_message(NodeId(from), message);
-    }
-
-    fn tick(&mut self, now_ms: u64) {
-        self.inner.tick(now_ms);
-    }
-
-    fn drain_messages(&mut self) -> Vec<(u64, Self::Message)> {
-        self.inner
-            .take_outbox()
-            .into_iter()
-            .map(|outgoing| (outgoing.to.0, outgoing.message))
-            .collect()
-    }
-
-    fn drain_replies(&mut self) -> Vec<SimReply> {
-        self.inner
-            .take_replies()
-            .into_iter()
-            .map(|reply| {
-                let outcome = match reply.body {
-                    ReplyBody::UpdateDone => SimOutcome::UpdateDone,
-                    ReplyBody::ReadDone(value) => SimOutcome::ReadDone(value),
-                    ReplyBody::Retry => SimOutcome::Retry,
-                };
-                SimReply { client: reply.client.0, outcome, round_trips: 0 }
-            })
-            .collect()
-    }
-}
-
-/// Simulator adapter for the Multi-Paxos baseline.
-#[derive(Debug)]
-pub struct MultiPaxosNode {
-    inner: PaxosReplica<CounterRegister>,
+pub struct BaselineNode<B> {
+    id: u64,
+    inner: B,
     next_command: u64,
 }
 
-impl MultiPaxosNode {
-    /// Creates a Multi-Paxos node.
-    pub fn new(id: u64, members: &[u64], config: PaxosConfig) -> Self {
-        let member_ids: Vec<NodeId> = members.iter().map(|&m| NodeId(m)).collect();
-        MultiPaxosNode { inner: PaxosReplica::new(NodeId(id), member_ids, config), next_command: 0 }
-    }
-
-    /// Access to the wrapped replica.
-    pub fn replica(&self) -> &PaxosReplica<CounterRegister> {
-        &self.inner
+impl<B: Baseline<Machine = CounterRegister>> BaselineNode<B> {
+    /// Wraps the baseline replica `make(id, members)` builds.
+    pub fn new(id: u64, members: &[u64], make: impl FnOnce(NodeId, Vec<NodeId>) -> B) -> Self {
+        let members = members.iter().map(|&member| NodeId(member)).collect();
+        BaselineNode { id, inner: make(NodeId(id), members), next_command: 0 }
     }
 }
 
-impl SimNode for MultiPaxosNode {
-    type Message = PaxosMessage<CounterRegister>;
+impl<B: Baseline<Machine = CounterRegister>> SimNode for BaselineNode<B> {
+    type Message = B::Message;
 
     fn id(&self) -> u64 {
-        self.inner.id().0
+        self.id
     }
 
     fn submit(&mut self, client: u64, op: SimOp) {
@@ -546,6 +306,8 @@ impl SimNode for MultiPaxosNode {
 mod tests {
     use super::*;
     use crate::sim::{run_simulation, SimConfig};
+    use crate::stats::WireMetrics;
+    use crate::{run_crdt_paxos, run_multi_paxos, run_raft};
 
     fn quick_config() -> SimConfig {
         SimConfig { clients: 6, duration_ms: 500, warmup_ms: 50, ..SimConfig::default() }
@@ -555,7 +317,7 @@ mod tests {
     fn crdt_paxos_adapter_completes_operations() {
         let config = quick_config();
         let result = run_simulation(&config, |id, members| {
-            CrdtPaxosNode::new(id, members, ProtocolConfig::default())
+            ReplicaNode::<GCounter>::new(id, members, ProtocolConfig::default())
         });
         assert!(result.completed_reads > 0);
         assert!(result.completed_updates > 0);
@@ -568,10 +330,10 @@ mod tests {
         let mut config = quick_config();
         config.duration_ms = 1_000;
         config.warmup_ms = 500; // allow for the initial election
-        let result = run_simulation(&config, |id, members| {
-            RaftNode::new(id, members, RaftConfig::default())
-        });
+        config.measure_wire_bytes = true;
+        let result = run_raft(&config);
         assert!(result.completed_reads + result.completed_updates > 0);
+        assert!(result.wire.is_empty(), "the baselines name no wire kind and stay uncounted");
     }
 
     #[test]
@@ -579,9 +341,59 @@ mod tests {
         let mut config = quick_config();
         config.duration_ms = 1_500;
         config.warmup_ms = 700; // allow for the initial take-over
-        let result = run_simulation(&config, |id, members| {
-            MultiPaxosNode::new(id, members, PaxosConfig::default())
-        });
+        config.measure_wire_bytes = true;
+        let result = run_multi_paxos(&config);
         assert!(result.completed_reads + result.completed_updates > 0);
+        assert!(result.wire.is_empty(), "the baselines name no wire kind and stay uncounted");
+    }
+
+    /// The simulator's byte tally is nothing but `wire::to_vec(&message).len()`
+    /// summed per kind: one client issuing updates at replica 0 sends exactly
+    /// the messages a hand-pumped three-replica exchange of the same updates
+    /// sends, in the same order, so the tally equals the hand-pumped sum over
+    /// as many messages as the run put on the wire.
+    #[test]
+    fn wire_tally_equals_hand_pumped_encoded_sizes() {
+        let config = SimConfig {
+            clients: 1,
+            read_fraction: 0.0,
+            duration_ms: 50,
+            latency_jitter_us: 0,
+            measure_wire_bytes: true,
+            ..SimConfig::default()
+        };
+        let result = run_crdt_paxos(&config, ProtocolConfig::default());
+        let sent: u64 = result.wire.per_kind.values().map(|kind| kind.messages).sum();
+        assert!(sent > 100, "the run must exchange messages, sent {sent}");
+
+        let ids = replica_ids(&[0, 1, 2]);
+        let mut replicas: Vec<Replica<GCounter>> = ids
+            .iter()
+            .map(|&id| {
+                Replica::new(id, ids.clone(), GCounter::default(), ProtocolConfig::default())
+            })
+            .collect();
+        let mut expected = WireMetrics::default();
+        let mut pumped = 0;
+        while pumped < sent {
+            replicas[0].submit(ClientId(0), GCounter::command(SimOp::Increment(1)));
+            // Deliver everything, in order, until the round is quiet.
+            loop {
+                let outbox: Vec<_> = replicas.iter_mut().flat_map(Replica::take_outbox).collect();
+                if outbox.is_empty() {
+                    break;
+                }
+                for envelope in outbox {
+                    if pumped < sent {
+                        pumped += 1;
+                        let bytes = wire::to_vec(&envelope.message).expect("encode").len();
+                        expected.record(envelope.message.wire_kind(), bytes as u64);
+                    }
+                    replicas[envelope.to.as_u64() as usize]
+                        .handle_message(envelope.from, envelope.message);
+                }
+            }
+        }
+        assert_eq!(result.wire, expected);
     }
 }

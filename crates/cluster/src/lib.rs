@@ -14,12 +14,13 @@
 //!   clients, crash injection, per-interval statistics),
 //! * [`adapters`] — plugs CRDT Paxos, Multi-Paxos, and Raft into the simulator,
 //! * [`workload`] — read/update mixes à la Basho Bench,
-//! * [`stats`] — latency percentiles and interval series,
+//! * [`stats`] — latency percentiles, interval series, and the tally of encoded
+//!   bytes per message kind,
 //! * [`linearizability`] — an exact linearizability checker for counter histories.
 //!
-//! The convenience runners [`run_crdt_paxos`], [`run_crdt_paxos_batched`],
-//! [`run_raft`], and [`run_multi_paxos`] execute one full experiment and return a
-//! [`SimResult`].
+//! The convenience runners [`run_crdt_paxos`], [`run_single_kv`],
+//! [`run_sharded_kv`], [`run_raft`], and [`run_multi_paxos`] execute one full
+//! experiment and return a [`SimResult`].
 //!
 //! ```
 //! use cluster::{run_crdt_paxos, SimConfig};
@@ -39,7 +40,7 @@ pub mod sim;
 pub mod stats;
 pub mod workload;
 
-pub use adapters::{CrdtPaxosNode, KeyValueNode, KvMap, MultiPaxosNode, RaftNode, ShardedKvNode};
+pub use adapters::{BaselineNode, KvMap, ReplicaNode, ShardedKvNode, SimCrdt};
 pub use linearizability::{
     check_counter_history, check_keyed_history, HistoryOp, OpKind, Violation,
 };
@@ -47,15 +48,12 @@ pub use sim::{
     run_simulation, CrashEvent, RebalanceEvent, SimConfig, SimNode, SimOp, SimOutcome, SimReply,
     SimResult, CALIBRATED_SERVICE_TIME_US,
 };
-pub use stats::{merge_wire, wire_reduction, IntervalStats, LatencyStats};
+pub use stats::{wire_reduction, IntervalStats, KindBytes, LatencyStats, WireMetrics};
 pub use workload::{ClientWorkload, WorkloadMix};
 
-// Byte-accounting types, re-exported so analysis code does not need to depend on the
-// protocol core directly.
-pub use crdt_paxos_core::{KindBytes, WireMetrics};
-
-use baselines::paxos::PaxosConfig;
-use baselines::raft::RaftConfig;
+use baselines::paxos::{PaxosConfig, PaxosReplica};
+use baselines::raft::{RaftConfig, RaftReplica};
+use crdt::GCounter;
 use crdt_paxos_core::ProtocolConfig;
 
 /// Guard for the single-counter adapters: they collapse keyed operations onto one
@@ -79,14 +77,8 @@ fn assert_unkeyed_history(config: &SimConfig, protocol_name: &str) {
 pub fn run_crdt_paxos(config: &SimConfig, protocol: ProtocolConfig) -> SimResult {
     assert_unkeyed_history(config, "CRDT Paxos (single counter)");
     run_simulation(config, |id, members| {
-        CrdtPaxosNode::new(id, members, protocol.clone())
-            .with_wire_accounting(config.measure_wire_bytes)
+        ReplicaNode::<GCounter>::new(id, members, protocol.clone())
     })
-}
-
-/// Runs one experiment with CRDT Paxos using the paper's 5 ms batching configuration.
-pub fn run_crdt_paxos_batched(config: &SimConfig) -> SimResult {
-    run_crdt_paxos(config, ProtocolConfig::batched())
 }
 
 /// Runs one experiment with a **single-instance** replicated keyspace
@@ -95,19 +87,13 @@ pub fn run_crdt_paxos_batched(config: &SimConfig) -> SimResult {
 /// This is the baseline of the sharding comparison; drive it with a multi-key
 /// workload by setting [`SimConfig::keyspace`] > 1.
 pub fn run_single_kv(config: &SimConfig, protocol: ProtocolConfig) -> SimResult {
-    run_simulation(config, |id, members| {
-        KeyValueNode::new(id, members, protocol.clone())
-            .with_wire_accounting(config.measure_wire_bytes)
-    })
+    run_simulation(config, |id, members| ReplicaNode::<KvMap>::new(id, members, protocol.clone()))
 }
 
 /// Runs one experiment with the **sharded** keyspace engine: `shards` independent
 /// protocol instances, keys hash-routed, quorums advancing in parallel.
 pub fn run_sharded_kv(config: &SimConfig, protocol: ProtocolConfig, shards: u32) -> SimResult {
-    run_simulation(config, |id, members| {
-        ShardedKvNode::new(id, members, shards, protocol.clone())
-            .with_wire_accounting(config.measure_wire_bytes)
-    })
+    run_simulation(config, |id, members| ShardedKvNode::new(id, members, shards, protocol.clone()))
 }
 
 /// The canonical multi-key workload of the throughput-vs-shards figure (and its
@@ -154,11 +140,19 @@ pub fn rebalance_workload(quick: bool, target_shards: u32) -> SimConfig {
 /// Runs one experiment with the Raft baseline.
 pub fn run_raft(config: &SimConfig) -> SimResult {
     assert_unkeyed_history(config, "Raft (single counter)");
-    run_simulation(config, |id, members| RaftNode::new(id, members, RaftConfig::default()))
+    run_simulation(config, |id, members| {
+        BaselineNode::new(id, members, |id, members| {
+            RaftReplica::new(id, members, RaftConfig::default())
+        })
+    })
 }
 
 /// Runs one experiment with the Multi-Paxos (read leases) baseline.
 pub fn run_multi_paxos(config: &SimConfig) -> SimResult {
     assert_unkeyed_history(config, "Multi-Paxos (single counter)");
-    run_simulation(config, |id, members| MultiPaxosNode::new(id, members, PaxosConfig::default()))
+    run_simulation(config, |id, members| {
+        BaselineNode::new(id, members, |id, members| {
+            PaxosReplica::new(id, members, PaxosConfig::default())
+        })
+    })
 }

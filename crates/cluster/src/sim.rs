@@ -13,31 +13,35 @@ use std::cmp::Ordering;
 use std::collections::BTreeMap;
 use std::collections::BinaryHeap;
 
-use crdt_paxos_core::WireMetrics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::linearizability::{check_counter_history, HistoryOp, OpKind, Violation};
-use crate::stats::{IntervalSeries, IntervalStats, LatencyStats};
+use crate::stats::{IntervalSeries, IntervalStats, LatencyStats, WireMetrics};
 use crate::workload::{ClientWorkload, WorkloadMix};
 
-/// Per-message CPU cost (µs) of the keyspace protocols, calibrated against the
-/// `protocol_step` micro-benchmarks so the simulator's throughput figures are
-/// quantitative rather than merely relative.
+/// Per-message CPU cost (µs) the keyspace figures charge a shard's event loop, so
+/// the simulator's throughput figures are quantitative rather than merely relative.
 ///
-/// Derivation (release profile, medians from `BENCH_pr5.json` on the reference
-/// machine): one `protocol/kv_query_round_16_keys` iteration — a full linearizable
-/// read of a 16-key `LatticeMap<u64, GCounter>` shard state, the per-shard state
-/// shape of the 64-key/4-shard uniform workload — is one submit plus four remote
-/// message handlings (2 `PREPARE` + 2 `ACK`) and measures ≈ 15.5 µs, so
-/// ≈ 3.9 µs per message; one `kv_update_round_16_keys` iteration (2 `MERGE` +
-/// 2 `MERGED`) measures ≈ 5.9 µs, so ≈ 1.5 µs per message. Weighted by the
-/// canonical 90 %-read mix: `0.9 × 3.9 + 0.1 × 1.5 ≈ 3.6 µs`, rounded up to the
-/// simulator's whole-microsecond resolution (the round-up also absorbs the
-/// outbox-drain and dispatch costs a real event loop pays but the micro-benchmark
-/// under-counts). The figure bins derive throughput from this constant, so
-/// re-calibrating after a protocol optimization is: re-run `protocol_step`,
-/// update `BENCH_pr*.json`, adjust this constant if the medians moved.
+/// Derivation, from two rungs of the benchmark's ladder
+/// (`benchmark/run.sh --workload layers`): `core.query_round_small_ns` times a
+/// full linearizable read on three hand-pumped replicas whose shards hold 16 keys —
+/// the per-shard state shape of the 64-key/4-shard uniform workload — which is one
+/// submit plus four remote message handlings (2 `PREPARE` + 2 `ACK`;
+/// `core.msgs_per_query` = 4), and `core.update_round_small_ns` the same for an
+/// update (2 `MERGE` + 2 `MERGED`). A message costs a quarter of its round;
+/// weighted by the canonical 90 %-read mix that is
+/// `0.9 × query_round / 4 + 0.1 × update_round / 4`, rounded up to the simulator's
+/// whole-microsecond resolution (the round-up also absorbs the outbox-drain and
+/// dispatch costs a real event loop pays but a hand pump does not).
+///
+/// The value was fixed when those rounds read 15.5 µs and 5.9 µs
+/// (`0.9 × 3.9 + 0.1 × 1.5 ≈ 3.6`) and is kept: the seeded figures and the split
+/// pinned in `tests/rebalancing.rs` are stated against it. The rungs have since
+/// fallen to ≈ 1.7 µs and ≈ 1.1 µs (PR 22, 2-core box) — the bare protocol step is now ≈ 0.4 µs of a
+/// message's cost, the rest being what the engine's traced run reports as decode,
+/// reply encode and socket write. Re-calibrating is: run the ladder, apply the
+/// formula, and re-record the pinned figures in the same change.
 pub const CALIBRATED_SERVICE_TIME_US: u64 = 4;
 
 /// A client operation as seen by the simulator.
@@ -105,8 +109,9 @@ pub struct SimReply {
 /// Implementations adapt the three protocol cores (CRDT Paxos, Multi-Paxos, Raft) to a
 /// common counter workload; see [`crate::adapters`].
 pub trait SimNode {
-    /// The protocol's message type.
-    type Message: Clone + std::fmt::Debug;
+    /// The protocol's message type. Serializable so the simulator can measure its
+    /// encoded size ([`SimConfig::measure_wire_bytes`]).
+    type Message: Clone + std::fmt::Debug + wire::Serialize;
 
     /// The replica id of this node.
     fn id(&self) -> u64;
@@ -138,11 +143,11 @@ pub trait SimNode {
         0
     }
 
-    /// Encoded bytes-on-the-wire sent by this node, per message kind.
-    ///
-    /// Only adapters that actually encode their messages (see
-    /// [`SimConfig::measure_wire_bytes`]) return `Some`; the default is `None`.
-    fn wire_metrics(&self) -> Option<WireMetrics> {
+    /// The kind [`SimResult::wire`] counts `message` under (`"MERGE:full"`,
+    /// `"CTRL:ACK"`, `"REBALANCE"`, …) when [`SimConfig::measure_wire_bytes`] is
+    /// set. The default names none and the message stays uncounted — the
+    /// baselines, whose bytes no figure compares.
+    fn wire_kind(&self, _message: &Self::Message) -> Option<&'static str> {
         None
     }
 
@@ -211,8 +216,7 @@ pub struct SimConfig {
     /// ([`SimNode::lane_of`]): a single protocol instance is one saturable event
     /// loop, a sharded engine gets one lane per shard — the one-core-per-shard
     /// deployment the throughput-vs-shards figure measures. Use
-    /// [`CALIBRATED_SERVICE_TIME_US`] (derived from the `protocol_step`
-    /// micro-benchmarks) for quantitative figures.
+    /// [`CALIBRATED_SERVICE_TIME_US`] for quantitative figures.
     pub service_time_us: u64,
     /// Backoff before a client retries after a [`SimOutcome::Retry`], in microseconds.
     pub retry_backoff_us: u64,
@@ -297,9 +301,9 @@ pub struct SimResult {
     /// Histogram of quorum round trips needed per read (Figure 3); empty for
     /// protocols that do not report round trips.
     pub read_round_trips: BTreeMap<u32, u64>,
-    /// Encoded bytes-on-the-wire per message kind, aggregated over all replicas
-    /// (only filled when [`SimConfig::measure_wire_bytes`] was set and the protocol
-    /// adapter supports it; empty otherwise).
+    /// Encoded bytes-on-the-wire per message kind, over all replicas (only filled
+    /// when [`SimConfig::measure_wire_bytes`] was set and the protocol adapter names
+    /// its kinds, see [`SimNode::wire_kind`]; empty otherwise).
     pub wire: WireMetrics,
     /// Recorded operation history of unkeyed operations (only when
     /// `collect_history` was set).
@@ -459,6 +463,9 @@ where
     let mut completed_updates = 0u64;
     let mut retries = 0u64;
     let mut orphan_replies = 0u64;
+    let mut wire = WireMetrics::default();
+    // Reused encode buffer for the byte accounting: one allocation per run.
+    let mut encoded: Vec<u8> = Vec::new();
     let mut history: Vec<HistoryOp> = Vec::new();
     let mut keyed_history: Vec<(u64, HistoryOp)> = Vec::new();
     const HISTORY_CAP: usize = 250_000;
@@ -587,6 +594,16 @@ where
             }
             let from = nodes[index].id();
             for (to, message) in nodes[index].drain_messages() {
+                if config.measure_wire_bytes {
+                    // Counted before the loss draw: a lost message was sent.
+                    if let Some(kind) = nodes[index].wire_kind(&message) {
+                        encoded.clear();
+                        // Failing silently here would quietly undercount the
+                        // byte-reduction figures.
+                        wire::to_writer(&message, &mut encoded).expect("protocol messages encode");
+                        wire.record(kind, encoded.len() as u64);
+                    }
+                }
                 if config.message_loss > 0.0 && rng.gen_bool(config.message_loss) {
                     continue;
                 }
@@ -701,15 +718,6 @@ where
                     None => history.push(op),
                 }
             }
-        }
-    }
-
-    // Aggregate encoded-bytes accounting across all replicas (crashed ones included:
-    // their bytes were on the wire before the crash).
-    let mut wire = WireMetrics::default();
-    for node in &nodes {
-        if let Some(metrics) = node.wire_metrics() {
-            wire.merge(&metrics);
         }
     }
 

@@ -2,10 +2,85 @@
 //!
 //! The paper reports medians, 95th percentiles with 99 % confidence intervals, and
 //! throughput aggregated over 1 s intervals. This module provides the corresponding
-//! aggregation machinery for the simulator, plus helpers over the encoded-bytes
-//! accounting (`WireMetrics`) used by the full-vs-delta payload comparison.
+//! aggregation machinery for the simulator, plus the encoded-bytes accounting
+//! ([`WireMetrics`]) behind the full-vs-delta payload comparison.
 
-use crdt_paxos_core::WireMetrics;
+use std::collections::BTreeMap;
+
+/// Message count and total encoded bytes for one message kind.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct KindBytes {
+    /// Number of messages recorded.
+    pub messages: u64,
+    /// Sum of their encoded sizes in bytes.
+    pub bytes: u64,
+}
+
+/// Encoded bytes-on-the-wire, broken down by message kind (`MERGE`, `ACK`, …).
+///
+/// The protocol cores are sans-io and never encode anything; the simulator
+/// encodes each message it puts on its virtual network and counts it here (see
+/// [`crate::SimConfig::measure_wire_bytes`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WireMetrics {
+    /// Per-kind message counts and byte totals, keyed by the `&'static str`
+    /// kinds [`crate::SimNode::wire_kind`] names — recording never allocates a
+    /// key.
+    pub per_kind: BTreeMap<&'static str, KindBytes>,
+}
+
+impl WireMetrics {
+    /// Records one encoded message of the given kind.
+    pub fn record(&mut self, kind: &'static str, bytes: u64) {
+        let entry = self.per_kind.entry(kind).or_default();
+        entry.messages += 1;
+        entry.bytes += bytes;
+    }
+
+    /// Total encoded bytes for one exact kind key (0 if none recorded).
+    pub fn bytes_for(&self, kind: &str) -> u64 {
+        self.per_kind.get(kind).map_or(0, |entry| entry.bytes)
+    }
+
+    /// Number of messages recorded under one exact kind key (0 if none recorded).
+    pub fn messages_for(&self, kind: &str) -> u64 {
+        self.per_kind.get(kind).map_or(0, |entry| entry.messages)
+    }
+
+    /// Total encoded bytes for a message kind *including* payload sub-kinds:
+    /// `"MERGE"` matches `"MERGE"`, `"MERGE:full"`, and `"MERGE:delta"` (state-bearing
+    /// kinds are suffixed with the payload representation so full and delta bytes
+    /// stay separable).
+    pub fn bytes_for_kind(&self, kind: &str) -> u64 {
+        self.matching(kind).map(|entry| entry.bytes).sum()
+    }
+
+    /// Number of messages for a kind including payload sub-kinds (see
+    /// [`WireMetrics::bytes_for_kind`]).
+    pub fn messages_for_kind(&self, kind: &str) -> u64 {
+        self.matching(kind).map(|entry| entry.messages).sum()
+    }
+
+    fn matching<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a KindBytes> + 'a {
+        self.per_kind.iter().filter_map(move |(&key, entry)| {
+            let matches = key == kind
+                || (key.len() > kind.len()
+                    && key.starts_with(kind)
+                    && key.as_bytes()[kind.len()] == b':');
+            matches.then_some(entry)
+        })
+    }
+
+    /// Total encoded bytes across all message kinds.
+    pub fn total_bytes(&self) -> u64 {
+        self.per_kind.values().map(|entry| entry.bytes).sum()
+    }
+
+    /// Returns `true` if no message has been recorded.
+    pub fn is_empty(&self) -> bool {
+        self.per_kind.is_empty()
+    }
+}
 
 /// Relative byte reduction of `candidate` versus `baseline` for one message kind
 /// (payload sub-kinds like `"MERGE:full"` / `"MERGE:delta"` are aggregated).
@@ -18,19 +93,6 @@ pub fn wire_reduction(baseline: &WireMetrics, candidate: &WireMetrics, kind: &st
         return 0.0;
     }
     1.0 - candidate.bytes_for_kind(kind) as f64 / base as f64
-}
-
-/// Merges per-shard (or per-replica) byte accounting records into one aggregate.
-///
-/// The sharded adapters keep one [`WireMetrics`] per protocol instance so reports
-/// can show the per-shard traffic split; this folds them back together for
-/// keyspace-wide totals.
-pub fn merge_wire<'a>(parts: impl IntoIterator<Item = &'a WireMetrics>) -> WireMetrics {
-    let mut total = WireMetrics::default();
-    for part in parts {
-        total.merge(part);
-    }
-    total
 }
 
 /// A collection of latency samples (microseconds).
@@ -228,6 +290,31 @@ mod tests {
     #[should_panic(expected = "interval must be positive")]
     fn zero_interval_panics() {
         let _ = IntervalSeries::new(0, 100);
+    }
+
+    #[test]
+    fn wire_metrics_record_per_kind() {
+        let mut metrics = WireMetrics::default();
+        assert!(metrics.is_empty());
+        metrics.record("MERGE", 100);
+        metrics.record("MERGE", 50);
+        metrics.record("MERGED", 2);
+        assert_eq!(metrics.bytes_for("MERGE"), 150);
+        assert_eq!(metrics.messages_for("MERGE"), 2);
+        assert_eq!(metrics.total_bytes(), 152);
+        assert_eq!(metrics.bytes_for("VOTE"), 0);
+    }
+
+    #[test]
+    fn kind_lookup_aggregates_payload_sub_kinds() {
+        let mut metrics = WireMetrics::default();
+        metrics.record("MERGE:full", 100);
+        metrics.record("MERGE:delta", 6);
+        metrics.record("MERGED", 2);
+        assert_eq!(metrics.bytes_for_kind("MERGE"), 106);
+        assert_eq!(metrics.messages_for_kind("MERGE"), 2);
+        assert_eq!(metrics.bytes_for_kind("MERGED"), 2, "exact keys still match");
+        assert_eq!(metrics.bytes_for("MERGE"), 0, "exact lookup ignores sub-kinds");
     }
 
     #[test]

@@ -20,8 +20,10 @@ pub enum PayloadMode {
 
 /// Tunable knobs of the replication protocol.
 ///
-/// The defaults correspond to the base protocol of §3.2 with the message-size
-/// optimizations of §3.6 enabled and batching disabled ("CRDT Paxos" in the figures).
+/// The defaults correspond to the base protocol of §3.2 with batching disabled
+/// ("CRDT Paxos" in the figures). The optimizations of §3.6 (the proposer's state
+/// rides in `PREPARE`, never `s0`) and the incremental-prepare retry of §3.5 are
+/// not knobs: the protocol always applies them.
 /// Enable [`ProtocolConfig::batching`] to obtain the "CRDT Paxos w/ batching"
 /// configuration (5 ms batches in the paper).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -30,12 +32,6 @@ pub struct ProtocolConfig {
     pub batching: bool,
     /// Batch flush interval in milliseconds (the paper uses 5 ms).
     pub batch_interval_ms: u64,
-    /// Include the proposer's current payload in `PREPARE` messages to speed up
-    /// convergence (§3.2). The initial state `s0` is never sent (§3.6).
-    pub send_state_in_prepare: bool,
-    /// Retry failed prepares with an incremental prepare (guarantees eventual
-    /// liveness, §3.5). When `false`, retries use fixed prepares.
-    pub retry_with_incremental_prepare: bool,
     /// Remember the largest learned state per proposer and never return anything
     /// smaller, providing GLA-Stability (§3.4).
     pub gla_stability: bool,
@@ -56,8 +52,6 @@ impl Default for ProtocolConfig {
         ProtocolConfig {
             batching: false,
             batch_interval_ms: 5,
-            send_state_in_prepare: true,
-            retry_with_incremental_prepare: true,
             gla_stability: false,
             retransmit_after_ms: 100,
             max_query_retries: 0,
@@ -67,11 +61,6 @@ impl Default for ProtocolConfig {
 }
 
 impl ProtocolConfig {
-    /// The base protocol without batching ("CRDT Paxos").
-    pub fn unbatched() -> Self {
-        ProtocolConfig::default()
-    }
-
     /// The batched variant with the paper's 5 ms batch interval
     /// ("CRDT Paxos w/ batching").
     pub fn batched() -> Self {
@@ -110,8 +99,6 @@ mod tests {
         let config = ProtocolConfig::default();
         assert!(!config.batching);
         assert_eq!(config.batch_interval_ms, 5);
-        assert!(config.send_state_in_prepare);
-        assert!(config.retry_with_incremental_prepare);
         assert!(!config.gla_stability);
         assert_eq!(config.payload_mode, PayloadMode::Full, "paper ships full states");
     }
@@ -131,7 +118,7 @@ mod tests {
 
     #[test]
     fn builder_helpers() {
-        let config = ProtocolConfig::unbatched().with_batch_interval_ms(10).with_gla_stability();
+        let config = ProtocolConfig::default().with_batch_interval_ms(10).with_gla_stability();
         assert!(config.batching);
         assert_eq!(config.batch_interval_ms, 10);
         assert!(config.gla_stability);

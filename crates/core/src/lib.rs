@@ -48,8 +48,6 @@
 //! * [`ShardedReplica`] — the single-threaded driver of a [`RouterCore`] over a
 //!   `Vec<ShardCore>`, with [`ShardEnvelope`]/[`ShardMessage`] multiplexing, so
 //!   non-conflicting commands on different key ranges agree in parallel.
-//! * [`Driver`] — the uniform `step(now, inbox) -> outbox` surface over
-//!   [`Replica`] and [`ShardedReplica`] that executors program against.
 //! * [`rebalance`](crate::RebalancePlan) — dynamic resharding: the partitioner is
 //!   epoch-stamped (`quorum::EpochPartitioner`) and a [`RebalancePlan`] — agreed
 //!   through the ordinary protocol on a dedicated control shard — resizes the
@@ -60,8 +58,7 @@
 //!   linearizability holds across the transition by quorum intersection.
 //! * [`ProtocolConfig`] — batching, GLA-stability, payload mode, retry and
 //!   retransmission knobs.
-//! * [`Metrics`] — round-trip histograms, learning-path counters (Figure 3), and
-//!   encoded bytes-on-the-wire per message kind ([`WireMetrics`]).
+//! * [`Metrics`] — round-trip histograms and learning-path counters (Figure 3).
 //!
 //! The companion crates provide the substrates and executors: `crdt` (the data
 //! types), `quorum` (quorum systems), `cluster` (deterministic simulator and
@@ -74,10 +71,8 @@
 
 mod acceptor;
 mod config;
-mod driver;
 mod metrics;
 mod msg;
-mod pool;
 mod rebalance;
 mod replica;
 mod round;
@@ -87,13 +82,11 @@ mod shard_core;
 
 pub use acceptor::{AcceptOutcome, Acceptor};
 pub use config::{PayloadMode, ProtocolConfig};
-pub use driver::{Driver, StepOutput};
-pub use metrics::{KindBytes, Metrics, WireMetrics};
+pub use metrics::Metrics;
 pub use msg::{
     ClientId, ClientResponse, Command, CommandId, Envelope, Message, Payload, RequestId,
     ResponseBody,
 };
-pub use pool::EnvelopePool;
 pub use quorum::ShardId;
 pub use rebalance::{winning_shards, ControlState, PlanPartitioner, RebalancePlan, RebalanceStats};
 pub use replica::{CancelledWork, Replica};

@@ -1,99 +1,9 @@
-//! Protocol metrics: round-trip accounting, learning-path counters, and encoded
-//! bytes-on-the-wire per message kind.
+//! Protocol metrics: round-trip accounting and learning-path counters.
 //!
 //! Figure 3 of the paper plots the cumulative distribution of round trips needed to
 //! process reads; these metrics are the source of that distribution in our harness.
-//! The wire byte counters feed the full-vs-delta payload comparison of the `bench`
-//! crate's wire-bytes figure.
 
 use std::collections::BTreeMap;
-
-use serde::{Deserialize, Serialize};
-
-/// Message count and total encoded bytes for one message kind.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
-pub struct KindBytes {
-    /// Number of messages recorded.
-    pub messages: u64,
-    /// Sum of their encoded sizes in bytes.
-    pub bytes: u64,
-}
-
-/// Encoded bytes-on-the-wire, broken down by message kind (`MERGE`, `ACK`, …).
-///
-/// The replica itself is sans-io and never encodes anything; drivers that do encode
-/// (the simulator adapter, the TCP runtime) report sizes via
-/// [`crate::Replica::record_wire_bytes`], and this record aggregates them.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct WireMetrics {
-    /// Per-kind message counts and byte totals, keyed by the `&'static str`
-    /// kinds [`crate::Message::wire_kind`] provides — recording never
-    /// allocates a key.
-    pub per_kind: BTreeMap<&'static str, KindBytes>,
-}
-
-impl WireMetrics {
-    /// Records one encoded message of the given kind. The key is borrowed
-    /// for `'static` (see [`crate::Message::wire_kind`]), so this is a map
-    /// update with no string allocation per message.
-    pub fn record(&mut self, kind: &'static str, bytes: u64) {
-        let entry = self.per_kind.entry(kind).or_default();
-        entry.messages += 1;
-        entry.bytes += bytes;
-    }
-
-    /// Total encoded bytes for one exact kind key (0 if none recorded).
-    pub fn bytes_for(&self, kind: &str) -> u64 {
-        self.per_kind.get(kind).map_or(0, |entry| entry.bytes)
-    }
-
-    /// Number of messages recorded under one exact kind key (0 if none recorded).
-    pub fn messages_for(&self, kind: &str) -> u64 {
-        self.per_kind.get(kind).map_or(0, |entry| entry.messages)
-    }
-
-    /// Total encoded bytes for a message kind *including* payload sub-kinds:
-    /// `"MERGE"` matches `"MERGE"`, `"MERGE:full"`, and `"MERGE:delta"` (drivers
-    /// suffix the payload representation so full and delta bytes stay separable).
-    pub fn bytes_for_kind(&self, kind: &str) -> u64 {
-        self.matching(kind).map(|entry| entry.bytes).sum()
-    }
-
-    /// Number of messages for a kind including payload sub-kinds (see
-    /// [`WireMetrics::bytes_for_kind`]).
-    pub fn messages_for_kind(&self, kind: &str) -> u64 {
-        self.matching(kind).map(|entry| entry.messages).sum()
-    }
-
-    fn matching<'a>(&'a self, kind: &'a str) -> impl Iterator<Item = &'a KindBytes> + 'a {
-        self.per_kind.iter().filter_map(move |(&key, entry)| {
-            let matches = key == kind
-                || (key.len() > kind.len()
-                    && key.starts_with(kind)
-                    && key.as_bytes()[kind.len()] == b':');
-            matches.then_some(entry)
-        })
-    }
-
-    /// Total encoded bytes across all message kinds.
-    pub fn total_bytes(&self) -> u64 {
-        self.per_kind.values().map(|entry| entry.bytes).sum()
-    }
-
-    /// Returns `true` if no message has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.per_kind.is_empty()
-    }
-
-    /// Merges another record into this one (used to aggregate across replicas).
-    pub fn merge(&mut self, other: &WireMetrics) {
-        for (&kind, counts) in &other.per_kind {
-            let entry = self.per_kind.entry(kind).or_default();
-            entry.messages += counts.messages;
-            entry.bytes += counts.bytes;
-        }
-    }
-}
 
 /// Counters collected by one replica's proposer role.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -117,9 +27,6 @@ pub struct Metrics {
     /// Histogram: number of updates that needed exactly `k` round trips (always 1
     /// unless retransmissions were required).
     pub update_round_trips: BTreeMap<u32, u64>,
-    /// Encoded bytes sent, per message kind (filled by drivers that encode, see
-    /// [`WireMetrics`]).
-    pub wire: WireMetrics,
 }
 
 impl Metrics {
@@ -176,7 +83,6 @@ impl Metrics {
         for (&rt, &count) in &other.update_round_trips {
             *self.update_round_trips.entry(rt).or_insert(0) += count;
         }
-        self.wire.merge(&other.wire);
     }
 }
 
@@ -219,36 +125,5 @@ mod tests {
         assert_eq!(a.query_round_trips[&3], 1);
         assert_eq!(a.prepare_retries, 2);
         assert_eq!(a.nacks_received, 4);
-    }
-
-    #[test]
-    fn wire_metrics_record_and_merge() {
-        let mut a = WireMetrics::default();
-        assert!(a.is_empty());
-        a.record("MERGE", 100);
-        a.record("MERGE", 50);
-        a.record("MERGED", 2);
-        assert_eq!(a.bytes_for("MERGE"), 150);
-        assert_eq!(a.messages_for("MERGE"), 2);
-        assert_eq!(a.total_bytes(), 152);
-        assert_eq!(a.bytes_for("VOTE"), 0);
-
-        let mut b = WireMetrics::default();
-        b.record("MERGE", 10);
-        a.merge(&b);
-        assert_eq!(a.bytes_for("MERGE"), 160);
-        assert_eq!(a.messages_for("MERGE"), 3);
-    }
-
-    #[test]
-    fn kind_lookup_aggregates_payload_sub_kinds() {
-        let mut metrics = WireMetrics::default();
-        metrics.record("MERGE:full", 100);
-        metrics.record("MERGE:delta", 6);
-        metrics.record("MERGED", 2);
-        assert_eq!(metrics.bytes_for_kind("MERGE"), 106);
-        assert_eq!(metrics.messages_for_kind("MERGE"), 2);
-        assert_eq!(metrics.bytes_for_kind("MERGED"), 2, "exact keys still match");
-        assert_eq!(metrics.bytes_for("MERGE"), 0, "exact lookup ignores sub-kinds");
     }
 }

@@ -473,15 +473,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.peer_known.get(&peer)
     }
 
-    /// Records the encoded size of one outgoing message, by kind.
-    ///
-    /// The replica is sans-io and never encodes messages itself; drivers that do
-    /// (the simulator adapter, the TCP runtime) report sizes here so they surface in
-    /// [`Metrics::wire`].
-    pub fn record_wire_bytes(&mut self, kind: &'static str, bytes: u64) {
-        self.metrics.wire.record(kind, bytes);
-    }
-
     /// Submits a client command and returns the id used to correlate the response.
     pub fn submit(&mut self, client: ClientId, command: Command<C>) -> CommandId {
         let command_id = CommandId(self.next_command);
@@ -1269,17 +1260,13 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// local acceptor's answer immediately. `allow_delta` is `false` on retries,
     /// where the payload falls back to the full state (NACK recovery).
     fn begin_prepare(&mut self, request: RequestId, round: PrepareRound, allow_delta: bool) {
-        // Decide which payload to ship: the LUB gathered so far, unless it is still
-        // the initial state (§3.6: never ship s0) or the config disables it.
+        // Ship the LUB gathered so far to speed up convergence (§3.2), unless it is
+        // still the initial state (§3.6: never ship s0).
         let (payload, local_outcome) = {
             let Some(InFlight::Query { gathered, .. }) = self.requests.get(&request) else {
                 return;
             };
-            let payload = if self.config.send_state_in_prepare && !gathered.leq(&self.bottom) {
-                Some(gathered.clone())
-            } else {
-                None
-            };
+            let payload = (!gathered.leq(&self.bottom)).then(|| gathered.clone());
             let local_outcome = self.acceptor.prepare_local(round, payload.as_ref());
             (payload, local_outcome)
         };
@@ -1523,12 +1510,9 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         };
         self.retire_state(state);
         if retry {
-            let next = if self.config.retry_with_incremental_prepare {
-                PrepareRound::Incremental { id: self.new_round_id() }
-            } else {
-                let number = self.acceptor.round().number + 1;
-                PrepareRound::Fixed(Round::new(number, self.new_round_id()))
-            };
+            // An incremental prepare is always accepted: the retry that guarantees
+            // eventual liveness (§3.5).
+            let next = PrepareRound::Incremental { id: self.new_round_id() };
             self.retry_query(request, next);
         }
     }

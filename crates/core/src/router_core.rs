@@ -311,16 +311,6 @@ where
         self.stats
     }
 
-    /// Read access to the control shard's protocol instance (metrics).
-    pub fn control(&self) -> &Replica<ControlState> {
-        &self.control
-    }
-
-    /// Records the encoded size of one outgoing control or rebalance message.
-    pub fn record_control_wire_bytes(&mut self, kind: &'static str, bytes: u64) {
-        self.control.record_wire_bytes(kind, bytes);
-    }
-
     /// Whether no rebalance initiated here is in flight (committing or reading
     /// back the plan on the control shard) or queued behind one that is.
     pub fn rebalance_idle(&self) -> bool {

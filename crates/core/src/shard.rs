@@ -70,7 +70,7 @@ use quorum::{EpochPartitioner, HashPartitioner, Membership, Partitioner, ShardId
 use serde::{Deserialize, Serialize};
 
 use crate::config::ProtocolConfig;
-use crate::metrics::{Metrics, WireMetrics};
+use crate::metrics::Metrics;
 use crate::msg::{ClientId, ClientResponse, Command, CommandId, Message};
 use crate::rebalance::{ControlState, PlanPartitioner, RebalancePlan, RebalanceStats};
 use crate::replica::Replica;
@@ -377,32 +377,6 @@ where
         total
     }
 
-    /// Encoded bytes-on-the-wire per shard (only filled when the driver records
-    /// sizes via [`ShardedReplica::record_wire_bytes`]).
-    pub fn wire_metrics_by_shard(&self) -> Vec<(ShardId, WireMetrics)> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(index, shard)| (ShardId(index as u32), shard.metrics().wire.clone()))
-            .collect()
-    }
-
-    /// Records the encoded size of one outgoing message on its shard's metrics.
-    pub fn record_wire_bytes(&mut self, shard: ShardId, kind: &'static str, bytes: u64) {
-        self.shards[shard.as_usize()].record_wire_bytes(kind, bytes);
-    }
-
-    /// Records the encoded size of one outgoing control or rebalance message.
-    pub fn record_control_wire_bytes(&mut self, kind: &'static str, bytes: u64) {
-        self.router.record_control_wire_bytes(kind, bytes);
-    }
-
-    /// Encoded bytes-on-the-wire of control and rebalance traffic (filled by
-    /// [`ShardedReplica::record_control_wire_bytes`]).
-    pub fn control_wire_metrics(&self) -> WireMetrics {
-        self.router.control().metrics().wire.clone()
-    }
-
     /// The whole keyspace as one map: the join of every shard's local acceptor
     /// state (observability and tests; linearizable reads go through
     /// [`ShardedReplica::submit`]). Stale handoff leftovers are absorbed by the
@@ -549,9 +523,8 @@ where
 
     /// Drains the shard-tagged messages produced since the last call into
     /// `sink`, preserving its capacity — the allocation-free form of
-    /// [`ShardedReplica::take_outbox`]. Callers recycle one drain buffer
-    /// (directly or through a [`crate::EnvelopePool`]) and steady-state cycles
-    /// push into resident storage.
+    /// [`ShardedReplica::take_outbox`]. Callers recycle one drain buffer and
+    /// steady-state cycles push into resident storage.
     pub fn drain_outbox_into(&mut self, sink: &mut Vec<ShardEnvelope<LatticeMap<K, V>>>) {
         // Polled every pump cycle; almost never with a plan to install.
         if let Some(cutover) = self.router.poll_control() {

@@ -197,11 +197,6 @@ where
         self.replica.metrics()
     }
 
-    /// Records the encoded size of one outgoing message (wire accounting).
-    pub fn record_wire_bytes(&mut self, kind: &'static str, bytes: u64) {
-        self.replica.record_wire_bytes(kind, bytes);
-    }
-
     /// Replaces the replica group of this core's instance.
     pub fn update_membership(&mut self, members: Vec<ReplicaId>) {
         self.replica.update_membership(members);

@@ -1,9 +1,9 @@
 //! Pooled ↔ fresh outbound construction equivalence laws.
 //!
-//! The outbound hot path drains replies into recycled storage — batch shells
-//! checked out of an [`EnvelopePool`] and frames serialized into a persistent
-//! [`FrameEncoder`] whose buffer cycles between rounds — while tests and cold
-//! paths build everything fresh (`take_outbox` plus a new encoder per
+//! The outbound hot path drains replies into recycled storage — one persistent
+//! drain buffer, cleared after each round, and frames serialized into a
+//! persistent [`FrameEncoder`] whose buffer cycles between rounds — while tests
+//! and cold paths build everything fresh (`take_outbox` plus a new encoder per
 //! envelope). These properties pin the two construction paths to each other
 //! over generated protocol histories: byte-identical wire output on every
 //! drain, including drains straddling the lifecycle events that could leave
@@ -12,8 +12,8 @@
 
 use crdt::{CounterQuery, CounterUpdate, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use crdt_paxos_core::{
-    ClientId, Command, Envelope, EnvelopePool, Message, Payload, PrepareRound, ProtocolConfig,
-    RebalancePlan, Replica, RequestId, Round, RoundId, ShardEnvelope, ShardMessage, ShardedReplica,
+    ClientId, Command, Envelope, Message, Payload, PrepareRound, ProtocolConfig, RebalancePlan,
+    Replica, RequestId, Round, RoundId, ShardEnvelope, ShardMessage, ShardedReplica,
 };
 use proptest::prelude::*;
 use quorum::ShardId;
@@ -145,20 +145,19 @@ fn drain_fresh(replica: &mut Replica<Kv>) -> Vec<u8> {
     bytes
 }
 
-/// The recycled construction: shells drain into a pool-checked-out batch and
+/// The recycled construction: shells drain into one persistent batch and
 /// frames serialize into a persistent encoder whose buffer cycles via `take`.
 fn drain_pooled(
     replica: &mut Replica<Kv>,
-    pool: &mut EnvelopePool<Envelope<Kv>>,
+    batch: &mut Vec<Envelope<Kv>>,
     encoder: &mut FrameEncoder,
 ) -> Vec<u8> {
-    let mut batch = pool.checkout();
-    assert!(batch.is_empty(), "checked-out batches must carry no stale shells");
-    replica.drain_outbox_into(&mut batch);
-    for envelope in &batch {
+    assert!(batch.is_empty(), "a recycled batch must carry no stale shells");
+    replica.drain_outbox_into(batch);
+    for envelope in batch.iter() {
         encoder.encode(envelope).expect("pooled encode");
     }
-    pool.give_back(batch);
+    batch.clear();
     encoder.take().to_vec()
 }
 
@@ -172,7 +171,7 @@ fn twins() -> (Replica<Kv>, Replica<Kv>) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Replies drained through recycled pool batches and a cycling encoder
+    /// Replies drained through one recycled batch and a cycling encoder
     /// are byte-identical on the wire to replies built with fresh
     /// allocations, at every drain point of a generated history.
     #[test]
@@ -181,7 +180,7 @@ proptest! {
         drain_every in 1usize..4,
     ) {
         let (mut fresh, mut pooled) = twins();
-        let mut pool = EnvelopePool::default();
+        let mut batch = Vec::new();
         let mut encoder = FrameEncoder::new();
         let (mut fresh_now, mut pooled_now) = (0u64, 0u64);
         for (index, op) in ops.iter().enumerate() {
@@ -189,12 +188,12 @@ proptest! {
             apply(&mut pooled, op, &mut pooled_now);
             if index % drain_every == 0 {
                 let expected = drain_fresh(&mut fresh);
-                let recycled = drain_pooled(&mut pooled, &mut pool, &mut encoder);
+                let recycled = drain_pooled(&mut pooled, &mut batch, &mut encoder);
                 prop_assert_eq!(expected, recycled, "drain after op {} diverged", index);
             }
         }
         let expected = drain_fresh(&mut fresh);
-        let recycled = drain_pooled(&mut pooled, &mut pool, &mut encoder);
+        let recycled = drain_pooled(&mut pooled, &mut batch, &mut encoder);
         prop_assert_eq!(expected, recycled);
     }
 
@@ -207,7 +206,7 @@ proptest! {
         after in proptest::collection::vec(arb_op(), 1..12),
     ) {
         let (mut fresh, mut pooled) = twins();
-        let mut pool = EnvelopePool::default();
+        let mut batch = Vec::new();
         let mut encoder = FrameEncoder::new();
         let (mut fresh_now, mut pooled_now) = (0u64, 0u64);
         for op in &before {
@@ -217,7 +216,7 @@ proptest! {
         // Warm the recycled storage with the pre-cancel traffic, then cancel
         // with replies still potentially in flight on both twins.
         let expected = drain_fresh(&mut fresh);
-        let recycled = drain_pooled(&mut pooled, &mut pool, &mut encoder);
+        let recycled = drain_pooled(&mut pooled, &mut batch, &mut encoder);
         prop_assert_eq!(expected, recycled);
         fresh.cancel_in_flight();
         pooled.cancel_in_flight();
@@ -225,7 +224,7 @@ proptest! {
             apply(&mut fresh, op, &mut fresh_now);
             apply(&mut pooled, op, &mut pooled_now);
             let expected = drain_fresh(&mut fresh);
-            let recycled = drain_pooled(&mut pooled, &mut pool, &mut encoder);
+            let recycled = drain_pooled(&mut pooled, &mut batch, &mut encoder);
             prop_assert_eq!(expected, recycled);
         }
     }
@@ -291,16 +290,15 @@ fn drain_shard_fresh(replica: &mut ShardedReplica<u64, GCounter>) -> Vec<u8> {
 
 fn drain_shard_pooled(
     replica: &mut ShardedReplica<u64, GCounter>,
-    pool: &mut EnvelopePool<ShardEnvelope<Kv>>,
+    batch: &mut Vec<ShardEnvelope<Kv>>,
     encoder: &mut FrameEncoder,
 ) -> Vec<u8> {
-    let mut batch = pool.checkout();
-    assert!(batch.is_empty(), "checked-out batches must carry no stale shells");
-    replica.drain_outbox_into(&mut batch);
-    for envelope in &batch {
+    assert!(batch.is_empty(), "a recycled batch must carry no stale shells");
+    replica.drain_outbox_into(batch);
+    for envelope in batch.iter() {
         encoder.encode(envelope).expect("pooled encode");
     }
-    pool.give_back(batch);
+    batch.clear();
     encoder.take().to_vec()
 }
 
@@ -322,7 +320,7 @@ proptest! {
             ShardedReplica::new(ids[0], ids.clone(), 4, ProtocolConfig::default());
         let mut pooled: ShardedReplica<u64, GCounter> =
             ShardedReplica::new(ids[0], ids, 4, ProtocolConfig::default());
-        let mut pool = EnvelopePool::default();
+        let mut batch = Vec::new();
         let mut encoder = FrameEncoder::new();
         let (mut fresh_now, mut pooled_now) = (0u64, 0u64);
         for op in &before {
@@ -330,7 +328,7 @@ proptest! {
             apply_shard(&mut pooled, op, &mut pooled_now);
         }
         let expected = drain_shard_fresh(&mut fresh);
-        let recycled = drain_shard_pooled(&mut pooled, &mut pool, &mut encoder);
+        let recycled = drain_shard_pooled(&mut pooled, &mut batch, &mut encoder);
         prop_assert_eq!(expected, recycled);
         let plan = RebalancePlan { epoch: 1, shards: plan_shards };
         fresh.install_plan(plan);
@@ -339,7 +337,7 @@ proptest! {
             apply_shard(&mut fresh, op, &mut fresh_now);
             apply_shard(&mut pooled, op, &mut pooled_now);
             let expected = drain_shard_fresh(&mut fresh);
-            let recycled = drain_shard_pooled(&mut pooled, &mut pool, &mut encoder);
+            let recycled = drain_shard_pooled(&mut pooled, &mut batch, &mut encoder);
             prop_assert_eq!(expected, recycled);
         }
     }

@@ -573,7 +573,7 @@ mod tests {
         }
     }
 
-    /// The accounting contract the benchmark's traced run and `fig10 --check`
+    /// The accounting contract the benchmark's traced run and `tests/tcp_node.rs`
     /// hold the engine to: every command a node proposes files exactly one
     /// submit-queue and one quorum-wait sample (and one ring event per
     /// station) — through a cutover that re-homes in-flight commands, and for

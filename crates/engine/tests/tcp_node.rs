@@ -1,7 +1,10 @@
 //! `TcpNode` end to end: three replicas over loopback sockets, a closed-loop
 //! client across a live 2 → 4 rebalance, the socket instruments in the node's
-//! snapshot — and a shutdown that really lets go of the listening addresses.
+//! snapshot — and a shutdown that really lets go of the listening addresses;
+//! then a pipelined client whose commands every stage histogram must account
+//! for exactly.
 
+use std::collections::BTreeSet;
 use std::io;
 use std::net::TcpListener;
 use std::time::{Duration, Instant};
@@ -10,7 +13,7 @@ use cluster::{check_keyed_history, HistoryOp, OpKind};
 use crdt::{CounterQuery, CounterUpdate, GCounter, MapOutput, MapQuery, MapUpdate};
 use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody};
 use engine::TcpNode;
-use obs::TraceConfig;
+use obs::{ObsSnapshot, Stage, TraceConfig};
 
 type Node = TcpNode<u64, GCounter>;
 
@@ -138,6 +141,73 @@ fn three_tcp_nodes_serve_across_a_rebalance_and_release_their_addresses() {
     assert_eq!(response.command, probe);
     assert_eq!(response.body, ResponseBody::QueryDone(MapOutput::Value(None)));
     for node in again {
+        node.shutdown();
+    }
+}
+
+/// The command of a mixed workload: key and kind drawn from different bits of
+/// one hash, two updates in five.
+fn mixed_command(n: u64) -> Command<cluster::KvMap> {
+    let mixed = n.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32;
+    let key = mixed % KEYS;
+    if mixed % 5 < 2 {
+        Command::Update(MapUpdate::Apply { key, update: CounterUpdate::Increment(1) })
+    } else {
+        Command::Query(MapQuery::Get { key, query: CounterQuery::Value })
+    }
+}
+
+fn samples(snapshot: &ObsSnapshot, stage: Stage) -> u64 {
+    snapshot
+        .histogram(&format!("stage_{}_nanos", stage.name()))
+        .map_or(0, |histogram| histogram.count())
+}
+
+/// The instruments are an audit of themselves: with node 0 the only submit
+/// ingress and no rebalance, its submit-queue and quorum-wait histograms must
+/// grow by exactly one sample per committed command — any drift is a lost or
+/// double-counted measurement — and every station of the command path,
+/// frame decode and socket write included, must have seen traffic.
+#[test]
+fn every_stage_records_over_tcp_and_submit_and_quorum_accounting_is_exact() {
+    const WINDOW: usize = 16;
+    let (nodes, _) = boot(free_loopback_addrs(), true, Duration::from_secs(10));
+    let node = &nodes[0];
+    let client = ClientId(1);
+
+    // One probe end to end, so the measured commands run on connected meshes;
+    // it passed the same stations, hence the baseline.
+    let probe = node.submit(client, mixed_command(0));
+    let response = node.wait_response(Duration::from_secs(30)).expect("the cluster answers");
+    assert_eq!(response.command, probe);
+    let baseline = node.obs_snapshot();
+
+    let mut inflight = BTreeSet::new();
+    let mut submitted = 0;
+    let mut committed = 0;
+    while committed < COMMANDS {
+        while inflight.len() < WINDOW && submitted < COMMANDS {
+            submitted += 1;
+            inflight.insert(node.submit(client, mixed_command(submitted)));
+        }
+        let response = node
+            .wait_response(Duration::from_secs(30))
+            .unwrap_or_else(|| panic!("lost a response: {} in flight", inflight.len()));
+        assert!(inflight.remove(&response.command), "{:?} answered twice", response.command);
+        assert!(!matches!(response.body, ResponseBody::QueryFailed));
+        committed += 1;
+    }
+    assert!(node.try_response().is_none(), "a command was answered twice");
+
+    let snapshot = node.obs_snapshot();
+    for stage in [Stage::SubmitQueue, Stage::QuorumWait] {
+        let grew = samples(&snapshot, stage) - samples(&baseline, stage);
+        assert_eq!(grew, COMMANDS, "{} samples for {COMMANDS} commands", stage.name());
+    }
+    for stage in Stage::ALL {
+        assert!(samples(&snapshot, stage) > 0, "no samples recorded for {}", stage.name());
+    }
+    for node in nodes {
         node.shutdown();
     }
 }

@@ -39,6 +39,9 @@ pub mod varint;
 pub use de::{from_bytes, from_bytes_in_place, from_slice, from_slice_in_place, Deserializer};
 pub use error::{Error, Result};
 pub use ser::{to_vec, to_writer, Serializer};
+/// What [`to_vec`] and [`to_writer`] accept, re-exported so a caller that only
+/// measures encoded sizes can bound on it without its own `serde` dependency.
+pub use serde::Serialize;
 
 #[cfg(test)]
 mod tests {

@@ -1,5 +1,5 @@
 //! Minimal `crossbeam` stand-in: MPMC unbounded channels (mutex + condvar)
-//! plus the lock-free [`queue`] primitives the thread-per-shard engine's
+//! plus the lock-free [`queue`] the thread-per-shard engine's
 //! mailboxes are built on.
 
 pub mod queue;

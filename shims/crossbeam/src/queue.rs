@@ -1,20 +1,15 @@
 //! Lock-free queues: the subset of `crossbeam::queue` the engine's mailboxes
 //! need.
 //!
-//! * [`SegQueue`] — an unbounded queue with **lock-free multi-producer push**
-//!   (one atomic swap per enqueue) and a single-consumer pop discipline
-//!   (Vyukov's intrusive MPSC algorithm). Concurrent poppers are tolerated —
-//!   a consumer token serializes them — but the intended shape is the engine's
-//!   mailbox topology: many producer threads, exactly one owner draining.
-//! * [`ArrayQueue`] — a bounded MPMC ring (Vyukov's array queue, one sequence
-//!   number per slot), used where backpressure matters: `push` fails instead
-//!   of allocating when the queue is full.
+//! [`SegQueue`] is an unbounded queue with **lock-free multi-producer push**
+//! (one atomic swap per enqueue) and a single-consumer pop discipline
+//! (Vyukov's intrusive MPSC algorithm). Concurrent poppers are tolerated —
+//! a consumer token serializes them — but the intended shape is the engine's
+//! mailbox topology: many producer threads, exactly one owner draining.
 //!
-//! Both drop any queued elements when the queue itself is dropped — the
+//! It drops any queued elements when the queue itself is dropped — the
 //! "drop-on-shutdown" semantics the executor relies on for graceful teardown.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
 use std::ptr;
 use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
 
@@ -142,159 +137,6 @@ impl<T> std::fmt::Debug for SegQueue<T> {
     }
 }
 
-/// One slot of an [`ArrayQueue`]: a sequence number gating a value cell.
-struct Slot<T> {
-    sequence: AtomicUsize,
-    value: UnsafeCell<MaybeUninit<T>>,
-}
-
-/// A bounded lock-free MPMC queue (Vyukov's array queue).
-///
-/// Each slot carries a sequence number; producers and consumers claim slots by
-/// CAS on global head/tail counters and hand them over by bumping the slot's
-/// sequence, so a full queue rejects `push` immediately — the backpressure
-/// primitive the engine's client-facing submission queues are built on.
-pub struct ArrayQueue<T> {
-    slots: Box<[Slot<T>]>,
-    /// Bit mask (capacity is rounded up to a power of two internally).
-    mask: usize,
-    /// Logical capacity as requested by the caller.
-    capacity: usize,
-    /// Producer counter; slot = tail & mask, expected sequence = tail.
-    tail: AtomicUsize,
-    /// Consumer counter; slot = head & mask, expected sequence = head + 1.
-    head: AtomicUsize,
-}
-
-unsafe impl<T: Send> Send for ArrayQueue<T> {}
-unsafe impl<T: Send> Sync for ArrayQueue<T> {}
-
-impl<T> ArrayQueue<T> {
-    /// Creates a queue holding at most `capacity` elements.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ArrayQueue capacity must be non-zero");
-        let slots: Vec<Slot<T>> = (0..capacity.next_power_of_two())
-            .map(|i| Slot {
-                sequence: AtomicUsize::new(i),
-                value: UnsafeCell::new(MaybeUninit::uninit()),
-            })
-            .collect();
-        let mask = slots.len() - 1;
-        ArrayQueue {
-            slots: slots.into_boxed_slice(),
-            mask,
-            capacity,
-            tail: AtomicUsize::new(0),
-            head: AtomicUsize::new(0),
-        }
-    }
-
-    /// Enqueues `value`, or returns it if the queue is full.
-    pub fn push(&self, value: T) -> Result<(), T> {
-        let mut tail = self.tail.load(Ordering::Relaxed);
-        loop {
-            // Enforce the logical capacity (may be below the ring size).
-            let head = self.head.load(Ordering::Acquire);
-            if tail.wrapping_sub(head) >= self.capacity {
-                return Err(value);
-            }
-            let slot = &self.slots[tail & self.mask];
-            let sequence = slot.sequence.load(Ordering::Acquire);
-            if sequence == tail {
-                match self.tail.compare_exchange_weak(
-                    tail,
-                    tail.wrapping_add(1),
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        unsafe { (*slot.value.get()).write(value) };
-                        slot.sequence.store(tail.wrapping_add(1), Ordering::Release);
-                        return Ok(());
-                    }
-                    Err(current) => tail = current,
-                }
-            } else if (sequence as isize).wrapping_sub(tail as isize) < 0 {
-                // The slot still holds an unconsumed value one lap behind: full.
-                return Err(value);
-            } else {
-                tail = self.tail.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Dequeues the oldest value, or `None` if the queue is empty.
-    pub fn pop(&self) -> Option<T> {
-        let mut head = self.head.load(Ordering::Relaxed);
-        loop {
-            let slot = &self.slots[head & self.mask];
-            let sequence = slot.sequence.load(Ordering::Acquire);
-            let expected = head.wrapping_add(1);
-            if sequence == expected {
-                match self.head.compare_exchange_weak(
-                    head,
-                    expected,
-                    Ordering::Relaxed,
-                    Ordering::Relaxed,
-                ) {
-                    Ok(_) => {
-                        let value = unsafe { (*slot.value.get()).assume_init_read() };
-                        // Re-arm the slot for the producers' next lap.
-                        slot.sequence.store(head.wrapping_add(self.mask + 1), Ordering::Release);
-                        return Some(value);
-                    }
-                    Err(current) => head = current,
-                }
-            } else if (sequence as isize).wrapping_sub(expected as isize) < 0 {
-                return None;
-            } else {
-                head = self.head.load(Ordering::Relaxed);
-            }
-        }
-    }
-
-    /// Maximum number of elements the queue holds.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Current number of queued elements (approximate under concurrency).
-    pub fn len(&self) -> usize {
-        let tail = self.tail.load(Ordering::Acquire);
-        let head = self.head.load(Ordering::Acquire);
-        tail.wrapping_sub(head)
-    }
-
-    /// Whether the queue is (approximately) empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Whether the queue is (approximately) full.
-    pub fn is_full(&self) -> bool {
-        self.len() >= self.capacity
-    }
-}
-
-impl<T> Drop for ArrayQueue<T> {
-    fn drop(&mut self) {
-        while self.pop().is_some() {}
-    }
-}
-
-impl<T> std::fmt::Debug for ArrayQueue<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ArrayQueue")
-            .field("capacity", &self.capacity)
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,81 +213,5 @@ mod tests {
         assert_eq!(drops.load(Ordering::SeqCst), 1);
         drop(queue); // ...nine dropped with the queue
         assert_eq!(drops.load(Ordering::SeqCst), 10);
-    }
-
-    #[test]
-    fn array_queue_rejects_when_full_and_recovers() {
-        let queue = ArrayQueue::new(3);
-        assert_eq!(queue.capacity(), 3);
-        assert!(queue.push(1).is_ok());
-        assert!(queue.push(2).is_ok());
-        assert!(queue.push(3).is_ok());
-        assert!(queue.is_full());
-        assert_eq!(queue.push(4), Err(4));
-        assert_eq!(queue.pop(), Some(1));
-        assert!(queue.push(4).is_ok());
-        assert_eq!(queue.pop(), Some(2));
-        assert_eq!(queue.pop(), Some(3));
-        assert_eq!(queue.pop(), Some(4));
-        assert_eq!(queue.pop(), None);
-    }
-
-    #[test]
-    fn array_queue_mpmc_under_contention() {
-        const PRODUCERS: usize = 4;
-        const PER_PRODUCER: usize = 5_000;
-        let queue = Arc::new(ArrayQueue::new(64));
-        let produced: Vec<_> = (0..PRODUCERS)
-            .map(|producer| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    for i in 0..PER_PRODUCER {
-                        let mut value = producer * PER_PRODUCER + i;
-                        loop {
-                            match queue.push(value) {
-                                Ok(()) => break,
-                                Err(back) => value = back,
-                            }
-                            std::hint::spin_loop();
-                        }
-                    }
-                })
-            })
-            .collect();
-        let consumers: Vec<_> = (0..2)
-            .map(|_| {
-                let queue = Arc::clone(&queue);
-                std::thread::spawn(move || {
-                    let mut seen = Vec::new();
-                    while seen.len() < PRODUCERS * PER_PRODUCER / 2 {
-                        if let Some(value) = queue.pop() {
-                            seen.push(value);
-                        } else {
-                            std::hint::spin_loop();
-                        }
-                    }
-                    seen
-                })
-            })
-            .collect();
-        for handle in produced {
-            handle.join().unwrap();
-        }
-        let mut all: Vec<usize> =
-            consumers.into_iter().flat_map(|handle| handle.join().unwrap()).collect();
-        all.sort_unstable();
-        let expected: Vec<usize> = (0..PRODUCERS * PER_PRODUCER).collect();
-        assert_eq!(all, expected, "every pushed value is popped exactly once");
-    }
-
-    #[test]
-    fn array_queue_drops_queued_items_on_shutdown() {
-        let drops = Arc::new(AtomicUsize::new(0));
-        let queue = ArrayQueue::new(8);
-        for _ in 0..5 {
-            assert!(queue.push(CountsDrops(Arc::clone(&drops))).is_ok());
-        }
-        drop(queue);
-        assert_eq!(drops.load(Ordering::SeqCst), 5);
     }
 }

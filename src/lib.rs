@@ -15,7 +15,7 @@
 //! | [`obs`] | allocation-free observability: log-bucketed latency histograms, per-stage instrumentation ([`obs::Stage`]), runtime counters, sampled trace rings, and a registry with Prometheus-style exposition ([`obs::ObsRegistry`]) |
 //! | [`baselines`] | Multi-Paxos (read leases) and Raft baselines |
 //! | [`transport`] | in-memory and tokio TCP transports |
-//! | [`cluster`] | deterministic simulator, workloads, statistics, linearizability checker |
+//! | [`cluster`] | deterministic simulator, workloads, statistics (latencies and the per-kind tally of encoded bytes on the wire, [`cluster::WireMetrics`]), linearizability checker |
 //!
 //! ## Quickstart
 //!
@@ -89,6 +89,8 @@
 //! regenerate every figure of the paper's evaluation (including the
 //! `fig5_wire_bytes` full-vs-delta byte comparison, the `fig6_sharding`
 //! throughput-vs-shards report, and the `fig7_rebalance` live 4→8 split report).
+//! Performance numbers — end to end and layer by layer — come from one place,
+//! the `benchmark/` package (`benchmark/run.sh`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
