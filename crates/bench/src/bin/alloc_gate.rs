@@ -32,12 +32,18 @@
 //!   and a second `ACK` that arrives after it. Both run through the worker's
 //!   own [`Residents`] and are gated at **zero** allocations per frame (at the
 //!   parent of the change that introduced them, with one decode target for all
-//!   kinds and a node per counter slot map, they read 299 and 150).
+//!   kinds and a node per counter slot map, they read 299 and 150);
+//! * **submit cycle** — a proposer handed `k` updates and `k` reads of that
+//!   256-key map as one cycle (`ShardCore::submit_cycle`), everything it does
+//!   from the submission to the last response, for `k` = 1 and `k` = 16. The
+//!   instance table, the waiter lists and the inner-to-outer id table are all
+//!   recycled, so both are gated at **zero** allocations per cycle: what a
+//!   cycle allocates does not depend on how many commands it carries.
 //!
 //! Flags: `--quick` shortens the loops (used by CI); `--check` exits non-zero
 //! unless every steady-state loop (delta decode, framing, recycled encode,
-//! full protocol round, the two mixed streams) hits **zero** allocations per
-//! frame and the
+//! full protocol round, the two mixed streams, the two submit cycles) hits
+//! **zero** allocations per frame (per cycle) and the
 //! full-state decode stays within a small bounded budget. If the counting
 //! allocator turns out not to intercept allocations on this platform,
 //! `--check` prints a loud SKIP and exits 0.
@@ -235,7 +241,7 @@ struct MixedCluster {
     nodes: [Node; 3],
     /// The node whose frame handling is counted: every receive, every drain,
     /// every encode. Submitting a command is not handling a frame, and
-    /// allocates (the instance table, the waiter list).
+    /// is counted only by [`MixedCluster::submit_cycle`].
     counted: usize,
     outputs: Vec<ShardOutput<u64, GCounter>>,
     next_command: u64,
@@ -274,6 +280,29 @@ impl MixedCluster {
             assert_eq!(self.outputs.len(), 1, "one command, one response");
             self.outputs.clear();
         }
+    }
+
+    /// `k` updates and `k` reads of `k` successive keys, handed to node 0 as
+    /// one cycle and run to completion. Here the submission is counted too:
+    /// what a cycle allocates must not depend on how many commands it carries.
+    fn submit_cycle(&mut self, k: u64) {
+        let mut commands = Vec::new();
+        for n in 0..k {
+            let key = (self.next_command / 2 + n) % MIXED_KEYS;
+            let update = MapUpdate::Apply { key, update: CounterUpdate::Increment(1) };
+            let query = MapQuery::Get { key, query: CounterQuery::Value };
+            for command in [Command::Update(update), Command::Query(query)] {
+                commands.push((ClientId(1), CommandId(self.next_command), key, command));
+                self.next_command += 1;
+            }
+        }
+        let proposer = &mut self.nodes[0].core;
+        count_if(self.counted == 0, || proposer.submit_cycle(commands.drain(..)));
+        self.run_to_quiescence();
+        let proposer = &mut self.nodes[0].core;
+        count_if(self.counted == 0, || proposer.drain_outputs(&mut self.outputs));
+        assert_eq!(self.outputs.len() as u64, 2 * k, "every command answered");
+        self.outputs.clear();
     }
 
     /// Ships every queued envelope to its destination, as an encoded frame,
@@ -325,6 +354,22 @@ fn run_mixed_case(label: &'static str, counted: usize, cycles: u64) -> Case {
     }
     let (allocations, bytes) = ALLOC.totals();
     Case { label, iterations: cluster.nodes[counted].received - before, allocations, bytes }
+}
+
+/// Measures `cycles` proposer cycles of `k` updates and `k` reads each, per
+/// cycle: everything node 0 does, from the submission to the last response.
+fn run_submit_cycle_case(label: &'static str, k: u64, cycles: u64) -> Case {
+    let mut cluster = MixedCluster::new(0);
+    // Warm-up: waiter lists, outboxes and tables grow to the cycle's size.
+    for _ in 0..64 {
+        cluster.submit_cycle(k);
+    }
+    ALLOC.reset();
+    for _ in 0..cycles {
+        cluster.submit_cycle(k);
+    }
+    let (allocations, bytes) = ALLOC.totals();
+    Case { label, iterations: cycles, allocations, bytes }
 }
 
 fn main() {
@@ -540,6 +585,12 @@ fn main() {
     cases.push(run_mixed_case("mixed_acceptor_full", 1, cycles));
     cases.push(run_mixed_case("mixed_proposer_full", 0, cycles));
 
+    // A proposer cycle, submission included, at two sizes: the instance
+    // table, the waiter lists and the id bookkeeping are recycled, so sixteen
+    // commands opened together allocate what one does.
+    cases.push(run_submit_cycle_case("submit_cycle_1", 1, cycles));
+    cases.push(run_submit_cycle_case("submit_cycle_16", 16, cycles));
+
     println!(
         "{:<24} {:>10} {:>14} {:>14} {:>12}",
         "case", "frames", "allocs/frame", "bytes/frame", "allocs"
@@ -570,7 +621,9 @@ fn main() {
                 | "protocol_round_delta"
                 | "protocol_round_observed"
                 | "mixed_acceptor_full"
-                | "mixed_proposer_full" => 0.0,
+                | "mixed_proposer_full"
+                | "submit_cycle_1"
+                | "submit_cycle_16" => 0.0,
                 "decode_in_place_full" => FULL_BUDGET,
                 _ => continue,
             };
@@ -589,9 +642,9 @@ fn main() {
         println!();
         println!(
             "acceptance passed: delta decode, framing, recycled encode, the full protocol \
-             round and the mixed full-state streams (acceptor and proposer) are \
-             allocation-free — with observability recording enabled too; full-state \
-             decode within budget ({FULL_BUDGET}/frame)"
+             round, the mixed full-state streams (acceptor and proposer) and a proposer \
+             cycle of 1 + 1 or 16 + 16 commands are allocation-free — with observability \
+             recording enabled too; full-state decode within budget ({FULL_BUDGET}/frame)"
         );
     }
 }

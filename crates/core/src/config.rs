@@ -25,10 +25,17 @@ pub enum PayloadMode {
 /// rides in `PREPARE`, never `s0`) and the incremental-prepare retry of §3.5 are
 /// not knobs: the protocol always applies them.
 /// Enable [`ProtocolConfig::batching`] to obtain the "CRDT Paxos w/ batching"
-/// configuration (5 ms batches in the paper).
+/// configuration (commands held for 5 ms batches, as in the paper).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
-    /// Buffer client commands and execute them batch-wise (§3.6, "Batching").
+    /// *Wait* up to [`ProtocolConfig::batch_interval_ms`] for more commands
+    /// before opening their instances (§3.6, "Batching"). Off, commands are
+    /// proposed as soon as they are submitted — which does not mean one
+    /// instance each: commands handed in together
+    /// ([`crate::Replica::submit_cycle`]) always share one update and one query
+    /// instance, and the thread-per-shard engine hands in whatever one pump
+    /// cycle drained. Coalescing is unconditional; this flag only adds the
+    /// waiting.
     pub batching: bool,
     /// Batch flush interval in milliseconds (the paper uses 5 ms).
     pub batch_interval_ms: u64,

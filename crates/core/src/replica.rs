@@ -221,7 +221,8 @@ pub struct Replica<C: Crdt + DeltaCrdt> {
     requests: BTreeMap<RequestId, InFlight<C>>,
     outbox: Vec<Envelope<C>>,
     responses: Vec<ClientResponse<C>>,
-    /// Largest state ever learned by this proposer (GLA-Stability, §3.4).
+    /// Largest state ever learned by this proposer; kept only under
+    /// [`ProtocolConfig::gla_stability`] (§3.4), its one reader.
     largest_learned: Option<C>,
     /// Per peer, the largest state the peer is *known* to contain, learned from its
     /// `MERGED`/`ACK`/`NACK` replies. Only maintained (and only paid for) in
@@ -256,6 +257,11 @@ pub struct Replica<C: Crdt + DeltaCrdt> {
     ack_pool: Vec<Vec<ReplicaId>>,
     /// Recycled first-phase acknowledgement buffers ([`PrepareAcks`]).
     prepare_pool: Vec<Vec<(ReplicaId, Round, C)>>,
+    /// Recycled waiter lists of finished update instances: a list keeps the
+    /// capacity of the largest cycle it has carried.
+    update_waiter_pool: Vec<Vec<UpdateWaiter>>,
+    /// Recycled waiter lists of finished query instances.
+    query_waiter_pool: Vec<Vec<QueryWaiter<C>>>,
     /// Peer states that finished instances no longer need, at most
     /// [`Replica::STATE_POOL_CAP`] of them. A decoded `ACK`/`NACK` gives its state
     /// to the proposer and gets one of these back ([`Replica::take_reply_state`]),
@@ -356,6 +362,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             next_flush_ms: batch_interval + flush_offset,
             ack_pool: Vec::new(),
             prepare_pool: Vec::new(),
+            update_waiter_pool: Vec::new(),
+            query_waiter_pool: Vec::new(),
             state_pool: Vec::new(),
         }
     }
@@ -466,6 +474,14 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.requests.len()
     }
 
+    /// Protocol instances this proposer has opened so far. A retried read runs
+    /// under a fresh request id and counts again — it sends a fresh `PREPARE` to
+    /// every peer, which is what an instance costs. Commands completed
+    /// ([`Metrics`]) over this is the commands-per-instance ratio.
+    pub fn instances_opened(&self) -> u64 {
+        self.next_request
+    }
+
     /// The largest state `peer` is known to contain (delta-payload tracking).
     ///
     /// Always `None` in [`PayloadMode::Full`], where the tracking is disabled.
@@ -474,28 +490,58 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     }
 
     /// Submits a client command and returns the id used to correlate the response.
+    ///
+    /// The command opens its protocol instance at once unless
+    /// [`ProtocolConfig::batching`] is set, in which case it waits for the flush
+    /// tick. A cycle of one: see [`Replica::submit_cycle`].
     pub fn submit(&mut self, client: ClientId, command: Command<C>) -> CommandId {
+        let command_id = self.enqueue(client, command);
+        self.end_cycle();
+        command_id
+    }
+
+    /// Submits every given command as one cycle and returns their ids, in order.
+    ///
+    /// This is the batching of §3.6 without the wait: every update function is
+    /// applied and **one** update instance replicates the result (one `MERGE` per
+    /// peer), then **one** query instance learns a state for all the reads (one
+    /// `PREPARE` per peer, carrying the cycle's writes) and each read is evaluated
+    /// on it. A driver that drained several commands together hands them in
+    /// together; how many there are is the driver's observation, not a setting.
+    /// With [`ProtocolConfig::batching`] the commands join the timed batch
+    /// instead, exactly as [`Replica::submit`]'s would.
+    pub fn submit_cycle(
+        &mut self,
+        commands: impl IntoIterator<Item = (ClientId, Command<C>)>,
+    ) -> Vec<CommandId> {
+        let ids =
+            commands.into_iter().map(|(client, command)| self.enqueue(client, command)).collect();
+        self.end_cycle();
+        ids
+    }
+
+    /// Buffers one command of the cycle being submitted; [`Replica::end_cycle`]
+    /// must follow.
+    pub(crate) fn enqueue(&mut self, client: ClientId, command: Command<C>) -> CommandId {
         let command_id = CommandId(self.next_command);
         self.next_command += 1;
         match command {
             Command::Update(update) => {
-                let waiter = UpdateWaiter { client, command: command_id };
-                if self.config.batching {
-                    self.update_batch.push((waiter, update));
-                } else {
-                    self.start_update(vec![(waiter, update)]);
-                }
+                self.update_batch.push((UpdateWaiter { client, command: command_id }, update));
             }
             Command::Query(query) => {
-                let waiter = QueryWaiter { client, command: command_id, query };
-                if self.config.batching {
-                    self.query_batch.push(waiter);
-                } else {
-                    self.start_query(vec![waiter]);
-                }
+                self.query_batch.push(QueryWaiter { client, command: command_id, query });
             }
         }
         command_id
+    }
+
+    /// Opens the instances of the commands buffered since the last flush — unless
+    /// timed batching is on, which means: wait for more until the flush tick.
+    pub(crate) fn end_cycle(&mut self) {
+        if !self.config.batching {
+            self.flush_batches();
+        }
     }
 
     /// Convenience wrapper for [`Replica::submit`] with an update command.
@@ -1110,7 +1156,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         }
     }
 
-    /// Upper bound on pooled acknowledgement buffers of either kind.
+    /// Upper bound on pooled acknowledgement buffers of either kind, and on
+    /// pooled waiter lists of either kind.
     const ACK_POOL_CAP: usize = 64;
 
     fn alloc_ack_set(&mut self) -> AckSet {
@@ -1193,21 +1240,9 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.responses.push(ClientResponse { client, command, body, round_trips });
     }
 
-    /// Starts one update protocol instance covering all the given (waiter, update)
-    /// pairs (a single pair without batching, a whole batch otherwise).
-    fn start_update(&mut self, batch: Vec<(UpdateWaiter, C::Update)>) {
-        debug_assert!(!batch.is_empty());
-        let mut waiters = Vec::with_capacity(batch.len());
-        for (waiter, update) in batch {
-            self.acceptor.apply_update(&update);
-            waiters.push(waiter);
-        }
-        self.launch_update(waiters);
-    }
-
     /// Starts the quorum half of an update instance, replicating the local acceptor
     /// state as it is now: all update functions (if any) already applied. Shared by
-    /// [`Replica::start_update`] and [`Replica::submit_resync`].
+    /// [`Replica::flush_batches`] and [`Replica::submit_resync`].
     fn launch_update(&mut self, waiters: Vec<UpdateWaiter>) {
         let request = self.alloc_request();
         let mut acks = self.alloc_ack_set();
@@ -1368,10 +1403,13 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.finish_update(waiters, round_trips);
     }
 
-    fn finish_update(&mut self, waiters: Vec<UpdateWaiter>, round_trips: u32) {
-        for waiter in waiters {
+    fn finish_update(&mut self, mut waiters: Vec<UpdateWaiter>, round_trips: u32) {
+        for waiter in waiters.drain(..) {
             self.metrics.record_update(round_trips);
             self.respond(waiter.client, waiter.command, ResponseBody::UpdateDone, round_trips);
+        }
+        if self.update_waiter_pool.len() < Self::ACK_POOL_CAP {
+            self.update_waiter_pool.push(waiters);
         }
     }
 
@@ -1557,24 +1595,25 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Completes a query: applies GLA-Stability if configured, evaluates every
     /// waiter's query function on the learned state, and records metrics.
     fn finish_query(&mut self, request: RequestId, learned: C, by_vote: bool) {
-        let Some(InFlight::Query { waiters, round_trips, .. }) = self.remove_request(request)
+        let Some(InFlight::Query { mut waiters, round_trips, .. }) = self.remove_request(request)
         else {
             return;
         };
+        // Only GLA-Stability reads the largest learned state, so only then is it
+        // kept: comparing is a walk of the whole state, and a kept snapshot makes
+        // the next update copy the state it shares.
         let state = if self.config.gla_stability {
-            match &self.largest_learned {
+            let state = match self.largest_learned.take() {
                 // Consistency guarantees comparability; keep the larger state.
-                Some(previous) if learned.leq(previous) => previous.clone(),
+                Some(previous) if learned.leq(&previous) => previous,
                 _ => learned,
-            }
+            };
+            self.largest_learned = Some(state.clone());
+            state
         } else {
             learned
         };
-        self.largest_learned = Some(match self.largest_learned.take() {
-            Some(previous) if state.leq(&previous) => previous,
-            _ => state.clone(),
-        });
-        for waiter in waiters {
+        for waiter in waiters.drain(..) {
             let output = state.query(&waiter.query);
             self.metrics.record_query(round_trips, by_vote);
             self.respond(
@@ -1584,16 +1623,28 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 round_trips,
             );
         }
+        if self.query_waiter_pool.len() < Self::ACK_POOL_CAP {
+            self.query_waiter_pool.push(waiters);
+        }
     }
 
+    /// Opens at most one update instance and then at most one query instance for
+    /// everything buffered: every update function applied before the one snapshot
+    /// the `MERGE`s share, and the reads prepared after it, so their `PREPARE`
+    /// payload carries those writes. Both buffers keep their capacity.
     fn flush_batches(&mut self) {
         if !self.update_batch.is_empty() {
-            let batch = std::mem::take(&mut self.update_batch);
-            self.start_update(batch);
+            let mut waiters = self.update_waiter_pool.pop().unwrap_or_default();
+            for (waiter, update) in self.update_batch.drain(..) {
+                self.acceptor.apply_update(&update);
+                waiters.push(waiter);
+            }
+            self.launch_update(waiters);
         }
         if !self.query_batch.is_empty() {
-            let batch = std::mem::take(&mut self.query_batch);
-            self.start_query(batch);
+            let mut waiters = self.query_waiter_pool.pop().unwrap_or_default();
+            waiters.append(&mut self.query_batch);
+            self.start_query(waiters);
         }
     }
 
@@ -1847,6 +1898,95 @@ mod tests {
         }
         assert_eq!(replicas[0].metrics().updates_completed, 10);
         assert_eq!(replicas[0].metrics().queries_completed, 10);
+    }
+
+    /// A cycle opens one update instance and one query instance whatever its
+    /// size: two `MERGE`s and two `PREPARE`s to the two peers, every command
+    /// answered under its own id, every read seeing every write of the cycle.
+    #[test]
+    fn a_cycle_opens_one_update_and_one_query_instance() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        let (updates, reads) = (5u64, 3u64);
+        // Interleaved on purpose: the grouping is by kind, not by position.
+        let commands = (0..updates.max(reads)).flat_map(|n| {
+            let update = (n < updates).then_some(Command::Update(CounterUpdate::Increment(n + 1)));
+            let read = (n < reads).then_some(Command::Query(CounterQuery::Value));
+            update.into_iter().chain(read)
+        });
+        let ids = replicas[0].submit_cycle(commands.map(|command| (ClientId(4), command)));
+        assert_eq!(ids.len() as u64, updates + reads);
+        assert_eq!(replicas[0].in_flight(), 2);
+        assert_eq!(replicas[0].instances_opened(), 2);
+
+        let outbox = replicas[0].take_outbox();
+        let kinds: Vec<(u64, &str)> = outbox
+            .iter()
+            .map(|env| match &env.message {
+                Message::Merge { .. } => (env.to.as_u64(), "merge"),
+                Message::Prepare { payload: Some(_), .. } => (env.to.as_u64(), "prepare"),
+                other => panic!("unexpected {other:?}"),
+            })
+            .collect();
+        assert_eq!(kinds, [(1, "merge"), (2, "merge"), (1, "prepare"), (2, "prepare")]);
+        for env in outbox {
+            let index = env.to.as_u64() as usize;
+            replicas[index].handle_message(env.from, env.message);
+        }
+        run_to_quiescence(&mut replicas);
+
+        let responses = drain_responses(&mut replicas[0]);
+        let mut answered: Vec<CommandId> = responses.iter().map(|r| r.command).collect();
+        answered.sort();
+        assert_eq!(answered, ids, "each command answered once, under its own id");
+        let total: i64 = (1..=updates as i64).sum();
+        for response in &responses {
+            assert_eq!(response.client, ClientId(4));
+            assert_eq!(response.round_trips, 1);
+            match &response.body {
+                ResponseBody::UpdateDone => {}
+                body => assert_eq!(body, &ResponseBody::QueryDone(total)),
+            }
+        }
+        assert_eq!(replicas[0].metrics().updates_completed, updates);
+        assert_eq!(replicas[0].metrics().queries_completed, reads);
+    }
+
+    /// `submit(x)` is `submit_cycle([x])`: the same ids, the same envelopes in
+    /// the same order, at the proposer and at the acceptors answering it.
+    #[test]
+    fn a_cycle_of_one_is_envelope_for_envelope_submit() {
+        let commands = || {
+            [
+                Command::Update(CounterUpdate::Increment(2)),
+                Command::Query(CounterQuery::Value),
+                Command::Update(CounterUpdate::Increment(3)),
+            ]
+        };
+        let mut single = cluster(3, ProtocolConfig::default());
+        let mut cycled = cluster(3, ProtocolConfig::default());
+        for (one, as_cycle) in commands().into_iter().zip(commands()) {
+            let id = single[0].submit(ClientId(1), one);
+            let ids = cycled[0].submit_cycle([(ClientId(1), as_cycle)]);
+            assert_eq!(ids, [id]);
+            // Step both clusters in lockstep, comparing every hop.
+            loop {
+                let mut envelopes = Vec::new();
+                for (a, b) in single.iter_mut().zip(cycled.iter_mut()) {
+                    let (sent, same) = (a.take_outbox(), b.take_outbox());
+                    assert_eq!(sent, same);
+                    envelopes.extend(sent);
+                }
+                if envelopes.is_empty() {
+                    break;
+                }
+                for env in envelopes {
+                    let index = env.to.as_u64() as usize;
+                    single[index].handle_message(env.from, env.message.clone());
+                    cycled[index].handle_message(env.from, env.message);
+                }
+            }
+            assert_eq!(drain_responses(&mut single[0]), drain_responses(&mut cycled[0]));
+        }
     }
 
     #[test]

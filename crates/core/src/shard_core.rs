@@ -22,7 +22,7 @@
 //! ([`crate::RouterEffect`]), and the driver — single-threaded or one thread
 //! per core — only decides *where* that call runs.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crdt::{Crdt, DeltaCrdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
@@ -80,6 +80,55 @@ enum Pending<K> {
     Single { command: CommandId, key: K },
     /// One leg of a keyspace-wide fan-out query.
     FanoutLeg { command: CommandId },
+}
+
+/// Inner command id → [`Pending`], for the commands still open.
+///
+/// The protocol instance hands inner ids out in sequence, so the table is a
+/// window over that sequence: slot `i` belongs to inner id `first + i`, an
+/// answered command leaves `None` behind, and the window's front advances past
+/// whatever is answered. Unlike a tree it keeps its buffer when it empties — a
+/// cycle's worth of entries comes and goes without allocating — and it is only
+/// as long as the oldest open command is old.
+#[derive(Debug)]
+struct PendingTable<K> {
+    first: u64,
+    slots: VecDeque<Option<Pending<K>>>,
+}
+
+impl<K> PendingTable<K> {
+    fn insert(&mut self, inner: CommandId, pending: Pending<K>) {
+        if self.slots.is_empty() {
+            self.first = inner.0;
+        }
+        let next = self.first + self.slots.len() as u64;
+        assert_eq!(inner.0, next, "inner ids are handed out in sequence");
+        self.slots.push_back(Some(pending));
+    }
+
+    fn remove(&mut self, inner: CommandId) -> Option<Pending<K>> {
+        let index = inner.0.checked_sub(self.first)?;
+        let pending = self.slots.get_mut(usize::try_from(index).ok()?)?.take();
+        self.trim();
+        pending
+    }
+
+    /// Empties the slots `keep` rejects.
+    fn retain(&mut self, mut keep: impl FnMut(&Pending<K>) -> bool) {
+        for slot in &mut self.slots {
+            if slot.as_ref().is_some_and(|pending| !keep(pending)) {
+                *slot = None;
+            }
+        }
+        self.trim();
+    }
+
+    fn trim(&mut self) {
+        while let Some(None) = self.slots.front() {
+            self.slots.pop_front();
+            self.first += 1;
+        }
+    }
 }
 
 /// One output of [`ShardCore::drain_outputs`]: either a finished single-shard
@@ -144,7 +193,7 @@ where
 {
     shard: ShardId,
     replica: Replica<LatticeMap<K, V>>,
-    pending: BTreeMap<CommandId, Pending<K>>,
+    pending: PendingTable<K>,
     /// Reused drain buffer for the instance outbox (no per-cycle allocs).
     scratch: Vec<Envelope<LatticeMap<K, V>>>,
     /// Reused drain buffer for the instance's completed commands.
@@ -166,7 +215,7 @@ where
         ShardCore {
             shard,
             replica: Replica::new(id, members, LatticeMap::default(), config),
-            pending: BTreeMap::new(),
+            pending: PendingTable { first: 0, slots: VecDeque::new() },
             scratch: Vec::new(),
             completed: Vec::new(),
         }
@@ -192,6 +241,12 @@ where
         self.replica.in_flight()
     }
 
+    /// Protocol instances this core's proposer has opened so far
+    /// ([`Replica::instances_opened`]).
+    pub fn instances_opened(&self) -> u64 {
+        self.replica.instances_opened()
+    }
+
     /// Proposer metrics of this core's instance.
     pub fn metrics(&self) -> &Metrics {
         self.replica.metrics()
@@ -212,8 +267,22 @@ where
         key: K,
         command: Command<LatticeMap<K, V>>,
     ) {
-        let inner = self.replica.submit(client, command);
-        self.pending.insert(inner, Pending::Single { command: outer, key });
+        self.submit_cycle([(client, outer, key, command)]);
+    }
+
+    /// Submits every given single-key command `(client, outer id, key, command)`
+    /// as one cycle ([`Replica::submit_cycle`]): at most one update instance and
+    /// one query instance for all of them, each command answered under its own
+    /// outer id. [`ShardCore::submit_single`] is a cycle of one.
+    pub fn submit_cycle(
+        &mut self,
+        commands: impl IntoIterator<Item = (ClientId, CommandId, K, Command<LatticeMap<K, V>>)>,
+    ) {
+        for (client, outer, key, command) in commands {
+            let inner = self.replica.enqueue(client, command);
+            self.pending.insert(inner, Pending::Single { command: outer, key });
+        }
+        self.replica.end_cycle();
     }
 
     /// Submits one leg of the keyspace-wide fan-out `outer`.
@@ -277,7 +346,7 @@ where
     pub fn drain_outputs(&mut self, out: &mut Vec<ShardOutput<K, V>>) {
         self.replica.drain_responses_into(&mut self.completed);
         for response in self.completed.drain(..) {
-            let Some(pending) = self.pending.remove(&response.command) else {
+            let Some(pending) = self.pending.remove(response.command) else {
                 continue;
             };
             match pending {
@@ -313,18 +382,18 @@ where
         let mut rehome = CoreRehome { applied: Vec::new(), resubmit: Vec::new() };
         let cancelled = self.replica.cancel_in_flight();
         for (client, inner) in cancelled.applied_updates {
-            if let Some(Pending::Single { command, key }) = self.pending.remove(&inner) {
+            if let Some(Pending::Single { command, key }) = self.pending.remove(inner) {
                 rehome.applied.push((client, command, key));
             }
             // `None` is a cancelled waiterless resync: nothing to re-home.
         }
         for (client, inner, update) in cancelled.unapplied_updates {
-            if let Some(Pending::Single { command, .. }) = self.pending.remove(&inner) {
+            if let Some(Pending::Single { command, .. }) = self.pending.remove(inner) {
                 rehome.resubmit.push((client, command, Command::Update(update)));
             }
         }
         for (client, inner, query) in cancelled.queries {
-            match self.pending.remove(&inner) {
+            match self.pending.remove(inner) {
                 Some(Pending::Single { command, .. }) => {
                     rehome.resubmit.push((client, command, Command::Query(query)));
                 }
@@ -374,7 +443,7 @@ where
     /// a plan install: legs that completed with their responses still buffered
     /// in the instance must not leak into the restarted aggregate.
     pub fn purge_fanout_legs(&mut self) {
-        self.pending.retain(|_, pending| !matches!(pending, Pending::FanoutLeg { .. }));
+        self.pending.retain(|pending| !matches!(pending, Pending::FanoutLeg { .. }));
     }
 }
 

@@ -35,6 +35,9 @@ struct Harness {
     network: Vec<Envelope<Counter>>,
     rng: StdRng,
     duplicate_probability: f64,
+    /// Chance that a message is lost on its way into the network (0 unless a
+    /// test sets it; the RNG is not consulted then).
+    loss_probability: f64,
 }
 
 struct QueryRecord {
@@ -57,12 +60,16 @@ impl Harness {
             network: Vec::new(),
             rng: StdRng::seed_from_u64(seed),
             duplicate_probability,
+            loss_probability: 0.0,
         }
     }
 
     fn collect_outgoing(&mut self) {
         for replica in &mut self.replicas {
             for envelope in replica.take_outbox() {
+                if self.loss_probability > 0.0 && self.rng.gen_bool(self.loss_probability) {
+                    continue;
+                }
                 if self.rng.gen_bool(self.duplicate_probability) {
                     self.network.push(envelope.clone());
                 }
@@ -154,6 +161,14 @@ fn run_schedule(
     (total_increment, records)
 }
 
+/// One proposer step of [`cycles_preserve_safety_under_message_loss`]: the
+/// commands a driver drained together at `replica` (`Some` = increment by that
+/// much, `None` = read).
+fn cycle_strategy() -> impl Strategy<Value = (usize, Vec<Option<u64>>)> {
+    let command = prop_oneof![(1u64..4).prop_map(Some), Just(None)];
+    (0..3usize, proptest::collection::vec(command, 1..9))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -216,6 +231,82 @@ proptest! {
         let (total, records) = run_schedule(&ops, seed, ProtocolConfig::batched(), 0.0);
         for record in &records {
             prop_assert!(record.value as u64 <= total);
+        }
+    }
+
+    /// Commands submitted as a cycle ([`Replica::submit_cycle`]) share one update
+    /// and one query instance. Under message loss every one of them is still
+    /// answered exactly once, no read exceeds what was submitted, and every read
+    /// contains the writes its own proposer had applied when the read's instance
+    /// opened — its own cycle's included.
+    #[test]
+    fn cycles_preserve_safety_under_message_loss(
+        cycles in proptest::collection::vec(cycle_strategy(), 1..10),
+        seed in any::<u64>(),
+    ) {
+        let mut harness = Harness::new(3, seed, ProtocolConfig::default(), 0.0);
+        harness.loss_probability = 0.2;
+        let mut total = 0u64;
+        // Per replica: what it has applied locally, and per read it was handed
+        // `(command id, that figure at the time)`.
+        let mut applied = [0u64; 3];
+        let mut reads: [Vec<(u64, u64)>; 3] = Default::default();
+        let mut submitted = [0usize; 3];
+        for (replica, commands) in &cycles {
+            let increment: u64 = commands.iter().flatten().sum();
+            total += increment;
+            applied[*replica] += increment;
+            let ids = harness.replicas[*replica].submit_cycle(commands.iter().map(|command| {
+                match command {
+                    Some(amount) => {
+                        (ClientId(0), Command::Update(CounterUpdate::Increment(*amount)))
+                    }
+                    None => (ClientId(1), Command::Query(CounterQuery::Value)),
+                }
+            }));
+            prop_assert_eq!(ids.len(), commands.len());
+            submitted[*replica] += ids.len();
+            for (id, command) in ids.iter().zip(commands) {
+                if command.is_none() {
+                    reads[*replica].push((id.0, applied[*replica]));
+                }
+            }
+            for _ in 0..harness.rng.gen_range(0..4) {
+                if !harness.deliver_one() {
+                    break;
+                }
+            }
+        }
+        // Lost messages are re-sent on the retransmission timer; fair loss lets
+        // every instance through eventually.
+        let mut now = 0;
+        while harness.replicas.iter().any(|replica| replica.in_flight() > 0) {
+            now += 200;
+            prop_assert!(now < 200 * 500, "instances still open after 500 retransmissions");
+            for replica in &mut harness.replicas {
+                replica.tick(now);
+            }
+            while harness.deliver_one() {}
+        }
+        for (index, replica) in harness.replicas.iter_mut().enumerate() {
+            let responses = replica.take_responses();
+            let mut answered: Vec<u64> = responses.iter().map(|r| r.command.0).collect();
+            answered.sort_unstable();
+            answered.dedup();
+            prop_assert_eq!(answered.len(), submitted[index], "answered exactly once each");
+            prop_assert_eq!(responses.len(), submitted[index]);
+            for response in &responses {
+                let floor = reads[index].iter().find(|(id, _)| *id == response.command.0);
+                match (&response.body, floor) {
+                    (ResponseBody::UpdateDone, None) => {}
+                    (ResponseBody::QueryDone(value), Some((_, floor))) => {
+                        prop_assert!(*value as u64 <= total);
+                        prop_assert!(*value as u64 >= *floor,
+                            "read {value} misses writes its proposer had applied ({floor})");
+                    }
+                    (body, _) => prop_assert!(false, "command {:?}: {body:?}", response.command),
+                }
+            }
         }
     }
 

@@ -513,6 +513,9 @@ mod tests {
         write_nanos: Arc<Histogram>,
         /// Protocol frames handed to each node.
         delivered: [AtomicU64; 3],
+        /// Taken by every send: a test holding it stalls each worker at its
+        /// first send, so what is submitted meanwhile queues up behind it.
+        hold: Mutex<()>,
     }
 
     impl FrameMesh {
@@ -523,6 +526,7 @@ mod tests {
                 ingress: OnceLock::new(),
                 write_nanos: Arc::new(Histogram::new()),
                 delivered: Default::default(),
+                hold: Mutex::new(()),
             });
             let nodes: Vec<Node> = members()
                 .into_iter()
@@ -541,6 +545,7 @@ mod tests {
 
     impl Outbound<u64, GCounter> for FrameMesh {
         fn send(&self, envelope: ShardEnvelope<KvMap>) {
+            drop(self.hold.lock().unwrap());
             let to = envelope.to.as_u64() as usize;
             let Some(target) = self.ingress.get().and_then(|all| all.get(to)) else {
                 return;
@@ -692,6 +697,94 @@ mod tests {
         assert_eq!(node.try_response().map(|response| response.command), None);
     }
 
+    /// The pump cycle is the unit of agreement: commands a worker drains
+    /// together share one update and one query instance, commands that arrive
+    /// one at a time get one each. Either way every command is answered once,
+    /// under its own id, and the per-key history is linearizable.
+    #[test]
+    fn a_burst_drained_together_opens_one_instance_per_kind() {
+        use cluster::{check_keyed_history, HistoryOp, OpKind};
+        use crdt::MapOutput;
+        use quorum::{HashPartitioner, Partitioner};
+
+        // No retransmissions: a re-sent `MERGE` would be answered again.
+        let config = ProtocolConfig { retransmit_after_ms: 0, ..Default::default() };
+        let (mesh, nodes) = FrameMesh::cluster(config, TraceConfig::disabled());
+        let node = &nodes[0];
+        let client = ClientId(7);
+        let partitioner = HashPartitioner::new(2);
+        let keys: Vec<u64> =
+            (0..).filter(|key| partitioner.shard_of(key) == ShardId(0)).take(4).collect();
+        let opened = || node.obs_snapshot().counter("instances_opened");
+        let delivered = || mesh.delivered[0].load(Ordering::Relaxed);
+
+        let start = Instant::now();
+        let micros = || start.elapsed().as_micros() as u64;
+        // The `n`th command — a write and a read of each key in turn —
+        // submitted: `(id, key, invocation time)`.
+        let submit = |n: u64| {
+            let key = keys[(n / 2) as usize % keys.len()];
+            let command = match n % 2 {
+                0 => increment(key),
+                _ => read(key),
+            };
+            let invoked_us = micros();
+            (node.submit(client, command), key, invoked_us)
+        };
+        // Waits until each of `open` is answered, once: `(key, operation)`.
+        let collect = |mut open: Vec<(CommandId, u64, u64)>| -> Vec<(u64, HistoryOp)> {
+            let mut history = Vec::new();
+            while !open.is_empty() {
+                let response =
+                    node.wait_response(Duration::from_secs(30)).expect("a command unanswered");
+                let slot = open.iter().position(|&(id, _, _)| id == response.command);
+                let (_, key, invoked_us) =
+                    open.swap_remove(slot.expect("answered twice, or never submitted"));
+                let kind = match response.body {
+                    ResponseBody::UpdateDone => OpKind::Increment(1),
+                    ResponseBody::QueryDone(MapOutput::Value(value)) => {
+                        OpKind::Read(value.unwrap_or(0))
+                    }
+                    other => panic!("{other:?}"),
+                };
+                history.push((key, HistoryOp { invoked_us, responded_us: micros(), kind }));
+            }
+            history
+        };
+
+        // One at a time: a cycle of one, an instance per command, two replies
+        // to each.
+        let mut history: Vec<(u64, HistoryOp)> =
+            (0..16).flat_map(|n| collect(vec![submit(n)])).collect();
+        eventually("the late replies", || delivered() == 2 * 16);
+        assert_eq!(opened(), 16);
+
+        // A burst submitted while the mesh is held: the worker stalls shipping
+        // the first cycle's proposals, whatever that cycle caught, and finds
+        // the rest of the burst queued when it comes back. Two cycles at
+        // most, so four instances at most — for 64 commands.
+        let held = mesh.hold.lock().unwrap();
+        let burst: Vec<_> = (16..16 + 64).map(submit).collect();
+        drop(held);
+        history.extend(collect(burst));
+        assert_eq!(history.len(), 16 + 64);
+        let instances = opened() - 16;
+        assert!((2..=4).contains(&instances), "{instances} instances for 64 commands");
+        eventually("the late replies", || delivered() == 2 * (16 + instances));
+        assert!(delivered() - 2 * 16 < 2 * 64, "the parent's count: two replies per command");
+
+        assert_eq!(node.try_response().map(|response| response.command), None);
+        if let Err((key, violation)) = check_keyed_history(&history) {
+            panic!("key {key}: {violation}");
+        }
+        // Per-command accounting is untouched by the grouping.
+        let snapshot = node.obs_snapshot();
+        for stage in [Stage::SubmitQueue, Stage::QuorumWait] {
+            let name = format!("stage_{}_nanos", stage.name());
+            assert_eq!(snapshot.histogram(&name).map_or(0, |h| h.count()), 16 + 64);
+        }
+    }
+
     /// Runs `reads` updates and then as many quiet reads through node 0 of a
     /// three-replica cluster over the encoding mesh, one command at a time,
     /// and returns per node `(protocol frames delivered, frames decoded,
@@ -721,9 +814,16 @@ mod tests {
                 .collect()
         };
         // A command is answered at quorum; the third replica's frames are
-        // still on their way then.
-        eventually("every delivered frame to be decoded or skipped", || {
-            accounts().iter().all(|&(delivered, decoded, skipped)| delivered == decoded + skipped)
+        // still on their way then. Every frame there will ever be — two out
+        // and two back per command — has to be in before the books can close:
+        // a worker that has decoded its backlog has not yet shipped the
+        // replies.
+        eventually("every frame to be delivered and decoded or skipped", || {
+            let accounts = accounts();
+            accounts.iter().map(|&(delivered, _, _)| delivered).sum::<u64>() == 8 * reads
+                && accounts
+                    .iter()
+                    .all(|&(delivered, decoded, skipped)| delivered == decoded + skipped)
         });
         let accounts = accounts();
         for node in nodes {

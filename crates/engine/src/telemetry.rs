@@ -108,6 +108,10 @@ pub(crate) struct WorkerObs {
     pub replies_skipped: Arc<Counter>,
     /// Frames dropped because they did not decode to a protocol message.
     pub frames_undecodable: Arc<Counter>,
+    /// Protocol instances the worker's core has opened. The `SubmitQueue`
+    /// sample count over this is commands per instance: 1 when commands
+    /// arrive one at a time, the pump cycle's size under load.
+    pub instances_opened: Arc<Counter>,
     /// Largest mailbox batch drained in one pump cycle.
     pub mailbox_depth: Arc<HighWater>,
     /// The worker's trace ring (client commands log dwell/step/learn here).
@@ -132,6 +136,7 @@ impl WorkerObs {
             rerouted: counter("rerouted"),
             replies_skipped: counter("replies_skipped"),
             frames_undecodable: counter("frames_undecodable"),
+            instances_opened: counter("instances_opened"),
             mailbox_depth,
             ring: Arc::new(TraceRing::new(trace)),
         }

@@ -6,6 +6,24 @@
 //! node's response queue, park when idle. Policy — fencing, rebalance
 //! choreography, fan-out aggregation — lives in the router.
 //!
+//! **The pump cycle is the unit of agreement.** Whatever single-key commands
+//! one drain of the mailbox brought in are proposed together
+//! ([`ShardCore::submit_cycle`]): every update applied and *one* update
+//! instance opened for them (one snapshot, one `MERGE` per peer), then *one*
+//! query instance for all the reads (one `PREPARE` per peer, each read
+//! evaluated on the learned state), each command answered under its own id.
+//! This is the paper's §3.6 batching with the wait taken out: nothing is held
+//! back for company, so a command that arrives alone is a cycle of one and
+//! costs what it always did, and under load the cost of an instance — the
+//! state snapshot, its encode per peer, the quorum walk over the replies — is
+//! shared by everything that queued up while the previous cycle ran
+//! (`instances_opened` against the `SubmitQueue` sample count is the ratio).
+//! [`ProtocolConfig::batching`] is something else: *waiting* for more. Two
+//! orders inside a cycle are protocol-level signals, not style: peer traffic
+//! is applied before the cycle's commands, and the update instance opens
+//! before the query instance, so the reads' `PREPARE` carries the writes.
+//! Stamp re-check, admission release and stage accounting stay per command.
+//!
 //! A worker's mailbox has many producers. Client threads
 //! ([`EngineNode::submit`]) and delivering threads ([`NodeIngress`]) push
 //! protocol traffic and single-key commands straight into it under the
@@ -203,6 +221,9 @@ fn run<K: EngineKey, V: EngineValue>(
     };
     let mut inputs = Vec::new();
     let mut submits = Vec::new();
+    // The cycle's commands this core accepted, on their way into it.
+    let mut accepted = Vec::new();
+    let mut instances_seen = 0;
     let mut outbox = Vec::new();
     let mut outputs = Vec::new();
     // Commands whose proposal this worker opened and has not yet seen learned:
@@ -309,6 +330,9 @@ fn run<K: EngineKey, V: EngineValue>(
                 WorkerInput::Shutdown => return,
             }
         }
+        // Each command is checked and accounted on its own; the ones this core
+        // accepts then go to it in one call (see the module docs).
+        let first_opened = pending.len();
         for submit in submits.drain(..) {
             let Submit { client, outer, key, command, stamp: routed, queued_at, routed_at } =
                 submit;
@@ -334,10 +358,24 @@ fn run<K: EngineKey, V: EngineValue>(
             if routed_at.is_some() {
                 obs.stages.record(Stage::MailboxDwell, now.saturating_sub(dequeued));
             }
+            pending.push((outer, 0));
+            accepted.push((client, outer, key, command));
+        }
+        if !accepted.is_empty() {
             let step = Stopwatch::start();
-            core.submit_single(client, outer, key, command);
+            core.submit_cycle(accepted.drain(..));
             obs.stages.record(Stage::ProtocolStep, step.elapsed_nanos());
-            pending.push((outer, now_nanos(start)));
+            let opened = now_nanos(start);
+            for (_, at) in &mut pending[first_opened..] {
+                *at = opened;
+            }
+        }
+        // Fan-out legs and resyncs open instances too; the core's own count
+        // covers them all.
+        let opened = core.instances_opened();
+        if opened != instances_seen {
+            obs.instances_opened.add(opened - instances_seen);
+            instances_seen = opened;
         }
         core.drain_outbox_into(stamp, &mut outbox);
         if !outbox.is_empty() {
