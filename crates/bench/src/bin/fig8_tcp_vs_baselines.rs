@@ -12,7 +12,7 @@
 //! sleeper in the kernel, not thousands of spinning threads and not an
 //! O(fds) interest-set scan per wakeup.
 //!
-//! * **crdt-paxos**: the thread-per-shard engine (4 shards), every replica
+//! * **crdt-paxos**: the parallel engine (4 shards), every replica
 //!   an `engine::TcpNode` serving clients — the paper's leaderless protocol en
 //!   route. The engine's outbox runs are serialized straight into each peer's
 //!   recycled `TcpMesh::send_with` batch buffer on the worker thread — no
@@ -827,8 +827,9 @@ fn main() {
         if cores < 4 {
             println!(
                 "SKIP: only {cores} core(s) available — the throughput comparison needs >= 4 \
-                 cores (the engine's shard threads, drivers, and reactor share one core here); \
-                 the zero-loss checks above still apply"
+                 cores (three replicas, the 4096 client connections and their drivers share \
+                 the cores here, and measured on 2 the comparison with Raft is lost more \
+                 often than won); the zero-loss checks above still apply"
             );
         } else if crdt_top.ops_per_sec < paxos_top.ops_per_sec
             || crdt_top.ops_per_sec < raft_top.ops_per_sec

@@ -33,7 +33,7 @@ pub struct ProtocolConfig {
     /// proposed as soon as they are submitted — which does not mean one
     /// instance each: commands handed in together
     /// ([`crate::Replica::submit_cycle`]) always share one update and one query
-    /// instance, and the thread-per-shard engine hands in whatever one pump
+    /// instance, and the parallel engine hands in whatever one pump
     /// cycle drained. Coalescing is unconditional; this flag only adds the
     /// waiting.
     pub batching: bool,

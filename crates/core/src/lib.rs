@@ -44,7 +44,7 @@
 //!   epoch fencing ([`fence_decision`]), plan agreement on the control shard,
 //!   the cutover choreography ([`Cutover`]) and fan-out aggregation. Inputs in,
 //!   [`RouterEffect`]s out; it touches no shard core, so the single-threaded
-//!   and the thread-per-shard executor run the *same* policy.
+//!   and the parallel executor run the *same* policy.
 //! * [`ShardedReplica`] — the single-threaded driver of a [`RouterCore`] over a
 //!   `Vec<ShardCore>`, with [`ShardEnvelope`]/[`ShardMessage`] multiplexing, so
 //!   non-conflicting commands on different key ranges agree in parallel.
@@ -63,7 +63,7 @@
 //! The companion crates provide the substrates and executors: `crdt` (the data
 //! types), `quorum` (quorum systems), `cluster` (deterministic simulator and
 //! workloads — one driver of these state machines), `engine` (the
-//! thread-per-shard parallel executor — the other driver), `transport` (tokio
+//! parallel executor on real threads — the other driver), `transport` (tokio
 //! TCP runtime), and `baselines` (Multi-Paxos and Raft used for comparison).
 
 #![forbid(unsafe_code)]

@@ -7,7 +7,7 @@
 //! ([`Replica::tick`]), and drain the resulting outgoing messages
 //! ([`Replica::take_outbox`]) and client responses ([`Replica::take_responses`]).
 //! The same state machine is driven by the deterministic simulator, the tokio TCP
-//! runtime, the thread-per-shard `engine` executor (via
+//! runtime, the parallel `engine` executor (via
 //! [`ShardCore`](crate::ShardCore)), and the unit tests.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};

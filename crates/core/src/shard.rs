@@ -26,7 +26,8 @@
 //! while quorums on different shards advance concurrently: an update on shard
 //! 0 never waits behind a contended read quorum on shard 3. The same cores and
 //! the same router core, behind the same wire format, are alternatively
-//! executed one-OS-thread-per-shard by the `engine` crate — this is the
+//! executed on real threads — the cores spread over `min(shards, cores)`
+//! workers — by the `engine` crate: this is the
 //! deterministic (simulator- and test-friendly) driver, the engine is the
 //! parallel one, and neither holds routing logic of its own.
 //!
@@ -216,7 +217,7 @@ where
     /// Per-shard sans-IO cores, indexed by shard id. May exceed the active count
     /// after a shrinking rebalance: retired instances keep their (stale,
     /// lower-bound) states and are reactivated in place by a later growth.
-    /// These are the same cores the thread-per-shard engine drives — this
+    /// These are the same cores the parallel engine drives — this
     /// router is simply their single-threaded driver.
     shards: Vec<ShardCore<K, V>>,
     next_command: u64,

@@ -3,8 +3,9 @@
 //!
 //! [`ShardCore`] is the unit both execution models drive. The single-threaded
 //! driver ([`crate::ShardedReplica`]) owns a `Vec<ShardCore>` and steps them in
-//! shard order; the thread-per-shard executor (`crates/engine`) moves each core
-//! onto its own OS thread and feeds it through a mailbox. The core itself is a
+//! shard order; the parallel executor (`crates/engine`) spreads the cores over
+//! its worker threads — several to a thread when there are more shards than
+//! CPU cores — and feeds each through its thread's mailbox. The core itself is a
 //! pure state machine — no channels, clocks, or sockets: inputs arrive as method
 //! calls (`handle_message`, `submit_single`, `tick`), outputs are drained as
 //! value batches ([`ShardCore::drain_outbox_into`],
@@ -19,8 +20,8 @@
 //! them — and the epoch fence deciding when a message may reach a core at all
 //! ([`fence_decision`]) — is [`crate::RouterCore`]'s, the one owner of the
 //! stamp: it tells a driver *what* to do to which core
-//! ([`crate::RouterEffect`]), and the driver — single-threaded or one thread
-//! per core — only decides *where* that call runs.
+//! ([`crate::RouterEffect`]), and the driver — single-threaded or spread over
+//! worker threads — only decides *where* that call runs.
 
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;

@@ -1,30 +1,37 @@
-//! # engine — thread-per-shard parallel execution of the sharded CRDT Paxos
+//! # engine — parallel execution of the sharded CRDT Paxos on real threads
 //!
 //! The protocol crates are sans-IO: [`crdt_paxos_core::ShardCore`] is a pure
 //! state machine per shard, [`crdt_paxos_core::RouterCore`] a pure state
 //! machine for the routing policy above them, and the single-threaded
 //! [`crdt_paxos_core::ShardedReplica`] that the deterministic simulator steps
 //! is just one way to drive the two. This crate is the other way: a
-//! **real-parallel executor** that puts each shard core on its own OS thread,
-//! the router core on one more, and connects everything with lock-free
-//! mailboxes, so non-conflicting commands on different shards are agreed
-//! genuinely concurrently — the multi-core payoff of the paper's per-key
-//! independence argument.
+//! **real-parallel executor** that spreads the shard cores over as many worker
+//! threads as the box has cores, puts the router core on one more, and
+//! connects everything with lock-free mailboxes, so non-conflicting commands
+//! on different shards are agreed genuinely concurrently — the multi-core
+//! payoff of the paper's per-key independence argument. A shard is a protocol
+//! instance, not a thread: how finely the keyspace is cut and how many threads
+//! serve it are separate decisions.
 //!
 //! ## Topology
 //!
 //! Per replica ([`EngineNode`]):
 //!
-//! * one **worker thread per shard** — owns that shard's [`ShardCore`] and
-//!   pumps it: drain mailbox → tick → apply → ship outbox → hand completed
-//!   commands to the node's response queue;
+//! * `min(shards, cores)` **worker threads** — shard `s` is a *slot* of worker
+//!   `s mod cores`: its [`ShardCore`], stamp, in-flight bookkeeping and decode
+//!   residents. A worker pumps all its slots in one cycle: drain the one
+//!   mailbox → tick every core → apply each input to the slot it names →
+//!   ship every slot's outbox as one batch per peer → hand completed
+//!   commands to the node's response queue. With as many cores as shards
+//!   that is one shard per thread; with fewer, the threads that would only
+//!   have taken turns on a core are one thread and one wake-up;
 //! * one **router thread** — the control plane: it owns the node's
 //!   `RouterCore` (stamp, fence, control shard, cutover choreography, fan-out
 //!   aggregation), feeds it the slow half of the ingress demux, and applies
 //!   its effects across the mailboxes (see the `router` module's docs). In
 //!   steady state no command and no protocol message passes through it;
 //! * one published **assignment snapshot** — stamp, partitioner and the
-//!   active workers' mailboxes, replaced wholesale by the router.
+//!   mailbox of every active shard, replaced wholesale by the router.
 //!   [`EngineNode::submit`] and [`NodeIngress`] read it, fence and route
 //!   against it exactly as the router would, and push straight onto the owning
 //!   worker's mailbox, tagging what they push with the snapshot's stamp;
@@ -44,8 +51,8 @@
 //! sockets (the one bridge to `transport::tcp::TcpMesh`, and the only thing
 //! here that touches the async runtime), or any transport of your own.
 //! Threads park when idle — untimed unless a retransmission or batch timer is
-//! pending — and the engine never busy-spins, so oversubscribed configurations
-//! (more shards than cores) degrade gracefully.
+//! pending — and the engine never busy-spins. More shards than cores costs no
+//! extra threads: the placement rule folds them onto the workers there are.
 //!
 //! Because the engine executes the *same* `ShardCore` and `RouterCore` types
 //! the simulator drives, every safety property the deterministic tests
@@ -67,6 +74,13 @@ use crdt_paxos_core::ProtocolConfig;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
 
+// The integration tests' harness, compiled into the crate's own tests as well
+// (`layouts`), names this crate the way they do.
+#[cfg(test)]
+extern crate self as engine;
+
+#[cfg(test)]
+mod layouts;
 pub mod mailbox;
 mod mesh;
 mod node;
@@ -124,7 +138,7 @@ impl<V> EngineValue for V where
 }
 
 /// An in-process engine cluster: `replicas` nodes wired through a
-/// [`LocalMesh`], each running its own router and shard workers.
+/// [`LocalMesh`], each running its own router and workers.
 ///
 /// This is the parallel counterpart of the facade's simulator-style local
 /// cluster: same protocol, same cores, real threads.
@@ -139,6 +153,17 @@ impl<K: EngineKey, V: EngineValue> EngineCluster<K, V> {
     ///
     /// Panics if `replicas` or `shards` is zero.
     pub fn new(replicas: u64, shards: u32, config: ProtocolConfig) -> Self {
+        Self::with_workers(replicas, shards, config, None)
+    }
+
+    /// [`EngineCluster::new`] with every node's worker threads capped at
+    /// `workers` (`None`: one per core) — how tests pin a layout.
+    pub(crate) fn with_workers(
+        replicas: u64,
+        shards: u32,
+        config: ProtocolConfig,
+        workers: Option<usize>,
+    ) -> Self {
         use crdt::ReplicaId;
         use std::sync::Arc;
 
@@ -159,6 +184,7 @@ impl<K: EngineKey, V: EngineValue> EngineCluster<K, V> {
                     config.clone(),
                     shared,
                     Arc::<LocalMesh<K, V>>::clone(&mesh),
+                    workers,
                 )
             })
             .collect();

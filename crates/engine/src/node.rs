@@ -194,9 +194,10 @@ impl<K: EngineKey, V: EngineValue> NodeIngress<K, V> {
     }
 }
 
-/// One replica of a thread-per-shard engine cluster: one worker thread per
-/// shard core, plus a router thread for everything that needs a single
-/// authority (rebalances, keyspace-wide queries, fenced-off traffic).
+/// One replica of an engine cluster: its shard cores spread over
+/// `min(shards, cores)` worker threads, plus a router thread for everything
+/// that needs a single authority (rebalances, keyspace-wide queries,
+/// fenced-off traffic).
 ///
 /// The handle is `Send + Sync`; `submit` may be called from any number of
 /// client threads concurrently. Responses are drained from a single queue —
@@ -221,7 +222,7 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         outbound: Arc<dyn Outbound<K, V>>,
     ) -> Self {
         let shared = NodeShared::new(shards);
-        Self::start_with_shared(id, members, shards, config, shared, outbound)
+        Self::start_with_shared(id, members, shards, config, shared, outbound, None)
     }
 
     /// Like [`EngineNode::start`], but with trace sampling enabled: one in
@@ -238,9 +239,11 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         trace: TraceConfig,
     ) -> Self {
         let shared = NodeShared::new_observed(shards, trace);
-        Self::start_with_shared(id, members, shards, config, shared, outbound)
+        Self::start_with_shared(id, members, shards, config, shared, outbound, None)
     }
 
+    /// `workers` caps the node's worker threads (see `Router::new`): `None`
+    /// everywhere but in tests that pin a layout.
     pub(crate) fn start_with_shared(
         id: ReplicaId,
         members: Vec<ReplicaId>,
@@ -248,12 +251,13 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         config: ProtocolConfig,
         shared: Arc<NodeShared<K, V>>,
         outbound: Arc<dyn Outbound<K, V>>,
+        workers: Option<usize>,
     ) -> Self {
         let router_shared = Arc::clone(&shared);
         let router = std::thread::Builder::new()
             .name(format!("router-{}", id.as_u64()))
             .spawn(move || {
-                Router::new(id, members, shards, config, router_shared, outbound).run();
+                Router::new(id, members, shards, config, router_shared, outbound, workers).run();
             })
             .expect("spawn router");
         EngineNode { id, shared, router: Some(router) }
@@ -516,23 +520,50 @@ mod tests {
         /// Taken by every send: a test holding it stalls each worker at its
         /// first send, so what is submitted meanwhile queues up behind it.
         hold: Mutex<()>,
+        /// Senders waiting for `hold` or past it, ever.
+        arrived: AtomicU64,
+        /// Every `send_batch` node 0 made: the `(destination, shard, instance)`
+        /// of each protocol frame in it, in batch order.
+        batches: Mutex<Vec<Vec<(u64, ShardId, RequestId)>>>,
     }
 
     impl FrameMesh {
         /// Three two-shard nodes wired through a mesh of their own, every
-        /// assignment published.
+        /// assignment published, at the layout the box gives them.
         fn cluster(config: ProtocolConfig, trace: TraceConfig) -> (Arc<Self>, Vec<Node>) {
+            Self::cluster_of(2, None, config, trace)
+        }
+
+        /// The same with `shards` shards a node, on at most `workers` threads.
+        fn cluster_of(
+            shards: u32,
+            workers: Option<usize>,
+            config: ProtocolConfig,
+            trace: TraceConfig,
+        ) -> (Arc<Self>, Vec<Node>) {
             let mesh = Arc::new(FrameMesh {
                 ingress: OnceLock::new(),
                 write_nanos: Arc::new(Histogram::new()),
                 delivered: Default::default(),
                 hold: Mutex::new(()),
+                arrived: AtomicU64::new(0),
+                batches: Mutex::new(Vec::new()),
             });
             let nodes: Vec<Node> = members()
                 .into_iter()
                 .map(|id| {
                     let outbound = Arc::clone(&mesh) as Arc<dyn Outbound<u64, GCounter>>;
-                    Node::start_observed(id, members(), 2, config.clone(), outbound, trace)
+                    let shared = NodeShared::new_observed(shards, trace);
+                    let config = config.clone();
+                    Node::start_with_shared(
+                        id,
+                        members(),
+                        shards,
+                        config,
+                        shared,
+                        outbound,
+                        workers,
+                    )
                 })
                 .collect();
             assert!(mesh.ingress.set(nodes.iter().map(Node::ingress).collect()).is_ok());
@@ -543,9 +574,15 @@ mod tests {
         }
     }
 
-    impl Outbound<u64, GCounter> for FrameMesh {
-        fn send(&self, envelope: ShardEnvelope<KvMap>) {
+    impl FrameMesh {
+        /// Where every sender stalls while a test has the mesh held.
+        fn pass_hold(&self) {
+            self.arrived.fetch_add(1, Ordering::Release);
             drop(self.hold.lock().unwrap());
+        }
+
+        /// Encodes and delivers one envelope.
+        fn ship(&self, envelope: ShardEnvelope<KvMap>) {
             let to = envelope.to.as_u64() as usize;
             let Some(target) = self.ingress.get().and_then(|all| all.get(to)) else {
                 return;
@@ -557,6 +594,27 @@ mod tests {
             }
             target.deliver_frame(envelope.from, frame);
             self.write_nanos.record(write.elapsed_nanos());
+        }
+    }
+
+    impl Outbound<u64, GCounter> for FrameMesh {
+        fn send(&self, envelope: ShardEnvelope<KvMap>) {
+            self.pass_hold();
+            self.ship(envelope);
+        }
+
+        fn send_batch(&self, envelopes: &mut Vec<ShardEnvelope<KvMap>>) {
+            self.pass_hold();
+            if envelopes.first().is_some_and(|envelope| envelope.from == ReplicaId::new(0)) {
+                let frames = envelopes.iter().filter_map(|envelope| match &envelope.message {
+                    ShardMessage::Protocol { shard, message, .. } => {
+                        Some((envelope.to.as_u64(), *shard, message.request()))
+                    }
+                    _ => None,
+                });
+                self.batches.lock().unwrap().push(frames.collect());
+            }
+            envelopes.drain(..).for_each(|envelope| self.ship(envelope));
         }
     }
 
@@ -782,6 +840,155 @@ mod tests {
         for stage in [Stage::SubmitQueue, Stage::QuorumWait] {
             let name = format!("stage_{}_nanos", stage.name());
             assert_eq!(snapshot.histogram(&name).map_or(0, |h| h.count()), 16 + 64);
+        }
+    }
+
+    /// The first key of each of `shards` hash-partitioned shards.
+    fn a_key_of_every_shard(shards: u32) -> Vec<u64> {
+        use quorum::{HashPartitioner, Partitioner};
+        let partitioner = HashPartitioner::new(shards);
+        let first_of = |shard| (0..).find(|key| partitioner.shard_of(key) == ShardId(shard));
+        (0..shards).map(|shard| first_of(shard).expect("a key of every shard")).collect()
+    }
+
+    /// A worker that serves four shards ships what all of them said in one
+    /// cycle as one batch: with the mesh held behind a first command, commands
+    /// for keys of all four shards queue up, and on release they leave node 0
+    /// in a single `send_batch` — eight instances' frames to each peer, one
+    /// run per peer. Every command is still answered once, linearizably, and
+    /// accounted on its own.
+    #[test]
+    fn four_shards_on_one_worker_ship_one_batch_per_peer() {
+        use cluster::{check_keyed_history, HistoryOp, OpKind};
+        use crdt::MapOutput;
+
+        // No retransmissions: a re-sent proposal would be a batch of its own.
+        let config = ProtocolConfig { retransmit_after_ms: 0, ..Default::default() };
+        let (mesh, nodes) = FrameMesh::cluster_of(4, Some(1), config, TraceConfig::disabled());
+        let node = &nodes[0];
+        assert_eq!(node.obs_snapshot().counter("worker_threads"), 1);
+        let client = ClientId(7);
+        let keys = a_key_of_every_shard(4);
+        let start = Instant::now();
+        let micros = || start.elapsed().as_micros() as u64;
+
+        // The plug: the worker takes it alone and stalls shipping its `MERGE`.
+        let held = mesh.hold.lock().unwrap();
+        let arrived = mesh.arrived.load(Ordering::Acquire);
+        let mut open = vec![(node.submit(client, increment(keys[0])), keys[0], micros())];
+        eventually("the worker to stall", || mesh.arrived.load(Ordering::Acquire) > arrived);
+        // A write and a read of a key of every shard, queued behind it.
+        for &key in &keys {
+            open.push((node.submit(client, increment(key)), key, micros()));
+            open.push((node.submit(client, read(key)), key, micros()));
+        }
+        let commands = open.len() as u64;
+        drop(held);
+
+        let mut history = Vec::new();
+        while !open.is_empty() {
+            let response =
+                node.wait_response(Duration::from_secs(30)).expect("a command unanswered");
+            let slot = open.iter().position(|&(id, _, _)| id == response.command);
+            let (_, key, invoked_us) =
+                open.swap_remove(slot.expect("answered twice, or never submitted"));
+            let kind = match response.body {
+                ResponseBody::UpdateDone => OpKind::Increment(1),
+                ResponseBody::QueryDone(MapOutput::Value(value)) => {
+                    OpKind::Read(value.unwrap_or(0))
+                }
+                other => panic!("{other:?}"),
+            };
+            history.push((key, HistoryOp { invoked_us, responded_us: micros(), kind }));
+        }
+        assert_eq!(node.try_response().map(|response| response.command), None);
+        if let Err((key, violation)) = check_keyed_history(&history) {
+            panic!("key {key}: {violation}");
+        }
+
+        // The plug's batch, then everything else in one.
+        let batches = mesh.batches.lock().unwrap().clone();
+        assert_eq!(batches.len(), 2, "{batches:?}");
+        assert_eq!(batches[0].len(), 2, "one MERGE to each peer: {:?}", batches[0]);
+        let burst = &batches[1];
+        assert!(burst.windows(2).all(|pair| pair[0].0 <= pair[1].0), "one run per peer: {burst:?}");
+        for peer in [1, 2] {
+            let mut instances: Vec<_> = burst.iter().filter(|frame| frame.0 == peer).collect();
+            // An update and a query instance of each shard.
+            assert_eq!(instances.len(), 8, "to {peer}: {burst:?}");
+            instances.sort_unstable();
+            instances.dedup();
+            assert_eq!(instances.len(), 8, "to {peer}: {burst:?}");
+            for shard in 0..4 {
+                let of_shard = instances.iter().filter(|frame| frame.1 == ShardId(shard));
+                assert_eq!(of_shard.count(), 2, "shard {shard} to {peer}: {burst:?}");
+            }
+        }
+
+        let snapshot = node.obs_snapshot();
+        for stage in [Stage::SubmitQueue, Stage::QuorumWait] {
+            let name = format!("stage_{}_nanos", stage.name());
+            assert_eq!(snapshot.histogram(&name).map_or(0, |h| h.count()), commands);
+        }
+        assert_eq!(snapshot.counter("instances_opened"), 1 + 8);
+        // One wake-up served all four shards.
+        let (cycles, shard_cycles) =
+            (snapshot.counter("worker_cycles"), snapshot.counter("shard_cycles"));
+        assert!(shard_cycles >= cycles + 3, "{shard_cycles} shards served in {cycles} cycles");
+    }
+
+    /// A node runs `min(shards, cores)` worker threads — `cores` being the
+    /// test's cap where it pins one — and a thread is spawned only when its
+    /// first shard appears.
+    #[test]
+    fn a_node_runs_as_many_workers_as_it_has_shards_or_cores() {
+        let cores = std::thread::available_parallelism().map_or(1, |cores| cores.get());
+        let threads = |node: &Node| node.obs_snapshot().counter("worker_threads");
+        let layouts =
+            [(Some(1), 1), (Some(2), 2), (Some(4), 4), (Some(8), 4), (None, cores.min(4))];
+        for (workers, expected) in layouts {
+            let (config, trace) = (ProtocolConfig::default(), TraceConfig::disabled());
+            let (_mesh, nodes) = FrameMesh::cluster_of(4, workers, config, trace);
+            for node in &nodes {
+                assert_eq!(threads(node), expected as u64, "4 shards, capped at {workers:?}");
+            }
+        }
+
+        let (config, trace) = (ProtocolConfig::default(), TraceConfig::disabled());
+        let (_mesh, nodes) = FrameMesh::cluster_of(2, Some(4), config, trace);
+        assert!(nodes.iter().all(|node| threads(node) == 2));
+        nodes[0].begin_rebalance(6);
+        // Shards 2 and 3 bring a thread each, 4 and 5 join those of 0 and 1.
+        eventually("the split to spawn two more threads", || {
+            nodes.iter().all(|node| node.shard_count() == 6 && threads(node) == 4)
+        });
+        eventually("the split to settle", || {
+            nodes.iter().all(|node| node.obs_snapshot().counter("plans_installed") == 1)
+        });
+        assert!(nodes.iter().all(|node| threads(node) == 4));
+    }
+
+    /// Commands that arrive one at a time are cycles of one on whatever
+    /// thread serves their shard: 16 commands over the keys of four shards
+    /// open 16 instances and bring node 0 two replies each, with a thread per
+    /// shard (the layout every node had before shards shared threads) and with
+    /// all four on one.
+    #[test]
+    fn one_command_at_a_time_costs_the_same_frames_at_any_layout() {
+        for workers in [4, 1] {
+            // No retransmissions: a re-sent `MERGE` would be answered again.
+            let config = ProtocolConfig { retransmit_after_ms: 0, ..Default::default() };
+            let (mesh, nodes) =
+                FrameMesh::cluster_of(4, Some(workers), config, TraceConfig::disabled());
+            let node = &nodes[0];
+            let keys = a_key_of_every_shard(4);
+            for n in 0..16 {
+                let key = keys[n / 2 % keys.len()];
+                let command = if n % 2 == 0 { increment(key) } else { read(key) };
+                await_all(node, &[node.submit(ClientId(7), command)]);
+            }
+            eventually("the late replies", || mesh.delivered[0].load(Ordering::Relaxed) == 2 * 16);
+            assert_eq!(node.obs_snapshot().counter("instances_opened"), 16, "{workers} workers");
         }
     }
 

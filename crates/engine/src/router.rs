@@ -8,13 +8,24 @@
 //! — lives in the router core, one copy for both drivers; this module holds
 //! none of it. What it holds is what only an engine has:
 //!
+//! * **The worker fleet and its placement rule** — shard `s` lives on worker
+//!   thread `s mod W`, where `W` is the cores the process may use
+//!   (`std::thread::available_parallelism`, read once when the router starts):
+//!   a node runs `min(shards, cores)` workers, one shard per thread when it
+//!   has the cores and several shards per thread when it does not. A thread is
+//!   spawned when its first shard appears; every shard, first or later, is
+//!   handed to its thread with a [`WorkerInput::Adopt`] pushed **before any
+//!   [`Assignment`] that names the shard is built**, so nothing can reach a
+//!   mailbox ahead of the slot it is for. Placement never changes: a core
+//!   never migrates between threads, and a shrink keeps retired shards where
+//!   they are.
 //! * **The published [`Assignment`]** — the core's decision (stamp,
-//!   partitioner) plus the active workers' mailboxes, one immutable value on
-//!   [`NodeShared`]. Whoever holds traffic for the node (a client thread in
-//!   `submit`, a transport pump or a peer's worker in `NodeIngress::deliver*`)
-//!   reads the published snapshot, runs the same [`Assignment::dispatch`] /
-//!   [`Assignment::route_single`] the router runs, and pushes straight onto
-//!   the owning worker's mailbox.
+//!   partitioner) plus the mailbox of every active shard (shards of one worker
+//!   share theirs), one immutable value on [`NodeShared`]. Whoever holds
+//!   traffic for the node (a client thread in `submit`, a transport pump or a
+//!   peer's worker in `NodeIngress::deliver*`) reads the published snapshot,
+//!   runs the same [`Assignment::dispatch`] / [`Assignment::route_single`] the
+//!   router runs, and pushes straight onto the owning worker's mailbox.
 //! * **The slow half of the ingress demux** — whatever `dispatch` hands back
 //!   (control traffic, plans and plan requests, protocol messages the fence
 //!   bounces or defers, everything that arrives while nothing is published)
@@ -24,7 +35,7 @@
 //!   its stamp; `ToPeer` goes to the [`Outbound`] sink, `Respond` to the
 //!   node's response queue.
 //! * **The barrier** — the driver's half of a plan install runs on the worker
-//!   threads: `Install` to every pre-existing worker, their replies gathered
+//!   threads: one `Install` per pre-existing shard, one reply each, gathered
 //!   into the core's [`Cutover`]. Only the router blocks; workers keep
 //!   draining their mailboxes.
 //! * **The stamp tag** — workers tag fan-out legs with the stamp they held;
@@ -68,7 +79,7 @@ use obs::{Stage, Stopwatch};
 use crate::mailbox::Mailbox;
 use crate::mesh::Outbound;
 use crate::node::{IngressItem, NodeShared};
-use crate::telemetry::{now_nanos, RouterObs, WorkerObs};
+use crate::telemetry::{now_nanos, RouterObs};
 use crate::worker::{
     spawn_worker, StaleInput, Submit, WorkerFeedback, WorkerHandle, WorkerInput, PARK,
 };
@@ -136,31 +147,35 @@ pub(crate) fn peek_protocol(frame: &[u8]) -> Option<Peek> {
     Some(Peek { stamp: (epoch, shards), shard: ShardId(shard), kind, request })
 }
 
+/// The mailbox of the worker thread that serves some shard.
+type ShardMailbox<K, V> = Arc<Mailbox<WorkerInput<K, V>>>;
+
 /// One assignment, as the router decided it: the stamp, the partitioner that
-/// maps keys to shards under it, and the mailboxes of the shard workers active
-/// under it. Immutable — a cutover replaces the whole value — so any thread
-/// can route by a snapshot of it without coordinating with the router; what a
-/// snapshot cannot promise is that it is still current when the push lands,
-/// which is why everything routed here is tagged with `stamp` for the worker
-/// to re-check.
+/// maps keys to shards under it, and for every shard active under it the
+/// mailbox of the worker that serves it. Immutable — a cutover replaces the
+/// whole value — so any thread can route by a snapshot of it without
+/// coordinating with the router; what a snapshot cannot promise is that it is
+/// still current when the push lands, which is why everything routed here is
+/// tagged with `stamp` for the worker to re-check.
 pub(crate) struct Assignment<K: EngineKey, V: EngineValue> {
     stamp: Stamp,
     partitioner: HashPartitioner,
-    workers: Vec<Arc<Mailbox<WorkerInput<K, V>>>>,
+    /// Indexed by shard; shards of one worker share a mailbox.
+    workers: Vec<ShardMailbox<K, V>>,
 }
 
 impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
     /// The core's current decision as a routable value: its stamp and
-    /// partitioner plus the mailboxes of the workers active under them.
+    /// partitioner plus the mailboxes of the shards active under them, out of
+    /// `shards` — every shard the node has placed so far.
     fn snapshot(
         core: &RouterCore<K, V, HashPartitioner>,
-        workers: &[WorkerHandle<K, V>],
+        shards: &[ShardMailbox<K, V>],
     ) -> Arc<Self> {
-        let active = workers.iter().take(core.active());
         Arc::new(Assignment {
             stamp: core.stamp(),
             partitioner: *core.partitioner().inner(),
-            workers: active.map(|worker| Arc::clone(&worker.mailbox)).collect(),
+            workers: shards.iter().take(core.active()).cloned().collect(),
         })
     }
 
@@ -190,7 +205,8 @@ impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
         match item {
             IngressItem::Frame(from, frame) => match peek_protocol(&frame) {
                 Some(peek) if self.admits(peek.stamp) => {
-                    self.push(peek.shard, WorkerInput::Frame { from, frame, at });
+                    let shard = peek.shard;
+                    self.push(shard, WorkerInput::Frame { shard, from, frame, at });
                     Ok(())
                 }
                 _ => Err(IngressItem::Frame(from, frame)),
@@ -199,7 +215,8 @@ impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
                 from,
                 ShardMessage::Protocol { epoch, shards, shard, message },
             ) if self.admits((epoch, shards)) => {
-                self.push(shard, WorkerInput::Peer { from, stamp: self.stamp, message, at });
+                let stamp = self.stamp;
+                self.push(shard, WorkerInput::Peer { shard, from, stamp, message, at });
                 Ok(())
             }
             other => Err(other),
@@ -222,9 +239,9 @@ impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
             | Command::Query(MapQuery::Get { key, .. }) => key.clone(),
             Command::Query(MapQuery::Len | MapQuery::Keys) => return Err(command),
         };
-        let stamp = self.stamp;
-        let submit = Submit { client, outer, key, command, stamp, queued_at, routed_at };
-        self.push(self.partitioner.shard_of(&submit.key), WorkerInput::Submit(submit));
+        let (shard, stamp) = (self.partitioner.shard_of(&key), self.stamp);
+        let submit = Submit { shard, client, outer, key, command, stamp, queued_at, routed_at };
+        self.push(shard, WorkerInput::Submit(submit));
         Ok(())
     }
 }
@@ -264,8 +281,14 @@ pub(crate) struct Router<K: EngineKey, V: EngineValue> {
     effects: Vec<RouterEffect<K, V>>,
     /// Reused batch for the control shard's outgoing envelopes.
     control_outbox: Vec<ShardEnvelope<LatticeMap<K, V>>>,
-    /// Every worker ever spawned, retired ones included (a shrink keeps them).
-    workers: Vec<WorkerHandle<K, V>>,
+    /// The most worker threads this node runs: shard `s` lives on thread
+    /// `s % stride`.
+    stride: usize,
+    /// The worker threads spawned so far, `min(shards.len(), stride)` of them.
+    threads: Vec<WorkerHandle<K, V>>,
+    /// Every shard ever placed, retired ones included (a shrink keeps them),
+    /// as the mailbox of its thread.
+    shards: Vec<ShardMailbox<K, V>>,
     /// The assignment the router itself routes by — the one it last built,
     /// published or not.
     assignment: Arc<Assignment<K, V>>,
@@ -277,6 +300,8 @@ pub(crate) struct Router<K: EngineKey, V: EngineValue> {
 }
 
 impl<K: EngineKey, V: EngineValue> Router<K, V> {
+    /// `workers` caps the worker threads — tests pin a layout with it;
+    /// `None` is one per core the process may use.
     pub(crate) fn new(
         id: ReplicaId,
         members: Vec<ReplicaId>,
@@ -284,24 +309,28 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         config: ProtocolConfig,
         shared: Arc<NodeShared<K, V>>,
         outbound: Arc<dyn Outbound<K, V>>,
+        workers: Option<usize>,
     ) -> Self {
         let core = RouterCore::new(id, members, HashPartitioner::new(shards), &config);
         let obs = RouterObs::new(&shared.obs, shared.trace);
         shared.track_ring(&obs.ring);
+        let cores = || std::thread::available_parallelism().map_or(1, |cores| cores.get());
         let mut router = Router {
             config,
             assignment: Assignment::snapshot(&core, &[]),
             core,
             effects: Vec::new(),
             control_outbox: Vec::new(),
-            workers: Vec::new(),
+            stride: workers.unwrap_or_else(cores).max(1),
+            threads: Vec::new(),
+            shards: Vec::new(),
             idle: true,
             shared,
             outbound,
             obs,
         };
         router.grow_to(shards as usize);
-        router.assignment = Assignment::snapshot(&router.core, &router.workers);
+        router.assignment = Assignment::snapshot(&router.core, &router.shards);
         router.publish(Some(Arc::clone(&router.assignment)));
         router
     }
@@ -312,22 +341,28 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         *self.shared.assignment.write().expect("assignment lock poisoned") = assignment;
     }
 
-    /// Grows the worker fleet to `count`; new workers start fenced at the
-    /// core's current stamp.
+    /// Places shards until there are `count`, each on thread `s % stride`
+    /// (spawned when its first shard appears) and fenced at the core's current
+    /// stamp. The `Adopt` is on the thread's mailbox before this returns —
+    /// before the caller builds an assignment that names the shard.
     fn grow_to(&mut self, count: usize) {
-        while self.workers.len() < count {
-            let worker_obs = WorkerObs::new(&self.shared.obs, self.shared.trace);
-            self.shared.track_ring(&worker_obs.ring);
-            self.workers.push(spawn_worker(
-                ShardId(self.workers.len() as u32),
-                self.core.id(),
-                self.core.members().to_vec(),
-                self.config.clone(),
-                self.core.stamp(),
-                Arc::clone(&self.shared),
-                Arc::clone(&self.outbound),
-                worker_obs,
-            ));
+        for shard in self.shards.len()..count {
+            let index = shard % self.stride;
+            if index == self.threads.len() {
+                self.threads.push(spawn_worker(
+                    index,
+                    self.stride,
+                    self.core.id(),
+                    self.core.members().to_vec(),
+                    self.config.clone(),
+                    Arc::clone(&self.shared),
+                    Arc::clone(&self.outbound),
+                ));
+            }
+            let mailbox = &self.threads[index].mailbox;
+            let (shard, stamp) = (ShardId(shard as u32), self.core.stamp());
+            mailbox.push(WorkerInput::Adopt { shard, stamp });
+            self.shards.push(Arc::clone(mailbox));
         }
     }
 
@@ -385,11 +420,11 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
             }
         }
         self.publish(None);
-        for worker in &self.workers {
-            worker.mailbox.push(WorkerInput::Shutdown);
+        for thread in &self.threads {
+            thread.mailbox.push(WorkerInput::Shutdown);
         }
-        for worker in self.workers.drain(..) {
-            worker.join.join().ok();
+        for thread in self.threads.drain(..) {
+            thread.join.join().ok();
         }
     }
 
@@ -498,19 +533,20 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         match effect {
             RouterEffect::ToShard { shard, from, message } => {
                 let at = now_nanos(self.shared.start);
-                assignment.push(shard, WorkerInput::Peer { from, stamp, message, at });
+                assignment.push(shard, WorkerInput::Peer { shard, from, stamp, message, at });
             }
             RouterEffect::FanoutLeg { shard, client, outer } => {
-                assignment.push(shard, WorkerInput::FanoutLeg { client, outer });
+                assignment.push(shard, WorkerInput::FanoutLeg { shard, client, outer });
             }
             RouterEffect::Submit { shard, client, outer, key, command } => {
                 // Re-homed by a cutover: accounted where it was first accepted.
                 let (queued_at, routed_at) = (None, Some(now_nanos(self.shared.start)));
-                let submit = Submit { client, outer, key, command, stamp, queued_at, routed_at };
+                let submit =
+                    Submit { shard, client, outer, key, command, stamp, queued_at, routed_at };
                 assignment.push(shard, WorkerInput::Submit(submit));
             }
             RouterEffect::Absorb { shard, sub, rehomed } => {
-                assignment.push(shard, WorkerInput::Absorb { sub, rehomed });
+                assignment.push(shard, WorkerInput::Absorb { shard, sub, rehomed });
             }
             RouterEffect::ToPeer(envelope) => self.outbound.send(envelope),
             RouterEffect::Respond(response) => self.shared.respond(response),
@@ -529,23 +565,23 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         // router, which does not look at those queues before it is done.
         self.publish(None);
 
-        // A shrink keeps retired workers: their cores hold harmless lower
+        // A shrink keeps retired shards: their cores hold harmless lower
         // bounds a later split reactivates in place.
-        let before = self.workers.len();
+        let before = self.shards.len();
         self.grow_to(stamp.1 as usize);
-        self.assignment = Assignment::snapshot(&self.core, &self.workers);
+        self.assignment = Assignment::snapshot(&self.core, &self.shards);
 
-        // Cutover on every pre-existing worker. The FIFO mailbox orders this
+        // Cutover on every pre-existing shard. The FIFO mailbox orders this
         // before anything the router routes under the new assignment
-        // afterwards.
+        // afterwards — also where two shards share one.
         let partitioner = *self.core.partitioner().inner();
-        for (index, worker) in self.workers.iter().enumerate().take(before) {
-            let extract = index < cutover.old_active;
-            worker.mailbox.push(WorkerInput::Install { stamp, partitioner, extract });
+        for (index, mailbox) in self.shards.iter().enumerate().take(before) {
+            let (shard, extract) = (ShardId(index as u32), index < cutover.old_active);
+            mailbox.push(WorkerInput::Install { shard, stamp, partitioner, extract });
         }
 
-        // Barrier: gather every cutover reply. Workers keep draining their
-        // mailboxes, so the replies arrive promptly; fan-out legs that
+        // Barrier: gather every shard's cutover reply. Workers keep draining
+        // their mailboxes, so the replies arrive promptly; fan-out legs that
         // interleave are processed as usual. Inputs a worker hands back — a
         // direct producer's push under the old snapshot that landed behind the
         // `Install` — wait until the absorbs are out: routed now, a command

@@ -4,7 +4,7 @@
 //! Each thread owns its bundle outright — recording is an array index plus a
 //! relaxed atomic on preallocated memory, never a shared lock. The bundles
 //! clone their instruments into the node's [`ObsRegistry`] at construction
-//! time (engine startup or shard spawn, both off the hot path), where
+//! time (engine startup or worker spawn, both off the hot path), where
 //! same-named instruments from different threads are merged at snapshot time.
 //! The one exception is the node-level [`StageSet`] on `NodeShared`: ingress
 //! dispatch runs on whichever thread delivers (a transport pump, a peer's
@@ -93,13 +93,20 @@ impl RouterObs {
     }
 }
 
-/// One shard worker's instruments.
+/// One worker thread's instruments, shared by the shards it serves.
 pub(crate) struct WorkerObs {
     /// Stage histograms: workers record `SubmitQueue`, `MailboxDwell`,
     /// `Decode`, `ProtocolStep`, `QuorumWait`, and `ReplyEncode`.
     pub stages: StageSet,
     /// How often the worker parked for lack of work.
     pub parks: Arc<Counter>,
+    /// Pump cycles in which at least one of the worker's shards had an input
+    /// or an output.
+    pub cycles: Arc<Counter>,
+    /// Shards that had an input or an output, summed over those cycles:
+    /// `shard_cycles / worker_cycles` is how many shards one wake-up served
+    /// (1 with a thread per shard).
+    pub shard_cycles: Arc<Counter>,
     /// Directly delivered inputs the worker handed back to the router because
     /// they were routed under an assignment other than the worker's own.
     pub rerouted: Arc<Counter>,
@@ -108,7 +115,7 @@ pub(crate) struct WorkerObs {
     pub replies_skipped: Arc<Counter>,
     /// Frames dropped because they did not decode to a protocol message.
     pub frames_undecodable: Arc<Counter>,
-    /// Protocol instances the worker's core has opened. The `SubmitQueue`
+    /// Protocol instances the worker's cores have opened. The `SubmitQueue`
     /// sample count over this is commands per instance: 1 when commands
     /// arrive one at a time, the pump cycle's size under load.
     pub instances_opened: Arc<Counter>,
@@ -119,7 +126,8 @@ pub(crate) struct WorkerObs {
 }
 
 impl WorkerObs {
-    /// Builds the bundle and files every instrument into `registry`.
+    /// Builds the bundle for a worker thread about to be spawned and files
+    /// every instrument into `registry`; `worker_threads` counts the calls.
     pub fn new(registry: &ObsRegistry, trace: TraceConfig) -> Self {
         let stages = StageSet::new();
         stages.register_into(registry);
@@ -128,11 +136,14 @@ impl WorkerObs {
             registry.register_counter(name, Arc::clone(&counter));
             counter
         };
+        counter("worker_threads").incr();
         let mailbox_depth = Arc::new(HighWater::new());
         registry.register_highwater("worker_mailbox_depth", Arc::clone(&mailbox_depth));
         WorkerObs {
             stages,
             parks: counter("worker_parks"),
+            cycles: counter("worker_cycles"),
+            shard_cycles: counter("shard_cycles"),
             rerouted: counter("rerouted"),
             replies_skipped: counter("replies_skipped"),
             frames_undecodable: counter("frames_undecodable"),

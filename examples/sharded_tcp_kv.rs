@@ -1,8 +1,9 @@
 //! A sharded, replicated key-value store as three processes over loopback TCP,
-//! executed by the thread-per-shard engine.
+//! executed by the parallel engine.
 //!
 //! Each replica is an `engine::TcpNode`: an `EngineNode` — a router thread plus
-//! one OS thread per shard core — bridged to a `transport::tcp::TcpMesh` in both
+//! its shard cores on `min(shards, cores)` worker threads — bridged to a
+//! `transport::tcp::TcpMesh` in both
 //! directions (see `engine::tcp`). The transports are message-agnostic, so the
 //! shard-multiplexed `ShardMessage` — protocol traffic, control-shard traffic,
 //! and rebalance plans alike — crosses the sockets as ordinary `wire` frames. A
@@ -58,7 +59,7 @@ async fn main() {
     // Give the mesh a moment to connect.
     tokio::time::sleep(Duration::from_millis(300)).await;
 
-    println!("three sharded CRDT Paxos replicas (2 shards each, one thread per shard) over TCP");
+    println!("three sharded CRDT Paxos replicas (2 shards each) over TCP");
 
     // Writes on different keys via different replicas.
     for (replica, key, amount) in

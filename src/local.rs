@@ -9,10 +9,11 @@
 //! [`LocalShardedCluster`] is the keyspace variant: a replicated `LatticeMap<K, V>`
 //! partitioned over independent protocol instances (one round counter and one
 //! quorum per shard, hash-routed keys), with a synchronous per-key API. It runs
-//! on the thread-per-shard [`engine`]: each replica is an [`engine::EngineNode`]
-//! with one router thread plus one OS thread per shard core, wired through an
-//! in-process mesh — so commands on different shards are agreed genuinely in
-//! parallel even behind this blocking facade. It is the entry point used by the
+//! on the parallel [`engine`]: each replica is an [`engine::EngineNode`] with
+//! one router thread plus its shard cores spread over `min(shards, cores)`
+//! worker threads, wired through an in-process mesh — so commands on different
+//! shards are agreed genuinely in parallel, as far as the box has cores for it,
+//! even behind this blocking facade. It is the entry point used by the
 //! replicated key-value example. The partitioning is **dynamic**:
 //! [`LocalShardedCluster::rebalance`] resizes the keyspace at runtime — the plan
 //! is agreed through the ordinary protocol on a control shard, every replica
@@ -120,12 +121,12 @@ impl<C: Crdt + DeltaCrdt> LocalCluster<C> {
 
 /// An in-process **sharded** key-value cluster: a replicated `LatticeMap<K, V>`
 /// partitioned across independent protocol instances, executed by the
-/// thread-per-shard engine.
+/// parallel engine.
 ///
 /// Every key holds a CRDT of type `V`; updates and linearizable reads are routed to
 /// the shard owning the key, so commands on different key ranges never contend on a
-/// round counter — and, because every shard core runs on its own OS thread, never
-/// contend on a CPU core either. The API here is synchronous (each call blocks
+/// round counter — and, because the shard cores are spread over the machine's
+/// cores, need not contend on a CPU core either. The API here is synchronous (each call blocks
 /// until its command's quorum completes); use [`engine::EngineCluster`] directly
 /// for pipelined multi-client workloads.
 ///
