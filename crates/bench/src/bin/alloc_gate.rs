@@ -38,12 +38,20 @@
 //!   from the submission to the last response, for `k` = 1 and `k` = 16. The
 //!   instance table, the waiter lists and the inner-to-outer id table are all
 //!   recycled, so both are gated at **zero** allocations per cycle: what a
-//!   cycle allocates does not depend on how many commands it carries.
+//!   cycle allocates does not depend on how many commands it carries;
+//! * **un-share cycle** — the one copy snapshots cost: a pair of update
+//!   cycles, the second submitted while the first instance's `MERGE`s still
+//!   share the state, so that the second update copies the entries (the
+//!   first copies nothing), on a 16-key and a 256-key map. The entries are
+//!   one sorted vector, so the copy is the new `Arc` and its entry buffer
+//!   whatever the key count: both are **pinned at two** allocations per pair,
+//!   that is per un-share (with a B-tree of entries they read 4 and 43).
 //!
 //! Flags: `--quick` shortens the loops (used by CI); `--check` exits non-zero
 //! unless every steady-state loop (delta decode, framing, recycled encode,
 //! full protocol round, the two mixed streams, the two submit cycles) hits
-//! **zero** allocations per frame (per cycle) and the
+//! **zero** allocations per frame (per cycle), the two un-share cases read
+//! exactly two per pair, and the
 //! full-state decode stays within a small bounded budget. If the counting
 //! allocator turns out not to intercept allocations on this platform,
 //! `--check` prints a loud SKIP and exits 0.
@@ -245,19 +253,22 @@ struct MixedCluster {
     counted: usize,
     outputs: Vec<ShardOutput<u64, GCounter>>,
     next_command: u64,
+    /// How many keys the replicated state holds.
+    keys: u64,
 }
 
 impl MixedCluster {
-    fn new(counted: usize) -> Self {
+    fn new(counted: usize, keys: u64) -> Self {
         let mut cluster = MixedCluster {
             nodes: [Node::new(0), Node::new(1), Node::new(2)],
             counted,
             outputs: Vec::new(),
             next_command: 0,
+            keys,
         };
         // Every key exists before anything is counted, as after the
         // benchmark's pre-population: state size is constant from here on.
-        for _ in 0..MIXED_KEYS {
+        for _ in 0..keys {
             cluster.cycle();
         }
         cluster
@@ -267,7 +278,7 @@ impl MixedCluster {
     /// Node 1 receives a `MERGE` and a `PREPARE`; node 0 two `MERGED`s and two
     /// `ACK`s, the second after the read has completed.
     fn cycle(&mut self) {
-        let key = self.next_command / 2 % MIXED_KEYS;
+        let key = self.next_command / 2 % self.keys;
         let update = MapUpdate::Apply { key, update: CounterUpdate::Increment(1) };
         let query = MapQuery::Get { key, query: CounterQuery::Value };
         for command in [Command::Update(update), Command::Query(query)] {
@@ -288,7 +299,7 @@ impl MixedCluster {
     fn submit_cycle(&mut self, k: u64) {
         let mut commands = Vec::new();
         for n in 0..k {
-            let key = (self.next_command / 2 + n) % MIXED_KEYS;
+            let key = (self.next_command / 2 + n) % self.keys;
             let update = MapUpdate::Apply { key, update: CounterUpdate::Increment(1) };
             let query = MapQuery::Get { key, query: CounterQuery::Value };
             for command in [Command::Update(update), Command::Query(query)] {
@@ -302,6 +313,27 @@ impl MixedCluster {
         let proposer = &mut self.nodes[0].core;
         count_if(self.counted == 0, || proposer.drain_outputs(&mut self.outputs));
         assert_eq!(self.outputs.len() as u64, 2 * k, "every command answered");
+        self.outputs.clear();
+    }
+
+    /// Two cycles of one update each, the second submitted while the `MERGE`s
+    /// of the first — snapshots sharing the state's entries — have not left
+    /// node 0, then run to completion. The second update grows a state that a
+    /// snapshot in flight still reads, so node 0 copies the entries: once, since
+    /// the copy is its own from then on. Everything node 0 does is counted.
+    fn overlapped_cycles(&mut self) {
+        for _ in 0..2 {
+            let key = self.next_command % self.keys;
+            let update = MapUpdate::Apply { key, update: CounterUpdate::Increment(1) };
+            let command = (ClientId(1), CommandId(self.next_command), key, Command::Update(update));
+            self.next_command += 1;
+            let proposer = &mut self.nodes[0].core;
+            count_if(self.counted == 0, || proposer.submit_cycle([command]));
+        }
+        self.run_to_quiescence();
+        let proposer = &mut self.nodes[0].core;
+        count_if(self.counted == 0, || proposer.drain_outputs(&mut self.outputs));
+        assert_eq!(self.outputs.len(), 2, "both updates answered");
         self.outputs.clear();
     }
 
@@ -346,7 +378,7 @@ fn count_if<F: FnOnce()>(counted: bool, work: F) {
 
 /// Measures `cycles` mixed-stream cycles, per frame node `counted` receives.
 fn run_mixed_case(label: &'static str, counted: usize, cycles: u64) -> Case {
-    let mut cluster = MixedCluster::new(counted);
+    let mut cluster = MixedCluster::new(counted, MIXED_KEYS);
     let before = cluster.nodes[counted].received;
     ALLOC.reset();
     for _ in 0..cycles {
@@ -359,7 +391,7 @@ fn run_mixed_case(label: &'static str, counted: usize, cycles: u64) -> Case {
 /// Measures `cycles` proposer cycles of `k` updates and `k` reads each, per
 /// cycle: everything node 0 does, from the submission to the last response.
 fn run_submit_cycle_case(label: &'static str, k: u64, cycles: u64) -> Case {
-    let mut cluster = MixedCluster::new(0);
+    let mut cluster = MixedCluster::new(0, MIXED_KEYS);
     // Warm-up: waiter lists, outboxes and tables grow to the cycle's size.
     for _ in 0..64 {
         cluster.submit_cycle(k);
@@ -367,6 +399,21 @@ fn run_submit_cycle_case(label: &'static str, k: u64, cycles: u64) -> Case {
     ALLOC.reset();
     for _ in 0..cycles {
         cluster.submit_cycle(k);
+    }
+    let (allocations, bytes) = ALLOC.totals();
+    Case { label, iterations: cycles, allocations, bytes }
+}
+
+/// Measures `cycles` overlapped pairs of update cycles on a map of `keys` keys,
+/// per pair: what node 0 pays for growing a state a snapshot in flight shares.
+fn run_unshare_case(label: &'static str, keys: u64, cycles: u64) -> Case {
+    let mut cluster = MixedCluster::new(0, keys);
+    for _ in 0..64 {
+        cluster.overlapped_cycles();
+    }
+    ALLOC.reset();
+    for _ in 0..cycles {
+        cluster.overlapped_cycles();
     }
     let (allocations, bytes) = ALLOC.totals();
     Case { label, iterations: cycles, allocations, bytes }
@@ -591,6 +638,13 @@ fn main() {
     cases.push(run_submit_cycle_case("submit_cycle_1", 1, cycles));
     cases.push(run_submit_cycle_case("submit_cycle_16", 16, cycles));
 
+    // The one copy snapshots are allowed to cost: an update cycle while the
+    // previous instance's snapshot is in flight un-shares the entries, and
+    // that copy is one contiguous run — the same allocations at 16 keys as at
+    // 256 (a B-tree of entries made it one per node: 4 and 43).
+    cases.push(run_unshare_case("unshare_cycle_16", 16, cycles));
+    cases.push(run_unshare_case("unshare_cycle_256", MIXED_KEYS, cycles));
+
     println!(
         "{:<24} {:>10} {:>14} {:>14} {:>12}",
         "case", "frames", "allocs/frame", "bytes/frame", "allocs"
@@ -611,9 +665,13 @@ fn main() {
         // resident scratch differs structurally; steady state should need
         // none, but the budget leaves headroom for allocator-visible noise.
         const FULL_BUDGET: f64 = 4.0;
+        // An un-share (one per overlapped pair of cycles) allocates the new
+        // `Arc` and the entry buffer it holds.
+        const UNSHARE_ALLOCS: f64 = 2.0;
         let mut failed = false;
         for case in &cases {
-            let limit = match case.label {
+            // (limit, whether the case must read exactly the limit)
+            let (limit, pinned) = match case.label {
                 "decode_in_place_delta"
                 | "frame_loop_delta"
                 | "frame_loop_observed"
@@ -623,15 +681,17 @@ fn main() {
                 | "mixed_acceptor_full"
                 | "mixed_proposer_full"
                 | "submit_cycle_1"
-                | "submit_cycle_16" => 0.0,
-                "decode_in_place_full" => FULL_BUDGET,
+                | "submit_cycle_16" => (0.0, false),
+                "decode_in_place_full" => (FULL_BUDGET, false),
+                "unshare_cycle_16" | "unshare_cycle_256" => (UNSHARE_ALLOCS, true),
                 _ => continue,
             };
-            if case.per_frame() > limit {
+            let per_frame = case.per_frame();
+            if per_frame > limit || (pinned && per_frame != limit) {
+                let bound = if pinned { "pinned at" } else { "limit" };
                 eprintln!(
-                    "ACCEPTANCE FAILED: {} allocates {:.4}/frame (limit {limit})",
-                    case.label,
-                    case.per_frame()
+                    "ACCEPTANCE FAILED: {} allocates {per_frame:.4}/frame ({bound} {limit})",
+                    case.label
                 );
                 failed = true;
             }
@@ -644,7 +704,9 @@ fn main() {
             "acceptance passed: delta decode, framing, recycled encode, the full protocol \
              round, the mixed full-state streams (acceptor and proposer) and a proposer \
              cycle of 1 + 1 or 16 + 16 commands are allocation-free — with observability \
-             recording enabled too; full-state decode within budget ({FULL_BUDGET}/frame)"
+             recording enabled too; full-state decode within budget ({FULL_BUDGET}/frame); an \
+             update cycle behind a snapshot in flight copies the entries in {UNSHARE_ALLOCS} \
+             allocations at 16 and at 256 keys"
         );
     }
 }

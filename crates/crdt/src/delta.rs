@@ -22,14 +22,14 @@
 //!   protocol uses, because acceptor states also grow through remote joins that no
 //!   local mutator observed.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
 
 use crate::counter::{GCounter, PNCounter};
 use crate::gset::{GSet, TwoPhaseSet};
 use crate::lattice::Lattice;
-use crate::ormap::LatticeMap;
+use crate::ormap::{merge_in, paired, LatticeMap};
 use crate::orset::{ORSet, Tag};
 use crate::register::{LwwRegister, MaxRegister, MvRegister};
 use crate::replica::ReplicaId;
@@ -321,24 +321,17 @@ where
             return;
         }
         let entries = Arc::make_mut(&mut self.entries);
-        for (key, nested) in delta.entries.iter() {
-            entries.entry(key.clone()).or_default().apply_delta(nested);
-        }
+        merge_in(entries, &delta.entries, V::apply_delta, V::from_delta);
     }
 
     fn delta_since(&self, known: &Self) -> Self::Delta {
-        let mut delta = BTreeMap::new();
-        for (key, value) in self.entries.iter() {
-            match known.entries.get(key) {
-                Some(known_value) if value.leq(known_value) => {}
-                Some(known_value) => {
-                    delta.insert(key.clone(), value.delta_since(known_value));
-                }
-                None => {
-                    delta.insert(key.clone(), value.delta_since(&V::default()));
-                }
-            }
-        }
+        let delta = paired(&self.entries, &known.entries)
+            .filter_map(|(key, value, held)| match held {
+                Some(held) if value.leq(held) => None,
+                Some(held) => Some((key.clone(), value.delta_since(held))),
+                None => Some((key.clone(), value.delta_since(&V::default()))),
+            })
+            .collect();
         LatticeMap { entries: Arc::new(delta) }
     }
 }

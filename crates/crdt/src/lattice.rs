@@ -9,7 +9,6 @@
 use std::cmp::Ordering;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::ops::Bound;
 
 /// A join semilattice.
 ///
@@ -262,55 +261,25 @@ impl<T: Ord + Clone + fmt::Debug> Lattice for BTreeSet<T> {
 /// lookup per key.
 impl<K: Ord + Clone + fmt::Debug, V: Lattice> Lattice for BTreeMap<K, V> {
     fn join(&mut self, other: &Self) {
-        if let Some(from) = first_growth(self, other) {
-            join_from(self, other, from);
+        let mut missing = Vec::new();
+        let mut mine = self.iter_mut().peekable();
+        for (key, value) in other {
+            while mine.next_if(|(existing, _)| *existing < key).is_some() {}
+            match mine.peek_mut() {
+                Some((existing, held)) if *existing == key => held.join(value),
+                _ => missing.push((key.clone(), value.clone())),
+            }
         }
+        self.extend(missing);
     }
 
     fn leq(&self, other: &Self) -> bool {
-        first_growth(other, self).is_none()
+        let mut theirs = other.iter().peekable();
+        self.iter().all(|(key, value)| {
+            while theirs.next_if(|(existing, _)| *existing < key).is_some() {}
+            theirs.peek().is_some_and(|(existing, held)| *existing == key && value.leq(held))
+        })
     }
-}
-
-/// The smallest key of `other` whose entry would grow `map` when joined into it (the
-/// key is missing from `map`, or its value is not `⊑` the one `map` holds); `None`
-/// iff `other ⊑ map`. Read-only, so a caller that shares `map` can decide whether it
-/// has to un-share it before touching it.
-pub(crate) fn first_growth<'a, K: Ord, V: Lattice>(
-    map: &BTreeMap<K, V>,
-    other: &'a BTreeMap<K, V>,
-) -> Option<&'a K> {
-    let mut mine = map.iter().peekable();
-    for (key, value) in other {
-        while mine.next_if(|(existing, _)| *existing < key).is_some() {}
-        match mine.peek() {
-            Some((existing, held)) if *existing == key && value.leq(held) => {}
-            _ => return Some(key),
-        }
-    }
-    None
-}
-
-/// Joins the entries of `other` at or after `from` into `map`, in one walk over the
-/// two tails. With `from = first_growth(map, other)` the skipped prefix is known not
-/// to grow `map`, so this completes `map ⊔ other`.
-pub(crate) fn join_from<K: Ord + Clone, V: Lattice>(
-    map: &mut BTreeMap<K, V>,
-    other: &BTreeMap<K, V>,
-    from: &K,
-) {
-    let tail = (Bound::Included(from), Bound::Unbounded);
-    let mut missing = Vec::new();
-    let mut mine = map.range_mut::<K, _>(tail).peekable();
-    for (key, value) in other.range::<K, _>(tail) {
-        while mine.next_if(|(existing, _)| *existing < key).is_some() {}
-        match mine.peek_mut() {
-            Some((existing, held)) if *existing == key => held.join(value),
-            _ => missing.push((key.clone(), value.clone())),
-        }
-    }
-    drop(mine);
-    map.extend(missing);
 }
 
 /// Option lattice: `None` is bottom, `Some(x) ⊔ Some(y) = Some(x ⊔ y)`.

@@ -2,8 +2,9 @@
 //!
 //! The decode residents are per shard slot, not per worker thread: two shards
 //! hold different keys, so on shared residents consecutive `MERGE`s (or
-//! `PREPARE`s) of two shards would each drop the 256-key state the other left
-//! behind and build its own, a map node per key. This drives a real worker
+//! `PREPARE`s) of two shards would each decode over the 256-key state the
+//! other left behind (while a map's entries were B-tree nodes, dropping it and
+//! building a node per key). This drives a real worker
 //! thread — node 1 of a three-replica group, fed by hand-pumped proposer cores
 //! standing in for node 0 — with that stream and counts what the thread
 //! allocates, with the counting-allocator technique of `alloc_gate`.

@@ -2,7 +2,8 @@
 //!
 //! A [`TraceRing`] is a preallocated per-worker ring of compact
 //! `(command, stage, timestamp)` events. Recording is two relaxed atomic
-//! stores bracketed by a per-slot seqlock sequence — no locks, no allocation —
+//! stores bracketed by a per-slot seqlock sequence that the writer claims with
+//! one compare-exchange — no locks, no waiting, no allocation —
 //! and sampling is decided from the command id (`command % sample == 0`) so
 //! either *every* stage of a command is captured or none are, which is what
 //! the timeline assembler needs. Snapshots tolerate concurrent writers by
@@ -72,8 +73,9 @@ struct Slot {
 /// A preallocated ring of sampled trace events.
 ///
 /// Intended use: one ring per worker/router thread (single writer), snapshot
-/// from any thread. Multiple concurrent writers would interleave slots but
-/// never corrupt them — a torn slot is detected by its sequence and skipped.
+/// from any thread. Concurrent writers are safe but lossy: once the ring has
+/// wrapped, two of them can draw one slot, and the one that finds it mid-write
+/// drops its event. A snapshot never sees a slot mid-write.
 pub struct TraceRing {
     slots: Box<[Slot]>,
     cursor: AtomicU64,
@@ -111,17 +113,26 @@ impl TraceRing {
         }
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % self.slots.len() as u64) as usize];
-        // Seqlock write: odd sequence while the payload words are in flux.
-        // The release *store* alone only orders what precedes it; the fence
-        // is what keeps the payload stores below from becoming visible before
-        // the odd sequence does.
-        let seq = slot.seq.load(Ordering::Relaxed) | 1;
-        slot.seq.store(seq, Ordering::Relaxed);
+        // Seqlock write: odd sequence while the payload words are in flux. After
+        // a wrap two writers can hold tickets for one slot, so the odd sequence
+        // is claimed, even → odd, by one of them; a writer that finds the slot
+        // mid-write drops its event rather than wait. The fence is what keeps
+        // the payload stores below from becoming visible before the odd
+        // sequence does.
+        let seq = slot.seq.load(Ordering::Relaxed);
+        if seq & 1 == 1
+            || slot
+                .seq
+                .compare_exchange(seq, seq + 1, Ordering::Relaxed, Ordering::Relaxed)
+                .is_err()
+        {
+            return;
+        }
         fence(Ordering::Release);
         slot.command.store(command, Ordering::Relaxed);
         slot.packed
             .store(((stage.index() as u64) << TS_BITS) | (at_nanos & TS_MASK), Ordering::Relaxed);
-        slot.seq.store(seq + 1, Ordering::Release);
+        slot.seq.store(seq + 2, Ordering::Release);
     }
 
     /// Appends every stable captured event to `out` (unordered). Slots that
@@ -262,6 +273,51 @@ mod tests {
         }
         writer.join().unwrap();
         assert!(seen > 0, "the reader never overlapped the writer");
+    }
+
+    /// Two writers lapping a tiny ring draw the same slot; the one that finds
+    /// it mid-write must drop its event, not mix it into the other's. Every
+    /// event is written with `at_nanos == command`, so a slot left holding one
+    /// writer's command beside the other's timestamp is a visible mismatch —
+    /// to the reader racing the writers and in what the ring holds at the end.
+    #[test]
+    fn concurrent_writers_never_leave_a_torn_event() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::Arc;
+
+        let ring = Arc::new(TraceRing::new(TraceConfig::sampled(1, 4)));
+        let running = Arc::new(AtomicUsize::new(2));
+        let writers: Vec<_> = (0..2u64)
+            .map(|writer| {
+                let (ring, running) = (Arc::clone(&ring), Arc::clone(&running));
+                std::thread::spawn(move || {
+                    for n in 1..=4_000_000u64 {
+                        let command = 2 * n + writer;
+                        ring.record(command, Stage::ALL[(command % 8) as usize], command);
+                    }
+                    running.fetch_sub(1, Ordering::Release);
+                })
+            })
+            .collect();
+        let check = |events: &[TraceEvent]| {
+            for event in events {
+                assert_eq!(event.command, event.at_nanos, "torn event {event:?}");
+                assert_eq!(event.stage, Stage::ALL[(event.command % 8) as usize]);
+            }
+        };
+        let mut out = Vec::new();
+        while running.load(Ordering::Acquire) > 0 {
+            out.clear();
+            ring.snapshot_into(&mut out);
+            check(&out);
+        }
+        for writer in writers {
+            writer.join().unwrap();
+        }
+        out.clear();
+        ring.snapshot_into(&mut out);
+        check(&out);
+        assert!(!out.is_empty(), "the writers left nothing behind");
     }
 
     #[test]
