@@ -40,7 +40,7 @@ use baselines::paxos::{PaxosConfig, PaxosReplica};
 use baselines::raft::{RaftConfig, RaftReplica};
 use baselines::{
     Baseline, ClientId as BaseClientId, CommandId as BaseCommandId, CounterOp, CounterRegister,
-    NodeId, Outgoing, ReplyBody, Request,
+    NodeId, ReplyBody, Request,
 };
 use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
 use crdt_paxos_core::{ClientId, Command, ProtocolConfig, ResponseBody};
@@ -250,11 +250,13 @@ enum DriverIn<M> {
 }
 
 /// Pumps one sans-io replica: injects peer messages and client submissions,
-/// advances time, ships the outbox to the mesh, and routes replies.
+/// advances time, ships the outbox to the mesh — each run of consecutive
+/// same-peer messages as one batch, encoded on this thread, as
+/// `engine::TcpNode` does — and routes replies.
 fn drive_baseline<B: Baseline<Machine = CounterRegister>>(
     mut replica: B,
     in_rx: std_mpsc::Receiver<DriverIn<B::Message>>,
-    out_tx: mpsc::UnboundedSender<Vec<Outgoing<B::Message>>>,
+    mesh: Arc<TcpMesh>,
     replies: Arc<ReplyMap>,
     stop: Arc<AtomicBool>,
 ) {
@@ -275,9 +277,10 @@ fn drive_baseline<B: Baseline<Machine = CounterRegister>>(
             Err(std_mpsc::RecvTimeoutError::Disconnected) => break,
         }
         replica.tick(start.elapsed().as_millis() as u64);
-        let outbox = replica.take_outbox();
-        if !outbox.is_empty() {
-            let _ = out_tx.send(outbox);
+        for run in replica.take_outbox().chunk_by(|a, b| a.to == b.to) {
+            let _ = mesh.send_with(run[0].to.0, |encoder| {
+                run.iter().try_for_each(|outgoing| encoder.encode(&outgoing.message))
+            });
         }
         for reply in replica.take_replies() {
             let retry = matches!(reply.body, ReplyBody::Retry);
@@ -355,43 +358,19 @@ where
         let replica = make_replica(NodeId(id), members.clone());
         let replies = Arc::clone(&replies);
         let (in_tx, in_rx) = std_mpsc::channel::<DriverIn<B::Message>>();
-        let (out_tx, mut out_rx) = mpsc::unbounded_channel::<Vec<Outgoing<B::Message>>>();
 
-        // Driver thread owns the replica.
-        let driver_replies = Arc::clone(&replies);
+        // Driver thread owns the replica and sends its outbox.
+        let (driver_mesh, driver_replies) = (Arc::clone(&mesh), Arc::clone(&replies));
         let driver_stop = Arc::clone(&stop);
         drivers.push(std::thread::spawn(move || {
-            drive_baseline(replica, in_rx, out_tx, driver_replies, driver_stop);
+            drive_baseline(replica, in_rx, driver_mesh, driver_replies, driver_stop);
         }));
 
-        // Outbox -> mesh, grouping consecutive same-peer messages.
-        let sender_mesh = Arc::clone(&mesh);
-        tasks.push(tokio::spawn(async move {
-            let mut run: Vec<B::Message> = Vec::new();
-            while let Some(outbox) = out_rx.recv().await {
-                let mut run_peer = None;
-                for outgoing in outbox {
-                    if run_peer != Some(outgoing.to.0) {
-                        if let Some(peer) = run_peer {
-                            let _ = sender_mesh.send_many(peer, &run).await;
-                            run.clear();
-                        }
-                        run_peer = Some(outgoing.to.0);
-                    }
-                    run.push(outgoing.message);
-                }
-                if let Some(peer) = run_peer {
-                    let _ = sender_mesh.send_many(peer, &run).await;
-                    run.clear();
-                }
-            }
-        }));
-
-        // Mesh -> driver.
-        let recv_mesh = Arc::clone(&mesh);
+        // Mesh -> driver; an undecodable frame is a lost message.
         let peer_tx = in_tx.clone();
         tasks.push(tokio::spawn(async move {
-            while let Ok((from, message)) = recv_mesh.recv::<B::Message>().await {
+            while let Ok((from, frame)) = mesh.recv_frame().await {
+                let Ok(message) = wire::from_bytes(&frame) else { continue };
                 if peer_tx.send(DriverIn::Peer(from, message)).is_err() {
                     break;
                 }

@@ -40,7 +40,7 @@
 //!   and the deterministic simulator, and one-OS-thread-per-core by the
 //!   `engine` crate's parallel executor.
 //! * [`RouterCore`] — the routing policy above the shard cores, as a second
-//!   sans-io state machine: deterministic key routing (`quorum::Partitioner`),
+//!   sans-io state machine: deterministic key routing (`quorum::HashPartitioner`),
 //!   epoch fencing ([`fence_decision`]), plan agreement on the control shard,
 //!   the cutover choreography ([`Cutover`]) and fan-out aggregation. Inputs in,
 //!   [`RouterEffect`]s out; it touches no shard core, so the single-threaded
@@ -49,7 +49,7 @@
 //!   `Vec<ShardCore>`, with [`ShardEnvelope`]/[`ShardMessage`] multiplexing, so
 //!   non-conflicting commands on different key ranges agree in parallel.
 //! * [`rebalance`](crate::RebalancePlan) — dynamic resharding: the partitioner is
-//!   epoch-stamped (`quorum::EpochPartitioner`) and a [`RebalancePlan`] — agreed
+//!   epoch-stamped (the [`Stamp`] `(epoch, shards)`) and a [`RebalancePlan`] — agreed
 //!   through the ordinary protocol on a dedicated control shard — resizes the
 //!   keyspace at runtime. The log-less design makes the state handoff a pure
 //!   lattice join ([`Replica::absorb_state`]); an epoch fence bounces stale
@@ -61,7 +61,7 @@
 //! * [`Metrics`] — round-trip histograms and learning-path counters (Figure 3).
 //!
 //! The companion crates provide the substrates and executors: `crdt` (the data
-//! types), `quorum` (quorum systems), `cluster` (deterministic simulator and
+//! types), `quorum` (membership, quorum size and key partitioning), `cluster` (deterministic simulator and
 //! workloads — one driver of these state machines), `engine` (the
 //! parallel executor on real threads — the other driver), `transport` (tokio
 //! TCP runtime), and `baselines` (Multi-Paxos and Raft used for comparison).
@@ -88,7 +88,7 @@ pub use msg::{
     ResponseBody,
 };
 pub use quorum::ShardId;
-pub use rebalance::{winning_shards, ControlState, PlanPartitioner, RebalancePlan, RebalanceStats};
+pub use rebalance::{winning_shards, ControlState, RebalancePlan, RebalanceStats};
 pub use replica::{CancelledWork, Replica};
 pub use round::{PrepareRound, Round, RoundId};
 pub use router_core::{Cutover, RouterCore, RouterEffect};

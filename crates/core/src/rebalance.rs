@@ -34,7 +34,6 @@
 //! the destination shard, and any epoch-`e+1` read quorum intersects it there.
 
 use crdt::{GSet, LatticeMap};
-use quorum::{HashPartitioner, RangePartitioner};
 use serde::{Deserialize, Serialize};
 
 /// The agreed outcome of one rebalance: the keyspace of `epoch` is hash-partitioned
@@ -64,30 +63,6 @@ pub fn winning_shards<'a, I: IntoIterator<Item = &'a u32>>(proposals: I) -> Opti
     proposals.into_iter().copied().max()
 }
 
-/// Partitioner families that can realize a [`RebalancePlan`].
-///
-/// The rebalance subsystem is generic over the routing function, but a plan must be
-/// turned back into a concrete partitioner at installation time. Families that
-/// cannot express hash plans return `None` and ignore rebalance traffic (range
-/// resharding — shipping split points instead of a shard count — is a recorded
-/// follow-up).
-pub trait PlanPartitioner: Sized {
-    /// The partitioner realizing `plan`, or `None` if this family cannot express it.
-    fn from_plan(plan: &RebalancePlan) -> Option<Self>;
-}
-
-impl PlanPartitioner for HashPartitioner {
-    fn from_plan(plan: &RebalancePlan) -> Option<Self> {
-        (plan.shards > 0).then(|| HashPartitioner::new(plan.shards))
-    }
-}
-
-impl<K: Ord> PlanPartitioner for RangePartitioner<K> {
-    fn from_plan(_plan: &RebalancePlan) -> Option<Self> {
-        None
-    }
-}
-
 /// Counters describing a replica's view of past and ongoing rebalances
 /// (observability; see [`crate::ShardedReplica::rebalance_stats`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -108,26 +83,11 @@ pub struct RebalanceStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use quorum::Partitioner;
 
     #[test]
     fn winning_shards_is_the_maximum_proposal() {
         assert_eq!(winning_shards([&4u32, &8, &2]), Some(8));
         assert_eq!(winning_shards([] as [&u32; 0]), None);
-    }
-
-    #[test]
-    fn hash_plans_realize_and_zero_shard_plans_do_not() {
-        let plan = RebalancePlan { epoch: 3, shards: 8 };
-        let partitioner = HashPartitioner::from_plan(&plan).expect("valid plan");
-        assert_eq!(<HashPartitioner as Partitioner<u64>>::shards(&partitioner), 8);
-        assert!(HashPartitioner::from_plan(&RebalancePlan { epoch: 3, shards: 0 }).is_none());
-    }
-
-    #[test]
-    fn range_partitioners_ignore_hash_plans() {
-        let plan = RebalancePlan { epoch: 1, shards: 4 };
-        assert!(RangePartitioner::<u64>::from_plan(&plan).is_none());
     }
 
     #[test]

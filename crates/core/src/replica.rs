@@ -13,7 +13,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crdt::{Crdt, DeltaCrdt, ReplicaId};
-use quorum::{Membership, QuorumSystem};
+use quorum::Membership;
 
 use crate::acceptor::{AcceptOutcome, Acceptor};
 use crate::config::{PayloadMode, ProtocolConfig};
@@ -64,10 +64,6 @@ impl AckSet {
     fn len(&self) -> usize {
         self.0.len()
     }
-
-    fn retain<F: FnMut(&ReplicaId) -> bool>(&mut self, keep: F) {
-        self.0.retain(keep);
-    }
 }
 
 /// The first-phase acknowledgement map `(peer, round, state)`, `Vec`-backed and
@@ -95,10 +91,6 @@ impl<C> PrepareAcks<C> {
 
     fn iter(&self) -> impl Iterator<Item = &(ReplicaId, Round, C)> {
         self.0.iter()
-    }
-
-    fn retain<F: FnMut(&ReplicaId) -> bool>(&mut self, mut keep: F) {
-        self.0.retain(|(id, _, _)| keep(id));
     }
 }
 
@@ -240,8 +232,7 @@ pub struct Replica<C: Crdt + DeltaCrdt> {
     reveals: VecDeque<(u64, C)>,
     next_reveal: u64,
     /// Proposer side of the reply-delta handshake: per peer, exact snapshots of the
-    /// peer's acceptor state (see [`PeerBasis`]). Delta mode only; pruned on
-    /// membership change alongside `peer_known`.
+    /// peer's acceptor state (see [`PeerBasis`]). Delta mode only.
     basis: BTreeMap<ReplicaId, PeerBasis<C>>,
     /// Prepare payloads of recently completed query instances (a query finishes at
     /// quorum, so the slowest acceptors' `ACK`s arrive late). Kept — bounded — so
@@ -322,7 +313,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     pub fn new(id: ReplicaId, members: Vec<ReplicaId>, initial: C, config: ProtocolConfig) -> Self {
         let membership = Membership::new(members);
         assert!(membership.contains(&id), "replica {id} must be part of the membership");
-        let quorum_size = membership.majority().min_quorum_size();
+        let quorum_size = membership.quorum_size();
         let batch_interval = config.batch_interval_ms;
         // Stagger the first batch flush across replicas so their batch windows do not
         // all fire at the same instant (synchronized batches would make every query
@@ -376,86 +367,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// The replica group.
     pub fn membership(&self) -> &Membership<ReplicaId> {
         &self.membership
-    }
-
-    /// Replaces the replica group (administrative reconfiguration).
-    ///
-    /// The paper assumes static membership; this hook exists so long-lived processes
-    /// can decommission peers without leaking per-peer state: the delta-payload
-    /// tracking maps ([`Replica::known_peer_state`]'s `peer_known` and the
-    /// recent-merge backlog) pin a full payload-state clone per tracked peer, so
-    /// departed peers are garbage-collected here. Quorum sizes are re-derived and
-    /// in-flight instances whose acknowledgement sets already satisfy the new
-    /// (possibly smaller) quorum complete immediately.
-    ///
-    /// Callers are responsible for reconfiguring **all** replicas consistently (one
-    /// membership epoch at a time); diverging memberships void the quorum
-    /// intersection property the protocol's safety rests on.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `members` does not contain this replica's id.
-    pub fn update_membership(&mut self, members: Vec<ReplicaId>) {
-        let membership = Membership::new(members);
-        assert!(
-            membership.contains(&self.id),
-            "replica {} must be part of the new membership",
-            self.id
-        );
-        self.others = membership.others(self.id).collect();
-        self.quorum_size = membership.majority().min_quorum_size();
-        // GC the delta-tracking state of departed peers: their full state clones in
-        // `peer_known` and the basis-snapshot map, and their slots in recent-merge
-        // missing sets (a departed peer will never send the late MERGED the entry
-        // is waiting for).
-        self.peer_known.retain(|peer, _| membership.contains(peer));
-        self.basis.retain(|peer, _| membership.contains(peer));
-        self.recent_merges.retain(|_, (_, missing)| {
-            missing.retain(|peer| membership.contains(peer));
-            !missing.is_empty()
-        });
-        // Acknowledgements from departed peers must not count toward the new
-        // (possibly smaller) quorums: an instance "stored at a quorum" must mean a
-        // quorum of the *current* group, or quorum intersection — and with it
-        // update visibility — is void. Retransmission re-contacts current members.
-        for entry in self.requests.values_mut() {
-            match entry {
-                InFlight::Update { acks, .. } => acks.retain(|peer| membership.contains(peer)),
-                InFlight::Query { phase, .. } => match phase {
-                    QueryPhase::Prepare { acks, .. } => {
-                        acks.retain(|peer| membership.contains(peer));
-                    }
-                    QueryPhase::Vote { acks, .. } => {
-                        acks.retain(|peer| membership.contains(peer));
-                    }
-                },
-            }
-        }
-        self.membership = membership;
-        self.recheck_quorums();
-    }
-
-    /// Re-evaluates every in-flight instance against the current quorum size (used
-    /// after a membership change shrank the group).
-    fn recheck_quorums(&mut self) {
-        let requests: Vec<RequestId> = self.requests.keys().copied().collect();
-        for request in requests {
-            match self.requests.get(&request) {
-                Some(InFlight::Update { acks, .. }) if acks.len() >= self.quorum_size => {
-                    self.complete_update(request);
-                }
-                Some(InFlight::Query { phase: QueryPhase::Prepare { .. }, .. }) => {
-                    self.maybe_finish_prepare(request);
-                }
-                Some(InFlight::Query {
-                    phase: QueryPhase::Vote { acks, proposed, .. }, ..
-                }) if acks.len() >= self.quorum_size => {
-                    let proposed = proposed.clone();
-                    self.finish_query(request, proposed, true);
-                }
-                _ => {}
-            }
-        }
     }
 
     /// The local acceptor's payload state (useful for tests and observability; reads
@@ -556,9 +467,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
 
     /// Handles a protocol message from another replica.
     ///
-    /// Messages from processes outside the current membership are dropped: after a
-    /// reconfiguration, a departed peer's late acknowledgements must not count
-    /// toward quorums of the new group.
+    /// Messages from processes outside the membership are dropped: they neither
+    /// count toward a quorum nor reach the acceptor.
     pub fn handle_message(&mut self, from: ReplicaId, message: Message<C>) {
         let mut message = message;
         self.handle_message_mut(from, &mut message);
@@ -2096,6 +2006,46 @@ mod tests {
         );
     }
 
+    /// Messages from a process outside the group are dropped: a `MERGED` or an
+    /// `ACK` from one never counts toward a quorum, and a `MERGE` from one is
+    /// neither applied nor answered.
+    #[test]
+    fn messages_from_non_members_are_dropped() {
+        let outsider = ReplicaId::new(9);
+        let mut replicas = cluster(3, ProtocolConfig::default());
+
+        // Self plus any one acknowledgement is a quorum of three.
+        replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
+        let merges = replicas[0].take_outbox();
+        replicas[0]
+            .handle_message(outsider, Message::MergeAck { request: merges[0].message.request() });
+        assert!(drain_responses(&mut replicas[0]).is_empty(), "an outsider's MERGED counted");
+        assert_eq!(replicas[0].in_flight(), 1);
+        for env in merges {
+            replicas[env.to.as_u64() as usize].handle_message(env.from, env.message);
+        }
+        run_to_quiescence(&mut replicas);
+        let responses = drain_responses(&mut replicas[0]);
+        assert_eq!(responses.len(), 1);
+        assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
+
+        // A genuine `ACK`, replayed under the outsider's id, counts for nothing.
+        let (request, acks) = quiet_read_acks(&mut replicas);
+        let ack = acks[0].message.clone();
+        replicas[0].handle_message(outsider, ack.clone());
+        assert!(drain_responses(&mut replicas[0]).is_empty(), "an outsider's ACK counted");
+        assert!(replicas[0].wants_reply(request));
+        replicas[0].handle_message(acks[0].from, ack);
+        assert_eq!(drain_responses(&mut replicas[0])[0].body, ResponseBody::QueryDone(1));
+
+        let mut state = Counter::default();
+        state.increment(outsider, 5);
+        let merge = Message::Merge { request: RequestId(0), payload: Payload::Full(state) };
+        replicas[1].handle_message(outsider, merge);
+        assert_eq!(replicas[1].local_state().value(), 1, "an outsider's MERGE was applied");
+        assert!(replicas[1].take_outbox().is_empty(), "an outsider's MERGE was answered");
+    }
+
     #[test]
     fn full_mode_never_tracks_peer_states() {
         let mut replicas = cluster(3, ProtocolConfig::default());
@@ -2249,111 +2199,6 @@ mod tests {
         let responses = drain_responses(&mut replicas[0]);
         assert_eq!(responses[0].body, ResponseBody::QueryDone(7));
         assert_eq!(responses[0].round_trips, 1);
-    }
-
-    #[test]
-    fn membership_change_garbage_collects_peer_state_tracking() {
-        let config = ProtocolConfig::default().with_delta_payloads();
-        let mut replicas = cluster(3, config);
-        replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
-        run_to_quiescence(&mut replicas);
-        assert!(replicas[0].known_peer_state(ReplicaId::new(1)).is_some());
-        assert!(replicas[0].known_peer_state(ReplicaId::new(2)).is_some());
-
-        // Replica 2 is decommissioned: its tracked state clone must be dropped.
-        replicas[0].update_membership(vec![ReplicaId::new(0), ReplicaId::new(1)]);
-        assert!(replicas[0].known_peer_state(ReplicaId::new(1)).is_some());
-        assert!(replicas[0].known_peer_state(ReplicaId::new(2)).is_none());
-        assert_eq!(replicas[0].membership().len(), 2);
-    }
-
-    #[test]
-    fn membership_shrink_completes_pending_instances() {
-        // An update waiting for a 3-of-5 quorum completes when the group shrinks to
-        // a size its current acknowledgements already cover.
-        let mut replicas = cluster(5, ProtocolConfig::default());
-        replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
-        let merges = replicas[0].take_outbox();
-        // Deliver the merge to replica 1 only and return its ack.
-        for env in merges {
-            if env.to == ReplicaId::new(1) {
-                replicas[1].handle_message(env.from, env.message);
-            }
-        }
-        let acks = replicas[1].take_outbox();
-        for env in acks {
-            replicas[0].handle_message(env.from, env.message);
-        }
-        // 2 of 5 acks: not yet a quorum, no response.
-        assert!(drain_responses(&mut replicas[0]).is_empty());
-        assert_eq!(replicas[0].in_flight(), 1);
-
-        // Shrink to {0, 1, 2}: the 2 acks now form a majority.
-        let members = vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)];
-        replicas[0].update_membership(members);
-        let responses = drain_responses(&mut replicas[0]);
-        assert_eq!(responses.len(), 1);
-        assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
-        assert_eq!(replicas[0].in_flight(), 0);
-    }
-
-    #[test]
-    fn membership_shrink_discards_acks_of_departed_peers() {
-        // An update acked only by {0, 4} in a 5-group must NOT complete when the
-        // group shrinks to {0, 1, 2} with quorum 2: replica 4's ack is void (of
-        // the new members, only replica 0 stores the state — a read served by
-        // {1, 2} would miss the "completed" update). Late acks from departed
-        // peers must not resurrect it either.
-        let mut replicas = cluster(5, ProtocolConfig::default());
-        replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
-        let merges = replicas[0].take_outbox();
-        for env in merges {
-            if env.to == ReplicaId::new(4) {
-                replicas[4].handle_message(env.from, env.message);
-            }
-        }
-        let acks = replicas[4].take_outbox();
-        let late_ack = acks[0].clone();
-        for env in acks {
-            replicas[0].handle_message(env.from, env.message);
-        }
-        assert!(drain_responses(&mut replicas[0]).is_empty(), "2 of 5 is not a quorum");
-
-        let members = vec![ReplicaId::new(0), ReplicaId::new(1), ReplicaId::new(2)];
-        replicas[0].update_membership(members);
-        assert!(
-            drain_responses(&mut replicas[0]).is_empty(),
-            "the departed peer's ack must not count toward the new quorum"
-        );
-        assert_eq!(replicas[0].in_flight(), 1);
-
-        // A replayed ack from the departed peer is dropped entirely.
-        replicas[0].handle_message(late_ack.from, late_ack.message);
-        assert!(drain_responses(&mut replicas[0]).is_empty());
-
-        // The update completes once a *current* member acknowledges (retransmit).
-        replicas[0].tick(200);
-        let resent = replicas[0].take_outbox();
-        for env in resent {
-            if env.to == ReplicaId::new(1) {
-                replicas[1].handle_message(env.from, env.message);
-            }
-        }
-        for env in replicas[1].take_outbox() {
-            if env.to == ReplicaId::new(0) {
-                replicas[0].handle_message(env.from, env.message);
-            }
-        }
-        let responses = drain_responses(&mut replicas[0]);
-        assert_eq!(responses.len(), 1, "a current-member quorum completes the update");
-        assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be part of the new membership")]
-    fn membership_change_must_keep_self() {
-        let mut replicas = cluster(3, ProtocolConfig::default());
-        replicas[0].update_membership(vec![ReplicaId::new(1), ReplicaId::new(2)]);
     }
 
     #[test]

@@ -9,8 +9,9 @@
 //! else. It has no clock, channel or thread, never touches a shard core, and
 //! does not know how many threads execute them. It owns
 //!
-//! * the **stamp**: the [`EpochPartitioner`] and the installed
-//!   [`RebalancePlan`] — a router core is its node's single stamp authority;
+//! * the **stamp**: the epoch, the [`HashPartitioner`] of that epoch and the
+//!   installed [`RebalancePlan`] — a router core is its node's single stamp
+//!   authority;
 //! * the **epoch fence** ([`fence_decision`]) with its bounded queue of
 //!   deferred future-stamp messages;
 //! * the **control shard**, the `Replica<ControlState>` on which plans are
@@ -38,7 +39,7 @@
 //! barrier across its worker threads):
 //!
 //! 1. [`RouterCore::begin_install`] (or an input that leads to it) runs the
-//!    idempotence / supersede checks and swaps the partitioner; from here on
+//!    idempotence / supersede check and swaps the partitioner; from here on
 //!    the fence judges by the new stamp. It returns a [`Cutover`].
 //! 2. The **driver** grows its instance table to the new shard count — a
 //!    shrink keeps retired instances: their states are harmless lower bounds a
@@ -60,18 +61,17 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::hash::Hash;
 
 use crdt::{
     Crdt, DeltaCrdt, GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId,
     SetOutput, SetQuery,
 };
-use quorum::{EpochPartitioner, Partitioner, ShardId};
+use quorum::{HashPartitioner, ShardId};
 
 use crate::config::ProtocolConfig;
 use crate::msg::{ClientId, ClientResponse, Command, CommandId, Envelope, Message, ResponseBody};
-use crate::rebalance::{
-    winning_shards, ControlState, PlanPartitioner, RebalancePlan, RebalanceStats,
-};
+use crate::rebalance::{winning_shards, ControlState, RebalancePlan, RebalanceStats};
 use crate::replica::Replica;
 use crate::shard::{ShardEnvelope, ShardMessage};
 use crate::shard_core::{fence_decision, CoreRehome, FenceDecision, RehomedCommand, Stamp};
@@ -215,12 +215,15 @@ where
 /// choreography and fan-out aggregation, with no execution policy. See the
 /// module docs.
 #[derive(Debug)]
-pub struct RouterCore<K, V, P>
+pub struct RouterCore<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
     V: Crdt + DeltaCrdt,
 {
-    partitioner: EpochPartitioner<P>,
+    /// The partitioning generation: 0 is the construction-time assignment.
+    epoch: u64,
+    /// The key→shard assignment of `epoch`.
+    partitioner: HashPartitioner,
     /// The last installed plan (`None` until the first rebalance); echoed to
     /// stragglers by the fence.
     plan: Option<RebalancePlan>,
@@ -238,14 +241,13 @@ where
     stats: RebalanceStats,
 }
 
-impl<K, V, P> RouterCore<K, V, P>
+impl<K, V> RouterCore<K, V>
 where
-    K: Ord + Clone + fmt::Debug + Send + 'static,
+    K: Ord + Clone + Hash + fmt::Debug + Send + 'static,
     V: Crdt + DeltaCrdt,
-    P: Partitioner<K> + PlanPartitioner,
 {
-    /// Creates the router core of replica `id`, routing by `partitioner` at
-    /// epoch 0.
+    /// Creates the router core of replica `id`, hash-routing over `shards`
+    /// shards at epoch 0.
     ///
     /// The control shard takes `config` with batching off: plan agreement is
     /// rare, tiny and latency-sensitive — the whole cluster fences on its
@@ -253,19 +255,19 @@ where
     ///
     /// # Panics
     ///
-    /// Panics if the partitioner has zero shards or `members` does not
-    /// contain `id`.
+    /// Panics if `shards` is zero or `members` does not contain `id`.
     pub fn new(
         id: ReplicaId,
         members: Vec<ReplicaId>,
-        partitioner: P,
+        shards: u32,
         config: &ProtocolConfig,
     ) -> Self {
-        assert!(partitioner.shards() > 0, "a sharded keyspace needs at least one shard");
+        let partitioner = HashPartitioner::new(shards);
         let control_config = ProtocolConfig { batching: false, ..config.clone() };
         RouterCore {
             control: Replica::new(id, members, ControlState::default(), control_config),
-            partitioner: EpochPartitioner::new(partitioner),
+            epoch: 0,
+            partitioner,
             plan: None,
             control_phase: None,
             queued_target: None,
@@ -286,8 +288,8 @@ where
         self.control.membership().members()
     }
 
-    /// The epoch-stamped partitioner routing keys to shards.
-    pub fn partitioner(&self) -> &EpochPartitioner<P> {
+    /// The partitioner routing keys to shards under the current epoch.
+    pub fn partitioner(&self) -> &HashPartitioner {
         &self.partitioner
     }
 
@@ -298,7 +300,7 @@ where
 
     /// The current assignment stamp: `(epoch, active shard count)`.
     pub fn stamp(&self) -> Stamp {
-        (self.partitioner.epoch(), self.partitioner.shards())
+        (self.epoch, self.partitioner.shards())
     }
 
     /// The last installed rebalance plan, if any.
@@ -322,11 +324,6 @@ where
     /// with none of it pending may sleep until the next input.
     pub fn needs_tick(&self) -> bool {
         self.control.in_flight() > 0 || self.control_phase.is_some() || !self.deferred.is_empty()
-    }
-
-    /// Replaces the replica group (gossip targets and the control shard's).
-    pub fn update_membership(&mut self, members: Vec<ReplicaId>) {
-        self.control.update_membership(members);
     }
 
     /// Advances the control shard's notion of time (retransmissions).
@@ -528,7 +525,7 @@ where
             self.queued_target = Some(target_shards);
             return false;
         }
-        let epoch = self.partitioner.epoch() + 1;
+        let epoch = self.epoch + 1;
         let proposal = MapUpdate::Apply { key: epoch, update: GSetUpdate::Insert(target_shards) };
         let command = self.control.submit(ClientId(self.id().as_u64()), Command::Update(proposal));
         self.control_phase = Some(ControlPhase::Committing { command, epoch });
@@ -585,7 +582,8 @@ where
 
     /// Starts installing a committed plan: from here on the fence judges by
     /// the plan's stamp. Idempotent — returns `None` for a plan whose
-    /// `(epoch, shards)` stamp does not supersede the current assignment. A
+    /// `(epoch, shards)` stamp does not supersede the current assignment, and
+    /// for a plan with zero shards (plans come from peers). A
     /// same-epoch plan with a larger shard count **does** supersede: racing
     /// coordinators may transiently install different assignments under one
     /// epoch, and the larger-shard-count winner (the growth bias of
@@ -597,14 +595,12 @@ where
     /// [`RouterCore::finish_install`] before it feeds any other input.
     pub fn begin_install(&mut self, plan: RebalancePlan) -> Option<Cutover<K, V>> {
         // Epoch 0 is reserved for the construction-time assignment.
-        if plan.epoch == 0 || (plan.epoch, plan.shards) <= self.stamp() {
+        if plan.epoch == 0 || plan.shards == 0 || (plan.epoch, plan.shards) <= self.stamp() {
             return None;
         }
-        let new_inner = P::from_plan(&plan)?;
         let old_active = self.active();
-        if !self.partitioner.supersede(plan.epoch, new_inner) {
-            return None;
-        }
+        self.epoch = plan.epoch;
+        self.partitioner = HashPartitioner::new(plan.shards);
         self.plan = Some(plan);
         self.stats.plans_installed += 1;
         Some(Cutover {
@@ -694,17 +690,15 @@ mod tests {
     use super::*;
     use crate::msg::RequestId;
     use crdt::{CounterUpdate, GCounter};
-    use quorum::HashPartitioner;
 
-    type Core = RouterCore<u64, GCounter, HashPartitioner>;
+    type Core = RouterCore<u64, GCounter>;
     type Effects = Vec<RouterEffect<u64, GCounter>>;
 
     const PEER: ReplicaId = ReplicaId::new(1);
 
     fn core(shards: u32) -> Core {
         let members = (0..3).map(ReplicaId::new).collect();
-        let partitioner = HashPartitioner::new(shards);
-        RouterCore::new(ReplicaId::new(0), members, partitioner, &ProtocolConfig::default())
+        RouterCore::new(ReplicaId::new(0), members, shards, &ProtocolConfig::default())
     }
 
     /// Installs `plan` with nothing gathered, discarding the effects.
@@ -760,6 +754,17 @@ mod tests {
         (0..10_000u64)
             .find(|key| old.shard_of(key) == ShardId(before) && new.shard_of(key) == ShardId(after))
             .expect("a key with that route")
+    }
+
+    /// A plan comes from a peer: one with no shards could route nothing and
+    /// is ignored, whatever its epoch; a valid one becomes the partitioner.
+    #[test]
+    fn hash_plans_realize_and_zero_shard_plans_do_not() {
+        let mut core = core(2);
+        assert!(core.begin_install(RebalancePlan { epoch: 3, shards: 0 }).is_none());
+        assert_eq!((core.stamp(), core.plan()), ((0, 2), None));
+        install(&mut core, 3, 8);
+        assert_eq!((core.stamp(), *core.partitioner()), ((3, 8), HashPartitioner::new(8)));
     }
 
     /// The whole fence table, as a function of the incoming stamp alone.

@@ -33,8 +33,8 @@
 //!
 //! # Dynamic resharding
 //!
-//! The key→shard assignment is no longer fixed at construction: the partitioner is
-//! wrapped in an [`EpochPartitioner`] and a committed [`RebalancePlan`] moves the
+//! The key→shard assignment is no longer fixed at construction: the hash
+//! partitioner is stamped with an epoch and a committed [`RebalancePlan`] moves the
 //! keyspace to a new assignment while traffic continues (see [`crate::rebalance`]
 //! for the full protocol). The log-less design makes the handoff a pure lattice
 //! join — a moved key range is grafted into its destination instance's acceptor by
@@ -67,13 +67,13 @@ use std::fmt;
 use std::hash::Hash;
 
 use crdt::{Crdt, DeltaCrdt, Lattice, LatticeMap, MapQuery, MapUpdate, ReplicaId};
-use quorum::{EpochPartitioner, HashPartitioner, Membership, Partitioner, ShardId};
+use quorum::{Membership, ShardId};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ProtocolConfig;
 use crate::metrics::Metrics;
 use crate::msg::{ClientId, ClientResponse, Command, CommandId, Message};
-use crate::rebalance::{ControlState, PlanPartitioner, RebalancePlan, RebalanceStats};
+use crate::rebalance::{ControlState, RebalancePlan, RebalanceStats};
 use crate::replica::Replica;
 use crate::router_core::{Cutover, RouterCore, RouterEffect};
 use crate::shard_core::{ShardCore, ShardOutput};
@@ -204,16 +204,15 @@ impl<C: Crdt + DeltaCrdt> ShardEnvelope<C> {
 /// assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
 /// ```
 #[derive(Debug)]
-pub struct ShardedReplica<K, V, P = HashPartitioner>
+pub struct ShardedReplica<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
     V: Crdt + DeltaCrdt,
-    P: Partitioner<K>,
 {
     config: ProtocolConfig,
     /// The routing policy: stamp, fence, control shard, cutover choreography,
     /// fan-out aggregation. Everything below only applies its effects.
-    router: RouterCore<K, V, P>,
+    router: RouterCore<K, V>,
     /// Per-shard sans-IO cores, indexed by shard id. May exceed the active count
     /// after a shrinking rebalance: retired instances keep their (stale,
     /// lower-bound) states and are reactivated in place by a later growth.
@@ -230,13 +229,17 @@ where
     output_scratch: Vec<ShardOutput<K, V>>,
 }
 
-impl<K, V> ShardedReplica<K, V, HashPartitioner>
+impl<K, V> ShardedReplica<K, V>
 where
     K: Ord + Clone + Hash + fmt::Debug + Send + 'static,
     V: Crdt + DeltaCrdt,
 {
     /// Creates a sharded replica with `shards` hash-partitioned protocol instances
     /// at epoch 0.
+    ///
+    /// Every replica of the cluster must be constructed with the same shard
+    /// count: routing a key to different shards on different replicas would
+    /// split the key's history over unrelated protocol instances.
     ///
     /// # Panics
     ///
@@ -247,33 +250,8 @@ where
         shards: u32,
         config: ProtocolConfig,
     ) -> Self {
-        Self::with_partitioner(id, members, HashPartitioner::new(shards), config)
-    }
-}
-
-impl<K, V, P> ShardedReplica<K, V, P>
-where
-    K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
-    P: Partitioner<K> + PlanPartitioner,
-{
-    /// Creates a sharded replica routing through the given partitioner (epoch 0).
-    ///
-    /// Every replica of the cluster must be constructed with an identical
-    /// partitioner: routing a key to different shards on different replicas would
-    /// split the key's history over unrelated protocol instances.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the partitioner has zero shards or `members` does not contain `id`.
-    pub fn with_partitioner(
-        id: ReplicaId,
-        members: Vec<ReplicaId>,
-        partitioner: P,
-        config: ProtocolConfig,
-    ) -> Self {
         let mut replica = ShardedReplica {
-            router: RouterCore::new(id, members, partitioner, &config),
+            router: RouterCore::new(id, members, shards, &config),
             config,
             shards: Vec::new(),
             next_command: 0,
@@ -336,11 +314,6 @@ where
     /// (committing or reading back the plan on the control shard).
     pub fn rebalance_in_progress(&self) -> bool {
         !self.router.rebalance_idle()
-    }
-
-    /// The epoch-stamped partitioner routing keys to shards.
-    pub fn partitioner(&self) -> &EpochPartitioner<P> {
-        self.router.partitioner()
     }
 
     /// The shard owning `key` under the current epoch.
@@ -504,15 +477,6 @@ where
             shard.tick(now_ms);
         }
         self.router.tick(now_ms);
-    }
-
-    /// Replaces the replica group on every shard (see
-    /// [`Replica::update_membership`]).
-    pub fn update_membership(&mut self, members: Vec<ReplicaId>) {
-        for shard in &mut self.shards {
-            shard.update_membership(members.clone());
-        }
-        self.router.update_membership(members);
     }
 
     /// Drains the shard-tagged messages produced since the last call.

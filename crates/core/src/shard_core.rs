@@ -253,11 +253,6 @@ where
         self.replica.metrics()
     }
 
-    /// Replaces the replica group of this core's instance.
-    pub fn update_membership(&mut self, members: Vec<ReplicaId>) {
-        self.replica.update_membership(members);
-    }
-
     /// Submits a single-key command under the outer id `outer`. The driver has
     /// already routed the command here; `key` is retained so a later rebalance
     /// can re-home the work onto the key's new owner.

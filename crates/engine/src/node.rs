@@ -214,6 +214,10 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
     /// Starts a standalone node over a custom transport ([`Outbound`] for
     /// sends; feed receives through [`EngineNode::ingress`]). For in-process
     /// clusters use [`crate::EngineCluster::new`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero or `members` does not contain `id`.
     pub fn start(
         id: ReplicaId,
         members: Vec<ReplicaId>,
@@ -230,6 +234,10 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
     /// station it passes, into preallocated per-thread rings readable via
     /// [`EngineNode::trace_events`]. Stage histograms and runtime counters
     /// are always on regardless — recording them is allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero or `members` does not contain `id`.
     pub fn start_observed(
         id: ReplicaId,
         members: Vec<ReplicaId>,
@@ -243,7 +251,8 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
     }
 
     /// `workers` caps the node's worker threads (see `Router::new`): `None`
-    /// everywhere but in tests that pin a layout.
+    /// everywhere but in tests that pin a layout. The arguments are checked
+    /// here, so that bad ones panic in the caller and not on the router thread.
     pub(crate) fn start_with_shared(
         id: ReplicaId,
         members: Vec<ReplicaId>,
@@ -253,6 +262,8 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
         outbound: Arc<dyn Outbound<K, V>>,
         workers: Option<usize>,
     ) -> Self {
+        assert!(shards > 0, "a keyspace needs at least one shard");
+        assert!(members.contains(&id), "replica {id} must be part of the membership");
         let router_shared = Arc::clone(&shared);
         let router = std::thread::Builder::new()
             .name(format!("router-{}", id.as_u64()))
@@ -443,6 +454,21 @@ mod tests {
             assert!(Instant::now() < deadline, "timed out waiting for {what}");
             std::thread::sleep(Duration::from_millis(1));
         }
+    }
+
+    /// Bad arguments panic in the caller: on the router thread the panic
+    /// would go unseen, and the node would take commands it never answers.
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn a_cluster_without_shards_panics_in_the_caller() {
+        let _ = crate::EngineCluster::<u64, GCounter>::new(3, 0, ProtocolConfig::default());
+    }
+
+    #[test]
+    #[should_panic(expected = "must be part of the membership")]
+    fn a_node_outside_its_membership_panics_in_the_caller() {
+        let outbound = Arc::new(crate::LocalMesh::new(Vec::new()));
+        let _ = Node::start(ReplicaId::new(9), members(), 2, ProtocolConfig::default(), outbound);
     }
 
     /// `SUBMIT_QUEUE_DEPTH` bounds what is submitted and not yet dequeued,
@@ -763,7 +789,7 @@ mod tests {
     fn a_burst_drained_together_opens_one_instance_per_kind() {
         use cluster::{check_keyed_history, HistoryOp, OpKind};
         use crdt::MapOutput;
-        use quorum::{HashPartitioner, Partitioner};
+        use quorum::HashPartitioner;
 
         // No retransmissions: a re-sent `MERGE` would be answered again.
         let config = ProtocolConfig { retransmit_after_ms: 0, ..Default::default() };
@@ -845,7 +871,7 @@ mod tests {
 
     /// The first key of each of `shards` hash-partitioned shards.
     fn a_key_of_every_shard(shards: u32) -> Vec<u64> {
-        use quorum::{HashPartitioner, Partitioner};
+        use quorum::HashPartitioner;
         let partitioner = HashPartitioner::new(shards);
         let first_of = |shard| (0..).find(|key| partitioner.shard_of(key) == ShardId(shard));
         (0..shards).map(|shard| first_of(shard).expect("a key of every shard")).collect()

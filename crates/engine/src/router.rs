@@ -72,7 +72,7 @@ use crdt_paxos_core::{
 // Names the in-file tests reach through `super::*`.
 #[cfg(test)]
 use crdt_paxos_core::{Message, RebalancePlan};
-use quorum::{HashPartitioner, Partitioner, ShardId};
+use quorum::{HashPartitioner, ShardId};
 
 use obs::{Stage, Stopwatch};
 
@@ -168,13 +168,10 @@ impl<K: EngineKey, V: EngineValue> Assignment<K, V> {
     /// The core's current decision as a routable value: its stamp and
     /// partitioner plus the mailboxes of the shards active under them, out of
     /// `shards` — every shard the node has placed so far.
-    fn snapshot(
-        core: &RouterCore<K, V, HashPartitioner>,
-        shards: &[ShardMailbox<K, V>],
-    ) -> Arc<Self> {
+    fn snapshot(core: &RouterCore<K, V>, shards: &[ShardMailbox<K, V>]) -> Arc<Self> {
         Arc::new(Assignment {
             stamp: core.stamp(),
-            partitioner: *core.partitioner().inner(),
+            partitioner: *core.partitioner(),
             workers: shards.iter().take(core.active()).cloned().collect(),
         })
     }
@@ -276,7 +273,7 @@ pub(crate) struct Router<K: EngineKey, V: EngineValue> {
     /// The routing policy — stamp, fence, control shard, cutover choreography,
     /// fan-out aggregation — shared with the single-threaded `ShardedReplica`.
     /// Everything below only applies its effects across the mailboxes.
-    core: RouterCore<K, V, HashPartitioner>,
+    core: RouterCore<K, V>,
     /// Reused buffer for the core's effects.
     effects: Vec<RouterEffect<K, V>>,
     /// Reused batch for the control shard's outgoing envelopes.
@@ -311,7 +308,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         outbound: Arc<dyn Outbound<K, V>>,
         workers: Option<usize>,
     ) -> Self {
-        let core = RouterCore::new(id, members, HashPartitioner::new(shards), &config);
+        let core = RouterCore::new(id, members, shards, &config);
         let obs = RouterObs::new(&shared.obs, shared.trace);
         shared.track_ring(&obs.ring);
         let cores = || std::thread::available_parallelism().map_or(1, |cores| cores.get());
@@ -574,7 +571,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         // Cutover on every pre-existing shard. The FIFO mailbox orders this
         // before anything the router routes under the new assignment
         // afterwards — also where two shards share one.
-        let partitioner = *self.core.partitioner().inner();
+        let partitioner = *self.core.partitioner();
         for (index, mailbox) in self.shards.iter().enumerate().take(before) {
             let (shard, extract) = (ShardId(index as u32), index < cutover.old_active);
             mailbox.push(WorkerInput::Install { shard, stamp, partitioner, extract });

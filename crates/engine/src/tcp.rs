@@ -86,6 +86,10 @@ impl<K: EngineKey, V: EngineValue> TcpNode<K, V> {
     /// # Errors
     ///
     /// Returns an error if the listener cannot be bound.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero or `addrs` does not name `id`.
     pub async fn bind(
         id: u64,
         listen: &str,

@@ -87,7 +87,7 @@ use crdt_paxos_core::{
     ClientId, Command, CommandId, CoreRehome, Message, ProtocolConfig, ShardCore, ShardEnvelope,
     ShardMessage, ShardOutput, Stamp,
 };
-use quorum::{HashPartitioner, Partitioner, ShardId};
+use quorum::{HashPartitioner, ShardId};
 
 use obs::{Stage, Stopwatch};
 

@@ -29,7 +29,7 @@ use crdt_paxos_core::{
     ShardOutput, Stamp,
 };
 use engine::{EngineNode, NodeIngress, Outbound};
-use quorum::{HashPartitioner, Partitioner, ShardId};
+use quorum::{HashPartitioner, ShardId};
 
 type Kv = LatticeMap<u64, GCounter>;
 

@@ -2,19 +2,16 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::majority::MajorityQuorum;
-use crate::ProcessId;
-
 /// A fixed replica group: the process set `Π` of the paper's system model.
 ///
-/// Membership is static (the paper does not consider reconfiguration); the type mainly
-/// provides convenient iteration helpers and the default majority quorum system.
+/// Membership is static (the paper does not consider reconfiguration); the type
+/// provides iteration helpers and the size of the group's majority quorums.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Membership<P: Ord> {
     members: Vec<P>,
 }
 
-impl<P: ProcessId> Membership<P> {
+impl<P: Copy + Ord> Membership<P> {
     /// Creates a membership from the given members (deduplicated, sorted).
     ///
     /// # Panics
@@ -53,13 +50,17 @@ impl<P: ProcessId> Membership<P> {
         self.members.iter().copied().filter(move |p| *p != process)
     }
 
-    /// Builds the default majority quorum system over this membership.
-    pub fn majority(&self) -> MajorityQuorum<P> {
-        MajorityQuorum::new(self.members.clone())
+    /// How many members form a quorum: any strict majority, `⌊n/2⌋ + 1`.
+    ///
+    /// Two such quorums always share a member — the intersection property all
+    /// correctness arguments of the protocol (Lemmas 3.4–3.7 in the paper) rest
+    /// on — and `⌊(n-1)/2⌋` members may crash with a quorum still alive.
+    pub fn quorum_size(&self) -> usize {
+        self.members.len() / 2 + 1
     }
 }
 
-impl<P: ProcessId> FromIterator<P> for Membership<P> {
+impl<P: Copy + Ord> FromIterator<P> for Membership<P> {
     fn from_iter<I: IntoIterator<Item = P>>(iter: I) -> Self {
         Membership::new(iter.into_iter().collect())
     }
@@ -68,7 +69,6 @@ impl<P: ProcessId> FromIterator<P> for Membership<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::QuorumSystem;
 
     #[test]
     fn members_are_sorted_and_deduplicated() {
@@ -89,9 +89,13 @@ mod tests {
 
     #[test]
     fn majority_quorum_from_membership() {
-        let membership = Membership::new(vec![0u64, 1, 2]);
-        let quorum = membership.majority();
-        assert_eq!(quorum.min_quorum_size(), 2);
+        assert_eq!(Membership::new(vec![0u64, 1, 2]).quorum_size(), 2);
+        assert_eq!(Membership::new(vec![1u64, 1, 2, 2, 3]).quorum_size(), 2, "duplicates");
+        for n in 1..=16u64 {
+            let quorum = Membership::new((0..n).collect()).quorum_size() as u64;
+            assert!(2 * quorum > n, "two quorums of {quorum} out of {n} may be disjoint");
+            assert_eq!(n - quorum, (n - 1) / 2, "crashes a group of {n} must tolerate");
+        }
     }
 
     #[test]

@@ -4,16 +4,16 @@
 //! serialized through one replicated object: non-conflicting commands on different
 //! keys can safely agree in *parallel*, one protocol instance (one round counter,
 //! one quorum at a time) per key range. This module provides the routing half of
-//! that design — a [`ShardId`] newtype and the [`Partitioner`] trait with a hash
-//! partitioner and a range partitioner — while the protocol half (one replica per
-//! shard, envelope multiplexing) lives in the core crate's sharding engine.
+//! that design — a [`ShardId`] newtype and the [`HashPartitioner`] — while the
+//! protocol half (one replica per shard, envelope multiplexing) lives in the core
+//! crate's sharding engine.
 //!
 //! Routing must be **deterministic and identical on every replica**: if two
 //! replicas disagreed on which shard owns a key, they would submit commands for the
 //! same key to different protocol instances and per-key linearizability would be
-//! lost. Both built-in partitioners therefore avoid any per-process randomness
-//! ([`HashPartitioner`] uses a fixed-seed FNV-1a hash, not the process-seeded
-//! `RandomState` of the standard library).
+//! lost. The partitioner therefore avoids any per-process randomness: it uses a
+//! fixed-seed FNV-1a hash, not the process-seeded `RandomState` of the standard
+//! library.
 
 use std::hash::{Hash, Hasher};
 
@@ -48,19 +48,6 @@ impl std::fmt::Display for ShardId {
     }
 }
 
-/// A deterministic assignment of keys to shards.
-///
-/// Implementations must be pure functions of the key: every replica of a cluster
-/// holds an identical partitioner and must route every key to the same shard id in
-/// `0..shards()`.
-pub trait Partitioner<K: ?Sized> {
-    /// Number of shards this partitioner routes onto (at least 1).
-    fn shards(&self) -> u32;
-
-    /// Returns the shard owning `key`; must be smaller than [`Partitioner::shards`].
-    fn shard_of(&self, key: &K) -> ShardId;
-}
-
 /// 64-bit FNV-1a, used instead of the standard library's `DefaultHasher` because the
 /// routing hash must be identical across processes and runs (no random seeding).
 #[derive(Debug, Clone)]
@@ -90,8 +77,8 @@ impl Hasher for Fnv1a {
 
 /// Uniform hash partitioning: `shard = fnv1a(key) mod shards`.
 ///
-/// The default choice for keyspaces without a meaningful order (user ids, UUIDs):
-/// it spreads a uniform workload evenly without any tuning.
+/// Spreads a uniform workload evenly without any tuning. Rebalancing changes only
+/// the shard count, so a [`HashPartitioner`] is the whole key→shard assignment.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HashPartitioner {
     shards: u32,
@@ -107,136 +94,18 @@ impl HashPartitioner {
         assert!(shards > 0, "a keyspace needs at least one shard");
         HashPartitioner { shards }
     }
-}
 
-impl<K: Hash + ?Sized> Partitioner<K> for HashPartitioner {
-    fn shards(&self) -> u32 {
+    /// Number of shards this partitioner routes onto (at least 1).
+    pub fn shards(&self) -> u32 {
         self.shards
     }
 
-    fn shard_of(&self, key: &K) -> ShardId {
+    /// Returns the shard owning `key`, always smaller than
+    /// [`HashPartitioner::shards`].
+    pub fn shard_of<K: Hash + ?Sized>(&self, key: &K) -> ShardId {
         let mut hasher = Fnv1a::new();
         key.hash(&mut hasher);
         ShardId((hasher.finish() % u64::from(self.shards)) as u32)
-    }
-}
-
-/// A [`Partitioner`] stamped with a monotonically increasing **epoch**.
-///
-/// Dynamic resharding changes the key→shard assignment at runtime; the epoch names
-/// one generation of that assignment. Every replica of a cluster must route through
-/// the same `(epoch, partitioner)` pair, and protocol messages are tagged with the
-/// sender's epoch so receivers can *fence*: a message stamped with an older epoch is
-/// answered with the current rebalance plan instead of being processed (its data may
-/// belong to a key range that has since moved), and a message stamped with a newer
-/// epoch is deferred until the local partitioner catches up.
-///
-/// The wrapper is partitioner-agnostic: any [`Partitioner`] can be epoch-stamped.
-/// [`EpochPartitioner::install`] enforces monotonicity — installing an epoch that is
-/// not strictly newer is rejected, which makes plan gossip idempotent.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct EpochPartitioner<P> {
-    epoch: u64,
-    inner: P,
-}
-
-impl<P> EpochPartitioner<P> {
-    /// Wraps `inner` as the epoch-0 (initial) partitioning.
-    pub fn new(inner: P) -> Self {
-        EpochPartitioner { epoch: 0, inner }
-    }
-
-    /// The current partitioning generation (0 = the construction-time assignment).
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// The wrapped partitioner of the current epoch.
-    pub fn inner(&self) -> &P {
-        &self.inner
-    }
-
-    /// Installs `inner` as the partitioning of `epoch` — the strictly monotone
-    /// variant for callers that guarantee one assignment per epoch.
-    ///
-    /// Returns `true` if the epoch advanced; `false` (leaving the current assignment
-    /// untouched) if `epoch` is not strictly newer than the installed one. Note that
-    /// the sharded engine does **not** use this path: racing coordinators can
-    /// transiently commit different assignments under one epoch, so it orders full
-    /// `(epoch, shard count)` stamps and goes through
-    /// [`EpochPartitioner::supersede`], which accepts a same-epoch replacement.
-    pub fn install(&mut self, epoch: u64, inner: P) -> bool {
-        if epoch <= self.epoch {
-            return false;
-        }
-        self.epoch = epoch;
-        self.inner = inner;
-        true
-    }
-
-    /// Replaces the assignment of the **current** epoch (or installs a newer one).
-    ///
-    /// This is the conflict-resolution path of dynamic resharding: racing
-    /// coordinators may install different assignments under the same epoch before
-    /// their gossip crosses, and the deterministic winner (the caller's decision —
-    /// the sharded engine orders full `(epoch, shards)` stamps) must be able to
-    /// displace the loser without burning an epoch. Returns `false` only for a
-    /// strictly older epoch; the caller is responsible for only superseding with a
-    /// genuinely winning assignment.
-    pub fn supersede(&mut self, epoch: u64, inner: P) -> bool {
-        if epoch < self.epoch {
-            return false;
-        }
-        self.epoch = epoch;
-        self.inner = inner;
-        true
-    }
-}
-
-impl<K: ?Sized, P: Partitioner<K>> Partitioner<K> for EpochPartitioner<P> {
-    fn shards(&self) -> u32 {
-        self.inner.shards()
-    }
-
-    fn shard_of(&self, key: &K) -> ShardId {
-        self.inner.shard_of(key)
-    }
-}
-
-/// Range partitioning: shard `i` owns keys below `bounds[i]`, the last shard owns
-/// the rest.
-///
-/// Useful when keys have a meaningful order and range locality matters (time-series
-/// buckets, lexicographic namespaces); the split points are chosen by the operator.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RangePartitioner<K> {
-    /// Strictly increasing upper bounds; `bounds.len() + 1` shards in total.
-    bounds: Vec<K>,
-}
-
-impl<K: Ord> RangePartitioner<K> {
-    /// Creates a range partitioner from strictly increasing split points.
-    ///
-    /// An empty bound list yields a single shard owning the whole keyspace.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the bounds are not strictly increasing.
-    pub fn new(bounds: Vec<K>) -> Self {
-        assert!(bounds.windows(2).all(|w| w[0] < w[1]), "bounds must be strictly increasing");
-        RangePartitioner { bounds }
-    }
-}
-
-impl<K: Ord> Partitioner<K> for RangePartitioner<K> {
-    fn shards(&self) -> u32 {
-        self.bounds.len() as u32 + 1
-    }
-
-    fn shard_of(&self, key: &K) -> ShardId {
-        // Bounds are exclusive upper bounds: a key equal to `bounds[i]` belongs to
-        // shard `i + 1`.
-        ShardId(self.bounds.partition_point(|bound| bound <= key) as u32)
     }
 }
 
@@ -247,7 +116,7 @@ mod tests {
     #[test]
     fn hash_partitioner_is_deterministic_and_in_range() {
         let partitioner = HashPartitioner::new(8);
-        assert_eq!(<HashPartitioner as Partitioner<u64>>::shards(&partitioner), 8);
+        assert_eq!(partitioner.shards(), 8);
         for key in 0u64..1000 {
             let shard = partitioner.shard_of(&key);
             assert!(shard.as_u32() < 8);
@@ -290,61 +159,6 @@ mod tests {
     #[should_panic(expected = "at least one shard")]
     fn zero_shards_panics() {
         let _ = HashPartitioner::new(0);
-    }
-
-    #[test]
-    fn range_partitioner_routes_by_bounds() {
-        let partitioner = RangePartitioner::new(vec![10u64, 20, 30]);
-        assert_eq!(partitioner.shards(), 4);
-        assert_eq!(partitioner.shard_of(&0), ShardId(0));
-        assert_eq!(partitioner.shard_of(&9), ShardId(0));
-        assert_eq!(partitioner.shard_of(&10), ShardId(1), "bounds are exclusive upper bounds");
-        assert_eq!(partitioner.shard_of(&25), ShardId(2));
-        assert_eq!(partitioner.shard_of(&30), ShardId(3));
-        assert_eq!(partitioner.shard_of(&u64::MAX), ShardId(3));
-    }
-
-    #[test]
-    fn range_partitioner_without_bounds_is_a_single_shard() {
-        let partitioner = RangePartitioner::<u64>::new(Vec::new());
-        assert_eq!(partitioner.shards(), 1);
-        assert_eq!(partitioner.shard_of(&42), ShardId(0));
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn unsorted_bounds_panic() {
-        let _ = RangePartitioner::new(vec![5u64, 5]);
-    }
-
-    #[test]
-    fn epoch_partitioner_delegates_and_installs_monotonically() {
-        let mut partitioner = EpochPartitioner::new(HashPartitioner::new(4));
-        assert_eq!(partitioner.epoch(), 0);
-        assert_eq!(<_ as Partitioner<u64>>::shards(&partitioner), 4);
-        let routed = partitioner.shard_of(&17u64);
-        assert_eq!(routed, HashPartitioner::new(4).shard_of(&17u64));
-
-        assert!(partitioner.install(1, HashPartitioner::new(8)));
-        assert_eq!(partitioner.epoch(), 1);
-        assert_eq!(<_ as Partitioner<u64>>::shards(&partitioner), 8);
-
-        // Stale and duplicate installs are rejected and change nothing.
-        assert!(!partitioner.install(1, HashPartitioner::new(2)));
-        assert!(!partitioner.install(0, HashPartitioner::new(2)));
-        assert_eq!(<_ as Partitioner<u64>>::shards(&partitioner), 8);
-
-        // Epoch jumps are allowed (a recovering replica may skip generations).
-        assert!(partitioner.install(5, HashPartitioner::new(16)));
-        assert_eq!(partitioner.epoch(), 5);
-
-        // Conflict resolution may replace the current epoch's assignment in
-        // place, but never regress to an older epoch.
-        assert!(partitioner.supersede(5, HashPartitioner::new(32)));
-        assert_eq!(partitioner.epoch(), 5);
-        assert_eq!(<_ as Partitioner<u64>>::shards(&partitioner), 32);
-        assert!(!partitioner.supersede(4, HashPartitioner::new(2)));
-        assert_eq!(<_ as Partitioner<u64>>::shards(&partitioner), 32);
     }
 
     #[test]

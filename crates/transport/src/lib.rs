@@ -1,26 +1,15 @@
-//! # transport — message transports for networked deployments
+//! # transport — the TCP transport for networked deployments
 //!
 //! The protocol cores in this workspace are sans-io; this crate provides the plumbing
-//! to run them as real processes:
-//!
-//! * [`memory`] — an in-process transport built on unbounded channels, useful for
-//!   multi-threaded deployments and tests,
-//! * [`tcp`] — a tokio-based TCP mesh with length-prefixed [`wire`] framing, used by
-//!   the `distributed_counter` example to run replicas as independent async tasks (or
-//!   separate processes).
-//!
-//! Both implement the same [`Transport`] trait: send an addressed, serializable
-//! message; receive `(from, message)` pairs.
+//! to run them as real processes: [`tcp`], a tokio-based TCP mesh with
+//! length-prefixed [`wire`] framing. Callers encode straight into a peer's batch
+//! buffer ([`tcp::TcpMesh::send_with`]) and receive `(from, frame)` pairs
+//! ([`tcp::TcpMesh::recv_frame`]) to decode with [`wire::from_bytes`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod memory;
-#[cfg(feature = "tcp")]
 pub mod tcp;
-
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 
 /// A peer address: the numeric id of a replica.
 pub type PeerId = u64;
@@ -61,29 +50,4 @@ impl From<std::io::Error> for TransportError {
     fn from(err: std::io::Error) -> Self {
         TransportError::Io(err)
     }
-}
-
-/// A bidirectional message transport connecting one replica to its peers.
-pub trait Transport {
-    /// Sends `message` to `peer`.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the peer is unknown, the message cannot be encoded, or the
-    /// underlying channel has failed.
-    fn send<M: Serialize>(&self, peer: PeerId, message: &M) -> Result<(), TransportError>;
-
-    /// Receives the next `(sender, message)` pair, blocking the current task/thread.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Closed`] when no further messages can arrive.
-    fn recv<M: DeserializeOwned>(&self) -> Result<(PeerId, M), TransportError>;
-
-    /// Receives without blocking; returns `Ok(None)` if no message is ready.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Transport::recv`].
-    fn try_recv<M: DeserializeOwned>(&self) -> Result<Option<(PeerId, M)>, TransportError>;
 }

@@ -19,9 +19,9 @@
 //! this: the socket reads land directly in the frame decoder's buffer (no
 //! staging chunk), and complete frames travel to the consumer as refcounted
 //! [`Bytes`] views of that buffer — the inbound path writes each payload byte
-//! exactly once. [`TcpMesh::send_with`] exposes the raw encoder for callers
-//! that batch many frames per enqueue, and [`TcpMesh::recv_frame`] exposes the
-//! raw frame views for allocation-free decoding via [`wire::from_bytes`].
+//! exactly once. [`TcpMesh::send_with`] hands callers the raw encoder, so one
+//! call may batch any number of frames, and [`TcpMesh::recv_frame`] hands them
+//! the raw frame views for allocation-free decoding via [`wire::from_bytes`].
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -29,8 +29,6 @@ use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
 use obs::{Counter, Histogram, ObsRegistry, Stopwatch};
-use serde::de::DeserializeOwned;
-use serde::Serialize;
 use tokio::io::AsyncReadExt;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
@@ -230,50 +228,13 @@ impl TcpMesh {
         self.id
     }
 
-    /// Sends a message to `peer`: encoded once into the peer's recycled batch
-    /// buffer and sent as [`TcpMesh::send_with`] sends a batch of one.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the peer is unknown or the message cannot be encoded.
-    pub async fn send<M: Serialize>(
-        &self,
-        peer: PeerId,
-        message: &M,
-    ) -> Result<(), TransportError> {
-        self.send_with(peer, |encoder| encoder.encode(message))
-    }
-
-    /// Sends a batch of messages to `peer`, encoded back-to-back into one
-    /// contiguous buffer so that they go out as a single write.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the peer is unknown or a message cannot be encoded;
-    /// on encode failure nothing is sent.
-    pub async fn send_many<M: Serialize>(
-        &self,
-        peer: PeerId,
-        messages: &[M],
-    ) -> Result<(), TransportError> {
-        if messages.is_empty() {
-            return Ok(());
-        }
-        self.send_with(peer, |encoder| {
-            for message in messages {
-                encoder.encode(message)?;
-            }
-            Ok(())
-        })
-    }
-
     /// Encodes directly into `peer`'s recycled batch buffer and sends the
     /// result as one contiguous run of bytes: written to the socket from this
     /// thread when the connection is up and nothing is queued ahead, queued to
     /// the peer's writer task otherwise. `fill` may encode any number of
-    /// frames via [`FrameEncoder::encode`]; this is the mesh's allocation-free
-    /// outbound primitive — synchronous (it never waits for the socket), so
-    /// worker threads outside the runtime can call it too.
+    /// frames via [`FrameEncoder::encode`]; this is the mesh's one,
+    /// allocation-free way to send — synchronous (it never waits for the
+    /// socket), so threads outside the runtime can call it too.
     ///
     /// # Errors
     ///
@@ -335,17 +296,6 @@ impl TcpMesh {
             .tx
             .send(Queued { batch, frames, written, generation })
             .map_err(|_| TransportError::Closed)
-    }
-
-    /// Receives the next `(sender, message)` pair.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TransportError::Closed`] when the mesh has shut down, or a codec
-    /// error if a frame cannot be decoded.
-    pub async fn recv<M: DeserializeOwned>(&self) -> Result<(PeerId, M), TransportError> {
-        let (from, frame) = self.recv_frame().await?;
-        Ok((from, wire::from_bytes(&frame)?))
     }
 
     /// Receives the next `(sender, frame)` pair without deserializing.
@@ -552,11 +502,23 @@ async fn read_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use serde::Deserialize;
+    use serde::de::DeserializeOwned;
+    use serde::{Deserialize, Serialize};
 
     #[derive(Debug, Serialize, Deserialize, PartialEq)]
     struct Hello {
         text: String,
+    }
+
+    /// Sends `message` to `peer` as a batch of one.
+    fn send<M: Serialize>(mesh: &TcpMesh, peer: PeerId, message: &M) {
+        mesh.send_with(peer, |encoder| encoder.encode(message)).unwrap();
+    }
+
+    /// Receives the next frame and decodes it.
+    async fn recv<M: DeserializeOwned>(mesh: &TcpMesh) -> (PeerId, M) {
+        let (from, frame) = mesh.recv_frame().await.unwrap();
+        (from, wire::from_bytes(&frame).unwrap())
     }
 
     #[tokio::test]
@@ -568,13 +530,13 @@ mod tests {
         let mesh_a = TcpMesh::bind(0, addr_a, &peers_a).await.unwrap();
         let mesh_b = TcpMesh::bind(1, addr_b, &peers_b).await.unwrap();
 
-        mesh_a.send(1, &Hello { text: "hi".into() }).await.unwrap();
-        let (from, hello): (u64, Hello) = mesh_b.recv().await.unwrap();
+        send(&mesh_a, 1, &Hello { text: "hi".into() });
+        let (from, hello): (u64, Hello) = recv(&mesh_b).await;
         assert_eq!(from, 0);
         assert_eq!(hello, Hello { text: "hi".into() });
 
-        mesh_b.send(0, &Hello { text: "yo".into() }).await.unwrap();
-        let (from, hello): (u64, Hello) = mesh_a.recv().await.unwrap();
+        send(&mesh_b, 0, &Hello { text: "yo".into() });
+        let (from, hello): (u64, Hello) = recv(&mesh_a).await;
         assert_eq!(from, 1);
         assert_eq!(hello.text, "yo");
     }
@@ -582,22 +544,25 @@ mod tests {
     #[tokio::test]
     async fn sending_to_unknown_peer_fails() {
         let mesh = TcpMesh::bind(7, "127.0.0.1:39023", &[]).await.unwrap();
-        let err = mesh.send(9, &Hello { text: "x".into() }).await.unwrap_err();
+        let err = mesh.send_with(9, |encoder| encoder.encode(&Hello { text: "x".into() }));
+        let err = err.unwrap_err();
         assert!(matches!(err, TransportError::UnknownPeer(9)));
         assert_eq!(mesh.id(), 7);
     }
 
     #[tokio::test]
-    async fn send_many_delivers_a_batch_in_order() {
+    async fn send_with_delivers_a_batch_in_order() {
         let addr_a = "127.0.0.1:39024";
         let addr_b = "127.0.0.1:39025";
         let mesh_a = TcpMesh::bind(0, addr_a, &[(1u64, addr_b.to_string())]).await.unwrap();
         let mesh_b = TcpMesh::bind(1, addr_b, &[(0u64, addr_a.to_string())]).await.unwrap();
 
         let batch: Vec<Hello> = (0..50).map(|i| Hello { text: format!("m{i}") }).collect();
-        mesh_a.send_many(1, &batch).await.unwrap();
+        mesh_a
+            .send_with(1, |encoder| batch.iter().try_for_each(|hello| encoder.encode(hello)))
+            .unwrap();
         for i in 0..50 {
-            let (from, hello): (u64, Hello) = mesh_b.recv().await.unwrap();
+            let (from, hello): (u64, Hello) = recv(&mesh_b).await;
             assert_eq!(from, 0);
             assert_eq!(hello.text, format!("m{i}"));
         }
@@ -632,8 +597,8 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, TransportError::Codec(_)));
 
-        mesh_a.send(1, &Hello { text: "clean".into() }).await.unwrap();
-        let (from, hello): (u64, Hello) = mesh_b.recv().await.unwrap();
+        send(&mesh_a, 1, &Hello { text: "clean".into() });
+        let (from, hello): (u64, Hello) = recv(&mesh_b).await;
         assert_eq!(from, 0);
         assert_eq!(hello.text, "clean");
     }
@@ -672,8 +637,8 @@ mod tests {
         let mesh_a = TcpMesh::bind(0, addr_a, &peers_a).await.unwrap();
         let mesh_b = TcpMesh::bind(1, addr_b, &peers_b).await.unwrap();
 
-        mesh_a.send(1, &Hello { text: "before".into() }).await.unwrap();
-        let (_, hello): (u64, Hello) = mesh_b.recv().await.unwrap();
+        send(&mesh_a, 1, &Hello { text: "before".into() });
+        let (_, hello): (u64, Hello) = recv(&mesh_b).await;
         assert_eq!(hello.text, "before");
         wait_for_inline_path(&mesh_a, 1);
         let stats = Arc::clone(mesh_a.stats());
@@ -697,9 +662,9 @@ mod tests {
             if stats.reconnect_attempts.get() == redials_before {
                 assert_eq!(by_tasks, task_writes_before, "a writer task wrote before the redial");
             }
-            mesh_a.send(1, &Hello { text: "after".into() }).await.unwrap();
+            send(&mesh_a, 1, &Hello { text: "after".into() });
             let received = tokio::select! {
-                result = mesh_b.recv::<Hello>() => { Some(result.unwrap()) }
+                received = recv::<Hello>(&mesh_b) => { Some(received) }
                 _ = tokio::time::sleep(Duration::from_millis(25)) => { None }
             };
             if let Some((from, hello)) = received {
@@ -875,7 +840,7 @@ mod tests {
         let chunk = Hello { text: "b".repeat(CHUNK) };
         let sends = 10 * MAX_BACKLOG_BYTES / CHUNK;
         for _ in 0..sends {
-            mesh_a.send(1, &chunk).await.unwrap();
+            send(&mesh_a, 1, &chunk);
         }
         let dropped = mesh_a.stats().dropped_batches.get();
         assert!(dropped > 0, "ten times the cap was queued");
@@ -889,12 +854,12 @@ mod tests {
         let mut delivered = false;
         'resend: for _ in 0..400 {
             // Dropped while the backlog is still full, delivered once it drains.
-            mesh_a.send(1, &Hello { text: "after".into() }).await.unwrap();
+            send(&mesh_a, 1, &Hello { text: "after".into() });
             let deadline = tokio::time::sleep(Duration::from_millis(25));
             let mut deadline = std::pin::pin!(deadline);
             loop {
                 let received = tokio::select! {
-                    result = mesh_b.recv::<Hello>() => { Some(result.unwrap()) }
+                    received = recv::<Hello>(&mesh_b) => { Some(received) }
                     _ = &mut deadline => { None }
                 };
                 match received {

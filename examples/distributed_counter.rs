@@ -15,6 +15,7 @@ use crdt_paxos::protocol::{
     ClientId, Command, Envelope, Message, ProtocolConfig, Replica, ResponseBody,
 };
 use crdt_paxos::transport::tcp::TcpMesh;
+use crdt_paxos::wire;
 use tokio::sync::mpsc;
 
 /// Commands the local "client" sends to a replica task.
@@ -44,7 +45,7 @@ async fn replica_task(
     loop {
         // Drain protocol output: forward messages over TCP, deliver client replies.
         for Envelope { to, message, .. } in replica.take_outbox() {
-            let _ = mesh.send(to.as_u64(), &message).await;
+            let _ = mesh.send_with(to.as_u64(), |encoder| encoder.encode(&message));
         }
         for response in replica.take_responses() {
             if let Some(reply) = waiting.get(response.client.0 as usize) {
@@ -53,9 +54,11 @@ async fn replica_task(
         }
 
         tokio::select! {
-            incoming = mesh.recv::<Message<GCounter>>() => {
-                if let Ok((from, message)) = incoming {
-                    replica.handle_message(ReplicaId::new(from), message);
+            incoming = mesh.recv_frame() => {
+                if let Ok((from, frame)) = incoming {
+                    if let Ok(message) = wire::from_bytes::<Message<GCounter>>(&frame) {
+                        replica.handle_message(ReplicaId::new(from), message);
+                    }
                 }
             }
             Some((command, reply)) = commands.recv() => {

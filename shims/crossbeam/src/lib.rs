@@ -1,170 +1,4 @@
-//! Minimal `crossbeam` stand-in: MPMC unbounded channels (mutex + condvar)
-//! plus the lock-free [`queue`] the thread-per-shard engine's
+//! Minimal `crossbeam` stand-in: the lock-free [`queue`] the engine's
 //! mailboxes are built on.
 
 pub mod queue;
-
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct Shared<T> {
-        queue: Mutex<VecDeque<T>>,
-        ready: Condvar,
-        senders: AtomicUsize,
-        receivers: AtomicUsize,
-    }
-
-    /// Error returned by [`Sender::send`] when all receivers are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// Error returned by [`Receiver::recv`] when the channel is empty and all
-    /// senders are gone.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Error returned by [`Receiver::try_recv`].
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum TryRecvError {
-        /// No message is currently queued.
-        Empty,
-        /// All senders are gone and the queue is drained.
-        Disconnected,
-    }
-
-    /// The sending half of an unbounded channel.
-    pub struct Sender<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// The receiving half of an unbounded channel.
-    pub struct Receiver<T> {
-        shared: Arc<Shared<T>>,
-    }
-
-    /// Creates an unbounded MPMC channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let shared = Arc::new(Shared {
-            queue: Mutex::new(VecDeque::new()),
-            ready: Condvar::new(),
-            senders: AtomicUsize::new(1),
-            receivers: AtomicUsize::new(1),
-        });
-        (Sender { shared: Arc::clone(&shared) }, Receiver { shared })
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues a message; fails if every receiver has been dropped.
-        pub fn send(&self, value: T) -> Result<(), SendError<T>> {
-            if self.shared.receivers.load(Ordering::Acquire) == 0 {
-                return Err(SendError(value));
-            }
-            self.shared.queue.lock().unwrap().push_back(value);
-            self.shared.ready.notify_one();
-            Ok(())
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Blocks until a message arrives or every sender is dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut queue = self.shared.queue.lock().unwrap();
-            loop {
-                if let Some(value) = queue.pop_front() {
-                    return Ok(value);
-                }
-                if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Err(RecvError);
-                }
-                queue = self.shared.ready.wait(queue).unwrap();
-            }
-        }
-
-        /// Dequeues a message if one is ready.
-        pub fn try_recv(&self) -> Result<T, TryRecvError> {
-            let mut queue = self.shared.queue.lock().unwrap();
-            if let Some(value) = queue.pop_front() {
-                return Ok(value);
-            }
-            if self.shared.senders.load(Ordering::Acquire) == 0 {
-                Err(TryRecvError::Disconnected)
-            } else {
-                Err(TryRecvError::Empty)
-            }
-        }
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.shared.senders.fetch_add(1, Ordering::AcqRel);
-            Sender { shared: Arc::clone(&self.shared) }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.shared.receivers.fetch_add(1, Ordering::AcqRel);
-            Receiver { shared: Arc::clone(&self.shared) }
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            if self.shared.senders.fetch_sub(1, Ordering::AcqRel) == 1 {
-                // Wake blocked receivers so they observe the disconnect.
-                self.shared.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.shared.receivers.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-
-    impl<T> std::fmt::Debug for Sender<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Sender")
-        }
-    }
-
-    impl<T> std::fmt::Debug for Receiver<T> {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            f.write_str("Receiver")
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{unbounded, TryRecvError};
-
-    #[test]
-    fn send_recv_across_threads() {
-        let (tx, rx) = unbounded();
-        let handle = std::thread::spawn(move || rx.recv().unwrap());
-        tx.send(7u64).unwrap();
-        assert_eq!(handle.join().unwrap(), 7);
-    }
-
-    #[test]
-    fn try_recv_reports_empty_and_disconnected() {
-        let (tx, rx) = unbounded::<u8>();
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
-        drop(tx);
-        assert_eq!(rx.try_recv(), Err(TryRecvError::Disconnected));
-    }
-
-    #[test]
-    fn cloned_receivers_share_the_queue() {
-        let (tx, rx1) = unbounded::<u8>();
-        let rx2 = rx1.clone();
-        tx.send(1).unwrap();
-        tx.send(2).unwrap();
-        assert_eq!(rx1.recv().unwrap(), 1);
-        assert_eq!(rx2.recv().unwrap(), 2);
-    }
-}

@@ -28,7 +28,7 @@ use crdt_paxos_core::{
     ClientId, Command, CommandId, ProtocolConfig, Replica, ResponseBody, ShardId,
 };
 use engine::{EngineCluster, EngineKey, EngineValue};
-use quorum::{HashPartitioner, Partitioner};
+use quorum::HashPartitioner;
 
 /// An in-process cluster of CRDT Paxos replicas with synchronous message delivery.
 #[derive(Debug)]
@@ -155,8 +155,8 @@ const FACADE_TIMEOUT: Duration = Duration::from_secs(30);
 
 impl<K: EngineKey, V: EngineValue> LocalShardedCluster<K, V> {
     /// Creates a cluster of `n` replicas, each partitioning the keyspace over
-    /// `shards` protocol instances — and spawning `shards` worker threads plus
-    /// a router thread per replica.
+    /// `shards` protocol instances — and spawning `min(shards, cores)` worker
+    /// threads plus a router thread per replica.
     ///
     /// # Panics
     ///
