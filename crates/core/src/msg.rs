@@ -113,6 +113,10 @@ pub enum Message<C: Crdt + DeltaCrdt> {
         /// Incremental or fixed round.
         round: PrepareRound,
         /// Optional payload to speed up convergence (omitted when it equals `s0`).
+        /// A query's first `PREPARE` carries the proposer's state after its
+        /// cycle's updates, and when that cycle opened an update instance too it
+        /// stands in for the update's `MERGE`: the acceptor joins it before
+        /// answering, so every reply also acknowledges the update.
         payload: Option<Payload<C>>,
         /// Reveal sequence number of the receiver's newest state snapshot this
         /// proposer holds (delta-mode reply handshake, see [`Message::PrepareAck`]);

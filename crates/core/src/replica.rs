@@ -123,6 +123,12 @@ enum InFlight<C: Crdt> {
         /// each holds a reference that pins the snapshot in [`PeerBasis`] until the
         /// request ends (delta mode only).
         echoes: Vec<(ReplicaId, u64)>,
+        /// The update instance of the same cycle that sent no `MERGE`: this
+        /// query's first `PREPARE` carries its snapshot, and every `ACK` or
+        /// `NACK` a peer sends under this request id counts the peer toward that
+        /// update's quorum (see [`Replica::flush_batches`]). A retry runs under
+        /// a fresh id and carries no link.
+        ride: Option<RequestId>,
         round_trips: u32,
         retries: u32,
         last_sent_ms: u64,
@@ -414,13 +420,16 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Submits every given command as one cycle and returns their ids, in order.
     ///
     /// This is the batching of §3.6 without the wait: every update function is
-    /// applied and **one** update instance replicates the result (one `MERGE` per
-    /// peer), then **one** query instance learns a state for all the reads (one
-    /// `PREPARE` per peer, carrying the cycle's writes) and each read is evaluated
-    /// on it. A driver that drained several commands together hands them in
-    /// together; how many there are is the driver's observation, not a setting.
-    /// With [`ProtocolConfig::batching`] the commands join the timed batch
-    /// instead, exactly as [`Replica::submit`]'s would.
+    /// applied and **one** update instance replicates the result, then **one**
+    /// query instance learns a state for all the reads and each read is
+    /// evaluated on it. A cycle of writes alone sends one `MERGE` per peer and a
+    /// cycle of reads alone one `PREPARE` per peer; a cycle with both sends only
+    /// the `PREPARE`s, which carry the writes, and every reply to one counts
+    /// toward the update's quorum as the `MERGED` it stands in for would. A
+    /// driver that drained several commands together hands them in together;
+    /// how many there are is the driver's observation, not a setting. With
+    /// [`ProtocolConfig::batching`] the commands join the timed batch instead,
+    /// exactly as [`Replica::submit`]'s would.
     pub fn submit_cycle(
         &mut self,
         commands: impl IntoIterator<Item = (ClientId, Command<C>)>,
@@ -537,6 +546,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             Message::VoteAck { request } => self.handle_vote_ack(from, *request),
             Message::PrepareAck { request, round, state, reveal, basis } => {
                 let (request, round, reveal, basis) = (*request, *round, *reveal, *basis);
+                self.count_ride(from, request);
                 let state = self.take_reply_state(state);
                 // Resolve the reply payload to the acceptor's exact state. Full
                 // replies teach the proposer the peer's lower bound even when
@@ -551,6 +561,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             }
             Message::Nack { request, round, state, basis } => {
                 let (request, round, basis) = (*request, *round, *basis);
+                self.count_ride(from, request);
                 let state = self.take_reply_state(state);
                 let Some(state) = self.resolve_nack_reply(from, request, state, basis) else {
                     return;
@@ -570,6 +581,10 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// after resolving it. In [`PayloadMode::DeltaWhenPossible`] every reply is
     /// wanted: a late full reply still teaches this proposer what the peer holds
     /// and installs a basis snapshot.
+    ///
+    /// A reply to a query whose `PREPARE` carried its cycle's writes also counts
+    /// toward their update instance; that changes nothing here, because the
+    /// update reaches its quorum no later than the query's first phase does.
     ///
     /// Only `handle_message_mut`'s bookkeeping is skipped by not delivering an
     /// unwanted reply: a late `NACK` is then not counted in
@@ -639,7 +654,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             ids.push(command);
             waiters.push(UpdateWaiter { client, command });
         }
-        self.launch_update(waiters);
+        self.launch_update(waiters, true);
         ids
     }
 
@@ -1153,19 +1168,26 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Starts the quorum half of an update instance, replicating the local acceptor
     /// state as it is now: all update functions (if any) already applied. Shared by
     /// [`Replica::flush_batches`] and [`Replica::submit_resync`].
-    fn launch_update(&mut self, waiters: Vec<UpdateWaiter>) {
+    ///
+    /// With `merge` unset no `MERGE` goes out: the caller's query instance ships
+    /// the snapshot in its `PREPARE` instead. Returns the instance's id while it
+    /// awaits its quorum.
+    fn launch_update(&mut self, waiters: Vec<UpdateWaiter>, merge: bool) -> Option<RequestId> {
         let request = self.alloc_request();
         let mut acks = self.alloc_ack_set();
         acks.insert(self.id);
         if acks.len() >= self.quorum_size {
             self.recycle_ack_set(&mut acks);
             self.finish_update(waiters, 1);
-            return;
+            return None;
         }
         // One snapshot per protocol instance, after every batched update applied:
-        // the instance keeps it, each `MERGE` shares it.
+        // the instance keeps it (a retransmitted `MERGE` ships it), each `MERGE`
+        // shares it.
         let merged_state = self.acceptor.state().clone();
-        self.broadcast_merge(request, &merged_state);
+        if merge {
+            self.broadcast_merge(request, &merged_state);
+        }
         self.requests.insert(
             request,
             InFlight::Update {
@@ -1176,10 +1198,13 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 last_sent_ms: self.now_ms,
             },
         );
+        Some(request)
     }
 
-    /// Starts one query protocol instance covering all the given waiters.
-    fn start_query(&mut self, waiters: Vec<QueryWaiter<C>>) {
+    /// Starts one query protocol instance covering all the given waiters;
+    /// `ride` is the update instance of the same cycle whose snapshot its first
+    /// `PREPARE` carries in place of a `MERGE`.
+    fn start_query(&mut self, waiters: Vec<QueryWaiter<C>>, ride: Option<RequestId>) {
         debug_assert!(!waiters.is_empty());
         let request = self.alloc_request();
         let gathered = self.acceptor.state().clone();
@@ -1192,6 +1217,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             },
             gathered,
             echoes: Vec::new(),
+            ride,
             round_trips: 0,
             retries: 0,
             last_sent_ms: self.now_ms,
@@ -1281,6 +1307,16 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         }
     }
 
+    /// Counts an `ACK` or `NACK` to a query that carried its cycle's update
+    /// toward that update, as the `MERGED` it stands in for: the acceptor joined
+    /// the `PREPARE`'s payload (or the `VOTE`'s, which contains it) before it
+    /// answered, whatever it answered.
+    fn count_ride(&mut self, from: ReplicaId, request: RequestId) {
+        if let Some(&InFlight::Query { ride: Some(update), .. }) = self.requests.get(&request) {
+            self.handle_merge_ack(from, update);
+        }
+    }
+
     /// Removes a quorum-complete update instance, remembers it for late `MERGED`
     /// replies (delta mode), and responds to its waiters.
     fn complete_update(&mut self, request: RequestId) {
@@ -1348,7 +1384,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         }
 
         let decision = {
-            let Some(InFlight::Query { phase: QueryPhase::Prepare { acks, .. }, .. }) =
+            let Some(InFlight::Query { phase: QueryPhase::Prepare { acks, .. }, ride, .. }) =
                 self.requests.get(&request)
             else {
                 return;
@@ -1356,6 +1392,14 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             if acks.len() < self.quorum_size {
                 return;
             }
+            // Every peer counted here counted toward the update riding this
+            // request first (`count_ride`), and an incremental prepare is never
+            // NACKed, so that update is complete: no reply to this request is
+            // ever needed for it once the request is gone (`wants_reply`).
+            debug_assert!(
+                ride.is_none_or(|update| !self.requests.contains_key(&update)),
+                "a query's first phase finished before the update it carried"
+            );
             // s' ← ⊔ S˘ (line 12)
             let mut lub: Option<C> = None;
             for (_, _, state) in acks.iter() {
@@ -1491,6 +1535,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 },
                 gathered,
                 echoes: Vec::new(),
+                ride: None,
                 round_trips,
                 retries: retries + 1,
                 last_sent_ms: self.now_ms,
@@ -1539,22 +1584,34 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     }
 
     /// Opens at most one update instance and then at most one query instance for
-    /// everything buffered: every update function applied before the one snapshot
-    /// the `MERGE`s share, and the reads prepared after it, so their `PREPARE`
-    /// payload carries those writes. Both buffers keep their capacity.
+    /// everything buffered: every update function applied before the one
+    /// snapshot, and the reads prepared after it, so their `PREPARE` payload
+    /// carries those writes. Both buffers keep their capacity.
+    ///
+    /// When both open and there are peers, the update sends no `MERGE` of its
+    /// own — its snapshot is already on its way in every `PREPARE` — and rides
+    /// the query ([`InFlight::Query`]'s `ride`): every reply to that request
+    /// counts its sender toward the update, as a `MERGED` would. That certifies
+    /// what a `MERGED` does, because an acceptor joins a `PREPARE`'s payload
+    /// before it answers; and it keeps Update Stability, because the incremental
+    /// round the `PREPARE` installs NACKs every vote prepared before it, as the
+    /// `MERGE`'s write marker would have. A peer that stays silent gets the
+    /// update's own retransmitted `MERGE`. Each peer is sent the state once.
     fn flush_batches(&mut self) {
+        let merge = self.query_batch.is_empty() || self.others.is_empty();
+        let mut ride = None;
         if !self.update_batch.is_empty() {
             let mut waiters = self.update_waiter_pool.pop().unwrap_or_default();
             for (waiter, update) in self.update_batch.drain(..) {
                 self.acceptor.apply_update(&update);
                 waiters.push(waiter);
             }
-            self.launch_update(waiters);
+            ride = self.launch_update(waiters, merge);
         }
         if !self.query_batch.is_empty() {
             let mut waiters = self.query_waiter_pool.pop().unwrap_or_default();
             waiters.append(&mut self.query_batch);
-            self.start_query(waiters);
+            self.start_query(waiters, ride);
         }
     }
 
@@ -1811,8 +1868,10 @@ mod tests {
     }
 
     /// A cycle opens one update instance and one query instance whatever its
-    /// size: two `MERGE`s and two `PREPARE`s to the two peers, every command
-    /// answered under its own id, every read seeing every write of the cycle.
+    /// size, every command answered under its own id in one round trip, every
+    /// read seeing every write of the cycle. Only the two `PREPARE`s go out:
+    /// they carry the writes, so a `MERGE` to the same peers would ship the same
+    /// state a second time, and their `ACK`s complete the update as well.
     #[test]
     fn a_cycle_opens_one_update_and_one_query_instance() {
         let mut replicas = cluster(3, ProtocolConfig::default());
@@ -1837,7 +1896,7 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             })
             .collect();
-        assert_eq!(kinds, [(1, "merge"), (2, "merge"), (1, "prepare"), (2, "prepare")]);
+        assert_eq!(kinds, [(1, "prepare"), (2, "prepare")]);
         for env in outbox {
             let index = env.to.as_u64() as usize;
             replicas[index].handle_message(env.from, env.message);
@@ -1897,6 +1956,125 @@ mod tests {
             }
             assert_eq!(drain_responses(&mut single[0]), drain_responses(&mut cycled[0]));
         }
+    }
+
+    /// Submits a cycle of one write of `amount` and one read at replica 0 and
+    /// returns what it sent: a `PREPARE` carrying the write to each peer.
+    fn mixed_cycle(replicas: &mut [Replica<Counter>], amount: u64) -> Vec<Envelope<Counter>> {
+        replicas[0].submit_cycle([
+            (ClientId(1), Command::Update(CounterUpdate::Increment(amount))),
+            (ClientId(2), Command::Query(CounterQuery::Value)),
+        ]);
+        let sent = replicas[0].take_outbox();
+        let prepares =
+            sent.iter().all(|env| matches!(env.message, Message::Prepare { payload: Some(_), .. }));
+        assert!(prepares && sent.len() == 2, "{sent:?}");
+        sent
+    }
+
+    /// One peer's `ACK` is the quorum of both instances of a mixed cycle: the
+    /// update completes in its one round trip whichever `PREPARE` was lost.
+    #[test]
+    fn a_riding_update_completes_through_the_peer_that_answered() {
+        for lost in [1, 2] {
+            let mut replicas = cluster(3, ProtocolConfig::default());
+            for env in mixed_cycle(&mut replicas, 4) {
+                let to = env.to.as_u64() as usize;
+                if to != lost {
+                    replicas[to].handle_message(env.from, env.message);
+                }
+            }
+            run_to_quiescence(&mut replicas);
+            let responses = drain_responses(&mut replicas[0]);
+            let bodies: Vec<_> =
+                responses.iter().map(|r| (r.body.clone(), r.round_trips)).collect();
+            assert_eq!(bodies, [(ResponseBody::UpdateDone, 1), (ResponseBody::QueryDone(4), 1)]);
+            assert_eq!(replicas[0].in_flight(), 0);
+            assert_eq!(replicas[lost].local_state().value(), 0, "replica {lost} was sent a MERGE");
+        }
+    }
+
+    /// With both `PREPARE`s lost the update does not wait on its query: its own
+    /// retransmission is a `MERGE`, and the `MERGED`s complete it.
+    #[test]
+    fn a_riding_update_whose_prepares_are_lost_completes_by_its_own_merge() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        drop(mixed_cycle(&mut replicas, 4));
+        replicas[0].tick(200);
+        let (merges, prepares): (Vec<_>, Vec<_>) = replicas[0]
+            .take_outbox()
+            .into_iter()
+            .partition(|env| matches!(env.message, Message::Merge { .. }));
+        assert_eq!((merges.len(), prepares.len()), (2, 2));
+        for env in merges {
+            replicas[env.to.as_u64() as usize].handle_message(env.from, env.message);
+        }
+        run_to_quiescence(&mut replicas);
+        let responses = drain_responses(&mut replicas[0]);
+        assert_eq!(responses.len(), 1);
+        assert_eq!(responses[0].body, ResponseBody::UpdateDone);
+
+        for env in prepares {
+            replicas[env.to.as_u64() as usize].handle_message(env.from, env.message);
+        }
+        run_to_quiescence(&mut replicas);
+        let responses = drain_responses(&mut replicas[0]);
+        assert_eq!(responses[0].body, ResponseBody::QueryDone(4));
+    }
+
+    /// A `MERGE`'s write marker is what NACKs another proposer's vote that was
+    /// prepared before the update landed (I4, which Update Stability rests on).
+    /// A riding update sends no `MERGE`; the incremental round its `PREPARE`
+    /// installs NACKs that vote instead.
+    #[test]
+    fn a_riding_prepare_nacks_a_vote_prepared_before_it() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        // Replica 2 holds a write replica 1 lacks, so replica 1's read finds
+        // two different states at one round and has to vote.
+        replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
+        for env in replicas[0].take_outbox() {
+            if env.to == ReplicaId::new(2) {
+                replicas[2].handle_message(env.from, env.message);
+            }
+        }
+        for env in replicas[2].take_outbox() {
+            replicas[0].handle_message(env.from, env.message);
+        }
+        assert_eq!(drain_responses(&mut replicas[0])[0].body, ResponseBody::UpdateDone);
+        replicas[1].submit_query(ClientId(3), CounterQuery::Value);
+        for env in replicas[1].take_outbox() {
+            if env.to == ReplicaId::new(2) {
+                replicas[2].handle_message(env.from, env.message);
+            }
+        }
+        for env in replicas[2].take_outbox() {
+            replicas[1].handle_message(env.from, env.message);
+        }
+        let votes = replicas[1].take_outbox();
+        assert!(votes.iter().all(|env| matches!(env.message, Message::Vote { .. })), "{votes:?}");
+        let vote = votes.into_iter().find(|env| env.to == ReplicaId::new(2)).expect("a vote");
+
+        // Replica 0's mixed cycle reaches replica 2 before that vote does.
+        for env in mixed_cycle(&mut replicas, 2) {
+            if env.to == ReplicaId::new(2) {
+                replicas[2].handle_message(env.from, env.message);
+            }
+        }
+        let acks = replicas[2].take_outbox();
+        replicas[2].handle_message(vote.from, vote.message);
+        let replies = replicas[2].take_outbox();
+        assert!(matches!(&replies[..], [Envelope { message: Message::Nack { .. }, .. }]));
+
+        for env in acks.into_iter().chain(replies) {
+            replicas[env.to.as_u64() as usize].handle_message(env.from, env.message);
+        }
+        run_to_quiescence(&mut replicas);
+        let bodies: Vec<_> =
+            drain_responses(&mut replicas[0]).into_iter().map(|r| r.body).collect();
+        assert_eq!(bodies, [ResponseBody::UpdateDone, ResponseBody::QueryDone(3)]);
+        // Replica 1's read overlapped the second write: before it or after it.
+        let read = drain_responses(&mut replicas[1]).remove(0).body;
+        assert!(matches!(read, ResponseBody::QueryDone(1 | 3)), "{read:?}");
     }
 
     #[test]

@@ -17,6 +17,9 @@ use serde::{Deserialize, Serialize};
 /// * [`RoundId::Write`] — the marker an acceptor installs whenever its payload is
 ///   modified by an update or a merge (paper lines 30 and 34, `r_id ← write`). This
 ///   invalidates any in-flight proposal, which is what Update Stability relies on.
+///   An update that rides its cycle's query sends no `MERGE`: its state reaches
+///   the acceptors in the query's incremental `PREPARE`, whose new round
+///   `(number + 1, id)` invalidates every earlier proposal the same way.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum RoundId {
     /// Initial id, smaller than every other id.

@@ -6,8 +6,12 @@
 //! schedules — the same idea as the protocol scheduler used for the Erlang
 //! implementation — and assert the conditions on every learned state.
 
+use std::collections::BTreeMap;
+
 use crdt::{CounterQuery, CounterUpdate, GCounter, Lattice, ReplicaId};
-use crdt_paxos_core::{ClientId, Command, Envelope, ProtocolConfig, Replica, ResponseBody};
+use crdt_paxos_core::{
+    ClientId, Command, Envelope, Message, ProtocolConfig, Replica, ResponseBody,
+};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -65,17 +69,23 @@ impl Harness {
     }
 
     fn collect_outgoing(&mut self) {
-        for replica in &mut self.replicas {
-            for envelope in replica.take_outbox() {
-                if self.loss_probability > 0.0 && self.rng.gen_bool(self.loss_probability) {
-                    continue;
-                }
-                if self.rng.gen_bool(self.duplicate_probability) {
-                    self.network.push(envelope.clone());
-                }
-                self.network.push(envelope);
+        for index in 0..self.replicas.len() {
+            for envelope in self.replicas[index].take_outbox() {
+                self.post(envelope);
             }
         }
+    }
+
+    /// Puts one envelope into the network, unless it is lost; it may be
+    /// duplicated on the way.
+    fn post(&mut self, envelope: Envelope<Counter>) {
+        if self.loss_probability > 0.0 && self.rng.gen_bool(self.loss_probability) {
+            return;
+        }
+        if self.rng.gen_bool(self.duplicate_probability) {
+            self.network.push(envelope.clone());
+        }
+        self.network.push(envelope);
     }
 
     /// Delivers one randomly chosen in-flight message.
@@ -310,6 +320,22 @@ proptest! {
         }
     }
 
+    /// A cycle with writes and reads sends no `MERGE`: the reads' `PREPARE`s
+    /// carry the writes and their replies complete the update. Under the
+    /// harness's reordering, duplication and loss, histories of such cycles
+    /// still meet all five conditions, in either payload mode.
+    #[test]
+    fn mixed_cycles_stay_linearizable_under_reordering_duplication_and_loss(
+        cycles in proptest::collection::vec(
+            (0..3usize, proptest::collection::vec(proptest::bool::ANY, 1..6)),
+            1..9,
+        ),
+        seed in any::<u64>(),
+    ) {
+        check_mixed_cycles(&cycles, seed, ProtocolConfig::default());
+        check_mixed_cycles(&cycles, seed, ProtocolConfig::default().with_delta_payloads());
+    }
+
     /// Eventual liveness (§3.5): once updates stop, every submitted query eventually
     /// completes (our harness keeps delivering messages until quiescence, so all
     /// queries must have completed by then).
@@ -370,6 +396,127 @@ proptest! {
             prop_assert_eq!(full.replica, delta.replica);
             prop_assert_eq!(full.value, delta.value);
             prop_assert_eq!(full.completion_index, delta.completion_index);
+        }
+    }
+}
+
+/// One answered command of [`check_mixed_cycles`], timed in harness steps.
+struct Timed {
+    invoked: u64,
+    answered: u64,
+    /// A write's own bit, or the writes a read saw.
+    bits: u64,
+    read: bool,
+}
+
+/// The commands submitted and not yet answered, by `(replica, command id)`:
+/// the step they were submitted at, and a write's bit (`None` for a read).
+type Open = BTreeMap<(usize, u64), (u64, Option<u64>)>;
+
+/// Moves every answer out of the replicas into `history`, timed at `step`.
+fn collect_answers(harness: &mut Harness, open: &mut Open, history: &mut Vec<Timed>, step: u64) {
+    for (index, replica) in harness.replicas.iter_mut().enumerate() {
+        for response in replica.take_responses() {
+            let (invoked, write) =
+                open.remove(&(index, response.command.0)).expect("answered once, and only that");
+            let bits = match (write, response.body) {
+                (Some(bit), ResponseBody::UpdateDone) => bit,
+                (None, ResponseBody::QueryDone(value)) => value as u64,
+                (_, body) => panic!("command {:?}: {body:?}", response.command),
+            };
+            history.push(Timed { invoked, answered: step, bits, read: write.is_none() });
+        }
+    }
+}
+
+/// Runs `cycles` — per cycle its proposer and its commands, `true` for a
+/// write — through a harness that reorders, duplicates and loses messages,
+/// checks that a cycle with both kinds sends only `PREPARE`s, and holds the
+/// history to the paper's five conditions. Every write adds its own power of
+/// two, so a read's value names exactly the writes it saw.
+fn check_mixed_cycles(cycles: &[(usize, Vec<bool>)], seed: u64, config: ProtocolConfig) {
+    let mut harness = Harness::new(3, seed, config, 0.2);
+    harness.loss_probability = 0.2;
+    let (mut open, mut history) = (Open::new(), Vec::new());
+    let (mut step, mut writes) = (0u64, 0u32);
+    for (replica, commands) in cycles {
+        // What earlier deliveries made this replica say goes out first.
+        harness.collect_outgoing();
+        step += 1;
+        let bits: Vec<Option<u64>> = commands
+            .iter()
+            .map(|&write| {
+                write.then(|| {
+                    writes += 1;
+                    1 << (writes - 1)
+                })
+            })
+            .collect();
+        let ids = harness.replicas[*replica].submit_cycle(bits.iter().map(|bit| match bit {
+            Some(bit) => (ClientId(0), Command::Update(CounterUpdate::Increment(*bit))),
+            None => (ClientId(1), Command::Query(CounterQuery::Value)),
+        }));
+        for (id, bit) in ids.iter().zip(&bits) {
+            open.insert((*replica, id.0), (step, *bit));
+        }
+        let sent = harness.replicas[*replica].take_outbox();
+        if bits.iter().any(Option::is_some) && bits.iter().any(Option::is_none) {
+            let prepares = sent.iter().all(|env| matches!(env.message, Message::Prepare { .. }));
+            assert!(prepares, "a mixed cycle sent {sent:?}");
+        }
+        for envelope in sent {
+            harness.post(envelope);
+        }
+        for _ in 0..harness.rng.gen_range(0..4) {
+            step += 1;
+            if !harness.deliver_one() {
+                break;
+            }
+            collect_answers(&mut harness, &mut open, &mut history, step);
+        }
+    }
+    let mut now = 0;
+    while harness.replicas.iter().any(|replica| replica.in_flight() > 0) {
+        now += 200;
+        assert!(now < 200 * 500, "instances still open after 500 retransmissions");
+        for replica in &mut harness.replicas {
+            replica.tick(now);
+        }
+        loop {
+            step += 1;
+            if !harness.deliver_one() {
+                break;
+            }
+            collect_answers(&mut harness, &mut open, &mut history, step);
+        }
+    }
+    assert!(open.is_empty(), "{} commands never answered", open.len());
+
+    let (reads, writes): (Vec<&Timed>, Vec<&Timed>) = history.iter().partition(|t| t.read);
+    let before = |a: &Timed, b: &Timed| a.answered < b.invoked;
+    let writes_where = |pick: &dyn Fn(&Timed) -> bool| {
+        writes.iter().filter(|write| pick(write)).fold(0, |bits, write| bits | write.bits)
+    };
+    for read in &reads {
+        let invoked = writes_where(&|write| write.invoked < read.answered);
+        assert_eq!(read.bits & !invoked, 0, "validity: a read saw a write not yet invoked");
+        let done = writes_where(&|write| before(write, read));
+        assert_eq!(read.bits & done, done, "update visibility: a read missed a finished write");
+        for other in &reads {
+            let common = read.bits & other.bits;
+            assert!(common == read.bits || common == other.bits, "consistency: incomparable reads");
+            if before(read, other) {
+                assert_eq!(common, read.bits, "stability: a later read saw less");
+            }
+        }
+        for (first, second) in writes.iter().flat_map(|w| writes.iter().map(move |v| (w, v))) {
+            if before(first, second) && read.bits & second.bits != 0 {
+                assert_ne!(
+                    read.bits & first.bits,
+                    0,
+                    "update stability: a read saw a later write only"
+                );
+            }
         }
     }
 }

@@ -784,7 +784,9 @@ mod tests {
     /// The pump cycle is the unit of agreement: commands a worker drains
     /// together share one update and one query instance, commands that arrive
     /// one at a time get one each. Either way every command is answered once,
-    /// under its own id, and the per-key history is linearizable.
+    /// under its own id, and the per-key history is linearizable. A cycle that
+    /// opens both sends no `MERGE` — its `PREPARE`s carry the writes — so the
+    /// burst costs fewer than two frames (and two replies) per instance.
     #[test]
     fn a_burst_drained_together_opens_one_instance_per_kind() {
         use cluster::{check_keyed_history, HistoryOp, OpKind};
@@ -801,6 +803,7 @@ mod tests {
             (0..).filter(|key| partitioner.shard_of(key) == ShardId(0)).take(4).collect();
         let opened = || node.obs_snapshot().counter("instances_opened");
         let delivered = || mesh.delivered[0].load(Ordering::Relaxed);
+        let sent = || mesh.batches.lock().unwrap().iter().map(Vec::len).sum::<usize>() as u64;
 
         let start = Instant::now();
         let micros = || start.elapsed().as_micros() as u64;
@@ -841,12 +844,13 @@ mod tests {
         let mut history: Vec<(u64, HistoryOp)> =
             (0..16).flat_map(|n| collect(vec![submit(n)])).collect();
         eventually("the late replies", || delivered() == 2 * 16);
-        assert_eq!(opened(), 16);
+        assert_eq!((opened(), sent()), (16, 2 * 16));
 
         // A burst submitted while the mesh is held: the worker stalls shipping
         // the first cycle's proposals, whatever that cycle caught, and finds
         // the rest of the burst queued when it comes back. Two cycles at
-        // most, so four instances at most — for 64 commands.
+        // most, so four instances at most — for 64 commands — and at least
+        // one of the cycles has both kinds.
         let held = mesh.hold.lock().unwrap();
         let burst: Vec<_> = (16..16 + 64).map(submit).collect();
         drop(held);
@@ -854,8 +858,9 @@ mod tests {
         assert_eq!(history.len(), 16 + 64);
         let instances = opened() - 16;
         assert!((2..=4).contains(&instances), "{instances} instances for 64 commands");
-        eventually("the late replies", || delivered() == 2 * (16 + instances));
-        assert!(delivered() - 2 * 16 < 2 * 64, "the parent's count: two replies per command");
+        eventually("the late replies", || delivered() == sent());
+        let frames = sent() - 2 * 16;
+        assert!(frames < 2 * instances, "{frames} frames for {instances} instances");
 
         assert_eq!(node.try_response().map(|response| response.command), None);
         if let Err((key, violation)) = check_keyed_history(&history) {
@@ -880,9 +885,10 @@ mod tests {
     /// A worker that serves four shards ships what all of them said in one
     /// cycle as one batch: with the mesh held behind a first command, commands
     /// for keys of all four shards queue up, and on release they leave node 0
-    /// in a single `send_batch` — eight instances' frames to each peer, one
-    /// run per peer. Every command is still answered once, linearizably, and
-    /// accounted on its own.
+    /// in a single `send_batch`, one run per peer. Eight instances open, but
+    /// each peer gets four frames: a shard's update rides the `PREPARE` of its
+    /// query, which carries the writes. Every command is still answered once,
+    /// linearizably, and accounted on its own.
     #[test]
     fn four_shards_on_one_worker_ship_one_batch_per_peer() {
         use cluster::{check_keyed_history, HistoryOp, OpKind};
@@ -940,14 +946,14 @@ mod tests {
         assert!(burst.windows(2).all(|pair| pair[0].0 <= pair[1].0), "one run per peer: {burst:?}");
         for peer in [1, 2] {
             let mut instances: Vec<_> = burst.iter().filter(|frame| frame.0 == peer).collect();
-            // An update and a query instance of each shard.
-            assert_eq!(instances.len(), 8, "to {peer}: {burst:?}");
+            // The query instance of each shard, carrying its update.
+            assert_eq!(instances.len(), 4, "to {peer}: {burst:?}");
             instances.sort_unstable();
             instances.dedup();
-            assert_eq!(instances.len(), 8, "to {peer}: {burst:?}");
+            assert_eq!(instances.len(), 4, "to {peer}: {burst:?}");
             for shard in 0..4 {
                 let of_shard = instances.iter().filter(|frame| frame.1 == ShardId(shard));
-                assert_eq!(of_shard.count(), 2, "shard {shard} to {peer}: {burst:?}");
+                assert_eq!(of_shard.count(), 1, "shard {shard} to {peer}: {burst:?}");
             }
         }
 

@@ -27,9 +27,12 @@
 //! **The pump cycle is the unit of agreement**, per shard. Whatever single-key
 //! commands one drain of the mailbox brought in for a shard are proposed
 //! together: every update applied and *one* update
-//! instance opened for them (one snapshot, one `MERGE` per peer), then *one*
-//! query instance for all the reads (one `PREPARE` per peer, each read
-//! evaluated on the learned state), each command answered under its own id.
+//! instance opened for them (one snapshot), then *one* query instance for all
+//! the reads (one `PREPARE` per peer, each read evaluated on the learned
+//! state), each command answered under its own id. The `PREPARE` carries the
+//! snapshot, so a cycle with reads sends its update no `MERGE`: the replies to
+//! the `PREPARE` complete both instances, and each peer is sent the shard's
+//! state once per cycle. A cycle of writes alone sends one `MERGE` per peer.
 //! This is the paper's §3.6 batching with the wait taken out: nothing is held
 //! back for company, so a command that arrives alone is a cycle of one and
 //! costs what it always did, and under load the cost of an instance — the
@@ -39,7 +42,8 @@
 //! [`ProtocolConfig::batching`] is something else: *waiting* for more. Two
 //! orders inside a cycle are protocol-level signals, not style: peer traffic
 //! is applied before the cycle's commands, and the update instance opens
-//! before the query instance, so the reads' `PREPARE` carries the writes.
+//! before the query instance, so the reads' `PREPARE` carries the writes —
+//! and stands in for the writes' `MERGE`.
 //! Stamp re-check, admission release and stage accounting stay per command.
 //!
 //! A worker's mailbox has many producers. Client threads

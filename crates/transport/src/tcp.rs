@@ -52,9 +52,18 @@ const MAX_BACKLOG_BYTES: usize = 32 * 1024 * 1024;
 /// Read chunk size for the inbound decoder.
 const READ_CHUNK: usize = 64 * 1024;
 
-/// Initial and maximum redial backoff for a peer that is down.
-const RECONNECT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+/// Initial and maximum redial backoff for a peer that is down. The first wait
+/// is short because a cluster's nodes bind one after another: a node's first
+/// dials to a peer that binds a moment later are refused, and each millisecond
+/// here is a millisecond before its first frame arrives.
+const RECONNECT_BACKOFF_MIN: Duration = Duration::from_millis(1);
 const RECONNECT_BACKOFF_MAX: Duration = Duration::from_millis(200);
+
+/// The wait after `backoff` when another dial fails or dies young: twice as
+/// long, up to [`RECONNECT_BACKOFF_MAX`].
+fn next_backoff(backoff: Duration) -> Duration {
+    (backoff * 2).min(RECONNECT_BACKOFF_MAX)
+}
 
 /// One entry of a peer's writer queue.
 #[derive(Debug)]
@@ -433,7 +442,7 @@ async fn write_loop(
         // established one is redialed at once, and from the shortest backoff.
         if connected_at.elapsed() < RECONNECT_BACKOFF_MAX {
             tokio::time::sleep(backoff).await;
-            backoff = (backoff * 2).min(RECONNECT_BACKOFF_MAX);
+            backoff = next_backoff(backoff);
         } else {
             backoff = RECONNECT_BACKOFF_MIN;
         }
@@ -792,6 +801,19 @@ mod tests {
         assert_eq!(stats.reconnect_attempts.get(), 0);
     }
 
+    /// The redial waits: a millisecond first — a peer of a cluster that binds
+    /// one node after another is up within a few — then doubling to the cap.
+    #[test]
+    fn redial_backoff_starts_at_a_millisecond_and_doubles_to_the_cap() {
+        let schedule: Vec<u128> = std::iter::successors(Some(RECONNECT_BACKOFF_MIN), |&backoff| {
+            Some(next_backoff(backoff))
+        })
+        .take(11)
+        .map(|backoff| backoff.as_millis())
+        .collect();
+        assert_eq!(schedule, [1, 2, 4, 8, 16, 32, 64, 128, 200, 200, 200]);
+    }
+
     /// A peer that accepts and at once resets must not be redialed in a tight
     /// loop: its connections die too young to reset the backoff.
     #[test]
@@ -817,7 +839,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(1));
         }
         let redials = mesh.stats().reconnect_attempts.get();
-        // 10, 20, 40, 80, 160 ms apart: five or six in the window.
+        // 1, 2, 4, …, 128 ms apart: about nine in the window.
         assert!((2..=12).contains(&redials), "{redials} redials in 300 ms");
 
         drop(mesh);

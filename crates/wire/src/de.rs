@@ -92,8 +92,12 @@ pub struct Deserializer<'de> {
     input: &'de [u8],
 }
 
+// Everything below is `#[inline]` for the serializer's reason (see `ser.rs`):
+// the byte-level helpers are not generic, so without the hint they stay calls
+// into this crate from the one that decodes, once per field of every entry.
 impl<'de> Deserializer<'de> {
     /// Creates a deserializer over `input`.
+    #[inline]
     pub fn new(input: &'de [u8]) -> Self {
         Deserializer { input }
     }
@@ -103,12 +107,14 @@ impl<'de> Deserializer<'de> {
         self.input.len()
     }
 
+    #[inline]
     fn take_byte(&mut self) -> Result<u8> {
         let (&first, rest) = self.input.split_first().ok_or(Error::UnexpectedEof)?;
         self.input = rest;
         Ok(first)
     }
 
+    #[inline]
     fn take_bytes(&mut self, len: usize) -> Result<&'de [u8]> {
         if self.input.len() < len {
             return Err(Error::UnexpectedEof);
@@ -118,15 +124,18 @@ impl<'de> Deserializer<'de> {
         Ok(head)
     }
 
+    #[inline]
     fn read_len(&mut self) -> Result<usize> {
         let len = varint::decode_u64(&mut self.input)?;
         usize::try_from(len).map_err(|_| Error::LengthOverflow(len))
     }
 
+    #[inline]
     fn read_u64(&mut self) -> Result<u64> {
         varint::decode_u64(&mut self.input)
     }
 
+    #[inline]
     fn read_i64(&mut self) -> Result<i64> {
         varint::decode_i64(&mut self.input)
     }
@@ -134,6 +143,7 @@ impl<'de> Deserializer<'de> {
 
 macro_rules! deserialize_unsigned {
     ($method:ident, $visit:ident, $ty:ty) => {
+        #[inline]
         fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
             let value = self.read_u64()?;
             let narrowed = <$ty>::try_from(value).map_err(|_| {
@@ -146,6 +156,7 @@ macro_rules! deserialize_unsigned {
 
 macro_rules! deserialize_signed {
     ($method:ident, $visit:ident, $ty:ty) => {
+        #[inline]
         fn $method<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
             let value = self.read_i64()?;
             let narrowed = <$ty>::try_from(value).map_err(|_| {
@@ -159,10 +170,12 @@ macro_rules! deserialize_signed {
 impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
     type Error = Error;
 
+    #[inline]
     fn deserialize_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
         Err(Error::NotSelfDescribing)
     }
 
+    #[inline]
     fn deserialize_bool<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         match self.take_byte()? {
             0 => visitor.visit_bool(false),
@@ -178,27 +191,33 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
     deserialize_signed!(deserialize_i16, visit_i16, i16);
     deserialize_signed!(deserialize_i32, visit_i32, i32);
 
+    #[inline]
     fn deserialize_u64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         visitor.visit_u64(self.read_u64()?)
     }
 
+    #[inline]
     fn deserialize_i64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         visitor.visit_i64(self.read_i64()?)
     }
 
+    #[inline]
     fn deserialize_u128<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         visitor.visit_u128(varint::decode_u128(&mut self.input)?)
     }
 
+    #[inline]
     fn deserialize_i128<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         visitor.visit_i128(varint::decode_i128(&mut self.input)?)
     }
 
+    #[inline]
     fn deserialize_f32<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let bytes = self.take_bytes(4)?;
         visitor.visit_f32(f32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]))
     }
 
+    #[inline]
     fn deserialize_f64<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let bytes = self.take_bytes(8)?;
         let mut raw = [0u8; 8];
@@ -206,6 +225,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_f64(f64::from_le_bytes(raw))
     }
 
+    #[inline]
     fn deserialize_char<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let value = self.read_u64()?;
         let code = u32::try_from(value).map_err(|_| Error::InvalidChar(u32::MAX))?;
@@ -213,6 +233,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_char(c)
     }
 
+    #[inline]
     fn deserialize_str<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let len = self.read_len()?;
         let bytes = self.take_bytes(len)?;
@@ -220,20 +241,24 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_borrowed_str(text)
     }
 
+    #[inline]
     fn deserialize_string<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         self.deserialize_str(visitor)
     }
 
+    #[inline]
     fn deserialize_bytes<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let len = self.read_len()?;
         let bytes = self.take_bytes(len)?;
         visitor.visit_borrowed_bytes(bytes)
     }
 
+    #[inline]
     fn deserialize_byte_buf<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         self.deserialize_bytes(visitor)
     }
 
+    #[inline]
     fn deserialize_option<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         match self.take_byte()? {
             0 => visitor.visit_none(),
@@ -242,10 +267,12 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         }
     }
 
+    #[inline]
     fn deserialize_unit<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         visitor.visit_unit()
     }
 
+    #[inline]
     fn deserialize_unit_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -254,6 +281,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_unit()
     }
 
+    #[inline]
     fn deserialize_newtype_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -262,15 +290,18 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_newtype_struct(self)
     }
 
+    #[inline]
     fn deserialize_seq<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let len = self.read_len()?;
         visitor.visit_seq(CountedAccess { de: self, remaining: len })
     }
 
+    #[inline]
     fn deserialize_tuple<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
         visitor.visit_seq(CountedAccess { de: self, remaining: len })
     }
 
+    #[inline]
     fn deserialize_tuple_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -280,11 +311,13 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         self.deserialize_tuple(len, visitor)
     }
 
+    #[inline]
     fn deserialize_map<V: Visitor<'de>>(self, visitor: V) -> Result<V::Value> {
         let len = self.read_len()?;
         visitor.visit_map(CountedAccess { de: self, remaining: len })
     }
 
+    #[inline]
     fn deserialize_struct<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -294,6 +327,7 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         self.deserialize_tuple(fields.len(), visitor)
     }
 
+    #[inline]
     fn deserialize_enum<V: Visitor<'de>>(
         self,
         _name: &'static str,
@@ -303,14 +337,17 @@ impl<'de> de::Deserializer<'de> for &mut Deserializer<'de> {
         visitor.visit_enum(EnumAccess { de: self })
     }
 
+    #[inline]
     fn deserialize_identifier<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
         Err(Error::NotSelfDescribing)
     }
 
+    #[inline]
     fn deserialize_ignored_any<V: Visitor<'de>>(self, _visitor: V) -> Result<V::Value> {
         Err(Error::NotSelfDescribing)
     }
 
+    #[inline]
     fn is_human_readable(&self) -> bool {
         false
     }
@@ -324,6 +361,7 @@ struct CountedAccess<'a, 'de> {
 impl<'a, 'de> de::SeqAccess<'de> for CountedAccess<'a, 'de> {
     type Error = Error;
 
+    #[inline]
     fn next_element_seed<T: DeserializeSeed<'de>>(&mut self, seed: T) -> Result<Option<T::Value>> {
         if self.remaining == 0 {
             return Ok(None);
@@ -332,6 +370,7 @@ impl<'a, 'de> de::SeqAccess<'de> for CountedAccess<'a, 'de> {
         seed.deserialize(&mut *self.de).map(Some)
     }
 
+    #[inline]
     fn size_hint(&self) -> Option<usize> {
         Some(self.remaining)
     }
@@ -340,6 +379,7 @@ impl<'a, 'de> de::SeqAccess<'de> for CountedAccess<'a, 'de> {
 impl<'a, 'de> de::MapAccess<'de> for CountedAccess<'a, 'de> {
     type Error = Error;
 
+    #[inline]
     fn next_key_seed<K: DeserializeSeed<'de>>(&mut self, seed: K) -> Result<Option<K::Value>> {
         if self.remaining == 0 {
             return Ok(None);
@@ -348,10 +388,12 @@ impl<'a, 'de> de::MapAccess<'de> for CountedAccess<'a, 'de> {
         seed.deserialize(&mut *self.de).map(Some)
     }
 
+    #[inline]
     fn next_value_seed<V: DeserializeSeed<'de>>(&mut self, seed: V) -> Result<V::Value> {
         seed.deserialize(&mut *self.de)
     }
 
+    #[inline]
     fn size_hint(&self) -> Option<usize> {
         Some(self.remaining)
     }
@@ -365,6 +407,7 @@ impl<'a, 'de> de::EnumAccess<'de> for EnumAccess<'a, 'de> {
     type Error = Error;
     type Variant = VariantAccess<'a, 'de>;
 
+    #[inline]
     fn variant_seed<V: DeserializeSeed<'de>>(self, seed: V) -> Result<(V::Value, Self::Variant)> {
         let index = self.de.read_u64()?;
         let index = u32::try_from(index).map_err(|_| Error::LengthOverflow(index))?;
@@ -380,18 +423,22 @@ struct VariantAccess<'a, 'de> {
 impl<'a, 'de> de::VariantAccess<'de> for VariantAccess<'a, 'de> {
     type Error = Error;
 
+    #[inline]
     fn unit_variant(self) -> Result<()> {
         Ok(())
     }
 
+    #[inline]
     fn newtype_variant_seed<T: DeserializeSeed<'de>>(self, seed: T) -> Result<T::Value> {
         seed.deserialize(self.de)
     }
 
+    #[inline]
     fn tuple_variant<V: Visitor<'de>>(self, len: usize, visitor: V) -> Result<V::Value> {
         de::Deserializer::deserialize_tuple(self.de, len, visitor)
     }
 
+    #[inline]
     fn struct_variant<V: Visitor<'de>>(
         self,
         fields: &'static [&'static str],

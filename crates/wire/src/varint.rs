@@ -55,11 +55,33 @@ pub fn encode_i128(value: i128, out: &mut Vec<u8>) {
 
 /// Decodes an unsigned varint from the front of `input`, advancing the slice.
 ///
+/// The mirror of [`encode_u64`]: one- and two-byte varints are read in place,
+/// inlined into the deserializer; anything longer, and every malformed or
+/// truncated input, goes through the out-of-line loop.
+///
 /// # Errors
 ///
 /// Returns [`Error::UnexpectedEof`] if the input ends mid-varint and
 /// [`Error::VarintOverflow`] if more than [`MAX_VARINT64_LEN`] bytes are used.
+#[inline]
 pub fn decode_u64(input: &mut &[u8]) -> Result<u64> {
+    let bytes = *input;
+    match *bytes {
+        [first, ref rest @ ..] if first < 0x80 => {
+            *input = rest;
+            Ok(u64::from(first))
+        }
+        [first, second, ref rest @ ..] if second < 0x80 => {
+            *input = rest;
+            Ok(u64::from(first & 0x7f) | u64::from(second) << 7)
+        }
+        _ => decode_u64_loop(input),
+    }
+}
+
+/// [`decode_u64`] one byte at a time, with every bounds and overflow check.
+#[inline(never)]
+fn decode_u64_loop(input: &mut &[u8]) -> Result<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     for i in 0..MAX_VARINT64_LEN {
@@ -236,6 +258,93 @@ mod tests {
         let bytes = [0x80u8; 11];
         let mut slice = &bytes[..];
         assert_eq!(decode_u64(&mut slice).unwrap_err(), Error::VarintOverflow);
+    }
+
+    /// `decode_u64` as one loop, before it had fast paths: the reference.
+    fn reference_decode_u64(input: &mut &[u8]) -> Result<u64> {
+        let mut result: u64 = 0;
+        let mut shift = 0u32;
+        for i in 0..MAX_VARINT64_LEN {
+            let byte = *input.get(i).ok_or(Error::UnexpectedEof)?;
+            let low = u64::from(byte & 0x7f);
+            if shift >= 64 || (shift == 63 && low > 1) {
+                return Err(Error::VarintOverflow);
+            }
+            result |= low << shift;
+            if byte & 0x80 == 0 {
+                *input = &input[i + 1..];
+                return Ok(result);
+            }
+            shift += 7;
+        }
+        Err(Error::VarintOverflow)
+    }
+
+    /// Decodes `bytes` both ways: the same value or error, the same rest.
+    fn assert_decodes_as_the_reference(bytes: &[u8]) {
+        let (mut fast, mut reference) = (bytes, bytes);
+        let decoded = decode_u64(&mut fast);
+        assert_eq!(decoded, reference_decode_u64(&mut reference), "{bytes:02x?}");
+        assert_eq!(fast, reference, "rest of {bytes:02x?}");
+    }
+
+    #[test]
+    fn every_one_and_two_byte_input_decodes_as_the_reference() {
+        for first in 0..=u8::MAX {
+            assert_decodes_as_the_reference(&[first]);
+            for trailing in [0x00, 0x80] {
+                assert_decodes_as_the_reference(&[first, trailing]);
+            }
+            for second in 0..=u8::MAX {
+                assert_decodes_as_the_reference(&[first, second]);
+                for trailing in [0x00, 0x80] {
+                    assert_decodes_as_the_reference(&[first, second, trailing]);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_truncated_non_canonical_and_overflowing_inputs_decode_as_the_reference() {
+        // Every truncation of each group-count boundary, and each followed by
+        // a byte that is not its own.
+        let mut boundaries = vec![0, u64::MAX - 1, u64::MAX];
+        for bits in (7..64).step_by(7) {
+            boundaries.extend([(1u64 << bits) - 1, 1 << bits]);
+        }
+        for value in boundaries {
+            let mut bytes = Vec::new();
+            encode_u64(value, &mut bytes);
+            for len in 0..=bytes.len() {
+                assert_decodes_as_the_reference(&bytes[..len]);
+            }
+            bytes.push(0x80);
+            assert_decodes_as_the_reference(&bytes);
+        }
+        let ten = |last: u8, fill: u8| {
+            let mut bytes = vec![fill; 9];
+            bytes.push(last);
+            bytes
+        };
+        let cases: Vec<Vec<u8>> = vec![
+            // Non-canonical: zero-valued groups a canonical encoder would drop.
+            vec![0x80, 0x00],
+            vec![0xff, 0x80, 0x00],
+            vec![0x80, 0x80, 0x80, 0x00, 0x2a],
+            ten(0x00, 0x80),
+            // The 10-byte maximum: u64::MAX and 1 << 63.
+            ten(0x01, 0xff),
+            ten(0x01, 0x80),
+            // Overflow: more than one bit in the tenth byte, or an eleventh byte.
+            ten(0x02, 0xff),
+            ten(0x7f, 0x80),
+            ten(0xff, 0xff),
+            vec![0x80; 11],
+            [ten(0x80, 0x80), vec![0x00]].concat(),
+        ];
+        for bytes in cases {
+            assert_decodes_as_the_reference(&bytes);
+        }
     }
 
     #[test]
