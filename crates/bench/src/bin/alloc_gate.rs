@@ -64,8 +64,8 @@ use crdt::{
     CounterQuery, CounterUpdate, DeltaCrdt, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId,
 };
 use crdt_paxos_core::{
-    ClientId, Command, CommandId, Message, Payload, ProtocolConfig, Replica, RequestId, ShardCore,
-    ShardEnvelope, ShardMessage, ShardOutput, Stamp,
+    peek_protocol, ClientId, Command, CommandId, Message, Payload, ProtocolConfig, Replica,
+    RequestId, ShardCore, ShardEnvelope, ShardMessage, ShardOutput, Stamp,
 };
 use engine::{Received, Residents};
 use obs::{Counter, HighWater, Stage, StageSet, Stopwatch, TraceConfig, TraceRing};
@@ -233,12 +233,14 @@ impl Node {
         }
     }
 
-    /// The worker's path for one inbound frame: peek, decode into the resident
-    /// of its kind (or not at all), step the protocol.
+    /// The engine's path for one inbound frame: peek, as the dispatcher does,
+    /// then decode into the resident of its kind (or not at all) and step the
+    /// protocol, as the worker does.
     fn receive(&mut self, from: ReplicaId, frame: &[u8]) {
         self.received += 1;
+        let Some(peek) = peek_protocol(frame) else { return };
         let wanted = |request| self.core.wants_reply(request);
-        if let Received::Message(message) = self.residents.receive(frame, STAMP, wanted) {
+        if let Received::Message(message) = self.residents.receive(frame, peek, STAMP, wanted) {
             self.core.handle_message_mut(from, message);
         }
     }

@@ -53,7 +53,7 @@ fn main() {
                 "-> {clients} clients: {:.2} % of reads within 2 round trips",
                 within_two * 100.0
             );
-            if check && protocol.batching && within_two < BATCHED_WITHIN_TWO {
+            if check && protocol.batch_interval_ms.is_some() && within_two < BATCHED_WITHIN_TWO {
                 eprintln!(
                     "ACCEPTANCE FAILED: {clients} clients with batching: {:.2} % of reads within \
                      2 round trips, below the required {:.0} %",

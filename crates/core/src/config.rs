@@ -23,32 +23,28 @@ pub enum PayloadMode {
 /// The defaults correspond to the base protocol of §3.2 with batching disabled
 /// ("CRDT Paxos" in the figures). The optimizations of §3.6 (the proposer's state
 /// rides in `PREPARE`, never `s0`) and the incremental-prepare retry of §3.5 are
-/// not knobs: the protocol always applies them.
-/// Enable [`ProtocolConfig::batching`] to obtain the "CRDT Paxos w/ batching"
-/// configuration (commands held for 5 ms batches, as in the paper).
+/// not knobs: the protocol always applies them, and a query retries until it
+/// learns, as in the paper.
+/// Set [`ProtocolConfig::batch_interval_ms`] ([`ProtocolConfig::batched`]) to
+/// obtain the "CRDT Paxos w/ batching" configuration (commands held for 5 ms
+/// batches, as in the paper).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ProtocolConfig {
-    /// *Wait* up to [`ProtocolConfig::batch_interval_ms`] for more commands
-    /// before opening their instances (§3.6, "Batching"). Off, commands are
+    /// *Wait* this many milliseconds for more commands before opening their
+    /// instances (§3.6, "Batching"; the paper uses 5 ms). `None`, commands are
     /// proposed as soon as they are submitted — which does not mean one
     /// instance each: commands handed in together
     /// ([`crate::Replica::submit_cycle`]) always share one update and one query
     /// instance, and the parallel engine hands in whatever one pump
-    /// cycle drained. Coalescing is unconditional; this flag only adds the
+    /// cycle drained. Coalescing is unconditional; an interval only adds the
     /// waiting.
-    pub batching: bool,
-    /// Batch flush interval in milliseconds (the paper uses 5 ms).
-    pub batch_interval_ms: u64,
+    pub batch_interval_ms: Option<u64>,
     /// Remember the largest learned state per proposer and never return anything
     /// smaller, providing GLA-Stability (§3.4).
     pub gla_stability: bool,
     /// Re-send the messages of a pending request if no quorum replied within this
     /// many milliseconds (covers message loss; the paper assumes fair-lossy links).
     pub retransmit_after_ms: u64,
-    /// Upper bound on query retries before giving up and reporting a failure to the
-    /// client (0 = retry forever). The paper's protocol retries indefinitely; the
-    /// bound exists so misconfigured deployments fail loudly instead of spinning.
-    pub max_query_retries: u32,
     /// Whether state-bearing messages may carry deltas instead of full states.
     /// Defaults to [`PayloadMode::Full`] (the paper-faithful wire format).
     pub payload_mode: PayloadMode,
@@ -57,11 +53,9 @@ pub struct ProtocolConfig {
 impl Default for ProtocolConfig {
     fn default() -> Self {
         ProtocolConfig {
-            batching: false,
-            batch_interval_ms: 5,
+            batch_interval_ms: None,
             gla_stability: false,
             retransmit_after_ms: 100,
-            max_query_retries: 0,
             payload_mode: PayloadMode::Full,
         }
     }
@@ -71,14 +65,13 @@ impl ProtocolConfig {
     /// The batched variant with the paper's 5 ms batch interval
     /// ("CRDT Paxos w/ batching").
     pub fn batched() -> Self {
-        ProtocolConfig { batching: true, ..ProtocolConfig::default() }
+        ProtocolConfig::default().with_batch_interval_ms(5)
     }
 
-    /// Sets the batch interval (implies batching).
+    /// Sets the batch interval (turns batching on).
     #[must_use]
     pub fn with_batch_interval_ms(mut self, interval: u64) -> Self {
-        self.batching = true;
-        self.batch_interval_ms = interval;
+        self.batch_interval_ms = Some(interval);
         self
     }
 
@@ -104,8 +97,7 @@ mod tests {
     #[test]
     fn default_matches_paper_base_protocol() {
         let config = ProtocolConfig::default();
-        assert!(!config.batching);
-        assert_eq!(config.batch_interval_ms, 5);
+        assert_eq!(config.batch_interval_ms, None, "the base protocol does not wait");
         assert!(!config.gla_stability);
         assert_eq!(config.payload_mode, PayloadMode::Full, "paper ships full states");
     }
@@ -119,15 +111,13 @@ mod tests {
     #[test]
     fn batched_preset_enables_batching() {
         let config = ProtocolConfig::batched();
-        assert!(config.batching);
-        assert_eq!(config.batch_interval_ms, 5);
+        assert_eq!(config.batch_interval_ms, Some(5));
     }
 
     #[test]
     fn builder_helpers() {
         let config = ProtocolConfig::default().with_batch_interval_ms(10).with_gla_stability();
-        assert!(config.batching);
-        assert_eq!(config.batch_interval_ms, 10);
+        assert_eq!(config.batch_interval_ms, Some(10));
         assert!(config.gla_stability);
     }
 }

@@ -57,9 +57,13 @@
 //!   traffic with the plan, in-flight commands re-home exactly once
 //!   ([`Replica::submit_resync`], [`Replica::cancel_in_flight`]), and per-key
 //!   linearizability holds across the transition by quorum intersection.
-//! * [`ProtocolConfig`] — batching, GLA-stability, payload mode, retry and
-//!   retransmission knobs.
-//! * [`Metrics`] — round-trip histograms and learning-path counters (Figure 3).
+//! * [`ProtocolConfig`] — four settings: the batch interval, GLA-stability,
+//!   the retransmission timeout and the payload mode.
+//! * [`Metrics`] — the learning-path counters: how each query learned
+//!   (consistent quorum or vote), prepare retries and `NACK`s. A command's
+//!   round trips are on its [`ClientResponse`] (Figure 3 is built from those).
+//! * [`peek_protocol`] — reads a [`ShardMessage`] frame's routing preamble
+//!   (stamp, shard, message kind, request) without decoding its body.
 //!
 //! The companion crates provide the substrates and executors: `crdt` (the data
 //! types), `quorum` (membership, quorum size and key partitioning), `cluster` (deterministic simulator and
@@ -74,6 +78,7 @@ mod acceptor;
 mod config;
 mod metrics;
 mod msg;
+mod peek;
 mod rebalance;
 mod replica;
 mod round;
@@ -88,6 +93,7 @@ pub use msg::{
     ClientId, ClientResponse, Command, CommandId, Envelope, Message, Payload, RequestId,
     ResponseBody,
 };
+pub use peek::{peek_protocol, Peek, MESSAGE_KINDS};
 pub use quorum::ShardId;
 pub use rebalance::{winning_shards, ControlState, RebalancePlan, RebalanceStats};
 pub use replica::{CancelledWork, Replica};

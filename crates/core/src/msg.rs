@@ -303,10 +303,10 @@ pub enum ResponseBody<C: Crdt> {
     /// The query has learned a state and evaluated the query function on it
     /// (paper lines 15 and 24, `QUERY_DONE`).
     QueryDone(C::Output),
-    /// The query exhausted the configured retry budget without learning a state.
+    /// The query gave up without learning a state.
     ///
-    /// Only produced when [`crate::ProtocolConfig::max_query_retries`] is non-zero;
-    /// the paper's protocol retries indefinitely.
+    /// Never produced: as in the paper, a query retries until it learns. The
+    /// variant remains only for callers that still match on it.
     QueryFailed,
 }
 

@@ -130,7 +130,6 @@ enum InFlight<C: Crdt> {
         /// a fresh id and carries no link.
         ride: Option<RequestId>,
         round_trips: u32,
-        retries: u32,
         last_sent_ms: u64,
     },
 }
@@ -320,7 +319,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         let membership = Membership::new(members);
         assert!(membership.contains(&id), "replica {id} must be part of the membership");
         let quorum_size = membership.quorum_size();
-        let batch_interval = config.batch_interval_ms;
+        let batch_interval = config.batch_interval_ms.unwrap_or(0);
         // Stagger the first batch flush across replicas so their batch windows do not
         // all fire at the same instant (synchronized batches would make every query
         // batch collide with every other replica's update batch).
@@ -339,7 +338,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             acceptor: Acceptor::new(id, initial),
             bottom: C::default(),
             config,
-            metrics: Metrics::new(),
+            metrics: Metrics::default(),
             now_ms: 0,
             next_request: 0,
             next_round_seq: 0,
@@ -393,8 +392,9 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
 
     /// Protocol instances this proposer has opened so far. A retried read runs
     /// under a fresh request id and counts again — it sends a fresh `PREPARE` to
-    /// every peer, which is what an instance costs. Commands completed
-    /// ([`Metrics`]) over this is the commands-per-instance ratio.
+    /// every peer, which is what an instance costs. Commands answered
+    /// ([`Replica::take_responses`]) over this is the commands-per-instance
+    /// ratio.
     pub fn instances_opened(&self) -> u64 {
         self.next_request
     }
@@ -409,8 +409,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Submits a client command and returns the id used to correlate the response.
     ///
     /// The command opens its protocol instance at once unless
-    /// [`ProtocolConfig::batching`] is set, in which case it waits for the flush
-    /// tick. A cycle of one: see [`Replica::submit_cycle`].
+    /// [`ProtocolConfig::batch_interval_ms`] is set, in which case it waits for
+    /// the flush tick. A cycle of one: see [`Replica::submit_cycle`].
     pub fn submit(&mut self, client: ClientId, command: Command<C>) -> CommandId {
         let command_id = self.enqueue(client, command);
         self.end_cycle();
@@ -428,8 +428,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// toward the update's quorum as the `MERGED` it stands in for would. A
     /// driver that drained several commands together hands them in together;
     /// how many there are is the driver's observation, not a setting. With
-    /// [`ProtocolConfig::batching`] the commands join the timed batch instead,
-    /// exactly as [`Replica::submit`]'s would.
+    /// [`ProtocolConfig::batch_interval_ms`] set the commands join the timed
+    /// batch instead, exactly as [`Replica::submit`]'s would.
     pub fn submit_cycle(
         &mut self,
         commands: impl IntoIterator<Item = (ClientId, Command<C>)>,
@@ -459,7 +459,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Opens the instances of the commands buffered since the last flush — unless
     /// timed batching is on, which means: wait for more until the flush tick.
     pub(crate) fn end_cycle(&mut self) {
-        if !self.config.batching {
+        if self.config.batch_interval_ms.is_none() {
             self.flush_batches();
         }
     }
@@ -586,9 +586,10 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// toward their update instance; that changes nothing here, because the
     /// update reaches its quorum no later than the query's first phase does.
     ///
-    /// Only `handle_message_mut`'s bookkeeping is skipped by not delivering an
-    /// unwanted reply: a late `NACK` is then not counted in
-    /// [`Metrics::nacks_received`].
+    /// Skipping an unwanted reply changes no counter either:
+    /// [`Metrics::nacks_received`] counts only `NACK`s that reach a query still
+    /// in flight, so an executor that skips late replies and one that delivers
+    /// them count the same.
     pub fn wants_reply(&self, request: RequestId) -> bool {
         self.delta_payloads_enabled() || self.requests.contains_key(&request)
     }
@@ -597,9 +598,11 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// stalled requests.
     pub fn tick(&mut self, now_ms: u64) {
         self.now_ms = self.now_ms.max(now_ms);
-        if self.config.batching && self.now_ms >= self.next_flush_ms {
-            self.flush_batches();
-            self.next_flush_ms = self.now_ms + self.config.batch_interval_ms;
+        if let Some(interval) = self.config.batch_interval_ms {
+            if self.now_ms >= self.next_flush_ms {
+                self.flush_batches();
+                self.next_flush_ms = self.now_ms + interval;
+            }
         }
         self.retransmit_stalled();
     }
@@ -1219,7 +1222,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             echoes: Vec::new(),
             ride,
             round_trips: 0,
-            retries: 0,
             last_sent_ms: self.now_ms,
         };
         self.requests.insert(request, entry);
@@ -1351,7 +1353,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
 
     fn finish_update(&mut self, mut waiters: Vec<UpdateWaiter>, round_trips: u32) {
         for waiter in waiters.drain(..) {
-            self.metrics.record_update(round_trips);
             self.respond(waiter.client, waiter.command, ResponseBody::UpdateDone, round_trips);
         }
         if self.update_waiter_pool.len() < Self::ACK_POOL_CAP {
@@ -1491,17 +1492,18 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     }
 
     fn handle_nack(&mut self, request: RequestId, _round: Round, state: C) {
-        self.metrics.nacks_received += 1;
         let retry = match self.requests.get_mut(&request) {
             Some(InFlight::Query { gathered, .. }) => {
                 gathered.join(&state);
                 true
             }
-            // Updates never receive NACKs (merges are unconditional); ignore strays.
+            // A late NACK for a finished query, or a stray for an update (merges
+            // are unconditional): nothing to do, nothing to count.
             _ => false,
         };
         self.retire_state(state);
         if retry {
+            self.metrics.nacks_received += 1;
             // An incremental prepare is always accepted: the retry that guarantees
             // eventual liveness (§3.5).
             let next = PrepareRound::Incremental { id: self.new_round_id() };
@@ -1512,17 +1514,11 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Restarts the query protocol for `request` under a fresh request id so replies
     /// to the abandoned attempt are ignored.
     fn retry_query(&mut self, request: RequestId, round: PrepareRound) {
-        let Some(entry) = self.remove_request(request) else { return };
-        let InFlight::Query { waiters, gathered, round_trips, retries, .. } = entry else {
+        let Some(InFlight::Query { waiters, gathered, round_trips, .. }) =
+            self.remove_request(request)
+        else {
             return;
         };
-        if self.config.max_query_retries > 0 && retries + 1 > self.config.max_query_retries {
-            for waiter in waiters {
-                self.metrics.queries_failed += 1;
-                self.respond(waiter.client, waiter.command, ResponseBody::QueryFailed, round_trips);
-            }
-            return;
-        }
         let new_request = self.alloc_request();
         self.requests.insert(
             new_request,
@@ -1537,7 +1533,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 echoes: Vec::new(),
                 ride: None,
                 round_trips,
-                retries: retries + 1,
                 last_sent_ms: self.now_ms,
             },
         );
@@ -1548,7 +1543,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     }
 
     /// Completes a query: applies GLA-Stability if configured, evaluates every
-    /// waiter's query function on the learned state, and records metrics.
+    /// waiter's query function on the learned state, and counts the instance's
+    /// learning path once per waiter.
     fn finish_query(&mut self, request: RequestId, learned: C, by_vote: bool) {
         let Some(InFlight::Query { mut waiters, round_trips, .. }) = self.remove_request(request)
         else {
@@ -1568,9 +1564,14 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         } else {
             learned
         };
+        let answered = waiters.len() as u64;
+        if by_vote {
+            self.metrics.queries_by_vote += answered;
+        } else {
+            self.metrics.queries_consistent_quorum += answered;
+        }
         for waiter in waiters.drain(..) {
             let output = state.query(&waiter.query);
-            self.metrics.record_query(round_trips, by_vote);
             self.respond(
                 waiter.client,
                 waiter.command,
@@ -1737,7 +1738,7 @@ mod tests {
         assert_eq!(responses.len(), 1);
         assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
         assert_eq!(responses[0].round_trips, 1);
-        assert_eq!(replicas[0].metrics().updates_completed, 1);
+        assert_eq!(*replicas[0].metrics(), Metrics::default(), "an update learns nothing");
         // All replicas eventually hold the update.
         for replica in &replicas {
             assert_eq!(replica.local_state().value(), 5);
@@ -1863,8 +1864,8 @@ mod tests {
         for response in responses.iter().filter(|r| matches!(r.body, ResponseBody::QueryDone(_))) {
             assert_eq!(response.body, ResponseBody::QueryDone(10));
         }
-        assert_eq!(replicas[0].metrics().updates_completed, 10);
-        assert_eq!(replicas[0].metrics().queries_completed, 10);
+        let metrics = replicas[0].metrics();
+        assert_eq!(metrics.queries_consistent_quorum + metrics.queries_by_vote, 10);
     }
 
     /// A cycle opens one update instance and one query instance whatever its
@@ -1916,8 +1917,8 @@ mod tests {
                 body => assert_eq!(body, &ResponseBody::QueryDone(total)),
             }
         }
-        assert_eq!(replicas[0].metrics().updates_completed, updates);
-        assert_eq!(replicas[0].metrics().queries_completed, reads);
+        let metrics = replicas[0].metrics();
+        assert_eq!(metrics.queries_consistent_quorum + metrics.queries_by_vote, reads);
     }
 
     /// `submit(x)` is `submit_cycle([x])`: the same ids, the same envelopes in
@@ -2166,11 +2167,30 @@ mod tests {
         run_to_quiescence(&mut replicas);
         replicas[0].submit_query(ClientId(0), CounterQuery::Value);
         run_to_quiescence(&mut replicas);
-        let metrics = replicas[0].metrics();
-        assert_eq!(metrics.updates_completed, 1);
-        assert_eq!(metrics.queries_completed, 1);
-        assert_eq!(metrics.queries_consistent_quorum + metrics.queries_by_vote, 1);
-        assert!(metrics.query_fraction_within(2) >= 1.0 - f64::EPSILON);
+        let round_trips: Vec<u32> =
+            drain_responses(&mut replicas[0]).iter().map(|r| r.round_trips).collect();
+        assert_eq!(round_trips, [1, 1], "the update, then the quiet read");
+        let quiet = Metrics { queries_consistent_quorum: 1, ..Metrics::default() };
+        assert_eq!(*replicas[0].metrics(), quiet);
+    }
+
+    /// A `NACK` that arrives after its query learned changes nothing, so it is
+    /// not counted: an executor that skips such replies undecoded
+    /// (`wants_reply`) and one that delivers them count the same.
+    #[test]
+    fn a_nack_for_a_finished_query_is_not_counted() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        replicas[0].submit_query(ClientId(0), CounterQuery::Value);
+        let request = replicas[0].outbox[0].message.request();
+        run_to_quiescence(&mut replicas);
+        assert_eq!(drain_responses(&mut replicas[0]).len(), 1);
+        assert!(!replicas[0].wants_reply(request));
+
+        let state = Payload::Full(Counter::default());
+        let nack = Message::Nack { request, round: Round::ZERO, state, basis: 0 };
+        replicas[0].handle_message(ReplicaId::new(1), nack);
+        assert_eq!(replicas[0].metrics().nacks_received, 0);
+        assert_eq!(replicas[0].in_flight(), 0, "a late NACK starts no retry");
     }
 
     #[test]

@@ -263,7 +263,7 @@ where
         config: &ProtocolConfig,
     ) -> Self {
         let partitioner = HashPartitioner::new(shards);
-        let control_config = ProtocolConfig { batching: false, ..config.clone() };
+        let control_config = ProtocolConfig { batch_interval_ms: None, ..config.clone() };
         RouterCore {
             control: Replica::new(id, members, ControlState::default(), control_config),
             epoch: 0,

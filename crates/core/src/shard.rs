@@ -344,7 +344,7 @@ where
 
     /// Proposer metrics aggregated over all data shards.
     pub fn metrics(&self) -> Metrics {
-        let mut total = Metrics::new();
+        let mut total = Metrics::default();
         for shard in &self.shards {
             total.merge(shard.metrics());
         }
@@ -703,8 +703,13 @@ mod tests {
             nodes[0].submit_update(ClientId(0), key.into(), CounterUpdate::Increment(1));
         }
         run_to_quiescence(&mut nodes);
-        nodes[0].take_responses();
-        assert_eq!(nodes[0].metrics().updates_completed, 3);
+        for key in ["a", "b", "c"] {
+            nodes[0].submit_query(ClientId(0), key.into(), CounterQuery::Value);
+        }
+        run_to_quiescence(&mut nodes);
+        assert_eq!(nodes[0].take_responses().len(), 6);
+        let metrics = nodes[0].metrics();
+        assert_eq!(metrics.queries_consistent_quorum + metrics.queries_by_vote, 3);
         assert_eq!(nodes[0].shard_count(), 4);
     }
 

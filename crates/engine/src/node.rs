@@ -615,7 +615,7 @@ mod tests {
             };
             let write = Stopwatch::start();
             let frame = Bytes::from(wire::to_vec(&envelope.message).expect("encode envelope"));
-            if crate::router::peek_protocol(&frame).is_some() {
+            if crdt_paxos_core::peek_protocol(&frame).is_some() {
                 self.delivered[to].fetch_add(1, Ordering::Relaxed);
             }
             target.deliver_frame(envelope.from, frame);

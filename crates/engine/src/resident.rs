@@ -10,23 +10,26 @@
 //! acceptor serving reads and writes alternates `MERGE` and `PREPARE`, a
 //! proposer `MERGED` and `ACK`, and on a single target each flip would throw
 //! away one state-sized tree and build another. So the target is chosen by
-//! what the frame's preamble says it holds ([`peek_protocol`]), before any of
-//! it is decoded, and the same look settles two more things for free: a frame
-//! routed under another assignment than the worker's goes back to the router
-//! as the bytes it came in, and a state-bearing reply to an instance that has
-//! already retired — the second `ACK` of a quiet read under a three-replica
-//! quorum of two — is not decoded at all.
+//! what the frame's preamble says it holds — the [`Peek`] the dispatcher read
+//! with [`peek_protocol`] to fence the frame, carried to the worker with it —
+//! before any of it is decoded, and the same look settles two more things for
+//! free: a frame routed under another assignment than the worker's goes back
+//! to the router as the bytes it came in, and a state-bearing reply to an
+//! instance that has already retired — the second `ACK` of a quiet read under
+//! a three-replica quorum of two — is not decoded at all. A frame whose
+//! preamble does not peek never gets here: the dispatcher hands it to the
+//! router instead.
 //!
 //! Only the outer kind gets a target of its own. Inside a message a
 //! `Payload::Full` ↔ `Payload::Delta` flip, or a `PREPARE` with and without a
 //! payload, still rebuilds that field; those flips mark first contact, retries
 //! and fallbacks, not the steady state.
+//!
+//! [`peek_protocol`]: crdt_paxos_core::peek_protocol
 
 use crdt::{Crdt, DeltaCrdt};
-use crdt_paxos_core::{Message, RequestId, ShardMessage, Stamp};
+use crdt_paxos_core::{Message, Peek, RequestId, ShardMessage, Stamp, MESSAGE_KINDS};
 use serde::de::DeserializeOwned;
-
-use crate::router::{peek_protocol, MESSAGE_KINDS};
 
 /// What became of one frame handed to [`Residents::receive`].
 #[derive(Debug)]
@@ -40,7 +43,7 @@ pub enum Received<'a, C: Crdt + DeltaCrdt> {
     Stale,
     /// An `ACK` or `NACK` nobody is waiting for; not decoded.
     Skipped,
-    /// Not a decodable protocol frame. Dropped, like any lost message.
+    /// A frame whose body does not decode. Dropped, like any lost message.
     Undecodable,
 }
 
@@ -58,16 +61,11 @@ pub enum Received<'a, C: Crdt + DeltaCrdt> {
 pub struct Residents<C: Crdt + DeltaCrdt> {
     /// Indexed by [`Message`]'s wire variant index.
     kinds: [ShardMessage<C>; MESSAGE_KINDS],
-    /// The target of frames whose preamble did not peek.
-    unpeeked: ShardMessage<C>,
 }
 
 impl<C: Crdt + DeltaCrdt> Default for Residents<C> {
     fn default() -> Self {
-        Residents {
-            kinds: std::array::from_fn(|_| ShardMessage::PlanRequest),
-            unpeeked: ShardMessage::PlanRequest,
-        }
+        Residents { kinds: std::array::from_fn(|_| ShardMessage::PlanRequest) }
     }
 }
 
@@ -81,38 +79,33 @@ where
         Residents::default()
     }
 
-    /// Receives one encoded [`ShardMessage`] frame on behalf of a shard core
-    /// whose assignment is `stamp`: decodes it into the resident of its kind,
-    /// unless its preamble already shows it is not for this core to step.
+    /// Receives one encoded [`ShardMessage::Protocol`] frame on behalf of a
+    /// shard core whose assignment is `stamp`: decodes it into the resident of
+    /// its kind, unless its preamble already shows it is not for this core to
+    /// step. `peek` is what [`crdt_paxos_core::peek_protocol`] read off
+    /// `frame`; the frame is not read again before the decode.
     ///
     /// `wants_reply` is asked about a state-bearing reply's instance before
     /// the reply is decoded (`Replica::wants_reply` /
     /// `ShardCore::wants_reply`); a reply it declines is [`Received::Skipped`].
-    ///
-    /// A frame whose preamble cannot be peeked takes the long way — decoded in
-    /// full, stamp compared afterwards — and comes out as whatever the decode
-    /// makes of it, which for a mangled frame is [`Received::Undecodable`].
     pub fn receive(
         &mut self,
         frame: &[u8],
+        peek: Peek,
         stamp: Stamp,
         wants_reply: impl FnOnce(RequestId) -> bool,
     ) -> Received<'_, C> {
-        let target = match peek_protocol(frame) {
-            Some(peek) if peek.stamp != stamp => return Received::Stale,
-            Some(peek) if peek.is_state_reply() && !wants_reply(peek.request) => {
-                return Received::Skipped;
-            }
-            Some(peek) => &mut self.kinds[peek.kind],
-            None => &mut self.unpeeked,
-        };
+        if peek.stamp() != stamp {
+            return Received::Stale;
+        }
+        if peek.is_state_reply() && !wants_reply(peek.request()) {
+            return Received::Skipped;
+        }
+        let target = &mut self.kinds[peek.kind()];
         if wire::from_slice_in_place(frame, target).is_err() {
             return Received::Undecodable;
         }
         match target {
-            ShardMessage::Protocol { epoch, shards, .. } if (*epoch, *shards) != stamp => {
-                Received::Stale
-            }
             ShardMessage::Protocol { message, .. } => Received::Message(message),
             _ => Received::Undecodable,
         }
@@ -123,7 +116,7 @@ where
 mod tests {
     use super::*;
     use crdt::{GCounter, LatticeMap, ReplicaId};
-    use crdt_paxos_core::{Payload, PrepareRound, Round, RoundId};
+    use crdt_paxos_core::{peek_protocol, Payload, PrepareRound, Round, RoundId};
     use quorum::ShardId;
 
     type Kv = LatticeMap<u64, GCounter>;
@@ -175,6 +168,17 @@ mod tests {
         }
     }
 
+    /// Receives `frame` as a worker does: with the peek the dispatcher read
+    /// to fence it.
+    fn receive<'a>(
+        residents: &'a mut Residents<Kv>,
+        frame: &[u8],
+        wants_reply: impl FnOnce(RequestId) -> bool,
+    ) -> Received<'a, Kv> {
+        let peek = peek_protocol(frame).expect("a protocol preamble");
+        residents.receive(frame, peek, STAMP, wants_reply)
+    }
+
     fn expect_message<'a>(received: Received<'a, Kv>) -> &'a mut Message<Kv> {
         match received {
             Received::Message(message) => message,
@@ -215,7 +219,7 @@ mod tests {
         let mut residents = Residents::<Kv>::new();
         for round in 0..3 {
             for message in &stream {
-                let received = residents.receive(&frame(STAMP, message), STAMP, |_| true);
+                let received = receive(&mut residents, &frame(STAMP, message), |_| true);
                 assert_eq!(expect_message(received), message, "round {round}");
             }
         }
@@ -247,7 +251,7 @@ mod tests {
             let mut residents = Residents::<Kv>::new();
             let first = frame(STAMP, &carry(state(20, 1)));
             let snapshot = {
-                let message = expect_message(residents.receive(&first, STAMP, |_| true));
+                let message = expect_message(receive(&mut residents, &first, |_| true));
                 message.payload().and_then(|payload| match payload {
                     Payload::Full(state) => Some(state.clone()),
                     Payload::Delta(_) => None,
@@ -257,8 +261,7 @@ mod tests {
             assert_eq!(snapshot, state(20, 1));
 
             let second = carry(state(20, 50));
-            let message =
-                expect_message(residents.receive(&frame(STAMP, &second), STAMP, |_| true));
+            let message = expect_message(receive(&mut residents, &frame(STAMP, &second), |_| true));
             assert_eq!(*message, second);
             assert_eq!(snapshot, state(20, 1), "the snapshot moved under its holder");
             let Some(Payload::Full(resident)) = message.payload() else { panic!("full payload") };
@@ -270,7 +273,7 @@ mod tests {
             let Some(Payload::Full(resident)) = message.payload() else { panic!("full payload") };
             let before = resident.iter().next().map(|(_, value)| std::ptr::from_ref(value));
             let third = carry(state(20, 90));
-            let message = expect_message(residents.receive(&frame(STAMP, &third), STAMP, |_| true));
+            let message = expect_message(receive(&mut residents, &frame(STAMP, &third), |_| true));
             assert_eq!(*message, third);
             let Some(Payload::Full(resident)) = message.payload() else { panic!("full payload") };
             let after = resident.iter().next().map(|(_, value)| std::ptr::from_ref(value));
@@ -284,7 +287,7 @@ mod tests {
     fn stale_and_unwanted_frames_are_not_decoded() {
         let mut residents = Residents::<Kv>::new();
         let wanted = ack(7, Payload::Full(state(8, 1)));
-        let received = residents.receive(&frame(STAMP, &wanted), STAMP, |request| {
+        let received = receive(&mut residents, &frame(STAMP, &wanted), |request| {
             assert_eq!(request, RequestId(7));
             true
         });
@@ -293,7 +296,7 @@ mod tests {
         // A truncated body would fail any decode; the verdicts below come from
         // the preamble.
         let unwanted = frame(STAMP, &ack(8, Payload::Full(state(8, 2))));
-        let received = residents.receive(&unwanted[..unwanted.len() - 3], STAMP, |_| false);
+        let received = receive(&mut residents, &unwanted[..unwanted.len() - 3], |_| false);
         assert!(matches!(received, Received::Skipped), "{received:?}");
         let nack = Message::Nack {
             request: RequestId(9),
@@ -301,14 +304,14 @@ mod tests {
             state: Payload::Full(state(8, 3)),
             basis: 0,
         };
-        let received = residents.receive(&frame(STAMP, &nack), STAMP, |_| false);
+        let received = receive(&mut residents, &frame(STAMP, &nack), |_| false);
         assert!(matches!(received, Received::Skipped), "{received:?}");
         let old = frame((2, 4), &merge(10, state(8, 4)));
-        let received = residents.receive(&old[..old.len() - 3], STAMP, |_| false);
+        let received = receive(&mut residents, &old[..old.len() - 3], |_| false);
         assert!(matches!(received, Received::Stale), "{received:?}");
         // Requests and acks without a state are never put to `wants_reply`.
         for message in [merge(11, state(2, 5)), Message::MergeAck { request: RequestId(12) }] {
-            let received = residents.receive(&frame(STAMP, &message), STAMP, |_| {
+            let received = receive(&mut residents, &frame(STAMP, &message), |_| {
                 panic!("only state-bearing replies are optional")
             });
             assert_eq!(*expect_message(received), message);
@@ -321,32 +324,27 @@ mod tests {
         assert_eq!(*message, wanted);
     }
 
-    /// Frames that are not protocol traffic, or not frames at all, are
-    /// dropped without disturbing a resident.
+    /// A frame whose preamble peeks but whose body does not decode is dropped
+    /// without disturbing the residents of other kinds. Frames whose preamble
+    /// does not peek never reach a worker: `Assignment::dispatch` hands them to
+    /// the router (`router::tests::dispatch_hands_back_what_does_not_peek`), and
+    /// `peek_protocol` turns them down (`peek_rejects_mangled_preambles`).
     #[test]
     fn undecodable_frames_are_dropped() {
         let mut residents = Residents::<Kv>::new();
-        let held = merge(1, state(5, 1));
-        assert_eq!(*expect_message(residents.receive(&frame(STAMP, &held), STAMP, |_| true)), held);
+        let held = ack(1, Payload::Full(state(5, 1)));
+        assert_eq!(*expect_message(receive(&mut residents, &frame(STAMP, &held), |_| true)), held);
 
-        let plan_request = wire::to_vec(&ShardMessage::<Kv>::PlanRequest).expect("encode");
         let truncated = frame(STAMP, &merge(2, state(5, 2)));
-        let mut unknown_kind = frame(STAMP, &Message::MergeAck { request: RequestId(3) });
-        unknown_kind[4] = MESSAGE_KINDS as u8;
-        for bytes in [&[][..], &[0x80], &plan_request, &unknown_kind] {
-            let received = residents.receive(bytes, STAMP, |_| true);
-            assert!(matches!(received, Received::Undecodable), "{bytes:?}: {received:?}");
-        }
-        let ShardMessage::Protocol { message, .. } = &residents.kinds[0] else {
-            panic!("the MERGE resident is a protocol message");
-        };
-        assert_eq!(*message, held);
-
         // A frame cut short fails in the resident of its kind; the next whole
         // frame of that kind decodes over whatever that left behind.
-        let received = residents.receive(&truncated[..truncated.len() - 1], STAMP, |_| true);
+        let received = receive(&mut residents, &truncated[..truncated.len() - 1], |_| true);
         assert!(matches!(received, Received::Undecodable), "{received:?}");
+        let ShardMessage::Protocol { message, .. } = &residents.kinds[3] else {
+            panic!("the ACK resident is a protocol message");
+        };
+        assert_eq!(*message, held);
         let next = merge(4, state(7, 3));
-        assert_eq!(*expect_message(residents.receive(&frame(STAMP, &next), STAMP, |_| true)), next);
+        assert_eq!(*expect_message(receive(&mut residents, &frame(STAMP, &next), |_| true)), next);
     }
 }

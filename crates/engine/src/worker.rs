@@ -39,11 +39,11 @@
 //! state snapshot, its encode per peer, the quorum walk over the replies — is
 //! shared by everything that queued up while the previous cycle ran
 //! (`instances_opened` against the `SubmitQueue` sample count is the ratio).
-//! [`ProtocolConfig::batching`] is something else: *waiting* for more. Two
-//! orders inside a cycle are protocol-level signals, not style: peer traffic
-//! is applied before the cycle's commands, and the update instance opens
-//! before the query instance, so the reads' `PREPARE` carries the writes —
-//! and stands in for the writes' `MERGE`.
+//! [`ProtocolConfig::batch_interval_ms`] is something else: *waiting* for
+//! more. Two orders inside a cycle are protocol-level signals, not style:
+//! peer traffic is applied before the cycle's commands, and the update
+//! instance opens before the query instance, so the reads' `PREPARE` carries
+//! the writes — and stands in for the writes' `MERGE`.
 //! Stamp re-check, admission release and stage accounting stay per command.
 //!
 //! A worker's mailbox has many producers. Client threads
@@ -65,10 +65,12 @@
 //!
 //! A `Frame` is the one input the worker has to pay to read, and what it pays
 //! is what a command costs once a shard holds more than a few keys. So it
-//! reads the frame's six-varint preamble first ([`Residents::receive`]) and
-//! decides from that alone: a stamp other than the slot's — the frame goes
-//! back as the bytes it came in; an `ACK`/`NACK` for an instance that has
-//! retired ([`ShardCore::wants_reply`]) — dropped and counted; anything else —
+//! acts on the frame's six-varint preamble first — read once, by the
+//! dispatcher, with `core`'s [`peek_protocol`], and carried in the input as a
+//! [`Peek`] — and decides from that alone ([`Residents::receive`]): a stamp
+//! other than the slot's — the frame goes back as the bytes it came in; an
+//! `ACK`/`NACK` for an instance that has retired
+//! ([`ShardCore::wants_reply`]) — dropped and counted; anything else —
 //! decoded in place into the long-lived message of that *kind*, whose maps,
 //! counters and slots the previous frame of the kind left behind for this one
 //! to overwrite. The residents are **per slot, not per thread**: two shards
@@ -80,6 +82,7 @@
 //!
 //! [`EngineNode::submit`]: crate::EngineNode::submit
 //! [`NodeIngress`]: crate::NodeIngress
+//! [`peek_protocol`]: crdt_paxos_core::peek_protocol
 
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -88,8 +91,8 @@ use std::time::Duration;
 use bytes::Bytes;
 use crdt::{LatticeMap, ReplicaId};
 use crdt_paxos_core::{
-    ClientId, Command, CommandId, CoreRehome, Message, ProtocolConfig, ShardCore, ShardEnvelope,
-    ShardMessage, ShardOutput, Stamp,
+    ClientId, Command, CommandId, CoreRehome, Message, Peek, ProtocolConfig, ShardCore,
+    ShardEnvelope, ShardMessage, ShardOutput, Stamp,
 };
 use quorum::{HashPartitioner, ShardId};
 
@@ -128,13 +131,13 @@ pub(crate) enum WorkerInput<K: EngineKey, V: EngineValue> {
         message: Message<LatticeMap<K, V>>,
         at: u64,
     },
-    /// One fenced protocol message still in its encoded wire frame. The
-    /// dispatcher has peeked stamp and shard and applied the fence; the worker
-    /// peeks again — the tag it re-checks is the stamp in the frame's own
-    /// preamble — and decodes the body in place into the slot's resident
-    /// message of its kind ([`Residents`]), so steady-state frames reach the
-    /// core without allocating.
-    Frame { shard: ShardId, from: ReplicaId, frame: Bytes, at: u64 },
+    /// One fenced protocol message still in its encoded wire frame, with the
+    /// preamble the dispatcher read ([`crdt_paxos_core::peek_protocol`]) and
+    /// fenced: the shard is `peek.shard()`, and the tag the worker re-checks
+    /// is `peek.stamp()`, the frame's own. The worker decodes the body in place
+    /// into the slot's resident message of its kind ([`Residents`]), so
+    /// steady-state frames reach the core without allocating.
+    Frame { peek: Peek, from: ReplicaId, frame: Bytes, at: u64 },
     /// A single-key client command.
     Submit(Submit<K, V>),
     /// One leg of a keyspace-wide fan-out.
@@ -319,12 +322,13 @@ impl<K: EngineKey, V: EngineValue> Slot<K, V> {
         desk.obs.stages.record(Stage::ProtocolStep, step.elapsed_nanos());
     }
 
-    fn frame(&mut self, desk: &Desk<K, V>, from: ReplicaId, frame: Bytes, dwell: u64) {
+    fn frame(&mut self, desk: &Desk<K, V>, peek: Peek, from: ReplicaId, frame: Bytes, dwell: u64) {
         let obs = &desk.obs;
         obs.stages.record(Stage::MailboxDwell, dwell);
         let decode = Stopwatch::start();
         let core = &mut self.core;
-        match self.residents.receive(&frame, self.stamp, |request| core.wants_reply(request)) {
+        let wanted = |request| core.wants_reply(request);
+        match self.residents.receive(&frame, peek, self.stamp, wanted) {
             Received::Message(message) => {
                 obs.stages.record(Stage::Decode, decode.elapsed_nanos());
                 let step = Stopwatch::start();
@@ -558,9 +562,9 @@ impl<K: EngineKey, V: EngineValue> Worker<K, V> {
                         slot.peer(&self.desk, from, stamp, message, now.saturating_sub(at));
                     }
                 }
-                WorkerInput::Frame { shard, from, frame, at } => {
-                    if let Some(slot) = slot_of(&mut self.slots, self.stride, shard) {
-                        slot.frame(&self.desk, from, frame, now.saturating_sub(at));
+                WorkerInput::Frame { peek, from, frame, at } => {
+                    if let Some(slot) = slot_of(&mut self.slots, self.stride, peek.shard()) {
+                        slot.frame(&self.desk, peek, from, frame, now.saturating_sub(at));
                     }
                 }
                 WorkerInput::FanoutLeg { shard, client, outer } => {
@@ -618,7 +622,9 @@ impl<K: EngineKey, V: EngineValue> Worker<K, V> {
             obs.parks.incr();
             // A core with nothing in flight has no timer to serve — unless it
             // batches, in which case queued commands wait for the flush tick.
-            if self.config.batching || self.slots.iter().any(|slot| slot.core.in_flight() > 0) {
+            if self.config.batch_interval_ms.is_some()
+                || self.slots.iter().any(|slot| slot.core.in_flight() > 0)
+            {
                 self.signal.wait_timeout(PARK);
             } else {
                 self.signal.wait();

@@ -313,7 +313,8 @@ mod tests {
         assert!(matches!(cluster.update(0, CounterUpdate::Increment(2)), ResponseBody::UpdateDone));
         assert!(matches!(cluster.update(1, CounterUpdate::Increment(3)), ResponseBody::UpdateDone));
         assert_eq!(cluster.query(2, CounterQuery::Value), ResponseBody::QueryDone(5));
-        assert!(cluster.replica(0).metrics().updates_completed >= 1);
+        let metrics = cluster.replica(2).metrics();
+        assert_eq!(metrics.queries_consistent_quorum + metrics.queries_by_vote, 1);
     }
 
     #[test]
