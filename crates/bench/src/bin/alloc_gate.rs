@@ -13,10 +13,14 @@
 //!
 //! * **decode loops** — allocations per frame for a delta MERGE, a full-state
 //!   MERGE, and the owned (`from_bytes`) decode of each for contrast;
-//! * **framing loop** — the whole socket-side inbound cycle
+//! * **framing loops** — the whole socket-side inbound cycle
 //!   (`read_buf`/`commit` into the decoder, `decode_next_view`, in-place
 //!   decode), checking the `BytesMut` buffer and its frozen views recycle
-//!   without reallocating;
+//!   without reallocating: once with each view dropped within its own chunk,
+//!   and once the way `TcpMesh` runs it, each chunk's view still alive when
+//!   the next 64 KiB `read_buf` begins (the decoder continues in a recycled
+//!   buffer; before it did, that read copied into a fresh, zero-filled one —
+//!   2 allocations per chunk);
 //! * **encode loops** — the outbound half: a broadcast-sized message
 //!   serialized into a recycled batch buffer (gated at zero) versus a fresh
 //!   encoder per batch (reported for contrast);
@@ -48,7 +52,7 @@
 //!   that is per un-share (with a B-tree of entries they read 4 and 43).
 //!
 //! Flags: `--quick` shortens the loops (used by CI); `--check` exits non-zero
-//! unless every steady-state loop (delta decode, framing, recycled encode,
+//! unless every steady-state loop (delta decode, both framing loops, recycled encode,
 //! full protocol round, the two mixed streams, the two submit cycles) hits
 //! **zero** allocations per frame (per cycle), the two un-share cases read
 //! exactly two per pair, and the
@@ -480,8 +484,9 @@ fn main() {
 
     // The whole socket-side cycle: bytes land in the decoder's read buffer
     // (as `TcpMesh`'s read loop writes them), a zero-copy frame view comes
-    // out, and the worker decodes it in place. The view is dropped before the
-    // next read, so the buffer recycles without copy-on-write.
+    // out, and the worker decodes it in place. This case covers a view that
+    // dies within its own chunk: the next read finds the buffer unshared and
+    // reuses it in place.
     let mut framed = Vec::new();
     framed.extend_from_slice(&u32::try_from(delta.len()).unwrap().to_le_bytes());
     framed.extend_from_slice(&delta);
@@ -495,6 +500,26 @@ fn main() {
         wire::from_bytes_in_place(&view, &mut scratch).expect("decode");
         std::hint::black_box(&scratch);
     }));
+
+    // The same cycle with the lifetimes `TcpMesh` gives it: a chunk's view is
+    // still in the channel and the worker's mailbox when the read loop asks
+    // for the next 64 KiB, so that read finds the buffer shared. The decoder
+    // continues in a spent buffer whose view is gone (2 allocations and a
+    // 64 KiB zero-fill per chunk before it recycled read buffers).
+    let mut decoder = FrameDecoder::default();
+    let mut scratch: ShardMessage<Kv> = ShardMessage::PlanRequest;
+    let mut held: Option<Bytes> = None;
+    cases.push(run_case("frame_loop_held_views", warmup, iterations, || {
+        let buf = decoder.read_buf(64 * 1024);
+        buf[..framed.len()].copy_from_slice(&framed);
+        decoder.commit(framed.len());
+        let view = decoder.decode_next_view().expect("frame").expect("complete frame");
+        wire::from_bytes_in_place(&view, &mut scratch).expect("decode");
+        // The previous chunk's view goes only now, after this chunk's read.
+        held = Some(view);
+        std::hint::black_box(&scratch);
+    }));
+    drop(held);
 
     // The outbound half in isolation: a broadcast-sized message serialized
     // into the recycled batch buffer. `take()` freezes the batch for the
@@ -676,6 +701,7 @@ fn main() {
             let (limit, pinned) = match case.label {
                 "decode_in_place_delta"
                 | "frame_loop_delta"
+                | "frame_loop_held_views"
                 | "frame_loop_observed"
                 | "encode_batch_recycled"
                 | "protocol_round_delta"
@@ -703,9 +729,10 @@ fn main() {
         }
         println!();
         println!(
-            "acceptance passed: delta decode, framing, recycled encode, the full protocol \
-             round, the mixed full-state streams (acceptor and proposer) and a proposer \
-             cycle of 1 + 1 or 16 + 16 commands are allocation-free — with observability \
+            "acceptance passed: delta decode, framing (views dropped within their chunk or \
+             held past the next read), recycled encode, the full protocol round, the mixed \
+             full-state streams (acceptor and proposer) and a proposer cycle of 1 + 1 or \
+             16 + 16 commands are allocation-free — with observability \
              recording enabled too; full-state decode within budget ({FULL_BUDGET}/frame); an \
              update cycle behind a snapshot in flight copies the entries in {UNSHARE_ALLOCS} \
              allocations at 16 and at 256 keys"

@@ -19,7 +19,11 @@
 //! this: the socket reads land directly in the frame decoder's buffer (no
 //! staging chunk), and complete frames travel to the consumer as refcounted
 //! [`Bytes`] views of that buffer — the inbound path writes each payload byte
-//! exactly once. [`TcpMesh::send_with`] hands callers the raw encoder, so one
+//! exactly once. Those views are still in flight when the next read begins, so
+//! the decoder continues in a recycled buffer whose frames have all been
+//! dropped: in steady state a read allocates nothing and zero-fills nothing
+//! ([`MeshStats::read_buffers_allocated`] counts the reads that had to).
+//! [`TcpMesh::send_with`] hands callers the raw encoder, so one
 //! call may batch any number of frames, and [`TcpMesh::recv_frame`] hands them
 //! the raw frame views for allocation-free decoding via [`wire::from_bytes`].
 
@@ -114,7 +118,8 @@ struct PeerHandle {
 }
 
 /// Always-on runtime introspection for one mesh: reconnect behavior, the
-/// shape of the write-side coalescing and the share of the inline path. Recording is relaxed atomics on
+/// shape of the write-side coalescing, the share of the inline path and what
+/// the read side allocates. Recording is relaxed atomics on
 /// preallocated memory — the counters cost the hot path nothing measurable
 /// and never allocate.
 #[derive(Debug, Default)]
@@ -137,6 +142,13 @@ pub struct MeshStats {
     /// Wall-clock nanoseconds of each write — the engine's `socket_write`
     /// stage.
     pub write_nanos: Arc<Histogram>,
+    /// Completed socket reads (chunks received), over every inbound
+    /// connection.
+    pub socket_reads: Arc<Counter>,
+    /// Fresh read buffers the inbound connections' frame decoders allocated
+    /// because the frames of earlier reads were all still held (see
+    /// `FrameDecoder::buffers_allocated`); zero per read in steady state.
+    pub read_buffers_allocated: Arc<Counter>,
 }
 
 impl MeshStats {
@@ -162,6 +174,11 @@ impl MeshStats {
         registry.register_histogram("mesh_frames_per_batch", Arc::clone(&self.frames_per_batch));
         registry.register_histogram("mesh_batch_bytes", Arc::clone(&self.batch_bytes));
         registry.register_histogram("stage_socket_write_nanos", Arc::clone(&self.write_nanos));
+        registry.register_counter("mesh_socket_reads", Arc::clone(&self.socket_reads));
+        registry.register_counter(
+            "mesh_read_buffers_allocated",
+            Arc::clone(&self.read_buffers_allocated),
+        );
     }
 }
 
@@ -197,12 +214,14 @@ impl TcpMesh {
 
         // Accept loop: peers identify themselves with an 8-byte hello.
         let accept_incoming = incoming_tx.clone();
+        let accept_stats = Arc::clone(&stats);
         tasks.push(tokio::spawn(async move {
             loop {
                 let Ok((stream, _)) = listener.accept().await else { break };
                 let tx = accept_incoming.clone();
+                let stats = Arc::clone(&accept_stats);
                 tokio::spawn(async move {
-                    let _ = read_loop(stream, tx).await;
+                    let _ = read_loop(stream, tx, stats).await;
                 });
             }
         }));
@@ -485,20 +504,27 @@ fn drain_pending(
 async fn read_loop(
     mut stream: TcpStream,
     tx: mpsc::UnboundedSender<(PeerId, Bytes)>,
+    stats: Arc<MeshStats>,
 ) -> Result<(), TransportError> {
     let mut hello = [0u8; 8];
     stream.read_exact(&mut hello).await?;
     let peer = PeerId::from_le_bytes(hello);
     let mut decoder = FrameDecoder::default();
     loop {
+        let allocated = decoder.buffers_allocated();
         let count = {
             let buf = decoder.read_buf(READ_CHUNK);
             let Ok(count) = stream.read(buf).await else { return Ok(()) };
             count
         };
+        let fresh = decoder.buffers_allocated() - allocated;
+        if fresh > 0 {
+            stats.read_buffers_allocated.add(fresh);
+        }
         if count == 0 {
             return Ok(());
         }
+        stats.socket_reads.incr();
         decoder.commit(count);
         while let Some(frame) = decoder.decode_next_view()? {
             if tx.send((peer, frame)).is_err() {
@@ -610,6 +636,42 @@ mod tests {
         let (from, hello): (u64, Hello) = recv(&mesh_b).await;
         assert_eq!(from, 0);
         assert_eq!(hello.text, "clean");
+    }
+
+    /// The receiver holds every frame until the next one has arrived — as the
+    /// engine does, whose worker mailbox still holds a chunk's frames when the
+    /// next read begins — so every read finds the frames of the one before it
+    /// still live. The decoder continues in recycled buffers instead of fresh
+    /// ones: the stream costs two fresh buffers in all, not one per read, and
+    /// every frame arrives intact and in order.
+    #[tokio::test]
+    async fn held_frames_cost_the_read_loop_a_bounded_number_of_buffers() {
+        const FRAMES: usize = 2_000;
+        let text = |index: usize| format!("{index}:{}", "x".repeat(index % 300));
+        let addr_b = std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap();
+        let addr_b = addr_b.to_string();
+        let mesh_a = TcpMesh::bind(0, "127.0.0.1:0", &[(1u64, addr_b.clone())]).await.unwrap();
+        let mesh_b = TcpMesh::bind(1, &addr_b, &[]).await.unwrap();
+
+        let mut held: Option<(usize, Bytes)> = None;
+        for index in 0..FRAMES {
+            // One frame in flight at a time, so every frame is a read of its own.
+            send(&mesh_a, 1, &Hello { text: text(index) });
+            let (from, frame) = mesh_b.recv_frame().await.unwrap();
+            assert_eq!(from, 0);
+            assert_eq!(wire::from_bytes::<Hello>(&frame).unwrap().text, text(index));
+            if let Some((index, previous)) = held.replace((index, frame)) {
+                let hello: Hello = wire::from_bytes(&previous).unwrap();
+                assert_eq!(hello.text, text(index), "a held frame was overwritten");
+            }
+        }
+
+        let stats = mesh_b.stats();
+        assert!(stats.socket_reads.get() >= FRAMES as u64, "each frame is its own read");
+        // The read after the first chunk finds no candidate yet, and the one
+        // after the second finds the first chunk's frame still held.
+        let allocated = stats.read_buffers_allocated.get();
+        assert!(allocated <= 2, "{allocated} fresh read buffers for {FRAMES} reads");
     }
 
     /// Returns once `mesh`'s connection to `peer` is published and its writer

@@ -6,6 +6,11 @@
 //! (as produced by socket reads), [`encode_frame`] produces one framed message, and
 //! [`FrameEncoder`] batches many frames into a single contiguous buffer that is
 //! handed off as [`Bytes`] without copying — the write-side coalescing path.
+//!
+//! Both sides hand their buffers out as refcounted views (a batch to its
+//! writer, a read chunk's frames to their consumer) and recycle them the same
+//! way: a buffer that still has live views is kept as a reclaim candidate and
+//! reused, with no allocation and no zero-fill, once the last view is dropped.
 
 use bytes::{Buf, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
@@ -52,6 +57,38 @@ pub fn encode_frame<T: Serialize + ?Sized>(value: &T, out: &mut BytesMut) -> Res
 /// the socket and the one being filled); the headroom absorbs a slow writer.
 const SPENT_CAP: usize = 4;
 
+/// How many aliased read buffers the decoder keeps around as reclaim
+/// candidates. A chunk's frames are usually consumed within a read or two of
+/// it, so two candidates let almost every read continue in a recycled buffer;
+/// a longer list mostly keeps more memory resident.
+const READ_SPENT_CAP: usize = 2;
+
+/// Buffers handed out as [`Bytes`] views and kept, at most `CAP` of them, as
+/// reclaim candidates: once every view of one is dropped, [`Spent::reclaim`]
+/// returns its allocation for reuse. The recycling both the encoder's batches
+/// and the decoder's read buffers go through.
+#[derive(Debug, Default)]
+struct Spent<const CAP: usize>(Vec<Bytes>);
+
+impl<const CAP: usize> Spent<CAP> {
+    /// Remembers `buf` as a reclaim candidate while there is room.
+    fn keep(&mut self, buf: Bytes) {
+        if self.0.len() < CAP {
+            self.0.push(buf);
+        }
+    }
+
+    /// Returns a candidate nothing else references anymore, cleared for reuse
+    /// (its initialized length kept, so refilling it zero-fills nothing), or
+    /// `None` while every candidate still has live views.
+    fn reclaim(&mut self) -> Option<BytesMut> {
+        let index = self.0.iter().position(Bytes::is_unique)?;
+        let mut buf = self.0.swap_remove(index).try_into_mut().ok()?;
+        buf.clear();
+        Some(buf)
+    }
+}
+
 /// Batching frame encoder: serializes values back-to-back into one owned
 /// buffer, each behind its length prefix, so a whole outbound queue becomes a
 /// single socket write.
@@ -68,13 +105,13 @@ const SPENT_CAP: usize = 4;
 /// the buffer via [`Bytes::try_into_mut`] instead of allocating. In steady
 /// state two allocations ping-pong between "being filled" and "being written",
 /// and the encode → take → write cycle performs **zero** allocations — the
-/// outbound mirror of the decode path's recycled read buffer, enforced by the
-/// `alloc_gate` bench.
+/// outbound mirror of [`FrameDecoder::read_buf`]'s recycled read buffers, both
+/// enforced by the `alloc_gate` bench.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     buf: BytesMut,
-    /// Taken batches kept as reclaim candidates (bounded by [`SPENT_CAP`]).
-    spent: Vec<Bytes>,
+    /// Taken batches kept as reclaim candidates.
+    spent: Spent<SPENT_CAP>,
     /// Frames encoded into the pending batch (reset by [`FrameEncoder::take`]),
     /// so transports can report frames-per-coalesced-write without parsing
     /// the batch back.
@@ -146,31 +183,35 @@ impl FrameEncoder {
         // in flight) for the next batch; the batch's allocation is then held by
         // the returned view and the spent list alone, so the consumer's drop
         // makes it reclaimable.
-        let next = self.reclaim().unwrap_or_default();
+        let next = self.spent.reclaim().unwrap_or_default();
         let batch = std::mem::replace(&mut self.buf, next).freeze();
-        if self.spent.len() < SPENT_CAP {
-            self.spent.push(batch.clone());
-        }
+        self.spent.keep(batch.clone());
         batch
-    }
-
-    /// Returns a spent batch buffer nothing else references anymore, cleared
-    /// for reuse, or `None` while every candidate is still being written.
-    fn reclaim(&mut self) -> Option<BytesMut> {
-        let index = self.spent.iter().position(Bytes::is_unique)?;
-        let mut buf = self.spent.swap_remove(index).try_into_mut().ok()?;
-        buf.clear();
-        Some(buf)
     }
 }
 
 /// Incremental frame decoder.
 ///
-/// Feed raw bytes with [`FrameDecoder::extend`] and drain complete messages with
-/// [`FrameDecoder::decode_next`].
+/// Feed raw bytes with [`FrameDecoder::extend`] — or read them straight into
+/// its buffer with [`FrameDecoder::read_buf`] and [`FrameDecoder::commit`] —
+/// and drain complete messages with [`FrameDecoder::decode_next`], or frames
+/// as zero-copy views of the buffer with [`FrameDecoder::decode_next_view`].
+///
+/// The decoder *recycles* its read buffers: a read that finds the buffer still
+/// shared by frame views of earlier reads continues in a spent buffer whose
+/// views are all gone (at most two are kept as candidates), copying only the
+/// partial frame over, and keeps the shared one as a candidate. So a consumer
+/// that drops each frame within a read or two of receiving it costs the read
+/// loop **zero** allocations per chunk, enforced by the `alloc_gate` bench;
+/// only when every candidate is still viewed does a read allocate a fresh
+/// buffer ([`FrameDecoder::buffers_allocated`] counts those).
 #[derive(Debug)]
 pub struct FrameDecoder {
     buffer: BytesMut,
+    /// Earlier read buffers kept until their frame views are gone.
+    spent: Spent<READ_SPENT_CAP>,
+    /// Fresh buffers [`FrameDecoder::read_buf`] had to allocate.
+    allocated: u64,
     max_frame: usize,
 }
 
@@ -183,12 +224,18 @@ impl Default for FrameDecoder {
 impl FrameDecoder {
     /// Creates a decoder that rejects frames larger than `max_frame` bytes.
     pub fn new(max_frame: usize) -> Self {
-        FrameDecoder { buffer: BytesMut::with_capacity(4096), max_frame }
+        FrameDecoder {
+            buffer: BytesMut::with_capacity(4096),
+            spent: Spent::default(),
+            allocated: 0,
+            max_frame,
+        }
     }
 
     /// Appends freshly received bytes to the internal buffer.
     pub fn extend(&mut self, bytes: &[u8]) {
-        self.buffer.extend_from_slice(bytes);
+        self.read_buf(bytes.len())[..bytes.len()].copy_from_slice(bytes);
+        self.commit(bytes.len());
     }
 
     /// Exposes at least `min` writable bytes at the buffer tail, so a socket
@@ -196,9 +243,33 @@ impl FrameDecoder {
     /// separate chunk that [`FrameDecoder::extend`] would copy.
     ///
     /// Follow the read with [`FrameDecoder::commit`] to mark the bytes
-    /// actually written as received frame data.
+    /// actually written as received frame data. The span is initialized but
+    /// not necessarily zeroed: in a recycled buffer it may hold stale bytes of
+    /// an earlier read, which only a `commit` makes readable.
     pub fn read_buf(&mut self, min: usize) -> &mut [u8] {
+        if !self.buffer.is_unique() {
+            // Frame views of earlier reads still share the buffer, so writing
+            // to it would copy the partial frame to a fresh, zero-filled
+            // allocation. Continue in a spent buffer no view reads anymore
+            // instead — only the partial frame is copied — and keep this one
+            // until its views are gone.
+            let mut next = self.spent.reclaim().unwrap_or_else(|| {
+                self.allocated += 1;
+                BytesMut::with_capacity(self.buffer.len() + min)
+            });
+            next.extend_from_slice(&self.buffer);
+            let shared = std::mem::replace(&mut self.buffer, next);
+            self.spent.keep(shared.freeze());
+        }
         self.buffer.tail_mut(min)
+    }
+
+    /// Fresh buffers [`FrameDecoder::read_buf`] has allocated because its
+    /// buffer and every reclaim candidate were still shared by frame views
+    /// (the buffer [`FrameDecoder::new`] starts with is not counted). Zero in
+    /// steady state when frames are dropped within a read or two.
+    pub fn buffers_allocated(&self) -> u64 {
+        self.allocated
     }
 
     /// Marks `count` bytes at the tail — just written through
@@ -235,8 +306,9 @@ impl FrameDecoder {
     /// Extracts the next complete frame as a zero-copy [`Bytes`] view.
     ///
     /// The view aliases the decoder's read buffer (refcounted, no copy) and
-    /// stays valid after the decoder buffers more data or is dropped: later
-    /// writes land in fresh capacity rather than disturbing live views.
+    /// stays valid after the decoder buffers more data or is dropped: while it
+    /// lives, later reads land in another buffer — a recycled one whose views
+    /// are all gone, or a fresh one — never in the bytes it reads.
     /// Decode it with [`crate::from_bytes`] to borrow payload fields straight
     /// out of the socket buffer.
     ///
@@ -499,6 +571,155 @@ mod tests {
         }
         assert_eq!(seen, 3);
         assert_eq!(decoder.buffered(), 0);
+    }
+
+    /// Frame `index`'s payload of `len` bytes: its bytes depend on the index,
+    /// so a view that reads another frame's bytes shows it.
+    fn reference_payload(index: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|byte| (index * 31 + byte) as u8).collect()
+    }
+
+    /// `payloads` back to back, each behind its length prefix.
+    fn framed(payloads: &[Vec<u8>]) -> Vec<u8> {
+        let mut stream = Vec::new();
+        for payload in payloads {
+            stream.extend_from_slice(&u32::try_from(payload.len()).unwrap().to_le_bytes());
+            stream.extend_from_slice(payload);
+        }
+        stream
+    }
+
+    #[test]
+    fn held_views_cost_no_buffers_once_recycling_is_warm() {
+        // `TcpMesh`'s read loop: every chunk's frame is still held (in a
+        // channel, a mailbox) when the next read begins.
+        let payloads: Vec<Vec<u8>> =
+            (0..1_000).map(|index| reference_payload(index, 140)).collect();
+        let stream = framed(&payloads);
+        let chunk = stream.len() / payloads.len();
+        let mut decoder = FrameDecoder::default();
+        let mut held: Option<Bytes> = None;
+        let mut buffers = std::collections::HashSet::new();
+        for (index, bytes) in stream.chunks(chunk).enumerate() {
+            let buf = decoder.read_buf(64 * 1024);
+            buffers.insert(buf.as_ptr() as usize);
+            buf[..bytes.len()].copy_from_slice(bytes);
+            decoder.commit(bytes.len());
+            if let Some(previous) = held.take() {
+                assert_eq!(&previous[..], &payloads[index - 1][..]);
+            }
+            held = decoder.decode_next_view().unwrap();
+            assert_eq!(&held.as_ref().unwrap()[..], &payloads[index][..]);
+        }
+        // The first held view forces one fresh buffer; from then on the
+        // buffer and one candidate take turns.
+        assert_eq!(decoder.buffers_allocated(), 1);
+        assert_eq!(buffers.len(), 2, "reads cycle through two allocations");
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        /// Random frame sizes (empty ones, ones larger than a read chunk),
+        /// random read splits, and views held for a random number of reads —
+        /// some to the end — and so dropped out of order: no read may land in
+        /// bytes a live view reads, and the decoder holds at most its buffer
+        /// and `READ_SPENT_CAP` candidates.
+        #[test]
+        fn recycled_read_buffers_never_disturb_live_views(
+            frames in proptest::collection::vec(
+                (
+                    proptest::prop_oneof![
+                        proptest::Just(0usize),
+                        1usize..24,
+                        24usize..200,
+                    ],
+                    0usize..6,
+                ),
+                1..48,
+            ),
+            reads in proptest::collection::vec((1usize..64, 1usize..96), 1..24),
+        ) {
+            const TO_THE_END: usize = 5;
+            let payloads: Vec<Vec<u8>> = frames
+                .iter()
+                .enumerate()
+                .map(|(index, &(len, _))| reference_payload(index, len))
+                .collect();
+            let stream = framed(&payloads);
+            let mut decoder = FrameDecoder::default();
+            // (frame index, last read it survives, view)
+            let mut held: Vec<(usize, usize, Bytes)> = Vec::new();
+            let mut decoded = 0;
+            let mut offset = 0;
+            let mut read = 0;
+            while offset < stream.len() {
+                let (min, fill) = reads[read % reads.len()];
+                let buf = decoder.read_buf(min);
+                proptest::prop_assert!(buf.len() >= min);
+                let count = fill.min(buf.len()).min(stream.len() - offset);
+                buf[..count].copy_from_slice(&stream[offset..offset + count]);
+                decoder.commit(count);
+                offset += count;
+                proptest::prop_assert!(decoder.spent.0.len() <= READ_SPENT_CAP);
+                for (index, _, view) in &held {
+                    proptest::prop_assert_eq!(&view[..], &payloads[*index][..]);
+                }
+                while let Some(view) = decoder.decode_next_view().unwrap() {
+                    proptest::prop_assert_eq!(&view[..], &payloads[decoded][..]);
+                    let hold = frames[decoded].1;
+                    let until = if hold == TO_THE_END { usize::MAX } else { read + hold };
+                    held.push((decoded, until, view));
+                    decoded += 1;
+                }
+                held.retain(|&(_, until, _)| until > read);
+                read += 1;
+            }
+            proptest::prop_assert_eq!(decoded, payloads.len());
+            proptest::prop_assert_eq!(decoder.buffered(), 0);
+            for (index, _, view) in &held {
+                proptest::prop_assert_eq!(&view[..], &payloads[*index][..]);
+            }
+        }
+    }
+
+    #[test]
+    fn views_dropped_on_another_thread_are_reclaimed_intact() {
+        const FRAMES: usize = 20_000;
+        let payloads: Vec<Vec<u8>> =
+            (0..FRAMES).map(|index| reference_payload(index, index % 300)).collect();
+        let stream = framed(&payloads);
+        let (views, dropper) = std::sync::mpsc::sync_channel::<(usize, Bytes)>(4);
+        std::thread::scope(|scope| {
+            let payloads = &payloads;
+            let checker = scope.spawn(move || {
+                // Holds each frame until the next one arrives, as a worker's
+                // mailbox does, and checks it before and as it lets go.
+                let mut previous: Option<(usize, Bytes)> = None;
+                for (index, view) in dropper {
+                    assert_eq!(&view[..], &payloads[index][..], "frame {index} on arrival");
+                    if let Some((index, view)) = previous.replace((index, view)) {
+                        assert_eq!(&view[..], &payloads[index][..], "frame {index} when dropped");
+                    }
+                }
+                previous.map(|(index, _)| index)
+            });
+            let mut decoder = FrameDecoder::default();
+            let mut decoded = 0;
+            for bytes in stream.chunks(997) {
+                let buf = decoder.read_buf(bytes.len());
+                buf[..bytes.len()].copy_from_slice(bytes);
+                decoder.commit(bytes.len());
+                assert!(decoder.spent.0.len() <= READ_SPENT_CAP);
+                while let Some(view) = decoder.decode_next_view().unwrap() {
+                    views.send((decoded, view)).unwrap();
+                    decoded += 1;
+                }
+            }
+            drop(views);
+            assert_eq!(checker.join().unwrap(), Some(FRAMES - 1));
+            assert_eq!(decoded, FRAMES);
+        });
     }
 
     #[test]

@@ -15,8 +15,9 @@
 //! sole owner and silently re-allocates when outstanding views still alias it,
 //! so readers never observe a write. The safe read-into tail
 //! ([`BytesMut::tail_mut`] / [`BytesMut::advance_tail`]) replaces upstream's
-//! `unsafe` `chunk_mut` with a zero-initialized spare region a socket can read
-//! straight into.
+//! `unsafe` `chunk_mut` with an initialized spare region a socket can read
+//! straight into: zeroed on first use, then possibly stale bytes of an earlier
+//! fill, never uninitialized memory.
 
 #![forbid(unsafe_code)]
 
@@ -200,6 +201,13 @@ impl BytesMut {
         self.len() == 0
     }
 
+    /// Returns `true` if no other `Bytes` or `BytesMut` view shares the
+    /// allocation, so the next write lands in place instead of copying
+    /// (upstream `BytesMut` has no shared form; see [`Bytes::is_unique`]).
+    pub fn is_unique(&self) -> bool {
+        Arc::strong_count(&self.data) == 1
+    }
+
     /// Ensures space for at least `additional` more bytes.
     pub fn reserve(&mut self, additional: usize) {
         self.writable(additional);
@@ -240,8 +248,10 @@ impl BytesMut {
 
     /// Exposes at least `min` writable bytes past the readable region, for a
     /// reader to fill directly (e.g. a socket `read`); commit what was actually
-    /// written with [`BytesMut::advance_tail`]. The returned slice is
-    /// zero-initialized on first use and may be longer than `min`.
+    /// written with [`BytesMut::advance_tail`]. The returned slice may be
+    /// longer than `min`; its bytes are zeroed on first use, then possibly
+    /// stale bytes of an earlier fill (a recycled buffer's), so only what
+    /// `advance_tail` commits becomes readable.
     ///
     /// This is the safe stand-in for upstream's `chunk_mut`: one buffer serves
     /// as both the read destination and the decode source, removing the
@@ -609,6 +619,16 @@ mod tests {
         reclaimed.clear();
         reclaimed.put_slice(b"batch-two");
         assert_eq!(reclaimed.as_ref().as_ptr(), base, "reclaim reuses the allocation in place");
+    }
+
+    #[test]
+    fn is_unique_tracks_split_views() {
+        let mut buf = BytesMut::from(&b"head|tail"[..]);
+        assert!(buf.is_unique());
+        let head = buf.split_to(5).freeze();
+        assert!(!buf.is_unique(), "a split head aliases the allocation");
+        drop(head);
+        assert!(buf.is_unique());
     }
 
     #[test]
