@@ -21,6 +21,12 @@
 //!   the next 64 KiB `read_buf` begins (the decoder continues in a recycled
 //!   buffer; before it did, that read copied into a fresh, zero-filled one —
 //!   2 allocations per chunk);
+//! * **mailbox hand-off** — the next hop of a received frame: a producer
+//!   thread pushes items onto an engine [`Mailbox`] and a consumer drains
+//!   them the way a shard worker does, counted on both threads. The queue and
+//!   the consumer's buffer trade places on every drain and keep their
+//!   capacity, so a hand-off is gated at **zero** allocations per item (a
+//!   linked queue that boxed a node per push read 1);
 //! * **encode loops** — the outbound half: a broadcast-sized message
 //!   serialized into a recycled batch buffer (gated at zero) versus a fresh
 //!   encoder per batch (reported for contrast);
@@ -52,16 +58,18 @@
 //!   that is per un-share (with a B-tree of entries they read 4 and 43).
 //!
 //! Flags: `--quick` shortens the loops (used by CI); `--check` exits non-zero
-//! unless every steady-state loop (delta decode, both framing loops, recycled encode,
-//! full protocol round, the two mixed streams, the two submit cycles) hits
-//! **zero** allocations per frame (per cycle), the two un-share cases read
-//! exactly two per pair, and the
+//! unless every steady-state loop (delta decode, both framing loops, the
+//! mailbox hand-off, recycled encode, full protocol round, the two mixed
+//! streams, the two submit cycles) hits **zero** allocations per frame (per
+//! cycle), the two un-share cases read exactly two per pair, and the
 //! full-state decode stays within a small bounded budget. If the counting
 //! allocator turns out not to intercept allocations on this platform,
 //! `--check` prints a loud SKIP and exits 0.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use bytes::Bytes;
 use crdt::{
@@ -71,6 +79,7 @@ use crdt_paxos_core::{
     peek_protocol, ClientId, Command, CommandId, Message, Payload, ProtocolConfig, Replica,
     RequestId, ShardCore, ShardEnvelope, ShardMessage, ShardOutput, Stamp,
 };
+use engine::mailbox::{Gate, Mailbox, Signal};
 use engine::{Received, Residents};
 use obs::{Counter, HighWater, Stage, StageSet, Stopwatch, TraceConfig, TraceRing};
 use quorum::ShardId;
@@ -425,6 +434,58 @@ fn run_unshare_case(label: &'static str, keys: u64, cycles: u64) -> Case {
     Case { label, iterations: cycles, allocations, bytes }
 }
 
+/// How far the hand-off case's producer may run ahead of its consumer: an
+/// admission gate of this depth, like the one in front of a node's
+/// submissions, holds the queue and the consumer's buffer to this many items.
+const HANDOFF_DEPTH: usize = 64;
+
+/// Measures a mailbox hand-off per item, on both threads: a producer thread
+/// pushes through a gate of [`HANDOFF_DEPTH`] and this thread drains, the way
+/// a shard worker drains its mailbox. Both buffers are grown to the gate's
+/// depth before the producer starts, so whatever the hand-off allocates after
+/// the warm-up is its own.
+fn run_handoff_case(label: &'static str, warmup: u64, iterations: u64) -> Case {
+    let signal = Arc::new(Signal::new());
+    let mailbox = Arc::new(Mailbox::new(Arc::clone(&signal)));
+    let gate = Arc::new(Gate::new(HANDOFF_DEPTH));
+    let mut inputs = VecDeque::with_capacity(HANDOFF_DEPTH);
+    // The first drain trades the queue's buffer for `inputs`: fill it first.
+    (0..HANDOFF_DEPTH as u64).for_each(|item| mailbox.push(item));
+    mailbox.drain_into(&mut inputs);
+    inputs.clear();
+    // The producer pushes past the measured items by more than the gate's
+    // depth, so it is still blocked in the gate, not exiting its thread, when
+    // counting stops.
+    let total = warmup + iterations + HANDOFF_DEPTH as u64 + 1;
+    let producer = {
+        let (mailbox, gate) = (Arc::clone(&mailbox), Arc::clone(&gate));
+        std::thread::spawn(move || {
+            for item in 0..total {
+                gate.acquire();
+                mailbox.push(item);
+            }
+        })
+    };
+    let mut next = 0;
+    let mut receive = || loop {
+        if let Some(item) = inputs.pop_front() {
+            assert_eq!(item, next, "the mailbox reordered a producer's items");
+            next += 1;
+            gate.release();
+            return;
+        }
+        if mailbox.drain_into(&mut inputs) == 0 {
+            signal.wait();
+        }
+    };
+    let case = run_case(label, warmup, iterations, &mut receive);
+    for _ in warmup + iterations..total {
+        receive();
+    }
+    producer.join().expect("hand-off producer panicked");
+    case
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
@@ -520,6 +581,11 @@ fn main() {
         std::hint::black_box(&scratch);
     }));
     drop(held);
+
+    // The frame's next hop: onto its worker's mailbox on one thread, off it on
+    // another. Counted on both: what a push allocates, it allocates on the
+    // producer's thread, which a count of the worker alone would miss.
+    cases.push(run_handoff_case("mailbox_handoff", warmup, iterations));
 
     // The outbound half in isolation: a broadcast-sized message serialized
     // into the recycled batch buffer. `take()` freezes the batch for the
@@ -702,6 +768,7 @@ fn main() {
                 "decode_in_place_delta"
                 | "frame_loop_delta"
                 | "frame_loop_held_views"
+                | "mailbox_handoff"
                 | "frame_loop_observed"
                 | "encode_batch_recycled"
                 | "protocol_round_delta"
@@ -730,12 +797,12 @@ fn main() {
         println!();
         println!(
             "acceptance passed: delta decode, framing (views dropped within their chunk or \
-             held past the next read), recycled encode, the full protocol round, the mixed \
-             full-state streams (acceptor and proposer) and a proposer cycle of 1 + 1 or \
-             16 + 16 commands are allocation-free — with observability \
-             recording enabled too; full-state decode within budget ({FULL_BUDGET}/frame); an \
-             update cycle behind a snapshot in flight copies the entries in {UNSHARE_ALLOCS} \
-             allocations at 16 and at 256 keys"
+             held past the next read), the mailbox hand-off between two threads, recycled \
+             encode, the full protocol round, the mixed full-state streams (acceptor and \
+             proposer) and a proposer cycle of 1 + 1 or 16 + 16 commands are allocation-free \
+             — with observability recording enabled too; full-state decode within budget \
+             ({FULL_BUDGET}/frame); an update cycle behind a snapshot in flight copies the \
+             entries in {UNSHARE_ALLOCS} allocations at 16 and at 256 keys"
         );
     }
 }

@@ -7,9 +7,9 @@
 //! is just one way to drive the two. This crate is the other way: a
 //! **real-parallel executor** that spreads the shard cores over as many worker
 //! threads as the box has cores, puts the router core on one more, and
-//! connects everything with lock-free mailboxes, so non-conflicting commands
-//! on different shards are agreed genuinely concurrently — the multi-core
-//! payoff of the paper's per-key independence argument. A shard is a protocol
+//! connects everything with mailboxes, so non-conflicting commands on
+//! different shards are agreed genuinely concurrently — the multi-core payoff
+//! of the paper's per-key independence argument. A shard is a protocol
 //! instance, not a thread: how finely the keyspace is cut and how many threads
 //! serve it are separate decisions.
 //!
@@ -35,10 +35,10 @@
 //!   [`EngineNode::submit`] and [`NodeIngress`] read it, fence and route
 //!   against it exactly as the router would, and push straight onto the owning
 //!   worker's mailbox, tagging what they push with the snapshot's stamp;
-//! * **mailboxes** ([`mailbox`]) — unbounded lock-free queues (`SegQueue`)
-//!   with condvar wakeups for every inter-thread edge, and one counting
-//!   admission gate in front of client submissions so callers feel
-//!   backpressure.
+//! * **mailboxes** ([`mailbox`]) — unbounded FIFO queues (a `VecDeque` under
+//!   a mutex, held for one push or one buffer swap) with condvar wakeups for
+//!   every inter-thread edge, and one counting admission gate in front of
+//!   client submissions so callers feel backpressure.
 //!
 //! A pusher's snapshot can be superseded between its read and its push, so
 //! workers re-check the tag and hand a mismatch back to the router instead of

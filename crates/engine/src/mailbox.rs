@@ -1,19 +1,22 @@
-//! Lock-free mailboxes with blocking wakeups.
+//! Mailboxes with blocking wakeups.
 //!
 //! Every engine thread (router or shard worker) owns one [`Signal`] and parks
-//! on it when idle; every queue feeding that thread shares the signal. The
-//! queues themselves are the lock-free [`SegQueue`] from the `crossbeam` shim,
-//! so producers never contend on a lock: a push is an atomic enqueue plus
-//! (only when the consumer might be parked) a condvar notify. Mailboxes are
-//! unbounded; what bounds a node is the [`Gate`] in front of client
-//! submissions, which counts commands from `submit` until an engine thread
-//! dequeues them and parks submitters beyond its limit.
+//! on it when idle; every queue feeding that thread shares the signal. A queue
+//! is a `VecDeque` under a `std::sync::Mutex`, and a lock is enough because
+//! every critical section is O(1): a producer holds it for one `push_back`,
+//! the consumer for one swap of the queue's buffer with its own empty one (or
+//! one `pop_front`). The wakeup comes after the lock is released: a push holds
+//! the lock for one store and then, only when the consumer might be parked,
+//! takes the signal's lock to notify it. Both buffers keep their capacity, so
+//! a steady stream of hand-offs allocates nothing. Mailboxes are unbounded;
+//! what bounds a node is the [`Gate`] in front of client submissions, which
+//! counts commands from `submit` until an engine thread dequeues them and
+//! parks submitters beyond its limit.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Duration;
-
-use crossbeam::queue::SegQueue;
 
 /// A consumer's wakeup latch: set by producers, consumed by one parked thread.
 ///
@@ -82,43 +85,52 @@ impl Signal {
     }
 }
 
-/// An unbounded MPSC mailbox: a lock-free [`SegQueue`] plus the consumer's
-/// shared [`Signal`].
+/// An unbounded MPSC mailbox: a locked `VecDeque` plus the consumer's shared
+/// [`Signal`]. Items from one producer arrive in the order it pushed them.
 #[derive(Debug)]
 pub struct Mailbox<T> {
-    queue: SegQueue<T>,
+    queue: Mutex<VecDeque<T>>,
     signal: Arc<Signal>,
 }
 
 impl<T> Mailbox<T> {
     /// Creates a mailbox whose pushes wake `signal`'s owner.
     pub fn new(signal: Arc<Signal>) -> Self {
-        Mailbox { queue: SegQueue::new(), signal }
+        Mailbox { queue: Mutex::new(VecDeque::new()), signal }
+    }
+
+    fn queue(&self) -> MutexGuard<'_, VecDeque<T>> {
+        self.queue.lock().expect("mailbox lock poisoned")
     }
 
     /// Enqueues `item` and wakes the consumer.
     pub fn push(&self, item: T) {
-        self.queue.push(item);
+        self.queue().push_back(item);
         self.signal.notify();
     }
 
-    /// Moves every queued item into `buf`; returns how many were moved.
-    pub fn drain_into(&self, buf: &mut Vec<T>) -> usize {
-        let before = buf.len();
-        while let Some(item) = self.queue.pop() {
-            buf.push(item);
+    /// Moves every queued item to the back of `buf`; returns how many were
+    /// moved. An empty `buf` trades buffers with the queue, so the items are
+    /// not copied and both buffers keep their capacity.
+    pub fn drain_into(&self, buf: &mut VecDeque<T>) -> usize {
+        let mut queue = self.queue();
+        let moved = queue.len();
+        if buf.is_empty() {
+            std::mem::swap(&mut *queue, buf);
+        } else {
+            buf.append(&mut queue);
         }
-        buf.len() - before
+        moved
     }
 
     /// Dequeues one item if one is ready.
     pub fn try_pop(&self) -> Option<T> {
-        self.queue.pop()
+        self.queue().pop_front()
     }
 
     /// Whether the mailbox is currently empty.
     pub fn is_empty(&self) -> bool {
-        self.queue.is_empty()
+        self.queue().is_empty()
     }
 }
 
@@ -188,6 +200,87 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
+    /// Per-producer FIFO, which the engine relies on (an `Adopt` ahead of its
+    /// shard's traffic, an `Install` ahead of the new assignment's, a shard's
+    /// frames in arrival order): four producers race a consumer that
+    /// alternates whole drains with single pops, and every item arrives
+    /// exactly once, in its producer's order.
+    #[test]
+    fn racing_producers_keep_their_order() {
+        const PRODUCERS: u64 = 4;
+        const PER_PRODUCER: u64 = 20_000;
+        let signal = Arc::new(Signal::new());
+        let mailbox = Arc::new(Mailbox::new(Arc::clone(&signal)));
+        let producers: Vec<_> = (0..PRODUCERS)
+            .map(|producer| {
+                let mailbox = Arc::clone(&mailbox);
+                std::thread::spawn(move || {
+                    for i in 0..PER_PRODUCER {
+                        mailbox.push((producer, i));
+                    }
+                })
+            })
+            .collect();
+        let mut next = [0u64; PRODUCERS as usize];
+        let mut accept = |(producer, i): (u64, u64)| {
+            let expected = &mut next[producer as usize];
+            assert_eq!(i, *expected, "producer {producer}'s items out of order");
+            *expected += 1;
+        };
+        let total = PRODUCERS * PER_PRODUCER;
+        let mut buf = VecDeque::new();
+        let mut received = 0;
+        for round in 0u64.. {
+            if received == total {
+                break;
+            }
+            let taken: Vec<_> = match round % 3 {
+                // One item at a time.
+                0 => mailbox.try_pop().into_iter().collect(),
+                // A drain into an empty buffer (the swap), one item held back...
+                1 => {
+                    mailbox.drain_into(&mut buf);
+                    buf.drain(..buf.len().saturating_sub(1)).collect()
+                }
+                // ...so that the next drain lands behind it (the append).
+                _ => {
+                    mailbox.drain_into(&mut buf);
+                    buf.drain(..).collect()
+                }
+            };
+            received += taken.len() as u64;
+            taken.into_iter().for_each(&mut accept);
+        }
+        for producer in producers {
+            producer.join().unwrap();
+        }
+        assert_eq!(next, [PER_PRODUCER; PRODUCERS as usize]);
+        assert!(mailbox.is_empty());
+    }
+
+    struct CountsDrops(Arc<AtomicUsize>);
+
+    impl Drop for CountsDrops {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::SeqCst);
+        }
+    }
+
+    /// Dropping a mailbox drops what is still queued in it: a node's shutdown
+    /// leaks no undelivered message.
+    #[test]
+    fn queued_items_drop_with_the_mailbox() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let mailbox = Mailbox::new(Arc::new(Signal::new()));
+        for _ in 0..10 {
+            mailbox.push(CountsDrops(Arc::clone(&drops)));
+        }
+        drop(mailbox.try_pop());
+        assert_eq!(drops.load(Ordering::SeqCst), 1);
+        drop(mailbox);
+        assert_eq!(drops.load(Ordering::SeqCst), 10);
+    }
+
     #[test]
     fn signal_wakes_parked_consumer() {
         let signal = Arc::new(Signal::new());
@@ -196,7 +289,7 @@ mod tests {
             let signal = Arc::clone(&signal);
             let mailbox = Arc::clone(&mailbox);
             std::thread::spawn(move || {
-                let mut buf = Vec::new();
+                let mut buf = VecDeque::new();
                 while buf.is_empty() {
                     mailbox.drain_into(&mut buf);
                     if buf.is_empty() {

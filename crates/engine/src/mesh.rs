@@ -40,7 +40,7 @@ pub trait Outbound<K: EngineKey, V: EngineValue>: Send + Sync {
 }
 
 /// The in-process transport: every node's ingress handle, indexed by replica
-/// id. Sends are a single lock-free enqueue at the destination.
+/// id. Sends are a single mailbox push at the destination.
 pub struct LocalMesh<K: EngineKey, V: EngineValue> {
     ingress: Vec<NodeIngress<K, V>>,
 }

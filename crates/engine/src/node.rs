@@ -9,8 +9,6 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use crdt::{LatticeMap, ReplicaId};
 use crdt_paxos_core::{ClientId, ClientResponse, Command, CommandId, ProtocolConfig, ShardMessage};
-use crossbeam::queue::SegQueue;
-
 use obs::{ObsRegistry, ObsSnapshot, Stage, StageSet, TraceConfig, TraceEvent, TraceRing};
 
 use crate::mailbox::{Gate, Mailbox, Signal};
@@ -62,9 +60,9 @@ pub(crate) struct NodeShared<K: EngineKey, V: EngineValue> {
     pub feedback: Mailbox<WorkerFeedback<K, V>>,
     /// Completed client commands, pushed by the workers (and by the router for
     /// keyspace-wide queries), drained by the node handle.
-    pub responses: SegQueue<ClientResponse<LatticeMap<K, V>>>,
+    pub responses: Mailbox<ClientResponse<LatticeMap<K, V>>>,
     /// Wakes one response consumer; see [`EngineNode::wait_response`].
-    pub response_signal: Signal,
+    pub response_signal: Arc<Signal>,
     /// Outer command-id allocator (handles allocate, the router just routes).
     pub next_command: AtomicU64,
     /// The installed partitioning epoch (mirrors the router's stamp).
@@ -98,6 +96,7 @@ impl<K: EngineKey, V: EngineValue> NodeShared<K, V> {
 
     pub(crate) fn new_observed(shards: u32, trace: TraceConfig) -> Arc<Self> {
         let router_signal = Arc::new(Signal::new());
+        let response_signal = Arc::new(Signal::new());
         let obs = Arc::new(ObsRegistry::new());
         let stages = StageSet::new();
         stages.register_into(&obs);
@@ -108,8 +107,8 @@ impl<K: EngineKey, V: EngineValue> NodeShared<K, V> {
             requests: Mailbox::new(Arc::clone(&router_signal)),
             feedback: Mailbox::new(Arc::clone(&router_signal)),
             router_signal,
-            responses: SegQueue::new(),
-            response_signal: Signal::new(),
+            responses: Mailbox::new(Arc::clone(&response_signal)),
+            response_signal,
             next_command: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             shards: AtomicU32::new(shards),
@@ -137,7 +136,6 @@ impl<K: EngineKey, V: EngineValue> NodeShared<K, V> {
     /// Hands a completed command to the response consumer.
     pub(crate) fn respond(&self, response: ClientResponse<LatticeMap<K, V>>) {
         self.responses.push(response);
-        self.response_signal.notify();
     }
 
     /// The ingress edge: protocol traffic of the published assignment goes
@@ -365,7 +363,7 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
 
     /// Dequeues one completed command, if any.
     pub fn try_response(&self) -> Option<ClientResponse<LatticeMap<K, V>>> {
-        self.shared.responses.pop()
+        self.shared.responses.try_pop()
     }
 
     /// Blocks until a completed command is available or `timeout` elapses.
@@ -373,7 +371,7 @@ impl<K: EngineKey, V: EngineValue> EngineNode<K, V> {
     pub fn wait_response(&self, timeout: Duration) -> Option<ClientResponse<LatticeMap<K, V>>> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(response) = self.shared.responses.pop() {
+            if let Some(response) = self.shared.responses.try_pop() {
                 return Some(response);
             }
             let now = Instant::now();

@@ -61,6 +61,7 @@
 //! [`ShardedReplica`]: crdt_paxos_core::ShardedReplica
 //! [`RouterCore::on_message`]: crdt_paxos_core::RouterCore::on_message
 
+use std::collections::VecDeque;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
@@ -298,9 +299,9 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
     }
 
     pub(crate) fn run(mut self) {
-        let mut ingress = Vec::new();
-        let mut requests = Vec::new();
-        let mut feedback = Vec::new();
+        let mut ingress = VecDeque::new();
+        let mut requests = VecDeque::new();
+        let mut feedback = VecDeque::new();
         while !self.shared.shutdown.load(Ordering::Acquire) {
             // First, so that nothing below proposes against the stale clock an
             // untimed park leaves behind.
@@ -519,7 +520,7 @@ impl<K: EngineKey, V: EngineValue> Router<K, V> {
         // could reach its new owner ahead of the state it has to see.
         let mut awaited = before;
         let mut stale = Vec::new();
-        let mut feedback = Vec::new();
+        let mut feedback = VecDeque::new();
         while awaited > 0 {
             if self.shared.feedback.drain_into(&mut feedback) == 0 {
                 self.shared.router_signal.wait_timeout(PARK);
@@ -635,9 +636,9 @@ mod tests {
         let frame = protocol(STAMP, 1, 7);
         assert!(assignment.dispatch(IngressItem::Frame(from, frame.clone()), 42).is_ok());
         assert!(assignment.workers[0].is_empty());
-        let mut inputs = Vec::new();
+        let mut inputs = VecDeque::new();
         assert_eq!(assignment.workers[1].drain_into(&mut inputs), 1);
-        let Some(WorkerInput::Frame { peek, from: sender, frame: pushed, at }) = inputs.pop()
+        let Some(WorkerInput::Frame { peek, from: sender, frame: pushed, at }) = inputs.pop_front()
         else {
             panic!("shard 1 was not handed a frame");
         };

@@ -1,6 +1,6 @@
 //! The executor of shard cores: an OS thread that owns a set of shard
 //! **slots** — each a [`ShardCore`] with everything that is that shard's alone
-//! — and pumps all of them from one lock-free mailbox.
+//! — and pumps all of them from one mailbox.
 //!
 //! A shard is a protocol instance, not a thread. The router places shard `s`
 //! on worker `s mod W` (`W` = the cores the process may use, so a node runs
@@ -84,6 +84,7 @@
 //! [`NodeIngress`]: crate::NodeIngress
 //! [`peek_protocol`]: crdt_paxos_core::peek_protocol
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -239,7 +240,7 @@ pub(crate) fn spawn_worker<K: EngineKey, V: EngineValue>(
         signal,
         outbound,
         desk: Desk { shared, obs },
-        inputs: Vec::new(),
+        inputs: VecDeque::new(),
         outbox: Vec::new(),
         outputs: Vec::new(),
     };
@@ -500,7 +501,7 @@ struct Worker<K: EngineKey, V: EngineValue> {
     signal: Arc<Signal>,
     outbound: Arc<dyn Outbound<K, V>>,
     desk: Desk<K, V>,
-    inputs: Vec<WorkerInput<K, V>>,
+    inputs: VecDeque<WorkerInput<K, V>>,
     /// Every slot's outgoing envelopes of one cycle.
     outbox: Vec<ShardEnvelope<LatticeMap<K, V>>>,
     outputs: Vec<ShardOutput<K, V>>,
