@@ -200,6 +200,24 @@ mod tests {
     use super::*;
     use std::time::Instant;
 
+    /// One thread's pushes come back in push order, by single pops and by a
+    /// drain behind items already in the consumer's buffer.
+    #[test]
+    fn one_thread_pops_in_push_order() {
+        let mailbox = Mailbox::new(Arc::new(Signal::new()));
+        for i in 0..100 {
+            mailbox.push(i);
+        }
+        for i in 0..50 {
+            assert_eq!(mailbox.try_pop(), Some(i));
+        }
+        let mut buf = VecDeque::from([-1]);
+        assert_eq!(mailbox.drain_into(&mut buf), 50);
+        assert_eq!(buf, [-1].into_iter().chain(50..100).collect::<VecDeque<_>>());
+        assert_eq!(mailbox.try_pop(), None);
+        assert!(mailbox.is_empty());
+    }
+
     /// Per-producer FIFO, which the engine relies on (an `Adopt` ahead of its
     /// shard's traffic, an `Install` ahead of the new assignment's, a shard's
     /// frames in arrival order): four producers race a consumer that
