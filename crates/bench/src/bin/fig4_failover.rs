@@ -4,6 +4,11 @@
 //! CRDT Paxos needs no leader election, so operations keep completing in every
 //! interval after the crash; only the tail latency rises slightly because the two
 //! remaining replicas must agree unanimously to form a consistent quorum.
+//!
+//! Flags: `--quick` shortens the runs (used by the smoke test and CI); `--check`
+//! exits non-zero unless every interval from the crash on completed operations,
+//! in both runs. The closing line of a run says which it was, with or without
+//! `--check`.
 
 use bench::{experiment_config, format_ms, Scale};
 use cluster::CrashEvent;
@@ -12,6 +17,8 @@ use crdt_paxos_core::ProtocolConfig;
 fn main() {
     let scale = Scale::from_args();
     let duration_ms = if std::env::args().any(|a| a == "--quick") { 4_000 } else { 10_000 };
+    let check = std::env::args().any(|a| a == "--check");
+    let mut stalled = false;
     let crash_at = duration_ms / 2;
 
     for (label, protocol) in [
@@ -31,7 +38,9 @@ fn main() {
             "t (ms)", "ops", "read p95 (ms)", "update p95 (ms)"
         );
         let result = cluster::run_crdt_paxos(&config, protocol);
-        for interval in result.intervals.iter().filter(|i| i.start_ms < duration_ms) {
+        let intervals: Vec<_> =
+            result.intervals.iter().filter(|i| i.start_ms < duration_ms).collect();
+        for interval in &intervals {
             println!(
                 "{:>10} {:>12} {:>18} {:>18}",
                 interval.start_ms,
@@ -40,9 +49,18 @@ fn main() {
                 format_ms(interval.update_p95_us),
             );
         }
-        println!(
-            "-> total {:.0} ops/s; every interval after the crash still completed operations\n",
-            result.throughput_ops_per_sec
-        );
+        let survived =
+            intervals.iter().filter(|i| i.start_ms >= crash_at).all(|i| i.operations > 0);
+        let verdict = if survived {
+            "every interval after the crash still completed operations"
+        } else {
+            "an interval after the crash completed no operations"
+        };
+        println!("-> total {:.0} ops/s; {verdict}\n", result.throughput_ops_per_sec);
+        stalled |= !survived;
+    }
+    if check && stalled {
+        eprintln!("ACCEPTANCE FAILED: an interval after the crash completed no operations");
+        std::process::exit(1);
     }
 }

@@ -73,11 +73,17 @@ struct PrepareAcks<C>(Vec<(ReplicaId, Round, C)>);
 
 impl<C> PrepareAcks<C> {
     /// Inserts or replaces the entry for `peer` (a retransmitted `ACK` supersedes
-    /// the earlier one, matching map semantics).
-    fn insert(&mut self, peer: ReplicaId, round: Round, state: C) {
+    /// the earlier one, matching map semantics); returns whether it replaced one.
+    fn insert(&mut self, peer: ReplicaId, round: Round, state: C) -> bool {
         match self.0.iter_mut().find(|(id, _, _)| *id == peer) {
-            Some(entry) => *entry = (peer, round, state),
-            None => self.0.push((peer, round, state)),
+            Some(entry) => {
+                *entry = (peer, round, state);
+                true
+            }
+            None => {
+                self.0.push((peer, round, state));
+                false
+            }
         }
     }
 
@@ -94,11 +100,34 @@ impl<C> PrepareAcks<C> {
     }
 }
 
+/// What a first phase's `ACK`s showed as they were joined into the query's
+/// `gathered` state one by one ([`Lattice::join_report`]), so that deciding the
+/// phase walks no state again.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Agreement {
+    /// `gathered` is the LUB of the `ACK`s' states, and every one of them equals it.
+    Consistent,
+    /// `gathered` is the LUB of the `ACK`s' states, and some of them are below it.
+    Split,
+    /// `gathered` may exceed the LUB of the `ACK`s' states — a peer's `ACK` was
+    /// replaced by a later one, or the first `ACK` after a local `NACK` lacked
+    /// the payload — so the decision folds the stored states.
+    Unknown,
+}
+
 /// Phase of an in-flight query protocol instance.
 #[derive(Debug, Clone)]
 enum QueryPhase<C: Crdt> {
-    /// First phase: waiting for `ACK`s from a quorum.
-    Prepare { round: PrepareRound, sent_state: Option<C>, acks: PrepareAcks<C> },
+    /// First phase: waiting for `ACK`s from a quorum. `agreement` is what the
+    /// `ACK`s so far say of the LUB they were joined into (`gathered`): the local
+    /// `ACK` makes `gathered` the local acceptor's state, and each remote one costs
+    /// one [`Lattice::join_report`].
+    Prepare {
+        round: PrepareRound,
+        sent_state: Option<C>,
+        acks: PrepareAcks<C>,
+        agreement: Agreement,
+    },
     /// Second phase: waiting for `VOTED`s from a quorum.
     Vote { round: Round, proposed: C, acks: AckSet },
 }
@@ -117,8 +146,14 @@ enum InFlight<C: Crdt> {
         waiters: Vec<QueryWaiter<C>>,
         phase: QueryPhase<C>,
         /// LUB of every payload state received for this query so far; used as the
-        /// payload of retry prepares (§3.2, "Retrying Requests").
+        /// payload of retry prepares (§3.2, "Retrying Requests"). While the first
+        /// phase runs it is the LUB of its `ACK`s' states (see [`Agreement`]).
         gathered: C,
+        /// The local acceptor's state when it `NACK`ed this instance's fixed
+        /// prepare: kept out of `gathered`, so that `gathered` stays the LUB of the
+        /// `ACK`s, and joined into it when the instance retries — nothing else reads
+        /// `gathered` before then.
+        local_nack: Option<C>,
         /// Basis snapshots `(peer, reveal seq)` echoed by this request's messages;
         /// each holds a reference that pins the snapshot in [`PeerBasis`] until the
         /// request ends (delta mode only).
@@ -1217,8 +1252,10 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 round: PrepareRound::Incremental { id: RoundId::Bottom },
                 sent_state: None,
                 acks: PrepareAcks::default(),
+                agreement: Agreement::Consistent,
             },
             gathered,
+            local_nack: None,
             echoes: Vec::new(),
             ride,
             round_trips: 0,
@@ -1246,29 +1283,34 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.broadcast_prepare(request, round, payload.as_ref(), allow_delta);
 
         let mut acks = self.alloc_prepare_acks();
-        let Some(InFlight::Query { phase, gathered, round_trips, last_sent_ms, .. }) =
-            self.requests.get_mut(&request)
+        let Some(InFlight::Query {
+            phase, gathered, local_nack, round_trips, last_sent_ms, ..
+        }) = self.requests.get_mut(&request)
         else {
             self.recycle_prepare_acks(&mut acks);
             return;
         };
         *round_trips += 1;
         *last_sent_ms = self.now_ms;
+        let state = self.acceptor.state();
         match local_outcome {
             AcceptOutcome::Ack { round: acked_round } => {
-                let state = self.acceptor.state();
-                gathered.join(state);
+                // The acceptor just joined `gathered` (the payload), or `gathered`
+                // is still s0: either way their LUB is the acceptor's state, with
+                // no walk.
+                *gathered = state.clone();
                 acks.insert(self.id, acked_round, state.clone());
             }
             AcceptOutcome::Nack { round: _ } => {
                 // Only possible for a fixed prepare that lost locally; keep going, the
                 // remote acceptors may still accept, and the retry logic handles the
                 // rest.
-                gathered.join(self.acceptor.state());
+                *local_nack = Some(state.clone());
             }
         }
         // The instance keeps the one snapshot the `PREPARE`s above share.
-        *phase = QueryPhase::Prepare { round, sent_state: payload, acks };
+        let agreement = Agreement::Consistent;
+        *phase = QueryPhase::Prepare { round, sent_state: payload, acks, agreement };
         self.maybe_finish_prepare(request);
     }
 
@@ -1360,11 +1402,27 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         }
     }
 
+    /// Joins an `ACK`'s state into `gathered` in the one walk that also tells
+    /// whether the two were equal, and records what that says of the phase.
     fn handle_prepare_ack(&mut self, from: ReplicaId, request: RequestId, round: Round, state: C) {
         match self.requests.get_mut(&request) {
-            Some(InFlight::Query { phase: QueryPhase::Prepare { acks, .. }, gathered, .. }) => {
-                gathered.join(&state);
-                acks.insert(from, round, state);
+            Some(InFlight::Query {
+                phase: QueryPhase::Prepare { acks, agreement, .. },
+                gathered,
+                ..
+            }) => {
+                let (grew, covered) = gathered.join_report(&state);
+                let first = acks.len() == 0;
+                let replaced = acks.insert(from, round, state);
+                *agreement = match *agreement {
+                    _ if replaced => Agreement::Unknown,
+                    // After a local NACK `gathered` was the payload alone, which an
+                    // acceptor joins before it answers: it is this state now.
+                    _ if first && covered => Agreement::Consistent,
+                    _ if first => Agreement::Unknown,
+                    Agreement::Consistent if grew || !covered => Agreement::Split,
+                    unchanged => unchanged,
+                };
             }
             _ => {
                 self.retire_state(state);
@@ -1385,8 +1443,12 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         }
 
         let decision = {
-            let Some(InFlight::Query { phase: QueryPhase::Prepare { acks, .. }, ride, .. }) =
-                self.requests.get(&request)
+            let Some(InFlight::Query {
+                phase: QueryPhase::Prepare { acks, agreement, .. },
+                gathered,
+                ride,
+                ..
+            }) = self.requests.get(&request)
             else {
                 return;
             };
@@ -1401,16 +1463,20 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 ride.is_none_or(|update| !self.requests.contains_key(&update)),
                 "a query's first phase finished before the update it carried"
             );
-            // s' ← ⊔ S˘ (line 12)
-            let mut lub: Option<C> = None;
-            for (_, _, state) in acks.iter() {
-                match &mut lub {
-                    Some(acc) => acc.join(state),
-                    None => lub = Some(state.clone()),
+            // s' ← ⊔ S˘ (line 12): `gathered`, which every ACK was joined into
+            // as it came, and whose walks told whether the states agree — unless
+            // a replaced ACK may have left it above the LUB.
+            let (lub, consistent) = match agreement {
+                Agreement::Unknown => {
+                    let mut states = acks.iter().map(|(_, _, state)| state);
+                    let first = states.next().expect("quorum is non-empty").clone();
+                    let lub = states.fold(first, |lub, state| lub.joined(state));
+                    let consistent = acks.iter().all(|(_, _, state)| state.equivalent(&lub));
+                    (lub, consistent)
                 }
-            }
-            let lub = lub.expect("quorum is non-empty");
-            if acks.iter().all(|(_, _, state)| state.equivalent(&lub)) {
+                agreement => (gathered.clone(), *agreement == Agreement::Consistent),
+            };
+            if consistent {
                 // Case (a): learned unanimously by consistent states (lines 13–15).
                 Decision::ConsistentQuorum(lub)
             } else {
@@ -1514,11 +1580,14 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Restarts the query protocol for `request` under a fresh request id so replies
     /// to the abandoned attempt are ignored.
     fn retry_query(&mut self, request: RequestId, round: PrepareRound) {
-        let Some(InFlight::Query { waiters, gathered, round_trips, .. }) =
+        let Some(InFlight::Query { waiters, mut gathered, local_nack, round_trips, .. }) =
             self.remove_request(request)
         else {
             return;
         };
+        if let Some(state) = local_nack {
+            gathered.join(&state);
+        }
         let new_request = self.alloc_request();
         self.requests.insert(
             new_request,
@@ -1528,8 +1597,10 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                     round,
                     sent_state: None,
                     acks: PrepareAcks::default(),
+                    agreement: Agreement::Consistent,
                 },
                 gathered,
+                local_nack: None,
                 echoes: Vec::new(),
                 ride: None,
                 round_trips,
@@ -1654,7 +1725,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                     }
                     *last_sent_ms = self.now_ms;
                     match phase {
-                        QueryPhase::Prepare { round, sent_state, acks } => {
+                        QueryPhase::Prepare { round, sent_state, acks, .. } => {
                             for &peer in peers.iter().filter(|p| !acks.contains(p)) {
                                 to_send.push(Envelope {
                                     from: my_id,
@@ -1689,6 +1760,9 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.outbox.extend(to_send);
     }
 }
+
+#[cfg(test)]
+mod first_phase;
 
 #[cfg(test)]
 mod tests {

@@ -1,6 +1,7 @@
 //! Counter CRDTs: the grow-only counter (G-Counter) of Algorithm 1 and the
 //! increment/decrement PN-Counter built from two G-Counters.
 
+use std::cmp::Ordering;
 use std::fmt;
 
 use serde::de::{Deserializer, MapAccess, Visitor};
@@ -8,7 +9,7 @@ use serde::ser::{SerializeMap, Serializer};
 use serde::{Deserialize, Serialize};
 
 use crate::crdt::Crdt;
-use crate::lattice::Lattice;
+use crate::lattice::{self, Lattice};
 use crate::replica::ReplicaId;
 
 /// Grow-only counter (G-Counter), the running example of the paper (Algorithm 1).
@@ -123,6 +124,51 @@ impl Lattice for GCounter {
 
     fn leq(&self, other: &Self) -> bool {
         self.paired_with(other).all(|(_, count, held)| count <= held)
+    }
+
+    /// The join's walk, comparing each slot as it takes the maximum. (`join`
+    /// keeps a copy without the comparisons: it runs once per value of every
+    /// map it merges into, reported or not.)
+    fn join_report(&mut self, other: &Self) -> (bool, bool) {
+        let (mut grew, mut covered) = (false, true);
+        let mut at = 0;
+        for &(replica, count) in other.slots.as_slice() {
+            let slots = self.slots.as_mut_slice();
+            while at < slots.len() && slots[at].0 < replica {
+                covered &= slots[at].1 == 0;
+                at += 1;
+            }
+            match slots.get_mut(at) {
+                Some(slot) if slot.0 == replica => {
+                    grew |= count > slot.1;
+                    covered &= slot.1 <= count;
+                    slot.1 = slot.1.max(count);
+                }
+                _ => {
+                    grew |= count > 0;
+                    self.slots.insert(at, (replica, count));
+                }
+            }
+            at += 1;
+        }
+        covered &= self.slots.as_slice()[at..].iter().all(|&(_, count)| count == 0);
+        (grew, covered)
+    }
+
+    /// One walk over both lists of slots, where the default takes two.
+    fn partial_order(&self, other: &Self) -> Option<Ordering> {
+        let (mut below, mut above) = (true, true);
+        let mut theirs = other.slots.as_slice().iter().peekable();
+        for &(replica, count) in self.slots.as_slice() {
+            while let Some(&(_, held)) = theirs.next_if(|slot| slot.0 < replica) {
+                above &= held == 0;
+            }
+            let held = theirs.next_if(|slot| slot.0 == replica).map_or(0, |slot| slot.1);
+            below &= count <= held;
+            above &= held <= count;
+        }
+        above &= theirs.all(|&(_, held)| held == 0);
+        lattice::order(below, above)
     }
 }
 

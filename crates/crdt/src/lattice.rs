@@ -21,6 +21,11 @@ use std::fmt;
 /// * **consistency with the order** — `x ⊑ x ⊔ y` and `y ⊑ x ⊔ y`, and
 ///   `x ⊑ y ⇒ x ⊔ y = y`.
 ///
+/// The provided methods derive from `join` and `leq`, and must agree with them
+/// where a type overrides one: [`Lattice::join_report`] returns `x ⊔ y` with the
+/// flags `(y ⋢ x, x ⊑ y)`, [`Lattice::equivalent`] is `x ⊑ y ∧ y ⊑ x`, and
+/// [`Lattice::partial_order`] classifies the same two `leq`s.
+///
 /// # Example
 ///
 /// ```
@@ -38,6 +43,33 @@ pub trait Lattice: Clone + fmt::Debug {
 
     /// Returns `true` iff `self ⊑ other` in the lattice's partial order.
     fn leq(&self, other: &Self) -> bool;
+
+    /// Replaces `self` with `self ⊔ other` and reports how the two compared, as
+    /// `(grew, covered)`: `grew` iff `other ⋢ self` (so `self` grew), `covered`
+    /// iff the old `self ⊑ other`. The two were equivalent exactly when
+    /// `!grew && covered`.
+    ///
+    /// This is the order a join learns anyway: a proposer that joins each reply
+    /// into the LUB it gathers learns from the same walk whether the reply equals
+    /// that LUB (paper Algorithm 2, lines 11–15). The default is two `leq`s and a
+    /// `join`; types whose join is one walk over their parts override it to report
+    /// from that walk.
+    ///
+    /// ```
+    /// use crdt::{Lattice, Max};
+    ///
+    /// let mut a = Max::new(3u64);
+    /// assert_eq!(a.join_report(&Max::new(3)), (false, true), "equal");
+    /// assert_eq!(a.join_report(&Max::new(1)), (false, false), "other below");
+    /// assert_eq!(a.join_report(&Max::new(7)), (true, true), "other above");
+    /// assert_eq!(a.get(), 7);
+    /// ```
+    fn join_report(&mut self, other: &Self) -> (bool, bool) {
+        let grew = !other.leq(self);
+        let covered = self.leq(other);
+        self.join(other);
+        (grew, covered)
+    }
 
     /// Returns the least upper bound of `self` and `other` by value.
     #[must_use]
@@ -65,12 +97,17 @@ pub trait Lattice: Clone + fmt::Debug {
     ///
     /// Returns `None` when the states are incomparable (concurrent).
     fn partial_order(&self, other: &Self) -> Option<Ordering> {
-        match (self.leq(other), other.leq(self)) {
-            (true, true) => Some(Ordering::Equal),
-            (true, false) => Some(Ordering::Less),
-            (false, true) => Some(Ordering::Greater),
-            (false, false) => None,
-        }
+        order(self.leq(other), other.leq(self))
+    }
+}
+
+/// The order between `x` and `y` given `x ⊑ y` (`below`) and `y ⊑ x` (`above`).
+pub(crate) fn order(below: bool, above: bool) -> Option<Ordering> {
+    match (below, above) {
+        (true, true) => Some(Ordering::Equal),
+        (true, false) => Some(Ordering::Less),
+        (false, true) => Some(Ordering::Greater),
+        (false, false) => None,
     }
 }
 

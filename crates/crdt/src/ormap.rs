@@ -8,6 +8,7 @@
 //! every operation that looks at the whole map — join, order check, delta, encode,
 //! decode — is one pass over contiguous memory, and a snapshot is a reference count.
 
+use std::cmp::Ordering;
 use std::fmt;
 use std::sync::Arc;
 
@@ -26,12 +27,12 @@ use crate::replica::ReplicaId;
 /// # Layout
 ///
 /// The entries are one vector of `(key, value)` pairs, ascending by key and unique,
-/// so `join`, `leq`, `equivalent` and `delta_since` are each one merge walk over two
-/// sorted runs and a lookup is a binary search. On the wire the entries are a map in
-/// ascending key order; a decoded map is sorted and unique whatever a peer sent
-/// (out-of-order keys are sorted in, and of duplicate keys the last one wins, as a
-/// map decode would), and an in-place decode overwrites the resident entries one
-/// after the other.
+/// so `join`, `join_report`, `leq`, `equivalent` and `delta_since` are each one merge
+/// walk over two sorted runs and a lookup is a binary search. On the wire the
+/// entries are a map in ascending key order; a decoded map is sorted and unique
+/// whatever a peer sent (out-of-order keys are sorted in, and of duplicate keys the
+/// last one wins, as a map decode would), and an in-place decode overwrites the
+/// resident entries one after the other.
 ///
 /// # Snapshots
 ///
@@ -218,6 +219,41 @@ where
             || (self.entries.len() <= other.entries.len()
                 && paired(&self.entries, &other.entries)
                     .all(|(_, value, held)| held.is_some_and(|held| value.leq(held))))
+    }
+
+    /// One walk: read-only — one `partial_order` per value — up to the first
+    /// entry of `other` that grows `self`, and from there the join's own
+    /// un-share and merge, which reports through each value's `join_report`.
+    fn join_report(&mut self, other: &Self) -> (bool, bool) {
+        if Arc::ptr_eq(&self.entries, &other.entries) {
+            return (false, true);
+        }
+        // `self ⊑ other` also needs every key of `self` in `other`: count those met.
+        let (len, mut met) = (self.entries.len(), 0);
+        let mut covered = len <= other.entries.len();
+        let mut from = None;
+        for (index, (_, value, held)) in paired(&other.entries, &self.entries).enumerate() {
+            match held.map(|held| held.partial_order(value)) {
+                Some(Some(Ordering::Equal)) => met += 1,
+                Some(Some(Ordering::Greater)) => {
+                    met += 1;
+                    covered = false;
+                }
+                _ => {
+                    from = Some(index);
+                    break;
+                }
+            }
+        }
+        if let Some(from) = from {
+            let entries = Arc::make_mut(&mut self.entries);
+            let fold = |held: &mut V, value: &V| {
+                met += 1;
+                covered &= held.join_report(value).1;
+            };
+            merge_in(entries, &other.entries[from..], fold, V::clone);
+        }
+        (from.is_some(), covered && met == len)
     }
 
     /// One walk: equivalent maps hold the same keys, so their entries pair up in

@@ -137,6 +137,7 @@ enum KvOp {
     Update(u8, ReplicaId, u64),
     MergeEntry(u8, GCounter),
     Join(Kv),
+    JoinReport(Kv),
     ApplyDelta(Kv),
 }
 
@@ -152,6 +153,9 @@ impl KvOp {
             }
             KvOp::MergeEntry(key, value) => map.merge_entry(*key, value),
             KvOp::Join(other) => map.join(other),
+            KvOp::JoinReport(other) => {
+                map.join_report(other);
+            }
             KvOp::ApplyDelta(delta) => map.apply_delta(delta),
         }
     }
@@ -164,6 +168,7 @@ fn kv_op_strategy() -> impl Strategy<Value = KvOp> {
         keyed().prop_map(|(key, replica, amount)| KvOp::Update(key, replica, amount)),
         (0u8..12, gcounter_strategy()).prop_map(|(key, value)| KvOp::MergeEntry(key, value)),
         kv_strategy().prop_map(KvOp::Join),
+        kv_strategy().prop_map(KvOp::JoinReport),
         // A map of counters is its own delta type.
         kv_strategy().prop_map(KvOp::ApplyDelta),
     ]
@@ -258,6 +263,15 @@ fn assert_lattice_laws<L: Lattice + PartialEq>(a: &L, b: &L, c: &L) {
     assert!(a.leq(a));
     if a.leq(b) && b.leq(a) {
         assert!(a.equivalent(b));
+    }
+
+    // join_report is the join, and reports the order it joined across:
+    // (y ⋢ x, x ⊑ y) — also between states ordered by construction, which
+    // independent draws rarely are.
+    for (x, y) in [(a, b), (&ab, a), (a, &ab), (&ab, b)] {
+        let mut reported = x.clone();
+        assert_eq!(reported.join_report(y), (!y.leq(x), x.leq(y)), "join_report's flags");
+        assert_eq!(reported, x.clone().joined(y), "join_report must join");
     }
 
     // partial_order agrees with leq.
@@ -382,6 +396,9 @@ proptest! {
         let mut joined = a.clone();
         joined.join(&a.clone());
         prop_assert_eq!(&joined, &deep_copy(&a));
+        prop_assert_eq!(joined.join_report(&a.clone()), (false, true));
+        prop_assert_eq!(joined.join_report(&deep_copy(&a)), (false, true));
+        prop_assert_eq!(&joined, &deep_copy(&a));
 
         // k ⊔ s.delta_since(k) = k ⊔ s, with s grown from a clone of k.
         let known = a.clone();
@@ -409,6 +426,9 @@ proptest! {
         state.join(&b);
         state.join(&snapshot);
         state.join(&deep_copy(&snapshot));
+        prop_assert!(!state.join_report(&a).0 && !state.join_report(&b).0);
+        prop_assert_eq!(state.join_report(&snapshot), (false, true));
+        prop_assert_eq!(state.join_report(&deep_copy(&snapshot)), (false, true));
         state.apply_delta(&Kv::default());
         state.apply_delta(&state.delta_since(&snapshot));
         let held = state.get(&key).expect("just updated").clone();
