@@ -110,8 +110,8 @@ enum Agreement {
     /// `gathered` is the LUB of the `ACK`s' states, and some of them are below it.
     Split,
     /// `gathered` may exceed the LUB of the `ACK`s' states — a peer's `ACK` was
-    /// replaced by a later one, or the first `ACK` after a local `NACK` lacked
-    /// the payload — so the decision folds the stored states.
+    /// replaced by a later one, or the local acceptor `NACK`ed a fixed prepare
+    /// and its state was joined in — so the decision folds the stored states.
     Unknown,
 }
 
@@ -147,13 +147,9 @@ enum InFlight<C: Crdt> {
         phase: QueryPhase<C>,
         /// LUB of every payload state received for this query so far; used as the
         /// payload of retry prepares (§3.2, "Retrying Requests"). While the first
-        /// phase runs it is the LUB of its `ACK`s' states (see [`Agreement`]).
+        /// phase runs it is the LUB of its `ACK`s' states, unless [`Agreement`]
+        /// says otherwise.
         gathered: C,
-        /// The local acceptor's state when it `NACK`ed this instance's fixed
-        /// prepare: kept out of `gathered`, so that `gathered` stays the LUB of the
-        /// `ACK`s, and joined into it when the instance retries — nothing else reads
-        /// `gathered` before then.
-        local_nack: Option<C>,
         /// Basis snapshots `(peer, reveal seq)` echoed by this request's messages;
         /// each holds a reference that pins the snapshot in [`PeerBasis`] until the
         /// request ends (delta mode only).
@@ -1255,7 +1251,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 agreement: Agreement::Consistent,
             },
             gathered,
-            local_nack: None,
             echoes: Vec::new(),
             ride,
             round_trips: 0,
@@ -1283,9 +1278,8 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         self.broadcast_prepare(request, round, payload.as_ref(), allow_delta);
 
         let mut acks = self.alloc_prepare_acks();
-        let Some(InFlight::Query {
-            phase, gathered, local_nack, round_trips, last_sent_ms, ..
-        }) = self.requests.get_mut(&request)
+        let Some(InFlight::Query { phase, gathered, round_trips, last_sent_ms, .. }) =
+            self.requests.get_mut(&request)
         else {
             self.recycle_prepare_acks(&mut acks);
             return;
@@ -1293,23 +1287,24 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         *round_trips += 1;
         *last_sent_ms = self.now_ms;
         let state = self.acceptor.state();
-        match local_outcome {
+        let agreement = match local_outcome {
             AcceptOutcome::Ack { round: acked_round } => {
                 // The acceptor just joined `gathered` (the payload), or `gathered`
                 // is still s0: either way their LUB is the acceptor's state, with
                 // no walk.
                 *gathered = state.clone();
                 acks.insert(self.id, acked_round, state.clone());
+                Agreement::Consistent
             }
             AcceptOutcome::Nack { round: _ } => {
                 // Only possible for a fixed prepare that lost locally; keep going, the
                 // remote acceptors may still accept, and the retry logic handles the
-                // rest.
-                *local_nack = Some(state.clone());
+                // rest. `gathered` now holds a state no `ACK` carries.
+                gathered.join(state);
+                Agreement::Unknown
             }
-        }
+        };
         // The instance keeps the one snapshot the `PREPARE`s above share.
-        let agreement = Agreement::Consistent;
         *phase = QueryPhase::Prepare { round, sent_state: payload, acks, agreement };
         self.maybe_finish_prepare(request);
     }
@@ -1412,14 +1407,9 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                 ..
             }) => {
                 let (grew, covered) = gathered.join_report(&state);
-                let first = acks.len() == 0;
                 let replaced = acks.insert(from, round, state);
                 *agreement = match *agreement {
                     _ if replaced => Agreement::Unknown,
-                    // After a local NACK `gathered` was the payload alone, which an
-                    // acceptor joins before it answers: it is this state now.
-                    _ if first && covered => Agreement::Consistent,
-                    _ if first => Agreement::Unknown,
                     Agreement::Consistent if grew || !covered => Agreement::Split,
                     unchanged => unchanged,
                 };
@@ -1465,7 +1455,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
             );
             // s' ← ⊔ S˘ (line 12): `gathered`, which every ACK was joined into
             // as it came, and whose walks told whether the states agree — unless
-            // a replaced ACK may have left it above the LUB.
+            // a replaced ACK or a local NACK may have left it above the LUB.
             let (lub, consistent) = match agreement {
                 Agreement::Unknown => {
                     let mut states = acks.iter().map(|(_, _, state)| state);
@@ -1580,14 +1570,11 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
     /// Restarts the query protocol for `request` under a fresh request id so replies
     /// to the abandoned attempt are ignored.
     fn retry_query(&mut self, request: RequestId, round: PrepareRound) {
-        let Some(InFlight::Query { waiters, mut gathered, local_nack, round_trips, .. }) =
+        let Some(InFlight::Query { waiters, gathered, round_trips, .. }) =
             self.remove_request(request)
         else {
             return;
         };
-        if let Some(state) = local_nack {
-            gathered.join(&state);
-        }
         let new_request = self.alloc_request();
         self.requests.insert(
             new_request,
@@ -1600,7 +1587,6 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                     agreement: Agreement::Consistent,
                 },
                 gathered,
-                local_nack: None,
                 echoes: Vec::new(),
                 ride: None,
                 round_trips,

@@ -213,10 +213,10 @@ where
     };
     let mut stored = stored.0.clone();
     let payload = sent_state.clone().unwrap_or_default();
-    let mut all = gathered.clone();
-    if let Some(InFlight::Query { local_nack: Some(state), .. }) = proposer.requests.get(&request) {
-        all.join(state);
-    }
+    // Everything the instance has seen: the payload and the local acceptor's
+    // state, whether it ACKed or NACKed.
+    let mut all = payload.clone().joined(proposer.acceptor.state());
+    assert!(gathered.equivalent(&all), "gathered {gathered:?}, seen {all:?}");
     let first_round = stored.first().map_or(Round::new(60, other), |&(_, round, _)| round);
     let rounds = [first_round, first_round, Round::new(first_round.number + 1, other)];
     for (peer, extra, on_payload, round) in case.acks {
@@ -432,37 +432,4 @@ fn a_quiet_read_walks_once_per_ack() {
         }
         assert_eq!(cluster[0].metrics.queries_consistent_quorum, 1);
     }
-}
-
-/// So does a retry whose fixed prepare the local acceptor `NACK`ed: it keeps
-/// that acceptor's state out of the LUB until it retries again, so the `ACK`s
-/// alone make it, and it needs no fold.
-#[test]
-fn a_locally_nacked_retry_walks_once_per_ack() {
-    let ids: Vec<ReplicaId> = (0..3).map(ReplicaId::new).collect();
-    let mut proposer = Replica::new(ids[0], ids.clone(), Counted::default(), Default::default());
-    let state = |key| {
-        let mut map = Kv::new();
-        map.update(key, |counter| counter.increment(ReplicaId::new(1), 1));
-        Counted(map)
-    };
-    proposer.absorb_state(&state(0));
-    proposer.submit_query(ClientId(1), MapQuery::Len);
-    let (request, _) = prepared(&mut proposer);
-    let more = state(0).joined(&state(1));
-    let request = retry_nacked_locally(&mut proposer, request, state(2), &more);
-    let (QueryPhase::Prepare { sent_state: Some(payload), .. }, _) = the_phase(&proposer, request)
-    else {
-        panic!("the retry shipped no payload")
-    };
-    // The peers hold what the retry shipped, and nothing more.
-    let payload = payload.clone();
-    for peer in [ids[1], ids[2]] {
-        CALLS.with(|calls| calls.set([0; 4]));
-        let round = Round::new(60, RoundId::proposer(1, peer));
-        proposer.handle_message(peer, ack(request, round, payload.clone()));
-        let calls = CALLS.with(Cell::get);
-        assert_eq!(calls, [0, 1, 0, 0], "[join, join_report, leq, equivalent], from {peer}");
-    }
-    assert_eq!(proposer.metrics.queries_consistent_quorum, 1);
 }

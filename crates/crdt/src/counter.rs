@@ -1,7 +1,6 @@
 //! Counter CRDTs: the grow-only counter (G-Counter) of Algorithm 1 and the
 //! increment/decrement PN-Counter built from two G-Counters.
 
-use std::cmp::Ordering;
 use std::fmt;
 
 use serde::de::{Deserializer, MapAccess, Visitor};
@@ -9,7 +8,7 @@ use serde::ser::{SerializeMap, Serializer};
 use serde::{Deserialize, Serialize};
 
 use crate::crdt::Crdt;
-use crate::lattice::{self, Lattice};
+use crate::lattice::Lattice;
 use crate::replica::ReplicaId;
 
 /// Grow-only counter (G-Counter), the running example of the paper (Algorithm 1).
@@ -106,31 +105,18 @@ impl GCounter {
 
 impl Lattice for GCounter {
     fn join(&mut self, other: &Self) {
-        // `at` only moves forward: both lists ascend, so the slot of each of
-        // `other`'s replicas lies at or after the previous one's.
-        let mut at = 0;
-        for &(replica, count) in other.slots.as_slice() {
-            let slots = self.slots.as_mut_slice();
-            while at < slots.len() && slots[at].0 < replica {
-                at += 1;
-            }
-            match slots.get_mut(at) {
-                Some(slot) if slot.0 == replica => slot.1 = slot.1.max(count),
-                _ => self.slots.insert(at, (replica, count)),
-            }
-            at += 1;
-        }
+        self.join_report(other);
     }
 
     fn leq(&self, other: &Self) -> bool {
         self.paired_with(other).all(|(_, count, held)| count <= held)
     }
 
-    /// The join's walk, comparing each slot as it takes the maximum. (`join`
-    /// keeps a copy without the comparisons: it runs once per value of every
-    /// map it merges into, reported or not.)
+    /// The join's one walk, comparing each slot as it takes the maximum.
     fn join_report(&mut self, other: &Self) -> (bool, bool) {
         let (mut grew, mut covered) = (false, true);
+        // `at` only moves forward: both lists ascend, so the slot of each of
+        // `other`'s replicas lies at or after the previous one's.
         let mut at = 0;
         for &(replica, count) in other.slots.as_slice() {
             let slots = self.slots.as_mut_slice();
@@ -153,22 +139,6 @@ impl Lattice for GCounter {
         }
         covered &= self.slots.as_slice()[at..].iter().all(|&(_, count)| count == 0);
         (grew, covered)
-    }
-
-    /// One walk over both lists of slots, where the default takes two.
-    fn partial_order(&self, other: &Self) -> Option<Ordering> {
-        let (mut below, mut above) = (true, true);
-        let mut theirs = other.slots.as_slice().iter().peekable();
-        for &(replica, count) in self.slots.as_slice() {
-            while let Some(&(_, held)) = theirs.next_if(|slot| slot.0 < replica) {
-                above &= held == 0;
-            }
-            let held = theirs.next_if(|slot| slot.0 == replica).map_or(0, |slot| slot.1);
-            below &= count <= held;
-            above &= held <= count;
-        }
-        above &= theirs.all(|&(_, held)| held == 0);
-        lattice::order(below, above)
     }
 }
 

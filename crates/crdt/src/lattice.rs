@@ -97,17 +97,12 @@ pub trait Lattice: Clone + fmt::Debug {
     ///
     /// Returns `None` when the states are incomparable (concurrent).
     fn partial_order(&self, other: &Self) -> Option<Ordering> {
-        order(self.leq(other), other.leq(self))
-    }
-}
-
-/// The order between `x` and `y` given `x ⊑ y` (`below`) and `y ⊑ x` (`above`).
-pub(crate) fn order(below: bool, above: bool) -> Option<Ordering> {
-    match (below, above) {
-        (true, true) => Some(Ordering::Equal),
-        (true, false) => Some(Ordering::Less),
-        (false, true) => Some(Ordering::Greater),
-        (false, false) => None,
+        match (self.leq(other), other.leq(self)) {
+            (true, true) => Some(Ordering::Equal),
+            (true, false) => Some(Ordering::Less),
+            (false, true) => Some(Ordering::Greater),
+            (false, false) => None,
+        }
     }
 }
 
