@@ -256,7 +256,7 @@ enum DriverIn<M> {
 fn drive_baseline<B: Baseline<Machine = CounterRegister>>(
     mut replica: B,
     in_rx: std_mpsc::Receiver<DriverIn<B::Message>>,
-    mesh: Arc<TcpMesh>,
+    mesh: TcpMesh,
     replies: Arc<ReplyMap>,
     stop: Arc<AtomicBool>,
 ) {
@@ -353,28 +353,23 @@ where
     let replies = Arc::new(ReplyMap::default());
 
     for (id, listen) in mesh_addrs.iter().map(|(id, addr)| (*id, addr.clone())) {
-        let mesh =
-            Arc::new(TcpMesh::bind(id, &listen, &mesh_addrs).await.expect("bind replica mesh"));
-        let replica = make_replica(NodeId(id), members.clone());
-        let replies = Arc::clone(&replies);
         let (in_tx, in_rx) = std_mpsc::channel::<DriverIn<B::Message>>();
-
-        // Driver thread owns the replica and sends its outbox.
-        let (driver_mesh, driver_replies) = (Arc::clone(&mesh), Arc::clone(&replies));
-        let driver_stop = Arc::clone(&stop);
-        drivers.push(std::thread::spawn(move || {
-            drive_baseline(replica, in_rx, driver_mesh, driver_replies, driver_stop);
-        }));
-
         // Mesh -> driver; an undecodable frame is a lost message.
         let peer_tx = in_tx.clone();
-        tasks.push(tokio::spawn(async move {
-            while let Ok((from, frame)) = mesh.recv_frame().await {
-                let Ok(message) = wire::from_bytes(&frame) else { continue };
-                if peer_tx.send(DriverIn::Peer(from, message)).is_err() {
-                    break;
-                }
+        let sink = move |from, frame| {
+            if let Ok(message) = wire::from_bytes(&frame) {
+                let _ = peer_tx.send(DriverIn::Peer(from, message));
             }
+        };
+        let mesh =
+            TcpMesh::bind_with(id, &listen, &mesh_addrs, sink).await.expect("bind replica mesh");
+        let replica = make_replica(NodeId(id), members.clone());
+        let replies = Arc::clone(&replies);
+
+        // Driver thread owns the replica and the mesh, and sends its outbox.
+        let (driver_replies, driver_stop) = (Arc::clone(&replies), Arc::clone(&stop));
+        drivers.push(std::thread::spawn(move || {
+            drive_baseline(replica, in_rx, mesh, driver_replies, driver_stop);
         }));
 
         // Client listener.

@@ -11,33 +11,20 @@ use super::*;
 
 type Kv = LatticeMap<u8, GCounter>;
 
-/// What a first phase decided (paper Algorithm 2, lines 11–21).
-#[derive(Debug)]
+/// What a first phase decided (paper Algorithm 2, lines 11–21). Equal LUBs
+/// are held alike whatever order they were joined in, so `==` compares them.
+#[derive(Debug, PartialEq)]
 enum Outcome<C> {
     ConsistentQuorum(C),
     Vote(Round, C),
     Retry(u64),
 }
 
-impl<C: Lattice> Outcome<C> {
-    /// The same case, round and LUB. Equivalent LUBs may differ in how they are
-    /// held (a G-Counter's zero-valued slots follow the order of the joins), so
-    /// states are compared in the lattice.
-    fn same(&self, other: &Self) -> bool {
-        match (self, other) {
-            (Outcome::ConsistentQuorum(a), Outcome::ConsistentQuorum(b)) => a.equivalent(b),
-            (Outcome::Vote(r, a), Outcome::Vote(s, b)) => r == s && a.equivalent(b),
-            (Outcome::Retry(a), Outcome::Retry(b)) => a == b,
-            _ => false,
-        }
-    }
-}
-
 /// Whether a `PREPARE` shipped `state`: nothing while it is still s0.
-fn ships<C: Crdt + DeltaCrdt>(payload: &Option<Payload<C>>, state: &C) -> bool {
+fn ships<C: Crdt + DeltaCrdt + PartialEq>(payload: &Option<Payload<C>>, state: &C) -> bool {
     match payload {
         None => state.leq(&C::default()),
-        Some(Payload::Full(shipped)) => shipped.equivalent(state),
+        Some(Payload::Full(shipped)) => shipped == state,
         Some(Payload::Delta(_)) => false,
     }
 }
@@ -186,7 +173,7 @@ fn ack<C: Crdt + DeltaCrdt>(request: RequestId, round: Round, state: C) -> Messa
 /// `gathered` state it goes on with — to [`reference`] over the same `ACK`s.
 fn decides_as_the_fold<C>(case: Case<C>, query: C::Query, grow: fn(&mut C), seen: &mut Seen)
 where
-    C: Crdt + DeltaCrdt,
+    C: Crdt + DeltaCrdt + PartialEq,
 {
     let ids: Vec<ReplicaId> = (0..case.replicas).map(ReplicaId::new).collect();
     let peers = &ids[1..];
@@ -216,7 +203,7 @@ where
     // Everything the instance has seen: the payload and the local acceptor's
     // state, whether it ACKed or NACKed.
     let mut all = payload.clone().joined(proposer.acceptor.state());
-    assert!(gathered.equivalent(&all), "gathered {gathered:?}, seen {all:?}");
+    assert_eq!(gathered, &all, "what the instance gathered");
     let first_round = stored.first().map_or(Round::new(60, other), |&(_, round, _)| round);
     let rounds = [first_round, first_round, Round::new(first_round.number + 1, other)];
     for (peer, extra, on_payload, round) in case.acks {
@@ -268,7 +255,7 @@ where
         }
         (vote, retry) => panic!("both a vote and a retry: {vote:?}, {retry:?}"),
     };
-    assert!(decided.same(&expected), "decided {decided:?}, the fold {expected:?}, ACKs {stored:?}");
+    assert_eq!(decided, expected, "decided, and the fold; ACKs {stored:?}");
     seen.outcomes[match decided {
         Outcome::ConsistentQuorum(_) => 0,
         Outcome::Vote(..) => 1,
@@ -303,7 +290,7 @@ fn decides_as_the_fold_for<S>(
     grow: fn(&mut S::Value),
 ) where
     S: Strategy,
-    S::Value: Crdt + DeltaCrdt,
+    S::Value: Crdt + DeltaCrdt + PartialEq,
 {
     let cases = case(state);
     let mut seen = Seen::default();

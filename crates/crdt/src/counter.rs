@@ -52,10 +52,11 @@ impl GCounter {
         GCounter::default()
     }
 
-    /// Adds `amount` to the slot of `replica`.
+    /// Adds `amount` to the slot of `replica` (adding 0 makes no slot).
     pub fn increment(&mut self, replica: ReplicaId, amount: u64) {
         match self.slots.position(replica) {
             Ok(index) => self.slots.as_mut_slice()[index].1 += amount,
+            Err(_) if amount == 0 => {}
             Err(index) => self.slots.insert(index, (replica, amount)),
         }
     }
@@ -112,13 +113,15 @@ impl Lattice for GCounter {
         self.paired_with(other).all(|(_, count, held)| count <= held)
     }
 
-    /// The join's one walk, comparing each slot as it takes the maximum.
+    /// The join's one walk, comparing each slot as it takes the maximum. A zero
+    /// slot of `other`'s is no slot: the join adds none, so equal counters are
+    /// held alike whatever the join order.
     fn join_report(&mut self, other: &Self) -> (bool, bool) {
         let (mut grew, mut covered) = (false, true);
         // `at` only moves forward: both lists ascend, so the slot of each of
         // `other`'s replicas lies at or after the previous one's.
         let mut at = 0;
-        for &(replica, count) in other.slots.as_slice() {
+        for &(replica, count) in other.slots.as_slice().iter().filter(|slot| slot.1 > 0) {
             let slots = self.slots.as_mut_slice();
             while at < slots.len() && slots[at].0 < replica {
                 covered &= slots[at].1 == 0;
@@ -131,7 +134,7 @@ impl Lattice for GCounter {
                     slot.1 = slot.1.max(count);
                 }
                 _ => {
-                    grew |= count > 0;
+                    grew = true;
                     self.slots.insert(at, (replica, count));
                 }
             }

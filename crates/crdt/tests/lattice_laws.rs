@@ -195,17 +195,54 @@ type CounterModel = BTreeMap<ReplicaId, u64>;
 
 /// A counter and its model, built by the same increments over `width` replicas.
 /// Widths run from 1 to 12, so the counters sit on both sides of what one holds
-/// inline (four slots); zero increments leave zero-valued slots behind.
+/// inline (four slots); a zero increment to a replica without a slot leaves
+/// none behind, in the counter or the model.
 fn modelled_counter_strategy() -> impl Strategy<Value = (GCounter, CounterModel)> {
     (1u64..13, proptest::collection::vec((0u64..12, 0u64..20), 0..20)).prop_map(|(width, ops)| {
         let (mut counter, mut model) = (GCounter::new(), CounterModel::new());
         for (replica, amount) in ops {
             let replica = ReplicaId::new(replica % width);
             counter.increment(replica, amount);
-            *model.entry(replica).or_insert(0) += amount;
+            if amount > 0 || model.contains_key(&replica) {
+                *model.entry(replica).or_insert(0) += amount;
+            }
         }
         (counter, model)
     })
+}
+
+/// A counter built by increments of which a third add 0, and a map of such
+/// counters under few keys.
+fn zero_heavy_counter_strategy() -> impl Strategy<Value = GCounter> {
+    proptest::collection::vec((replica_strategy(), 0u64..3), 0..6).prop_map(|ops| {
+        let mut counter = GCounter::new();
+        for (replica, amount) in ops {
+            counter.increment(replica, amount);
+        }
+        counter
+    })
+}
+
+fn zero_heavy_kv_strategy() -> impl Strategy<Value = Kv> {
+    proptest::collection::vec((0u8..4, zero_heavy_counter_strategy()), 0..6)
+        .prop_map(|entries| entries.into_iter().collect())
+}
+
+/// Joins `a` and `b` in both orders, through `join` and through `join_report`,
+/// and asserts all four are `==` and encode to the same bytes.
+fn assert_joined_alike<L: Lattice + PartialEq + serde::Serialize>(a: &L, b: &L) {
+    let ab = a.clone().joined(b);
+    let ba = b.clone().joined(a);
+    let (mut ab_reported, mut ba_reported) = (a.clone(), b.clone());
+    ab_reported.join_report(b);
+    ba_reported.join_report(a);
+    let bytes = wire::to_vec(&ab).unwrap();
+    for (order, joined) in
+        [("b ⊔ a", &ba), ("a ⊔ b reported", &ab_reported), ("b ⊔ a reported", &ba_reported)]
+    {
+        assert_eq!(joined, &ab, "{order} is held unlike a ⊔ b");
+        assert_eq!(wire::to_vec(joined).unwrap(), bytes, "{order} encodes unlike a ⊔ b");
+    }
 }
 
 /// The counter the model stands for, rebuilt from its bytes.
@@ -308,8 +345,7 @@ lattice_law_tests!(kv_lattice_laws, kv_strategy());
 
 proptest! {
     /// The flat counter is the map it replaced, observably: same reads, same
-    /// order, same join and delta, same equality (zero-valued slots included) and
-    /// the same bytes.
+    /// order, same join and delta, same equality and the same bytes.
     #[test]
     fn gcounter_matches_its_map_model(
         (a, a_model) in modelled_counter_strategy(),
@@ -327,6 +363,34 @@ proptest! {
         prop_assert_eq!(&a.delta_since(&b), &counter_of(&model_delta_since(&a_model, &b_model)));
         prop_assert_eq!(wire::to_vec(&a).unwrap(), wire::to_vec(&a_model).unwrap());
         prop_assert_eq!(format!("{a:?}"), format!("GCounter {{ slots: {a_model:?} }}"));
+    }
+
+    /// Zero increments make no slot and a join takes no zero slot, so equal
+    /// states are held alike whatever order they were joined in: counters, and
+    /// maps of counters (whose joins skip a value `⊑` the held one, so a zero
+    /// slot would stay or not by the order of the joins).
+    #[test]
+    fn joins_in_either_order_are_held_and_encoded_alike(
+        a in zero_heavy_counter_strategy(),
+        b in zero_heavy_counter_strategy(),
+        x in zero_heavy_kv_strategy(),
+        y in zero_heavy_kv_strategy(),
+    ) {
+        let absent = ReplicaId::new(REPLICAS);
+        let mut grown = a.clone();
+        grown.increment(absent, 0);
+        prop_assert_eq!(&grown, &a);
+        // A zero slot a peer sent is not taken by a join, reported or not.
+        let zero = counter_of(&CounterModel::from([(absent, 0)]));
+        prop_assert_eq!(&a.clone().joined(&zero), &a);
+        prop_assert_eq!(grown.join_report(&zero), (false, a.leq(&zero)));
+        prop_assert_eq!(&grown, &a);
+        assert_joined_alike(&a, &b);
+        assert_joined_alike(&x, &y);
+        // Either side's counter under one key, the other's absent or equal.
+        let one = Kv::from_iter([(0, a.clone())]);
+        assert_joined_alike(&one, &Kv::from_iter([(0, a.clone().joined(&b))]));
+        assert_joined_alike(&one, &Kv::from_iter([(1, b)]));
     }
 
     /// An in-place decode leaves exactly what a fresh decode builds, whatever the

@@ -6,8 +6,8 @@
 //! straight to the destination node's ingress — in steady state onto the
 //! owning shard worker's mailbox (no serialization, no router hop on either
 //! side). A replica on sockets is a [`crate::TcpNode`], whose sink encodes
-//! into a `transport::tcp::TcpMesh` and whose pump feeds received frames back
-//! through [`NodeIngress::deliver_frame`] (zero-copy: the delivering thread
+//! into a `transport::tcp::TcpMesh` and whose mesh hands each received frame
+//! back to [`NodeIngress::deliver_frame`] (zero-copy: the socket's read loop
 //! peeks the routing preamble, the shard worker decodes the body in place).
 //! Any other transport implements `Outbound` the same way and delivers frames
 //! like that, or decoded messages through [`NodeIngress::deliver`].

@@ -178,8 +178,8 @@ impl<K: EngineKey, V: EngineValue> NodeIngress<K, V> {
     }
 
     /// Delivers one peer message still in its encoded wire frame — the
-    /// zero-copy receive path for networked transports (pair with
-    /// `transport::tcp::TcpMesh::recv_frame`).
+    /// zero-copy receive path for networked transports (a
+    /// `transport::tcp::TcpMesh` sink, as [`crate::TcpNode`] binds it).
     ///
     /// The calling thread reads only the few-byte routing preamble of the
     /// frame; protocol traffic that passes the epoch fence is decoded on its

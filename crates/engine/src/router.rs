@@ -22,8 +22,8 @@
 //! * **The published [`Assignment`]** — the core's decision (stamp,
 //!   partitioner) plus the mailbox of every active shard (shards of one worker
 //!   share theirs), one immutable value on [`NodeShared`]. Whoever holds
-//!   traffic for the node (a client thread in `submit`, a transport pump or a
-//!   peer's worker in `NodeIngress::deliver*`) reads the published snapshot,
+//!   traffic for the node (a client thread in `submit`, a socket's read loop
+//!   or a peer's worker in `NodeIngress::deliver*`) reads the published snapshot,
 //!   runs the same [`Assignment::dispatch`] / [`Assignment::route_single`] the
 //!   router runs, and pushes straight onto the owning worker's mailbox.
 //! * **The slow half of the ingress demux** — whatever `dispatch` hands back

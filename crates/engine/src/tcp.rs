@@ -6,11 +6,11 @@
 //!   batch buffer ([`TcpMesh::send_with`]), on the worker thread that produced
 //!   it: one contiguous wire batch per peer per engine cycle, no dispatcher
 //!   task, no owned envelopes crossing a channel.
-//! * **Sockets → engine.** One pump task hands every received frame, still
-//!   encoded, to [`NodeIngress::deliver_frame`](crate::NodeIngress::deliver_frame):
-//!   the pump peeks the routing preamble, the owning shard worker decodes the
-//!   body in place, so the receive path never copies a frame and in steady
-//!   state never allocates for it.
+//! * **Sockets → engine.** The mesh's sink is [`NodeIngress::deliver_frame`]:
+//!   no queue or task in between, the socket's read loop peeks the routing
+//!   preamble of each frame, the owning shard worker decodes the body in
+//!   place, so the receive path never copies a frame and in steady state
+//!   never allocates for it.
 //!
 //! The transports are message-agnostic, so protocol traffic, control-shard
 //! traffic and rebalance plans all cross the sockets as ordinary `wire`
@@ -29,7 +29,7 @@ use transport::tcp::TcpMesh;
 use transport::TransportError;
 
 use crate::mesh::Outbound;
-use crate::node::EngineNode;
+use crate::node::{EngineNode, NodeIngress, NodeShared};
 use crate::{EngineKey, EngineValue};
 
 /// The engine → mesh half of the bridge.
@@ -62,16 +62,15 @@ impl<K: EngineKey, V: EngineValue> Outbound<K, V> for MeshOutbound {
 }
 
 /// An [`EngineNode`] serving its replica group over loopback or real TCP: the
-/// node, its [`TcpMesh`] endpoint and the task pumping received frames into
-/// it. Dereferences to the node for everything a client does (`submit`,
+/// node and its [`TcpMesh`] endpoint, whose sink delivers into the node.
+/// Dereferences to the node for everything a client does (`submit`,
 /// `wait_response`, `begin_rebalance`, `obs_snapshot`, ...).
 ///
-/// [`TcpNode::shutdown`] — or dropping the value — stops the node, the pump
-/// and the mesh, in that order, and releases the listening address.
+/// [`TcpNode::shutdown`] — or dropping the value — stops the node and then the
+/// mesh, releasing the listening address and the mesh's hold on the node.
 pub struct TcpNode<K: EngineKey, V: EngineValue> {
     node: EngineNode<K, V>,
     mesh: Arc<TcpMesh>,
-    pump: tokio::JoinHandle<()>,
 }
 
 impl<K: EngineKey, V: EngineValue> TcpNode<K, V> {
@@ -98,33 +97,33 @@ impl<K: EngineKey, V: EngineValue> TcpNode<K, V> {
         config: ProtocolConfig,
         trace: TraceConfig,
     ) -> io::Result<Self> {
-        let mesh = match TcpMesh::bind(id, listen, addrs).await {
+        // The mesh delivers from its first frame on: what arrives before the
+        // router runs waits in the node's queues.
+        let shared = NodeShared::new_observed(shards, trace);
+        let ingress = NodeIngress::from_shared(&shared);
+        let sink = move |from, frame| ingress.deliver_frame(ReplicaId::new(from), frame);
+        let mesh = match TcpMesh::bind_with(id, listen, addrs, sink).await {
             Ok(mesh) => Arc::new(mesh),
             Err(TransportError::Io(err)) => return Err(err),
             Err(other) => return Err(io::Error::other(other)),
         };
         let members = addrs.iter().map(|(peer, _)| ReplicaId::new(*peer)).collect();
         let outbound = Arc::new(MeshOutbound { mesh: Arc::clone(&mesh) });
-        let node = EngineNode::start_observed(
+        let node = EngineNode::start_with_shared(
             ReplicaId::new(id),
             members,
             shards,
             config,
+            shared,
             outbound,
-            trace,
+            None,
         );
         mesh.stats().register_into(&node.obs());
-        let (ingress, pump_mesh) = (node.ingress(), Arc::clone(&mesh));
-        let pump = tokio::spawn(async move {
-            while let Ok((from, frame)) = pump_mesh.recv_frame().await {
-                ingress.deliver_frame(ReplicaId::new(from), frame);
-            }
-        });
-        Ok(TcpNode { node, mesh, pump })
+        Ok(TcpNode { node, mesh })
     }
 
-    /// Stops the node (joining its threads), the pump and the mesh, in that
-    /// order. Queued work is dropped; in-flight commands never answer.
+    /// Stops the node (joining its threads) and then the mesh. Queued work is
+    /// dropped; in-flight commands never answer.
     pub fn shutdown(self) {
         drop(self);
     }
@@ -141,7 +140,6 @@ impl<K: EngineKey, V: EngineValue> Deref for TcpNode<K, V> {
 impl<K: EngineKey, V: EngineValue> Drop for TcpNode<K, V> {
     fn drop(&mut self) {
         self.node.stop();
-        self.pump.abort();
         self.mesh.shutdown();
     }
 }

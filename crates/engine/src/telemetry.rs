@@ -7,7 +7,7 @@
 //! time (engine startup or worker spawn, both off the hot path), where
 //! same-named instruments from different threads are merged at snapshot time.
 //! The one exception is the node-level [`StageSet`] on `NodeShared`: ingress
-//! dispatch runs on whichever thread delivers (a transport pump, a peer's
+//! dispatch runs on whichever thread delivers (a socket's read loop, a peer's
 //! worker, the router), so its `RouterIngress` samples land in one shared set
 //! — still lock-free, histograms take concurrent writers.
 

@@ -7,6 +7,7 @@
 use std::collections::BTreeSet;
 use std::io;
 use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use cluster::{check_keyed_history, HistoryOp, OpKind};
@@ -127,8 +128,8 @@ fn three_tcp_nodes_serve_across_a_rebalance_and_release_their_addresses() {
         });
     }
 
-    // Shutdown stops node, pump and mesh: the same addresses bind again (not
-    // if a pump or a mesh task outlived it and still holds a listener).
+    // Shutdown stops node and mesh: the same addresses bind again (not if a
+    // mesh task outlived it and still holds a listener).
     for node in nodes {
         node.shutdown();
     }
@@ -141,6 +142,28 @@ fn three_tcp_nodes_serve_across_a_rebalance_and_release_their_addresses() {
     assert_eq!(response.command, probe);
     assert_eq!(response.body, ResponseBody::QueryDone(MapOutput::Value(None)));
     for node in again {
+        node.shutdown();
+    }
+}
+
+/// A node shut down while its peers stay up, their connections to it open and
+/// idle, is let go of entirely: its mesh's read loops, which deliver into it,
+/// end with the mesh instead of waiting for those connections to close.
+#[test]
+fn a_shut_down_tcp_node_lets_go_of_its_node() {
+    let (mut nodes, _) = boot(free_loopback_addrs(), true, Duration::from_secs(10));
+    // One command end to end: node 0 has heard from its peers, so it has
+    // accepted their connections.
+    let probe = nodes[0].submit(ClientId(1), mixed_command(0));
+    let response = nodes[0].wait_response(Duration::from_secs(30)).expect("the cluster answers");
+    assert_eq!(response.command, probe);
+
+    let node = nodes.remove(0);
+    // The registry lives exactly as long as the node's shared state.
+    let held = Arc::downgrade(&node.obs());
+    node.shutdown();
+    eventually("the shut-down node to be let go of", || held.upgrade().is_none());
+    for node in nodes {
         node.shutdown();
     }
 }

@@ -3,8 +3,8 @@
 //! The protocol cores in this workspace are sans-io; this crate provides the plumbing
 //! to run them as real processes: [`tcp`], a tokio-based TCP mesh with
 //! length-prefixed [`wire`] framing. Callers encode straight into a peer's batch
-//! buffer ([`tcp::TcpMesh::send_with`]) and receive `(from, frame)` pairs
-//! ([`tcp::TcpMesh::recv_frame`]) to decode with [`wire::from_bytes`].
+//! buffer ([`tcp::TcpMesh::send_with`]) and get each received `(from, frame)`
+//! pair in the sink they bind it with ([`tcp::TcpMesh::bind_with`]).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

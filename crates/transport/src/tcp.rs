@@ -17,18 +17,20 @@
 //! The backlog is bounded (`MAX_BACKLOG_BYTES`): batches that would pass the
 //! bound are dropped and counted, like any lost message. The read side mirrors
 //! this: the socket reads land directly in the frame decoder's buffer (no
-//! staging chunk), and complete frames travel to the consumer as refcounted
-//! [`Bytes`] views of that buffer — the inbound path writes each payload byte
-//! exactly once. Those views are still in flight when the next read begins, so
-//! the decoder continues in a recycled buffer whose frames have all been
-//! dropped: in steady state a read allocates nothing and zero-fills nothing
+//! staging chunk), and each complete frame goes straight to the mesh's sink
+//! (see [`TcpMesh::bind_with`]) as a refcounted [`Bytes`] view of that buffer
+//! — the inbound path writes each payload byte exactly once. Those views are
+//! still held when the next read begins, so the decoder continues in a
+//! recycled buffer whose frames have all been dropped: in steady state a read
+//! allocates nothing and zero-fills nothing
 //! ([`MeshStats::read_buffers_allocated`] counts the reads that had to).
 //! [`TcpMesh::send_with`] hands callers the raw encoder, so one
-//! call may batch any number of frames, and [`TcpMesh::recv_frame`] hands them
-//! the raw frame views for allocation-free decoding via [`wire::from_bytes`].
+//! call may batch any number of frames.
 
 use std::collections::HashMap;
-use std::sync::Arc;
+use std::future::poll_fn;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use bytes::{Bytes, BytesMut};
@@ -36,7 +38,6 @@ use obs::{Counter, Histogram, ObsRegistry, Stopwatch};
 use tokio::io::AsyncReadExt;
 use tokio::net::{TcpListener, TcpStream};
 use tokio::sync::mpsc;
-use tokio::sync::Mutex;
 use wire::framing::{FrameDecoder, FrameEncoder};
 
 use crate::{PeerId, TransportError};
@@ -114,7 +115,7 @@ struct Outbound {
 #[derive(Debug)]
 struct PeerHandle {
     tx: mpsc::UnboundedSender<Queued>,
-    out: Arc<std::sync::Mutex<Outbound>>,
+    out: Arc<Mutex<Outbound>>,
 }
 
 /// Always-on runtime introspection for one mesh: reconnect behavior, the
@@ -182,21 +183,50 @@ impl MeshStats {
     }
 }
 
+/// Every task of a mesh — the accept loop, the writers, a read loop per
+/// accepted connection — so that shutdown stops them all, and with them the
+/// sink's every holder.
+#[derive(Debug, Default)]
+struct Tasks {
+    /// Set by shutdown under `running`'s lock; read loops check it per frame.
+    closed: AtomicBool,
+    running: Mutex<Vec<tokio::JoinHandle<()>>>,
+}
+
+impl Tasks {
+    /// Keeps `task` to abort with the rest, or aborts it now if they were;
+    /// forgets the read loops whose connection has ended.
+    fn track(&self, task: tokio::JoinHandle<()>) {
+        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
+        if self.closed.load(Ordering::Relaxed) {
+            task.abort();
+        } else {
+            running.retain(|task| !task.is_finished());
+            running.push(task);
+        }
+    }
+
+    fn abort_all(&self) {
+        let mut running = self.running.lock().unwrap_or_else(PoisonError::into_inner);
+        self.closed.store(true, Ordering::Release);
+        running.drain(..).for_each(|task| task.abort());
+    }
+}
+
 /// A TCP endpoint connected to every peer of the replica group.
 #[derive(Debug)]
 pub struct TcpMesh {
     id: PeerId,
     peers: HashMap<PeerId, PeerHandle>,
-    incoming: Mutex<mpsc::UnboundedReceiver<(PeerId, Bytes)>>,
-    tasks: Vec<tokio::JoinHandle<()>>,
+    /// What [`TcpMesh::bind`]'s sink queues for [`TcpMesh::recv_frame`].
+    incoming: Option<Mutex<mpsc::UnboundedReceiver<(PeerId, Bytes)>>>,
+    tasks: Arc<Tasks>,
     stats: Arc<MeshStats>,
 }
 
 impl TcpMesh {
-    /// Binds to `listen_addr`, starts one writer task per `(peer id, address)`
-    /// pair, and returns the mesh once the listener is running. Peers that are
-    /// not up yet (or that restart later) are dialed in the background with
-    /// backoff.
+    /// Binds like [`TcpMesh::bind_with`], with a sink that queues every frame
+    /// for [`TcpMesh::recv_frame`].
     ///
     /// # Errors
     ///
@@ -206,33 +236,64 @@ impl TcpMesh {
         listen_addr: &str,
         peers: &[(PeerId, String)],
     ) -> Result<Self, TransportError> {
+        let (tx, rx) = mpsc::unbounded_channel();
+        // The send fails only once the mesh, which holds the receiver, is gone.
+        let sink = move |peer, frame| _ = tx.send((peer, frame));
+        let mut mesh = Self::bind_with(id, listen_addr, peers, sink).await?;
+        mesh.incoming = Some(Mutex::new(rx));
+        Ok(mesh)
+    }
+
+    /// Binds to `listen_addr`, starts one writer task per `(peer id, address)`
+    /// pair, and returns the mesh once the listener is running. Peers that are
+    /// not up yet (or that restart later) are dialed in the background with
+    /// backoff.
+    ///
+    /// Each connection's read loop calls `sink` with the sender and each frame,
+    /// still encoded, in the order sent, on the thread that read it — a
+    /// zero-copy view of the read buffer, to decode with [`wire::from_bytes`]
+    /// or [`wire::from_bytes_in_place`]. The next read waits for the sink.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the local listener cannot be bound.
+    pub async fn bind_with<S>(
+        id: PeerId,
+        listen_addr: &str,
+        peers: &[(PeerId, String)],
+        sink: S,
+    ) -> Result<Self, TransportError>
+    where
+        S: Fn(PeerId, Bytes) + Send + Sync + 'static,
+    {
         let listener = TcpListener::bind(listen_addr).await?;
-        let (incoming_tx, incoming_rx) = mpsc::unbounded_channel();
         let mut outgoing = HashMap::new();
-        let mut tasks = Vec::new();
+        let tasks = Arc::new(Tasks::default());
         let stats = Arc::new(MeshStats::default());
 
         // Accept loop: peers identify themselves with an 8-byte hello.
-        let accept_incoming = incoming_tx.clone();
-        let accept_stats = Arc::clone(&stats);
-        tasks.push(tokio::spawn(async move {
-            loop {
-                let Ok((stream, _)) = listener.accept().await else { break };
-                let tx = accept_incoming.clone();
-                let stats = Arc::clone(&accept_stats);
-                tokio::spawn(async move {
-                    let _ = read_loop(stream, tx, stats).await;
-                });
+        let accept = {
+            let (sink, tasks, stats) = (Arc::new(sink), Arc::clone(&tasks), Arc::clone(&stats));
+            async move {
+                loop {
+                    let Ok((stream, _)) = listener.accept().await else { break };
+                    let (sink, stats) = (Arc::clone(&sink), Arc::clone(&stats));
+                    let read = read_loop(stream, sink, Arc::clone(&tasks), stats);
+                    tasks.track(tokio::spawn(async move {
+                        let _ = read.await;
+                    }));
+                }
             }
-        }));
+        };
+        tasks.track(tokio::spawn(accept));
 
         for (peer, addr) in peers.iter().cloned() {
             if peer == id {
                 continue;
             }
             let (tx, rx) = mpsc::unbounded_channel();
-            let out = Arc::new(std::sync::Mutex::new(Outbound::default()));
-            tasks.push(tokio::spawn(write_loop(
+            let out = Arc::new(Mutex::new(Outbound::default()));
+            tasks.track(tokio::spawn(write_loop(
                 id,
                 addr,
                 rx,
@@ -242,7 +303,7 @@ impl TcpMesh {
             outgoing.insert(peer, PeerHandle { tx, out });
         }
 
-        Ok(TcpMesh { id, peers: outgoing, incoming: Mutex::new(incoming_rx), tasks, stats })
+        Ok(TcpMesh { id, peers: outgoing, incoming: None, tasks, stats })
     }
 
     /// The mesh's runtime introspection counters; register them into an
@@ -326,27 +387,28 @@ impl TcpMesh {
             .map_err(|_| TransportError::Closed)
     }
 
-    /// Receives the next `(sender, frame)` pair without deserializing.
-    ///
-    /// The frame is a zero-copy view of the reader's socket buffer; decode it
-    /// with [`wire::from_bytes`] (borrowed) or [`wire::from_bytes_in_place`]
-    /// (into a scratch value) to keep the inbound path allocation-free.
+    /// Receives the next `(sender, frame)` pair; serves the 3-argument
+    /// [`TcpMesh::bind`] only, and one caller at a time (a second would take
+    /// the first's wake-up). A receive dropped while it waits loses no frame.
     ///
     /// # Errors
     ///
-    /// Returns [`TransportError::Closed`] when the mesh has shut down.
+    /// [`TransportError::Closed`] once the mesh has shut down and its queued
+    /// frames are taken, and always for a mesh made by [`TcpMesh::bind_with`].
     pub async fn recv_frame(&self) -> Result<(PeerId, Bytes), TransportError> {
-        let mut incoming = self.incoming.lock().await;
-        incoming.recv().await.ok_or(TransportError::Closed)
+        let incoming = self.incoming.as_ref().ok_or(TransportError::Closed)?;
+        poll_fn(|cx| incoming.lock().expect("receiver lock poisoned").poll_recv(cx))
+            .await
+            .ok_or(TransportError::Closed)
     }
 
-    /// Stops the accept loop and every per-peer writer, closing the listener
-    /// socket so the address can be rebound, and unpublishes the outbound
-    /// connections. Called automatically on drop.
+    /// Stops the accept loop, every read loop and every per-peer writer,
+    /// closing the listener socket so the address can be rebound, and
+    /// unpublishes the outbound connections. The sink then gets at most the
+    /// frame each connection was delivering, and is dropped with the aborted
+    /// loops. Called automatically on drop.
     pub fn shutdown(&self) {
-        for task in &self.tasks {
-            task.abort();
-        }
+        self.tasks.abort_all();
         // The writer tasks are gone: nothing may write to their sockets now.
         for handle in self.peers.values() {
             if let Ok(mut out) = handle.out.lock() {
@@ -370,7 +432,7 @@ async fn write_loop(
     id: PeerId,
     addr: String,
     mut rx: mpsc::UnboundedReceiver<Queued>,
-    out: Arc<std::sync::Mutex<Outbound>>,
+    out: Arc<Mutex<Outbound>>,
     stats: Arc<MeshStats>,
 ) {
     let mut staging = BytesMut::with_capacity(MAX_BATCH_BYTES);
@@ -499,11 +561,13 @@ fn drain_pending(
 }
 
 /// Reads the peer hello and then whole socket chunks directly into the frame
-/// decoder's buffer, draining every complete frame per chunk as a refcounted
-/// view — the inbound half of coalescing, with no staging copy.
-async fn read_loop(
+/// decoder's buffer, handing every complete frame of a chunk to `sink` as a
+/// refcounted view — the inbound half of coalescing, with no staging copy.
+/// Ends with the connection, or at the first frame after shutdown.
+async fn read_loop<S: Fn(PeerId, Bytes)>(
     mut stream: TcpStream,
-    tx: mpsc::UnboundedSender<(PeerId, Bytes)>,
+    sink: Arc<S>,
+    tasks: Arc<Tasks>,
     stats: Arc<MeshStats>,
 ) -> Result<(), TransportError> {
     let mut hello = [0u8; 8];
@@ -527,9 +591,10 @@ async fn read_loop(
         stats.socket_reads.incr();
         decoder.commit(count);
         while let Some(frame) = decoder.decode_next_view()? {
-            if tx.send((peer, frame)).is_err() {
+            if tasks.closed.load(Ordering::Acquire) {
                 return Ok(());
             }
+            sink(peer, frame);
         }
     }
 }
@@ -539,6 +604,7 @@ mod tests {
     use super::*;
     use serde::de::DeserializeOwned;
     use serde::{Deserialize, Serialize};
+    use std::sync::atomic::AtomicUsize;
 
     #[derive(Debug, Serialize, Deserialize, PartialEq)]
     struct Hello {
@@ -554,6 +620,38 @@ mod tests {
     async fn recv<M: DeserializeOwned>(mesh: &TcpMesh) -> (PeerId, M) {
         let (from, frame) = mesh.recv_frame().await.unwrap();
         (from, wire::from_bytes(&frame).unwrap())
+    }
+
+    /// What a recording sink has been handed: `(sender, text)` per frame.
+    type Received = Arc<Mutex<Vec<(PeerId, String)>>>;
+
+    /// Binds a mesh whose sink decodes each frame as a [`Hello`] and records it.
+    async fn bind_recording(
+        id: PeerId,
+        listen: &str,
+        peers: &[(PeerId, String)],
+    ) -> (TcpMesh, Received) {
+        let received = Received::default();
+        let record = Arc::clone(&received);
+        let sink = move |from, frame: Bytes| {
+            let hello: Hello = wire::from_bytes(&frame).unwrap();
+            record.lock().unwrap().push((from, hello.text));
+        };
+        (TcpMesh::bind_with(id, listen, peers, sink).await.unwrap(), received)
+    }
+
+    /// Waits, for at most ten seconds, until `done` holds.
+    fn eventually(what: &str, mut done: impl FnMut() -> bool) {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !done() {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// An address nothing listens on yet: bound once to learn a free port.
+    fn free_addr() -> String {
+        std::net::TcpListener::bind("127.0.0.1:0").unwrap().local_addr().unwrap().to_string()
     }
 
     #[tokio::test]
@@ -585,22 +683,125 @@ mod tests {
         assert_eq!(mesh.id(), 7);
     }
 
+    /// Every frame of a batch arrives, in order: through `recv_frame`, and
+    /// through a sink of the receiver's own.
     #[tokio::test]
     async fn send_with_delivers_a_batch_in_order() {
-        let addr_a = "127.0.0.1:39024";
-        let addr_b = "127.0.0.1:39025";
-        let mesh_a = TcpMesh::bind(0, addr_a, &[(1u64, addr_b.to_string())]).await.unwrap();
-        let mesh_b = TcpMesh::bind(1, addr_b, &[(0u64, addr_a.to_string())]).await.unwrap();
-
         let batch: Vec<Hello> = (0..50).map(|i| Hello { text: format!("m{i}") }).collect();
-        mesh_a
-            .send_with(1, |encoder| batch.iter().try_for_each(|hello| encoder.encode(hello)))
-            .unwrap();
-        for i in 0..50 {
-            let (from, hello): (u64, Hello) = recv(&mesh_b).await;
-            assert_eq!(from, 0);
-            assert_eq!(hello.text, format!("m{i}"));
+        let expected: Vec<(PeerId, String)> =
+            batch.iter().map(|hello| (0, hello.text.clone())).collect();
+        for own_sink in [false, true] {
+            let addr_b = free_addr();
+            let mesh_a = TcpMesh::bind(0, "127.0.0.1:0", &[(1u64, addr_b.clone())]).await.unwrap();
+            let send_batch = || {
+                let fill = |encoder: &mut FrameEncoder| {
+                    batch.iter().try_for_each(|hello| encoder.encode(hello))
+                };
+                mesh_a.send_with(1, fill).unwrap();
+            };
+            let received = if own_sink {
+                let (_mesh_b, received) = bind_recording(1, &addr_b, &[]).await;
+                send_batch();
+                eventually("the batch", || received.lock().unwrap().len() >= batch.len());
+                let received = received.lock().unwrap().clone();
+                received
+            } else {
+                let mesh_b = TcpMesh::bind(1, &addr_b, &[]).await.unwrap();
+                send_batch();
+                let mut received = Vec::new();
+                for _ in 0..batch.len() {
+                    let (from, hello): (u64, Hello) = recv(&mesh_b).await;
+                    received.push((from, hello.text));
+                }
+                received
+            };
+            assert_eq!(received, expected, "own sink: {own_sink}");
         }
+    }
+
+    /// Once `shutdown` returns the sink gets no more frames, though the peer
+    /// keeps sending and more of them are already read, and what it holds is
+    /// let go of: every read loop ends, not just the accept loop. The sink
+    /// blocks in its first frame until `shutdown` has returned, so the rest of
+    /// that read — and every later one — finds the mesh closed.
+    #[test]
+    fn shutdown_stops_the_sink_and_lets_go_of_it() {
+        let addr_b = free_addr();
+        let received = Arc::new(AtomicUsize::new(0));
+        let (entered_tx, entered) = std::sync::mpsc::sync_channel(1);
+        let (release, release_rx) = std::sync::mpsc::channel::<()>();
+        let release_rx = Mutex::new(release_rx);
+        let count = Arc::clone(&received);
+        let sink = move |_, _| {
+            if count.fetch_add(1, Ordering::SeqCst) == 0 {
+                entered_tx.send(()).unwrap();
+                release_rx.lock().unwrap().recv().unwrap();
+            }
+        };
+        let mesh_b = tokio::runtime::block_on(TcpMesh::bind_with(1, &addr_b, &[], sink)).unwrap();
+        let peers = [(1u64, addr_b)];
+        let mesh_a = tokio::runtime::block_on(TcpMesh::bind(0, "127.0.0.1:0", &peers)).unwrap();
+        let sending = AtomicBool::new(true);
+        let (delivered, holders) = std::thread::scope(|scope| {
+            scope.spawn(|| {
+                while sending.load(Ordering::Relaxed) {
+                    let fill = |encoder: &mut FrameEncoder| {
+                        (0..20).try_for_each(|_| encoder.encode(&Hello { text: "more".into() }))
+                    };
+                    mesh_a.send_with(1, fill).unwrap();
+                    std::thread::sleep(Duration::from_micros(200));
+                }
+            });
+            entered.recv().unwrap();
+            mesh_b.shutdown();
+            release.send(()).unwrap();
+            std::thread::sleep(Duration::from_millis(50));
+            let delivered = received.load(Ordering::SeqCst);
+            // The read loop and the accept loop each hold the sink until the
+            // runtime drops them.
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while Arc::strong_count(&received) > 1 && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            sending.store(false, Ordering::Relaxed);
+            (delivered, Arc::strong_count(&received))
+        });
+        assert_eq!(delivered, 1, "frames delivered, the one under way at shutdown included");
+        assert_eq!(holders, 1, "the sink outlived the mesh's shutdown by ten seconds");
+    }
+
+    /// A `recv_frame` that `select!` drops while it waits — its waker parked,
+    /// and maybe woken by the frame that then arrives — costs no frame: the
+    /// next receive returns exactly the next frame sent.
+    #[tokio::test]
+    async fn a_receive_dropped_while_waiting_loses_no_frame() {
+        const FRAMES: u32 = 200;
+        let addr_b = free_addr();
+        let mesh_a = TcpMesh::bind(0, "127.0.0.1:0", &[(1u64, addr_b.clone())]).await.unwrap();
+        let mesh_b = TcpMesh::bind(1, &addr_b, &[]).await.unwrap();
+        let (mut next, mut dropped) = (0, 0);
+        let take = |next: &mut u32, hello: Hello| {
+            assert_eq!(hello.text, next.to_string(), "lost, repeated or reordered");
+            *next += 1;
+        };
+        for sent in 0..FRAMES {
+            // Before the send and right after it: the first race mostly finds
+            // nothing to receive, the second often finds the frame on its way.
+            for wait in [Duration::from_millis(1), Duration::ZERO] {
+                tokio::select! {
+                    received = recv::<Hello>(&mesh_b) => { take(&mut next, received.1) }
+                    _ = tokio::time::sleep(wait) => { dropped += 1 }
+                }
+                if wait > Duration::ZERO {
+                    send(&mesh_a, 1, &Hello { text: sent.to_string() });
+                }
+            }
+        }
+        while next < FRAMES {
+            let (_, hello) = recv::<Hello>(&mesh_b).await;
+            take(&mut next, hello);
+        }
+        assert!(dropped > 0, "no receive was dropped while it waited");
     }
 
     #[tokio::test]

@@ -1,8 +1,8 @@
 //! Three CRDT Paxos replicas as independent tokio tasks talking over loopback TCP.
 //!
 //! Each replica runs the sans-io protocol core behind a `transport::tcp::TcpMesh`
-//! (length-prefixed `wire` frames). A client task submits increments and linearizable
-//! reads to different replicas and prints the results.
+//! whose sink feeds it length-prefixed `wire` frames. A client task submits increments
+//! and linearizable reads to different replicas and prints the results.
 //!
 //! ```bash
 //! cargo run --example distributed_counter
@@ -32,7 +32,9 @@ async fn replica_task(
     mut commands: mpsc::UnboundedReceiver<(ClientCommand, ReplyTx)>,
 ) {
     let listen = addrs.iter().find(|(peer, _)| *peer == id).expect("own address").1.clone();
-    let mesh = TcpMesh::bind(id, &listen, &addrs).await.expect("bind replica endpoint");
+    let (frame_tx, mut frames) = mpsc::unbounded_channel();
+    let sink = move |from, frame| _ = frame_tx.send((ReplicaId::new(from), frame));
+    let mesh = TcpMesh::bind_with(id, &listen, &addrs, sink).await.expect("bind replica endpoint");
 
     let members: Vec<ReplicaId> = addrs.iter().map(|(peer, _)| ReplicaId::new(*peer)).collect();
     let mut replica: Replica<GCounter> =
@@ -54,11 +56,9 @@ async fn replica_task(
         }
 
         tokio::select! {
-            incoming = mesh.recv_frame() => {
-                if let Ok((from, frame)) = incoming {
-                    if let Ok(message) = wire::from_bytes::<Message<GCounter>>(&frame) {
-                        replica.handle_message(ReplicaId::new(from), message);
-                    }
+            Some((from, frame)) = frames.recv() => {
+                if let Ok(message) = wire::from_bytes::<Message<GCounter>>(&frame) {
+                    replica.handle_message(from, message);
                 }
             }
             Some((command, reply)) = commands.recv() => {

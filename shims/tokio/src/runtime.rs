@@ -350,6 +350,12 @@ impl<T> JoinHandle<T> {
         self.task.aborted.store(true, Ordering::Release);
         Arc::clone(&self.task).schedule();
     }
+
+    /// Whether the task has finished: completed, aborted or panicked. Never
+    /// waits: a task being polled right now has not.
+    pub fn is_finished(&self) -> bool {
+        self.task.future.try_lock().is_ok_and(|future| future.is_none())
+    }
 }
 
 impl<T> std::fmt::Debug for JoinHandle<T> {
@@ -432,6 +438,18 @@ mod tests {
         });
         handle.abort();
         assert!(block_on(handle).is_err());
+    }
+
+    #[test]
+    fn an_aborted_task_is_finished_once_its_future_is_dropped() {
+        let handle = spawn(crate::time::sleep(Duration::from_secs(60)));
+        assert!(!handle.is_finished());
+        handle.abort();
+        let deadline = std::time::Instant::now() + Duration::from_secs(10);
+        while !handle.is_finished() {
+            assert!(std::time::Instant::now() < deadline, "the aborted task never finished");
+            std::thread::sleep(Duration::from_millis(1));
+        }
     }
 
     #[test]

@@ -1,16 +1,14 @@
-//! Async synchronization primitives: unbounded mpsc channels and an async
-//! mutex (subset used by this workspace).
+//! Async synchronization primitives: unbounded mpsc channels (the subset used
+//! by this workspace).
 //!
-//! Both primitives are waker-correct: a pending `recv` parks its waker under
-//! the channel lock (so a racing `send` cannot miss it), and a contended
-//! `Mutex::lock` parks in a waiter list drained on unlock. Nothing spins.
+//! The channel is waker-correct: a pending receive parks its waker under the
+//! channel lock, so a racing `send` cannot miss it. Nothing spins.
 
 use std::collections::VecDeque;
 use std::future::poll_fn;
-use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::task::{Poll, Waker};
+use std::task::{Context, Poll, Waker};
 
 pub mod mpsc {
     //! Unbounded multi-producer single-consumer channels.
@@ -106,18 +104,24 @@ pub mod mpsc {
         /// Waits for the next message; `None` once all senders are dropped
         /// and the queue is drained.
         pub async fn recv(&mut self) -> Option<T> {
-            poll_fn(|cx| {
-                let mut inner = self.shared.inner.lock().unwrap();
-                if let Some(value) = inner.queue.pop_front() {
-                    return Poll::Ready(Some(value));
-                }
-                if self.shared.senders.load(Ordering::Acquire) == 0 {
-                    return Poll::Ready(None);
-                }
-                inner.recv_waker = Some(cx.waker().clone());
-                Poll::Pending
-            })
-            .await
+            poll_fn(|cx| self.poll_recv(cx)).await
+        }
+
+        /// Takes the next message if one is queued; otherwise parks `cx`'s
+        /// waker (replacing any parked before) and returns `Pending`, or
+        /// `Ready(None)` once all senders are dropped and the queue is
+        /// drained. A message is taken only by a `Ready` poll, so a receive
+        /// abandoned while pending loses nothing.
+        pub fn poll_recv(&mut self, cx: &mut Context<'_>) -> Poll<Option<T>> {
+            let mut inner = self.shared.inner.lock().unwrap();
+            if let Some(value) = inner.queue.pop_front() {
+                return Poll::Ready(Some(value));
+            }
+            if self.shared.senders.load(Ordering::Acquire) == 0 {
+                return Poll::Ready(None);
+            }
+            inner.recv_waker = Some(cx.waker().clone());
+            Poll::Pending
         }
 
         /// Dequeues a message if one is ready.
@@ -164,96 +168,6 @@ pub mod mpsc {
     }
 }
 
-/// An async mutex. The guard is `Send`, so it may be held across `.await`
-/// points; contended lockers park their waker and are woken on unlock.
-pub struct Mutex<T: ?Sized> {
-    locked: AtomicBool,
-    /// Wakers of tasks waiting for the lock; all are woken on unlock (the
-    /// losers of the resulting race simply re-park).
-    waiters: std::sync::Mutex<Vec<Waker>>,
-    value: std::cell::UnsafeCell<T>,
-}
-
-// SAFETY: access to `value` is serialized by the `locked` flag.
-unsafe impl<T: ?Sized + Send> Send for Mutex<T> {}
-unsafe impl<T: ?Sized + Send> Sync for Mutex<T> {}
-
-impl<T> Mutex<T> {
-    /// Creates a new async mutex.
-    pub fn new(value: T) -> Self {
-        Mutex {
-            locked: AtomicBool::new(false),
-            waiters: std::sync::Mutex::new(Vec::new()),
-            value: std::cell::UnsafeCell::new(value),
-        }
-    }
-}
-
-impl<T: ?Sized> Mutex<T> {
-    fn try_acquire(&self) -> bool {
-        self.locked.compare_exchange(false, true, Ordering::AcqRel, Ordering::Acquire).is_ok()
-    }
-
-    /// Acquires the lock.
-    pub async fn lock(&self) -> MutexGuard<'_, T> {
-        poll_fn(|cx| {
-            if self.try_acquire() {
-                return Poll::Ready(MutexGuard { mutex: self });
-            }
-            self.waiters.lock().unwrap().push(cx.waker().clone());
-            // Re-check after parking: an unlock between the failed acquire
-            // and the park would otherwise never wake us. The leftover waker
-            // only costs a spurious wake.
-            if self.try_acquire() {
-                return Poll::Ready(MutexGuard { mutex: self });
-            }
-            Poll::Pending
-        })
-        .await
-    }
-}
-
-impl<T: ?Sized + std::fmt::Debug> std::fmt::Debug for Mutex<T> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("Mutex(..)")
-    }
-}
-
-/// Guard returned by [`Mutex::lock`].
-pub struct MutexGuard<'a, T: ?Sized> {
-    mutex: &'a Mutex<T>,
-}
-
-// SAFETY: the guard owns the lock; the data it protects is Send.
-unsafe impl<T: ?Sized + Send> Send for MutexGuard<'_, T> {}
-unsafe impl<T: ?Sized + Send + Sync> Sync for MutexGuard<'_, T> {}
-
-impl<T: ?Sized> Deref for MutexGuard<'_, T> {
-    type Target = T;
-
-    fn deref(&self) -> &T {
-        // SAFETY: the lock is held.
-        unsafe { &*self.mutex.value.get() }
-    }
-}
-
-impl<T: ?Sized> DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        // SAFETY: the lock is held exclusively.
-        unsafe { &mut *self.mutex.value.get() }
-    }
-}
-
-impl<T: ?Sized> Drop for MutexGuard<'_, T> {
-    fn drop(&mut self) {
-        self.mutex.locked.store(false, Ordering::Release);
-        let wakers: Vec<Waker> = std::mem::take(&mut self.mutex.waiters.lock().unwrap());
-        for waker in wakers {
-            waker.wake();
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -281,38 +195,5 @@ mod tests {
         });
         assert_eq!(block_on(rx.recv()), Some(7));
         sender.join().unwrap();
-    }
-
-    #[test]
-    fn mutex_provides_exclusive_access() {
-        block_on(async {
-            let mutex = Mutex::new(10);
-            {
-                let mut guard = mutex.lock().await;
-                *guard += 1;
-            }
-            assert_eq!(*mutex.lock().await, 11);
-        });
-    }
-
-    #[test]
-    fn contended_mutex_wakes_waiters() {
-        let mutex = Arc::new(Mutex::new(0u64));
-        let tasks: Vec<_> = (0..8)
-            .map(|_| {
-                let mutex = Arc::clone(&mutex);
-                crate::spawn(async move {
-                    for _ in 0..50 {
-                        *mutex.lock().await += 1;
-                    }
-                })
-            })
-            .collect();
-        block_on(async move {
-            for task in tasks {
-                task.await.unwrap();
-            }
-        });
-        assert_eq!(block_on(async { *mutex.lock().await }), 400);
     }
 }
