@@ -7,9 +7,8 @@
 //! by field instead of building a fresh one. PR 9 closes the loop on the
 //! outbound half: replies drain through capacity-preserving outboxes
 //! (`drain_outbox_into`) and serialize straight into a recycled
-//! [`FrameEncoder`] batch buffer whose allocation ping-pongs between encoder
-//! and writer. This harness proves both claims with a counting
-//! `#[global_allocator]`:
+//! [`FrameEncoder`] buffer, which `TcpMesh` writes from and empties in place.
+//! This harness proves both claims with a counting `#[global_allocator]`:
 //!
 //! * **decode loops** — allocations per frame for a delta MERGE, a full-state
 //!   MERGE, and the owned (`from_bytes`) decode of each for contrast;
@@ -28,8 +27,10 @@
 //!   capacity, so a hand-off is gated at **zero** allocations per item (a
 //!   linked queue that boxed a node per push read 1);
 //! * **encode loops** — the outbound half: a broadcast-sized message
-//!   serialized into a recycled batch buffer (gated at zero) versus a fresh
-//!   encoder per batch (reported for contrast);
+//!   serialized into the peer's buffer, written from it and the buffer
+//!   emptied in place, the cycle `TcpMesh` runs (gated at zero); the same
+//!   message through a taken, recycled batch (gated at zero) and through a
+//!   fresh encoder per batch (reported for contrast);
 //! * **protocol round** — socket to socket: in-place decode, the acceptor's
 //!   `handle_message_mut`, a capacity-preserving outbox drain, and the reply
 //!   encoded into the recycled batch. Gated at **zero** allocations per
@@ -587,12 +588,22 @@ fn main() {
     // producer's thread, which a count of the worker alone would miss.
     cases.push(run_handoff_case("mailbox_handoff", warmup, iterations));
 
-    // The outbound half in isolation: a broadcast-sized message serialized
-    // into the recycled batch buffer. `take()` freezes the batch for the
-    // writer and reclaims a spent buffer once the writer (here: the end of
-    // the iteration) drops its handle — steady state cycles two or three
-    // resident allocations with zero new ones.
+    // The outbound half in isolation, as `TcpMesh` runs it: a broadcast-sized
+    // message serialized into the peer's buffer, written from it, and the
+    // buffer emptied in place for the next batch.
     let broadcast: ShardMessage<Kv> = wire::from_bytes(&delta).expect("decode");
+    let mut peer_encoder = FrameEncoder::new();
+    cases.push(run_case("encode_write_in_place", warmup, iterations, || {
+        peer_encoder.encode(&broadcast).expect("encode");
+        std::hint::black_box(peer_encoder.bytes());
+        peer_encoder.truncate(0);
+    }));
+
+    // The cycle of whoever still takes batches (fig8's client connections,
+    // the benchmark's ladder): `take()` freezes the batch for the writer and
+    // reclaims a spent buffer once the writer (here: the end of the
+    // iteration) drops its handle — steady state cycles two or three
+    // resident allocations with zero new ones.
     let mut batch_encoder = FrameEncoder::new();
     cases.push(run_case("encode_batch_recycled", warmup, iterations, || {
         batch_encoder.encode(&broadcast).expect("encode");
@@ -770,6 +781,7 @@ fn main() {
                 | "frame_loop_held_views"
                 | "mailbox_handoff"
                 | "frame_loop_observed"
+                | "encode_write_in_place"
                 | "encode_batch_recycled"
                 | "protocol_round_delta"
                 | "protocol_round_observed"
@@ -797,9 +809,9 @@ fn main() {
         println!();
         println!(
             "acceptance passed: delta decode, framing (views dropped within their chunk or \
-             held past the next read), the mailbox hand-off between two threads, recycled \
-             encode, the full protocol round, the mixed full-state streams (acceptor and \
-             proposer) and a proposer cycle of 1 + 1 or 16 + 16 commands are allocation-free \
+             held past the next read), the mailbox hand-off between two threads, encode \
+             (written in place and taken recycled), the full protocol round, the mixed \
+             full-state streams (acceptor and proposer) and a proposer cycle of 1 + 1 or 16 + 16 commands are allocation-free \
              — with observability recording enabled too; full-state decode within budget \
              ({FULL_BUDGET}/frame); an update cycle behind a snapshot in flight copies the \
              entries in {UNSHARE_ALLOCS} allocations at 16 and at 256 keys"

@@ -15,7 +15,7 @@
 //! * **crdt-paxos**: the parallel engine (4 shards), every replica
 //!   an `engine::TcpNode` serving clients — the paper's leaderless protocol en
 //!   route. The engine's outbox runs are serialized straight into each peer's
-//!   recycled `TcpMesh::send_with` batch buffer on the worker thread — no
+//!   `TcpMesh::send_with` outbound buffer on the worker thread — no
 //!   dispatcher task, no intermediate envelope queue — and inbound frames
 //!   flow zero-copy from the socket into `NodeIngress::deliver_frame`.
 //! * **multi-paxos / raft**: the sans-io baseline replicas, each pumped by a

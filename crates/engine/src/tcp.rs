@@ -2,8 +2,8 @@
 //! to a [`TcpMesh`] in both directions.
 //!
 //! * **Engine → sockets.** The node's [`Outbound`] sink encodes each
-//!   destination run of a drained outbox straight into that peer's recycled
-//!   batch buffer ([`TcpMesh::send_with`]), on the worker thread that produced
+//!   destination run of a drained outbox straight into that peer's outbound
+//!   buffer ([`TcpMesh::send_with`]), on the worker thread that produced
 //!   it: one contiguous wire batch per peer per engine cycle, no dispatcher
 //!   task, no owned envelopes crossing a channel.
 //! * **Sockets → engine.** The mesh's sink is [`NodeIngress::deliver_frame`]:

@@ -2,7 +2,7 @@
 //!
 //! The protocol cores in this workspace are sans-io; this crate provides the plumbing
 //! to run them as real processes: [`tcp`], a tokio-based TCP mesh with
-//! length-prefixed [`wire`] framing. Callers encode straight into a peer's batch
+//! length-prefixed [`wire`] framing. Callers encode straight into a peer's outbound
 //! buffer ([`tcp::TcpMesh::send_with`]) and get each received `(from, frame)`
 //! pair in the sink they bind it with ([`tcp::TcpMesh::bind_with`]).
 

@@ -4,25 +4,26 @@
 //! persistent outbound connection per peer, dialed lazily and redialed (with
 //! backoff) whenever it drops — a peer restart heals without intervention.
 //!
-//! The write side has a fast path and a coalescing path. Each peer owns a
-//! recycled [`FrameEncoder`], so messages serialize straight into a resident
-//! allocation — no intermediate `Bytes` per frame, and zero allocations per
-//! batch once the cycle is warm. While the connection is up and nothing is
-//! queued, the sender writes its batch to the socket itself, under the peer's
-//! lock (`try_write`: no task, no wake-up). Whatever the socket does not take
-//! at once — and everything sent while the peer is being dialed or a backlog
-//! exists — is queued to the peer's writer task, which drains the queue and
-//! flushes it as single socket writes (bounded by a batch-size threshold), so
-//! under load the syscall and wakeup cost is amortized over many messages.
-//! The backlog is bounded (`MAX_BACKLOG_BYTES`): batches that would pass the
-//! bound are dropped and counted, like any lost message. The read side mirrors
-//! this: the socket reads land directly in the frame decoder's buffer (no
-//! staging chunk), and each complete frame goes straight to the mesh's sink
-//! (see [`TcpMesh::bind_with`]) as a refcounted [`Bytes`] view of that buffer
-//! — the inbound path writes each payload byte exactly once. Those views are
-//! still held when the next read begins, so the decoder continues in a
-//! recycled buffer whose frames have all been dropped: in steady state a read
-//! allocates nothing and zero-fills nothing
+//! The write side has one buffer per peer and one write routine. Each peer's
+//! recycled [`FrameEncoder`] holds the only copy of its unsent bytes: messages
+//! serialize straight into it, and every write takes all of them that are not
+//! yet written with one non-blocking `try_write`, leaving in place whatever the
+//! kernel refuses. While the connection is up and nothing is left over, the
+//! sender writes its batch itself, under the peer's lock (no task, no
+//! wake-up), and empties the buffer in place — zero allocations per batch.
+//! Bytes the socket refuses, and everything sent while the peer is being
+//! dialed, stay in the buffer for the peer's writer task, which waits for the
+//! socket to take more and then writes whatever has piled up meanwhile as one
+//! write, so under load the syscall and wakeup cost is amortized over many
+//! messages. The buffer is bounded (`MAX_BACKLOG_BYTES`): batches that would
+//! pass the bound are dropped and counted, like any lost message. The read
+//! side mirrors this: the socket reads land directly in the frame decoder's
+//! buffer (no staging chunk), and each complete frame goes straight to the
+//! mesh's sink (see [`TcpMesh::bind_with`]) as a refcounted [`Bytes`] view of
+//! that buffer — the inbound path writes each payload byte exactly once.
+//! Those views are still held when the next read begins, so the decoder
+//! continues in a recycled buffer whose frames have all been dropped: in
+//! steady state a read allocates nothing and zero-fills nothing
 //! ([`MeshStats::read_buffers_allocated`] counts the reads that had to).
 //! [`TcpMesh::send_with`] hands callers the raw encoder, so one
 //! call may batch any number of frames.
@@ -31,9 +32,10 @@ use std::collections::HashMap;
 use std::future::poll_fn;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::task::{Poll, Waker};
 use std::time::{Duration, Instant};
 
-use bytes::{Bytes, BytesMut};
+use bytes::Bytes;
 use obs::{Counter, Histogram, ObsRegistry, Stopwatch};
 use tokio::io::AsyncReadExt;
 use tokio::net::{TcpListener, TcpStream};
@@ -42,16 +44,12 @@ use wire::framing::{FrameDecoder, FrameEncoder};
 
 use crate::{PeerId, TransportError};
 
-/// Flush a coalesced batch once it reaches this many bytes, even if more
-/// frames are queued; keeps a single write from growing unboundedly under a
-/// backlog.
-const MAX_BATCH_BYTES: usize = 256 * 1024;
-
-/// Most bytes a peer that is down or slow may have queued to its writer task.
-/// A batch that would take the backlog past this is dropped (newest first)
-/// and counted in [`MeshStats::dropped_batches`]; the protocol retransmits on
-/// its tick, like after any lost message. A batch that finds the backlog
-/// empty is always taken, whatever its size.
+/// Most bytes a peer's buffer may hold, the written head of a partly written
+/// buffer included, while the peer is down or slow. A batch that would take
+/// the buffer past this is dropped (newest first) and counted in
+/// [`MeshStats::dropped_batches`]; the protocol retransmits on its tick, like
+/// after any lost message. A batch that finds the buffer empty is always
+/// taken, whatever its size.
 const MAX_BACKLOG_BYTES: usize = 32 * 1024 * 1024;
 
 /// Read chunk size for the inbound decoder.
@@ -70,52 +68,56 @@ fn next_backoff(backoff: Duration) -> Duration {
     (backoff * 2).min(RECONNECT_BACKOFF_MAX)
 }
 
-/// One entry of a peer's writer queue.
-#[derive(Debug)]
-struct Queued {
-    batch: Bytes,
-    frames: u64,
-    /// Bytes of `batch` an inline write already put on the wire. The rest
-    /// starts mid-frame, so it may only follow them on the same connection.
-    written: usize,
-    /// The connection (by [`Outbound::generation`]) `written` went to.
-    generation: u64,
-}
-
-impl Queued {
-    fn remaining(&self) -> &[u8] {
-        &self.batch[self.written..]
-    }
-}
-
 /// Outbound state for one peer, under one lock that is held only across a
 /// synchronous encode and at most one non-blocking write — never an await —
 /// so a blocking mutex is cheaper than an async one here.
 ///
 /// The lock is what keeps the socket to one writer at a time with bytes in
-/// order: a sender writes inline only while holding it *and* seeing `backlog
-/// == 0`; every enqueue adds to `backlog` under it, and the writer task
-/// subtracts only after its flush has completed. So while the task owes the
-/// socket anything no sender touches it, and nothing queued is overtaken.
+/// order: whoever holds it writes from the head of the one buffer. A sender
+/// writes only if the buffer was empty before its batch; while bytes are left
+/// over, the writer task owes them to the socket and senders only append.
 #[derive(Debug, Default)]
 struct Outbound {
-    /// Recycled batch buffers: they ping-pong between the encoder and
-    /// whoever writes them.
+    /// The unsent bytes, whole frames from the start: the first `written` of
+    /// them are on the wire already. Emptied once all are.
     encoder: FrameEncoder,
+    written: usize,
     /// The live connection, published by the writer task once the hello is
-    /// out; `None` while it dials. A sender whose inline write fails clears
-    /// it and prods the task, which redials.
+    /// out; `None` while it dials. A failed write clears it, and the task
+    /// redials.
     stream: Option<Arc<TcpStream>>,
-    /// Counts published connections.
-    generation: u64,
-    /// Bytes queued to the writer task and not yet flushed.
-    backlog: usize,
+    /// The writer task, parked until bytes are left over or the connection
+    /// fails.
+    writer: Option<Waker>,
 }
 
-#[derive(Debug)]
-struct PeerHandle {
-    tx: mpsc::UnboundedSender<Queued>,
-    out: Arc<Mutex<Outbound>>,
+impl Outbound {
+    /// Writes everything not yet written with one `try_write`, leaving in
+    /// place whatever the socket refuses — the mesh's one write of frames,
+    /// by the sending thread (`inline`) and by the writer task alike. A write
+    /// that empties the buffer resets it in place and completes its frames.
+    /// A failed one unpublishes the connection and loses what the buffer
+    /// held, so bytes appended afterwards start a frame on the next one.
+    fn flush(&mut self, stats: &MeshStats, inline: bool) {
+        let Some(stream) = &self.stream else { return };
+        let unwritten = &self.encoder.bytes()[self.written..];
+        let write = Stopwatch::start();
+        match stream.try_write(unwritten) {
+            Ok(count) if count > 0 => {
+                stats.record_write(&write, count, inline);
+                if count < unwritten.len() {
+                    self.written += count;
+                    return;
+                }
+                stats.frames_per_batch.record(self.encoder.frames());
+            }
+            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => return,
+            // Failed, or a socket that takes no bytes at all.
+            _ => self.stream = None,
+        }
+        self.encoder.truncate(0);
+        self.written = 0;
+    }
 }
 
 /// Always-on runtime introspection for one mesh: reconnect behavior, the
@@ -130,13 +132,14 @@ pub struct MeshStats {
     pub reconnect_attempts: Arc<Counter>,
     /// Completed socket writes: by the writer tasks and inline.
     pub socket_writes: Arc<Counter>,
-    /// The share of `socket_writes` made by the sending thread itself, with
-    /// no writer task in between.
+    /// The share of `socket_writes` made by the sending thread itself, under
+    /// the peer's lock; the rest are the writer tasks' flushes of what the
+    /// socket refused before.
     pub inline_writes: Arc<Counter>,
-    /// Batches dropped because the peer's backlog was full.
+    /// Batches dropped because the peer's buffer was full.
     pub dropped_batches: Arc<Counter>,
-    /// Frames each write completed (a short inline write completes none: its
-    /// frames count for the write that finishes them).
+    /// Frames each write completed (a short write completes none: the write
+    /// that empties the peer's buffer counts every frame it held).
     pub frames_per_batch: Arc<Histogram>,
     /// Bytes of each write.
     pub batch_bytes: Arc<Histogram>,
@@ -217,7 +220,7 @@ impl Tasks {
 #[derive(Debug)]
 pub struct TcpMesh {
     id: PeerId,
-    peers: HashMap<PeerId, PeerHandle>,
+    peers: HashMap<PeerId, Arc<Mutex<Outbound>>>,
     /// What [`TcpMesh::bind`]'s sink queues for [`TcpMesh::recv_frame`].
     incoming: Option<Mutex<mpsc::UnboundedReceiver<(PeerId, Bytes)>>>,
     tasks: Arc<Tasks>,
@@ -291,16 +294,9 @@ impl TcpMesh {
             if peer == id {
                 continue;
             }
-            let (tx, rx) = mpsc::unbounded_channel();
             let out = Arc::new(Mutex::new(Outbound::default()));
-            tasks.track(tokio::spawn(write_loop(
-                id,
-                addr,
-                rx,
-                Arc::clone(&out),
-                Arc::clone(&stats),
-            )));
-            outgoing.insert(peer, PeerHandle { tx, out });
+            tasks.track(tokio::spawn(write_loop(id, addr, Arc::clone(&out), Arc::clone(&stats))));
+            outgoing.insert(peer, out);
         }
 
         Ok(TcpMesh { id, peers: outgoing, incoming: None, tasks, stats })
@@ -317,74 +313,53 @@ impl TcpMesh {
         self.id
     }
 
-    /// Encodes directly into `peer`'s recycled batch buffer and sends the
-    /// result as one contiguous run of bytes: written to the socket from this
-    /// thread when the connection is up and nothing is queued ahead, queued to
-    /// the peer's writer task otherwise. `fill` may encode any number of
-    /// frames via [`FrameEncoder::encode`]; this is the mesh's one,
-    /// allocation-free way to send — synchronous (it never waits for the
-    /// socket), so threads outside the runtime can call it too.
+    /// Encodes directly into `peer`'s buffer and sends the result: written to
+    /// the socket from this thread when the connection is up and nothing is
+    /// left over from earlier batches, left to the peer's writer task
+    /// otherwise. `fill` may encode any number of frames via
+    /// [`FrameEncoder::encode`]; this is the mesh's one, allocation-free way
+    /// to send — synchronous (it never waits for the socket), so threads
+    /// outside the runtime can call it too.
     ///
     /// # Errors
     ///
     /// Returns an error if the peer is unknown, `fill` fails (the batch is
     /// rolled back — nothing is sent, and the encoder stays clean for the
     /// next call), or the mesh has shut down. A batch lost with its
-    /// connection, or dropped because the peer's backlog is full, is not an
+    /// connection, or dropped because the peer's buffer is full, is not an
     /// error: it is a lost message.
     pub fn send_with(
         &self,
         peer: PeerId,
         fill: impl FnOnce(&mut FrameEncoder) -> wire::Result<()>,
     ) -> Result<(), TransportError> {
-        let handle = self.peers.get(&peer).ok_or(TransportError::UnknownPeer(peer))?;
-        let mut out = handle.out.lock().expect("peer lock poisoned");
+        let out = self.peers.get(&peer).ok_or(TransportError::UnknownPeer(peer))?;
+        if self.tasks.closed.load(Ordering::Acquire) {
+            return Err(TransportError::Closed);
+        }
+        let mut out = out.lock().expect("peer lock poisoned");
         let start = out.encoder.len();
         if let Err(err) = fill(&mut out.encoder) {
             out.encoder.truncate(start);
             return Err(err.into());
         }
-        if out.encoder.is_empty() {
-            return Ok(());
-        }
-        let frames = out.encoder.frames();
-        let batch = out.encoder.take();
-
-        let mut written = 0;
-        if out.backlog == 0 {
-            if let Some(stream) = &out.stream {
-                let write = Stopwatch::start();
-                match stream.try_write(&batch) {
-                    Ok(count) => {
-                        self.stats.record_write(&write, count, true);
-                        if count == batch.len() {
-                            // `batch` drops here, so the encoder reclaims it.
-                            self.stats.frames_per_batch.record(frames);
-                            return Ok(());
-                        }
-                        written = count;
-                    }
-                    Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => {}
-                    Err(_) => {
-                        // The batch dies with its connection; the task learns
-                        // of the death from the empty entry and redials.
-                        out.stream = None;
-                        let prod =
-                            Queued { batch: Bytes::new(), frames: 0, written: 0, generation: 0 };
-                        return handle.tx.send(prod).map_err(|_| TransportError::Closed);
-                    }
+        if start > 0 {
+            // The writer task owes the socket the bytes ahead: this batch
+            // waits behind them.
+            if out.encoder.len() > MAX_BACKLOG_BYTES {
+                out.encoder.truncate(start);
+                self.stats.dropped_batches.incr();
+            }
+        } else if !out.encoder.is_empty() && out.stream.is_some() {
+            out.flush(&self.stats, true);
+            if !out.encoder.is_empty() || out.stream.is_none() {
+                // Left over, or the connection failed: the writer task's turn.
+                if let Some(writer) = out.writer.take() {
+                    writer.wake();
                 }
             }
-        } else if out.backlog + batch.len() > MAX_BACKLOG_BYTES {
-            self.stats.dropped_batches.incr();
-            return Ok(());
         }
-        out.backlog += batch.len() - written;
-        let generation = out.generation;
-        handle
-            .tx
-            .send(Queued { batch, frames, written, generation })
-            .map_err(|_| TransportError::Closed)
+        Ok(())
     }
 
     /// Receives the next `(sender, frame)` pair; serves the 3-argument
@@ -410,8 +385,8 @@ impl TcpMesh {
     pub fn shutdown(&self) {
         self.tasks.abort_all();
         // The writer tasks are gone: nothing may write to their sockets now.
-        for handle in self.peers.values() {
-            if let Ok(mut out) = handle.out.lock() {
+        for out in self.peers.values() {
+            if let Ok(mut out) = out.lock() {
                 out.stream = None;
             }
         }
@@ -425,18 +400,11 @@ impl Drop for TcpMesh {
 }
 
 /// Owns the outbound connection to one peer: dials (and redials) with
-/// backoff, publishes the connection for inline writes, then drains the frame
-/// queue, coalescing everything pending into single writes. Exits when the
-/// mesh drops the send handle.
-async fn write_loop(
-    id: PeerId,
-    addr: String,
-    mut rx: mpsc::UnboundedReceiver<Queued>,
-    out: Arc<Mutex<Outbound>>,
-    stats: Arc<MeshStats>,
-) {
-    let mut staging = BytesMut::with_capacity(MAX_BATCH_BYTES);
-    let mut batch: Vec<Queued> = Vec::new();
+/// backoff and publishes the connection for the senders, then, whenever they
+/// leave bytes over, waits for the socket to take more and flushes the
+/// peer's buffer through the same [`Outbound::flush`]. Runs until the mesh
+/// shuts down.
+async fn write_loop(id: PeerId, addr: String, out: Arc<Mutex<Outbound>>, stats: Arc<MeshStats>) {
     let mut backoff = RECONNECT_BACKOFF_MIN;
     let mut first_dial = true;
     loop {
@@ -446,74 +414,23 @@ async fn write_loop(
         first_dial = false;
         let connected_at = Instant::now();
         let connected = match TcpStream::connect(&addr).await {
-            // Identify ourselves.
-            Ok(stream) => write_all(&stream, &id.to_le_bytes()).await.map(|()| Arc::new(stream)),
-            Err(err) => Err(err),
+            // Identify ourselves: a fresh socket takes the 8-byte hello at
+            // once, or the dial failed.
+            Ok(stream) if matches!(stream.try_write(&id.to_le_bytes()), Ok(8)) => Some(stream),
+            _ => None,
         };
-        if let Ok(stream) = connected {
-            let generation = {
+        if let Some(stream) = connected {
+            let stream = Arc::new(stream);
+            out.lock().expect("peer lock poisoned").stream = Some(Arc::clone(&stream));
+            // Until a write fails: wait for left-over bytes (those sent while
+            // dialing included), then for the socket, and flush.
+            while left_over(&out).await {
+                stream.writable().await.ok();
                 let mut out = out.lock().expect("peer lock poisoned");
-                out.generation += 1;
-                out.stream = Some(Arc::clone(&stream));
-                out.generation
-            };
-            // Until the connection fails: wait for a queue entry, gather what
-            // else is queued, flush.
-            loop {
-                let Some(first) = rx.recv().await else { return };
-                let mut total = first.remaining().len();
-                batch.push(first);
-                drain_pending(&mut rx, &mut batch, &mut total);
-                if total < MAX_BATCH_BYTES {
-                    // One scheduling linger: frames being enqueued by
-                    // concurrently running tasks join this batch instead of
-                    // paying their own write. No timer — an idle queue
-                    // flushes immediately.
-                    tokio::task::yield_now().await;
-                    drain_pending(&mut rx, &mut batch, &mut total);
-                }
-                // The rest of a batch whose head went to an earlier
-                // connection is not a frame boundary on this one.
-                let fits =
-                    |queued: &&Queued| queued.written == 0 || queued.generation == generation;
-                let frames = batch.iter().filter(fits).map(|queued| queued.frames).sum();
-                let bytes = match &batch[..] {
-                    [only] if fits(&only) => only.remaining(),
-                    _ => {
-                        staging.clear();
-                        for queued in batch.iter().filter(fits) {
-                            staging.extend_from_slice(queued.remaining());
-                        }
-                        &staging[..]
-                    }
-                };
-                let flushed = bytes.len();
-                let write = Stopwatch::start();
-                let failed = if out.lock().expect("peer lock poisoned").stream.is_some() {
-                    write_all(&stream, bytes).await.is_err()
-                } else {
-                    // A sender's inline write failed and it said so.
-                    true
-                };
-                // Dropped before the backlog says so: a sender that finds it
-                // empty may reclaim these buffers at once.
-                batch.clear();
-                {
-                    let mut out = out.lock().expect("peer lock poisoned");
-                    out.backlog -= total;
-                    if failed {
-                        out.stream = None;
-                    }
-                }
-                if failed {
-                    // The gathered frames die with the connection;
-                    // protocol-level retransmission recovers, as with any
-                    // TCP connection loss.
-                    break;
-                }
-                if flushed > 0 {
-                    stats.record_write(&write, flushed, false);
-                    stats.frames_per_batch.record(frames);
+                out.flush(&stats, false);
+                if out.encoder.is_empty() {
+                    // What a backlog grew is not kept resident.
+                    out.encoder = FrameEncoder::default();
                 }
             }
         }
@@ -530,34 +447,21 @@ async fn write_loop(
     }
 }
 
-/// Writes all of `buf`, waiting for the socket whenever it is full.
-async fn write_all(stream: &TcpStream, mut buf: &[u8]) -> std::io::Result<()> {
-    while !buf.is_empty() {
-        match stream.try_write(buf) {
-            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
-            Ok(count) => buf = &buf[count..],
-            Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => stream.writable().await?,
-            Err(err) => return Err(err),
+/// Waits until the peer's connection has bytes left over (`true`) or has
+/// failed (`false`), parking the writer task's waker in `out` meanwhile.
+async fn left_over(out: &Mutex<Outbound>) -> bool {
+    poll_fn(|cx| {
+        let mut out = out.lock().expect("peer lock poisoned");
+        if out.stream.is_none() {
+            Poll::Ready(false)
+        } else if !out.encoder.is_empty() {
+            Poll::Ready(true)
+        } else {
+            out.writer = Some(cx.waker().clone());
+            Poll::Pending
         }
-    }
-    Ok(())
-}
-
-/// Moves every already-queued entry into `batch`, up to the flush threshold.
-fn drain_pending(
-    rx: &mut mpsc::UnboundedReceiver<Queued>,
-    batch: &mut Vec<Queued>,
-    total: &mut usize,
-) {
-    while *total < MAX_BATCH_BYTES {
-        match rx.try_recv() {
-            Some(queued) => {
-                *total += queued.remaining().len();
-                batch.push(queued);
-            }
-            None => break,
-        }
-    }
+    })
+    .await
 }
 
 /// Reads the peer hello and then whole socket chunks directly into the frame
@@ -656,12 +560,9 @@ mod tests {
 
     #[tokio::test]
     async fn two_meshes_exchange_messages_over_loopback() {
-        let addr_a = "127.0.0.1:39021";
-        let addr_b = "127.0.0.1:39022";
-        let peers_a = vec![(1u64, addr_b.to_string())];
-        let peers_b = vec![(0u64, addr_a.to_string())];
-        let mesh_a = TcpMesh::bind(0, addr_a, &peers_a).await.unwrap();
-        let mesh_b = TcpMesh::bind(1, addr_b, &peers_b).await.unwrap();
+        let (addr_a, addr_b) = (free_addr(), free_addr());
+        let mesh_a = TcpMesh::bind(0, &addr_a, &[(1u64, addr_b.clone())]).await.unwrap();
+        let mesh_b = TcpMesh::bind(1, &addr_b, &[(0u64, addr_a)]).await.unwrap();
 
         send(&mesh_a, 1, &Hello { text: "hi".into() });
         let (from, hello): (u64, Hello) = recv(&mesh_b).await;
@@ -672,11 +573,16 @@ mod tests {
         let (from, hello): (u64, Hello) = recv(&mesh_a).await;
         assert_eq!(from, 1);
         assert_eq!(hello.text, "yo");
+
+        mesh_a.shutdown();
+        let err = mesh_a.send_with(1, |encoder| encoder.encode(&Hello { text: "late".into() }));
+        assert!(matches!(err, Err(TransportError::Closed)));
+        assert!(matches!(mesh_a.recv_frame().await, Err(TransportError::Closed)));
     }
 
     #[tokio::test]
     async fn sending_to_unknown_peer_fails() {
-        let mesh = TcpMesh::bind(7, "127.0.0.1:39023", &[]).await.unwrap();
+        let mesh = TcpMesh::bind(7, "127.0.0.1:0", &[]).await.unwrap();
         let err = mesh.send_with(9, |encoder| encoder.encode(&Hello { text: "x".into() }));
         let err = err.unwrap_err();
         assert!(matches!(err, TransportError::UnknownPeer(9)));
@@ -817,10 +723,9 @@ mod tests {
             }
         }
 
-        let addr_a = "127.0.0.1:39028";
-        let addr_b = "127.0.0.1:39029";
-        let mesh_a = TcpMesh::bind(0, addr_a, &[(1u64, addr_b.to_string())]).await.unwrap();
-        let mesh_b = TcpMesh::bind(1, addr_b, &[(0u64, addr_a.to_string())]).await.unwrap();
+        let (addr_a, addr_b) = (free_addr(), free_addr());
+        let mesh_a = TcpMesh::bind(0, &addr_a, &[(1u64, addr_b.clone())]).await.unwrap();
+        let mesh_b = TcpMesh::bind(1, &addr_b, &[(0u64, addr_a)]).await.unwrap();
 
         // The first frame encodes fine but the batch fails part-way: nothing
         // from the poisoned batch may reach the peer.
@@ -875,15 +780,15 @@ mod tests {
         assert!(allocated <= 2, "{allocated} fresh read buffers for {FRAMES} reads");
     }
 
-    /// Returns once `mesh`'s connection to `peer` is published and its writer
-    /// task owes the socket nothing: from then on, and until a connection
-    /// fails, every send is written inline.
+    /// Returns once `mesh`'s connection to `peer` is published and nothing is
+    /// left over in its buffer: from then on, and until the socket refuses
+    /// bytes or a connection fails, every send is written inline.
     fn wait_for_inline_path(mesh: &TcpMesh, peer: PeerId) {
         let deadline = Instant::now() + Duration::from_secs(10);
         loop {
             {
-                let out = mesh.peers[&peer].out.lock().unwrap();
-                if out.stream.is_some() && out.backlog == 0 {
+                let out = mesh.peers[&peer].lock().unwrap();
+                if out.stream.is_some() && out.encoder.is_empty() {
                     return;
                 }
             }
@@ -902,12 +807,10 @@ mod tests {
 
     #[tokio::test]
     async fn reconnects_after_peer_restart() {
-        let addr_a = "127.0.0.1:39026";
-        let addr_b = "127.0.0.1:39027";
-        let peers_a = vec![(1u64, addr_b.to_string())];
-        let peers_b = vec![(0u64, addr_a.to_string())];
-        let mesh_a = TcpMesh::bind(0, addr_a, &peers_a).await.unwrap();
-        let mesh_b = TcpMesh::bind(1, addr_b, &peers_b).await.unwrap();
+        let (addr_a, addr_b) = (free_addr(), free_addr());
+        let peers_b = [(0u64, addr_a.clone())];
+        let mesh_a = TcpMesh::bind(0, &addr_a, &[(1u64, addr_b.clone())]).await.unwrap();
+        let mesh_b = TcpMesh::bind(1, &addr_b, &peers_b).await.unwrap();
 
         send(&mesh_a, 1, &Hello { text: "before".into() });
         let (_, hello): (u64, Hello) = recv(&mesh_b).await;
@@ -922,12 +825,12 @@ mod tests {
         // the same address (SO_REUSEADDR). A's writer must redial and deliver.
         drop(mesh_b);
         tokio::time::sleep(Duration::from_millis(50)).await;
-        let mesh_b = TcpMesh::bind(1, addr_b, &peers_b).await.unwrap();
+        let mesh_b = TcpMesh::bind(1, &addr_b, &peers_b).await.unwrap();
 
         let mut delivered = None;
         for _ in 0..400 {
             // Until the redial, the sends below are all inline (nothing is
-            // queued, the old connection is still published): the writer
+            // left over, the old connection is still published): the writer
             // task writes nothing, so it cannot be the one that noticed the
             // dead connection. The failed inline write must have told it.
             let by_tasks = task_writes(&stats);
@@ -961,12 +864,13 @@ mod tests {
         fill: String,
     }
 
-    /// Four threads send to one peer at once, through both write paths. The
-    /// peer is a plain socket that reads nothing until every sender is done,
-    /// so the kernel's buffers fill (the first batch alone is larger than a
-    /// socket buffer can grow), inline writes come back short or `WouldBlock`,
-    /// and most of the traffic waits in the writer task's queue; then it
-    /// reads with stalls, so the task meets short writes too.
+    /// Four threads send to one peer at once, both inline and behind bytes
+    /// the socket refused. The peer is a plain socket that reads nothing
+    /// until every sender is done, so the kernel's buffers fill (the first
+    /// batch alone is larger than a socket buffer can grow), inline writes
+    /// come back short or `WouldBlock`, and most of the traffic waits in the
+    /// peer's buffer for the writer task; then it reads with stalls, so the
+    /// task meets short writes too.
     #[test]
     fn concurrent_senders_keep_batches_whole_and_in_order() {
         use std::io::Read;
@@ -1111,8 +1015,8 @@ mod tests {
         resetter.join().unwrap();
     }
 
-    /// What is queued for a peer that is down stays bounded — whole batches
-    /// are dropped, newest first, and counted — and once the peer appears the
+    /// What waits for a peer that is down stays bounded — whole batches are
+    /// dropped, newest first, and counted — and once the peer appears the
     /// backlog drains and new sends get through.
     #[tokio::test]
     async fn backlog_to_a_down_peer_is_bounded_and_drains() {
@@ -1129,7 +1033,10 @@ mod tests {
         }
         let dropped = mesh_a.stats().dropped_batches.get();
         assert!(dropped > 0, "ten times the cap was queued");
-        let backlog = mesh_a.peers[&1].out.lock().unwrap().backlog;
+        let backlog = {
+            let out = mesh_a.peers[&1].lock().unwrap();
+            out.encoder.len() - out.written
+        };
         assert!(backlog <= MAX_BACKLOG_BYTES, "{backlog} bytes queued");
         // A frame carries a few bytes beyond its text.
         assert!(backlog > MAX_BACKLOG_BYTES - 2 * CHUNK, "dropped with room to spare");
@@ -1158,5 +1065,65 @@ mod tests {
             }
         }
         assert!(delivered, "nothing got through after the peer came up");
+    }
+
+    /// A connection that fails part-way through a batch takes the rest of it
+    /// along: the next connection starts at a frame. The peer is a plain
+    /// socket that reads part of a batch far larger than the kernel's buffers,
+    /// then closes with the rest unread, which resets the connection. From
+    /// the redial's hello on, every byte must decode as a whole frame, and a
+    /// frame sent after the redial must arrive.
+    #[test]
+    fn a_redial_after_a_partial_batch_starts_at_a_frame() {
+        use std::io::Read;
+        const CHUNK: usize = 1 << 20;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let peer_addr = listener.local_addr().unwrap().to_string();
+        let mesh = tokio::runtime::block_on(TcpMesh::bind(0, "127.0.0.1:0", &[(1, peer_addr)]));
+        let mesh = mesh.unwrap();
+        let accept_hello = || {
+            let (mut peer, _) = listener.accept().unwrap();
+            let mut hello = [0u8; 8];
+            peer.read_exact(&mut hello).unwrap();
+            assert_eq!(PeerId::from_le_bytes(hello), 0, "a connection starts with the hello");
+            peer
+        };
+        let mut first = accept_hello();
+
+        let chunk = Hello { text: "b".repeat(CHUNK) };
+        mesh.send_with(1, |encoder| (0..24).try_for_each(|_| encoder.encode(&chunk))).unwrap();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut read = 0;
+        while read < 3 * CHUNK / 2 {
+            let count = first.read(&mut buf).unwrap();
+            assert!(count > 0, "the first connection closed early");
+            read += count;
+        }
+        drop(first);
+
+        let mut second = accept_hello();
+        second.set_read_timeout(Some(Duration::from_millis(25))).unwrap();
+        let mut decoder = FrameDecoder::default();
+        let deadline = Instant::now() + Duration::from_secs(10);
+        'resend: loop {
+            assert!(Instant::now() < deadline, "nothing sent after the redial arrived");
+            send(&mesh, 1, &Hello { text: "after".into() });
+            loop {
+                let count = match second.read(decoder.read_buf(READ_CHUNK)) {
+                    Ok(count) => count,
+                    Err(err) if err.kind() == std::io::ErrorKind::WouldBlock => break,
+                    Err(err) if err.kind() == std::io::ErrorKind::TimedOut => break,
+                    Err(err) => panic!("the second connection failed: {err}"),
+                };
+                assert!(count > 0, "the second connection closed");
+                decoder.commit(count);
+                while let Some(hello) = decoder.decode_next::<Hello>().expect("a whole frame") {
+                    if hello.text == "after" {
+                        break 'resend;
+                    }
+                    assert_eq!(hello.text, chunk.text, "a frame that was never sent");
+                }
+            }
+        }
     }
 }

@@ -4,13 +4,15 @@
 //! 4-byte little-endian length prefix followed by the wire-format payload. The
 //! [`FrameDecoder`] is an incremental decoder suitable for feeding arbitrary chunks
 //! (as produced by socket reads), [`encode_frame`] produces one framed message, and
-//! [`FrameEncoder`] batches many frames into a single contiguous buffer that is
-//! handed off as [`Bytes`] without copying — the write-side coalescing path.
+//! [`FrameEncoder`] batches many frames into a single contiguous buffer, written
+//! from in place or handed off as [`Bytes`] without copying — the write-side
+//! coalescing path.
 //!
-//! Both sides hand their buffers out as refcounted views (a batch to its
-//! writer, a read chunk's frames to their consumer) and recycle them the same
-//! way: a buffer that still has live views is kept as a reclaim candidate and
-//! reused, with no allocation and no zero-fill, once the last view is dropped.
+//! Both sides can hand their buffers out as refcounted views (a taken batch to
+//! its writer, a read chunk's frames to their consumer) and recycle them the
+//! same way: a buffer that still has live views is kept as a reclaim candidate
+//! and reused, with no allocation and no zero-fill, once the last view is
+//! dropped.
 
 use bytes::{Buf, Bytes, BytesMut};
 use serde::de::DeserializeOwned;
@@ -99,14 +101,17 @@ impl<const CAP: usize> Spent<CAP> {
 /// message), and [`FrameEncoder::take`] converts the batch into [`Bytes`]
 /// with an O(1) `freeze` — no copy, no allocation.
 ///
-/// The encoder also *recycles* its batch allocations: every taken batch is
-/// remembered as a reclaim candidate, and once the consumer (typically the
-/// socket write loop) drops its view, the next [`FrameEncoder::take`] reclaims
-/// the buffer via [`Bytes::try_into_mut`] instead of allocating. In steady
-/// state two allocations ping-pong between "being filled" and "being written",
-/// and the encode → take → write cycle performs **zero** allocations — the
-/// outbound mirror of [`FrameDecoder::read_buf`]'s recycled read buffers, both
-/// enforced by the `alloc_gate` bench.
+/// A writer that owns the encoder writes straight from
+/// [`FrameEncoder::bytes`] and empties it with `truncate(0)`, keeping the
+/// allocation for the next batch — `TcpMesh`'s cycle, which never takes. A
+/// batch that must outlive the encoder is taken instead, and the encoder
+/// *recycles* taken allocations: every taken batch is remembered as a reclaim
+/// candidate, and once the consumer drops its view, the next
+/// [`FrameEncoder::take`] reclaims the buffer via [`Bytes::try_into_mut`]
+/// instead of allocating. In steady state two allocations ping-pong between
+/// "being filled" and "being written". Both cycles perform **zero**
+/// allocations — the outbound mirror of [`FrameDecoder::read_buf`]'s recycled
+/// read buffers, all enforced by the `alloc_gate` bench.
 #[derive(Debug, Default)]
 pub struct FrameEncoder {
     buf: BytesMut,
@@ -141,6 +146,13 @@ impl FrameEncoder {
         self.buf.len()
     }
 
+    /// The encoded bytes pending, for a writer that writes from the encoder
+    /// and then empties it in place ([`FrameEncoder::truncate`] to 0) rather
+    /// than taking the batch.
+    pub fn bytes(&self) -> &[u8] {
+        &self.buf
+    }
+
     /// Number of frames in the pending batch.
     pub fn frames(&self) -> u64 {
         self.frames
@@ -151,25 +163,29 @@ impl FrameEncoder {
         self.buf.is_empty()
     }
 
-    /// Discards encoded bytes past `len` (e.g. to roll a multi-frame fill
-    /// back to a known-good boundary after a mid-batch failure).
+    /// Discards encoded bytes past `len`, a frame boundary (e.g. to roll a
+    /// multi-frame fill back to a known-good boundary after a mid-batch
+    /// failure). Emptying the encoder (`len` 0) keeps its allocation for the
+    /// next batch.
     ///
     /// # Panics
     ///
     /// Panics if `len` exceeds [`FrameEncoder::len`].
     pub fn truncate(&mut self, len: usize) {
         assert!(len <= self.buf.len(), "truncate past end of batch");
-        self.buf.resize(len, 0);
-        // Recount the surviving frames by walking the length prefixes — the
-        // cold rollback path pays O(frames) so the hot paths stay free.
-        let mut frames = 0;
-        let mut position = 0;
-        while position + 4 <= len {
-            let prefix: [u8; 4] = self.buf[position..position + 4].try_into().expect("4 bytes");
-            position += 4 + u32::from_le_bytes(prefix) as usize;
-            frames += 1;
+        if len == 0 {
+            self.frames = 0;
+        } else {
+            // Uncount the discarded frames by walking their length prefixes:
+            // a rollback pays for what it discards, emptying pays nothing.
+            let mut position = len;
+            while position + 4 <= self.buf.len() {
+                let prefix: [u8; 4] = self.buf[position..position + 4].try_into().expect("4 bytes");
+                position += 4 + u32::from_le_bytes(prefix) as usize;
+                self.frames = self.frames.saturating_sub(1);
+            }
         }
-        self.frames = frames;
+        self.buf.resize(len, 0);
     }
 
     /// Takes the encoded batch as [`Bytes`], leaving the encoder empty.

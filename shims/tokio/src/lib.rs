@@ -21,7 +21,6 @@ mod reactor;
 mod readiness_tests;
 pub mod runtime;
 pub mod sync;
-pub mod task;
 pub mod time;
 
 use std::sync::atomic::Ordering::Relaxed;

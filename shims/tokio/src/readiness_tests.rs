@@ -413,18 +413,27 @@ fn slot_ping_pong_does_not_starve_the_shared_queue() {
     block_on(pong).unwrap();
 }
 
-/// `yield_now` goes to the back of the shared queue: a task already there
-/// runs before the yielding task resumes. One worker, held until both tasks
-/// are queued, so the order is the queue's and nothing else's.
+/// A task that wakes itself goes to the back of the shared queue: a task
+/// already there runs before the self-woken one resumes. One worker, held
+/// until both tasks are queued, so the order is the queue's and nothing
+/// else's.
 #[test]
-fn yield_now_lets_a_queued_task_run_first() {
+fn a_self_waking_task_lets_a_queued_task_run_first() {
     let runtime = Executor::start(1);
     let release = hold_a_worker(runtime);
     let order = Arc::new(Mutex::new(Vec::new()));
     let log = Arc::clone(&order);
     let yielder = runtime.spawn(async move {
         log.lock().unwrap().push("yielder starts");
-        crate::task::yield_now().await;
+        let mut woken = false;
+        std::future::poll_fn(|cx| {
+            if std::mem::replace(&mut woken, true) {
+                return Poll::Ready(());
+            }
+            cx.waker().wake_by_ref();
+            Poll::Pending
+        })
+        .await;
         log.lock().unwrap().push("yielder resumes");
     });
     let log = Arc::clone(&order);

@@ -9,7 +9,7 @@
 //!
 //! * **The slot cannot starve or spin.** A task woken *from* a worker goes
 //!   into that worker's one-deep slot, with no lock and no futex — unless it
-//!   wakes *itself* (`yield_now`: back of the shared queue), the slot is
+//!   wakes *itself* (a task that yields: back of the shared queue), the slot is
 //!   taken, or the worker has polled `SLOT_STREAK` slot tasks in a row.
 //! * **Nobody sleeps on a queued task.** A worker announces a blocking wait,
 //!   re-checks the shared queue, and only then waits; whoever pushes wakes a

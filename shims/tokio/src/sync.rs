@@ -123,11 +123,6 @@ pub mod mpsc {
             inner.recv_waker = Some(cx.waker().clone());
             Poll::Pending
         }
-
-        /// Dequeues a message if one is ready.
-        pub fn try_recv(&mut self) -> Option<T> {
-            self.shared.inner.lock().unwrap().queue.pop_front()
-        }
     }
 
     impl<T> Clone for UnboundedSender<T> {
