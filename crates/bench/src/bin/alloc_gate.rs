@@ -599,11 +599,11 @@ fn main() {
         peer_encoder.truncate(0);
     }));
 
-    // The cycle of whoever still takes batches (fig8's client connections,
-    // the benchmark's ladder): `take()` freezes the batch for the writer and
-    // reclaims a spent buffer once the writer (here: the end of the
-    // iteration) drops its handle — steady state cycles two or three
-    // resident allocations with zero new ones.
+    // The cycle of the one writer that still takes batches, the benchmark's
+    // ladder: `take()` freezes the batch for the writer and reclaims a spent
+    // buffer once the writer (here: the end of the iteration) drops its
+    // handle — steady state cycles two or three resident allocations with
+    // zero new ones.
     let mut batch_encoder = FrameEncoder::new();
     cases.push(run_case("encode_batch_recycled", warmup, iterations, || {
         batch_encoder.encode(&broadcast).expect("encode");

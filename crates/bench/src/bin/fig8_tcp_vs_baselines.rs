@@ -164,9 +164,10 @@ async fn serve_engine_conn(
         node.submit(ClientId(client), command);
         let Some(retry) = reply_rx.recv().await else { break };
         encoder.encode(&ClientResp { retry }).expect("responses encode");
-        if stream.write_all(&encoder.take()).await.is_err() {
+        if stream.write_all(encoder.bytes()).await.is_err() {
             break;
         }
+        encoder.truncate(0);
         match read_frame::<ClientReq>(&mut stream, &mut decoder).await {
             Ok(next) => req = next,
             Err(()) => break,
@@ -314,9 +315,10 @@ async fn serve_baseline_conn<M: Send + 'static>(
         }
         let Some(retry) = reply_rx.recv().await else { break };
         encoder.encode(&ClientResp { retry }).expect("responses encode");
-        if stream.write_all(&encoder.take()).await.is_err() {
+        if stream.write_all(encoder.bytes()).await.is_err() {
             break;
         }
+        encoder.truncate(0);
         match read_frame::<ClientReq>(&mut stream, &mut decoder).await {
             Ok(next) => req = next,
             Err(()) => break,
@@ -458,9 +460,10 @@ async fn client_conn(
                 update: sequence.is_multiple_of(2),
             };
             encoder.encode(&req).expect("requests encode");
-            if stream.write_all(&encoder.take()).await.is_err() {
+            if stream.write_all(encoder.bytes()).await.is_err() {
                 return (completed, 0, ConnOutcome::Died);
             }
+            encoder.truncate(0);
             match read_frame::<ClientResp>(&mut stream, &mut decoder).await {
                 Ok(resp) if resp.retry => {
                     tokio::time::sleep(Duration::from_millis(2)).await;
@@ -580,10 +583,11 @@ async fn warmup(client_addrs: &[String], probe_base: u64, deadline: Duration) ->
                 }
                 let req = ClientReq { client, key: 0, update: true };
                 encoder.encode(&req).expect("requests encode");
-                if stream.write_all(&encoder.take()).await.is_err() {
+                if stream.write_all(encoder.bytes()).await.is_err() {
                     tokio::time::sleep(Duration::from_millis(10)).await;
                     break; // reconnect
                 }
+                encoder.truncate(0);
                 match read_frame::<ClientResp>(&mut stream, &mut decoder).await {
                     Ok(resp) if resp.retry => {
                         tokio::time::sleep(Duration::from_millis(5)).await;

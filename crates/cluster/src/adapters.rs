@@ -6,8 +6,8 @@
 
 use baselines::{Baseline, CounterOp, CounterRegister, NodeId, ReplyBody, Request};
 use crdt::{
-    CounterQuery, CounterUpdate, Crdt, DeltaCrdt, GCounter, LatticeMap, MapOutput, MapQuery,
-    MapUpdate, ReplicaId,
+    CounterQuery, CounterUpdate, Crdt, GCounter, LatticeMap, MapOutput, MapQuery, MapUpdate,
+    ReplicaId,
 };
 use crdt_paxos_core::{
     ClientId, ClientResponse, Command, Envelope, Message, ProtocolConfig, Replica, ResponseBody,
@@ -21,7 +21,7 @@ pub type KvMap = LatticeMap<u64, GCounter>;
 
 /// A CRDT the simulator's counter workload can run against: how a [`SimOp`]
 /// becomes a command on it, and how its response reads as a [`SimOutcome`].
-pub trait SimCrdt: Crdt + DeltaCrdt {
+pub trait SimCrdt: Crdt {
     /// Maps a simulator op onto the CRDT's command set.
     fn command(op: SimOp) -> Command<Self>;
 

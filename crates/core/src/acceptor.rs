@@ -8,7 +8,7 @@
 //! states and deltas uniformly; the `*_local` variants are the allocation-free entry
 //! points the co-located proposer uses for its own acceptor.
 
-use crdt::{Crdt, DeltaCrdt, ReplicaId};
+use crdt::{Crdt, ReplicaId};
 
 use crate::msg::Payload;
 use crate::round::{PrepareRound, Round, RoundId};
@@ -43,7 +43,7 @@ pub struct Acceptor<C> {
     round: Round,
 }
 
-impl<C: Crdt + DeltaCrdt> Acceptor<C> {
+impl<C: Crdt> Acceptor<C> {
     /// Creates an acceptor with the initial payload `s0` and round `(0, ⊥)`
     /// (paper lines 25–27).
     pub fn new(replica: ReplicaId, initial: C) -> Self {
@@ -172,7 +172,7 @@ impl<C: Crdt + DeltaCrdt> Acceptor<C> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crdt::{CounterUpdate, GCounter, Lattice};
+    use crdt::{CounterUpdate, DeltaCrdt, GCounter, Lattice};
 
     fn acceptor() -> Acceptor<GCounter> {
         Acceptor::new(ReplicaId::new(0), GCounter::new())

@@ -1,6 +1,6 @@
 //! Protocol messages (Algorithm 2) and client-facing request/response types.
 
-use crdt::{Crdt, DeltaCrdt, ReplicaId};
+use crdt::{Crdt, ReplicaId};
 use serde::{Deserialize, Serialize};
 
 use crate::round::{PrepareRound, Round};
@@ -30,33 +30,31 @@ pub struct CommandId(pub u64);
 /// payloads (a 64-slot counter, a populated `LatticeMap`) this is quadratic pain. A
 /// proposer that knows a lower bound of the receiver's state (tracked from
 /// `MERGED`/`ACK`/`NACK` replies) may instead ship a [`DeltaCrdt::delta_since`]
-/// delta — see [`crate::PayloadMode`]. Joining `Full(s)` and joining `Delta(d)` into
-/// an acceptor whose state contains the delta's baseline produce the same state, so
-/// the protocol's safety argument is untouched.
+/// delta — see [`crate::PayloadMode`]. Both variants hold a state of the same
+/// lattice and are joined the same way; joining `Full(s)` and joining `Delta(d)`
+/// into an acceptor whose state contains the delta's baseline produce the same
+/// state, so the protocol's safety argument is untouched.
+///
+/// [`DeltaCrdt::delta_since`]: crdt::DeltaCrdt::delta_since
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "C: Serialize, C::Delta: Serialize",
-    deserialize = "C: Deserialize<'de>, C::Delta: Deserialize<'de>"
-))]
-pub enum Payload<C: DeltaCrdt> {
+pub enum Payload<C> {
     /// The sender's full payload state.
     Full(C),
     /// A delta covering everything the receiver is known to be missing.
-    Delta(C::Delta),
+    Delta(C),
 }
 
-impl<C: DeltaCrdt> Payload<C> {
-    /// Joins the payload's content into `state` (full join or delta application).
-    pub fn join_into(&self, state: &mut C) {
+impl<C: Crdt> Payload<C> {
+    /// The state the payload carries, whole or as a delta.
+    pub fn content(&self) -> &C {
         match self {
-            Payload::Full(full) => state.join(full),
-            Payload::Delta(delta) => state.apply_delta(delta),
+            Payload::Full(content) | Payload::Delta(content) => content,
         }
     }
 
-    /// Returns `true` if this payload is a delta.
-    pub fn is_delta(&self) -> bool {
-        matches!(self, Payload::Delta(_))
+    /// Joins the payload's content into `state`.
+    pub fn join_into(&self, state: &mut C) {
+        state.join(self.content());
     }
 
     /// Short label used by traces and byte-accounting reports.
@@ -77,22 +75,18 @@ impl<C: DeltaCrdt> Payload<C> {
 /// omit the payload when it would not grow any acceptor state.
 ///
 /// State-bearing messages carry a [`Payload`] — either the full state (as in the
-/// paper) or a delta (Almeida et al.), depending on [`crate::PayloadMode`] and on
-/// what the proposer knows about the receiver. Replies (`ACK`, `NACK`) carry a
-/// [`Payload`] too: in delta mode the acceptor diffs its post-join state against a
-/// baseline both sides hold **exactly** — the content of the very request being
-/// answered, joined with the acceptor-state snapshot whose `reveal` sequence number
-/// the request echoed back (`basis`). Exactness matters: the proposer's
-/// consistent-quorum check compares acceptor states for equality, so reply deltas
-/// must reconstruct to the acceptor's precise state, not a lower or upper bound.
-/// Replies without a usable baseline, and all replies in the paper-faithful full
-/// mode, ship the acceptor's full state.
+/// paper) or a delta (Almeida et al.), a smaller state of the same `C`, depending
+/// on [`crate::PayloadMode`] and on what the proposer knows about the receiver.
+/// Replies (`ACK`, `NACK`) carry a [`Payload`] too: in delta mode the acceptor
+/// diffs its post-join state against a baseline both sides hold **exactly** — the
+/// [`Payload::content`] of the very request being answered, joined with the
+/// acceptor-state snapshot whose `reveal` sequence number the request echoed back
+/// (`basis`). Exactness matters: the proposer's consistent-quorum check compares
+/// acceptor states for equality, so reply deltas must reconstruct to the acceptor's
+/// precise state, not a lower or upper bound. Replies without a usable baseline,
+/// and all replies in the paper-faithful full mode, ship the acceptor's full state.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "C: Serialize, C::Delta: Serialize",
-    deserialize = "C: Deserialize<'de>, C::Delta: Deserialize<'de>"
-))]
-pub enum Message<C: Crdt + DeltaCrdt> {
+pub enum Message<C: Crdt> {
     /// Update path: "join this payload into your state" (paper line 4).
     Merge {
         /// Protocol instance this message belongs to.
@@ -176,7 +170,7 @@ pub enum Message<C: Crdt + DeltaCrdt> {
     },
 }
 
-impl<C: Crdt + DeltaCrdt> Message<C> {
+impl<C: Crdt> Message<C> {
     /// Returns the protocol instance id the message belongs to.
     pub fn request(&self) -> RequestId {
         match self {
@@ -255,11 +249,7 @@ impl<C: Crdt + DeltaCrdt> Message<C> {
 
 /// A message addressed from one replica to another.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "C: Serialize, C::Delta: Serialize",
-    deserialize = "C: Deserialize<'de>, C::Delta: Deserialize<'de>"
-))]
-pub struct Envelope<C: Crdt + DeltaCrdt> {
+pub struct Envelope<C: Crdt> {
     /// Sending replica.
     pub from: ReplicaId,
     /// Receiving replica.
@@ -313,7 +303,7 @@ pub enum ResponseBody<C: Crdt> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crdt::GCounter;
+    use crdt::{DeltaCrdt, GCounter};
 
     #[test]
     fn message_kind_and_request_accessors() {
@@ -375,7 +365,7 @@ mod tests {
         let bytes = wire::to_vec(&message).unwrap();
         let decoded: Message<GCounter> = wire::from_slice(&bytes).unwrap();
         assert_eq!(decoded, message);
-        assert!(decoded.payload().unwrap().is_delta());
+        assert!(matches!(decoded.payload(), Some(Payload::Delta(_))));
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crdt::{Crdt, DeltaCrdt, ReplicaId};
+use crdt::{Crdt, ReplicaId};
 use quorum::Membership;
 
 use crate::acceptor::{AcceptOutcome, Acceptor};
@@ -229,7 +229,7 @@ impl<C> PeerBasis<C> {
 /// assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
 /// ```
 #[derive(Debug)]
-pub struct Replica<C: Crdt + DeltaCrdt> {
+pub struct Replica<C: Crdt> {
     id: ReplicaId,
     membership: Membership<ReplicaId>,
     /// All members except `id`, cached so the broadcast and retransmission fan-out
@@ -337,7 +337,7 @@ impl<C: Crdt> CancelledWork<C> {
     }
 }
 
-impl<C: Crdt + DeltaCrdt> Replica<C> {
+impl<C: Crdt> Replica<C> {
     /// Creates a replica.
     ///
     /// `members` is the full replica group (must contain `id`); `initial` is the
@@ -821,16 +821,11 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
         };
         let used = if snapshot.is_some() { echoed } else { 0 };
         let mut baseline: Option<C> = snapshot.cloned();
-        match request_payload {
-            Some(Payload::Full(content)) => match &mut baseline {
+        if let Some(content) = request_payload.map(Payload::content) {
+            match &mut baseline {
                 Some(base) => base.join(content),
                 None => baseline = Some(content.clone()),
-            },
-            Some(Payload::Delta(delta)) => match &mut baseline {
-                Some(base) => base.apply_delta(delta),
-                None => baseline = Some(C::from_delta(delta)),
-            },
-            None => {}
+            }
         }
         let reveal_seq = if reveal {
             let seq = self.next_reveal;
@@ -896,7 +891,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                     // reply to a payload-less, basis-less request is malformed.
                     (None, None) => return None,
                 };
-                base.apply_delta(&delta);
+                base.join(&delta);
                 Some(base)
             }
         };
@@ -933,7 +928,7 @@ impl<C: Crdt + DeltaCrdt> Replica<C> {
                         None => return None,
                     }
                 }
-                base.apply_delta(&delta);
+                base.join(&delta);
                 Some(base)
             }
         }
@@ -2372,7 +2367,7 @@ mod tests {
         // Lose every merge of the next update, then let the retransmit timer fire.
         replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
         let lost = replicas[0].take_outbox();
-        assert!(lost.iter().all(|env| env.message.payload().unwrap().is_delta()));
+        assert!(lost.iter().all(|env| matches!(env.message.payload(), Some(Payload::Delta(_)))));
         replicas[0].tick(200);
         let resent = replicas[0].take_outbox();
         assert!(!resent.is_empty());

@@ -4,7 +4,9 @@
 
 use std::cell::Cell;
 
-use crdt::{CounterQuery, CounterUpdate, GCounter, Lattice, LatticeMap, MapQuery, MapUpdate};
+use crdt::{
+    CounterQuery, CounterUpdate, DeltaCrdt, GCounter, Lattice, LatticeMap, MapQuery, MapUpdate,
+};
 use proptest::prelude::*;
 
 use super::*;
@@ -21,7 +23,7 @@ enum Outcome<C> {
 }
 
 /// Whether a `PREPARE` shipped `state`: nothing while it is still s0.
-fn ships<C: Crdt + DeltaCrdt + PartialEq>(payload: &Option<Payload<C>>, state: &C) -> bool {
+fn ships<C: Crdt + PartialEq>(payload: &Option<Payload<C>>, state: &C) -> bool {
     match payload {
         None => state.leq(&C::default()),
         Some(Payload::Full(shipped)) => shipped == state,
@@ -115,10 +117,7 @@ struct Seen {
     replaced: u32,
 }
 
-fn the_phase<C: Crdt + DeltaCrdt>(
-    replica: &Replica<C>,
-    request: RequestId,
-) -> (&QueryPhase<C>, &C) {
+fn the_phase<C: Crdt>(replica: &Replica<C>, request: RequestId) -> (&QueryPhase<C>, &C) {
     match replica.requests.get(&request) {
         Some(InFlight::Query { phase, gathered, .. }) => (phase, gathered),
         other => panic!("no query {request:?} in flight: {other:?}"),
@@ -126,7 +125,7 @@ fn the_phase<C: Crdt + DeltaCrdt>(
 }
 
 /// The request id and round of the `PREPARE`s in the outbox, which it empties.
-fn prepared<C: Crdt + DeltaCrdt>(replica: &mut Replica<C>) -> (RequestId, PrepareRound) {
+fn prepared<C: Crdt>(replica: &mut Replica<C>) -> (RequestId, PrepareRound) {
     let outbox = replica.take_outbox();
     outbox
         .iter()
@@ -142,7 +141,7 @@ fn prepared<C: Crdt + DeltaCrdt>(replica: &mut Replica<C>) -> (RequestId, Prepar
 /// proposer's prepare (carrying `foreign`) lifts the local acceptor's round above
 /// any this query proposes; then a quorum of `ACK`s of `more` — which must
 /// differ from the local `ACK`'s state — in another round makes the phase retry.
-fn retry_nacked_locally<C: Crdt + DeltaCrdt>(
+fn retry_nacked_locally<C: Crdt>(
     proposer: &mut Replica<C>,
     request: RequestId,
     foreign: C,
@@ -165,7 +164,7 @@ fn retry_nacked_locally<C: Crdt + DeltaCrdt>(
     retry
 }
 
-fn ack<C: Crdt + DeltaCrdt>(request: RequestId, round: Round, state: C) -> Message<C> {
+fn ack<C: Crdt>(request: RequestId, round: Round, state: C) -> Message<C> {
     Message::PrepareAck { request, round, state: Payload::Full(state), reveal: 0, basis: 0 }
 }
 
@@ -173,7 +172,7 @@ fn ack<C: Crdt + DeltaCrdt>(request: RequestId, round: Round, state: C) -> Messa
 /// `gathered` state it goes on with — to [`reference`] over the same `ACK`s.
 fn decides_as_the_fold<C>(case: Case<C>, query: C::Query, grow: fn(&mut C), seen: &mut Seen)
 where
-    C: Crdt + DeltaCrdt + PartialEq,
+    C: Crdt + PartialEq,
 {
     let ids: Vec<ReplicaId> = (0..case.replicas).map(ReplicaId::new).collect();
     let peers = &ids[1..];
@@ -290,7 +289,7 @@ fn decides_as_the_fold_for<S>(
     grow: fn(&mut S::Value),
 ) where
     S: Strategy,
-    S::Value: Crdt + DeltaCrdt + PartialEq,
+    S::Value: Crdt + PartialEq,
 {
     let cases = case(state);
     let mut seen = Seen::default();
@@ -365,14 +364,8 @@ impl Crdt for Counted {
 }
 
 impl DeltaCrdt for Counted {
-    type Delta = <Kv as DeltaCrdt>::Delta;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.0.apply_delta(delta);
-    }
-
-    fn delta_since(&self, known: &Self) -> Self::Delta {
-        self.0.delta_since(&known.0)
+    fn delta_since(&self, known: &Self) -> Self {
+        Counted(self.0.delta_since(&known.0))
     }
 }
 

@@ -64,8 +64,8 @@ use std::fmt;
 use std::hash::Hash;
 
 use crdt::{
-    Crdt, DeltaCrdt, GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId,
-    SetOutput, SetQuery,
+    Crdt, GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId, SetOutput,
+    SetQuery,
 };
 use quorum::{HashPartitioner, ShardId};
 
@@ -86,7 +86,7 @@ const DEFERRED_CAP: usize = 4096;
 pub enum RouterEffect<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// Deliver a peer's protocol message, which passed the fence, to `shard`.
     ToShard {
@@ -176,7 +176,7 @@ enum ControlPhase {
 pub struct Cutover<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// The assignment being installed; the driver grows its instance table to
     /// its shard count before gathering.
@@ -194,7 +194,7 @@ where
 impl<K, V> Cutover<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// Folds in what one instance gave up — owed exactly once by every
     /// instance that existed before the install: the sub-states the new
@@ -218,7 +218,7 @@ where
 pub struct RouterCore<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// The partitioning generation: 0 is the construction-time assignment.
     epoch: u64,
@@ -244,7 +244,7 @@ where
 impl<K, V> RouterCore<K, V>
 where
     K: Ord + Clone + Hash + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// Creates the router core of replica `id`, hash-routing over `shards`
     /// shards at epoch 0.

@@ -66,7 +66,7 @@
 use std::fmt;
 use std::hash::Hash;
 
-use crdt::{Crdt, DeltaCrdt, Lattice, LatticeMap, MapQuery, MapUpdate, ReplicaId};
+use crdt::{Crdt, Lattice, LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use quorum::{Membership, ShardId};
 use serde::{Deserialize, Serialize};
 
@@ -86,11 +86,7 @@ use {crate::msg::ResponseBody, crdt::MapOutput};
 /// plan. The `wire` codec encodes the variant tag and the small integer fields as
 /// single-byte varints in front of the inner message.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "C: Serialize, C::Delta: Serialize",
-    deserialize = "C: Deserialize<'de>, C::Delta: Deserialize<'de>"
-))]
-pub enum ShardMessage<C: Crdt + DeltaCrdt> {
+pub enum ShardMessage<C: Crdt> {
     /// Protocol traffic of one data shard, stamped with the sender's epoch.
     ///
     /// The `(epoch, shards)` stamp names the sender's exact assignment and is what
@@ -140,11 +136,7 @@ pub enum ShardMessage<C: Crdt + DeltaCrdt> {
 
 /// An addressed [`ShardMessage`]: the sharded counterpart of [`crate::Envelope`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-#[serde(bound(
-    serialize = "C: Serialize, C::Delta: Serialize",
-    deserialize = "C: Deserialize<'de>, C::Delta: Deserialize<'de>"
-))]
-pub struct ShardEnvelope<C: Crdt + DeltaCrdt> {
+pub struct ShardEnvelope<C: Crdt> {
     /// Sending replica.
     pub from: ReplicaId,
     /// Receiving replica.
@@ -153,7 +145,7 @@ pub struct ShardEnvelope<C: Crdt + DeltaCrdt> {
     pub message: ShardMessage<C>,
 }
 
-impl<C: Crdt + DeltaCrdt> ShardEnvelope<C> {
+impl<C: Crdt> ShardEnvelope<C> {
     /// Splits the envelope into its destination and the transferable message.
     pub fn into_parts(self) -> (ReplicaId, ShardMessage<C>) {
         (self.to, self.message)
@@ -207,7 +199,7 @@ impl<C: Crdt + DeltaCrdt> ShardEnvelope<C> {
 pub struct ShardedReplica<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     config: ProtocolConfig,
     /// The routing policy: stamp, fence, control shard, cutover choreography,
@@ -232,7 +224,7 @@ where
 impl<K, V> ShardedReplica<K, V>
 where
     K: Ord + Clone + Hash + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// Creates a sharded replica with `shards` hash-partitioned protocol instances
     /// at epoch 0.

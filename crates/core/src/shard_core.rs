@@ -26,7 +26,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crdt::{Crdt, DeltaCrdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
+use crdt::{Crdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
 use quorum::ShardId;
 
 use crate::config::ProtocolConfig;
@@ -139,7 +139,7 @@ impl<K> PendingTable<K> {
 pub enum ShardOutput<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// A completed single-shard command.
     Response(ClientResponse<LatticeMap<K, V>>),
@@ -169,7 +169,7 @@ pub type RehomedCommand<K, V> = (ClientId, CommandId, Command<LatticeMap<K, V>>)
 pub struct CoreRehome<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// Updates already applied to the local acceptor: their effects travel in
     /// the handoff copies, so they complete exactly once via a resync on the
@@ -190,7 +190,7 @@ where
 pub struct ShardCore<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     shard: ShardId,
     replica: Replica<LatticeMap<K, V>>,
@@ -204,7 +204,7 @@ where
 impl<K, V> ShardCore<K, V>
 where
     K: Ord + Clone + fmt::Debug + Send + 'static,
-    V: Crdt + DeltaCrdt,
+    V: Crdt,
 {
     /// Creates the core of shard `shard` for replica `id`.
     pub fn new(

@@ -182,6 +182,59 @@ impl serde::Serialize for FailsAfter<'_> {
     }
 }
 
+/// The three messages a delta-mode proposer and acceptor exchange most, each
+/// carrying a `Payload::Delta` of a map: an update's `MERGE`, a first phase's
+/// `ACK` and a vote's `NACK`, framed as shard 2 of 4 in epoch 3.
+fn delta_frames() -> Vec<ShardMessage<Kv>> {
+    let mut delta = Kv::default();
+    delta.update(7, |counter| counter.increment(ReplicaId::new(1), 300));
+    delta.update(1_000, |counter| {
+        counter.increment(ReplicaId::new(0), 5);
+        counter.increment(ReplicaId::new(2), 70_000);
+    });
+    let round = Round::new(9, RoundId::proposer(4, ReplicaId::new(2)));
+    [
+        Message::Merge { request: RequestId(41), payload: Payload::Delta(delta.clone()) },
+        Message::PrepareAck {
+            request: RequestId(42),
+            round,
+            state: Payload::Delta(delta.clone()),
+            reveal: 6,
+            basis: 5,
+        },
+        Message::Nack { request: RequestId(43), round, state: Payload::Delta(delta), basis: 5 },
+    ]
+    .into_iter()
+    .map(|message| ShardMessage::Protocol { epoch: 3, shards: 4, shard: ShardId(2), message })
+    .collect()
+}
+
+/// The exact bytes of [`delta_frames`] on the wire, length prefix included.
+/// The payload is the map whichever variant carries it, so a delta frame is a
+/// full frame with the other variant tag.
+const DELTA_FRAMES: [&[u8]; 3] = [
+    &[22, 0, 0, 0, 0, 3, 4, 2, 0, 41, 1, 2, 7, 1, 1, 172, 2, 232, 7, 2, 0, 5, 2, 240, 162, 4],
+    &[
+        28, 0, 0, 0, 0, 3, 4, 2, 3, 42, 9, 2, 4, 2, 1, 2, 7, 1, 1, 172, 2, 232, 7, 2, 0, 5, 2, 240,
+        162, 4, 6, 5,
+    ],
+    &[
+        27, 0, 0, 0, 0, 3, 4, 2, 6, 43, 9, 2, 4, 2, 1, 2, 7, 1, 1, 172, 2, 232, 7, 2, 0, 5, 2, 240,
+        162, 4, 5,
+    ],
+];
+
+#[test]
+fn delta_payload_frames_keep_their_bytes() {
+    let mut encoder = FrameEncoder::new();
+    for (message, golden) in delta_frames().iter().zip(DELTA_FRAMES) {
+        assert_eq!(reference_frame(message), golden, "{message:?}");
+        assert_eq!(wire::from_slice::<ShardMessage<Kv>>(&golden[4..]).expect("decode"), *message);
+        encoder.encode(message).expect("encode");
+    }
+    assert_eq!(encoder.bytes(), DELTA_FRAMES.concat());
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

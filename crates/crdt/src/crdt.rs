@@ -2,12 +2,13 @@
 
 use std::fmt;
 
-use crate::lattice::Lattice;
+use crate::delta::DeltaCrdt;
 use crate::replica::ReplicaId;
 
 /// A state-based CRDT `(S, Q, U)` as defined in §2.2 of the paper.
 ///
-/// * `S` — the payload state itself, which must form a join semilattice ([`Lattice`]).
+/// * `S` — the payload state itself, which must form a join semilattice
+///   ([`crate::Lattice`]) whose states can be diffed into deltas ([`DeltaCrdt`]).
 /// * `U` — a set of monotonically non-decreasing update functions ([`Crdt::Update`]):
 ///   for every update `u` and state `s`, `s ⊑ u(s)` must hold.
 /// * `Q` — a set of query functions ([`Crdt::Query`]) that read the payload without
@@ -26,7 +27,7 @@ use crate::replica::ReplicaId;
 /// counter.apply(ReplicaId::new(0), &CounterUpdate::Increment(3));
 /// assert_eq!(counter.query(&CounterQuery::Value), 3);
 /// ```
-pub trait Crdt: Lattice + Default {
+pub trait Crdt: DeltaCrdt + Default {
     /// Update commands (the set `U`): must be monotone with respect to the lattice.
     type Update: Clone + fmt::Debug + Send + 'static;
     /// Query commands (the set `Q`): read-only.
@@ -39,35 +40,4 @@ pub trait Crdt: Lattice + Default {
 
     /// Evaluates a query function against the payload state.
     fn query(&self, query: &Self::Query) -> Self::Output;
-}
-
-/// Checks the monotonicity requirement `s ⊑ u(s)` for a single update on a state.
-///
-/// Used by tests and by debug assertions in the protocol core. Returns the updated
-/// state alongside the verdict so callers can continue with it.
-pub fn check_update_monotone<C: Crdt>(
-    mut state: C,
-    replica: ReplicaId,
-    update: &C::Update,
-) -> (bool, C) {
-    let before = state.clone();
-    state.apply(replica, update);
-    (before.leq(&state), state)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::counter::{CounterUpdate, GCounter};
-
-    #[test]
-    fn monotonicity_checker_accepts_gcounter() {
-        let (monotone, state) = check_update_monotone(
-            GCounter::default(),
-            ReplicaId::new(0),
-            &CounterUpdate::Increment(5),
-        );
-        assert!(monotone);
-        assert_eq!(state.value(), 5);
-    }
 }

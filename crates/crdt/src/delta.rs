@@ -4,23 +4,18 @@
 //! CRDTs by delta-mutation") as the standard answer to large payload states: instead
 //! of shipping the full state, a replica ships a small *delta* that, when joined into
 //! any state containing the pre-state, has the same effect as shipping the full state.
+//! A delta is a state of the same lattice, merged with the same join.
 //!
-//! Since the introduction of `crdt_paxos_core::Payload`, deltas are **first-class
-//! protocol payloads**: with `ProtocolConfig::payload_mode` set to
-//! `DeltaWhenPossible`, a proposer tracks the last state each peer is known to hold
-//! (learned from `MERGED`/`ACK`/`NACK` replies) and ships
-//! [`DeltaCrdt::delta_since`] deltas in `MERGE`/`PREPARE`/`VOTE` messages, falling
-//! back to the full state on first contact, retries, and retransmissions. The same
-//! machinery remains usable for out-of-band anti-entropy via [`DeltaGroup`].
-//!
-//! Two ways to obtain deltas exist:
-//!
-//! * **delta-mutators** ([`GCounter::increment_delta`], [`ORSet::insert_delta`],
-//!   [`ORSet::remove_delta`]) return the delta of a single mutation, and
-//! * **state diffing** ([`DeltaCrdt::delta_since`]) computes the delta between the
-//!   current state and any lower bound of the receiver's state — this is what the
-//!   protocol uses, because acceptor states also grow through remote joins that no
-//!   local mutator observed.
+//! Deltas are protocol payloads (`crdt_paxos_core::Payload::Delta`): with
+//! `ProtocolConfig::payload_mode` set to `DeltaWhenPossible`, a proposer tracks the
+//! last state each peer is known to hold (learned from `MERGED`/`ACK`/`NACK`
+//! replies) and ships [`DeltaCrdt::delta_since`] deltas in `MERGE`/`PREPARE`/`VOTE`
+//! messages, falling back to the full state on first contact, retries, and
+//! retransmissions. The protocol diffs states rather than recording mutations,
+//! because acceptor states also grow through remote joins that no local mutator
+//! observed; the delta-mutators ([`GCounter::increment_delta`],
+//! [`ORSet::insert_delta`], [`ORSet::remove_delta`]) return the delta of a single
+//! mutation.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -29,12 +24,12 @@ use std::sync::Arc;
 use crate::counter::{GCounter, PNCounter};
 use crate::gset::{GSet, TwoPhaseSet};
 use crate::lattice::Lattice;
-use crate::ormap::{merge_in, paired, LatticeMap};
+use crate::ormap::{paired, LatticeMap};
 use crate::orset::{ORSet, Tag};
 use crate::register::{LwwRegister, MaxRegister, MvRegister};
 use crate::replica::ReplicaId;
 
-/// A CRDT with delta-state support.
+/// A lattice whose states can be diffed into deltas.
 ///
 /// Implementations must guarantee, for every pair of states `s` (self) and `k`
 /// (known):
@@ -48,71 +43,12 @@ use crate::replica::ReplicaId;
 /// receiver ends up containing everything the sender had, exactly as if the full
 /// state had been shipped.
 pub trait DeltaCrdt: Lattice {
-    /// The delta type; must itself be a lattice so deltas can be batched by joining.
-    type Delta: Lattice + PartialEq;
-
-    /// Joins a delta into the full state.
-    fn apply_delta(&mut self, delta: &Self::Delta);
-
     /// Computes the delta covering everything in `self` that is not already
     /// reflected in `known` (a state the receiver is known to contain).
-    fn delta_since(&self, known: &Self) -> Self::Delta;
-
-    /// Lifts a delta into a full state: the bottom state with the delta applied.
-    ///
-    /// This is the *content* of a delta as a lattice element. The protocol uses it
-    /// when an acceptor needs a state-typed lower bound of what a delta-carrying
-    /// message delivered (e.g. to diff its reply against it).
-    fn from_delta(delta: &Self::Delta) -> Self
-    where
-        Self: Default,
-    {
-        let mut state = Self::default();
-        state.apply_delta(delta);
-        state
-    }
-}
-
-/// Delta group: accumulates several deltas into one by joining them.
-///
-/// Useful for batching deltas before shipping them over the network.
-#[derive(Debug, Clone, Default)]
-pub struct DeltaGroup<D> {
-    delta: Option<D>,
-}
-
-impl<D: Lattice> DeltaGroup<D> {
-    /// Creates an empty group.
-    pub fn new() -> Self {
-        DeltaGroup { delta: None }
-    }
-
-    /// Adds a delta to the group.
-    pub fn push(&mut self, delta: D) {
-        match &mut self.delta {
-            Some(existing) => existing.join(&delta),
-            None => self.delta = Some(delta),
-        }
-    }
-
-    /// Returns the combined delta, if any deltas were pushed.
-    pub fn into_delta(self) -> Option<D> {
-        self.delta
-    }
-
-    /// Returns `true` if no delta has been pushed yet.
-    pub fn is_empty(&self) -> bool {
-        self.delta.is_none()
-    }
+    fn delta_since(&self, known: &Self) -> Self;
 }
 
 impl DeltaCrdt for GCounter {
-    type Delta = GCounter;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> GCounter {
         self.grown_since(known)
     }
@@ -131,12 +67,6 @@ impl GCounter {
 }
 
 impl DeltaCrdt for PNCounter {
-    type Delta = PNCounter;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> PNCounter {
         PNCounter {
             increments: self.increments.delta_since(&known.increments),
@@ -149,12 +79,6 @@ impl<T> DeltaCrdt for GSet<T>
 where
     T: Ord + Clone + fmt::Debug,
 {
-    type Delta = GSet<T>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> GSet<T> {
         GSet { elements: self.elements.difference(&known.elements).cloned().collect() }
     }
@@ -164,12 +88,6 @@ impl<T> DeltaCrdt for TwoPhaseSet<T>
 where
     T: Ord + Clone + fmt::Debug,
 {
-    type Delta = TwoPhaseSet<T>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> TwoPhaseSet<T> {
         TwoPhaseSet {
             added: self.added.difference(&known.added).cloned().collect(),
@@ -182,12 +100,6 @@ impl<T> DeltaCrdt for ORSet<T>
 where
     T: Ord + Clone + fmt::Debug,
 {
-    type Delta = ORSet<T>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> ORSet<T> {
         let mut delta = ORSet::default();
         for (value, tags) in &self.entries {
@@ -251,12 +163,6 @@ impl<T> DeltaCrdt for LwwRegister<T>
 where
     T: Clone + fmt::Debug + PartialEq,
 {
-    type Delta = LwwRegister<T>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> LwwRegister<T> {
         if self.leq(known) {
             LwwRegister::default()
@@ -270,12 +176,6 @@ impl<T> DeltaCrdt for MaxRegister<T>
 where
     T: Ord + Clone + fmt::Debug,
 {
-    type Delta = MaxRegister<T>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> MaxRegister<T> {
         if self.leq(known) {
             MaxRegister::new()
@@ -289,12 +189,6 @@ impl<T> DeltaCrdt for MvRegister<T>
 where
     T: Ord + Clone + fmt::Debug,
 {
-    type Delta = MvRegister<T>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        self.join(delta);
-    }
-
     fn delta_since(&self, known: &Self) -> MvRegister<T> {
         let mut delta = MvRegister::default();
         for pair in &self.versions {
@@ -312,19 +206,7 @@ where
     V: DeltaCrdt + Default,
 {
     /// Per-key deltas: only the keys whose nested value actually grew are shipped.
-    type Delta = LatticeMap<K, V::Delta>;
-
-    fn apply_delta(&mut self, delta: &Self::Delta) {
-        // Deltas carry only keys that grew at the sender, so a non-empty one is
-        // taken to grow `self`; an empty one must not un-share the entries.
-        if delta.entries.is_empty() {
-            return;
-        }
-        let entries = Arc::make_mut(&mut self.entries);
-        merge_in(entries, &delta.entries, V::apply_delta, V::from_delta);
-    }
-
-    fn delta_since(&self, known: &Self) -> Self::Delta {
+    fn delta_since(&self, known: &Self) -> Self {
         let delta = paired(&self.entries, &known.entries)
             .filter_map(|(key, value, held)| match held {
                 Some(held) if value.leq(held) => None,
@@ -347,7 +229,7 @@ mod tests {
     /// Checks the `delta_since` law `k ⊔ s.delta_since(k) = k ⊔ s` for one pair.
     fn assert_delta_law<C: DeltaCrdt>(state: &C, known: &C) {
         let mut via_delta = known.clone();
-        via_delta.apply_delta(&state.delta_since(known));
+        via_delta.join(&state.delta_since(known));
         let via_full = known.clone().joined(state);
         assert!(
             via_delta.equivalent(&via_full),
@@ -364,7 +246,7 @@ mod tests {
         let mut replica = source.clone();
 
         let delta = source.increment_delta(r(0), 4);
-        replica.apply_delta(&delta);
+        replica.join(&delta);
         assert_eq!(replica.value(), source.value());
         assert_eq!(replica, source);
     }
@@ -395,23 +277,8 @@ mod tests {
         ahead.increment(r(7), 1);
         assert_delta_law(&state, &known);
         let mut ahead_joined = ahead.clone();
-        ahead_joined.apply_delta(&delta);
+        ahead_joined.join(&delta);
         assert!(state.leq(&ahead_joined) && ahead.leq(&ahead_joined));
-    }
-
-    #[test]
-    fn delta_group_batches_by_joining() {
-        let mut source = GCounter::new();
-        let mut group = DeltaGroup::new();
-        assert!(group.is_empty());
-        group.push(source.increment_delta(r(0), 1));
-        group.push(source.increment_delta(r(0), 2));
-        group.push(source.increment_delta(r(1), 5));
-        let combined = group.into_delta().unwrap();
-
-        let mut replica = GCounter::new();
-        replica.apply_delta(&combined);
-        assert_eq!(replica.value(), source.value());
     }
 
     #[test]
@@ -420,11 +287,11 @@ mod tests {
         let mut replica: ORSet<&str> = ORSet::new();
 
         let delta = source.insert_delta(r(0), "a");
-        replica.apply_delta(&delta);
+        replica.join(&delta);
         assert!(replica.contains(&"a"));
 
         let delta = source.remove_delta(&"a");
-        replica.apply_delta(&delta);
+        replica.join(&delta);
         assert!(!replica.contains(&"a"));
         assert_eq!(replica.elements(), source.elements());
     }
@@ -435,10 +302,10 @@ mod tests {
         let mut via_deltas: ORSet<u32> = ORSet::new();
         for i in 0u32..20 {
             let delta = source.insert_delta(r(u64::from(i % 3)), i);
-            via_deltas.apply_delta(&delta);
+            via_deltas.join(&delta);
             if i % 4 == 0 {
                 let delta = source.remove_delta(&i);
-                via_deltas.apply_delta(&delta);
+                via_deltas.join(&delta);
             }
         }
         assert_eq!(via_deltas.elements(), source.elements());
@@ -538,26 +405,5 @@ mod tests {
         assert_eq!(delta.len(), 2, "unchanged keys are not shipped");
         assert!(delta.get(&"b").is_some() && delta.get(&"new").is_some());
         assert_delta_law(&state, &known);
-    }
-
-    #[test]
-    fn nested_orset_map_deltas_batch_through_delta_group() {
-        // LatticeMap<_, ORSet<_>> is the replicated-shopping-carts shape of the
-        // examples; per-key deltas compose with DeltaGroup batching.
-        let mut source: LatticeMap<&str, ORSet<&str>> = LatticeMap::new();
-        source.update("alice", |cart| cart.insert(r(0), "milk"));
-        let known = source.clone();
-
-        source.update("alice", |cart| cart.insert(r(0), "eggs"));
-        let first = source.delta_since(&known);
-        source.update("bob", |cart| cart.insert(r(1), "beer"));
-        let second = source.delta_since(&known);
-
-        let mut group = DeltaGroup::new();
-        group.push(first);
-        group.push(second);
-        let mut replica = known.clone();
-        replica.apply_delta(&group.into_delta().unwrap());
-        assert!(replica.equivalent(&source));
     }
 }

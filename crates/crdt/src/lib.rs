@@ -11,9 +11,10 @@
 //! * concrete CRDTs: [`GCounter`] (the paper's running example, Algorithm 1),
 //!   [`PNCounter`], [`GSet`], [`TwoPhaseSet`], [`ORSet`], [`LwwRegister`],
 //!   [`MaxRegister`], [`MvRegister`], [`LatticeMap`], and [`VClock`],
-//! * delta-state support ([`delta`]): the [`DeltaCrdt`] trait (delta-mutators and
-//!   state diffing via [`DeltaCrdt::delta_since`]) implemented by every facade type,
-//!   used by the protocol's `Payload::Delta` messages to keep large payloads small.
+//! * delta-state support ([`delta`]): every [`Crdt`] is a [`DeltaCrdt`], whose
+//!   [`DeltaCrdt::delta_since`] diffs two states into a delta — itself a state,
+//!   merged by the same join — that the protocol's `Payload::Delta` messages ship
+//!   to keep large payloads small.
 //!
 //! All payload types implement serde's `Serialize`/`Deserialize` so they can be
 //! shipped by the `wire` codec of the networked deployment.
@@ -50,8 +51,8 @@ mod replica;
 mod vclock;
 
 pub use counter::{CounterQuery, CounterUpdate, GCounter, PNCounter, PnUpdate};
-pub use crdt::{check_update_monotone, Crdt};
-pub use delta::{DeltaCrdt, DeltaGroup};
+pub use crdt::Crdt;
+pub use delta::DeltaCrdt;
 pub use gset::{GSet, GSetUpdate, SetOutput, SetQuery, TwoPhaseSet, TwoPhaseSetUpdate};
 pub use lattice::{lub, Flag, Lattice, Max, Min};
 pub use ormap::{LatticeMap, MapOutput, MapQuery, MapUpdate};

@@ -155,14 +155,13 @@ pub(crate) fn paired<'a, K: Ord, V>(
 }
 
 /// Folds the sorted, unique run `incoming` into the sorted, unique `entries`: `fold`
-/// for a key both hold, `missing` builds the value of a key `entries` lacks. The key
-/// set is grow-only, so missing keys are rare; they are merged in by one sorted pass
-/// after the walk, not inserted one at a time.
-pub(crate) fn merge_in<K: Ord + Clone, V, W>(
+/// for a key both hold, a clone for a key `entries` lacks. The key set is
+/// grow-only, so missing keys are rare; they are merged in by one sorted pass after
+/// the walk, not inserted one at a time.
+fn merge_in<K: Ord + Clone, V: Clone>(
     entries: &mut Vec<(K, V)>,
-    incoming: &[(K, W)],
-    mut fold: impl FnMut(&mut V, &W),
-    mut missing: impl FnMut(&W) -> V,
+    incoming: &[(K, V)],
+    mut fold: impl FnMut(&mut V, &V),
 ) {
     let Some((first, _)) = incoming.first() else {
         return;
@@ -186,13 +185,13 @@ pub(crate) fn merge_in<K: Ord + Clone, V, W>(
     let mut incoming = incoming.iter().peekable();
     for (key, value) in held {
         while let Some((new, value)) = incoming.next_if(|(new, _)| *new < key) {
-            entries.push((new.clone(), missing(value)));
+            entries.push((new.clone(), value.clone()));
         }
         // Folded in by the walk above.
         incoming.next_if(|(new, _)| *new == key);
         entries.push((key, value));
     }
-    entries.extend(incoming.map(|(new, value)| (new.clone(), missing(value))));
+    entries.extend(incoming.map(|(new, value)| (new.clone(), value.clone())));
 }
 
 impl<K, V> Lattice for LatticeMap<K, V>
@@ -210,7 +209,7 @@ where
             .position(|(_, value, held)| !held.is_some_and(|held| value.leq(held)));
         if let Some(from) = from {
             let entries = Arc::make_mut(&mut self.entries);
-            merge_in(entries, &other.entries[from..], V::join, V::clone);
+            merge_in(entries, &other.entries[from..], V::join);
         }
     }
 
@@ -251,7 +250,7 @@ where
                 met += 1;
                 covered &= held.join_report(value).1;
             };
-            merge_in(entries, &other.entries[from..], fold, V::clone);
+            merge_in(entries, &other.entries[from..], fold);
         }
         (from.is_some(), covered && met == len)
     }

@@ -136,9 +136,9 @@ enum KvOp {
     Apply(u8, ReplicaId, u64),
     Update(u8, ReplicaId, u64),
     MergeEntry(u8, GCounter),
+    /// A delta is a `Kv` too, so this is also how one is applied.
     Join(Kv),
     JoinReport(Kv),
-    ApplyDelta(Kv),
 }
 
 impl KvOp {
@@ -156,7 +156,6 @@ impl KvOp {
             KvOp::JoinReport(other) => {
                 map.join_report(other);
             }
-            KvOp::ApplyDelta(delta) => map.apply_delta(delta),
         }
     }
 }
@@ -169,8 +168,6 @@ fn kv_op_strategy() -> impl Strategy<Value = KvOp> {
         (0u8..12, gcounter_strategy()).prop_map(|(key, value)| KvOp::MergeEntry(key, value)),
         kv_strategy().prop_map(KvOp::Join),
         kv_strategy().prop_map(KvOp::JoinReport),
-        // A map of counters is its own delta type.
-        kv_strategy().prop_map(KvOp::ApplyDelta),
     ]
 }
 
@@ -469,14 +466,12 @@ proptest! {
         let mut state = known.clone();
         op.run(&mut state);
         let delta = state.delta_since(&known);
-        let mut via_delta = known.clone();
-        via_delta.apply_delta(&delta);
-        prop_assert!(via_delta.equivalent(&known.clone().joined(&state)));
+        prop_assert!(known.clone().joined(&delta).equivalent(&known.clone().joined(&state)));
         prop_assert_eq!(&known, &deep_copy(&a));
         prop_assert!(a.delta_since(&a.clone()).is_empty());
     }
 
-    /// No growth, no copy: joining anything `⊑ self` or applying an empty delta
+    /// No growth, no copy: joining anything `⊑ self`, an empty delta included,
     /// leaves the allocation shared with earlier snapshots; the first operation that
     /// does grow the map un-shares it and leaves the snapshot as it was.
     #[test]
@@ -493,8 +488,8 @@ proptest! {
         prop_assert!(!state.join_report(&a).0 && !state.join_report(&b).0);
         prop_assert_eq!(state.join_report(&snapshot), (false, true));
         prop_assert_eq!(state.join_report(&deep_copy(&snapshot)), (false, true));
-        state.apply_delta(&Kv::default());
-        state.apply_delta(&state.delta_since(&snapshot));
+        state.join(&Kv::default());
+        state.join(&state.delta_since(&snapshot));
         let held = state.get(&key).expect("just updated").clone();
         state.merge_entry(key, &held);
         prop_assert!(share_entries(&state, &snapshot), "nothing grew, yet the entries were copied");

@@ -129,7 +129,8 @@ enum Op {
     Apply(u8, u64, u64),
     MergeEntry(u8, GCounter),
     Join(Entries),
-    ApplyDelta(Entries),
+    /// Join a sparse map, the shape of a delta.
+    JoinDelta(Entries),
     /// Join a clone of itself: the operands share their entries.
     JoinAlias,
 }
@@ -145,8 +146,7 @@ impl Op {
                 &MapUpdate::Apply { key: *key, update: CounterUpdate::Increment(*amount) },
             ),
             Op::MergeEntry(key, value) => map.merge_entry(*key, value),
-            Op::Join(entries) => map.join(&map_of(entries)),
-            Op::ApplyDelta(entries) => map.apply_delta(&map_of(entries)),
+            Op::Join(entries) | Op::JoinDelta(entries) => map.join(&map_of(entries)),
             Op::JoinAlias => {
                 let alias = map.clone();
                 map.join(&alias);
@@ -160,7 +160,7 @@ impl Op {
                 model.entry(*key).or_default().increment(ReplicaId::new(*replica), *amount)
             }
             Op::MergeEntry(key, value) => model.entry(*key).or_default().join(value),
-            Op::Join(entries) | Op::ApplyDelta(entries) => {
+            Op::Join(entries) | Op::JoinDelta(entries) => {
                 *model = model_join(model, &model_of(entries))
             }
             Op::JoinAlias => {}
@@ -168,14 +168,9 @@ impl Op {
     }
 
     /// Whether the op must leave the entries shared when it grows nothing.
-    /// Updates un-share unconditionally; a delta is taken to grow the map unless
-    /// it is empty.
+    /// Updates un-share unconditionally.
     fn shares_unless_it_grows(&self) -> bool {
-        match self {
-            Op::Update(..) | Op::Apply(..) => false,
-            Op::ApplyDelta(entries) => entries.is_empty(),
-            Op::MergeEntry(..) | Op::Join(_) | Op::JoinAlias => true,
-        }
+        !matches!(self, Op::Update(..) | Op::Apply(..))
     }
 }
 
@@ -186,7 +181,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         keyed().prop_map(|(key, replica, amount)| Op::Apply(key, replica, amount)),
         (0u8..24, counter_strategy()).prop_map(|(key, value)| Op::MergeEntry(key, value)),
         entries_strategy(0..24, 0..6).prop_map(Op::Join),
-        entries_strategy(0..24, 0..3).prop_map(Op::ApplyDelta),
+        entries_strategy(0..24, 0..3).prop_map(Op::JoinDelta),
         Just(Op::JoinAlias),
     ]
 }
@@ -231,7 +226,7 @@ fn assert_decodes_like_a_map(bytes: &[u8], residents: &[&Entries]) {
 }
 
 proptest! {
-    /// Reads, order, equivalence, equality, join, delta, delta application and
+    /// Reads, order, equivalence, equality, join, delta, a delta joined back and
     /// construction from unsorted, duplicated entries: all as the model has them.
     #[test]
     fn lattice_map_matches_its_model((a_entries, b_entries) in pair_strategy()) {
@@ -253,9 +248,7 @@ proptest! {
                 );
                 prop_assert_eq!(x == y, x_model == y_model);
                 assert_models(&x.delta_since(y), &model_delta_since(x_model, y_model));
-                let mut applied = y.clone();
-                applied.apply_delta(&x.delta_since(y));
-                assert_models(&applied, &model_join(y_model, x_model));
+                assert_models(&y.clone().joined(&x.delta_since(y)), &model_join(y_model, x_model));
             }
         }
     }

@@ -69,7 +69,7 @@
 use std::fmt;
 use std::hash::Hash;
 
-use crdt::{Crdt, DeltaCrdt};
+use crdt::Crdt;
 use crdt_paxos_core::ProtocolConfig;
 use serde::de::DeserializeOwned;
 use serde::Serialize;
@@ -112,30 +112,11 @@ impl<K> EngineKey for K where
 }
 
 /// Everything the engine requires of a value CRDT: the protocol's own bounds
-/// plus `Send + Sync` for the state and its delta (both cross thread boundaries,
-/// and a shard's `LatticeMap` snapshots share one allocation across them) and the
-/// wire codec for both (full payloads ship the state, delta payloads ship the
-/// delta).
-pub trait EngineValue:
-    Crdt
-    + DeltaCrdt<Delta: Send + Sync + Serialize + DeserializeOwned>
-    + Serialize
-    + DeserializeOwned
-    + Send
-    + Sync
-    + 'static
-{
-}
-impl<V> EngineValue for V where
-    V: Crdt
-        + DeltaCrdt<Delta: Send + Sync + Serialize + DeserializeOwned>
-        + Serialize
-        + DeserializeOwned
-        + Send
-        + Sync
-        + 'static
-{
-}
+/// plus `Send + Sync` (states cross thread boundaries, and a shard's `LatticeMap`
+/// snapshots share one allocation across them) and the wire codec (a delta is a
+/// state too, so full and delta payloads ship the same type).
+pub trait EngineValue: Crdt + Serialize + DeserializeOwned + Send + Sync + 'static {}
+impl<V> EngineValue for V where V: Crdt + Serialize + DeserializeOwned + Send + Sync + 'static {}
 
 /// An in-process engine cluster: `replicas` nodes wired through a
 /// [`LocalMesh`], each running its own router and workers.

@@ -21,19 +21,20 @@
 //! router instead.
 //!
 //! Only the outer kind gets a target of its own. Inside a message a
-//! `Payload::Full` ↔ `Payload::Delta` flip, or a `PREPARE` with and without a
-//! payload, still rebuilds that field; those flips mark first contact, retries
-//! and fallbacks, not the steady state.
+//! `Payload::Full` ↔ `Payload::Delta` flip (the same state type under the
+//! other tag, which the derived decode does not know), or a `PREPARE` with and
+//! without a payload, still rebuilds that field; those flips mark first
+//! contact, retries and fallbacks, not the steady state.
 //!
 //! [`peek_protocol`]: crdt_paxos_core::peek_protocol
 
-use crdt::{Crdt, DeltaCrdt};
+use crdt::Crdt;
 use crdt_paxos_core::{Message, Peek, RequestId, ShardMessage, Stamp, MESSAGE_KINDS};
 use serde::de::DeserializeOwned;
 
 /// What became of one frame handed to [`Residents::receive`].
 #[derive(Debug)]
-pub enum Received<'a, C: Crdt + DeltaCrdt> {
+pub enum Received<'a, C: Crdt> {
     /// Decoded, under the receiver's own stamp: the message to step the
     /// protocol with. It lives in the resident of its kind until the next
     /// frame of that kind overwrites it.
@@ -58,12 +59,12 @@ pub enum Received<'a, C: Crdt + DeltaCrdt> {
 /// state a fresh reply slot starts from) is left to its other holders and
 /// decoded afresh, by `Arc`'s in-place decode.
 #[derive(Debug)]
-pub struct Residents<C: Crdt + DeltaCrdt> {
+pub struct Residents<C: Crdt> {
     /// Indexed by [`Message`]'s wire variant index.
     kinds: [ShardMessage<C>; MESSAGE_KINDS],
 }
 
-impl<C: Crdt + DeltaCrdt> Default for Residents<C> {
+impl<C: Crdt> Default for Residents<C> {
     fn default() -> Self {
         Residents { kinds: std::array::from_fn(|_| ShardMessage::PlanRequest) }
     }
@@ -71,7 +72,7 @@ impl<C: Crdt + DeltaCrdt> Default for Residents<C> {
 
 impl<C> Residents<C>
 where
-    C: Crdt + DeltaCrdt,
+    C: Crdt,
     ShardMessage<C>: DeserializeOwned,
 {
     /// A set of residents with nothing in them yet.

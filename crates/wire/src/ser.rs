@@ -285,6 +285,10 @@ impl<'a, 'b> ser::Serializer for &'a mut Serializer<'b> {
 }
 
 /// Helper used for all compound serialization flavours (sequences, maps, structs…).
+///
+/// Its methods only forward to the element's own `serialize`, and each is
+/// `#[inline]`, so a message's encode stays one loop nest: the inliner left to
+/// itself has called out once per map entry and once per counter slot.
 #[derive(Debug)]
 pub struct Compound<'a, 'b> {
     ser: &'a mut Serializer<'b>,
@@ -294,6 +298,7 @@ impl<'a, 'b> ser::SerializeSeq for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         value.serialize(&mut *self.ser)
     }
@@ -308,6 +313,7 @@ impl<'a, 'b> ser::SerializeTuple for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_element<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         value.serialize(&mut *self.ser)
     }
@@ -322,6 +328,7 @@ impl<'a, 'b> ser::SerializeTupleStruct for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         value.serialize(&mut *self.ser)
     }
@@ -336,6 +343,7 @@ impl<'a, 'b> ser::SerializeTupleVariant for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_field<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         value.serialize(&mut *self.ser)
     }
@@ -350,10 +358,12 @@ impl<'a, 'b> ser::SerializeMap for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_key<T: Serialize + ?Sized>(&mut self, key: &T) -> Result<()> {
         key.serialize(&mut *self.ser)
     }
 
+    #[inline]
     fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<()> {
         value.serialize(&mut *self.ser)
     }
@@ -368,6 +378,7 @@ impl<'a, 'b> ser::SerializeStruct for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_field<T: Serialize + ?Sized>(
         &mut self,
         _key: &'static str,
@@ -386,6 +397,7 @@ impl<'a, 'b> ser::SerializeStructVariant for Compound<'a, 'b> {
     type Ok = ();
     type Error = Error;
 
+    #[inline]
     fn serialize_field<T: Serialize + ?Sized>(
         &mut self,
         _key: &'static str,

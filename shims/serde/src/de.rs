@@ -82,6 +82,7 @@ pub trait DeserializeSeed<'de>: Sized {
 impl<'de, T: Deserialize<'de>> DeserializeSeed<'de> for PhantomData<T> {
     type Value = T;
 
+    #[inline]
     fn deserialize<D>(self, deserializer: D) -> Result<T, D::Error>
     where
         D: Deserializer<'de>,
@@ -350,6 +351,7 @@ pub trait SeqAccess<'de> {
     ) -> Result<Option<T::Value>, Self::Error>;
 
     /// Deserializes the next element.
+    #[inline]
     fn next_element<T: Deserialize<'de>>(&mut self) -> Result<Option<T>, Self::Error> {
         self.next_element_seed(PhantomData)
     }
@@ -378,16 +380,19 @@ pub trait MapAccess<'de> {
     ) -> Result<V::Value, Self::Error>;
 
     /// Deserializes the next key.
+    #[inline]
     fn next_key<K: Deserialize<'de>>(&mut self) -> Result<Option<K>, Self::Error> {
         self.next_key_seed(PhantomData)
     }
 
     /// Deserializes the next value.
+    #[inline]
     fn next_value<V: Deserialize<'de>>(&mut self) -> Result<V, Self::Error> {
         self.next_value_seed(PhantomData)
     }
 
     /// Deserializes the next entry.
+    #[inline]
     fn next_entry<K: Deserialize<'de>, V: Deserialize<'de>>(
         &mut self,
     ) -> Result<Option<(K, V)>, Self::Error> {
@@ -417,6 +422,7 @@ pub trait EnumAccess<'de>: Sized {
     ) -> Result<(V::Value, Self::Variant), Self::Error>;
 
     /// Deserializes the variant discriminant.
+    #[inline]
     fn variant<V: Deserialize<'de>>(self) -> Result<(V, Self::Variant), Self::Error> {
         self.variant_seed(PhantomData)
     }
@@ -437,6 +443,7 @@ pub trait VariantAccess<'de>: Sized {
     ) -> Result<T::Value, Self::Error>;
 
     /// Deserializes a newtype variant.
+    #[inline]
     fn newtype_variant<T: Deserialize<'de>>(self) -> Result<T, Self::Error> {
         self.newtype_variant_seed(PhantomData)
     }

@@ -210,6 +210,7 @@ pub trait SerializeMap {
     /// Serializes one value.
     fn serialize_value<T: Serialize + ?Sized>(&mut self, value: &T) -> Result<(), Self::Error>;
     /// Serializes one key-value entry.
+    #[inline]
     fn serialize_entry<K: Serialize + ?Sized, V: Serialize + ?Sized>(
         &mut self,
         key: &K,

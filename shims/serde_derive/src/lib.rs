@@ -186,6 +186,7 @@ fn expand_serialize(input: &Input) -> String {
     format!(
         "#[automatically_derived]\n\
          impl{impl_generics} ::serde::Serialize for {self_ty} {bounds} {{\n\
+             #[inline]\n\
              fn serialize<__S: ::serde::Serializer>(&self, __serializer: __S)\n\
                  -> ::core::result::Result<__S::Ok, __S::Error> {{\n\
                  {body}\n\

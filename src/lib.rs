@@ -7,7 +7,7 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`crdt`] | join semilattices and state-based CRDTs (G-Counter, PN-Counter, sets, registers, maps, vector clocks) with delta-state support (`DeltaCrdt`) |
+//! | [`crdt`] | join semilattices and state-based CRDTs (G-Counter, PN-Counter, sets, registers, maps, vector clocks); every CRDT diffs into deltas of its own type (`DeltaCrdt::delta_since`), merged by the same join |
 //! | [`quorum`] | the replica group and its majority quorum size ([`quorum::Membership`]), and the keyspace's hash partitioner ([`quorum::HashPartitioner`]) |
 //! | [`wire`] | compact binary serde codec and message framing |
 //! | [`protocol`] | the CRDT Paxos protocol core: [`protocol::Replica`], messages, configuration, metrics; state-bearing messages carry a [`protocol::Payload`] — the full CRDT state or, with [`protocol::PayloadMode::DeltaWhenPossible`], a per-peer delta that cuts large payloads down to what the receiver is missing (replies are delta-encoded too, against the request's own payload and basis snapshot); [`protocol::ShardedReplica`] partitions a `LatticeMap` keyspace over independent protocol instances — one round counter and one quorum per shard — and reshards it **dynamically**: a [`protocol::RebalancePlan`] agreed on a control shard moves key ranges by lattice join under an epoch fence while traffic continues |

@@ -23,7 +23,7 @@
 
 use std::time::{Duration, Instant};
 
-use crdt::{Crdt, DeltaCrdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
+use crdt::{Crdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
 use crdt_paxos_core::{
     ClientId, Command, CommandId, ProtocolConfig, Replica, ResponseBody, ShardId,
 };
@@ -32,12 +32,12 @@ use quorum::HashPartitioner;
 
 /// An in-process cluster of CRDT Paxos replicas with synchronous message delivery.
 #[derive(Debug)]
-pub struct LocalCluster<C: Crdt + DeltaCrdt> {
+pub struct LocalCluster<C: Crdt> {
     replicas: Vec<Replica<C>>,
     now_ms: u64,
 }
 
-impl<C: Crdt + DeltaCrdt> LocalCluster<C> {
+impl<C: Crdt> LocalCluster<C> {
     /// Creates a cluster of `n` replicas with the given protocol configuration.
     ///
     /// # Panics
