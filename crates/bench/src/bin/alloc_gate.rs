@@ -78,12 +78,11 @@ use crdt::{
 };
 use crdt_paxos_core::{
     peek_protocol, ClientId, Command, CommandId, Message, Payload, ProtocolConfig, Replica,
-    RequestId, ShardCore, ShardEnvelope, ShardMessage, ShardOutput, Stamp,
+    RequestId, ShardCore, ShardEnvelope, ShardId, ShardMessage, ShardOutput, Stamp,
 };
 use engine::mailbox::{Gate, Mailbox, Signal};
 use engine::{Received, Residents};
 use obs::{Counter, HighWater, Stage, StageSet, Stopwatch, TraceConfig, TraceRing};
-use quorum::ShardId;
 use wire::framing::{FrameDecoder, FrameEncoder};
 
 /// Counts allocations while `enabled`; transparent to the system allocator

@@ -37,11 +37,6 @@ impl WireMetrics {
         entry.bytes += bytes;
     }
 
-    /// Total encoded bytes for one exact kind key (0 if none recorded).
-    pub fn bytes_for(&self, kind: &str) -> u64 {
-        self.per_kind.get(kind).map_or(0, |entry| entry.bytes)
-    }
-
     /// Number of messages recorded under one exact kind key (0 if none recorded).
     pub fn messages_for(&self, kind: &str) -> u64 {
         self.per_kind.get(kind).map_or(0, |entry| entry.messages)
@@ -153,19 +148,6 @@ impl LatencyStats {
         self.quantile(0.95)
     }
 
-    /// 99th-percentile latency in microseconds.
-    pub fn p99_us(&mut self) -> Option<u64> {
-        self.quantile(0.99)
-    }
-
-    /// Mean latency in microseconds.
-    pub fn mean_us(&self) -> Option<f64> {
-        if self.samples_us.is_empty() {
-            return None;
-        }
-        Some(self.samples_us.iter().sum::<u64>() as f64 / self.samples_us.len() as f64)
-    }
-
     /// Merges another collection into this one.
     pub fn merge(&mut self, other: &LatencyStats) {
         self.samples_us.extend_from_slice(&other.samples_us);
@@ -245,10 +227,9 @@ mod tests {
         // Nearest-rank interpolation: rank = round(99 * 0.5) = 50 → the 51st sample.
         assert_eq!(stats.median_us(), Some(51));
         assert_eq!(stats.p95_us(), Some(95));
-        assert_eq!(stats.p99_us(), Some(99));
+        assert_eq!(stats.quantile(0.99), Some(99));
         assert_eq!(stats.quantile(0.0), Some(1));
         assert_eq!(stats.quantile(1.0), Some(100));
-        assert!((stats.mean_us().unwrap() - 50.5).abs() < 1e-9);
     }
 
     #[test]
@@ -256,7 +237,6 @@ mod tests {
         let mut stats = LatencyStats::new();
         assert!(stats.is_empty());
         assert_eq!(stats.median_us(), None);
-        assert_eq!(stats.mean_us(), None);
     }
 
     #[test]
@@ -299,10 +279,10 @@ mod tests {
         metrics.record("MERGE", 100);
         metrics.record("MERGE", 50);
         metrics.record("MERGED", 2);
-        assert_eq!(metrics.bytes_for("MERGE"), 150);
+        assert_eq!(metrics.bytes_for_kind("MERGE"), 150);
         assert_eq!(metrics.messages_for("MERGE"), 2);
         assert_eq!(metrics.total_bytes(), 152);
-        assert_eq!(metrics.bytes_for("VOTE"), 0);
+        assert_eq!(metrics.bytes_for_kind("VOTE"), 0);
     }
 
     #[test]
@@ -314,7 +294,7 @@ mod tests {
         assert_eq!(metrics.bytes_for_kind("MERGE"), 106);
         assert_eq!(metrics.messages_for_kind("MERGE"), 2);
         assert_eq!(metrics.bytes_for_kind("MERGED"), 2, "exact keys still match");
-        assert_eq!(metrics.bytes_for("MERGE"), 0, "exact lookup ignores sub-kinds");
+        assert!(!metrics.per_kind.contains_key("MERGE"), "sub-kinds keep their own keys");
     }
 
     #[test]

@@ -20,21 +20,6 @@ impl WorkloadMix {
         assert!((0.0..=1.0).contains(&read_fraction), "read fraction must be within [0, 1]");
         WorkloadMix { read_fraction }
     }
-
-    /// 100 % reads.
-    pub fn read_only() -> Self {
-        Self::reads(1.0)
-    }
-
-    /// 100 % updates.
-    pub fn update_only() -> Self {
-        Self::reads(0.0)
-    }
-
-    /// The update fraction (`1 - read_fraction`).
-    pub fn update_fraction(&self) -> f64 {
-        1.0 - self.read_fraction
-    }
 }
 
 /// Per-client deterministic operation generator.
@@ -71,9 +56,9 @@ mod tests {
 
     #[test]
     fn mix_constructors() {
-        assert_eq!(WorkloadMix::read_only().read_fraction, 1.0);
-        assert_eq!(WorkloadMix::update_only().read_fraction, 0.0);
-        assert!((WorkloadMix::reads(0.9).update_fraction() - 0.1).abs() < 1e-12);
+        assert_eq!(WorkloadMix::reads(1.0).read_fraction, 1.0);
+        assert_eq!(WorkloadMix::reads(0.0).read_fraction, 0.0);
+        assert_eq!(WorkloadMix::reads(0.9).read_fraction, 0.9);
     }
 
     #[test]
@@ -100,9 +85,9 @@ mod tests {
 
     #[test]
     fn extreme_mixes_are_degenerate() {
-        let mut reads_only = ClientWorkload::new(WorkloadMix::read_only(), 2);
+        let mut reads_only = ClientWorkload::new(WorkloadMix::reads(1.0), 2);
         assert!((0..100).all(|_| reads_only.next_is_read()));
-        let mut updates_only = ClientWorkload::new(WorkloadMix::update_only(), 3);
+        let mut updates_only = ClientWorkload::new(WorkloadMix::reads(0.0), 3);
         assert!((0..100).all(|_| !updates_only.next_is_read()));
     }
 }

@@ -41,7 +41,7 @@
 //!   and the deterministic simulator, and one-OS-thread-per-core by the
 //!   `engine` crate's parallel executor.
 //! * [`RouterCore`] — the routing policy above the shard cores, as a second
-//!   sans-io state machine: deterministic key routing (`quorum::HashPartitioner`),
+//!   sans-io state machine: deterministic key routing ([`HashPartitioner`]),
 //!   epoch fencing ([`fence_decision`]), plan agreement on the control shard,
 //!   the cutover choreography ([`Cutover`]) and fan-out aggregation. Inputs in,
 //!   [`RouterEffect`]s out; it touches no shard core, so the single-threaded
@@ -57,6 +57,8 @@
 //!   traffic with the plan, in-flight commands re-home exactly once
 //!   ([`Replica::submit_resync`], [`Replica::cancel_in_flight`]), and per-key
 //!   linearizability holds across the transition by quorum intersection.
+//! * [`Membership`] — the replica group and its majority quorum size; [`ShardId`]
+//!   and [`HashPartitioner`] — the shards and the fixed-seed key→shard hash.
 //! * [`ProtocolConfig`] — four settings: the batch interval, GLA-stability,
 //!   the retransmission timeout and the payload mode.
 //! * [`Metrics`] — the learning-path counters: how each query learned
@@ -66,16 +68,17 @@
 //!   (stamp, shard, message kind, request) without decoding its body.
 //!
 //! The companion crates provide the substrates and executors: `crdt` (the data
-//! types), `quorum` (membership, quorum size and key partitioning), `cluster` (deterministic simulator and
-//! workloads — one driver of these state machines), `engine` (the
-//! parallel executor on real threads — the other driver), `transport` (tokio
-//! TCP runtime), and `baselines` (Multi-Paxos and Raft used for comparison).
+//! types), `cluster` (deterministic simulator and workloads — one driver of
+//! these state machines), `engine` (the parallel executor on real threads — the
+//! other driver), `transport` (tokio TCP runtime), and `baselines` (Multi-Paxos
+//! and Raft used for comparison).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod acceptor;
 mod config;
+mod membership;
 mod metrics;
 mod msg;
 mod peek;
@@ -88,18 +91,18 @@ mod shard_core;
 
 pub use acceptor::{AcceptOutcome, Acceptor};
 pub use config::{PayloadMode, ProtocolConfig};
+pub use membership::Membership;
 pub use metrics::Metrics;
 pub use msg::{
     ClientId, ClientResponse, Command, CommandId, Envelope, Message, Payload, RequestId,
     ResponseBody,
 };
 pub use peek::{peek_protocol, Peek, MESSAGE_KINDS};
-pub use quorum::ShardId;
 pub use rebalance::{winning_shards, ControlState, RebalancePlan, RebalanceStats};
 pub use replica::{CancelledWork, Replica};
 pub use round::{PrepareRound, Round, RoundId};
 pub use router_core::{Cutover, RouterCore, RouterEffect};
-pub use shard::{ShardEnvelope, ShardMessage, ShardedReplica};
+pub use shard::{HashPartitioner, ShardEnvelope, ShardId, ShardMessage, ShardedReplica};
 pub use shard_core::{
     fence_decision, CoreRehome, FenceDecision, RehomedCommand, ShardCore, ShardOutput, Stamp,
 };

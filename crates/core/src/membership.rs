@@ -1,4 +1,10 @@
 //! Static cluster membership.
+//!
+//! The paper's system model (§2.1) assumes a fixed process set `Π` and a quorum
+//! system over it whose quorums pairwise intersect; progress requires that at
+//! least one quorum stays alive and connected. The protocol uses one quorum
+//! system: any `⌊n/2⌋ + 1` processes form a quorum (the paper's evaluation runs it
+//! with `n = 3`).
 
 use serde::{Deserialize, Serialize};
 

@@ -56,14 +56,6 @@ impl<C: Crdt> Payload<C> {
     pub fn join_into(&self, state: &mut C) {
         state.join(self.content());
     }
-
-    /// Short label used by traces and byte-accounting reports.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Payload::Full(_) => "full",
-            Payload::Delta(_) => "delta",
-        }
-    }
 }
 
 /// A replica-to-replica protocol message, generic over the replicated CRDT `C`.

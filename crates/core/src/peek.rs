@@ -4,9 +4,8 @@
 //! where to decode it, by what the first few bytes say; this is the one place
 //! that reads them, beside the types whose wire layout it depends on.
 
-use quorum::ShardId;
-
 use crate::msg::RequestId;
+use crate::shard::ShardId;
 use crate::shard_core::Stamp;
 #[cfg(doc)]
 use crate::{Message, ShardMessage};

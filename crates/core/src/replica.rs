@@ -13,10 +13,10 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crdt::{Crdt, ReplicaId};
-use quorum::Membership;
 
 use crate::acceptor::{AcceptOutcome, Acceptor};
 use crate::config::{PayloadMode, ProtocolConfig};
+use crate::membership::Membership;
 use crate::metrics::Metrics;
 use crate::msg::{
     ClientId, ClientResponse, Command, CommandId, Envelope, Message, Payload, RequestId,

@@ -67,13 +67,12 @@ use crdt::{
     Crdt, GSetUpdate, Lattice, LatticeMap, MapOutput, MapQuery, MapUpdate, ReplicaId, SetOutput,
     SetQuery,
 };
-use quorum::{HashPartitioner, ShardId};
 
 use crate::config::ProtocolConfig;
 use crate::msg::{ClientId, ClientResponse, Command, CommandId, Envelope, Message, ResponseBody};
 use crate::rebalance::{winning_shards, ControlState, RebalancePlan, RebalanceStats};
 use crate::replica::Replica;
-use crate::shard::{ShardEnvelope, ShardMessage};
+use crate::shard::{HashPartitioner, ShardEnvelope, ShardId, ShardMessage};
 use crate::shard_core::{fence_decision, CoreRehome, FenceDecision, RehomedCommand, Stamp};
 
 /// How many future-stamp messages are buffered while a plan is on its way;

@@ -10,6 +10,13 @@
 //! *across* keys, so disjoint key ranges may run entirely independent protocol
 //! instances.
 //!
+//! A key's instance is its [`ShardId`] under a [`HashPartitioner`]. Routing must
+//! be **deterministic and identical on every replica**: if two replicas disagreed
+//! on which shard owns a key, they would submit commands for the same key to
+//! different protocol instances and per-key linearizability would be lost. The
+//! partitioner therefore avoids any per-process randomness: it uses a fixed-seed
+//! FNV-1a hash, not the process-seeded `RandomState` of the standard library.
+//!
 //! [`ShardedReplica`] is the single-threaded driver of that idea. Each shard
 //! is a [`ShardCore`](crate::ShardCore) — an independent
 //! [`Replica<LatticeMap<K, V>>`] with its own acceptor state, round counter,
@@ -64,13 +71,13 @@
 //! snapshot (exactly the trade the paper's per-key granularity makes).
 
 use std::fmt;
-use std::hash::Hash;
+use std::hash::{Hash, Hasher};
 
 use crdt::{Crdt, Lattice, LatticeMap, MapQuery, MapUpdate, ReplicaId};
-use quorum::{Membership, ShardId};
 use serde::{Deserialize, Serialize};
 
 use crate::config::ProtocolConfig;
+use crate::membership::Membership;
 use crate::metrics::Metrics;
 use crate::msg::{ClientId, ClientResponse, Command, CommandId, Message};
 use crate::rebalance::{ControlState, RebalancePlan, RebalanceStats};
@@ -80,6 +87,96 @@ use crate::shard_core::{ShardCore, ShardOutput};
 // Names the in-file tests reach through `super::*`.
 #[cfg(test)]
 use {crate::msg::ResponseBody, crdt::MapOutput};
+
+/// Identifies one shard: one independent protocol instance over a key range.
+#[derive(
+    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
+)]
+pub struct ShardId(pub u32);
+
+impl ShardId {
+    /// Creates a shard id from a raw index.
+    pub const fn new(id: u32) -> Self {
+        ShardId(id)
+    }
+
+    /// Returns the raw index value.
+    pub const fn as_u32(self) -> u32 {
+        self.0
+    }
+
+    /// Returns the raw index as a `usize` (for indexing shard vectors).
+    pub const fn as_usize(self) -> usize {
+        self.0 as usize
+    }
+}
+
+impl fmt::Display for ShardId {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "s{}", self.0)
+    }
+}
+
+/// 64-bit FNV-1a, used instead of the standard library's `DefaultHasher` because the
+/// routing hash must be identical across processes and runs (no random seeding).
+#[derive(Debug, Clone)]
+struct Fnv1a(u64);
+
+impl Fnv1a {
+    const OFFSET_BASIS: u64 = 0xcbf2_9ce4_8422_2325;
+    const PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn new() -> Self {
+        Fnv1a(Self::OFFSET_BASIS)
+    }
+}
+
+impl Hasher for Fnv1a {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &byte in bytes {
+            self.0 ^= u64::from(byte);
+            self.0 = self.0.wrapping_mul(Self::PRIME);
+        }
+    }
+}
+
+/// Uniform hash partitioning: `shard = fnv1a(key) mod shards`.
+///
+/// Spreads a uniform workload evenly without any tuning. Rebalancing changes only
+/// the shard count, so a [`HashPartitioner`] is the whole key→shard assignment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct HashPartitioner {
+    shards: u32,
+}
+
+impl HashPartitioner {
+    /// Creates a hash partitioner over `shards` shards.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `shards` is zero.
+    pub fn new(shards: u32) -> Self {
+        assert!(shards > 0, "a keyspace needs at least one shard");
+        HashPartitioner { shards }
+    }
+
+    /// Number of shards this partitioner routes onto (at least 1).
+    pub fn shards(&self) -> u32 {
+        self.shards
+    }
+
+    /// Returns the shard owning `key`, always smaller than
+    /// [`HashPartitioner::shards`].
+    pub fn shard_of<K: Hash + ?Sized>(&self, key: &K) -> ShardId {
+        let mut hasher = Fnv1a::new();
+        key.hash(&mut hasher);
+        ShardId((hasher.finish() % u64::from(self.shards)) as u32)
+    }
+}
 
 /// What peers exchange in a sharded deployment: ordinary protocol traffic tagged
 /// with its shard and partitioning epoch, control-shard traffic, or a rebalance
@@ -300,12 +397,6 @@ where
     /// Counters describing this replica's view of past and ongoing rebalances.
     pub fn rebalance_stats(&self) -> RebalanceStats {
         self.router.stats()
-    }
-
-    /// Returns `true` while this replica is coordinating a rebalance it initiated
-    /// (committing or reading back the plan on the control shard).
-    pub fn rebalance_in_progress(&self) -> bool {
-        !self.router.rebalance_idle()
     }
 
     /// The shard owning `key` under the current epoch.
@@ -1087,5 +1178,87 @@ mod tests {
             ResponseBody::QueryDone(MapOutput::Len(10)),
             "stale handoff leftovers must not be double-counted"
         );
+    }
+
+    #[test]
+    fn hash_partitioner_is_deterministic_and_in_range() {
+        let partitioner = HashPartitioner::new(8);
+        assert_eq!(partitioner.shards(), 8);
+        for key in 0u64..1000 {
+            let shard = partitioner.shard_of(&key);
+            assert!(shard.as_u32() < 8);
+            assert_eq!(shard, partitioner.shard_of(&key), "routing must be stable");
+        }
+    }
+
+    #[test]
+    fn hash_partitioner_spreads_a_uniform_keyspace() {
+        let partitioner = HashPartitioner::new(4);
+        let mut counts = [0u32; 4];
+        for key in 0u64..4000 {
+            counts[partitioner.shard_of(&key).as_usize()] += 1;
+        }
+        for (shard, &count) in counts.iter().enumerate() {
+            assert!(
+                (600..=1400).contains(&count),
+                "shard {shard} owns {count} of 4000 uniform keys"
+            );
+        }
+    }
+
+    #[test]
+    fn hash_partitioner_works_for_string_keys() {
+        let partitioner = HashPartitioner::new(3);
+        let shard = partitioner.shard_of("alice");
+        assert!(shard.as_u32() < 3);
+        assert_eq!(shard, partitioner.shard_of("alice"));
+    }
+
+    /// The key→shard mapping itself, recorded once: every seeded history and
+    /// figure routes through it, so a change to the hash shows here first.
+    #[test]
+    fn hash_partitioner_mapping_is_pinned() {
+        #[rustfmt::skip]
+        const U64_KEYS: [(u32, [u32; 32]); 3] = [
+            (1, [0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+                 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0]),
+            (4, [1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2,
+                 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2, 1, 0, 3, 2]),
+            (8, [5, 4, 7, 6, 1, 0, 3, 2, 5, 4, 7, 6, 1, 0, 3, 2,
+                 5, 4, 7, 6, 1, 0, 3, 2, 5, 4, 7, 6, 1, 0, 3, 2]),
+        ];
+        const STR_KEYS: [(&str, [u32; 3]); 3] =
+            [("alice", [0, 0, 0]), ("bob", [0, 1, 1]), ("carol", [0, 3, 7])];
+        for (shards, expected) in U64_KEYS {
+            let partitioner = HashPartitioner::new(shards);
+            let routed: Vec<u32> = (0u64..32).map(|key| partitioner.shard_of(&key).0).collect();
+            assert_eq!(routed, expected, "u64 keys 0..32 over {shards} shards");
+        }
+        for (key, expected) in STR_KEYS {
+            let routed = [1, 4, 8].map(|shards| HashPartitioner::new(shards).shard_of(key).0);
+            assert_eq!(routed, expected, "{key:?} over 1, 4 and 8 shards");
+        }
+    }
+
+    #[test]
+    fn single_shard_routes_everything_to_shard_zero() {
+        let partitioner = HashPartitioner::new(1);
+        for key in 0u64..100 {
+            assert_eq!(partitioner.shard_of(&key), ShardId(0));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one shard")]
+    fn a_partitioner_of_zero_shards_panics() {
+        let _ = HashPartitioner::new(0);
+    }
+
+    #[test]
+    fn shard_id_accessors_and_display() {
+        let shard = ShardId::new(7);
+        assert_eq!(shard.as_u32(), 7);
+        assert_eq!(shard.as_usize(), 7);
+        assert_eq!(shard.to_string(), "s7");
     }
 }

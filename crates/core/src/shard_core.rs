@@ -27,7 +27,6 @@ use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crdt::{Crdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
-use quorum::ShardId;
 
 use crate::config::ProtocolConfig;
 use crate::metrics::Metrics;
@@ -35,7 +34,7 @@ use crate::msg::{
     ClientId, ClientResponse, Command, CommandId, Envelope, Message, RequestId, ResponseBody,
 };
 use crate::replica::Replica;
-use crate::shard::{ShardEnvelope, ShardMessage};
+use crate::shard::{ShardEnvelope, ShardId, ShardMessage};
 
 /// One partitioning assignment's identity: `(epoch, shard count)`, ordered
 /// lexicographically. Within an epoch the larger shard count supersedes (the

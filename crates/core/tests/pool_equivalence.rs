@@ -13,10 +13,9 @@
 use crdt::{CounterQuery, CounterUpdate, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use crdt_paxos_core::{
     ClientId, Command, Envelope, Message, Payload, PrepareRound, ProtocolConfig, RebalancePlan,
-    Replica, RequestId, Round, RoundId, ShardEnvelope, ShardMessage, ShardedReplica,
+    Replica, RequestId, Round, RoundId, ShardEnvelope, ShardId, ShardMessage, ShardedReplica,
 };
 use proptest::prelude::*;
-use quorum::ShardId;
 use wire::framing::FrameEncoder;
 
 type Kv = LatticeMap<u64, GCounter>;

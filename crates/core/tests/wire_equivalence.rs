@@ -17,11 +17,10 @@
 use bytes::{Bytes, BytesMut};
 use crdt::{GCounter, LatticeMap, ReplicaId};
 use crdt_paxos_core::{
-    Envelope, Message, Payload, PrepareRound, RequestId, Round, RoundId, ShardEnvelope,
+    Envelope, Message, Payload, PrepareRound, RequestId, Round, RoundId, ShardEnvelope, ShardId,
     ShardMessage,
 };
 use proptest::prelude::*;
-use quorum::ShardId;
 use wire::framing::{encode_frame, FrameDecoder, FrameEncoder};
 
 type Kv = LatticeMap<u64, GCounter>;

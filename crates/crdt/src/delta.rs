@@ -26,7 +26,7 @@ use crate::gset::{GSet, TwoPhaseSet};
 use crate::lattice::Lattice;
 use crate::ormap::{paired, LatticeMap};
 use crate::orset::{ORSet, Tag};
-use crate::register::{LwwRegister, MaxRegister, MvRegister};
+use crate::register::LwwRegister;
 use crate::replica::ReplicaId;
 
 /// A lattice whose states can be diffed into deltas.
@@ -169,34 +169,6 @@ where
         } else {
             self.clone()
         }
-    }
-}
-
-impl<T> DeltaCrdt for MaxRegister<T>
-where
-    T: Ord + Clone + fmt::Debug,
-{
-    fn delta_since(&self, known: &Self) -> MaxRegister<T> {
-        if self.leq(known) {
-            MaxRegister::new()
-        } else {
-            self.clone()
-        }
-    }
-}
-
-impl<T> DeltaCrdt for MvRegister<T>
-where
-    T: Ord + Clone + fmt::Debug,
-{
-    fn delta_since(&self, known: &Self) -> MvRegister<T> {
-        let mut delta = MvRegister::default();
-        for pair in &self.versions {
-            if !known.versions.contains(pair) {
-                delta.versions.insert(pair.clone());
-            }
-        }
-        delta
     }
 }
 
@@ -375,20 +347,6 @@ mod tests {
         assert_delta_law(&s, &k);
         // Nothing new: the delta is the empty register.
         assert_eq!(k.delta_since(&s), LwwRegister::default());
-
-        let mut km: MaxRegister<u64> = MaxRegister::new();
-        km.set(5);
-        let mut sm = km;
-        sm.set(9);
-        assert_delta_law(&sm, &km);
-        assert_eq!(km.delta_since(&sm), MaxRegister::new());
-
-        let mut kv: MvRegister<&str> = MvRegister::new();
-        kv.set(r(0), "left");
-        let mut sv = kv.clone();
-        sv.set(r(1), "right");
-        assert_delta_law(&sv, &kv);
-        assert_eq!(kv.delta_since(&kv).version_count(), 0);
     }
 
     #[test]

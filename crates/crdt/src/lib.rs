@@ -4,13 +4,14 @@
 //! (Skrzypczak, Schintke, Schütt — *Linearizable State Machine Replication of
 //! State-Based CRDTs without Logs*, PODC 2019):
 //!
-//! * the [`Lattice`] trait modelling join semilattices (Definition 1 of the paper)
-//!   together with combinators (max/min, sets, maps, options, products),
+//! * the [`Lattice`] trait modelling join semilattices (Definition 1 of the paper),
+//!   the [`Max`] lattice, and the set lattice of `BTreeSet` that the sets below
+//!   join through,
 //! * the [`Crdt`] trait modelling a state-based CRDT `(S, Q, U)` with monotone update
 //!   functions and read-only query functions (Definition 3),
 //! * concrete CRDTs: [`GCounter`] (the paper's running example, Algorithm 1),
-//!   [`PNCounter`], [`GSet`], [`TwoPhaseSet`], [`ORSet`], [`LwwRegister`],
-//!   [`MaxRegister`], [`MvRegister`], [`LatticeMap`], and [`VClock`],
+//!   [`PNCounter`], [`GSet`], [`TwoPhaseSet`], [`ORSet`], [`LwwRegister`] and
+//!   [`LatticeMap`],
 //! * delta-state support ([`delta`]): every [`Crdt`] is a [`DeltaCrdt`], whose
 //!   [`DeltaCrdt::delta_since`] diffs two states into a delta — itself a state,
 //!   merged by the same join — that the protocol's `Payload::Delta` messages ship
@@ -48,15 +49,13 @@ mod ormap;
 mod orset;
 mod register;
 mod replica;
-mod vclock;
 
 pub use counter::{CounterQuery, CounterUpdate, GCounter, PNCounter, PnUpdate};
 pub use crdt::Crdt;
 pub use delta::DeltaCrdt;
 pub use gset::{GSet, GSetUpdate, SetOutput, SetQuery, TwoPhaseSet, TwoPhaseSetUpdate};
-pub use lattice::{lub, Flag, Lattice, Max, Min};
+pub use lattice::{Lattice, Max};
 pub use ormap::{LatticeMap, MapOutput, MapQuery, MapUpdate};
 pub use orset::{ORSet, ORSetUpdate, Tag};
-pub use register::{LwwRegister, LwwStamp, MaxRegister, MvRegister, RegisterQuery, RegisterUpdate};
+pub use register::{LwwRegister, LwwStamp, RegisterQuery, RegisterUpdate};
 pub use replica::ReplicaId;
-pub use vclock::VClock;

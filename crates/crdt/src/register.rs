@@ -1,6 +1,5 @@
-//! Register CRDTs: last-writer-wins, max-value, and multi-value registers.
+//! The last-writer-wins register CRDT.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
@@ -8,7 +7,6 @@ use serde::{Deserialize, Serialize};
 use crate::crdt::Crdt;
 use crate::lattice::Lattice;
 use crate::replica::ReplicaId;
-use crate::vclock::VClock;
 
 /// Logical timestamp for last-writer-wins resolution: totally ordered by
 /// `(time, replica)` so ties between replicas break deterministically.
@@ -125,119 +123,6 @@ where
     }
 }
 
-/// A register that keeps the maximum value ever written (for totally ordered values).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub struct MaxRegister<T: Ord> {
-    value: Option<T>,
-}
-
-impl<T: Ord + Clone + fmt::Debug> MaxRegister<T> {
-    /// Creates an empty register.
-    pub fn new() -> Self {
-        MaxRegister { value: None }
-    }
-
-    /// Writes `value`, keeping the maximum of old and new.
-    pub fn set(&mut self, value: T) {
-        match &self.value {
-            Some(current) if *current >= value => {}
-            _ => self.value = Some(value),
-        }
-    }
-
-    /// Returns the largest value written so far.
-    pub fn get(&self) -> Option<&T> {
-        self.value.as_ref()
-    }
-}
-
-impl<T: Ord + Clone + fmt::Debug> Lattice for MaxRegister<T> {
-    fn join(&mut self, other: &Self) {
-        if let Some(value) = &other.value {
-            self.set(value.clone());
-        }
-    }
-
-    fn leq(&self, other: &Self) -> bool {
-        match (&self.value, &other.value) {
-            (None, _) => true,
-            (Some(_), None) => false,
-            (Some(a), Some(b)) => a <= b,
-        }
-    }
-}
-
-/// Multi-value register: concurrent writes are all retained until overwritten.
-///
-/// The payload is a set of `(version vector, value)` pairs; join keeps the causally
-/// maximal pairs. A read returns every concurrent value (the application resolves).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct MvRegister<T: Ord> {
-    pub(crate) versions: BTreeSet<(VClock, T)>,
-}
-
-impl<T: Ord> Default for MvRegister<T> {
-    fn default() -> Self {
-        MvRegister { versions: BTreeSet::new() }
-    }
-}
-
-impl<T: Ord + Clone + fmt::Debug> MvRegister<T> {
-    /// Creates an empty register.
-    pub fn new() -> Self {
-        MvRegister::default()
-    }
-
-    /// Writes `value` at `replica`, superseding every currently visible version.
-    pub fn set(&mut self, replica: ReplicaId, value: T) {
-        let mut clock = VClock::new();
-        for (existing, _) in &self.versions {
-            clock.join(existing);
-        }
-        clock.increment(replica);
-        self.versions = BTreeSet::from([(clock, value)]);
-    }
-
-    /// Returns all concurrently visible values.
-    pub fn get(&self) -> Vec<&T> {
-        self.versions.iter().map(|(_, value)| value).collect()
-    }
-
-    /// Number of concurrent versions currently visible.
-    pub fn version_count(&self) -> usize {
-        self.versions.len()
-    }
-
-    fn prune_dominated(&mut self) {
-        let snapshot: Vec<(VClock, T)> = self.versions.iter().cloned().collect();
-        self.versions.retain(|(clock, value)| {
-            !snapshot.iter().any(|(other_clock, other_value)| {
-                (clock, value) != (other_clock, other_value)
-                    && clock.leq(other_clock)
-                    && !other_clock.leq(clock)
-            })
-        });
-    }
-}
-
-impl<T: Ord + Clone + fmt::Debug> Lattice for MvRegister<T> {
-    fn join(&mut self, other: &Self) {
-        for pair in &other.versions {
-            self.versions.insert(pair.clone());
-        }
-        self.prune_dominated();
-    }
-
-    fn leq(&self, other: &Self) -> bool {
-        // Every version we hold must be dominated by (or present in) the other side.
-        self.versions.iter().all(|(clock, value)| {
-            other.versions.iter().any(|(other_clock, other_value)| {
-                (clock, value) == (other_clock, other_value) || clock.leq(other_clock)
-            })
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -274,57 +159,5 @@ mod tests {
         let mut reg: LwwRegister<u32> = LwwRegister::default();
         reg.apply(r(0), &RegisterUpdate::Set { stamp: LwwStamp::new(1, r(0)), value: 10 });
         assert_eq!(reg.query(&RegisterQuery::Get), Some(10));
-    }
-
-    #[test]
-    fn max_register_keeps_maximum() {
-        let mut reg: MaxRegister<u64> = MaxRegister::new();
-        reg.set(5);
-        reg.set(3);
-        assert_eq!(reg.get(), Some(&5));
-        let other = {
-            let mut o = MaxRegister::new();
-            o.set(9u64);
-            o
-        };
-        reg.join(&other);
-        assert_eq!(reg.get(), Some(&9));
-        assert!(MaxRegister::<u64>::new().leq(&reg));
-    }
-
-    #[test]
-    fn mv_register_retains_concurrent_writes() {
-        let mut a: MvRegister<&str> = MvRegister::new();
-        a.set(r(0), "left");
-        let mut b: MvRegister<&str> = MvRegister::new();
-        b.set(r(1), "right");
-        let merged = a.clone().joined(&b);
-        assert_eq!(merged.version_count(), 2);
-        let values: Vec<_> = merged.get().into_iter().copied().collect();
-        assert!(values.contains(&"left") && values.contains(&"right"));
-    }
-
-    #[test]
-    fn mv_register_overwrite_supersedes_merged_versions() {
-        let mut a: MvRegister<&str> = MvRegister::new();
-        a.set(r(0), "left");
-        let mut b: MvRegister<&str> = MvRegister::new();
-        b.set(r(1), "right");
-        let mut merged = a.joined(&b);
-        merged.set(r(0), "resolved");
-        assert_eq!(merged.version_count(), 1);
-        assert_eq!(merged.get(), vec![&"resolved"]);
-        // Joining an old version back does not resurrect it.
-        merged.join(&b);
-        assert_eq!(merged.get(), vec![&"resolved"]);
-    }
-
-    #[test]
-    fn mv_register_join_is_idempotent() {
-        let mut a: MvRegister<u32> = MvRegister::new();
-        a.set(r(0), 1);
-        let snapshot = a.clone();
-        a.join(&snapshot);
-        assert_eq!(a, snapshot);
     }
 }

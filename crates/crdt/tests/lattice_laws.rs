@@ -10,8 +10,8 @@ use std::sync::Arc;
 
 use crdt::{
     CounterUpdate, Crdt, DeltaCrdt, GCounter, GSet, GSetUpdate, Lattice, LatticeMap, LwwRegister,
-    LwwStamp, MapUpdate, Max, MaxRegister, MvRegister, ORSet, ORSetUpdate, PNCounter, PnUpdate,
-    ReplicaId, TwoPhaseSet, TwoPhaseSetUpdate, VClock,
+    LwwStamp, MapUpdate, Max, ORSet, ORSetUpdate, PNCounter, PnUpdate, ReplicaId, TwoPhaseSet,
+    TwoPhaseSetUpdate,
 };
 use proptest::prelude::*;
 
@@ -81,36 +81,11 @@ fn orset_strategy() -> impl Strategy<Value = ORSet<u8>> {
         })
 }
 
-fn vclock_strategy() -> impl Strategy<Value = VClock> {
-    proptest::collection::vec((replica_strategy(), 1u64..30), 0..8)
-        .prop_map(|entries| entries.into_iter().collect())
-}
-
 fn lww_strategy() -> impl Strategy<Value = LwwRegister<u8>> {
     proptest::collection::vec((0u64..50, replica_strategy(), any::<u8>()), 0..6).prop_map(|ops| {
         let mut register = LwwRegister::new();
         for (time, replica, value) in ops {
             register.set(LwwStamp::new(time, replica), value);
-        }
-        register
-    })
-}
-
-fn mv_strategy() -> impl Strategy<Value = MvRegister<u8>> {
-    proptest::collection::vec((replica_strategy(), any::<u8>()), 0..6).prop_map(|ops| {
-        let mut register = MvRegister::new();
-        for (replica, value) in ops {
-            register.set(replica, value);
-        }
-        register
-    })
-}
-
-fn max_register_strategy() -> impl Strategy<Value = MaxRegister<u16>> {
-    proptest::option::of(any::<u16>()).prop_map(|value| {
-        let mut register = MaxRegister::new();
-        if let Some(v) = value {
-            register.set(v);
         }
         register
     })
@@ -333,10 +308,7 @@ lattice_law_tests!(pncounter_lattice_laws, pncounter_strategy());
 lattice_law_tests!(gset_lattice_laws, gset_strategy());
 lattice_law_tests!(twophase_lattice_laws, twophase_strategy());
 lattice_law_tests!(orset_lattice_laws, orset_strategy());
-lattice_law_tests!(vclock_lattice_laws, vclock_strategy());
 lattice_law_tests!(lww_lattice_laws, lww_strategy());
-lattice_law_tests!(mv_lattice_laws, mv_strategy());
-lattice_law_tests!(max_register_lattice_laws, max_register_strategy());
 lattice_law_tests!(map_lattice_laws, map_strategy());
 lattice_law_tests!(kv_lattice_laws, kv_strategy());
 
@@ -595,14 +567,6 @@ proptest! {
         let mut b = GCounter::new();
         b.increment(ReplicaId::new(1), increments_b);
         prop_assert_eq!(a.joined(&b).value(), increments_a + increments_b);
-    }
-
-    /// The `lub` helper equals a left fold of joins.
-    #[test]
-    fn lub_equals_fold(states in proptest::collection::vec(gcounter_strategy(), 1..6)) {
-        let expected = states.iter().skip(1).fold(states[0].clone(), |acc, s| acc.joined(s));
-        let computed = crdt::lub(states.clone()).unwrap();
-        prop_assert!(expected.equivalent(&computed));
     }
 
     /// OR-Set convergence under arbitrary interleavings of per-replica histories.

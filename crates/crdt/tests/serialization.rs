@@ -4,8 +4,8 @@
 use std::collections::BTreeMap;
 
 use crdt::{
-    GCounter, GSet, Lattice, LatticeMap, LwwRegister, LwwStamp, Max, MvRegister, ORSet, PNCounter,
-    ReplicaId, TwoPhaseSet, VClock,
+    GCounter, GSet, Lattice, LatticeMap, LwwRegister, LwwStamp, Max, ORSet, PNCounter, ReplicaId,
+    TwoPhaseSet,
 };
 use proptest::prelude::*;
 use serde::{de::DeserializeOwned, Serialize};
@@ -59,20 +59,10 @@ fn registers_roundtrip() {
     let mut lww: LwwRegister<String> = LwwRegister::new();
     lww.set(LwwStamp::new(5, r(1)), "value".to_string());
     wire_roundtrip(&lww);
-
-    let mut mv: MvRegister<u32> = MvRegister::new();
-    mv.set(r(0), 1);
-    let mut other = MvRegister::new();
-    other.set(r(1), 2);
-    mv.join(&other);
-    wire_roundtrip(&mv);
 }
 
 #[test]
-fn vclock_and_map_roundtrip() {
-    let clock: VClock = [(r(0), 3), (r(5), 9)].into_iter().collect();
-    wire_roundtrip(&clock);
-
+fn map_roundtrip() {
     let mut map: LatticeMap<String, Max<u64>> = LatticeMap::new();
     map.update("a".to_string(), |m| m.join(&Max::new(10)));
     map.update("b".to_string(), |m| m.join(&Max::new(2)));
@@ -85,7 +75,6 @@ fn empty_payloads_roundtrip() {
     wire_roundtrip(&PNCounter::new());
     wire_roundtrip(&GSet::<u8>::new());
     wire_roundtrip(&ORSet::<u8>::new());
-    wire_roundtrip(&VClock::new());
     wire_roundtrip(&LwwRegister::<u8>::new());
 }
 

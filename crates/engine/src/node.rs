@@ -411,9 +411,11 @@ mod tests {
     use std::sync::{Condvar, OnceLock};
 
     use crdt::{CounterQuery, CounterUpdate, GCounter, MapQuery, MapUpdate};
-    use crdt_paxos_core::{Message, Payload, PayloadMode, RequestId, ResponseBody, ShardEnvelope};
+    use crdt_paxos_core::{
+        HashPartitioner, Message, Payload, PayloadMode, RequestId, ResponseBody, ShardEnvelope,
+        ShardId,
+    };
     use obs::{Histogram, Stopwatch};
-    use quorum::ShardId;
 
     type Node = EngineNode<u64, GCounter>;
     type KvMap = LatticeMap<u64, GCounter>;
@@ -789,7 +791,6 @@ mod tests {
     fn a_burst_drained_together_opens_one_instance_per_kind() {
         use cluster::{check_keyed_history, HistoryOp, OpKind};
         use crdt::MapOutput;
-        use quorum::HashPartitioner;
 
         // No retransmissions: a re-sent `MERGE` would be answered again.
         let config = ProtocolConfig { retransmit_after_ms: 0, ..Default::default() };
@@ -874,7 +875,6 @@ mod tests {
 
     /// The first key of each of `shards` hash-partitioned shards.
     fn a_key_of_every_shard(shards: u32) -> Vec<u64> {
-        use quorum::HashPartitioner;
         let partitioner = HashPartitioner::new(shards);
         let first_of = |shard| (0..).find(|key| partitioner.shard_of(key) == ShardId(shard));
         (0..shards).map(|shard| first_of(shard).expect("a key of every shard")).collect()

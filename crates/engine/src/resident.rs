@@ -117,8 +117,7 @@ where
 mod tests {
     use super::*;
     use crdt::{GCounter, LatticeMap, ReplicaId};
-    use crdt_paxos_core::{peek_protocol, Payload, PrepareRound, Round, RoundId};
-    use quorum::ShardId;
+    use crdt_paxos_core::{peek_protocol, Payload, PrepareRound, Round, RoundId, ShardId};
 
     type Kv = LatticeMap<u64, GCounter>;
 

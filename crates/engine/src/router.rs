@@ -68,9 +68,9 @@ use std::sync::Arc;
 use crdt::{LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use crdt_paxos_core::{
     fence_decision, peek_protocol, ClientId, Command, CommandId, Cutover, FenceDecision,
-    ProtocolConfig, RouterCore, RouterEffect, ShardEnvelope, ShardMessage, Stamp,
+    HashPartitioner, ProtocolConfig, RouterCore, RouterEffect, ShardEnvelope, ShardId,
+    ShardMessage, Stamp,
 };
-use quorum::{HashPartitioner, ShardId};
 
 use obs::{Stage, Stopwatch};
 

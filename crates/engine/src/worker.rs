@@ -92,10 +92,9 @@ use std::time::Duration;
 use bytes::Bytes;
 use crdt::{LatticeMap, ReplicaId};
 use crdt_paxos_core::{
-    ClientId, Command, CommandId, CoreRehome, Message, Peek, ProtocolConfig, ShardCore,
-    ShardEnvelope, ShardMessage, ShardOutput, Stamp,
+    ClientId, Command, CommandId, CoreRehome, HashPartitioner, Message, Peek, ProtocolConfig,
+    ShardCore, ShardEnvelope, ShardId, ShardMessage, ShardOutput, Stamp,
 };
-use quorum::{HashPartitioner, ShardId};
 
 use obs::{Stage, Stopwatch};
 

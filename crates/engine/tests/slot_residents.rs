@@ -25,11 +25,10 @@ use std::time::Duration;
 use bytes::Bytes;
 use crdt::{CounterQuery, CounterUpdate, GCounter, LatticeMap, MapQuery, MapUpdate, ReplicaId};
 use crdt_paxos_core::{
-    ClientId, Command, CommandId, ProtocolConfig, ShardCore, ShardEnvelope, ShardMessage,
-    ShardOutput, Stamp,
+    ClientId, Command, CommandId, HashPartitioner, ProtocolConfig, ShardCore, ShardEnvelope,
+    ShardId, ShardMessage, ShardOutput, Stamp,
 };
 use engine::{EngineNode, NodeIngress, Outbound};
-use quorum::{HashPartitioner, ShardId};
 
 type Kv = LatticeMap<u64, GCounter>;
 

@@ -163,23 +163,14 @@ pub fn zigzag_decode_128(value: u128) -> i128 {
     ((value >> 1) as i128) ^ -((value & 1) as i128)
 }
 
-/// Returns the number of bytes [`encode_u64`] would use for `value`.
-pub fn encoded_len_u64(value: u64) -> usize {
-    if value == 0 {
-        1
-    } else {
-        (64 - value.leading_zeros() as usize).div_ceil(7)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn roundtrip_u64(value: u64) -> u64 {
+    fn roundtrip_u64(value: u64, width: usize) -> u64 {
         let mut buf = Vec::new();
         encode_u64(value, &mut buf);
-        assert_eq!(buf.len(), encoded_len_u64(value));
+        assert_eq!(buf.len(), width, "{value} encodes in {width} bytes");
         let mut slice = buf.as_slice();
         let decoded = decode_u64(&mut slice).unwrap();
         assert!(slice.is_empty());
@@ -188,10 +179,20 @@ mod tests {
 
     #[test]
     fn u64_roundtrip_boundaries() {
-        for value in
-            [0, 1, 127, 128, 255, 256, 16383, 16384, u32::MAX as u64, u64::MAX - 1, u64::MAX]
-        {
-            assert_eq!(roundtrip_u64(value), value);
+        for (value, width) in [
+            (0, 1),
+            (1, 1),
+            (127, 1),
+            (128, 2),
+            (255, 2),
+            (256, 2),
+            (16383, 2),
+            (16384, 3),
+            (u32::MAX as u64, 5),
+            (u64::MAX - 1, 10),
+            (u64::MAX, 10),
+        ] {
+            assert_eq!(roundtrip_u64(value, width), value);
         }
     }
 

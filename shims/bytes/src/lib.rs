@@ -52,16 +52,6 @@ impl Bytes {
         self.len() == 0
     }
 
-    /// Returns a view of the first `count` bytes, sharing the allocation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `count` exceeds the number of readable bytes.
-    pub fn slice_to(&self, count: usize) -> Bytes {
-        assert!(count <= self.len(), "slice_to past end of buffer");
-        Bytes { data: Arc::clone(&self.data), start: self.start, end: self.start + count }
-    }
-
     /// Returns a sub-view of `range` (in readable-byte coordinates), sharing
     /// the allocation — the upstream `Bytes::slice`.
     ///
@@ -463,7 +453,7 @@ mod tests {
         assert_eq!(&frozen[..], b"payload");
         assert_eq!(frozen, alias);
         assert_eq!(alias.as_ref().as_ptr(), frozen.as_ref().as_ptr());
-        assert_eq!(&frozen.slice_to(3)[..], b"pay");
+        assert_eq!(&frozen.slice(..3)[..], b"pay");
         assert_eq!(&frozen.slice(3..)[..], b"load");
         assert_eq!(frozen.slice(3..).as_ref().as_ptr(), frozen.as_ref()[3..].as_ptr());
     }

@@ -7,10 +7,9 @@
 //!
 //! | module | contents |
 //! |--------|----------|
-//! | [`crdt`] | join semilattices and state-based CRDTs (G-Counter, PN-Counter, sets, registers, maps, vector clocks); every CRDT diffs into deltas of its own type (`DeltaCrdt::delta_since`), merged by the same join |
-//! | [`quorum`] | the replica group and its majority quorum size ([`quorum::Membership`]), and the keyspace's hash partitioner ([`quorum::HashPartitioner`]) |
+//! | [`crdt`] | join semilattices and state-based CRDTs (G-Counter, PN-Counter, sets, a last-writer-wins register, maps); every CRDT diffs into deltas of its own type (`DeltaCrdt::delta_since`), merged by the same join |
 //! | [`wire`] | compact binary serde codec and message framing |
-//! | [`protocol`] | the CRDT Paxos protocol core: [`protocol::Replica`], messages, configuration, metrics; state-bearing messages carry a [`protocol::Payload`] — the full CRDT state or, with [`protocol::PayloadMode::DeltaWhenPossible`], a per-peer delta that cuts large payloads down to what the receiver is missing (replies are delta-encoded too, against the request's own payload and basis snapshot); [`protocol::ShardedReplica`] partitions a `LatticeMap` keyspace over independent protocol instances — one round counter and one quorum per shard — and reshards it **dynamically**: a [`protocol::RebalancePlan`] agreed on a control shard moves key ranges by lattice join under an epoch fence while traffic continues |
+//! | [`protocol`] | the CRDT Paxos protocol core: [`protocol::Replica`], messages, configuration, metrics, the replica group and its majority quorum size ([`protocol::Membership`]); state-bearing messages carry a [`protocol::Payload`] — the full CRDT state or, with [`protocol::PayloadMode::DeltaWhenPossible`], a per-peer delta that cuts large payloads down to what the receiver is missing (replies are delta-encoded too, against the request's own payload and basis snapshot); [`protocol::ShardedReplica`] partitions a `LatticeMap` keyspace over independent protocol instances — one round counter and one quorum per shard — by the hash of each key ([`protocol::HashPartitioner`]) and reshards it **dynamically**: a [`protocol::RebalancePlan`] agreed on a control shard moves key ranges by lattice join under an epoch fence while traffic continues |
 //! | [`engine`] | parallel executor: the shards' sans-IO [`protocol::ShardCore`]s spread over `min(shards, cores)` worker threads behind FIFO mailboxes ([`engine::EngineCluster`], [`engine::EngineNode`]) |
 //! | [`obs`] | allocation-free observability: log-bucketed latency histograms, per-stage instrumentation ([`obs::Stage`]), runtime counters, sampled trace rings, and a registry with Prometheus-style exposition ([`obs::ObsRegistry`]) |
 //! | [`baselines`] | Multi-Paxos (read leases) and Raft baselines |
@@ -100,7 +99,6 @@ pub use cluster;
 pub use crdt;
 pub use engine;
 pub use obs;
-pub use quorum;
 pub use transport;
 pub use wire;
 

@@ -25,10 +25,9 @@ use std::time::{Duration, Instant};
 
 use crdt::{Crdt, LatticeMap, MapOutput, MapQuery, ReplicaId};
 use crdt_paxos_core::{
-    ClientId, Command, CommandId, ProtocolConfig, Replica, ResponseBody, ShardId,
+    ClientId, Command, CommandId, HashPartitioner, ProtocolConfig, Replica, ResponseBody, ShardId,
 };
 use engine::{EngineCluster, EngineKey, EngineValue};
-use quorum::HashPartitioner;
 
 /// An in-process cluster of CRDT Paxos replicas with synchronous message delivery.
 #[derive(Debug)]
