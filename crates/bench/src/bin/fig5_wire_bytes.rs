@@ -5,8 +5,15 @@
 //! 1. **Message sizes** — deterministic encoded sizes of a MERGE carrying one
 //!    increment on an n-slot G-Counter, full state vs. single-slot delta (the
 //!    `wire_codec` bench's 64-slot case, as bytes instead of nanoseconds).
+//!    The quiet-read `ACK` table sets a full-state `ACK` beside the empty reply
+//!    delta of delta mode. A quiet read's `ACK` in full mode is the empty delta
+//!    too (against the `PREPARE`'s payload, with no reveal and no basis); the
+//!    full state is what a full-mode acceptor ships when it holds a write the
+//!    `PREPARE` lacked.
 //! 2. **Simulated cluster** — total encoded bytes per message kind over a simulator
-//!    run in `PayloadMode::Full` vs. `PayloadMode::DeltaWhenPossible`.
+//!    run in `PayloadMode::Full` vs. `PayloadMode::DeltaWhenPossible`. In full
+//!    mode `ACK:delta` counts the `ACK`s whose state was their `PREPARE`'s
+//!    payload, `ACK:full` the others.
 //!
 //! Flags: `--sizes-only` skips the simulation (used by CI / the workspace smoke
 //! test), `--quick` shortens the simulated runs.

@@ -103,15 +103,18 @@ impl<C: Crdt> Acceptor<C> {
     /// prepare is always accepted (the local round number strictly increases); a fixed
     /// prepare is accepted only if its round number is strictly larger than the
     /// current one, otherwise a `NACK` outcome is returned.
+    ///
+    /// Also returns whether the payload covered the state it was joined into
+    /// (`old ⊑ payload`, from the join's own walk): then the state is now exactly
+    /// the payload's content, which the proposer holds, and an `ACK` need not
+    /// ship it back. `false` without a payload.
     pub fn handle_prepare(
         &mut self,
         round: PrepareRound,
         payload: Option<&Payload<C>>,
-    ) -> AcceptOutcome {
-        if let Some(payload) = payload {
-            payload.join_into(&mut self.state);
-        }
-        self.decide_prepare(round)
+    ) -> (AcceptOutcome, bool) {
+        let covered = payload.is_some_and(|payload| self.state.join_report(payload.content()).1);
+        (self.decide_prepare(round), covered)
     }
 
     /// [`Acceptor::handle_prepare`] for the proposer's own acceptor, which holds the
@@ -234,7 +237,7 @@ mod tests {
     #[test]
     fn incremental_prepare_is_always_accepted_and_increments_round() {
         let mut acceptor = acceptor();
-        match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None) {
+        match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None).0 {
             AcceptOutcome::Ack { round } => {
                 assert_eq!(round.number, 1);
                 assert_eq!(round.id, proposer_id(1));
@@ -243,7 +246,7 @@ mod tests {
             other => panic!("expected ack, got {other:?}"),
         }
         // A second incremental prepare keeps increasing the round number.
-        match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(2) }, None) {
+        match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(2) }, None).0 {
             AcceptOutcome::Ack { round, .. } => assert_eq!(round.number, 2),
             other => panic!("expected ack, got {other:?}"),
         }
@@ -254,19 +257,19 @@ mod tests {
         let mut acceptor = acceptor();
         let high = Round::new(5, proposer_id(1));
         assert!(matches!(
-            acceptor.handle_prepare(PrepareRound::Fixed(high), None),
+            acceptor.handle_prepare(PrepareRound::Fixed(high), None).0,
             AcceptOutcome::Ack { .. }
         ));
         // Same round number is rejected.
         let same = Round::new(5, proposer_id(2));
         assert!(matches!(
-            acceptor.handle_prepare(PrepareRound::Fixed(same), None),
+            acceptor.handle_prepare(PrepareRound::Fixed(same), None).0,
             AcceptOutcome::Nack { round, .. } if round == high
         ));
         // Smaller round number is rejected.
         let low = Round::new(3, proposer_id(3));
         assert!(matches!(
-            acceptor.handle_prepare(PrepareRound::Fixed(low), None),
+            acceptor.handle_prepare(PrepareRound::Fixed(low), None).0,
             AcceptOutcome::Nack { .. }
         ));
     }
@@ -277,15 +280,35 @@ mod tests {
         let mut payload = GCounter::new();
         payload.increment(ReplicaId::new(2), 4);
         assert!(matches!(
-            acceptor.handle_prepare(
-                PrepareRound::Incremental { id: proposer_id(1) },
-                Some(&Payload::Full(payload)),
-            ),
+            acceptor
+                .handle_prepare(
+                    PrepareRound::Incremental { id: proposer_id(1) },
+                    Some(&Payload::Full(payload)),
+                )
+                .0,
             AcceptOutcome::Ack { .. }
         ));
         assert_eq!(acceptor.state().value(), 4);
         // Joining a payload during prepare does NOT set the write marker.
         assert!(!acceptor.has_pending_write_marker());
+    }
+
+    #[test]
+    fn prepare_reports_whether_its_payload_covered_the_state() {
+        let prepare = PrepareRound::Incremental { id: proposer_id(1) };
+        let mut acceptor = acceptor();
+        assert!(!acceptor.handle_prepare(prepare, None).1, "no payload covers nothing");
+
+        let mut payload = GCounter::new();
+        payload.increment(ReplicaId::new(2), 4);
+        assert!(acceptor.handle_prepare(prepare, Some(&Payload::Full(payload.clone()))).1);
+        assert_eq!(acceptor.state(), &payload, "a covered state is the payload");
+        assert!(acceptor.handle_prepare(prepare, Some(&Payload::Full(payload.clone()))).1);
+
+        // A write the payload lacks leaves the state above it.
+        acceptor.apply_update(&CounterUpdate::Increment(1));
+        assert!(!acceptor.handle_prepare(prepare, Some(&Payload::Full(payload))).1);
+        assert_eq!(acceptor.state().value(), 5);
     }
 
     #[test]
@@ -313,7 +336,7 @@ mod tests {
     fn vote_succeeds_only_for_the_current_round() {
         let mut acceptor = acceptor();
         let outcome =
-            acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None);
+            acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None).0;
         let round = match outcome {
             AcceptOutcome::Ack { round, .. } => round,
             other => panic!("expected ack, got {other:?}"),
@@ -331,7 +354,8 @@ mod tests {
     fn vote_is_rejected_after_a_concurrent_update() {
         let mut acceptor = acceptor();
         let round =
-            match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None) {
+            match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None).0
+            {
                 AcceptOutcome::Ack { round, .. } => round,
                 other => panic!("expected ack, got {other:?}"),
             };
@@ -351,7 +375,8 @@ mod tests {
     fn vote_is_rejected_after_a_competing_prepare() {
         let mut acceptor = acceptor();
         let round =
-            match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None) {
+            match acceptor.handle_prepare(PrepareRound::Incremental { id: proposer_id(1) }, None).0
+            {
                 AcceptOutcome::Ack { round, .. } => round,
                 other => panic!("expected ack, got {other:?}"),
             };

@@ -5,7 +5,11 @@ use serde::{Deserialize, Serialize};
 /// How state-bearing messages (`MERGE`, `PREPARE`, `VOTE`) carry their payload.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum PayloadMode {
-    /// Always ship the full CRDT state, exactly as in the paper (Algorithm 2).
+    /// Ship the full CRDT state in every request, exactly as in the paper
+    /// (Algorithm 2). Replies ship it too, with one exception that drops state
+    /// the proposer holds, as `VOTED` does (§3.6): an acceptor whose state after
+    /// joining a `PREPARE`'s payload *is* that payload — every quiet read —
+    /// answers with an empty [`crate::Payload::Delta`] against it.
     #[default]
     Full,
     /// Ship a [`crate::Payload::Delta`] when the proposer knows (from a previous

@@ -66,12 +66,6 @@ impl<P: Copy + Ord> Membership<P> {
     }
 }
 
-impl<P: Copy + Ord> FromIterator<P> for Membership<P> {
-    fn from_iter<I: IntoIterator<Item = P>>(iter: I) -> Self {
-        Membership::new(iter.into_iter().collect())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -88,7 +82,7 @@ mod tests {
 
     #[test]
     fn others_excludes_self() {
-        let membership: Membership<u64> = [0u64, 1, 2].into_iter().collect();
+        let membership = Membership::new(vec![0u64, 1, 2]);
         let others: Vec<u64> = membership.others(1).collect();
         assert_eq!(others, vec![0, 2]);
     }

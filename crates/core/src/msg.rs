@@ -75,8 +75,11 @@ impl<C: Crdt> Payload<C> {
 /// acceptor-state snapshot whose `reveal` sequence number the request echoed back
 /// (`basis`). Exactness matters: the proposer's consistent-quorum check compares
 /// acceptor states for equality, so reply deltas must reconstruct to the acceptor's
-/// precise state, not a lower or upper bound. Replies without a usable baseline,
-/// and all replies in the paper-faithful full mode, ship the acceptor's full state.
+/// precise state, not a lower or upper bound. Replies without a usable baseline
+/// ship the acceptor's full state, and so do the paper-faithful full mode's, except
+/// an `ACK` whose state equals its `PREPARE`'s payload: that one is the empty
+/// delta against the payload (basis 0), which the proposer resolves to the very
+/// state it sent.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum Message<C: Crdt> {
     /// Update path: "join this payload into your state" (paper line 4).
@@ -115,9 +118,10 @@ pub enum Message<C: Crdt> {
         request: RequestId,
         /// The acceptor's round after processing the prepare.
         round: Round,
-        /// The acceptor's payload state after processing the prepare — full, or (in
-        /// delta mode) a delta against `content(request payload) ⊔ snapshot(basis)`,
-        /// both of which the proposer holds exactly.
+        /// The acceptor's payload state after processing the prepare — full, or a
+        /// delta against `content(request payload) ⊔ snapshot(basis)`, both of
+        /// which the proposer holds exactly (in full mode: the empty delta when
+        /// the state is the request's payload).
         state: Payload<C>,
         /// Sequence number under which the acceptor remembers the revealed state, so
         /// the proposer can echo it as the `basis` of future requests (0 = none).

@@ -66,37 +66,41 @@ impl AckSet {
     }
 }
 
-/// The first-phase acknowledgement map `(peer, round, state)`, `Vec`-backed and
-/// pooled for the same reason as [`AckSet`].
+/// The first-phase acknowledgement map `(peer, round, state, owned)`, `Vec`-backed
+/// and pooled for the same reason as [`AckSet`]. `owned` says the state is the
+/// entry's own — decoded from a full reply — and may be retired into the state
+/// pool when the instance ends; the local acceptor's snapshot and a state
+/// resolved from a delta share their allocation with another holder.
 #[derive(Debug, Clone, Default)]
-struct PrepareAcks<C>(Vec<(ReplicaId, Round, C)>);
+struct PrepareAcks<C>(Vec<(ReplicaId, Round, C, bool)>);
 
 impl<C> PrepareAcks<C> {
     /// Inserts or replaces the entry for `peer` (a retransmitted `ACK` supersedes
     /// the earlier one, matching map semantics); returns whether it replaced one.
-    fn insert(&mut self, peer: ReplicaId, round: Round, state: C) -> bool {
-        match self.0.iter_mut().find(|(id, _, _)| *id == peer) {
+    fn insert(&mut self, peer: ReplicaId, round: Round, state: C, owned: bool) -> bool {
+        match self.0.iter_mut().find(|(id, ..)| *id == peer) {
             Some(entry) => {
-                *entry = (peer, round, state);
+                *entry = (peer, round, state, owned);
                 true
             }
             None => {
-                self.0.push((peer, round, state));
+                self.0.push((peer, round, state, owned));
                 false
             }
         }
     }
 
     fn contains(&self, peer: &ReplicaId) -> bool {
-        self.0.iter().any(|(id, _, _)| id == peer)
+        self.0.iter().any(|(id, ..)| id == peer)
     }
 
     fn len(&self) -> usize {
         self.0.len()
     }
 
-    fn iter(&self) -> impl Iterator<Item = &(ReplicaId, Round, C)> {
-        self.0.iter()
+    /// Every entry as `(peer, round, state)`.
+    fn iter(&self) -> impl Iterator<Item = (&ReplicaId, &Round, &C)> {
+        self.0.iter().map(|(peer, round, state, _)| (peer, round, state))
     }
 }
 
@@ -283,7 +287,7 @@ pub struct Replica<C: Crdt> {
     /// instead of allocated per instance.
     ack_pool: Vec<Vec<ReplicaId>>,
     /// Recycled first-phase acknowledgement buffers ([`PrepareAcks`]).
-    prepare_pool: Vec<Vec<(ReplicaId, Round, C)>>,
+    prepare_pool: Vec<Vec<(ReplicaId, Round, C, bool)>>,
     /// Recycled waiter lists of finished update instances: a list keeps the
     /// capacity of the largest cycle it has carried.
     update_waiter_pool: Vec<Vec<UpdateWaiter>>,
@@ -520,9 +524,10 @@ impl<C: Crdt> Replica<C> {
     /// worker decodes each frame into a long-lived message of the same kind
     /// (reusing its resident allocations) and hands it in by reference. The
     /// accepting arms (`Merge`, `Prepare`, `Vote`) only read the payload, so
-    /// the resident survives intact for the next frame; the reply-resolution
-    /// arms (`PrepareAck`, `Nack`) genuinely consume their state, and trade it
-    /// for one a finished instance has retired
+    /// the resident survives intact for the next frame, and so do the
+    /// reply-resolution arms (`PrepareAck`, `Nack`) for a delta, which they
+    /// join into a baseline the proposer holds. A full reply's state they
+    /// genuinely consume, and trade it for one a finished instance has retired
     /// (`Replica::take_reply_state`), so the next reply finds a populated
     /// state to overwrite as well.
     pub fn handle_message_mut(&mut self, from: ReplicaId, message: &mut Message<C>) {
@@ -538,8 +543,14 @@ impl<C: Crdt> Replica<C> {
             Message::MergeAck { request } => self.handle_merge_ack(from, *request),
             Message::Prepare { request, round, payload, basis } => {
                 let (request, round, basis) = (*request, *round, *basis);
-                let outcome = self.acceptor.handle_prepare(round, payload.as_ref());
+                let (outcome, covered) = self.acceptor.handle_prepare(round, payload.as_ref());
                 let reply = match outcome {
+                    // The acceptor's state is the payload the proposer sent and
+                    // keeps (`sent_state`): an empty delta against it says so.
+                    AcceptOutcome::Ack { round } if covered && !self.delta_payloads_enabled() => {
+                        let state = Payload::Delta(self.bottom.clone());
+                        Message::PrepareAck { request, round, state, reveal: 0, basis: 0 }
+                    }
                     AcceptOutcome::Ack { round } => {
                         let state = self.acceptor.state().clone();
                         let (state, reveal, used) =
@@ -578,22 +589,21 @@ impl<C: Crdt> Replica<C> {
             Message::PrepareAck { request, round, state, reveal, basis } => {
                 let (request, round, reveal, basis) = (*request, *round, *reveal, *basis);
                 self.count_ride(from, request);
-                let state = self.take_reply_state(state);
                 // Resolve the reply payload to the acceptor's exact state. Full
                 // replies teach the proposer the peer's lower bound even when
                 // the request is no longer in flight; delta replies need the
                 // in-flight request's baselines, so stale ones are dropped.
-                let Some(state) = self.resolve_prepare_reply(from, request, state, reveal, basis)
+                let Some((state, owned)) =
+                    self.resolve_prepare_reply(from, request, state, reveal, basis)
                 else {
                     return;
                 };
                 self.note_peer_state(from, &state);
-                self.handle_prepare_ack(from, request, round, state);
+                self.handle_prepare_ack(from, request, round, state, owned);
             }
             Message::Nack { request, round, state, basis } => {
                 let (request, round, basis) = (*request, *round, *basis);
                 self.count_ride(from, request);
-                let state = self.take_reply_state(state);
                 let Some(state) = self.resolve_nack_reply(from, request, state, basis) else {
                     return;
                 };
@@ -804,6 +814,9 @@ impl<C: Crdt> Replica<C> {
     /// requests would drift under message loss and reordering and are deliberately
     /// not used. `reveal` is `true` for `ACK`s, which advertise the replied state as
     /// a future baseline; `NACK`s carry no reveal slot.
+    ///
+    /// In full mode the state ships whole; a full-mode `ACK` whose state is its
+    /// `PREPARE`'s payload does not get here (see `handle_message_mut`).
     fn build_reply(
         &mut self,
         state: C,
@@ -852,16 +865,22 @@ impl<C: Crdt> Replica<C> {
     /// under a fresh id) is stale and unreconstructible; `None` tells the caller to
     /// drop it. Reconstructed (and full) replies install the revealed state as the
     /// peer's newest basis snapshot.
+    ///
+    /// A full reply's state is taken out of the message ([`Replica::take_reply_state`])
+    /// and comes back owned (`true`); a delta is read where it lies, so the message
+    /// stays a decode target of the delta's shape, and the state it resolves to
+    /// shares its baseline's allocation (`false`: it must never be pooled). The
+    /// empty delta of a full-mode quiet read resolves to `sent_state` itself.
     fn resolve_prepare_reply(
         &mut self,
         from: ReplicaId,
         request: RequestId,
-        state: Payload<C>,
+        state: &mut Payload<C>,
         reveal: u64,
         basis: u64,
-    ) -> Option<C> {
+    ) -> Option<(C, bool)> {
         let resolved = match state {
-            Payload::Full(state) => Some(state),
+            Payload::Full(state) => Some((self.take_reply_state(state), true)),
             Payload::Delta(delta) => {
                 let sent = match self.requests.get(&request) {
                     Some(InFlight::Query {
@@ -891,12 +910,12 @@ impl<C: Crdt> Replica<C> {
                     // reply to a payload-less, basis-less request is malformed.
                     (None, None) => return None,
                 };
-                base.join(&delta);
-                Some(base)
+                base.join(delta);
+                Some((base, false))
             }
         };
         if reveal != 0 {
-            if let Some(state) = &resolved {
+            if let Some((state, _)) = &resolved {
                 self.install_basis(from, reveal, state.clone());
             }
         }
@@ -904,17 +923,17 @@ impl<C: Crdt> Replica<C> {
     }
 
     /// [`Replica::resolve_prepare_reply`] for `NACK`s: delta-encoded NACKs only
-    /// answer votes, so the baseline is the in-flight proposal (plus the named basis
-    /// snapshot).
+    /// answer votes in delta mode, so the baseline is the in-flight proposal (plus
+    /// the named basis snapshot), and nothing is pooled in that mode.
     fn resolve_nack_reply(
         &mut self,
         from: ReplicaId,
         request: RequestId,
-        state: Payload<C>,
+        state: &mut Payload<C>,
         basis: u64,
     ) -> Option<C> {
         match state {
-            Payload::Full(state) => Some(state),
+            Payload::Full(state) => Some(self.take_reply_state(state)),
             Payload::Delta(delta) => {
                 let mut base = match self.requests.get(&request) {
                     Some(InFlight::Query { phase: QueryPhase::Vote { proposed, .. }, .. }) => {
@@ -928,7 +947,7 @@ impl<C: Crdt> Replica<C> {
                         None => return None,
                     }
                 }
-                base.join(&delta);
+                base.join(delta);
                 Some(base)
             }
         }
@@ -1130,13 +1149,12 @@ impl<C: Crdt> Replica<C> {
         PrepareAcks(self.prepare_pool.pop().unwrap_or_default())
     }
 
-    /// Retires a first-phase acknowledgement buffer: the peers' states go to the
-    /// state pool (the local one is a snapshot the acceptor still shares), the
-    /// buffer to its own.
+    /// Retires a first-phase acknowledgement buffer: the states it owns go to the
+    /// state pool, the buffer to its own.
     fn recycle_prepare_acks(&mut self, acks: &mut PrepareAcks<C>) {
         let mut buffer = std::mem::take(&mut acks.0);
-        for (peer, _, state) in buffer.drain(..) {
-            if peer != self.id {
+        for (_, _, state, owned) in buffer.drain(..) {
+            if owned {
                 self.retire_state(state);
             }
         }
@@ -1159,17 +1177,12 @@ impl<C: Crdt> Replica<C> {
         }
     }
 
-    /// Takes the state payload out of a decoded reply, leaving a retired state in
-    /// its place (the bottom state while none has been retired yet) so the
-    /// message stays a decode target of its own shape. A delta reply is traded for
-    /// the bottom state: deltas are small, and what replaces one is rebuilt by the
-    /// next decode either way.
-    fn take_reply_state(&mut self, state: &mut Payload<C>) -> Payload<C> {
-        let spare = match state {
-            Payload::Full(_) => self.state_pool.pop(),
-            Payload::Delta(_) => None,
-        };
-        std::mem::replace(state, Payload::Full(spare.unwrap_or_else(|| self.bottom.clone())))
+    /// Takes the state out of a decoded full reply, leaving a retired state in its
+    /// place (the bottom state while none has been retired yet) so the message
+    /// stays a decode target of its own shape.
+    fn take_reply_state(&mut self, state: &mut C) -> C {
+        let spare = self.state_pool.pop().unwrap_or_else(|| self.bottom.clone());
+        std::mem::replace(state, spare)
     }
 
     fn alloc_request(&mut self) -> RequestId {
@@ -1288,7 +1301,7 @@ impl<C: Crdt> Replica<C> {
                 // is still s0: either way their LUB is the acceptor's state, with
                 // no walk.
                 *gathered = state.clone();
-                acks.insert(self.id, acked_round, state.clone());
+                acks.insert(self.id, acked_round, state.clone(), false);
                 Agreement::Consistent
             }
             AcceptOutcome::Nack { round: _ } => {
@@ -1393,8 +1406,17 @@ impl<C: Crdt> Replica<C> {
     }
 
     /// Joins an `ACK`'s state into `gathered` in the one walk that also tells
-    /// whether the two were equal, and records what that says of the phase.
-    fn handle_prepare_ack(&mut self, from: ReplicaId, request: RequestId, round: Round, state: C) {
+    /// whether the two were equal, and records what that says of the phase. A
+    /// state resolved from a full-mode empty delta is `gathered`'s own snapshot
+    /// on a quiet read, and that join walks nothing.
+    fn handle_prepare_ack(
+        &mut self,
+        from: ReplicaId,
+        request: RequestId,
+        round: Round,
+        state: C,
+        owned: bool,
+    ) {
         match self.requests.get_mut(&request) {
             Some(InFlight::Query {
                 phase: QueryPhase::Prepare { acks, agreement, .. },
@@ -1402,7 +1424,7 @@ impl<C: Crdt> Replica<C> {
                 ..
             }) => {
                 let (grew, covered) = gathered.join_report(&state);
-                let replaced = acks.insert(from, round, state);
+                let replaced = acks.insert(from, round, state, owned);
                 *agreement = match *agreement {
                     _ if replaced => Agreement::Unknown,
                     Agreement::Consistent if grew || !covered => Agreement::Split,
@@ -1410,7 +1432,9 @@ impl<C: Crdt> Replica<C> {
                 };
             }
             _ => {
-                self.retire_state(state);
+                if owned {
+                    self.retire_state(state);
+                }
                 return;
             }
         }
@@ -2283,7 +2307,7 @@ mod tests {
         assert!(matches!(responses[0].body, ResponseBody::UpdateDone));
 
         // A genuine `ACK`, replayed under the outsider's id, counts for nothing.
-        let (request, acks) = quiet_read_acks(&mut replicas);
+        let (request, acks) = read_acks(&mut replicas);
         let ack = acks[0].message.clone();
         replicas[0].handle_message(outsider, ack.clone());
         assert!(drain_responses(&mut replicas[0]).is_empty(), "an outsider's ACK counted");
@@ -2386,27 +2410,62 @@ mod tests {
         assert!(matches!(drain_responses(&mut replicas[0])[0].body, ResponseBody::UpdateDone));
     }
 
+    /// Gives replica 1 a write of `amount` under its own slot that no other
+    /// replica has seen.
+    fn write_only_at_replica_1(replicas: &mut [Replica<Counter>], amount: u64) {
+        let mut write = Counter::default();
+        write.increment(ReplicaId::new(1), amount);
+        replicas[1].absorb_state(&write);
+    }
+
     #[test]
-    fn full_mode_replies_ship_full_states() {
-        // Paper-faithful mode: ACK replies carry the acceptor's full state.
+    fn full_mode_acks_ship_a_state_only_beyond_the_payload() {
+        // Paper-faithful mode: an acceptor whose state is the PREPARE's payload
+        // answers with the empty delta; one that holds more ships its full state.
         let mut replicas = cluster(3, ProtocolConfig::default());
         replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
         run_to_quiescence(&mut replicas);
-        replicas[0].submit_query(ClientId(0), CounterQuery::Value);
-        let prepares = replicas[0].take_outbox();
-        let mut acks = Vec::new();
-        for env in prepares {
-            let index = replicas.iter().position(|r| r.id() == env.to).unwrap();
-            replicas[index].handle_message(env.from, env.message);
-            acks.extend(replicas[index].take_outbox());
-        }
-        assert!(!acks.is_empty());
+        drain_responses(&mut replicas[0]);
+        let (_, acks) = read_acks(&mut replicas);
+        assert_eq!(acks.len(), 2);
         for env in &acks {
             match &env.message {
-                Message::PrepareAck { state: Payload::Full(_), .. } => {}
-                other => panic!("expected full ACK, got {other:?}"),
+                Message::PrepareAck {
+                    state: Payload::Delta(delta), reveal: 0, basis: 0, ..
+                } => {
+                    assert_eq!(delta, &Counter::default(), "a quiet read's ACK is ⊥");
+                }
+                other => panic!("expected the empty delta, got {other:?}"),
             }
         }
+        for env in acks {
+            replicas[0].handle_message(env.from, env.message);
+        }
+        let responses = drain_responses(&mut replicas[0]);
+        assert_eq!(
+            (&responses[0].body, responses[0].round_trips),
+            (&ResponseBody::QueryDone(1), 1)
+        );
+
+        write_only_at_replica_1(&mut replicas, 5);
+        let (_, acks) = read_acks(&mut replicas);
+        for env in &acks {
+            match (env.from.as_u64(), &env.message) {
+                (1, Message::PrepareAck { state: Payload::Full(state), .. }) => {
+                    assert_eq!(state.value(), 6, "the write the payload lacks");
+                }
+                (2, Message::PrepareAck { state: Payload::Delta(delta), .. }) => {
+                    assert_eq!(delta, &Counter::default());
+                }
+                other => panic!("unexpected ACK {other:?}"),
+            }
+        }
+        for env in acks {
+            replicas[0].handle_message(env.from, env.message);
+        }
+        run_to_quiescence(&mut replicas);
+        let responses = drain_responses(&mut replicas[0]);
+        assert_eq!(responses[0].body, ResponseBody::QueryDone(6));
     }
 
     #[test]
@@ -2484,9 +2543,9 @@ mod tests {
         }
     }
 
-    /// One quiet read at replica 0, hand-delivered: returns the request id of
-    /// its instance and the two peers' `ACK`s, undelivered.
-    fn quiet_read_acks(replicas: &mut [Replica<Counter>]) -> (RequestId, Vec<Envelope<Counter>>) {
+    /// One read at replica 0 whose `PREPARE`s are hand-delivered: returns the
+    /// request id of its instance and the two peers' `ACK`s, undelivered.
+    fn read_acks(replicas: &mut [Replica<Counter>]) -> (RequestId, Vec<Envelope<Counter>>) {
         replicas[0].submit_query(ClientId(2), CounterQuery::Value);
         let prepares = replicas[0].take_outbox();
         let request = prepares[0].message.request();
@@ -2503,7 +2562,7 @@ mod tests {
     #[test]
     fn a_reply_is_wanted_exactly_while_its_instance_is_in_flight() {
         let mut replicas = cluster(3, ProtocolConfig::default());
-        let (request, acks) = quiet_read_acks(&mut replicas);
+        let (request, acks) = read_acks(&mut replicas);
         assert!(replicas[0].wants_reply(request));
         assert!(!replicas[0].wants_reply(RequestId(request.0 + 1)), "no such instance yet");
 
@@ -2530,7 +2589,7 @@ mod tests {
         let mut replicas = cluster(3, config);
         replicas[0].submit_update(ClientId(1), CounterUpdate::Increment(1));
         run_to_quiescence(&mut replicas);
-        let (request, acks) = quiet_read_acks(&mut replicas);
+        let (request, acks) = read_acks(&mut replicas);
         let mut acks = acks.into_iter();
         let first = acks.next().expect("two acks");
         replicas[0].handle_message(first.from, first.message);
@@ -2545,8 +2604,8 @@ mod tests {
         assert_eq!(replicas[0].known_peer_state(sender).map(Counter::value), Some(1));
     }
 
-    /// The decode target a reply was handed in through is a reply of the same
-    /// shape afterwards — never a placeholder of another kind — and what it
+    /// The decode target a full reply was handed in through is a reply of the
+    /// same shape afterwards — never a placeholder of another kind — and what it
     /// holds is a state some finished instance retired.
     #[test]
     fn a_consumed_reply_leaves_a_retired_state_behind() {
@@ -2555,31 +2614,33 @@ mod tests {
         run_to_quiescence(&mut replicas);
         drain_responses(&mut replicas[0]);
 
-        // First read: nothing has been retired yet, so the consumed state is
-        // traded for the bottom state.
-        let (_, acks) = quiet_read_acks(&mut replicas);
+        // First read: replica 1 is ahead of the payload, so its ACK is full.
+        // Nothing has been retired yet, so the consumed state is traded for
+        // the bottom state.
+        write_only_at_replica_1(&mut replicas, 1);
+        let (_, acks) = read_acks(&mut replicas);
         let mut resident = acks.into_iter().next().expect("an ack");
+        assert_eq!(resident.from, ReplicaId::new(1));
         replicas[0].handle_message_mut(resident.from, &mut resident.message);
-        assert_eq!(drain_responses(&mut replicas[0]).len(), 1);
         let Message::PrepareAck { state: Payload::Full(left), .. } = &resident.message else {
             panic!("the resident changed kind: {:?}", resident.message);
         };
         assert_eq!(left, &Counter::default());
+        run_to_quiescence(&mut replicas);
+        assert_eq!(drain_responses(&mut replicas[0])[0].body, ResponseBody::QueryDone(8));
 
         // The read retired the peer state it had consumed; the next consumed
         // reply is traded for it.
-        replicas[0].submit_update(ClientId(1), CounterUpdate::Increment(1));
-        run_to_quiescence(&mut replicas);
-        drain_responses(&mut replicas[0]);
-        let (_, acks) = quiet_read_acks(&mut replicas);
+        write_only_at_replica_1(&mut replicas, 2);
+        let (_, acks) = read_acks(&mut replicas);
         let mut resident = acks.into_iter().next().expect("an ack");
         replicas[0].handle_message_mut(resident.from, &mut resident.message);
-        let responses = drain_responses(&mut replicas[0]);
-        assert_eq!(responses[0].body, ResponseBody::QueryDone(8));
         let Message::PrepareAck { state: Payload::Full(left), .. } = &resident.message else {
             panic!("the resident changed kind: {:?}", resident.message);
         };
-        assert_eq!(left.value(), 7, "the state the first read consumed");
+        assert_eq!(left.value(), 8, "the state the first read consumed");
+        run_to_quiescence(&mut replicas);
+        assert_eq!(drain_responses(&mut replicas[0])[0].body, ResponseBody::QueryDone(9));
 
         // A `NACK` is traded the same way, and however many states instances
         // retire, only a handful are kept.
@@ -2594,5 +2655,30 @@ mod tests {
             assert!(matches!(&nack, Message::Nack { state: Payload::Full(_), .. }));
         }
         assert!(replicas[0].state_pool.len() <= Replica::<Counter>::STATE_POOL_CAP);
+    }
+
+    /// The twin of the test above for an `ACK` that is the empty delta: it is
+    /// resolved where it lies, so the resident stays the delta it was, and the
+    /// state it resolves to — the instance's own snapshot — is never pooled.
+    #[test]
+    fn an_empty_delta_reply_is_left_where_it_lies() {
+        let mut replicas = cluster(3, ProtocolConfig::default());
+        replicas[0].submit_update(ClientId(1), CounterUpdate::Increment(7));
+        run_to_quiescence(&mut replicas);
+        drain_responses(&mut replicas[0]);
+        let pooled = replicas[0].state_pool.len();
+        for _ in 0..3 {
+            let (_, acks) = read_acks(&mut replicas);
+            for mut resident in acks {
+                let before = resident.message.clone();
+                assert!(matches!(before, Message::PrepareAck { state: Payload::Delta(_), .. }));
+                replicas[0].handle_message_mut(resident.from, &mut resident.message);
+                assert_eq!(resident.message, before, "the resident was touched");
+            }
+            let responses = drain_responses(&mut replicas[0]);
+            assert_eq!(responses[0].body, ResponseBody::QueryDone(7));
+            assert_eq!(responses[0].round_trips, 1);
+            assert_eq!(replicas[0].state_pool.len(), pooled, "a shared state was pooled");
+        }
     }
 }

@@ -95,11 +95,6 @@ use {crate::msg::ResponseBody, crdt::MapOutput};
 pub struct ShardId(pub u32);
 
 impl ShardId {
-    /// Creates a shard id from a raw index.
-    pub const fn new(id: u32) -> Self {
-        ShardId(id)
-    }
-
     /// Returns the raw index value.
     pub const fn as_u32(self) -> u32 {
         self.0
@@ -1256,7 +1251,7 @@ mod tests {
 
     #[test]
     fn shard_id_accessors_and_display() {
-        let shard = ShardId::new(7);
+        let shard = ShardId(7);
         assert_eq!(shard.as_u32(), 7);
         assert_eq!(shard.as_usize(), 7);
         assert_eq!(shard.to_string(), "s7");

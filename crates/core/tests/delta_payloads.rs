@@ -84,9 +84,11 @@ fn single_delta_merge_is_an_order_of_magnitude_smaller_than_full() {
     assert!(delta_bytes * 10 <= full_bytes, "full = {full_bytes} B, delta = {delta_bytes} B");
 }
 
-/// Runs `queries` quiet reads at replica 0 (after one warm-up update + read that
+/// Runs `queries` reads at replica 0 (after one warm-up update + read that
 /// establishes peer knowledge and basis snapshots), returning the total encoded
-/// bytes of every ACK reply on the wire.
+/// bytes of every ACK reply on the wire. Before each read replica 2 — whose
+/// `ACK` arrives after the quorum's — takes a write the reader's `PREPARE`
+/// lacks.
 fn ack_bytes_for(config: ProtocolConfig, queries: u64) -> u64 {
     let mut replicas = cluster(config);
     let mut ack_bytes = 0u64;
@@ -95,6 +97,9 @@ fn ack_bytes_for(config: ProtocolConfig, queries: u64) -> u64 {
         if step == 0 {
             replicas[0].submit_update(ClientId(0), CounterUpdate::Increment(1));
         } else {
+            let mut write = GCounter::new();
+            write.increment(ReplicaId::new(1), 1017 + step);
+            replicas[2].absorb_state(&write);
             replicas[0].submit_query(ClientId(0), crdt::CounterQuery::Value);
         }
         loop {
@@ -123,9 +128,10 @@ fn ack_bytes_for(config: ProtocolConfig, queries: u64) -> u64 {
 
 #[test]
 fn delta_mode_halves_ack_bytes_on_the_64_slot_counter() {
-    // The ROADMAP follow-up this covers: after delta-encoding MERGE/PREPARE/VOTE,
-    // ACK/NACK replies dominated bytes-on-the-wire. With the reply handshake, a
-    // quiet read's ACK is an empty delta instead of the full 64-slot state.
+    // After delta-encoding MERGE/PREPARE/VOTE, ACK/NACK replies dominated
+    // bytes-on-the-wire. An acceptor that holds a write the PREPARE lacks ships
+    // its full 64-slot state in full mode, and with the reply handshake a delta
+    // of that one slot; the quiet acceptor's ACK is an empty delta in both.
     let queries = 10;
     let full = ack_bytes_for(ProtocolConfig::default(), queries);
     let delta = ack_bytes_for(ProtocolConfig::default().with_delta_payloads(), queries);

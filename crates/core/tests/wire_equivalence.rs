@@ -234,6 +234,30 @@ fn delta_payload_frames_keep_their_bytes() {
     assert_eq!(encoder.bytes(), DELTA_FRAMES.concat());
 }
 
+/// A full-mode acceptor's `ACK` to a `PREPARE` whose payload is its state:
+/// the empty delta, with no reveal and no basis, framed as [`delta_frames`]
+/// are. The map is one length byte, whatever the shard holds.
+const EMPTY_DELTA_ACK_FRAME: &[u8] = &[14, 0, 0, 0, 0, 3, 4, 2, 3, 44, 9, 2, 4, 2, 1, 0, 0, 0];
+
+#[test]
+fn an_empty_delta_ack_frame_keeps_its_bytes() {
+    let message = ShardMessage::Protocol {
+        epoch: 3,
+        shards: 4,
+        shard: ShardId(2),
+        message: Message::PrepareAck {
+            request: RequestId(44),
+            round: Round::new(9, RoundId::proposer(4, ReplicaId::new(2))),
+            state: Payload::Delta(Kv::default()),
+            reveal: 0,
+            basis: 0,
+        },
+    };
+    assert_eq!(reference_frame(&message), EMPTY_DELTA_ACK_FRAME);
+    let decoded = wire::from_slice::<ShardMessage<Kv>>(&EMPTY_DELTA_ACK_FRAME[4..]);
+    assert_eq!(decoded.expect("decode"), message);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 

@@ -23,8 +23,13 @@
 //! Only the outer kind gets a target of its own. Inside a message a
 //! `Payload::Full` ↔ `Payload::Delta` flip (the same state type under the
 //! other tag, which the derived decode does not know), or a `PREPARE` with and
-//! without a payload, still rebuilds that field; those flips mark first
-//! contact, retries and fallbacks, not the steady state.
+//! without a payload, still rebuilds that field. Those flips mark first
+//! contact, retries and fallbacks — and an `ACK` that raced a write: a quiet
+//! read's `ACK` is the empty delta in either payload mode, and one from an
+//! acceptor that holds a write the `PREPARE` lacked ships its full state in
+//! full mode. Under a steady read/write mix that flip recurs at the rate of
+//! such races, and the delta a proposer resolves is left in its resident, so
+//! the common empty-delta `ACK` decodes in place.
 //!
 //! [`peek_protocol`]: crdt_paxos_core::peek_protocol
 
